@@ -1,7 +1,9 @@
 """Bit-wise simulation engine: cycle planning, tiling, shift-accumulate.
 
-A matmul is executed as nested loops over row tiles, weight bits, and
-activation groups. Each (tile, cycle, column) produces one analog level that
+A matmul is executed as loops over row tiles and activation groups. One
+float32 GEMM per (tile, activation group) produces the analog levels of every
+weight bit of that group; float32 is exact because each level is an integer
+below 2^24, a bound MacroConfig enforces. Each (tile, cycle, column) level
 passes through the macro model before being accumulated with its signed
 power-of-two shift weight. Accumulation is exact integer arithmetic on counts;
 floating point enters only at the final rescale.
@@ -16,8 +18,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .macro import (MacroConfig, NoiseSpec, adc_readout, apply_noise,
                     majority_vote_readout)
-from .quant import (QuantizedTensor, Signedness, decompose_bits,
-                    encode_activation_groups, group_layout, quantize)
+from .quant import QuantizedTensor, Signedness, group_layout, quantize
 from .rng import RngContext
 from .tensor import Shape2D, conv_output_shape, im2col, round_half_away
 
@@ -152,14 +153,13 @@ class SimLayerResult:
     analog_ratio: float
     tiles: int
     level_counts: Optional[dict] = None   # (w_bit, act_group) -> histogram
+    total_cycles: Optional[int] = None    # default: tiles * cycle_count
 
     def __post_init__(self):
         if not (0.0 <= self.analog_ratio <= 1.0):
             raise ConfigError("analog_ratio must lie in [0, 1]")
-
-    @property
-    def total_cycles(self) -> int:
-        return self.tiles * self.cycle_count
+        if self.total_cycles is None:
+            self.total_cycles = self.tiles * self.cycle_count
 
 
 def _auto_signedness(t: np.ndarray) -> Signedness:
@@ -179,11 +179,15 @@ def simulate_matmul(act: QuantizedTensor, w: QuantizedTensor,
                     layer: int = 0, record_levels: bool = False) -> SimLayerResult:
     """Simulate act[B,D] @ w[D,M] with w stationary in the macro.
 
-    D is tiled into ceil(D/rows) mappings; every (tile, cycle) level goes
-    through noise and ADC readout (digital cycles compute the exact MAC; voted
-    cycles use majority_vote_readout). Readouts are snapped back to integer
-    counts before the signed shift-accumulate, and the final counts are scaled
-    by both quantization scales.
+    D is tiled into ceil(D/rows) mappings. Per (tile, activation group) one
+    float32 GEMM of the group's DAC words [B, rows] against the tile's stacked
+    weight planes [rows, Q*M] yields the levels of all Q weight bits at once;
+    float32 is exact here because every level is an integer below 2^24
+    (MacroConfig enforces rows * (2^enc_bits - 1) < 2^24). Each plan entry's
+    level then goes through noise and ADC readout (digital cycles compute the
+    exact MAC; voted cycles use majority_vote_readout). Readouts are snapped
+    back to integer counts before the signed shift-accumulate, and the final
+    counts are scaled by both quantization scales.
     """
     if act.codes.ndim != 2 or w.codes.ndim != 2:
         raise ShapeError("simulate_matmul expects 2-D operands")
@@ -196,38 +200,53 @@ def simulate_matmul(act: QuantizedTensor, w: QuantizedTensor,
             f"mode enc_bits {mode.enc_bits} != macro enc_bits {cfg.enc_bits}")
     plan = plan_cycles(w.params.bits, act.params.bits, act.params.signedness,
                        w.params.signedness, mode)
-    w_planes = decompose_bits(w).planes
-    groups = encode_activation_groups(decompose_bits(act), cfg.enc_bits).groups
+    layout = group_layout(act.params.bits, act.params.signedness, cfg.enc_bits)
+    by_group = [[e for e in plan.entries if e.act_group == g]
+                for g in range(len(layout))]
+    # masking with 2^bits - 1 yields the 2's-complement pattern of negatives
+    u_a = act.codes & ((1 << act.params.bits) - 1)
+    u_w = w.codes & ((1 << w.params.bits) - 1)
+    q_bits = w.params.bits
+    bit_pos = np.arange(q_bits)[:, None]
     n_fs = cfg.full_scale_counts
-    tile_slices = [slice(i, min(i + cfg.rows, d)) for i in range(0, d, cfg.rows)]
     accum = np.zeros((b, m), dtype=np.int64)
     hist = {} if record_levels else None
-    for t, sl in enumerate(tile_slices):
-        for e in plan.entries:
-            levels = groups[e.act_group].values[:, sl] @ w_planes[e.w_bit][sl, :]
-            if record_levels:
-                key = (e.w_bit, e.act_group)
-                counts = np.bincount(levels.ravel(), minlength=n_fs + 1)
-                hist[key] = hist.get(key, 0) + counts
-            if e.domain is Domain.DIGITAL:
-                counts_int = levels
-            else:
-                ctx = RngContext(layer=layer, tile=t, w_bit=e.w_bit,
-                                 act_group=e.act_group)
-                if e.oversample > 1:
-                    _, mac = majority_vote_readout(levels, e.oversample,
-                                                   spec, cfg, ctx)
-                elif spec.silent:
-                    _, mac = adc_readout(levels, cfg)
+    tile_starts = range(0, d, cfg.rows)
+    for t, start in enumerate(tile_starts):
+        stop = min(start + cfg.rows, d)
+        rhs = ((u_w[start:stop, None, :] >> bit_pos) & 1).astype(np.float32)
+        rhs = rhs.reshape(stop - start, q_bits * m)
+        for (width, gshift, _), entries in zip(layout, by_group):
+            lhs = (u_a[:, start:stop] >> gshift) & ((1 << width) - 1)
+            lhs = lhs.astype(np.float32)
+            # exact: levels are integers below 2^24 (MacroConfig.__post_init__)
+            block = (lhs @ rhs).reshape(b, q_bits, m)
+            for e in entries:
+                levels = block[:, e.w_bit, :].astype(np.int64)
+                if record_levels:
+                    key = (e.w_bit, e.act_group)
+                    counts = np.bincount(levels.ravel(), minlength=n_fs + 1)
+                    hist[key] = hist.get(key, 0) + counts
+                if e.domain is Domain.DIGITAL:
+                    counts_int = levels
                 else:
-                    _, mac = adc_readout(apply_noise(levels, spec, cfg, ctx), cfg)
-                counts_int = round_half_away(mac).astype(np.int64)
-            accum += (e.sign << e.shift) * counts_int
+                    ctx = RngContext(layer=layer, tile=t, w_bit=e.w_bit,
+                                     act_group=e.act_group)
+                    if e.oversample > 1:
+                        _, mac = majority_vote_readout(levels, e.oversample,
+                                                       spec, cfg, ctx)
+                    elif spec.silent:
+                        _, mac = adc_readout(levels, cfg)
+                    else:
+                        _, mac = adc_readout(apply_noise(levels, spec, cfg, ctx),
+                                             cfg)
+                    counts_int = round_half_away(mac).astype(np.int64)
+                accum += (e.sign << e.shift) * counts_int
     return SimLayerResult(
         output=accum * (act.params.scale * w.params.scale),
         cycle_count=plan.cycles_per_tile,
         analog_ratio=plan.analog_ratio,
-        tiles=len(tile_slices),
+        tiles=len(tile_starts),
         level_counts=hist)
 
 
@@ -288,8 +307,8 @@ def simulate_attention(q, k, v, bits, cfg: MacroConfig, spec: NoiseSpec,
     QK^T runs with Q stationary and K broadcast; scaling and softmax stay in
     floating point; A V runs with V stationary and the unsigned post-softmax
     scores broadcast. The two matmuls use stream ids `layer` and `layer + 1`
-    so their noise draws are independent; reported cycles/tiles are summed
-    over both.
+    so their noise draws are independent. total_cycles is the sum of both
+    matmuls' totals; cycle_count and tiles are plain sums over the two.
     """
     w_bits, x_bits = _bit_pair(bits)
     q = np.asarray(q, dtype=np.float64)
@@ -313,7 +332,8 @@ def simulate_attention(q, k, v, bits, cfg: MacroConfig, spec: NoiseSpec,
     ratio = (qk.analog_ratio * qk.cycle_count
              + av.analog_ratio * av.cycle_count) / cycles
     return SimLayerResult(output=av.output, cycle_count=cycles,
-                          analog_ratio=ratio, tiles=qk.tiles + av.tiles)
+                          analog_ratio=ratio, tiles=qk.tiles + av.tiles,
+                          total_cycles=qk.total_cycles + av.total_cycles)
 
 
 @dataclass(frozen=True)

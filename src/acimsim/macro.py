@@ -46,6 +46,11 @@ class MacroConfig:
             raise ConfigError(f"adc_bits must be in [1, 16], got {self.adc_bits}")
         if self.enc_bits < 1:
             raise ConfigError(f"enc_bits must be >= 1, got {self.enc_bits}")
+        # the engine computes levels with float32 GEMMs, exact below 2^24
+        if self.full_scale_counts >= 1 << 24:
+            raise ConfigError(
+                f"rows * (2^enc_bits - 1) must be < 2^24 for exact levels, "
+                f"got rows={self.rows}, enc_bits={self.enc_bits}")
 
     @property
     def full_scale_counts(self) -> int:

@@ -7,6 +7,7 @@ adds the checks and shape manipulations the rest of the package relies on.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 
@@ -60,14 +61,9 @@ def im2col(input: np.ndarray, kernel: Shape2D, stride: int = 1,
         raise ShapeError(
             f"kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}")
     xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((out_h * out_w, c * kh * kw), dtype=x.dtype)
-    r = 0
-    for i in range(out_h):
-        for j in range(out_w):
-            patch = xp[:, i * stride:i * stride + kh, j * stride:j * stride + kw]
-            cols[r] = patch.reshape(-1)
-            r += 1
-    return cols
+    # [C, out_h, out_w, kh, kw] view; the reshape copies into row order
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    return win.transpose(1, 2, 0, 3, 4).reshape(out_h * out_w, c * kh * kw)
 
 
 def conv_output_shape(h: int, w: int, kernel: Shape2D, stride: int,

@@ -209,6 +209,57 @@ def test_matmul_partial_hybrid_and_voting_noiseless_exact():
         assert np.array_equal(res.output, oracle(act, w))
 
 
+def _random_exactness_case(gen):
+    """One randomized (rows, y, bits, signedness, hybrid, voting) config."""
+    rows = int(gen.integers(1, 65))
+    d = int(gen.integers(1, 3 * rows + 2))
+    y = int(gen.integers(1, 5))
+    w_bits = int(gen.integers(2, 9))
+    x_bits = int(gen.integers(max(2, y), 9))
+    x_sgn = (U, TC)[int(gen.integers(2))]
+    w_sgn = (U, TC)[int(gen.integers(2))]
+    shifts = len({e.shift for e in plan_cycles(
+        w_bits, x_bits, x_sgn, w_sgn, EngineMode(enc_bits=y)).entries})
+    hybrid = None
+    if gen.random() < 0.5:
+        hybrid = int(gen.integers(1, shifts + 1))
+    voting = None
+    analog = shifts - (hybrid or 0)
+    if analog and gen.random() < 0.5:
+        voting = VotingSpec(int(gen.integers(1, analog + 1)),
+                            int(gen.integers(2, 6)))
+    mode = EngineMode(enc_bits=y, hybrid_boundary=hybrid, voting=voting)
+    act = rand_q(gen, (int(gen.integers(1, 6)), d), x_bits, x_sgn)
+    w = rand_q(gen, (d, int(gen.integers(1, 6))), w_bits, w_sgn)
+    return MacroConfig.at_boundary(rows, y), mode, act, w
+
+
+def test_matmul_randomized_configs_bit_exact():
+    # noiseless engine at the boundary ADC equals the integer oracle over
+    # randomized tilings, encodings, bit widths, signedness, hybrid and voting
+    seen = set()
+    for seed in range(50):
+        cfg, mode, act, w = _random_exactness_case(np.random.default_rng(seed))
+        res = simulate_matmul(act, w, cfg, NOISELESS, mode, record_levels=True)
+        what = (seed, cfg, mode, act.params, w.params, act.shape, w.shape)
+        assert np.array_equal(res.output, oracle(act, w)), what
+        plan = plan_cycles(w.params.bits, act.params.bits,
+                           act.params.signedness, w.params.signedness, mode)
+        b, m = act.shape[0], w.shape[1]
+        mass = sum(int(h.sum()) for h in res.level_counts.values())
+        assert mass == res.tiles * len(plan.entries) * b * m, what
+        seen |= {f"y{cfg.enc_bits}", act.params.signedness.value}
+        if mode.hybrid_boundary is not None:
+            seen.add("hybrid")
+        if mode.voting is not None:
+            seen.add("voting")
+        if act.shape[1] % cfg.rows and res.tiles > 1:
+            seen.add("ragged tiles")
+    # the drawn configs reach every feature the test claims to cover
+    assert seen == {"y1", "y2", "y3", "y4", U.value, TC.value, "hybrid",
+                    "voting", "ragged tiles"}
+
+
 def test_matmul_deterministic_replay():
     gen = np.random.default_rng(9)
     act = rand_q(gen, (2, 64), 6, TC)
@@ -403,6 +454,15 @@ def test_attention_close_to_float():
     assert err < 0.05
     assert 0.0 <= res.analog_ratio <= 1.0
     assert res.cycle_count > 0
+
+
+def test_attention_total_cycles_sum_both_matmuls():
+    # QK^T has D=16 (1 tile x 64 cycles); AV has D=300 (2 tiles x 64)
+    cfg = MacroConfig.at_boundary(256)
+    gen = np.random.default_rng(19)
+    q, k, v = (gen.normal(size=(300, 16)) for _ in range(3))
+    res = simulate_attention(q, k, v, 8, cfg, NOISELESS, SERIAL)
+    assert res.total_cycles == 1 * 64 + 2 * 64 == 192
 
 
 def test_attention_shape_errors():

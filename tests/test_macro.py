@@ -47,6 +47,18 @@ def test_macro_config_validation():
         MacroConfig(rows=256, adc_bits=8, enc_bits=0)
 
 
+@pytest.mark.parametrize("enc_bits", [1, 4])
+def test_macro_config_float32_level_bound(enc_bits):
+    # the engine's float32 level GEMM is exact only while the full scale
+    # rows * (2^y - 1) stays below 2^24
+    top = (1 << 24) - 1
+    rows = top // ((1 << enc_bits) - 1)
+    assert rows * ((1 << enc_bits) - 1) == top
+    assert MacroConfig(rows, 8, enc_bits).full_scale_counts == top
+    with pytest.raises(ConfigError, match=r"rows=\d+, enc_bits=\d"):
+        MacroConfig(rows + 1, 8, enc_bits)
+
+
 def test_sigma_validation():
     with pytest.raises(DomainError):
         Sigma(-0.1)

@@ -104,3 +104,31 @@ def test_split_rows_short_tail():
     assert np.array_equal(np.concatenate(chunks), t)
     with pytest.raises(ShapeError):
         split_rows(t, 0)
+
+
+def _im2col_loop(x, kh, kw, stride, padding):
+    # reference lowering: one receptive field per output position, row-major
+    c, h, w = x.shape
+    out_h, out_w = conv_output_shape(h, w, Shape2D(kh, kw), stride, padding)
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((out_h * out_w, c * kh * kw), dtype=x.dtype)
+    for i in range(out_h):
+        for j in range(out_w):
+            cols[i * out_w + j] = xp[:, i * stride:i * stride + kh,
+                                     j * stride:j * stride + kw].reshape(-1)
+    return cols
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+def test_im2col_matches_loop_oracle(stride, padding):
+    gen = np.random.default_rng(10 * stride + padding)
+    for dtype, (c, h, w), (kh, kw) in [(np.int64, (3, 7, 6), (3, 3)),
+                                       (np.float64, (2, 5, 8), (2, 3)),
+                                       (np.int64, (1, 4, 4), (1, 1))]:
+        x = gen.integers(-8, 8, size=(c, h, w)).astype(dtype)
+        got = im2col(x, Shape2D(kh, kw), stride, padding)
+        want = _im2col_loop(x, kh, kw, stride, padding)
+        assert got.dtype == x.dtype
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
