@@ -17,11 +17,10 @@ from .macro import (MacroConfig, NoiseSpec, NoiseUnit, Sigma, NOISELESS,
 from .quant import (ActivationGroup, ActivationGroups, BitPlanes, QuantParams,
                     QuantizedTensor, Signedness, bit_sparsity, decompose_bits,
                     dequantize, encode_activation_groups, fake_quant,
-                    group_layout, quantize, recompose_bits)
-from .engine import (CycleEntry, CyclePlan, Domain, EngineMode, EnergyCoeffs,
-                     SimLayerResult, VotingSpec, estimate_cycles_energy,
-                     plan_cycles, simulate_attention, simulate_conv2d,
-                     simulate_linear, simulate_matmul)
+                    group_layout, quantize, recompose_bits, signedness_of)
+from .engine import (CycleEntry, CyclePlan, Domain, EngineMode, SimLayerResult,
+                     VotingSpec, plan_cycles, simulate_attention,
+                     simulate_conv2d, simulate_matmul)
 from .metrics import (CsnrReport, ErrorHistogram, LinearitySweep, MacHistogram,
                       VarianceCsnr, csnr_measure, csnr_variance_form,
                       error_histogram, expected_mac, linearity_sweep,
@@ -31,4 +30,4 @@ from .models import (LinearLayer, Relu, TinyModel, TrainConfig,
                      forward_nat, forward_qat, init_mlp, train)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .rng import RngContext
-from .tensor import Shape2D, im2col, round_half_away, split_rows
+from .tensor import Shape2D, im2col, round_half_away

@@ -19,9 +19,9 @@ from . import __version__, rng
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, load_config
 from .data import load_idx, make_blobs, train_test_split
-from .engine import EngineMode, simulate_matmul
+from .engine import simulate_matmul
 from .errors import AcimError, ConfigError
-from .macro import NOISELESS, MacroConfig, Sigma
+from .macro import NOISELESS, Sigma
 from .metrics import csnr_measure, csnr_variance_form, linearity_sweep, \
     mac_distribution
 from .models import (TinyModel, TrainConfig, engine_forward, evaluate_digital,
@@ -72,48 +72,29 @@ def _model(cfg: ExperimentConfig, train_set, test_set) -> TinyModel:
     return model
 
 
-def _point_metrics(model, test_set, macro, noise, mode):
-    """Evaluate one grid point: accuracy, CSNR vs the float forward, cycles."""
+def _run_grid(cfg: ExperimentConfig, axes, threads, meta):
+    """Accuracy, CSNR vs the float forward, cycles and analog ratio of the
+    model at every point of the axes' grid; no axes is the single point of
+    the config as written."""
+    train_set, test_set = _dataset(cfg)
+    model = _model(cfg, train_set, test_set)
     x, y = test_set
     ideal = forward_float(model, x)
-    logits, cycles, ratio = engine_forward(model, x, macro, noise, mode)
-    acc = float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
-    return acc, csnr_measure(ideal, logits).db, cycles, ratio
-
-
-def cmd_simulate(cfg: ExperimentConfig, out_dir, threads, meta):
-    train_set, test_set = _dataset(cfg)
-    model = _model(cfg, train_set, test_set)
-    acc, csnr_db, cycles, ratio = _point_metrics(
-        model, test_set, cfg.macro, cfg.noise, cfg.mode)
-    meta["baseline_acc"] = model.baseline_acc
-    header = ("accuracy", "csnr_db", "cycles", "analog_ratio")
-    return header, [(acc, csnr_db, cycles, ratio)]
-
-
-def cmd_sweep(cfg: ExperimentConfig, out_dir, threads, meta):
-    if not cfg.sweep:
-        raise ConfigError(f"{cfg.path}: sweep needs a [sweep] section with "
-                          "at least one axis")
-    train_set, test_set = _dataset(cfg)
-    model = _model(cfg, train_set, test_set)
-    axes = [(name, cfg.sweep[name])
-            for name in ("adc_bits", "enc_bits", "noise") if name in cfg.sweep]
 
     def run_point(values):
         point = dict(zip([a[0] for a in axes], values))
-        macro = MacroConfig(rows=cfg.macro.rows,
-                            adc_bits=point.get("adc_bits", cfg.macro.adc_bits),
-                            enc_bits=point.get("enc_bits", cfg.macro.enc_bits))
+        macro = dataclasses.replace(
+            cfg.macro, adc_bits=point.get("adc_bits", cfg.macro.adc_bits),
+            enc_bits=point.get("enc_bits", cfg.macro.enc_bits))
         noise = cfg.noise
         if "noise" in point:
             noise = dataclasses.replace(
                 noise, random_sigma=Sigma(point["noise"],
                                           cfg.noise.random_sigma.unit))
-        mode = EngineMode(enc_bits=macro.enc_bits,
-                          hybrid_boundary=cfg.mode.hybrid_boundary,
-                          voting=cfg.mode.voting)
-        return (*values, *_point_metrics(model, test_set, macro, noise, mode))
+        mode = dataclasses.replace(cfg.mode, enc_bits=macro.enc_bits)
+        logits, cycles, ratio = engine_forward(model, x, macro, noise, mode)
+        acc = float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
+        return (*values, acc, csnr_measure(ideal, logits).db, cycles, ratio)
 
     grid = list(itertools.product(*[v for _, v in axes]))
     if threads > 1:
@@ -125,6 +106,19 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir, threads, meta):
     header = (*[a[0] for a in axes], "accuracy", "csnr_db", "cycles",
               "analog_ratio")
     return header, rows
+
+
+def cmd_simulate(cfg: ExperimentConfig, out_dir, threads, meta):
+    return _run_grid(cfg, [], threads, meta)
+
+
+def cmd_sweep(cfg: ExperimentConfig, out_dir, threads, meta):
+    if not cfg.sweep:
+        raise ConfigError(f"{cfg.path}: sweep needs a [sweep] section with "
+                          "at least one axis")
+    axes = [(name, cfg.sweep[name])
+            for name in ("adc_bits", "enc_bits", "noise") if name in cfg.sweep]
+    return _run_grid(cfg, axes, threads, meta)
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir, threads, meta):

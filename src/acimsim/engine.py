@@ -6,7 +6,8 @@ weight bit of that group; float32 is exact because each level is an integer
 below 2^24, a bound MacroConfig enforces. Each (tile, cycle, column) level
 passes through the macro model before being accumulated with its signed
 power-of-two shift weight. Accumulation is exact integer arithmetic on counts;
-floating point enters only at the final rescale.
+floating point enters only at the final rescale. Conv2d and attention lower
+onto simulate_matmul; SimLayerResult.compose accounts several matmuls as one.
 """
 
 from dataclasses import dataclass, replace
@@ -18,7 +19,8 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .macro import (MacroConfig, NoiseSpec, adc_readout, apply_noise,
                     majority_vote_readout)
-from .quant import QuantizedTensor, Signedness, group_layout, quantize
+from .quant import (QuantizedTensor, Signedness, group_layout, quantize,
+                    signedness_of)
 from .rng import RngContext
 from .tensor import Shape2D, conv_output_shape, im2col, round_half_away
 
@@ -148,6 +150,14 @@ def plan_cycles(w_bits: int, x_bits: int, x_signedness: Signedness,
 
 @dataclass
 class SimLayerResult:
+    """Output and cycle accounting of one simulated layer.
+
+    analog_ratio is the share of plan entries in the analog domain; an entry
+    counts once, however many oversample repeats voting gives it. A composite
+    (attention, a whole network) sums total_cycles, tiles and cycle_count over
+    its parts and weights each part's analog_ratio by its total_cycles.
+    """
+
     output: np.ndarray
     cycle_count: int          # per tile, counting oversample repeats
     analog_ratio: float
@@ -161,10 +171,14 @@ class SimLayerResult:
         if self.total_cycles is None:
             self.total_cycles = self.tiles * self.cycle_count
 
-
-def _auto_signedness(t: np.ndarray) -> Signedness:
-    return Signedness.UNSIGNED if t.size == 0 or t.min() >= 0 \
-        else Signedness.TWOS_COMPLEMENT
+    @classmethod
+    def compose(cls, parts, output) -> "SimLayerResult":
+        """Account `parts`, run one after another, as one result."""
+        total = sum(p.total_cycles for p in parts)
+        analog = sum(p.analog_ratio * p.total_cycles for p in parts)
+        return cls(output=output, cycle_count=sum(p.cycle_count for p in parts),
+                   analog_ratio=analog / total if total else 1.0,
+                   tiles=sum(p.tiles for p in parts), total_cycles=total)
 
 
 def _bit_pair(bits) -> tuple:
@@ -250,20 +264,6 @@ def simulate_matmul(act: QuantizedTensor, w: QuantizedTensor,
         level_counts=hist)
 
 
-def simulate_linear(act: QuantizedTensor, w: QuantizedTensor,
-                    bias, cfg: MacroConfig, spec: NoiseSpec,
-                    mode: EngineMode, layer: int = 0) -> SimLayerResult:
-    """simulate_matmul plus a floating-point bias add (bias is not ACiM work)."""
-    res = simulate_matmul(act, w, cfg, spec, mode, layer=layer)
-    if bias is not None:
-        bias = np.asarray(bias, dtype=np.float64)
-        if bias.shape != (w.shape[1],):
-            raise ShapeError(
-                f"bias shape {bias.shape} does not match {w.shape[1]} outputs")
-        res.output = res.output + bias
-    return res
-
-
 def simulate_conv2d(act, w, stride: int, padding: int, bits,
                     cfg: MacroConfig, spec: NoiseSpec, mode: EngineMode,
                     layer: int = 0) -> SimLayerResult:
@@ -281,7 +281,7 @@ def simulate_conv2d(act, w, stride: int, padding: int, bits,
     if act.shape[0] != w.shape[1]:
         raise ShapeError(f"channel mismatch: {act.shape[0]} vs {w.shape[1]}")
     f, _c, kh, kw = w.shape
-    act_q = quantize(act, x_bits, _auto_signedness(act))
+    act_q = quantize(act, x_bits, signedness_of(act))
     w_q = quantize(w, w_bits, Signedness.TWOS_COMPLEMENT)
     patches = im2col(act_q.codes, Shape2D(kh, kw), stride, padding)
     res = simulate_matmul(
@@ -307,8 +307,8 @@ def simulate_attention(q, k, v, bits, cfg: MacroConfig, spec: NoiseSpec,
     QK^T runs with Q stationary and K broadcast; scaling and softmax stay in
     floating point; A V runs with V stationary and the unsigned post-softmax
     scores broadcast. The two matmuls use stream ids `layer` and `layer + 1`
-    so their noise draws are independent. total_cycles is the sum of both
-    matmuls' totals; cycle_count and tiles are plain sums over the two.
+    so their noise draws are independent. The result composes both matmuls
+    (see SimLayerResult).
     """
     w_bits, x_bits = _bit_pair(bits)
     q = np.asarray(q, dtype=np.float64)
@@ -328,40 +328,4 @@ def simulate_attention(q, k, v, bits, cfg: MacroConfig, spec: NoiseSpec,
     a_q = quantize(scores, x_bits, Signedness.UNSIGNED)
     v_q = quantize(v, w_bits, Signedness.TWOS_COMPLEMENT)
     av = simulate_matmul(a_q, v_q, cfg, spec, mode, layer=layer + 1)
-    cycles = qk.cycle_count + av.cycle_count
-    ratio = (qk.analog_ratio * qk.cycle_count
-             + av.analog_ratio * av.cycle_count) / cycles
-    return SimLayerResult(output=av.output, cycle_count=cycles,
-                          analog_ratio=ratio, tiles=qk.tiles + av.tiles,
-                          total_cycles=qk.total_cycles + av.total_cycles)
-
-
-@dataclass(frozen=True)
-class EnergyCoeffs:
-    """User-supplied energy coefficients, one ADC entry per precision k."""
-
-    analog_cycle: float = 0.0
-    digital_cycle: float = 0.0
-    adc: dict = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "adc", dict(self.adc or {}))
-        values = [self.analog_cycle, self.digital_cycle, *self.adc.values()]
-        if any(c < 0 for c in values):
-            raise ConfigError("energy coefficients must be >= 0")
-
-
-def estimate_cycles_energy(plan: CyclePlan, tiles: int, coeffs: EnergyCoeffs,
-                           adc_bits: int) -> dict:
-    """Cycle count (with oversample repeats) and parametric energy estimate."""
-    if tiles < 1:
-        raise ConfigError(f"tiles must be >= 1, got {tiles}")
-    energy = 0.0
-    for e in plan.entries:
-        if e.domain is Domain.DIGITAL:
-            energy += coeffs.digital_cycle
-        else:
-            if adc_bits not in coeffs.adc:
-                raise ConfigError(f"no ADC energy coefficient for k={adc_bits}")
-            energy += e.oversample * (coeffs.analog_cycle + coeffs.adc[adc_bits])
-    return {"cycles": tiles * plan.cycles_per_tile, "energy": tiles * energy}
+    return SimLayerResult.compose([qk, av], av.output)

@@ -1,5 +1,7 @@
 """Tiny MLP with closed-form backprop, QAT (straight-through) and NAT.
 
+Every forward pass walks the layers in one place, _walk; the float, QAT, NAT
+and engine passes differ only in how a linear layer's product is computed.
 The trainer never differentiates through the simulation engine; noise-aware
 training uses the multiplicative surrogate O * (1 + eta) on each matmul output
 and quantization uses the straight-through estimator.
@@ -11,10 +13,11 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .engine import EngineMode, simulate_matmul, softmax
+from .engine import EngineMode, SimLayerResult, simulate_matmul, softmax
 from .errors import TrainingError
 from .macro import MacroConfig, NoiseSpec
-from .quant import QuantParams, Signedness, dequantize, quantize
+from .quant import (QuantParams, Signedness, dequantize, quantize,
+                    signedness_of)
 
 
 @dataclass
@@ -72,61 +75,71 @@ def init_mlp(dims: list, seed: int) -> TinyModel:
     return TinyModel(layers)
 
 
-def _signedness_for(t: np.ndarray) -> Signedness:
-    return Signedness.UNSIGNED if t.size == 0 or t.min() >= 0 \
-        else Signedness.TWOS_COMPLEMENT
-
-
 def _ste_mask(t: np.ndarray, params: QuantParams) -> np.ndarray:
     lo, hi = params.value_range
     return ((t >= lo) & (t <= hi)).astype(np.float64)
 
 
-def _forward(model: TinyModel, x: np.ndarray, quantized: bool,
-             nat_sigma: float, seed: int, nat_ctx: Optional[rng.RngContext]):
-    """Shared forward pass; returns (output, caches) for the backward pass."""
-    caches = []
+def _walk(model: TinyModel, x, matmul):
+    """Run model.layers on x; the one layer loop of every forward pass.
+
+    ReLU and bias stay in float64. Each linear layer's product comes from
+    matmul(a, layer, linear_index), with linear layers numbered from 0.
+    Returns the output and the input of every layer (the backward pass reads
+    its ReLU masks from them).
+    """
     a = np.asarray(x, dtype=np.float64)
+    inputs = []
     linear_index = 0
     for layer in model.layers:
+        inputs.append(a)
         if isinstance(layer, Relu):
-            mask = (a > 0).astype(np.float64)
-            caches.append(("relu", mask))
-            a = a * mask
-            continue
-        if quantized:
-            aq_t = quantize(a, model.x_bits, _signedness_for(a))
-            wq_t = quantize(layer.w, model.w_bits, Signedness.TWOS_COMPLEMENT)
-            aq, wq = dequantize(aq_t), dequantize(wq_t)
-            a_mask = _ste_mask(a, aq_t.params)
-            w_mask = _ste_mask(layer.w, wq_t.params)
+            a = np.maximum(a, 0.0)
         else:
-            aq, wq = a, layer.w
-            a_mask = w_mask = None
+            a = matmul(a, layer, linear_index) + layer.b
+            linear_index += 1
+    return a, inputs
+
+
+def _quantize_operands(model: TinyModel, a: np.ndarray, layer: LinearLayer):
+    """Activation codes (signedness from the data) and weight codes."""
+    return (quantize(a, model.x_bits, signedness_of(a)),
+            quantize(layer.w, model.w_bits, Signedness.TWOS_COMPLEMENT))
+
+
+def _digital_matmul(model: TinyModel, quantized: bool, nat_sigma: float = 0.0,
+                    seed: int = 0, nat_ctx: Optional[rng.RngContext] = None,
+                    tape: Optional[list] = None):
+    """A _walk matmul: the float or fake-quantized product, times the NAT
+    gain 1 + nat_sigma * eta when nat_sigma > 0. `tape`, when given, collects
+    (aq, wq, a_mask, w_mask, gain) per linear layer for the backward pass.
+    """
+    def matmul(a, layer, linear_index):
+        aq, wq, masks = a, layer.w, (None, None)
+        if quantized:
+            a_t, w_t = _quantize_operands(model, a, layer)
+            aq, wq = dequantize(a_t), dequantize(w_t)
+            masks = _ste_mask(a, a_t.params), _ste_mask(layer.w, w_t.params)
         z = aq @ wq
         gain = None
         if nat_sigma > 0:
             ctx = (nat_ctx or rng.RngContext()).replace(layer=linear_index)
             gain = 1.0 + nat_sigma * rng.normal(seed, ctx, rng.TAG_NAT, z.shape)
             z = z * gain
-        caches.append(("linear", layer, aq, wq, a_mask, w_mask, gain))
-        a = z + layer.b
-        linear_index += 1
-    return a, caches
+        if tape is not None:
+            tape.append((aq, wq, *masks, gain))
+        return z
+    return matmul
 
 
 def forward_float(model: TinyModel, batch) -> np.ndarray:
     """Plain floating-point forward pass (the ideal reference output)."""
-    out, _ = _forward(model, batch, quantized=False, nat_sigma=0.0,
-                      seed=0, nat_ctx=None)
-    return out
+    return _walk(model, batch, lambda a, layer, _: a @ layer.w)[0]
 
 
 def forward_qat(model: TinyModel, batch, cfg: TrainConfig) -> np.ndarray:
     """Forward pass with fake-quantized weights and activations."""
-    out, _ = _forward(model, batch, quantized=True, nat_sigma=0.0,
-                      seed=cfg.seed, nat_ctx=None)
-    return out
+    return _walk(model, batch, _digital_matmul(model, quantized=True))[0]
 
 
 def forward_nat(model: TinyModel, batch, cfg: TrainConfig,
@@ -136,9 +149,8 @@ def forward_nat(model: TinyModel, batch, cfg: TrainConfig,
     eta is drawn per element, fresh for every (ctx, layer) combination; vary
     ctx.sample across passes to resample.
     """
-    out, _ = _forward(model, batch, quantized=True, nat_sigma=cfg.nat_sigma,
-                      seed=cfg.seed, nat_ctx=ctx)
-    return out
+    matmul = _digital_matmul(model, True, cfg.nat_sigma, cfg.seed, ctx)
+    return _walk(model, batch, matmul)[0]
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -160,15 +172,16 @@ def loss_and_grads(model: TinyModel, x, labels, cfg: TrainConfig,
     (loss, grads) with grads[i] = (dw, db) aligned to model.layers.
     """
     sigma = cfg.nat_sigma if nat_ctx is not None else 0.0
-    logits, caches = _forward(model, x, quantized, sigma, cfg.seed, nat_ctx)
+    tape = []
+    logits, inputs = _walk(model, x, _digital_matmul(
+        model, quantized, sigma, cfg.seed, nat_ctx, tape))
     loss, delta = cross_entropy(logits, np.asarray(labels))
     grads = [None] * len(model.layers)
     for i in range(len(model.layers) - 1, -1, -1):
-        cache = caches[i]
-        if cache[0] == "relu":
-            delta = delta * cache[1]
+        if isinstance(model.layers[i], Relu):
+            delta = delta * (inputs[i] > 0)
             continue
-        _, layer, aq, wq, a_mask, w_mask, gain = cache
+        aq, wq, a_mask, w_mask, gain = tape.pop()
         db = delta.sum(axis=0)
         dz = delta if gain is None else delta * gain
         dw = aq.T @ dz
@@ -228,25 +241,21 @@ def engine_forward(model: TinyModel, x, cfg: MacroConfig, spec: NoiseSpec,
     """Run every linear layer on the simulation engine.
 
     ReLU and bias stay in floating point; activations are re-quantized before
-    each layer with signedness inferred from the data (post-ReLU tensors are
-    unsigned). Returns (logits, total_cycles, analog_ratio).
+    each layer with quant.signedness_of (post-ReLU tensors are unsigned).
+    Returns (logits, total_cycles, analog_ratio) of the whole network, the
+    layers composed as SimLayerResult.compose does.
     """
-    a = np.asarray(x, dtype=np.float64)
-    total_cycles = 0
-    ratio = 1.0
-    linear_index = 0
-    for layer in model.layers:
-        if isinstance(layer, Relu):
-            a = np.maximum(a, 0.0)
-            continue
-        act_q = quantize(a, model.x_bits, _signedness_for(a))
-        w_q = quantize(layer.w, model.w_bits, Signedness.TWOS_COMPLEMENT)
-        res = simulate_matmul(act_q, w_q, cfg, spec, mode, layer=linear_index)
-        a = res.output + layer.b
-        total_cycles += res.total_cycles
-        ratio = res.analog_ratio
-        linear_index += 1
-    return a, total_cycles, ratio
+    parts = []
+
+    def matmul(a, layer, linear_index):
+        act_q, w_q = _quantize_operands(model, a, layer)
+        parts.append(simulate_matmul(act_q, w_q, cfg, spec, mode,
+                                     layer=linear_index))
+        return parts[-1].output
+
+    logits, _ = _walk(model, x, matmul)
+    net = SimLayerResult.compose(parts, logits)
+    return logits, net.total_cycles, net.analog_ratio
 
 
 def evaluate_on_engine(model: TinyModel, dataset, cfg: MacroConfig,

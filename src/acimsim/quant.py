@@ -68,6 +68,13 @@ class QuantizedTensor:
         return self.codes.shape
 
 
+def signedness_of(t: np.ndarray) -> Signedness:
+    """Unsigned when no entry is negative (e.g. post-ReLU data), else 2's
+    complement: the one rule for choosing an activation's signedness."""
+    return Signedness.UNSIGNED if t.size == 0 or t.min() >= 0 \
+        else Signedness.TWOS_COMPLEMENT
+
+
 def _calibrated_scale(t: np.ndarray, bits: int, signedness: Signedness) -> float:
     # min/max calibration; all-zero tensors get scale 1 so zeros stay exact
     if signedness is Signedness.UNSIGNED:

@@ -1,4 +1,4 @@
-"""Dense tensor helpers: validated construction, rounding, im2col, tiling.
+"""Dense tensor helpers: validated construction, rounding, im2col.
 
 Tensors are plain numpy float64 arrays in row-major order; this module only
 adds the checks and shape manipulations the rest of the package relies on.
@@ -71,16 +71,3 @@ def conv_output_shape(h: int, w: int, kernel: Shape2D, stride: int,
     out_h = (h + 2 * padding - kernel.rows) // stride + 1
     out_w = (w + 2 * padding - kernel.cols) // stride + 1
     return out_h, out_w
-
-
-def split_rows(t: np.ndarray, chunk: int) -> list:
-    """Split a [D, M] array into ceil(D/chunk) row chunks.
-
-    The last chunk may be short; short chunks are never zero-padded (absent
-    rows simply contribute nothing downstream).
-    """
-    if chunk < 1:
-        raise ShapeError(f"chunk must be >= 1, got {chunk}")
-    t = np.asarray(t)
-    d = t.shape[0]
-    return [t[i:i + chunk] for i in range(0, d, chunk)]

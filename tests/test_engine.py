@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from acimsim.engine import (Domain, EnergyCoeffs, EngineMode, VotingSpec,
-                            estimate_cycles_energy, plan_cycles,
+from acimsim.engine import (Domain, EngineMode, VotingSpec, plan_cycles,
                             simulate_attention, simulate_conv2d,
-                            simulate_linear, simulate_matmul, softmax)
+                            simulate_matmul, softmax)
 from acimsim.errors import ConfigError, ShapeError
 from acimsim.macro import NOISELESS, MacroConfig, NoiseSpec, NoiseUnit, Sigma
+from acimsim.models import LinearLayer, TinyModel, engine_forward
 from acimsim.quant import QuantParams, QuantizedTensor, Signedness, quantize
 
 U = Signedness.UNSIGNED
@@ -344,26 +344,27 @@ def test_matmul_shape_and_mode_errors():
 # ---------------------------------------------------- layer-level entry points
 
 def test_linear_zero_weights_broadcasts_bias():
-    cfg = MacroConfig.at_boundary(256)
-    act = QuantizedTensor(np.ones((3, 8), dtype=int), QuantParams(1.0, 4, U))
-    w = QuantizedTensor(np.zeros((8, 2), dtype=int), QuantParams(1.0, 4, TC))
+    # a linear layer is the engine matmul plus a float bias, added by the
+    # model's layer walker
     bias = np.array([1.5, -2.0])
-    res = simulate_linear(act, w, bias, cfg, NOISELESS, SERIAL)
-    assert np.array_equal(res.output, np.tile(bias, (3, 1)))
+    model = TinyModel([LinearLayer(np.zeros((8, 2)), bias)], w_bits=4, x_bits=4)
+    out, _, _ = engine_forward(model, np.ones((3, 8)),
+                               MacroConfig.at_boundary(256), NOISELESS, SERIAL)
+    assert np.array_equal(out, np.tile(bias, (3, 1)))
 
 
 def test_linear_equals_matmul_plus_bias():
     gen = np.random.default_rng(13)
-    act = rand_q(gen, (4, 32), 6, TC)
-    w = rand_q(gen, (32, 5), 6, TC)
+    x = gen.normal(size=(4, 32))
+    w = gen.normal(size=(32, 5))
     bias = gen.normal(size=5)
     cfg = MacroConfig(256, 8)
     spec = NoiseSpec(random_sigma=lsb(0.7), seed=3)
-    with_bias = simulate_linear(act, w, bias, cfg, spec, SERIAL)
-    bare = simulate_matmul(act, w, cfg, spec, SERIAL)
-    assert np.array_equal(with_bias.output, bare.output + bias)
-    with pytest.raises(ShapeError):
-        simulate_linear(act, w, np.zeros(4), cfg, spec, SERIAL)
+    model = TinyModel([LinearLayer(w, bias)], w_bits=6, x_bits=6)
+    with_bias, _, _ = engine_forward(model, x, cfg, spec, SERIAL)
+    bare = simulate_matmul(quantize(x, 6, TC), quantize(w, 6, TC), cfg, spec,
+                           SERIAL, layer=0)
+    assert np.array_equal(with_bias, bare.output + bias)
 
 
 def test_conv_single_pixel_scalar_multiply():
@@ -465,6 +466,24 @@ def test_attention_total_cycles_sum_both_matmuls():
     assert res.total_cycles == 1 * 64 + 2 * 64 == 192
 
 
+def test_attention_analog_ratio_weights_total_cycles():
+    # QK^T (signed K, 1 tile) and AV (unsigned scores, 2 tiles) get different
+    # plans at y=2, hybrid L=2; each counts by its total cycles
+    mode = EngineMode.bit_parallel(2, hybrid_boundary=2)
+    gen = np.random.default_rng(19)
+    q, k, v = (gen.normal(size=(300, 16)) for _ in range(3))
+    res = simulate_attention(q, k, v, 8, MacroConfig.at_boundary(256, 2),
+                             NOISELESS, mode)
+    analog = total = 0
+    for x_signedness, tiles in ((TC, 1), (U, 2)):
+        entries = plan_cycles(8, 8, x_signedness, TC, mode).entries
+        analog += tiles * sum(e.domain is Domain.ANALOG for e in entries)
+        total += tiles * len(entries)
+    assert (analog, total) == (97, 104)
+    assert res.total_cycles == total
+    assert res.analog_ratio == pytest.approx(analog / total, rel=1e-12)
+
+
 def test_attention_shape_errors():
     cfg = MacroConfig.at_boundary(256)
     with pytest.raises(ShapeError):
@@ -475,39 +494,14 @@ def test_attention_shape_errors():
                            8, cfg, NOISELESS, SERIAL)
 
 
-# ------------------------------------------------------------ cycles & energy
+# ------------------------------------------------------------ cycle counts
 
-def test_energy_zero_coefficients():
-    plan = plan_cycles(8, 8, TC, TC, SERIAL)
-    out = estimate_cycles_energy(plan, 3, EnergyCoeffs(adc={9: 0.0}), 9)
-    assert out == {"cycles": 192, "energy": 0.0}
-
-
-def test_energy_counts_voting_cycles():
+def test_plan_counts_voting_cycles():
     mode = EngineMode.bit_serial(voting=VotingSpec(boundary=3, samples=7))
     plan = plan_cycles(8, 8, TC, TC, mode)
-    out = estimate_cycles_energy(plan, 1, EnergyCoeffs(adc={9: 0.0}), 9)
-    assert out["cycles"] == 100  # 58 plain + 6 * 7 oversampled
+    assert plan.cycles_per_tile == 100  # 58 plain + 6 * 7 oversampled
     # 5 samples keep the overhead under 40% of the 64-cycle baseline
     plan5 = plan_cycles(8, 8, TC, TC,
                         EngineMode.bit_serial(voting=VotingSpec(3, 5)))
     assert plan5.cycles_per_tile == 88
     assert (plan5.cycles_per_tile - 64) / 64 < 0.40
-
-
-def test_energy_arithmetic():
-    mode = EngineMode.bit_serial(hybrid_boundary=3)
-    plan = plan_cycles(8, 8, TC, TC, mode)
-    coeffs = EnergyCoeffs(analog_cycle=1.0, digital_cycle=0.5, adc={9: 2.0})
-    out = estimate_cycles_energy(plan, 2, coeffs, 9)
-    assert out["energy"] == pytest.approx(2 * (58 * 3.0 + 6 * 0.5))
-
-
-def test_energy_validation():
-    plan = plan_cycles(8, 8, TC, TC, SERIAL)
-    with pytest.raises(ConfigError):
-        estimate_cycles_energy(plan, 1, EnergyCoeffs(adc={8: 1.0}), 9)
-    with pytest.raises(ConfigError):
-        EnergyCoeffs(analog_cycle=-1.0, adc={})
-    with pytest.raises(ConfigError):
-        estimate_cycles_energy(plan, 0, EnergyCoeffs(adc={9: 0.0}), 9)

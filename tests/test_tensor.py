@@ -1,11 +1,11 @@
-"""Tensor helper tests: rounding, im2col lowering, row tiling."""
+"""Tensor helper tests: rounding, im2col lowering."""
 
 import numpy as np
 import pytest
 
 from acimsim.errors import ShapeError
 from acimsim.tensor import (Shape2D, as_tensor, conv_output_shape, im2col,
-                            round_half_away, split_rows)
+                            round_half_away)
 
 
 def test_as_tensor_converts_and_checks():
@@ -87,23 +87,6 @@ def test_im2col_geometry_errors():
         im2col(x, Shape2D(1, 1), padding=-1)
     with pytest.raises(ShapeError):
         im2col(np.zeros((2, 2)), Shape2D(1, 1))
-
-
-def test_split_rows_single_chunk():
-    # D=256, chunk=256 -> one chunk identical to the input
-    t = np.arange(256 * 3.0).reshape(256, 3)
-    chunks = split_rows(t, 256)
-    assert len(chunks) == 1
-    assert np.array_equal(chunks[0], t)
-
-
-def test_split_rows_short_tail():
-    t = np.arange(300.0).reshape(300, 1)
-    chunks = split_rows(t, 256)
-    assert [c.shape[0] for c in chunks] == [256, 44]
-    assert np.array_equal(np.concatenate(chunks), t)
-    with pytest.raises(ShapeError):
-        split_rows(t, 0)
 
 
 def _im2col_loop(x, kh, kw, stride, padding):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from acimsim.data import make_blobs
-from acimsim.engine import EngineMode, plan_cycles
+from acimsim.engine import Domain, EngineMode, plan_cycles
 from acimsim.errors import TrainingError
 from acimsim.macro import NOISELESS, MacroConfig, NoiseSpec, NoiseUnit, Sigma
 from acimsim.models import (LinearLayer, Relu, TinyModel, TrainConfig,
@@ -229,10 +229,14 @@ def trained_model():
 
 def test_engine_eval_matches_digital_noiseless():
     model, data, cfg = trained_model()
+    macro = MacroConfig.at_boundary(256)
     digital = evaluate_digital(model, data, cfg)
-    engine = evaluate_on_engine(model, data, MacroConfig.at_boundary(256),
-                                NOISELESS, SERIAL)
+    engine = evaluate_on_engine(model, data, macro, NOISELESS, SERIAL)
     assert abs(engine - digital) <= 0.01
+    # lossless ADC, no noise: the engine walk reproduces the QAT logits
+    logits, _, _ = engine_forward(model, data[0], macro, NOISELESS, SERIAL)
+    assert np.allclose(logits, forward_qat(model, data[0], cfg),
+                       rtol=1e-9, atol=1e-12)
 
 
 def test_engine_eval_full_digital_hybrid_ignores_noise():
@@ -255,3 +259,22 @@ def test_engine_forward_reports_cycles():
     assert logits.shape == (4, 3)
     assert cycles == 2 * 64  # two single-tile 8b/8b layers
     assert ratio == 1.0
+
+
+def test_engine_forward_reports_network_ratio():
+    # at y=2 with hybrid L=2 the signed input layer and the unsigned
+    # post-ReLU layer get different plans; the network ratio weights each
+    # layer by its cycles
+    model = init_mlp([6, 16, 3], seed=0)
+    x = np.random.default_rng(4).normal(size=(8, 6))
+    mode = EngineMode.bit_parallel(2, hybrid_boundary=2)
+    _, cycles, ratio = engine_forward(model, x, MacroConfig.at_boundary(256, 2),
+                                      NOISELESS, mode)
+    plans = [plan_cycles(8, 8, s, Signedness.TWOS_COMPLEMENT, mode)
+             for s in (Signedness.TWOS_COMPLEMENT, Signedness.UNSIGNED)]
+    analog = sum(sum(e.domain is Domain.ANALOG for e in p.entries)
+                 for p in plans)
+    total = sum(p.cycles_per_tile for p in plans)
+    assert plans[0].analog_ratio != plans[1].analog_ratio
+    assert cycles == total
+    assert ratio == pytest.approx(analog / total, rel=1e-12)
