@@ -54,8 +54,8 @@ def _train_model(cfg: ExperimentConfig, train_set, test_set):
             int(np.asarray(train_set[1]).max()) + 1]
     model = init_mlp(dims, tc.seed)
     model, losses = train(model, train_set, tc)
-    model.baseline_acc = evaluate_digital(model, test_set, tc)
-    return model, tc, losses
+    model.baseline_acc = evaluate_digital(model, test_set)
+    return model, losses
 
 
 def _model(cfg: ExperimentConfig, train_set, test_set) -> TinyModel:
@@ -68,7 +68,7 @@ def _model(cfg: ExperimentConfig, train_set, test_set) -> TinyModel:
     if builtin != "blob-mlp":
         raise ConfigError(f"{cfg.path}: [model] builtin: unknown model "
                           f"{builtin!r} (available: blob-mlp)")
-    model, _, _ = _train_model(cfg, train_set, test_set)
+    model, _ = _train_model(cfg, train_set, test_set)
     return model
 
 
@@ -123,7 +123,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir, threads, meta):
 
 def cmd_train(cfg: ExperimentConfig, out_dir, threads, meta):
     train_set, test_set = _dataset(cfg)
-    model, tc, losses = _train_model(cfg, train_set, test_set)
+    model, losses = _train_model(cfg, train_set, test_set)
     os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, "model.ackpt")
     save_checkpoint(model, ckpt_path)

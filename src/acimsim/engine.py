@@ -5,7 +5,9 @@ float32 GEMM per (tile, activation group) produces the analog levels of every
 weight bit of that group; float32 is exact because each level is an integer
 below 2^24, a bound MacroConfig enforces. Each (tile, cycle, column) level
 passes through the macro model before being accumulated with its signed
-power-of-two shift weight. Accumulation is exact integer arithmetic on counts;
+power-of-two shift weight. The Philox keys of every noise stream of a matmul
+are derived up front in one rng.StreamTable, with the same draws as keying
+each stream on its own. Accumulation is exact integer arithmetic on counts;
 floating point enters only at the final rescale. Conv2d and attention lower
 onto simulate_matmul; SimLayerResult.compose accounts several matmuls as one.
 """
@@ -21,7 +23,7 @@ from .macro import (MacroConfig, NoiseSpec, adc_readout, apply_noise,
                     majority_vote_readout)
 from .quant import (QuantizedTensor, Signedness, group_layout, quantize,
                     signedness_of)
-from .rng import RngContext
+from .rng import TAG_NONLIN, TAG_RANDOM, RngContext, StreamTable
 from .tensor import Shape2D, conv_output_shape, im2col, round_half_away
 
 
@@ -155,11 +157,13 @@ class SimLayerResult:
     analog_ratio is the share of plan entries in the analog domain; an entry
     counts once, however many oversample repeats voting gives it. A composite
     (attention, a whole network) sums total_cycles, tiles and cycle_count over
-    its parts and weights each part's analog_ratio by its total_cycles.
+    its parts and weights each part's analog_ratio by its total_cycles; its
+    cycle_count is then the sum of its parts' per-tile counts, so
+    tiles * cycle_count is not its total_cycles.
     """
 
     output: np.ndarray
-    cycle_count: int          # per tile, counting oversample repeats
+    cycle_count: int          # per tile of one matmul, with oversample repeats
     analog_ratio: float
     tiles: int
     level_counts: Optional[dict] = None   # (w_bit, act_group) -> histogram
@@ -188,6 +192,27 @@ def _bit_pair(bits) -> tuple:
     return int(bits), int(bits)
 
 
+def _stream_table(plan: CyclePlan, tiles: int, layer: int,
+                  spec: NoiseSpec) -> Optional[StreamTable]:
+    """Key every noise stream of one matmul in one StreamTable.
+
+    One row per (tile, analog entry, oversample, tag with non-zero sigma),
+    keyed as majority_vote_readout and apply_noise key their draws. None when
+    no built-in noise source draws.
+    """
+    tags = [tag for tag, sigma in ((TAG_RANDOM, spec.random_sigma),
+                                   (TAG_NONLIN, spec.nonlin_sigma))
+            if sigma.value != 0]
+    if not tags:
+        return None
+    analog = [(e.w_bit, e.act_group, e.oversample) for e in plan.entries
+              if e.domain is Domain.ANALOG]
+    return StreamTable(spec.seed, [
+        (tag, layer, t, w_bit, group, 0, sample)
+        for t in range(tiles) for w_bit, group, samples in analog
+        for sample in range(samples) for tag in tags])
+
+
 def simulate_matmul(act: QuantizedTensor, w: QuantizedTensor,
                     cfg: MacroConfig, spec: NoiseSpec, mode: EngineMode,
                     layer: int = 0, record_levels: bool = False) -> SimLayerResult:
@@ -199,7 +224,8 @@ def simulate_matmul(act: QuantizedTensor, w: QuantizedTensor,
     float32 is exact here because every level is an integer below 2^24
     (MacroConfig enforces rows * (2^enc_bits - 1) < 2^24). Each plan entry's
     level then goes through noise and ADC readout (digital cycles compute the
-    exact MAC; voted cycles use majority_vote_readout). Readouts are snapped
+    exact MAC; voted cycles use majority_vote_readout), drawing its noise from
+    one stream table built for the whole call. Readouts are snapped
     back to integer counts before the signed shift-accumulate, and the final
     counts are scaled by both quantization scales.
     """
@@ -226,6 +252,7 @@ def simulate_matmul(act: QuantizedTensor, w: QuantizedTensor,
     accum = np.zeros((b, m), dtype=np.int64)
     hist = {} if record_levels else None
     tile_starts = range(0, d, cfg.rows)
+    table = _stream_table(plan, len(tile_starts), layer, spec)
     for t, start in enumerate(tile_starts):
         stop = min(start + cfg.rows, d)
         rhs = ((u_w[start:stop, None, :] >> bit_pos) & 1).astype(np.float32)
@@ -248,12 +275,12 @@ def simulate_matmul(act: QuantizedTensor, w: QuantizedTensor,
                                      act_group=e.act_group)
                     if e.oversample > 1:
                         _, mac = majority_vote_readout(levels, e.oversample,
-                                                       spec, cfg, ctx)
+                                                       spec, cfg, ctx, table)
                     elif spec.silent:
                         _, mac = adc_readout(levels, cfg)
                     else:
-                        _, mac = adc_readout(apply_noise(levels, spec, cfg, ctx),
-                                             cfg)
+                        _, mac = adc_readout(
+                            apply_noise(levels, spec, cfg, ctx, table), cfg)
                     counts_int = round_half_away(mac).astype(np.int64)
                 accum += (e.sign << e.shift) * counts_int
     return SimLayerResult(

@@ -121,17 +121,22 @@ def ideal_level(w_col, act_group, cfg: MacroConfig):
 
 
 def apply_random_noise(v, spec: NoiseSpec, cfg: MacroConfig,
-                       ctx: rng.RngContext):
-    """Add ADC input-referred Gaussian noise, deterministic in (seed, ctx)."""
+                       ctx: rng.RngContext, table=None):
+    """Add ADC input-referred Gaussian noise, deterministic in (seed, ctx).
+
+    `table`, an optional rng.StreamTable keyed for spec.seed, supplies the
+    same draws as the per-call stream (as in every function below).
+    """
     sigma = sigma_to_counts(spec.random_sigma, cfg)
     if sigma == 0:
         return np.asarray(v, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    return v + sigma * rng.normal(spec.seed, ctx, rng.TAG_RANDOM, v.shape)
+    return v + sigma * rng.normal(spec.seed, ctx, rng.TAG_RANDOM, v.shape,
+                                  table=table)
 
 
 def apply_nonlinearity(v, spec: NoiseSpec, cfg: MacroConfig,
-                       ctx: rng.RngContext):
+                       ctx: rng.RngContext, table=None):
     """Add level-dependent noise, strongest at low levels.
 
     sigma(v) = sigma_set * sqrt(max(0, N_fs - v) / N_fs): fewer charged
@@ -143,13 +148,15 @@ def apply_nonlinearity(v, spec: NoiseSpec, cfg: MacroConfig,
     v = np.asarray(v, dtype=np.float64)
     n_fs = cfg.full_scale_counts
     local = sigma * np.sqrt(np.maximum(0.0, n_fs - v) / n_fs)
-    return v + local * rng.normal(spec.seed, ctx, rng.TAG_NONLIN, v.shape)
+    return v + local * rng.normal(spec.seed, ctx, rng.TAG_NONLIN, v.shape,
+                                  table=table)
 
 
-def apply_noise(v, spec: NoiseSpec, cfg: MacroConfig, ctx: rng.RngContext):
+def apply_noise(v, spec: NoiseSpec, cfg: MacroConfig, ctx: rng.RngContext,
+                table=None):
     """Full noise pipeline: random, nonlinearity, then the custom hook."""
-    out = apply_random_noise(v, spec, cfg, ctx)
-    out = apply_nonlinearity(out, spec, cfg, ctx)
+    out = apply_random_noise(v, spec, cfg, ctx, table)
+    out = apply_nonlinearity(out, spec, cfg, ctx, table)
     if spec.level_hook is not None:
         out = spec.level_hook(out, ctx)
     return out
@@ -168,7 +175,7 @@ def adc_readout(v, cfg: MacroConfig):
 
 
 def majority_vote_readout(v_ideal, samples: int, spec: NoiseSpec,
-                          cfg: MacroConfig, ctx: rng.RngContext):
+                          cfg: MacroConfig, ctx: rng.RngContext, table=None):
     """Oversample one ideal level and average the ADC codes.
 
     Each sample is an independent noisy readout; averaging N codes shrinks the
@@ -180,7 +187,8 @@ def majority_vote_readout(v_ideal, samples: int, spec: NoiseSpec,
         raise DomainError(f"samples must be >= 1, got {samples}")
     total = None
     for s in range(samples):
-        noisy = apply_noise(v_ideal, spec, cfg, ctx.replace(sample=ctx.sample + s))
+        noisy = apply_noise(v_ideal, spec, cfg,
+                            ctx.replace(sample=ctx.sample + s), table)
         code, _ = adc_readout(noisy, cfg)
         total = code if total is None else total + code
     mean = total / samples

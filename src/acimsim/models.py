@@ -137,7 +137,7 @@ def forward_float(model: TinyModel, batch) -> np.ndarray:
     return _walk(model, batch, lambda a, layer, _: a @ layer.w)[0]
 
 
-def forward_qat(model: TinyModel, batch, cfg: TrainConfig) -> np.ndarray:
+def forward_qat(model: TinyModel, batch) -> np.ndarray:
     """Forward pass with fake-quantized weights and activations."""
     return _walk(model, batch, _digital_matmul(model, quantized=True))[0]
 
@@ -229,10 +229,10 @@ def train(model: TinyModel, dataset, cfg: TrainConfig):
     return model, losses
 
 
-def evaluate_digital(model: TinyModel, dataset, cfg: TrainConfig) -> float:
+def evaluate_digital(model: TinyModel, dataset) -> float:
     """Top-1 accuracy of the fake-quantized (digital) forward pass."""
     x, y = dataset
-    logits = forward_qat(model, x, cfg)
+    logits = forward_qat(model, x)
     return float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
 
 

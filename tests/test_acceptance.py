@@ -225,7 +225,7 @@ def test_c10_end_to_end_blob_mlp():
     dims = [16, 32, 3]
     tc = TrainConfig(lr=0.05, epochs=40, batch=32, seed=3, w_bits=8, x_bits=8)
     model, _ = train(init_mlp(dims, seed=3), train_set, tc)
-    baseline = evaluate_digital(model, test_set, tc)
+    baseline = evaluate_digital(model, test_set)
 
     cfg = MacroConfig.at_boundary(256)
     mode = EngineMode.bit_serial()

@@ -7,9 +7,13 @@ from acimsim.engine import (Domain, EngineMode, VotingSpec, plan_cycles,
                             simulate_attention, simulate_conv2d,
                             simulate_matmul, softmax)
 from acimsim.errors import ConfigError, ShapeError
-from acimsim.macro import NOISELESS, MacroConfig, NoiseSpec, NoiseUnit, Sigma
+from acimsim.macro import (NOISELESS, MacroConfig, NoiseSpec, NoiseUnit, Sigma,
+                           adc_readout, apply_noise, majority_vote_readout)
 from acimsim.models import LinearLayer, TinyModel, engine_forward
-from acimsim.quant import QuantParams, QuantizedTensor, Signedness, quantize
+from acimsim.quant import (QuantParams, QuantizedTensor, Signedness,
+                           group_layout, quantize)
+from acimsim.rng import RngContext
+from acimsim.tensor import round_half_away
 
 U = Signedness.UNSIGNED
 TC = Signedness.TWOS_COMPLEMENT
@@ -258,6 +262,83 @@ def test_matmul_randomized_configs_bit_exact():
     # the drawn configs reach every feature the test claims to cover
     assert seen == {"y1", "y2", "y3", "y4", U.value, TC.value, "hybrid",
                     "voting", "ragged tiles"}
+
+
+def _reference_matmul(act, w, cfg, spec, mode, layer):
+    """The engine loop without stream tables: int64 levels per plan entry,
+    walked group by group, each noise stream keyed on its own by the macro
+    functions."""
+    plan = plan_cycles(w.params.bits, act.params.bits, act.params.signedness,
+                       w.params.signedness, mode)
+    layout = group_layout(act.params.bits, act.params.signedness,
+                          cfg.enc_bits)
+    u_a = act.codes & ((1 << act.params.bits) - 1)
+    u_w = w.codes & ((1 << w.params.bits) - 1)
+    accum = np.zeros((act.shape[0], w.shape[1]), dtype=np.int64)
+    for t, start in enumerate(range(0, act.shape[1], cfg.rows)):
+        rows = slice(start, start + cfg.rows)
+        for g, (width, gshift, _) in enumerate(layout):
+            a_g = (u_a[:, rows] >> gshift) & ((1 << width) - 1)
+            for e in (e for e in plan.entries if e.act_group == g):
+                levels = a_g @ ((u_w[rows] >> e.w_bit) & 1)
+                if e.domain is Domain.DIGITAL:
+                    accum += (e.sign << e.shift) * levels
+                    continue
+                ctx = RngContext(layer=layer, tile=t, w_bit=e.w_bit,
+                                 act_group=g)
+                if e.oversample > 1:
+                    _, mac = majority_vote_readout(levels, e.oversample, spec,
+                                                   cfg, ctx)
+                else:
+                    _, mac = adc_readout(apply_noise(levels, spec, cfg, ctx),
+                                         cfg)
+                accum += (e.sign << e.shift) * round_half_away(mac).astype(
+                    np.int64)
+    return accum * (act.params.scale * w.params.scale)
+
+
+def test_matmul_noisy_equals_reference_loop():
+    # the stream table changes no draw: every noisy output equals the loop
+    # that keys each stream on its own, and a level hook sees the same
+    # RngContext sequence in the same order
+    seen = set()
+    for seed in range(40):
+        gen = np.random.default_rng(seed)
+        cfg, mode, act, w = _random_exactness_case(gen)
+        cfg = MacroConfig(cfg.rows, max(1, cfg.adc_bits - 2), cfg.enc_bits)
+        random_lsb, nonlin_lsb = ((0.7, 0.0), (0.0, 0.5), (0.7, 0.5),
+                                  (0.0, 0.0))[seed % 4]
+        layer = int(gen.integers(0, 4))
+        calls = {"engine": [], "reference": []}
+
+        def spec_for(who):
+            def hook(levels, ctx):
+                calls[who].append(ctx)
+                return levels
+            return NoiseSpec(random_sigma=lsb(random_lsb),
+                             nonlin_sigma=Sigma(nonlin_lsb, NoiseUnit.VPP_PCT),
+                             seed=seed, level_hook=hook)
+
+        got = simulate_matmul(act, w, cfg, spec_for("engine"), mode,
+                              layer=layer).output
+        want = _reference_matmul(act, w, cfg, spec_for("reference"), mode,
+                                 layer)
+        what = (seed, cfg, mode, act.params, w.params, act.shape, w.shape)
+        assert np.array_equal(got, want), what
+        assert calls["engine"] == calls["reference"], what
+        assert calls["engine"] or mode.hybrid_boundary, what
+        seen |= {f"y{cfg.enc_bits}", f"random{random_lsb}",
+                 f"nonlin{nonlin_lsb}"}
+        if layer:
+            seen.add("layer")
+        if mode.hybrid_boundary is not None:
+            seen.add("hybrid")
+        if mode.voting is not None:
+            seen.add("voting")
+        if act.shape[1] % cfg.rows and act.shape[1] > cfg.rows:
+            seen.add("ragged tiles")
+    assert {"y1", "y4", "random0.7", "random0.0", "nonlin0.5", "nonlin0.0",
+            "layer", "hybrid", "voting", "ragged tiles"} <= seen
 
 
 def test_matmul_deterministic_replay():

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from acimsim.errors import DomainError
 from acimsim.rng import (TAG_DATA, TAG_NAT, TAG_NONLIN, TAG_RANDOM, RngContext,
-                         normal, stream)
+                         StreamTable, normal, philox_keys, stream)
 
 
 def test_source_tags_distinct():
@@ -57,3 +58,80 @@ def test_draws_approximately_standard_normal():
     x = normal(7, RngContext(), TAG_DATA, 200_000)
     assert abs(x.mean()) < 0.01
     assert abs(x.std() - 1.0) < 0.01
+
+
+KEY_SEEDS = (0, 1, 7919, 2**32 - 1, 2**32, 2**64 + 1, 2**130 + 7)
+
+
+def _spawn_rows(gen, n):
+    """n random 7-word spawn rows, with the extreme words 0 and 2^32 - 1."""
+    rows = gen.integers(0, 2**32, size=(n, 7), dtype=np.uint64)
+    rows[0] = 0
+    rows[1] = 2**32 - 1
+    rows[2, ::2] = 2**32 - 1
+    return [tuple(int(x) for x in row) for row in rows]
+
+
+def test_philox_keys_match_seed_sequence():
+    gen = np.random.default_rng(0)
+    checked = 0
+    for seed in KEY_SEEDS:
+        rows = _spawn_rows(gen, 150)
+        keys = philox_keys(seed, rows)
+        assert keys.dtype == np.uint64 and keys.shape == (len(rows), 2)
+        for row, key in zip(rows, keys):
+            want = np.random.SeedSequence(seed, spawn_key=row) \
+                .generate_state(2, np.uint64)
+            assert np.array_equal(key, want), (seed, row)
+            checked += 1
+    assert checked >= 1000
+
+
+def test_philox_keys_short_and_empty_rows():
+    for seed in (0, 5, 2**64 + 1):
+        for row in ((), (3,), (1, 2, 3, 4, 5)):
+            want = np.random.SeedSequence(seed, spawn_key=row) \
+                .generate_state(2, np.uint64)
+            assert np.array_equal(philox_keys(seed, [row])[0], want)
+    assert philox_keys(3, []).shape == (0, 2)
+
+
+def test_stream_table_matches_normal_on_every_row():
+    gen = np.random.default_rng(1)
+    for seed in (0, 7919, 2**32 + 5, 2**70 + 3):
+        rows = _spawn_rows(gen, 40) + [(TAG_NONLIN, 1, 2, 3, 4, 0, 5)]
+        table = StreamTable(seed, rows)
+        # each row twice, in a shuffled order: a draw never depends on the
+        # rows drawn before it
+        for i in np.concatenate([gen.permutation(len(rows))] * 2):
+            tag, *key = rows[i]
+            ctx = RngContext(*key)
+            want = normal(seed, ctx, tag, (3, 7))
+            assert np.array_equal(table.normal(ctx, tag, (3, 7)), want)
+            assert np.array_equal(normal(seed, ctx, tag, (3, 7), table=table),
+                                  want)
+
+
+def test_stream_table_rejects_unknown_row_and_other_seed():
+    table = StreamTable(5, [(TAG_RANDOM, 0, 0, 0, 0, 0, 0)])
+    with pytest.raises(KeyError):
+        table.normal(RngContext(tile=1), TAG_RANDOM, 4)
+    with pytest.raises(ValueError):
+        normal(6, RngContext(), TAG_RANDOM, 4, table=table)
+
+
+@pytest.mark.parametrize("word,field", [(2**32, "tile"), (-1, "layer"),
+                                        (2**70, "sample"), (2**32, "tag")])
+def test_philox_keys_rejects_word_outside_uint32(word, field):
+    row = [0] * 7
+    row[("tag", "layer", "tile", "w_bit", "act_group", "column",
+         "sample").index(field)] = word
+    with pytest.raises(DomainError, match=field):
+        philox_keys(1, [tuple(row)])
+    with pytest.raises(DomainError, match=field):
+        StreamTable(1, [tuple(row)])
+
+
+def test_philox_keys_rejects_negative_seed():
+    with pytest.raises(DomainError, match="seed"):
+        philox_keys(-1, [(0,) * 7])

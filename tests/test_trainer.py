@@ -71,13 +71,13 @@ def test_forward_qat_high_bits_close_to_float():
     m = init_mlp([6, 8, 3], seed=2)
     m.w_bits = m.x_bits = 16
     x = np.random.default_rng(1).uniform(-1, 1, size=(10, 6))
-    got = forward_qat(m, x, TrainConfig())
+    got = forward_qat(m, x)
     assert np.max(np.abs(got - forward_float(m, x))) < 1e-3
 
 
 def test_forward_qat_zero_input():
     m = init_mlp([4, 5, 2], seed=3)
-    out = forward_qat(m, np.zeros((2, 4)), TrainConfig())
+    out = forward_qat(m, np.zeros((2, 4)))
     assert np.array_equal(out, np.tile(m.layers[2].b, (2, 1)))
 
 
@@ -91,7 +91,7 @@ def test_forward_qat_equals_fake_quant_composition():
     aq = fake_quant(h, 4, Signedness.UNSIGNED)
     w1 = fake_quant(m.layers[2].w, 4, Signedness.TWOS_COMPLEMENT)
     want = aq @ w1 + m.layers[2].b
-    assert np.allclose(forward_qat(m, x, TrainConfig()), want)
+    assert np.allclose(forward_qat(m, x), want)
 
 
 def test_forward_nat_zero_sigma_identical():
@@ -99,7 +99,7 @@ def test_forward_nat_zero_sigma_identical():
     x = np.random.default_rng(3).normal(size=(4, 5))
     cfg = TrainConfig(nat_sigma=0.0)
     assert np.array_equal(forward_nat(m, x, cfg, RngContext()),
-                          forward_qat(m, x, cfg))
+                          forward_qat(m, x))
 
 
 def test_forward_nat_noise_statistics():
@@ -188,7 +188,7 @@ def test_train_separable_blobs():
     data = small_blobs(classes=2, spread=0.2)
     cfg = TrainConfig(lr=0.1, epochs=50, batch=16, seed=3)
     model, losses = train(init_mlp([6, 8, 2], seed=0), data, cfg)
-    assert evaluate_digital(model, data, cfg) >= 0.95
+    assert evaluate_digital(model, data) >= 0.95
     assert losses[-1] < losses[0]
     assert len(losses) == 50
 
@@ -222,25 +222,25 @@ def test_train_divergence_raises():
 
 def trained_model():
     data = small_blobs()
-    cfg = TrainConfig(epochs=20, seed=3)
-    model, _ = train(init_mlp([6, 16, 3], seed=0), data, cfg)
-    return model, data, cfg
+    model, _ = train(init_mlp([6, 16, 3], seed=0), data,
+                     TrainConfig(epochs=20, seed=3))
+    return model, data
 
 
 def test_engine_eval_matches_digital_noiseless():
-    model, data, cfg = trained_model()
+    model, data = trained_model()
     macro = MacroConfig.at_boundary(256)
-    digital = evaluate_digital(model, data, cfg)
+    digital = evaluate_digital(model, data)
     engine = evaluate_on_engine(model, data, macro, NOISELESS, SERIAL)
     assert abs(engine - digital) <= 0.01
     # lossless ADC, no noise: the engine walk reproduces the QAT logits
     logits, _, _ = engine_forward(model, data[0], macro, NOISELESS, SERIAL)
-    assert np.allclose(logits, forward_qat(model, data[0], cfg),
+    assert np.allclose(logits, forward_qat(model, data[0]),
                        rtol=1e-9, atol=1e-12)
 
 
 def test_engine_eval_full_digital_hybrid_ignores_noise():
-    model, data, _ = trained_model()
+    model, data = trained_model()
     levels = len({e.shift for e in plan_cycles(
         8, 8, Signedness.UNSIGNED, Signedness.TWOS_COMPLEMENT, SERIAL).entries})
     mode = EngineMode.bit_serial(hybrid_boundary=levels)
@@ -252,7 +252,7 @@ def test_engine_eval_full_digital_hybrid_ignores_noise():
 
 
 def test_engine_forward_reports_cycles():
-    model, data, _ = trained_model()
+    model, data = trained_model()
     logits, cycles, ratio = engine_forward(model, data[0][:4],
                                            MacroConfig.at_boundary(256),
                                            NOISELESS, SERIAL)
