@@ -3,13 +3,17 @@
 A matmul is executed as loops over row tiles and activation groups. One
 float32 GEMM per (tile, activation group) produces the analog levels of every
 weight bit of that group; float32 is exact because each level is an integer
-below 2^24, a bound MacroConfig enforces. Each (tile, cycle, column) level
-passes through the macro model before being accumulated with its signed
-power-of-two shift weight. The Philox keys of every noise stream of a matmul
-are derived up front in one rng.StreamTable, with the same draws as keying
-each stream on its own. Accumulation is exact integer arithmetic on counts;
-floating point enters only at the final rescale. Conv2d and attention lower
-onto simulate_matmul; SimLayerResult.compose accounts several matmuls as one.
+below 2^24, a bound MacroConfig enforces. The group's analog levels are then
+read out in chunks: runs of consecutive plan entries that share one
+oversample, capped at _CHUNK_ELEMS levels, each passing through the macro's
+noise, ADC and vote functions in one call per chunk. A count table maps each
+ADC code to its integer count, and the counts are accumulated with their
+signed power-of-two shift weights. The Philox keys of every noise stream of a
+matmul are derived up front in one rng.StreamTable, with the same draws as
+keying each stream on its own, so the chunking changes no draw. Accumulation
+is exact integer arithmetic on counts; floating point enters only at the
+final rescale. Conv2d and attention lower onto simulate_matmul;
+SimLayerResult.compose accounts several matmuls as one.
 """
 
 from dataclasses import dataclass, replace
@@ -18,13 +22,18 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 from .macro import (MacroConfig, NoiseSpec, adc_readout, apply_noise,
-                    majority_vote_readout)
+                    count_table, majority_vote_readout)
 from .quant import (QuantizedTensor, Signedness, group_layout, quantize,
                     signedness_of)
 from .rng import TAG_NONLIN, TAG_RANDOM, RngContext, StreamTable
 from .tensor import Shape2D, conv_output_shape, im2col, round_half_away
+
+# Readout chunk cap in levels (entries x oversample x B x M): a float64
+# temporary of 2^14 levels is 128 KiB. A chunk holds at least one entry, so an
+# entry above the cap is read out on its own.
+_CHUNK_ELEMS = 1 << 14
 
 
 class Domain(Enum):
@@ -205,12 +214,39 @@ def _stream_table(plan: CyclePlan, tiles: int, layer: int,
             if sigma.value != 0]
     if not tags:
         return None
-    analog = [(e.w_bit, e.act_group, e.oversample) for e in plan.entries
-              if e.domain is Domain.ANALOG]
-    return StreamTable(spec.seed, [
-        (tag, layer, t, w_bit, group, 0, sample)
-        for t in range(tiles) for w_bit, group, samples in analog
-        for sample in range(samples) for tag in tags])
+    if not 0 <= layer <= 0xFFFFFFFF:
+        raise DomainError(f"spawn layer must lie in [0, 2^32), got {layer}")
+    # (w_bit, act_group, column, sample) of every analog readout of a tile
+    reads = np.array([(e.w_bit, e.act_group, 0, s) for e in plan.entries
+                      if e.domain is Domain.ANALOG
+                      for s in range(e.oversample)],
+                     dtype=np.int64).reshape(-1, 4)
+    rows = np.empty((tiles, len(reads), len(tags), 7), dtype=np.int64)
+    rows[..., 0] = tags
+    rows[..., 1] = layer
+    rows[..., 2] = np.arange(tiles)[:, None, None]
+    rows[..., 3:] = reads[None, :, None, :]
+    return StreamTable(spec.seed, rows.reshape(-1, 7))
+
+
+def _readout_chunks(entries, elems: int):
+    """Runs of consecutive entries sharing one domain and one oversample.
+
+    A chunk holds at most _CHUNK_ELEMS levels (entries x oversample x elems)
+    and at least one entry, so every temporary of its readout stays small
+    however large the group is.
+    """
+    chunk = []
+    for e in entries:
+        if chunk and (e.domain is not chunk[0].domain
+                      or e.oversample != chunk[0].oversample
+                      or (len(chunk) + 1) * e.oversample * elems
+                      > _CHUNK_ELEMS):
+            yield chunk
+            chunk = []
+        chunk.append(e)
+    if chunk:
+        yield chunk
 
 
 def simulate_matmul(act: QuantizedTensor, w: QuantizedTensor,
@@ -222,12 +258,14 @@ def simulate_matmul(act: QuantizedTensor, w: QuantizedTensor,
     float32 GEMM of the group's DAC words [B, rows] against the tile's stacked
     weight planes [rows, Q*M] yields the levels of all Q weight bits at once;
     float32 is exact here because every level is an integer below 2^24
-    (MacroConfig enforces rows * (2^enc_bits - 1) < 2^24). Each plan entry's
-    level then goes through noise and ADC readout (digital cycles compute the
-    exact MAC; voted cycles use majority_vote_readout), drawing its noise from
-    one stream table built for the whole call. Readouts are snapped
-    back to integer counts before the signed shift-accumulate, and the final
-    counts are scaled by both quantization scales.
+    (MacroConfig enforces rows * (2^enc_bits - 1) < 2^24). Digital entries
+    accumulate their exact levels. Analog entries are read out a chunk at a
+    time (see _readout_chunks): one apply_noise and adc_readout call per
+    chunk, or one majority_vote_readout call for a voted chunk, each entry
+    drawing from its own streams in one stream table built for the whole
+    call. count_table turns ADC codes into integer counts (a vote's mean is
+    rounded to counts directly) before the signed shift-accumulate, and the
+    final counts are scaled by both quantization scales.
     """
     if act.codes.ndim != 2 or w.codes.ndim != 2:
         raise ShapeError("simulate_matmul expects 2-D operands")
@@ -249,6 +287,7 @@ def simulate_matmul(act: QuantizedTensor, w: QuantizedTensor,
     q_bits = w.params.bits
     bit_pos = np.arange(q_bits)[:, None]
     n_fs = cfg.full_scale_counts
+    lut = count_table(cfg)
     accum = np.zeros((b, m), dtype=np.int64)
     hist = {} if record_levels else None
     tile_starts = range(0, d, cfg.rows)
@@ -261,28 +300,32 @@ def simulate_matmul(act: QuantizedTensor, w: QuantizedTensor,
             lhs = (u_a[:, start:stop] >> gshift) & ((1 << width) - 1)
             lhs = lhs.astype(np.float32)
             # exact: levels are integers below 2^24 (MacroConfig.__post_init__)
-            block = (lhs @ rhs).reshape(b, q_bits, m)
-            for e in entries:
-                levels = block[:, e.w_bit, :].astype(np.int64)
-                if record_levels:
+            block = (lhs @ rhs).reshape(b, q_bits, m).transpose(1, 0, 2)
+            if record_levels:
+                for e in entries:
                     key = (e.w_bit, e.act_group)
-                    counts = np.bincount(levels.ravel(), minlength=n_fs + 1)
-                    hist[key] = hist.get(key, 0) + counts
-                if e.domain is Domain.DIGITAL:
-                    counts_int = levels
+                    levels = block[e.w_bit].astype(np.int64).ravel()
+                    hist[key] = hist.get(key, 0) + np.bincount(
+                        levels, minlength=n_fs + 1)
+            for chunk in _readout_chunks(entries, b * m):
+                # a group lists its entries by w_bit, so a chunk is a slice
+                first = chunk[0]
+                levels = block[first.w_bit:chunk[-1].w_bit + 1]
+                ctx = [RngContext(layer, t, e.w_bit, e.act_group)
+                       for e in chunk]
+                if first.domain is Domain.DIGITAL:
+                    counts = levels.astype(np.int64)
+                elif first.oversample > 1:
+                    _, mac = majority_vote_readout(levels, first.oversample,
+                                                   spec, cfg, ctx, table)
+                    counts = round_half_away(mac).astype(np.int64)
                 else:
-                    ctx = RngContext(layer=layer, tile=t, w_bit=e.w_bit,
-                                     act_group=e.act_group)
-                    if e.oversample > 1:
-                        _, mac = majority_vote_readout(levels, e.oversample,
-                                                       spec, cfg, ctx, table)
-                    elif spec.silent:
-                        _, mac = adc_readout(levels, cfg)
-                    else:
-                        _, mac = adc_readout(
-                            apply_noise(levels, spec, cfg, ctx, table), cfg)
-                    counts_int = round_half_away(mac).astype(np.int64)
-                accum += (e.sign << e.shift) * counts_int
+                    if not spec.silent:
+                        levels = apply_noise(levels, spec, cfg, ctx, table)
+                    counts = lut[adc_readout(levels, cfg)[0]]
+                for e, counts_e in zip(chunk, counts):
+                    counts_e *= e.sign << e.shift
+                    accum += counts_e
     return SimLayerResult(
         output=accum * (act.params.scale * w.params.scale),
         cycle_count=plan.cycles_per_tile,

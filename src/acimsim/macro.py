@@ -76,8 +76,9 @@ class MacroConfig:
 class NoiseSpec:
     """Noise intensities, the run seed, and an optional custom level hook.
 
-    `level_hook(levels, ctx)` runs after the two built-in models and may return
-    transformed levels; it is the extension point for user noise models and
+    `level_hook(levels, ctx)` runs after the two built-in models, once per
+    RngContext on that context's levels, and returns the levels to use, of
+    the same shape; it is the extension point for user noise models and
     fault injection.
     """
 
@@ -120,23 +121,27 @@ def ideal_level(w_col, act_group, cfg: MacroConfig):
     return (w.astype(np.int64) * a.astype(np.int64)).sum(axis=-1)
 
 
-def apply_random_noise(v, spec: NoiseSpec, cfg: MacroConfig,
-                       ctx: rng.RngContext, table=None):
+def apply_random_noise(v, spec: NoiseSpec, cfg: MacroConfig, ctx,
+                       table=None):
     """Add ADC input-referred Gaussian noise, deterministic in (seed, ctx).
 
-    `table`, an optional rng.StreamTable keyed for spec.seed, supplies the
-    same draws as the per-call stream (as in every function below).
+    `ctx` is one rng.RngContext, or one per leading row of `v` (see
+    rng.normal); `table`, an optional rng.StreamTable keyed for spec.seed,
+    supplies the same draws as the per-call streams (as in every function
+    below). The sum is formed in the draw buffer, never in `v`: d *= sigma;
+    d += v, which is v + sigma * d exactly, as IEEE * and + commute.
     """
     sigma = sigma_to_counts(spec.random_sigma, cfg)
     if sigma == 0:
         return np.asarray(v, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    return v + sigma * rng.normal(spec.seed, ctx, rng.TAG_RANDOM, v.shape,
-                                  table=table)
+    d = rng.normal(spec.seed, ctx, rng.TAG_RANDOM, np.shape(v), table=table)
+    d *= sigma
+    d += v
+    return d
 
 
-def apply_nonlinearity(v, spec: NoiseSpec, cfg: MacroConfig,
-                       ctx: rng.RngContext, table=None):
+def apply_nonlinearity(v, spec: NoiseSpec, cfg: MacroConfig, ctx,
+                       table=None):
     """Add level-dependent noise, strongest at low levels.
 
     sigma(v) = sigma_set * sqrt(max(0, N_fs - v) / N_fs): fewer charged
@@ -147,18 +152,33 @@ def apply_nonlinearity(v, spec: NoiseSpec, cfg: MacroConfig,
         return np.asarray(v, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     n_fs = cfg.full_scale_counts
-    local = sigma * np.sqrt(np.maximum(0.0, n_fs - v) / n_fs)
-    return v + local * rng.normal(spec.seed, ctx, rng.TAG_NONLIN, v.shape,
-                                  table=table)
+    d = rng.normal(spec.seed, ctx, rng.TAG_NONLIN, v.shape, table=table)
+    local = np.asarray(np.subtract(n_fs, v))
+    np.maximum(local, 0.0, out=local)
+    local /= n_fs
+    np.sqrt(local, out=local)
+    local *= sigma
+    d *= local
+    d += v
+    return d
 
 
-def apply_noise(v, spec: NoiseSpec, cfg: MacroConfig, ctx: rng.RngContext,
-                table=None):
-    """Full noise pipeline: random, nonlinearity, then the custom hook."""
+def apply_noise(v, spec: NoiseSpec, cfg: MacroConfig, ctx, table=None):
+    """Full noise pipeline: random, nonlinearity, then the custom hook.
+
+    The hook runs once per context, on that context's row of levels.
+    """
     out = apply_random_noise(v, spec, cfg, ctx, table)
     out = apply_nonlinearity(out, spec, cfg, ctx, table)
-    if spec.level_hook is not None:
-        out = spec.level_hook(out, ctx)
+    hook = spec.level_hook
+    if hook is None:
+        return out
+    if out is v:
+        out = out.copy()   # the hook's rows are written back into `out`
+    single = isinstance(ctx, rng.RngContext)
+    rows = out[None] if single else out
+    for r, c in enumerate([ctx] if single else ctx):
+        rows[r, ...] = hook(rows[r, ...], c)
     return out
 
 
@@ -166,30 +186,55 @@ def adc_readout(v, cfg: MacroConfig):
     """Full-dynamic-range ADC: code = clamp(round(v / step), 0, 2^k - 1).
 
     Returns (code, mac_counts) with mac_counts = code * step, the digital
-    estimate of the analog level in counts.
+    estimate of the analog level in counts. Rounding is floor(x + 0.5), in
+    place on one float64 buffer: it equals round-half-away-from-zero for
+    x >= 0, and every negative x clamps to code 0 under either rule.
     """
     delta = cfg.lsb_counts
-    code = np.clip(round_half_away(np.asarray(v, dtype=np.float64) / delta),
-                   0, (1 << cfg.adc_bits) - 1).astype(np.int64)
+    x = np.asarray(np.divide(v, delta, dtype=np.float64))
+    x += 0.5
+    np.floor(x, out=x)
+    np.maximum(x, 0, out=x)
+    np.minimum(x, (1 << cfg.adc_bits) - 1, out=x)
+    code = x.astype(np.int64)
     return code, code * delta
 
 
+def count_table(cfg: MacroConfig, samples: int = 1) -> np.ndarray:
+    """Integer counts of every sum of `samples` ADC codes, as int64.
+
+    Entry c is round_half_away(c / samples * step), the count the engine
+    accumulates for a code total c; one lookup replaces a rounding pass.
+    """
+    total = np.arange(samples * ((1 << cfg.adc_bits) - 1) + 1)
+    return round_half_away(total / samples * cfg.lsb_counts).astype(np.int64)
+
+
 def majority_vote_readout(v_ideal, samples: int, spec: NoiseSpec,
-                          cfg: MacroConfig, ctx: rng.RngContext, table=None):
-    """Oversample one ideal level and average the ADC codes.
+                          cfg: MacroConfig, ctx, table=None):
+    """Oversample ideal levels and average the ADC codes.
 
     Each sample is an independent noisy readout; averaging N codes shrinks the
     random-noise sigma by about sqrt(N). Returns the vote rounded to the
     nearest integer code together with mac_counts from the unrounded mean, so
-    downstream accumulation keeps the full averaging benefit.
+    downstream accumulation keeps the full averaging benefit. With one
+    context per leading row of `v_ideal`, every (row, sample) pair is drawn in
+    one apply_noise call, in (row, sample) order, and each sample is read out
+    by one adc_readout call over all rows.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
-    total = None
-    for s in range(samples):
-        noisy = apply_noise(v_ideal, spec, cfg,
-                            ctx.replace(sample=ctx.sample + s), table)
-        code, _ = adc_readout(noisy, cfg)
-        total = code if total is None else total + code
-    mean = total / samples
+    single = isinstance(ctx, rng.RngContext)
+    v = np.asarray(v_ideal)
+    rows = v[None] if single else v
+    draws = [rng.RngContext(c.layer, c.tile, c.w_bit, c.act_group, c.column,
+                            c.sample + s)
+             for c in ([ctx] if single else ctx) for s in range(samples)]
+    noisy = apply_noise(np.repeat(rows, samples, axis=0), spec, cfg, draws,
+                        table)
+    noisy = noisy.reshape(len(rows), samples, *rows.shape[1:])
+    total, _ = adc_readout(noisy[:, 0], cfg)
+    for s in range(1, samples):
+        total += adc_readout(noisy[:, s], cfg)[0]
+    mean = (total[0] if single else total) / samples
     return round_half_away(mean).astype(np.int64), mean * cfg.lsb_counts

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ShapeError
 
 # Source tags keep independent noise sources statistically independent even
 # when they share the same simulation coordinates.
@@ -58,19 +58,41 @@ def stream(seed: int, ctx: RngContext, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def normal(seed: int, ctx: RngContext, tag: int, shape,
+def normal(seed: int, ctx, tag: int, shape,
            table: "StreamTable | None" = None) -> np.ndarray:
     """Standard-normal draws for (seed, ctx, tag), C-order over `shape`.
 
-    With a `table` keyed for `seed`, the draws come from its row for
-    (tag, *ctx.key()); they are the same bytes either way.
+    `ctx` is one RngContext, or a sequence of them, one per leading row of
+    `shape`: row r then holds exactly the draws of
+    `normal(seed, ctx[r], tag, shape[1:])`. With a `table` keyed for `seed`,
+    the draws come from its rows; they are the same bytes either way.
     """
     if table is None:
-        return stream(seed, ctx, tag).standard_normal(shape)
+        return _fill_rows(lambda c: stream(seed, c, tag), ctx, shape)
     if table.seed != seed:
         raise ValueError(
             f"stream table keyed for seed {table.seed}, not {seed}")
     return table.normal(ctx, tag, shape)
+
+
+def _fill_rows(generator, ctx, shape) -> np.ndarray:
+    """Fill row r of `shape` in place from generator(ctx[r]).
+
+    One RngContext is the one-row case: its draws fill a leading axis of
+    length 1, which is dropped again.
+    """
+    single = isinstance(ctx, RngContext)
+    rows = (ctx,) if single else ctx
+    shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+    if single:
+        shape = (1, *shape)
+    if not shape or shape[0] != len(rows):
+        raise ShapeError(
+            f"{len(rows)} stream contexts for draw shape {shape}")
+    out = np.empty(shape)
+    for r, c in enumerate(rows):
+        generator(c).standard_normal(out=out[r, ...])
+    return out[0, ...] if single else out
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx). Hash call k
@@ -178,10 +200,14 @@ class StreamTable:
     """
 
     def __init__(self, seed: int, spawn_keys):
-        rows = [tuple(row) for row in spawn_keys]
+        if isinstance(spawn_keys, np.ndarray):   # int [N, W], hashed as is
+            spawn, rows = spawn_keys, spawn_keys.tolist()
+        else:
+            spawn = rows = list(spawn_keys)
+        rows = list(map(tuple, rows))
         self.seed = seed
-        self._keys = philox_keys(seed, rows)
-        self._index = {row: i for i, row in enumerate(rows)}
+        self._keys = philox_keys(seed, spawn)
+        self._index = dict(zip(rows, range(len(rows))))
         if rows:
             # exactness: the vectorized hash must reproduce numpy's
             want = np.random.SeedSequence(seed, spawn_key=rows[0]) \
@@ -192,17 +218,22 @@ class StreamTable:
                     f"for seed {seed}, spawn {rows[0]}")
         self._bitgen = np.random.Philox(0)
         self._gen = np.random.Generator(self._bitgen)
-        self._zero = np.zeros(4, dtype=np.uint64)
+        zero = np.zeros(4, dtype=np.uint64)
+        self._key = {"counter": zero, "key": None}
+        self._state = {"bit_generator": "Philox", "state": self._key,
+                       "buffer": zero, "buffer_pos": 4, "has_uint32": 0,
+                       "uinteger": 0}
 
-    def normal(self, ctx: RngContext, tag: int, shape) -> np.ndarray:
-        """Standard-normal draws of row (tag, *ctx.key()), as `normal`."""
+    def normal(self, ctx, tag: int, shape) -> np.ndarray:
+        """Standard-normal draws of rows (tag, *ctx.key()), as `normal`."""
+        return _fill_rows(lambda c: self._generator(c, tag), ctx, shape)
+
+    def _generator(self, ctx: RngContext, tag: int) -> np.random.Generator:
+        """The shared generator, set to the start of row (tag, *ctx.key())."""
         row = (tag, *ctx.key())
         i = self._index.get(row)
         if i is None:
             raise KeyError(f"no stream row {row} in this table")
-        self._bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": self._zero, "key": self._keys[i]},
-            "buffer": self._zero, "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0}
-        return self._gen.standard_normal(shape)
+        self._key["key"] = self._keys[i]
+        self._bitgen.state = self._state   # the setter copies every field
+        return self._gen

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from acimsim import engine
 from acimsim.engine import (Domain, EngineMode, VotingSpec, plan_cycles,
                             simulate_attention, simulate_conv2d,
                             simulate_matmul, softmax)
-from acimsim.errors import ConfigError, ShapeError
+from acimsim.errors import ConfigError, DomainError, ShapeError
 from acimsim.macro import (NOISELESS, MacroConfig, NoiseSpec, NoiseUnit, Sigma,
                            adc_readout, apply_noise, majority_vote_readout)
 from acimsim.models import LinearLayer, TinyModel, engine_forward
@@ -297,32 +298,41 @@ def _reference_matmul(act, w, cfg, spec, mode, layer):
     return accum * (act.params.scale * w.params.scale)
 
 
+def _noisy_cases():
+    """40 seeded noisy configs: (seed, cfg, mode, act, w, sigmas, layer)."""
+    for seed in range(40):
+        gen = np.random.default_rng(seed)
+        cfg, mode, act, w = _random_exactness_case(gen)
+        cfg = MacroConfig(cfg.rows, max(1, cfg.adc_bits - 2), cfg.enc_bits)
+        sigmas = ((0.7, 0.0), (0.0, 0.5), (0.7, 0.5), (0.0, 0.0))[seed % 4]
+        yield seed, cfg, mode, act, w, sigmas, int(gen.integers(0, 4))
+
+
+def _logging_spec(seed, sigmas, log):
+    """The case's noise with a level hook that logs every RngContext."""
+    def hook(levels, ctx):
+        log.append(ctx)
+        return levels
+    random_lsb, nonlin_lsb = sigmas
+    return NoiseSpec(random_sigma=lsb(random_lsb),
+                     nonlin_sigma=Sigma(nonlin_lsb, NoiseUnit.VPP_PCT),
+                     seed=seed, level_hook=hook)
+
+
 def test_matmul_noisy_equals_reference_loop():
     # the stream table changes no draw: every noisy output equals the loop
     # that keys each stream on its own, and a level hook sees the same
     # RngContext sequence in the same order
     seen = set()
-    for seed in range(40):
-        gen = np.random.default_rng(seed)
-        cfg, mode, act, w = _random_exactness_case(gen)
-        cfg = MacroConfig(cfg.rows, max(1, cfg.adc_bits - 2), cfg.enc_bits)
-        random_lsb, nonlin_lsb = ((0.7, 0.0), (0.0, 0.5), (0.7, 0.5),
-                                  (0.0, 0.0))[seed % 4]
-        layer = int(gen.integers(0, 4))
+    for seed, cfg, mode, act, w, sigmas, layer in _noisy_cases():
+        random_lsb, nonlin_lsb = sigmas
         calls = {"engine": [], "reference": []}
-
-        def spec_for(who):
-            def hook(levels, ctx):
-                calls[who].append(ctx)
-                return levels
-            return NoiseSpec(random_sigma=lsb(random_lsb),
-                             nonlin_sigma=Sigma(nonlin_lsb, NoiseUnit.VPP_PCT),
-                             seed=seed, level_hook=hook)
-
-        got = simulate_matmul(act, w, cfg, spec_for("engine"), mode,
-                              layer=layer).output
-        want = _reference_matmul(act, w, cfg, spec_for("reference"), mode,
-                                 layer)
+        got = simulate_matmul(act, w, cfg,
+                              _logging_spec(seed, sigmas, calls["engine"]),
+                              mode, layer=layer).output
+        want = _reference_matmul(
+            act, w, cfg, _logging_spec(seed, sigmas, calls["reference"]),
+            mode, layer)
         what = (seed, cfg, mode, act.params, w.params, act.shape, w.shape)
         assert np.array_equal(got, want), what
         assert calls["engine"] == calls["reference"], what
@@ -339,6 +349,47 @@ def test_matmul_noisy_equals_reference_loop():
             seen.add("ragged tiles")
     assert {"y1", "y4", "random0.7", "random0.0", "nonlin0.5", "nonlin0.0",
             "layer", "hybrid", "voting", "ragged tiles"} <= seen
+
+
+def test_matmul_any_readout_chunking_gives_same_bytes(monkeypatch):
+    # one entry per chunk and whole groups per chunk draw the same streams
+    # and hand the level hook the same RngContext sequence as the default
+    multi_entry = 0
+    for seed, cfg, mode, act, w, sigmas, layer in _noisy_cases():
+        runs = []
+        for cap in (engine._CHUNK_ELEMS, 1, 1 << 30):
+            monkeypatch.setattr(engine, "_CHUNK_ELEMS", cap)
+            log = []
+            out = simulate_matmul(act, w, cfg, _logging_spec(seed, sigmas, log),
+                                  mode, layer=layer).output
+            runs.append((out, log))
+        monkeypatch.undo()
+        what = (seed, cfg, mode, act.shape, w.shape)
+        for out, log in runs[1:]:
+            assert np.array_equal(out, runs[0][0]), what
+            assert log == runs[0][1], what
+        plan = plan_cycles(w.params.bits, act.params.bits,
+                           act.params.signedness, w.params.signedness, mode)
+        layout = group_layout(act.params.bits, act.params.signedness,
+                              cfg.enc_bits)
+        groups = [[e for e in plan.entries if e.act_group == g]
+                  for g in range(len(layout))]
+        elems = act.shape[0] * w.shape[1]
+        multi_entry += sum(len(c) > 1 for entries in groups
+                           for c in engine._readout_chunks(entries, elems))
+    # the default cap does group several entries into one chunk
+    assert multi_entry > 100
+
+
+def test_matmul_rejects_layer_outside_spawn_word():
+    gen = np.random.default_rng(2)
+    act = rand_q(gen, (2, 8), 4, TC)
+    w = rand_q(gen, (8, 2), 4, TC)
+    spec = NoiseSpec(random_sigma=lsb(0.5), seed=1)
+    for layer in (-1, 2**32, 2**70):
+        with pytest.raises(DomainError, match="layer"):
+            simulate_matmul(act, w, MacroConfig(8, 4), spec, SERIAL,
+                            layer=layer)
 
 
 def test_matmul_deterministic_replay():
