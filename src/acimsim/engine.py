@@ -233,8 +233,9 @@ def _readout_chunks(entries, elems: int):
     """Runs of consecutive entries sharing one domain and one oversample.
 
     A chunk holds at most _CHUNK_ELEMS levels (entries x oversample x elems)
-    and at least one entry, so every temporary of its readout stays small
-    however large the group is.
+    and at least one entry. A single entry above the cap is read out with
+    temporaries of its own elems levels, as one unchunked readout would be;
+    a vote of it draws its samples in bounded runs (majority_vote_readout).
     """
     chunk = []
     for e in entries:

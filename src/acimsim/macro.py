@@ -15,6 +15,11 @@ from . import rng
 from .errors import ConfigError, DomainError
 from .tensor import round_half_away
 
+# Largest run of one row's vote samples drawn in one apply_noise call, in
+# levels: its float64 temporaries stay within 128 KiB however many samples a
+# large row takes. A row above the cap draws one sample per call.
+_VOTE_BLOCK_ELEMS = 1 << 14
+
 
 class NoiseUnit(Enum):
     VPP_PCT = "vpp_pct"    # percentage of the full CBL dynamic range
@@ -200,14 +205,13 @@ def adc_readout(v, cfg: MacroConfig):
     return code, code * delta
 
 
-def count_table(cfg: MacroConfig, samples: int = 1) -> np.ndarray:
-    """Integer counts of every sum of `samples` ADC codes, as int64.
+def count_table(cfg: MacroConfig) -> np.ndarray:
+    """Integer count of every ADC code, as int64: round_half_away(code * step).
 
-    Entry c is round_half_away(c / samples * step), the count the engine
-    accumulates for a code total c; one lookup replaces a rounding pass.
+    One lookup replaces the engine's rounding pass over the codes.
     """
-    total = np.arange(samples * ((1 << cfg.adc_bits) - 1) + 1)
-    return round_half_away(total / samples * cfg.lsb_counts).astype(np.int64)
+    codes = np.arange(1 << cfg.adc_bits)
+    return round_half_away(codes * cfg.lsb_counts).astype(np.int64)
 
 
 def majority_vote_readout(v_ideal, samples: int, spec: NoiseSpec,
@@ -219,22 +223,30 @@ def majority_vote_readout(v_ideal, samples: int, spec: NoiseSpec,
     nearest integer code together with mac_counts from the unrounded mean, so
     downstream accumulation keeps the full averaging benefit. With one
     context per leading row of `v_ideal`, every (row, sample) pair is drawn in
-    one apply_noise call, in (row, sample) order, and each sample is read out
-    by one adc_readout call over all rows.
+    one apply_noise call, in (row, sample) order, so the caller bounds the
+    rows it passes. One row reads its samples in runs of at most
+    _VOTE_BLOCK_ELEMS levels, in sample order, one run per apply_noise call.
+    Each sample is read out by one adc_readout call over all rows.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     single = isinstance(ctx, rng.RngContext)
     v = np.asarray(v_ideal)
     rows = v[None] if single else v
-    draws = [rng.RngContext(c.layer, c.tile, c.w_bit, c.act_group, c.column,
-                            c.sample + s)
-             for c in ([ctx] if single else ctx) for s in range(samples)]
-    noisy = apply_noise(np.repeat(rows, samples, axis=0), spec, cfg, draws,
-                        table)
-    noisy = noisy.reshape(len(rows), samples, *rows.shape[1:])
-    total, _ = adc_readout(noisy[:, 0], cfg)
-    for s in range(1, samples):
-        total += adc_readout(noisy[:, s], cfg)[0]
+    ctxs = [ctx] if single else ctx
+    run = samples
+    if len(rows) == 1:
+        run = min(samples, max(1, _VOTE_BLOCK_ELEMS // max(1, rows.size)))
+    total = np.zeros(rows.shape, dtype=np.int64)
+    for s0 in range(0, samples, run):
+        n = min(run, samples - s0)
+        draws = [rng.RngContext(c.layer, c.tile, c.w_bit, c.act_group,
+                                c.column, c.sample + s)
+                 for c in ctxs for s in range(s0, s0 + n)]
+        noisy = apply_noise(np.repeat(rows, n, axis=0), spec, cfg, draws,
+                            table)
+        noisy = noisy.reshape(len(rows), n, *rows.shape[1:])
+        for s in range(n):
+            total += adc_readout(noisy[:, s], cfg)[0]
     mean = (total[0] if single else total) / samples
     return round_half_away(mean).astype(np.int64), mean * cfg.lsb_counts

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from acimsim import engine
+from acimsim import engine, macro
 from acimsim.engine import (Domain, EngineMode, VotingSpec, plan_cycles,
                             simulate_attention, simulate_conv2d,
                             simulate_matmul, softmax)
@@ -359,6 +359,7 @@ def test_matmul_any_readout_chunking_gives_same_bytes(monkeypatch):
         runs = []
         for cap in (engine._CHUNK_ELEMS, 1, 1 << 30):
             monkeypatch.setattr(engine, "_CHUNK_ELEMS", cap)
+            monkeypatch.setattr(macro, "_VOTE_BLOCK_ELEMS", cap)
             log = []
             out = simulate_matmul(act, w, cfg, _logging_spec(seed, sigmas, log),
                                   mode, layer=layer).output

@@ -4,16 +4,41 @@ The sha256 of each CSV was recorded before the engine's chunked readout
 went in, so a refactor that moves any output byte of `configs/*.ini` fails
 here. The CLI runs in-process; `sweep` is absent for the configs without a
 [sweep] section, which it rejects.
+
+`train`, `simulate` and `sweep` first train a model with float64 SGD, whose
+BLAS GEMMs may round their last bits differently under another numpy or
+BLAS build or CPU kernel, and those differences grow over training. Their
+hashes hold only for the numpy and BLAS pair they were recorded on
+(RECORDED_ON); elsewhere they are skipped, naming both pairs. The other
+CSVs come from the integer engine, Philox draws and at most one float64
+GEMM (csnr's reference product) printed to 12 digits, and are checked
+anywhere.
 """
 
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from acimsim.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+TRAINED = {"train", "simulate", "sweep"}
+RECORDED_ON = ("2.4.6", "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH "
+                        "NO_AFFINITY Haswell MAX_THREADS=64")
+
+
+def _numpy_blas():
+    """(numpy version, BLAS build and kernel) of this interpreter."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):   # numpy < 1.25 has no dict mode
+        blas = {}
+    return (np.__version__, blas.get("openblas configuration")
+            or f"{blas.get('name')} {blas.get('version')}")
+
 
 GOLDEN = {
     ("linearity.ini", "simulate"):
@@ -63,6 +88,9 @@ def test_golden_covers_every_shipped_config():
 
 @pytest.mark.parametrize("ini,command", sorted(GOLDEN))
 def test_golden_csv(tmp_path, ini, command):
+    if command in TRAINED and _numpy_blas() != RECORDED_ON:
+        pytest.skip(f"{command} hash recorded on numpy/BLAS {RECORDED_ON}, "
+                    f"running {_numpy_blas()}")
     rc = main([command, "--config", str(CONFIGS / ini), "--out",
                str(tmp_path)])
     assert rc == 0

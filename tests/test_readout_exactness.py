@@ -9,6 +9,7 @@ copies never follow a change to `acimsim.macro`.
 import numpy as np
 import pytest
 
+from acimsim import macro
 from acimsim.errors import ShapeError
 from acimsim.macro import (MacroConfig, NoiseSpec, NoiseUnit, Sigma,
                            adc_readout, apply_noise, apply_nonlinearity,
@@ -116,14 +117,13 @@ def test_adc_readout_leaves_input_unmodified():
     assert np.array_equal(v, before)
 
 
-@pytest.mark.parametrize("samples", range(1, 8))
-def test_count_table_equals_rounded_mean_counts(samples):
+def test_count_table_equals_rounded_code_counts():
     for cfg in _configs():
-        table = count_table(cfg, samples)
-        total = np.arange(samples * ((1 << cfg.adc_bits) - 1) + 1)
-        want = _pinned_round(total / samples * cfg.lsb_counts).astype(np.int64)
+        table = count_table(cfg)
+        codes = np.arange(1 << cfg.adc_bits)
+        want = _pinned_round(codes * cfg.lsb_counts).astype(np.int64)
         assert table.dtype == np.int64
-        assert np.array_equal(table, want), (cfg, samples)
+        assert np.array_equal(table, want), cfg
 
 
 def _spec(random_lsb, nonlin_pct, seed=13):
@@ -172,6 +172,38 @@ def test_vote_equals_pinned_formula(samples):
                                                    cfg, CTX)
                 assert np.array_equal(vote, want_vote)
                 assert np.array_equal(mac, want_mac)
+
+
+def test_large_vote_draws_its_samples_in_bounded_runs(monkeypatch):
+    # one row above the run cap draws one sample per apply_noise call, in
+    # sample order, and gives the bytes of the pinned per-sample vote
+    cfg = MacroConfig(64, 6)
+    spec = _spec(0.7, 2.0)
+    v = np.random.default_rng(8).integers(
+        0, cfg.full_scale_counts + 1, size=(1, 48, 60)).astype(np.float32)
+    want = _pinned_vote(v[0], 5, spec, cfg, CTX)
+    sizes = []
+
+    def spy(levels, *args):
+        sizes.append(np.size(levels))
+        return apply_noise(levels, *args)
+
+    monkeypatch.setattr(macro, "apply_noise", spy)
+    for cap, per_call in ((2 * v.size + 1, 2 * v.size), (v.size - 1, v.size),
+                          (1, v.size), (1 << 30, 5 * v.size)):
+        monkeypatch.setattr(macro, "_VOTE_BLOCK_ELEMS", cap)
+        sizes.clear()
+        seen = []
+        logged = NoiseSpec(spec.random_sigma, spec.nonlin_sigma, spec.seed,
+                           lambda levels, ctx: seen.append(ctx) or levels)
+        for levels, ctx in ((v, [CTX]), (v[0], CTX)):
+            vote, mac = majority_vote_readout(levels, 5, logged, cfg, ctx)
+            assert np.array_equal(vote.reshape(v[0].shape), want[0]), cap
+            assert np.array_equal(mac.reshape(v[0].shape), want[1]), cap
+        assert max(sizes) == per_call, cap
+        assert sum(sizes) == 2 * 5 * v.size, cap
+        assert seen == 2 * [CTX.replace(sample=CTX.sample + s)
+                            for s in range(5)], cap
 
 
 # ------------------------------------------------------- row-wise contexts
