@@ -18,9 +18,9 @@ from .quant import (ActivationGroup, ActivationGroups, BitPlanes, QuantParams,
                     QuantizedTensor, Signedness, bit_sparsity, decompose_bits,
                     dequantize, encode_activation_groups, fake_quant,
                     group_layout, quantize, recompose_bits, signedness_of)
-from .engine import (CycleEntry, CyclePlan, Domain, EngineMode, SimLayerResult,
-                     VotingSpec, plan_cycles, simulate_attention,
-                     simulate_conv2d, simulate_matmul)
+from .engine import (CyclePlan, EngineMode, SimLayerResult, VotingSpec,
+                     plan_cycles, simulate_attention, simulate_conv2d,
+                     simulate_matmul)
 from .metrics import (CsnrReport, ErrorHistogram, LinearitySweep, MacHistogram,
                       VarianceCsnr, csnr_measure, csnr_variance_form,
                       error_histogram, expected_mac, linearity_sweep,

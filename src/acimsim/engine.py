@@ -1,23 +1,22 @@
 """Bit-wise simulation engine: cycle planning, tiling, shift-accumulate.
 
-A matmul is executed as loops over row tiles and activation groups. One
-float32 GEMM per (tile, activation group) produces the analog levels of every
-weight bit of that group; float32 is exact because each level is an integer
-below 2^24, a bound MacroConfig enforces. The group's analog levels are then
-read out in chunks: runs of consecutive plan entries that share one
-oversample, capped at _CHUNK_ELEMS levels, each passing through the macro's
-noise, ADC and vote functions in one call per chunk. A count table maps each
-ADC code to its integer count, and the counts are accumulated with their
-signed power-of-two shift weights. The Philox keys of every noise stream of a
-matmul are derived up front in one rng.StreamTable, with the same draws as
-keying each stream on its own, so the chunking changes no draw. Accumulation
-is exact integer arithmetic on counts; floating point enters only at the
-final rescale. Conv2d and attention lower onto simulate_matmul;
-SimLayerResult.compose accounts several matmuls as one.
+A CyclePlan holds one record per (weight bit, activation group) of a tile;
+hybrid execution and majority voting are its per-entry `analog` and
+`oversample` fields. A matmul loops over row tiles and activation groups. One
+float32 GEMM per (tile, group) yields the levels of every weight bit of that
+group, exact because each level is an integer below 2^24 (MacroConfig). The
+levels are read out in chunks, runs of entries that share one domain and one
+oversample, each passing through the macro's noise, ADC and vote functions in
+one call. A count table maps ADC codes to integer counts, which accumulate
+with their signed power-of-two shift weights; floating point enters only at
+the final rescale. Every noise stream of a matmul is keyed up front in one
+rng.StreamTable, with the same draws as keying each on its own. Conv2d and
+attention lower onto simulate_matmul; SimLayerResult counts cycles by domain
+and sums them over several matmuls.
 """
 
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
+from itertools import groupby
 from typing import Optional
 
 import numpy as np
@@ -35,25 +34,9 @@ from .tensor import Shape2D, conv_output_shape, im2col, round_half_away
 # entry above the cap is read out on its own.
 _CHUNK_ELEMS = 1 << 14
 
-
-class Domain(Enum):
-    ANALOG = "analog"
-    DIGITAL = "digital"
-
-
-@dataclass(frozen=True)
-class CycleEntry:
-    w_bit: int
-    w_sign: int
-    act_group: int
-    act_sign: int
-    shift: int
-    domain: Domain = Domain.ANALOG
-    oversample: int = 1
-
-    @property
-    def sign(self) -> int:
-        return self.w_sign * self.act_sign
+_PLAN_DTYPE = [("w_bit", np.int64), ("act_group", np.int64),
+               ("sign", np.int64), ("shift", np.int64), ("analog", bool),
+               ("oversample", np.int64)]
 
 
 @dataclass(frozen=True)
@@ -99,20 +82,32 @@ class EngineMode:
 
 @dataclass(frozen=True)
 class CyclePlan:
-    entries: tuple
+    """The cycle schedule of one tile, one entry per (w_bit, act_group).
+
+    `entries` is a numpy record array in (w_bit, act_group) order, so group
+    g's entries are every len(layout)-th one, by weight bit. Its fields:
+    sign (+-1, the 2's-complement MSB factors of both operands), shift
+    (weight bit + group shift), analog (False for a hybrid digital entry)
+    and oversample (the samples of a voted entry, else 1).
+    """
+
+    entries: np.ndarray
 
     @property
     def cycles_per_tile(self) -> int:
-        return sum(e.oversample for e in self.entries)
+        return int(self.entries.oversample.sum())
 
-    @property
-    def analog_ratio(self) -> float:
-        analog = sum(1 for e in self.entries if e.domain is Domain.ANALOG)
-        return analog / len(self.entries)
 
-    @property
-    def max_shift(self) -> int:
-        return max(e.shift for e in self.entries)
+def _level_cut(shifts: np.ndarray, lvl: int, name: str, levels: str) -> int:
+    """Lowest of the top `lvl` distinct `shifts`; ConfigError past the last.
+
+    sorted(set()) rather than np.unique, which imports numpy.ma on first use.
+    """
+    distinct = sorted(set(shifts.tolist()), reverse=True)
+    if not (1 <= lvl <= len(distinct)):
+        raise ConfigError(
+            f"{name} {lvl} outside the {len(distinct)} {levels}")
+    return distinct[lvl - 1]
 
 
 def plan_cycles(w_bits: int, x_bits: int, x_signedness: Signedness,
@@ -122,76 +117,69 @@ def plan_cycles(w_bits: int, x_bits: int, x_signedness: Signedness,
     Weights are always bit-serial; activations follow the mode's y-bit group
     layout with a bit-serial sign group for signed tensors. Sign factors land
     on 2's-complement MSB planes/groups, and shift = weight bit + group shift.
+    Hybrid and voting are masks over the top distinct shift levels: hybrid
+    over all of them, voting over those left analog.
     """
     for val, name in ((w_bits, "w_bits"), (x_bits, "x_bits")):
         if not (2 <= val <= 16):
             raise ConfigError(f"{name} must be in [2, 16], got {val}")
     layout = group_layout(x_bits, x_signedness, mode.enc_bits)
-    entries = []
-    for q in range(w_bits):
-        w_sign = -1 if (w_signedness is Signedness.TWOS_COMPLEMENT
-                        and q == w_bits - 1) else 1
-        for gi, (_width, gshift, sign_group) in enumerate(layout):
-            entries.append(CycleEntry(
-                w_bit=q, w_sign=w_sign, act_group=gi,
-                act_sign=-1 if sign_group else 1, shift=q + gshift))
-    shifts = sorted({e.shift for e in entries}, reverse=True)
+    _, g_shift, g_neg = np.array(layout, dtype=np.int64).T
+    w_neg = np.zeros(w_bits, dtype=np.int64)
+    w_neg[-1] = w_signedness is Signedness.TWOS_COMPLEMENT
+    # filled as a plain array, then viewed: np.rec.fromarrays would import
+    # numpy.rec, which numpy 2 loads lazily
+    e = np.empty(w_bits * len(layout), dtype=_PLAN_DTYPE)
+    e["w_bit"] = w_bit = np.repeat(np.arange(w_bits), len(layout))
+    e["act_group"] = group = np.tile(np.arange(len(layout)), w_bits)
+    e["sign"] = 1 - 2 * (w_neg[w_bit] ^ g_neg[group])
+    e["shift"] = shift = w_bit + g_shift[group]
+    e["analog"] = True
+    e["oversample"] = 1
     if mode.hybrid_boundary is not None:
-        lvl = mode.hybrid_boundary
-        if not (1 <= lvl <= len(shifts)):
-            raise ConfigError(
-                f"hybrid boundary {lvl} outside the {len(shifts)} shift levels")
-        digital = set(shifts[:lvl])
-        entries = [replace(e, domain=Domain.DIGITAL) if e.shift in digital else e
-                   for e in entries]
+        e["analog"] = shift < _level_cut(shift, mode.hybrid_boundary,
+                                         "hybrid boundary", "shift levels")
     if mode.voting is not None:
-        analog_shifts = sorted({e.shift for e in entries
-                                if e.domain is Domain.ANALOG}, reverse=True)
-        lvl = mode.voting.boundary
-        if not (1 <= lvl <= len(analog_shifts)):
-            raise ConfigError(
-                f"voting boundary {lvl} outside the {len(analog_shifts)} "
-                "analog shift levels")
-        voted = set(analog_shifts[:lvl])
-        entries = [replace(e, oversample=mode.voting.samples)
-                   if e.domain is Domain.ANALOG and e.shift in voted else e
-                   for e in entries]
-    return CyclePlan(tuple(entries))
+        analog = e["analog"]
+        cut = _level_cut(shift[analog], mode.voting.boundary,
+                         "voting boundary", "analog shift levels")
+        e["oversample"][analog & (shift >= cut)] = mode.voting.samples
+    return CyclePlan(e.view(np.recarray))
 
 
 @dataclass
 class SimLayerResult:
-    """Output and cycle accounting of one simulated layer.
+    """Output and cycles by domain of one simulated layer.
 
-    analog_ratio is the share of plan entries in the analog domain; an entry
-    counts once, however many oversample repeats voting gives it. A composite
-    (attention, a whole network) sums total_cycles, tiles and cycle_count over
-    its parts and weights each part's analog_ratio by its total_cycles; its
-    cycle_count is then the sum of its parts' per-tile counts, so
-    tiles * cycle_count is not its total_cycles.
+    Over all tiles: analog_cycles and digital_cycles count each plan entry
+    once, and repeat_cycles counts the extra readouts voting adds to voted
+    entries. analog_ratio is the analog share of the entries, so voting
+    does not move it; with no entries it is 1.0. A composite (attention, a
+    whole network) is the field-wise sum of its parts (compose).
     """
 
     output: np.ndarray
-    cycle_count: int          # per tile of one matmul, with oversample repeats
-    analog_ratio: float
     tiles: int
+    analog_cycles: int
+    digital_cycles: int
+    repeat_cycles: int
     level_counts: Optional[dict] = None   # (w_bit, act_group) -> histogram
-    total_cycles: Optional[int] = None    # default: tiles * cycle_count
 
-    def __post_init__(self):
-        if not (0.0 <= self.analog_ratio <= 1.0):
-            raise ConfigError("analog_ratio must lie in [0, 1]")
-        if self.total_cycles is None:
-            self.total_cycles = self.tiles * self.cycle_count
+    @property
+    def total_cycles(self) -> int:
+        return self.analog_cycles + self.digital_cycles + self.repeat_cycles
+
+    @property
+    def analog_ratio(self) -> float:
+        entries = self.analog_cycles + self.digital_cycles
+        return self.analog_cycles / entries if entries else 1.0
 
     @classmethod
     def compose(cls, parts, output) -> "SimLayerResult":
         """Account `parts`, run one after another, as one result."""
-        total = sum(p.total_cycles for p in parts)
-        analog = sum(p.analog_ratio * p.total_cycles for p in parts)
-        return cls(output=output, cycle_count=sum(p.cycle_count for p in parts),
-                   analog_ratio=analog / total if total else 1.0,
-                   tiles=sum(p.tiles for p in parts), total_cycles=total)
+        return cls(output, *(sum(getattr(p, f) for p in parts)
+                             for f in ("tiles", "analog_cycles",
+                                       "digital_cycles", "repeat_cycles")))
 
 
 def _bit_pair(bits) -> tuple:
@@ -201,7 +189,7 @@ def _bit_pair(bits) -> tuple:
     return int(bits), int(bits)
 
 
-def _stream_table(plan: CyclePlan, tiles: int, layer: int,
+def _stream_table(entries: np.ndarray, tiles: int, layer: int,
                   spec: NoiseSpec) -> Optional[StreamTable]:
     """Key every noise stream of one matmul in one StreamTable.
 
@@ -216,12 +204,16 @@ def _stream_table(plan: CyclePlan, tiles: int, layer: int,
         return None
     if not 0 <= layer <= 0xFFFFFFFF:
         raise DomainError(f"spawn layer must lie in [0, 2^32), got {layer}")
+    analog = entries[entries["analog"]]
+    samples = analog["oversample"]
+    n = int(samples.sum())
     # (w_bit, act_group, column, sample) of every analog readout of a tile
-    reads = np.array([(e.w_bit, e.act_group, 0, s) for e in plan.entries
-                      if e.domain is Domain.ANALOG
-                      for s in range(e.oversample)],
-                     dtype=np.int64).reshape(-1, 4)
-    rows = np.empty((tiles, len(reads), len(tags), 7), dtype=np.int64)
+    reads = np.zeros((n, 4), dtype=np.int64)
+    reads[:, 0] = np.repeat(analog["w_bit"], samples)
+    reads[:, 1] = np.repeat(analog["act_group"], samples)
+    reads[:, 3] = np.arange(n) - np.repeat(np.cumsum(samples) - samples,
+                                           samples)
+    rows = np.empty((tiles, n, len(tags), 7), dtype=np.int64)
     rows[..., 0] = tags
     rows[..., 1] = layer
     rows[..., 2] = np.arange(tiles)[:, None, None]
@@ -229,25 +221,22 @@ def _stream_table(plan: CyclePlan, tiles: int, layer: int,
     return StreamTable(spec.seed, rows.reshape(-1, 7))
 
 
-def _readout_chunks(entries, elems: int):
-    """Runs of consecutive entries sharing one domain and one oversample.
+def _readout_chunks(analog: list, oversample: list, elems: int):
+    """(start, stop, analog, oversample) of each readout chunk of a group.
 
-    A chunk holds at most _CHUNK_ELEMS levels (entries x oversample x elems)
-    and at least one entry. A single entry above the cap is read out with
-    temporaries of its own elems levels, as one unchunked readout would be;
-    a vote of it draws its samples in bounded runs (majority_vote_readout).
+    A chunk is a run of consecutive entries sharing one domain and one
+    oversample, holding at most _CHUNK_ELEMS levels (entries x oversample x
+    elems) and at least one entry. A single entry above the cap is read out
+    with temporaries of its own elems levels, as one unchunked readout would
+    be; a vote of it draws its samples in bounded runs (majority_vote_readout).
     """
-    chunk = []
-    for e in entries:
-        if chunk and (e.domain is not chunk[0].domain
-                      or e.oversample != chunk[0].oversample
-                      or (len(chunk) + 1) * e.oversample * elems
-                      > _CHUNK_ELEMS):
-            yield chunk
-            chunk = []
-        chunk.append(e)
-    if chunk:
-        yield chunk
+    lo = 0
+    for (is_analog, samples), run in groupby(zip(analog, oversample)):
+        hi = lo + sum(1 for _ in run)
+        step = max(1, _CHUNK_ELEMS // max(1, samples * elems))
+        for start in range(lo, hi, step):
+            yield start, min(start + step, hi), is_analog, samples
+        lo = hi
 
 
 def simulate_matmul(act: QuantizedTensor, w: QuantizedTensor,
@@ -257,16 +246,15 @@ def simulate_matmul(act: QuantizedTensor, w: QuantizedTensor,
 
     D is tiled into ceil(D/rows) mappings. Per (tile, activation group) one
     float32 GEMM of the group's DAC words [B, rows] against the tile's stacked
-    weight planes [rows, Q*M] yields the levels of all Q weight bits at once;
-    float32 is exact here because every level is an integer below 2^24
-    (MacroConfig enforces rows * (2^enc_bits - 1) < 2^24). Digital entries
-    accumulate their exact levels. Analog entries are read out a chunk at a
-    time (see _readout_chunks): one apply_noise and adc_readout call per
-    chunk, or one majority_vote_readout call for a voted chunk, each entry
-    drawing from its own streams in one stream table built for the whole
-    call. count_table turns ADC codes into integer counts (a vote's mean is
-    rounded to counts directly) before the signed shift-accumulate, and the
-    final counts are scaled by both quantization scales.
+    weight planes [rows, Q*M] yields the levels of all Q weight bits at once
+    (exact: MacroConfig enforces rows * (2^enc_bits - 1) < 2^24). Digital
+    entries accumulate their exact levels. Analog entries are read out a
+    chunk at a time (_readout_chunks): one apply_noise and adc_readout call,
+    or one majority_vote_readout call for a voted chunk, each entry drawing
+    from its own streams in the call's stream table. count_table turns codes
+    into integer counts; a vote's code totals are averaged, scaled to counts
+    and rounded. The signed shift-accumulated counts are scaled by both
+    quantization scales.
     """
     if act.codes.ndim != 2 or w.codes.ndim != 2:
         raise ShapeError("simulate_matmul expects 2-D operands")
@@ -280,58 +268,66 @@ def simulate_matmul(act: QuantizedTensor, w: QuantizedTensor,
     plan = plan_cycles(w.params.bits, act.params.bits, act.params.signedness,
                        w.params.signedness, mode)
     layout = group_layout(act.params.bits, act.params.signedness, cfg.enc_bits)
-    by_group = [[e for e in plan.entries if e.act_group == g]
-                for g in range(len(layout))]
+    q_bits = w.params.bits
+    # a plain view, as recarray attribute access runs Python code; column g
+    # of the (w_bit, act_group) grid is group g by weight bit, so a chunk of
+    # it is a slice of the group's level block
+    entries = plan.entries.view(np.ndarray)
+    groups = entries.reshape(q_bits, len(layout)).T
+    chunks = [list(_readout_chunks(g["analog"].tolist(),
+                                   g["oversample"].tolist(), b * m))
+              for g in groups]
+    weights = (groups["sign"] << groups["shift"]).tolist()
     # masking with 2^bits - 1 yields the 2's-complement pattern of negatives
     u_a = act.codes & ((1 << act.params.bits) - 1)
     u_w = w.codes & ((1 << w.params.bits) - 1)
-    q_bits = w.params.bits
     bit_pos = np.arange(q_bits)[:, None]
     n_fs = cfg.full_scale_counts
     lut = count_table(cfg)
     accum = np.zeros((b, m), dtype=np.int64)
     hist = {} if record_levels else None
     tile_starts = range(0, d, cfg.rows)
-    table = _stream_table(plan, len(tile_starts), layer, spec)
+    tiles = len(tile_starts)
+    table = _stream_table(entries, tiles, layer, spec)
     for t, start in enumerate(tile_starts):
         stop = min(start + cfg.rows, d)
         rhs = ((u_w[start:stop, None, :] >> bit_pos) & 1).astype(np.float32)
         rhs = rhs.reshape(stop - start, q_bits * m)
-        for (width, gshift, _), entries in zip(layout, by_group):
+        for g, (width, gshift, _) in enumerate(layout):
             lhs = (u_a[:, start:stop] >> gshift) & ((1 << width) - 1)
             lhs = lhs.astype(np.float32)
             # exact: levels are integers below 2^24 (MacroConfig.__post_init__)
             block = (lhs @ rhs).reshape(b, q_bits, m).transpose(1, 0, 2)
             if record_levels:
-                for e in entries:
-                    key = (e.w_bit, e.act_group)
-                    levels = block[e.w_bit].astype(np.int64).ravel()
-                    hist[key] = hist.get(key, 0) + np.bincount(
+                for q in range(q_bits):
+                    levels = block[q].astype(np.int64).ravel()
+                    hist[q, g] = hist.get((q, g), 0) + np.bincount(
                         levels, minlength=n_fs + 1)
-            for chunk in _readout_chunks(entries, b * m):
-                # a group lists its entries by w_bit, so a chunk is a slice
-                first = chunk[0]
-                levels = block[first.w_bit:chunk[-1].w_bit + 1]
-                ctx = [RngContext(layer, t, e.w_bit, e.act_group)
-                       for e in chunk]
-                if first.domain is Domain.DIGITAL:
+            for lo, hi, analog, samples in chunks[g]:
+                levels = block[lo:hi]
+                if not analog:
                     counts = levels.astype(np.int64)
-                elif first.oversample > 1:
-                    _, mac = majority_vote_readout(levels, first.oversample,
-                                                   spec, cfg, ctx, table)
-                    counts = round_half_away(mac).astype(np.int64)
                 else:
-                    if not spec.silent:
-                        levels = apply_noise(levels, spec, cfg, ctx, table)
-                    counts = lut[adc_readout(levels, cfg)[0]]
-                for e, counts_e in zip(chunk, counts):
-                    counts_e *= e.sign << e.shift
+                    ctx = [RngContext(layer, t, q, g) for q in range(lo, hi)]
+                    if samples > 1:
+                        total = majority_vote_readout(levels, samples, spec,
+                                                      cfg, ctx, table)
+                        mac = (total / samples) * cfg.lsb_counts
+                        counts = round_half_away(mac).astype(np.int64)
+                    else:
+                        if not spec.silent:
+                            levels = apply_noise(levels, spec, cfg, ctx, table)
+                        counts = lut[adc_readout(levels, cfg)[0]]
+                for weight, counts_e in zip(weights[g][lo:hi], counts):
+                    counts_e *= weight
                     accum += counts_e
+    analog = int(entries["analog"].sum())
     return SimLayerResult(
         output=accum * (act.params.scale * w.params.scale),
-        cycle_count=plan.cycles_per_tile,
-        analog_ratio=plan.analog_ratio,
-        tiles=len(tile_starts),
+        tiles=tiles,
+        analog_cycles=tiles * analog,
+        digital_cycles=tiles * (len(entries) - analog),
+        repeat_cycles=tiles * (plan.cycles_per_tile - len(entries)),
         level_counts=hist)
 
 

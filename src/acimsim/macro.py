@@ -216,15 +216,16 @@ def count_table(cfg: MacroConfig) -> np.ndarray:
 
 def majority_vote_readout(v_ideal, samples: int, spec: NoiseSpec,
                           cfg: MacroConfig, ctx, table=None):
-    """Oversample ideal levels and average the ADC codes.
+    """Oversample ideal levels and total the ADC codes of the samples.
 
-    Each sample is an independent noisy readout; averaging N codes shrinks the
-    random-noise sigma by about sqrt(N). Returns the vote rounded to the
-    nearest integer code together with mac_counts from the unrounded mean, so
-    downstream accumulation keeps the full averaging benefit. With one
-    context per leading row of `v_ideal`, every (row, sample) pair is drawn in
-    one apply_noise call, in (row, sample) order, so the caller bounds the
-    rows it passes. One row reads its samples in runs of at most
+    Each sample is an independent noisy readout. Returns the int64 code
+    totals, shaped as `v_ideal`; the vote is their mean, total / samples,
+    which shrinks the random-noise sigma by about sqrt(samples). Callers
+    scale it to counts as (total / samples) * lsb_counts and round only
+    there, so accumulation keeps the full averaging benefit. With one
+    context per leading row of `v_ideal`, every (row, sample) pair is drawn
+    in one apply_noise call, in (row, sample) order, so the caller bounds
+    the rows it passes. One row reads its samples in runs of at most
     _VOTE_BLOCK_ELEMS levels, in sample order, one run per apply_noise call.
     Each sample is read out by one adc_readout call over all rows.
     """
@@ -248,5 +249,4 @@ def majority_vote_readout(v_ideal, samples: int, spec: NoiseSpec,
         noisy = noisy.reshape(len(rows), n, *rows.shape[1:])
         for s in range(n):
             total += adc_readout(noisy[:, s], cfg)[0]
-    mean = (total[0] if single else total) / samples
-    return round_half_away(mean).astype(np.int64), mean * cfg.lsb_counts
+    return total[0] if single else total

@@ -176,8 +176,9 @@ def linearity_sweep(cfg: MacroConfig, spec: NoiseSpec, trials: int,
             code, _ = adc_readout(apply_noise(batch, spec, cfg, ctx), cfg)
             est = code.astype(np.float64)
         else:
-            _, mac = majority_vote_readout(batch, samples, spec, cfg, ctx)
-            est = mac / cfg.lsb_counts
+            # the vote in counts, as the engine forms it, back in LSB units
+            total = majority_vote_readout(batch, samples, spec, cfg, ctx)
+            est = ((total / samples) * cfg.lsb_counts) / cfg.lsb_counts
         mean[i] = est.mean()
         sigma[i] = est.std()
     return LinearitySweep(levels, mean, sigma)

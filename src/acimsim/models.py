@@ -7,7 +7,7 @@ training uses the multiplicative surrogate O * (1 + eta) on each matmul output
 and quantization uses the straight-through estimator.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -123,7 +123,7 @@ def _digital_matmul(model: TinyModel, quantized: bool, nat_sigma: float = 0.0,
         z = aq @ wq
         gain = None
         if nat_sigma > 0:
-            ctx = (nat_ctx or rng.RngContext()).replace(layer=linear_index)
+            ctx = replace(nat_ctx or rng.RngContext(), layer=linear_index)
             gain = 1.0 + nat_sigma * rng.normal(seed, ctx, rng.TAG_NAT, z.shape)
             z = z * gain
         if tape is not None:

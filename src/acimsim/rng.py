@@ -38,9 +38,6 @@ class RngContext:
     column: int = 0
     sample: int = 0
 
-    def replace(self, **kw) -> "RngContext":
-        return dataclasses.replace(self, **kw)
-
     def key(self) -> tuple:
         return (self.layer, self.tile, self.w_bit, self.act_group,
                 self.column, self.sample)

@@ -12,7 +12,7 @@ import numpy as np
 from acimsim import rng
 from acimsim.cli import main
 from acimsim.data import make_blobs, train_test_split
-from acimsim.engine import (Domain, EngineMode, plan_cycles, simulate_matmul)
+from acimsim.engine import EngineMode, plan_cycles, simulate_matmul
 from acimsim.macro import (NOISELESS, MacroConfig, NoiseSpec, NoiseUnit,
                            Sigma, adc_readout, apply_nonlinearity,
                            majority_vote_readout, sigma_to_counts)
@@ -118,8 +118,9 @@ def test_c03_cycle_accounting():
 
 def test_c04_hybrid_split():
     plan = plan_cycles(8, 8, TC, TC, EngineMode.bit_serial(hybrid_boundary=3))
-    digital = sum(e.domain is Domain.DIGITAL for e in plan.entries)
-    n_shifts = len({e.shift for e in plan.entries})
+    digital = int((~plan.entries.analog).sum())
+    analog_ratio = plan.entries.analog.mean()
+    n_shifts = len(set(plan.entries.shift))
     gen = np.random.default_rng(3)
     a, w = random_case(gen, 64)
     noisy = NoiseSpec(random_sigma=Sigma(2.0, NoiseUnit.LSB_RMS), seed=11)
@@ -127,10 +128,10 @@ def test_c04_hybrid_split():
                           EngineMode.bit_serial(hybrid_boundary=n_shifts))
     exact = (np.array_equal(res.output, oracle(a, w))
              and res.analog_ratio == 0.0)
-    ok = digital == 6 and plan.analog_ratio == 58 / 64 and exact
+    ok = digital == 6 and analog_ratio == 58 / 64 and exact
     report(4, ok,
            f"L=3 moves {digital} of 64 cycles to digital (analog ratio "
-           f"{plan.analog_ratio:.5f} = 58/64); full-boundary hybrid under "
+           f"{analog_ratio:.5f} = 58/64); full-boundary hybrid under "
            f"sigma=2 LSB_rms exact: {exact}")
 
 
@@ -139,9 +140,9 @@ def test_c05_majority_vote_sigma():
     cfg = MacroConfig(256, 8)         # delta = 1, so counts == LSB units
     spec = NoiseSpec(random_sigma=Sigma(1.0, NoiseUnit.LSB_RMS), seed=5)
     trials = 20000
-    _, mac = majority_vote_readout(np.full(trials, 128.0), 5, spec, cfg,
-                                   rng.RngContext())
-    sigma = float((mac / cfg.lsb_counts).std())
+    total = majority_vote_readout(np.full(trials, 128.0), 5, spec, cfg,
+                                  rng.RngContext())
+    sigma = float((total / 5).std())
     elapsed = time.monotonic() - start
     report(5, 0.40 <= sigma <= 0.50 and elapsed < 30.0,
            f"5-sample vote at sigma=1.0 LSB_rms: effective code sigma "
@@ -266,7 +267,7 @@ def test_c10_end_to_end_blob_mlp():
                               mode).output
         return float(np.abs(out - clean).mean())
 
-    shift_max = plan_cycles(8, 8, U, U, mode).max_shift
+    shift_max = int(plan_cycles(8, 8, U, U, mode).entries.shift.max())
     ratio = displaced((7, 7)) / displaced((0, 0))
     d_ok = ratio == float(1 << shift_max)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from acimsim import engine, macro
-from acimsim.engine import (Domain, EngineMode, VotingSpec, plan_cycles,
+from acimsim.engine import (EngineMode, VotingSpec, plan_cycles,
                             simulate_attention, simulate_conv2d,
                             simulate_matmul, softmax)
 from acimsim.errors import ConfigError, DomainError, ShapeError
@@ -42,9 +42,9 @@ def test_plan_bit_serial_8x8():
     plan = plan_cycles(8, 8, TC, TC, SERIAL)
     assert len(plan.entries) == 64
     assert plan.cycles_per_tile == 64
-    assert {e.shift for e in plan.entries} == set(range(15))
-    assert plan.max_shift == 14
-    assert plan.analog_ratio == 1.0
+    assert set(plan.entries.shift) == set(range(15))
+    assert plan.entries.shift.max() == 14
+    assert plan.entries.analog.all()
     # sign lands on 2's-complement MSBs; both-MSB cycles multiply back to +1
     for e in plan.entries:
         want = (-1 if e.w_bit == 7 else 1) * (-1 if e.act_group == 7 else 1)
@@ -67,10 +67,10 @@ def test_plan_y_doubling_halves_groups():
 
 def test_plan_hybrid_split():
     plan = plan_cycles(8, 8, TC, TC, EngineMode.bit_serial(hybrid_boundary=3))
-    digital = [e for e in plan.entries if e.domain is Domain.DIGITAL]
+    digital = [e for e in plan.entries if not e.analog]
     assert len(digital) == 6
     assert {e.shift for e in digital} == {12, 13, 14}
-    assert plan.analog_ratio == 58 / 64
+    assert plan.entries.analog.mean() == 58 / 64
     assert all(e.oversample == 1 for e in digital)
 
 
@@ -90,7 +90,7 @@ def test_plan_hybrid_then_voting():
     voted = [e for e in plan.entries if e.oversample == 3]
     # voting applies to the top *analog* shift after the hybrid split
     assert {e.shift for e in voted} == {12}
-    assert all(e.domain is Domain.ANALOG for e in voted)
+    assert all(e.analog for e in voted)
 
 
 def test_plan_validation():
@@ -172,7 +172,7 @@ def test_matmul_multi_tile_exact():
     res = simulate_matmul(act, w, cfg, NOISELESS, SERIAL)
     assert np.array_equal(res.output, oracle(act, w))
     assert res.tiles == 2
-    assert res.total_cycles == 2 * res.cycle_count
+    assert res.total_cycles == 2 * 16
 
 
 @pytest.mark.parametrize("y", [2, 3])
@@ -186,7 +186,7 @@ def test_matmul_scheme_equivalence(y):
                                NOISELESS, EngineMode.bit_parallel(y))
     assert np.array_equal(serial.output, parallel.output)
     assert np.array_equal(serial.output, oracle(act, w))
-    assert parallel.cycle_count < serial.cycle_count
+    assert parallel.total_cycles < serial.total_cycles
 
 
 def test_matmul_full_hybrid_ignores_noise():
@@ -282,14 +282,15 @@ def _reference_matmul(act, w, cfg, spec, mode, layer):
             a_g = (u_a[:, rows] >> gshift) & ((1 << width) - 1)
             for e in (e for e in plan.entries if e.act_group == g):
                 levels = a_g @ ((u_w[rows] >> e.w_bit) & 1)
-                if e.domain is Domain.DIGITAL:
+                if not e.analog:
                     accum += (e.sign << e.shift) * levels
                     continue
                 ctx = RngContext(layer=layer, tile=t, w_bit=e.w_bit,
                                  act_group=g)
                 if e.oversample > 1:
-                    _, mac = majority_vote_readout(levels, e.oversample, spec,
-                                                   cfg, ctx)
+                    total = majority_vote_readout(levels, e.oversample, spec,
+                                                  cfg, ctx)
+                    mac = (total / e.oversample) * cfg.lsb_counts
                 else:
                     _, mac = adc_readout(apply_noise(levels, spec, cfg, ctx),
                                          cfg)
@@ -373,11 +374,13 @@ def test_matmul_any_readout_chunking_gives_same_bytes(monkeypatch):
                            act.params.signedness, w.params.signedness, mode)
         layout = group_layout(act.params.bits, act.params.signedness,
                               cfg.enc_bits)
-        groups = [[e for e in plan.entries if e.act_group == g]
+        groups = [plan.entries[plan.entries.act_group == g]
                   for g in range(len(layout))]
         elems = act.shape[0] * w.shape[1]
-        multi_entry += sum(len(c) > 1 for entries in groups
-                           for c in engine._readout_chunks(entries, elems))
+        multi_entry += sum(
+            stop - start > 1 for e in groups
+            for start, stop, *_ in engine._readout_chunks(
+                e.analog.tolist(), e.oversample.tolist(), elems))
     # the default cap does group several entries into one chunk
     assert multi_entry > 100
 
@@ -456,7 +459,7 @@ def test_matmul_record_levels_mass():
     assert res.level_counts is not None
     assert len(res.level_counts) == 16  # (w_bit, act_group) pairs
     total = sum(int(h.sum()) for h in res.level_counts.values())
-    assert total == res.tiles * res.cycle_count * 3 * 5
+    assert total == res.total_cycles * 3 * 5
 
 
 def test_matmul_shape_and_mode_errors():
@@ -587,7 +590,7 @@ def test_attention_close_to_float():
     err = np.abs(res.output - want).max() / np.abs(want).max()
     assert err < 0.05
     assert 0.0 <= res.analog_ratio <= 1.0
-    assert res.cycle_count > 0
+    assert res.total_cycles > 0
 
 
 def test_attention_total_cycles_sum_both_matmuls():
@@ -610,7 +613,7 @@ def test_attention_analog_ratio_weights_total_cycles():
     analog = total = 0
     for x_signedness, tiles in ((TC, 1), (U, 2)):
         entries = plan_cycles(8, 8, x_signedness, TC, mode).entries
-        analog += tiles * sum(e.domain is Domain.ANALOG for e in entries)
+        analog += tiles * sum(e.analog for e in entries)
         total += tiles * len(entries)
     assert (analog, total) == (97, 104)
     assert res.total_cycles == total

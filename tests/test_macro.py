@@ -1,5 +1,7 @@
 """Macro model tests: config arithmetic, noise models, ADC readout."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -132,7 +134,7 @@ def test_random_noise_replay_identical():
     a = apply_random_noise(np.zeros(32), spec, cfg, CTX)
     b = apply_random_noise(np.zeros(32), spec, cfg, CTX)
     assert np.array_equal(a, b)
-    c = apply_random_noise(np.zeros(32), spec, cfg, CTX.replace(tile=1))
+    c = apply_random_noise(np.zeros(32), spec, cfg, replace(CTX, tile=1))
     assert not np.array_equal(a, c)
 
 
@@ -163,7 +165,7 @@ def test_nonlinearity_sigma_profile():
     sig = []
     for level in [0.0, 64.0, 128.0, 192.0]:
         out = apply_nonlinearity(np.full(trials, level), spec, cfg,
-                                 CTX.replace(column=int(level)))
+                                 replace(CTX, column=int(level)))
         sig.append((out - level).std())
     assert 0.9 <= sig[0] <= 1.1
     # monotone non-increasing toward full scale (small sampling slack)
@@ -183,9 +185,9 @@ def test_level_hook_runs_last():
 
     spec = NoiseSpec(level_hook=hook)
     assert not spec.silent
-    out = apply_noise(np.zeros(4), spec, cfg, CTX.replace(w_bit=2))
+    out = apply_noise(np.zeros(4), spec, cfg, replace(CTX, w_bit=2))
     assert np.array_equal(out, np.ones(4))
-    assert seen == [CTX.replace(w_bit=2)]
+    assert seen == [replace(CTX, w_bit=2)]
 
 
 def test_noiseless_spec_is_silent():
@@ -229,22 +231,23 @@ def test_vote_single_sample_equals_adc():
     spec = NoiseSpec(random_sigma=lsb(1.0), seed=21)
     noisy = apply_noise(np.full(64, 50.0), spec, cfg, CTX)
     want_code, want_mac = adc_readout(noisy, cfg)
-    code, mac = majority_vote_readout(np.full(64, 50.0), 1, spec, cfg, CTX)
-    assert np.array_equal(code, want_code)
-    assert np.allclose(mac, want_mac)
+    total = majority_vote_readout(np.full(64, 50.0), 1, spec, cfg, CTX)
+    assert np.array_equal(total, want_code)
+    assert np.allclose(total * cfg.lsb_counts, want_mac)
 
 
 def test_vote_noiseless_any_samples():
     cfg = MacroConfig(256, 8)
-    code, mac = majority_vote_readout(np.array([50.0]), 7, NOISELESS, cfg, CTX)
-    assert code[0] == 50 and mac[0] == 50.0
+    total = majority_vote_readout(np.array([50.0]), 7, NOISELESS, cfg, CTX)
+    assert total[0] == 7 * 50 and total.dtype == np.int64
 
 
 def test_vote_shrinks_sigma():
     cfg = MacroConfig(256, 8)
     spec = NoiseSpec(random_sigma=lsb(1.0), seed=13)
     trials = 4000
-    _, mac = majority_vote_readout(np.full(trials, 100.0), 5, spec, cfg, CTX)
+    total = majority_vote_readout(np.full(trials, 100.0), 5, spec, cfg, CTX)
+    mac = (total / 5) * cfg.lsb_counts
     assert 0.35 <= mac.std() <= 0.60  # ~1/sqrt(5) plus rounding inflation
 
 

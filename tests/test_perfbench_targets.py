@@ -1,17 +1,61 @@
-"""The perfbench span tracer patches acimsim functions by name; every name it
-lists must exist, or only traced benchmark runs would notice the loss."""
+"""The perfbench span tracer patches acimsim functions by name and counts
+work from what they return; every name it lists must exist, and its hooks
+must count what the engine does, or only traced benchmark runs would notice
+the loss."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from acimsim import engine
+from acimsim.engine import EngineMode, VotingSpec, plan_cycles
+from acimsim.macro import MacroConfig, NoiseSpec, Sigma
+from acimsim.quant import Signedness, quantize
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+TC = Signedness.TWOS_COMPLEMENT
 
 
-def test_tracer_targets_resolve():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_tracer_targets_resolve():
+    spans = _spans()
     missing = [f"acimsim.{mod}.{name}" for mod, name in spans.TARGETS
                if not hasattr(importlib.import_module(f"acimsim.{mod}"), name)]
     assert spans.TARGETS and not missing
+
+
+def test_tracer_hooks_count_plan_readouts_and_votes():
+    # the _plan hook reads len(plan.entries), _adc the code of adc_readout's
+    # (code, mac), and _vote the codes of the adc_readout calls of a vote
+    spans = _spans()
+    b, d, m = 3, 40, 5
+    gen = np.random.default_rng(0)
+    act = quantize(gen.normal(size=(b, d)), 6, TC)
+    w = quantize(gen.normal(size=(d, m)), 6, TC)
+    mode = EngineMode(hybrid_boundary=2, voting=VotingSpec(2, 3))
+    spec = NoiseSpec(random_sigma=Sigma(0.5), seed=3)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        res = engine.simulate_matmul(act, w, MacroConfig(16, 5), spec, mode)
+    finally:
+        tracer.uninstall()
+    e = plan_cycles(6, 6, TC, TC, mode).entries
+    assert res.tiles == 3 and (~e.analog).any() and (e.oversample > 1).any()
+    metrics = spans.layer_metrics(tracer, ops=1, threads=1)
+    assert metrics["macro.readouts"] == (
+        res.tiles * b * m * int(e.oversample[e.analog].sum()))
+    agg = tracer.summary()
+    assert agg[spans.VOTE]["n"] == (
+        res.tiles * b * m * int((e.oversample > 1).sum()))
+    matmul = [s for s in tracer.spans if s[3] == spans.MATMUL]
+    assert len(matmul) == 1
+    assert matmul[0][spans.COLUMNS.index("n")] == b * d * m * len(e)

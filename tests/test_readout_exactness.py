@@ -6,6 +6,8 @@ at a time. The in-place block versions must give the same bytes, so these
 copies never follow a change to `acimsim.macro`.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -57,13 +59,20 @@ def _pinned_nonlin(v, spec, cfg, ctx):
 def _pinned_vote(v, samples, spec, cfg, ctx):
     total = None
     for s in range(samples):
-        ctx_s = ctx.replace(sample=ctx.sample + s)
+        ctx_s = replace(ctx, sample=ctx.sample + s)
         noisy = _pinned_nonlin(_pinned_random(v, spec, cfg, ctx_s), spec, cfg,
                                ctx_s)
         code, _ = _pinned_adc(noisy, cfg)
         total = code if total is None else total + code
     mean = total / samples
     return _pinned_round(mean).astype(np.int64), mean * cfg.lsb_counts
+
+
+def _vote_mac(total, samples, cfg):
+    """A vote's mean in counts, formed from its code totals as the engine
+    and linearity_sweep form it."""
+    assert total.dtype == np.int64
+    return (total / samples) * cfg.lsb_counts
 
 
 def _configs():
@@ -162,16 +171,15 @@ def test_vote_equals_pinned_formula(samples):
             v = gen.integers(0, cfg.full_scale_counts + 1,
                              size=(3, 4)).astype(dtype)
             for spec in SPECS:
-                vote, mac = majority_vote_readout(v, samples, spec, cfg, CTX)
-                want_vote, want_mac = _pinned_vote(v, samples, spec, cfg, CTX)
-                assert np.array_equal(vote, want_vote)
-                assert np.array_equal(mac, want_mac)
-                vote, mac = majority_vote_readout(v[0, 0], samples, spec, cfg,
-                                                  CTX)
-                want_vote, want_mac = _pinned_vote(v[0, 0], samples, spec,
-                                                   cfg, CTX)
-                assert np.array_equal(vote, want_vote)
-                assert np.array_equal(mac, want_mac)
+                total = majority_vote_readout(v, samples, spec, cfg, CTX)
+                _, want_mac = _pinned_vote(v, samples, spec, cfg, CTX)
+                assert np.array_equal(_vote_mac(total, samples, cfg),
+                                      want_mac)
+                total = majority_vote_readout(v[0, 0], samples, spec, cfg,
+                                              CTX)
+                _, want_mac = _pinned_vote(v[0, 0], samples, spec, cfg, CTX)
+                assert np.array_equal(_vote_mac(total, samples, cfg),
+                                      want_mac)
 
 
 def test_large_vote_draws_its_samples_in_bounded_runs(monkeypatch):
@@ -197,12 +205,12 @@ def test_large_vote_draws_its_samples_in_bounded_runs(monkeypatch):
         logged = NoiseSpec(spec.random_sigma, spec.nonlin_sigma, spec.seed,
                            lambda levels, ctx: seen.append(ctx) or levels)
         for levels, ctx in ((v, [CTX]), (v[0], CTX)):
-            vote, mac = majority_vote_readout(levels, 5, logged, cfg, ctx)
-            assert np.array_equal(vote.reshape(v[0].shape), want[0]), cap
+            total = majority_vote_readout(levels, 5, logged, cfg, ctx)
+            mac = _vote_mac(total, 5, cfg)
             assert np.array_equal(mac.reshape(v[0].shape), want[1]), cap
         assert max(sizes) == per_call, cap
         assert sum(sizes) == 2 * 5 * v.size, cap
-        assert seen == 2 * [CTX.replace(sample=CTX.sample + s)
+        assert seen == 2 * [replace(CTX, sample=CTX.sample + s)
                             for s in range(5)], cap
 
 
@@ -245,7 +253,7 @@ def test_block_call_equals_per_row_calls(dtype):
     v = gen.integers(0, cfg.full_scale_counts + 1, size=(4, 3, 2)).astype(dtype)
     before = v.copy()
     for spec in SPECS:
-        rows = [(tag, *c.replace(sample=c.sample + s).key())
+        rows = [(tag, *replace(c, sample=c.sample + s).key())
                 for c in ctxs for s in range(3)
                 for tag in (TAG_RANDOM, TAG_NONLIN)]
         for table in (None, StreamTable(spec.seed, rows)):
@@ -261,15 +269,14 @@ def test_block_call_equals_per_row_calls(dtype):
             assert np.array_equal(got, want)
             assert seen_block == seen_rows == ctxs
             seen_block, seen_rows = [], []
-            vote, mac = majority_vote_readout(v, 3, _hooked(spec, seen_block),
-                                              cfg, ctxs, table)
+            total = majority_vote_readout(v, 3, _hooked(spec, seen_block),
+                                          cfg, ctxs, table)
             per_row = [majority_vote_readout(v[r], 3, _hooked(spec, seen_rows),
                                              cfg, c)
                        for r, c in enumerate(ctxs)]
-            assert np.array_equal(vote, np.stack([p[0] for p in per_row]))
-            assert np.array_equal(mac, np.stack([p[1] for p in per_row]))
+            assert np.array_equal(total, np.stack(per_row))
             assert seen_block == seen_rows == [
-                c.replace(sample=c.sample + s) for c in ctxs for s in range(3)]
+                replace(c, sample=c.sample + s) for c in ctxs for s in range(3)]
             assert np.array_equal(v, before)
 
 

@@ -1,5 +1,7 @@
 """Determinism contract of the counter-based random streams."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,14 +28,14 @@ def test_streams_differ_per_coordinate():
     others = [normal(43, base, TAG_RANDOM, 8),
               normal(42, base, TAG_NONLIN, 8)]
     for field in ("layer", "tile", "w_bit", "act_group", "column", "sample"):
-        others.append(normal(42, base.replace(**{field: 1}), TAG_RANDOM, 8))
+        others.append(normal(42, replace(base, **{field: 1}), TAG_RANDOM, 8))
     for draw in others:
         assert not np.array_equal(ref, draw)
 
 
 def test_replace_is_nondestructive():
     ctx = RngContext(layer=1)
-    ctx2 = ctx.replace(sample=9)
+    ctx2 = replace(ctx, sample=9)
     assert ctx.sample == 0 and ctx2.sample == 9 and ctx2.layer == 1
     assert ctx2.key() == (1, 0, 0, 0, 0, 9)
 

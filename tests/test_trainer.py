@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from acimsim.data import make_blobs
-from acimsim.engine import Domain, EngineMode, plan_cycles
+from acimsim.engine import EngineMode, plan_cycles
 from acimsim.errors import TrainingError
 from acimsim.macro import NOISELESS, MacroConfig, NoiseSpec, NoiseUnit, Sigma
 from acimsim.models import (LinearLayer, Relu, TinyModel, TrainConfig,
@@ -241,8 +241,9 @@ def test_engine_eval_matches_digital_noiseless():
 
 def test_engine_eval_full_digital_hybrid_ignores_noise():
     model, data = trained_model()
-    levels = len({e.shift for e in plan_cycles(
-        8, 8, Signedness.UNSIGNED, Signedness.TWOS_COMPLEMENT, SERIAL).entries})
+    levels = len(set(plan_cycles(
+        8, 8, Signedness.UNSIGNED, Signedness.TWOS_COMPLEMENT, SERIAL
+    ).entries.shift))
     mode = EngineMode.bit_serial(hybrid_boundary=levels)
     cfg = MacroConfig(256, 4)  # deliberately coarse ADC, never used digitally
     noisy = NoiseSpec(random_sigma=lsb(2.0), seed=5)
@@ -272,9 +273,8 @@ def test_engine_forward_reports_network_ratio():
                                       NOISELESS, mode)
     plans = [plan_cycles(8, 8, s, Signedness.TWOS_COMPLEMENT, mode)
              for s in (Signedness.TWOS_COMPLEMENT, Signedness.UNSIGNED)]
-    analog = sum(sum(e.domain is Domain.ANALOG for e in p.entries)
-                 for p in plans)
+    analog = sum(int(p.entries.analog.sum()) for p in plans)
     total = sum(p.cycles_per_tile for p in plans)
-    assert plans[0].analog_ratio != plans[1].analog_ratio
+    assert plans[0].entries.analog.mean() != plans[1].entries.analog.mean()
     assert cycles == total
     assert ratio == pytest.approx(analog / total, rel=1e-12)
