@@ -72,16 +72,47 @@ def _model(cfg: ExperimentConfig, train_set, test_set) -> TinyModel:
     return model
 
 
+def _forward_points(model: TinyModel, x, points, threads):
+    """engine_forward of every (macro, noise, mode) point, in point order.
+
+    Points sharing rows, enc_bits, seed and mode form one plan class, run in
+    lockstep by one engine_forward call that draws each noise chunk once for
+    the class; the classes map over `threads` worker threads.
+    """
+    classes = {}
+    for i, (macro, noise, mode) in enumerate(points):
+        key = (macro.rows, macro.enc_bits, noise.seed, mode)
+        classes.setdefault(key, []).append(i)
+    classes = list(classes.values())
+
+    def run_class(idx):
+        return engine_forward(model, x, [points[i][0] for i in idx],
+                              [points[i][1] for i in idx], points[idx[0]][2])
+
+    if threads > 1 and len(classes) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            runs = list(pool.map(run_class, classes))
+    else:
+        runs = [run_class(idx) for idx in classes]
+    results = {}
+    for idx, run in zip(classes, runs):
+        results.update(zip(idx, run))
+    return [results[i] for i in range(len(points))]
+
+
 def _run_grid(cfg: ExperimentConfig, axes, threads, meta):
     """Accuracy, CSNR vs the float forward, cycles and analog ratio of the
     model at every point of the axes' grid; no axes is the single point of
-    the config as written."""
+    the config as written. The points of each enc_bits value form one plan
+    class and run in lockstep (_forward_points); `threads` parallelizes
+    across classes only."""
     train_set, test_set = _dataset(cfg)
     model = _model(cfg, train_set, test_set)
     x, y = test_set
     ideal = forward_float(model, x)
-
-    def run_point(values):
+    grid = list(itertools.product(*[v for _, v in axes]))
+    points = []
+    for values in grid:
         point = dict(zip([a[0] for a in axes], values))
         macro = dataclasses.replace(
             cfg.macro, adc_bits=point.get("adc_bits", cfg.macro.adc_bits),
@@ -92,16 +123,13 @@ def _run_grid(cfg: ExperimentConfig, axes, threads, meta):
                 noise, random_sigma=Sigma(point["noise"],
                                           cfg.noise.random_sigma.unit))
         mode = dataclasses.replace(cfg.mode, enc_bits=macro.enc_bits)
-        logits, cycles, ratio = engine_forward(model, x, macro, noise, mode)
+        points.append((macro, noise, mode))
+    rows = []
+    for values, (logits, cycles, ratio) in zip(
+            grid, _forward_points(model, x, points, threads)):
         acc = float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
-        return (*values, acc, csnr_measure(ideal, logits).db, cycles, ratio)
-
-    grid = list(itertools.product(*[v for _, v in axes]))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_point, grid))
-    else:
-        rows = [run_point(g) for g in grid]
+        rows.append((*values, acc, csnr_measure(ideal, logits).db, cycles,
+                     ratio))
     meta["baseline_acc"] = model.baseline_acc
     header = (*[a[0] for a in axes], "accuracy", "csnr_db", "cycles",
               "analog_ratio")

@@ -17,14 +17,14 @@ from .models import TrainConfig
 _UNITS = {"lsb_rms": NoiseUnit.LSB_RMS, "vpp_pct": NoiseUnit.VPP_PCT}
 
 
-def _build(path, section, ctor, **kw):
-    """Construct a config dataclass, rewrapping validation errors."""
+def _build(path, section, ctor, key=None, **kw):
+    """Construct a config dataclass; a validation error names the file, the
+    section and, when given, the key."""
     try:
         return ctor(**kw)
-    except ConfigError:
-        raise
     except AcimError as exc:
-        raise ConfigError(f"{path}: [{section}] {exc}") from exc
+        where = f"[{section}]" if key is None else f"[{section}] {key}:"
+        raise ConfigError(f"{path}: {where} {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -155,6 +155,41 @@ def _section(parser, path, name):
     return _Section(parser, path, name)
 
 
+def _sweep_axes(sweep_s: _Section, macro: MacroConfig, noise: NoiseSpec,
+                x_bits: Optional[int]) -> dict:
+    """The [sweep] axes, every value checked as its grid point will use it.
+
+    Each adc_bits and enc_bits value builds the macro it selects, and each
+    noise value the random sigma, so a bad value fails here, before any
+    training, naming its key. enc_bits must not exceed `x_bits`, the
+    activation width of the model the config trains (None for a checkpoint,
+    whose widths are known only once it is loaded).
+    """
+    path = sweep_s.path
+    sweep = {}
+    for key, cast in (("adc_bits", int), ("enc_bits", int), ("noise", float)):
+        values = sweep_s.get_list(key, cast)
+        if values is None:
+            continue
+        if not values:
+            sweep_s._fail(key, "sweep axis must be non-empty")
+        for v in values:
+            if key == "noise":
+                _build(path, "sweep", Sigma, key, value=v,
+                       unit=noise.random_sigma.unit)
+                continue
+            _build(path, "sweep", MacroConfig, key, **{
+                "rows": macro.rows, "adc_bits": macro.adc_bits,
+                "enc_bits": macro.enc_bits, key: v})
+            if key == "enc_bits" and x_bits is not None and v > x_bits:
+                sweep_s._fail(key, f"encoding width {v} exceeds x_bits "
+                                   f"{x_bits}")
+        sweep[key] = values
+    if not sweep:
+        sweep_s._fail("adc_bits", "sweep section has no axes")
+    return sweep
+
+
 def load_config(path: str) -> ExperimentConfig:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -166,7 +201,8 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
     macro_s = _section(parser, path, "macro")
-    macro = MacroConfig(
+    macro = _build(
+        path, "macro", MacroConfig,
         rows=macro_s.get_int("rows", required=True),
         adc_bits=macro_s.get_int("adc_bits", required=True),
         enc_bits=macro_s.get_int("enc_bits", default=1))
@@ -185,7 +221,8 @@ def load_config(path: str) -> ExperimentConfig:
     mode_s = _section(parser, path, "mode")
     voting = None
     if mode_s.has("voting_boundary") or mode_s.has("voting_samples"):
-        voting = VotingSpec(
+        voting = _build(
+            path, "mode", VotingSpec,
             boundary=mode_s.get_int("voting_boundary", required=True),
             samples=mode_s.get_int("voting_samples", required=True))
     mode = EngineMode(enc_bits=macro.enc_bits,
@@ -237,19 +274,6 @@ def load_config(path: str) -> ExperimentConfig:
     output = OutputSpec(dir=output_s.raw("dir", default="out"),
                         formats=tuple(formats))
 
-    sweep_s = _section(parser, path, "sweep")
-    sweep = None
-    if parser.has_section("sweep"):
-        sweep = {}
-        for key, cast in (("adc_bits", int), ("enc_bits", int), ("noise", float)):
-            values = sweep_s.get_list(key, cast)
-            if values is not None:
-                if not values:
-                    sweep_s._fail(key, "sweep axis must be non-empty")
-                sweep[key] = values
-        if not sweep:
-            sweep_s._fail("adc_bits", "sweep section has no axes")
-
     train = None
     if parser.has_section("train"):
         train_s = _section(parser, path, "train")
@@ -262,6 +286,12 @@ def load_config(path: str) -> ExperimentConfig:
             w_bits=train_s.get_int("w_bits", default=w_bits),
             x_bits=train_s.get_int("x_bits", default=x_bits),
             nat_sigma=train_s.get_float("nat_sigma", default=0.0))
+
+    sweep = None
+    if parser.has_section("sweep"):
+        sweep = _sweep_axes(_section(parser, path, "sweep"), macro, noise,
+                            None if model.checkpoint else
+                            (train.x_bits if train else x_bits))
 
     return ExperimentConfig(macro=macro, noise=noise, mode=mode,
                             w_bits=w_bits, x_bits=x_bits, model=model,

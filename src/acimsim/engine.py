@@ -13,6 +13,12 @@ the final rescale. Every noise stream of a matmul is keyed up front in one
 rng.StreamTable, with the same draws as keying each on its own. Conv2d and
 attention lower onto simulate_matmul; SimLayerResult counts cycles by domain
 and sums them over several matmuls.
+
+The points of one plan class (macros that differ only in ADC precision,
+noise specs that share a seed) run through one matmul in lockstep
+(_simulate_points, of which simulate_matmul is the one-point case): one
+plan, stream table and chunk list, one GEMM per distinct input, and each
+chunk's standard normals drawn once and read by every point in turn.
 """
 
 from dataclasses import dataclass
@@ -23,10 +29,11 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
 from .macro import (MacroConfig, NoiseSpec, adc_readout, apply_noise,
-                    count_table, majority_vote_readout)
+                    count_table, draw_noise, majority_vote_readout,
+                    noise_tags, sum_buffer)
 from .quant import (QuantizedTensor, Signedness, group_layout, quantize,
                     signedness_of)
-from .rng import TAG_NONLIN, TAG_RANDOM, RngContext, StreamTable
+from .rng import RngContext, StreamTable
 from .tensor import Shape2D, conv_output_shape, im2col, round_half_away
 
 # Readout chunk cap in levels (entries x oversample x B x M): a float64
@@ -189,17 +196,14 @@ def _bit_pair(bits) -> tuple:
     return int(bits), int(bits)
 
 
-def _stream_table(entries: np.ndarray, tiles: int, layer: int,
-                  spec: NoiseSpec) -> Optional[StreamTable]:
+def _stream_table(entries: np.ndarray, tiles: int, layer: int, seed: int,
+                  tags: list) -> Optional[StreamTable]:
     """Key every noise stream of one matmul in one StreamTable.
 
-    One row per (tile, analog entry, oversample, tag with non-zero sigma),
-    keyed as majority_vote_readout and apply_noise key their draws. None when
-    no built-in noise source draws.
+    One row per (tile, analog entry, oversample, tag), keyed as
+    majority_vote_readout and apply_noise key their draws. None when no
+    built-in noise source draws.
     """
-    tags = [tag for tag, sigma in ((TAG_RANDOM, spec.random_sigma),
-                                   (TAG_NONLIN, spec.nonlin_sigma))
-            if sigma.value != 0]
     if not tags:
         return None
     if not 0 <= layer <= 0xFFFFFFFF:
@@ -218,7 +222,7 @@ def _stream_table(entries: np.ndarray, tiles: int, layer: int,
     rows[..., 1] = layer
     rows[..., 2] = np.arange(tiles)[:, None, None]
     rows[..., 3:] = reads[None, :, None, :]
-    return StreamTable(spec.seed, rows.reshape(-1, 7))
+    return StreamTable(seed, rows.reshape(-1, 7))
 
 
 def _readout_chunks(analog: list, oversample: list, elems: int):
@@ -254,20 +258,53 @@ def simulate_matmul(act: QuantizedTensor, w: QuantizedTensor,
     from its own streams in the call's stream table. count_table turns codes
     into integer counts; a vote's code totals are averaged, scaled to counts
     and rounded. The signed shift-accumulated counts are scaled by both
-    quantization scales.
+    quantization scales. This is the one-point case of _simulate_points.
     """
-    if act.codes.ndim != 2 or w.codes.ndim != 2:
+    return _simulate_points(act, w, [cfg], [spec], mode, layer,
+                            record_levels)[0]
+
+
+def _simulate_points(act, w: QuantizedTensor, cfgs: list, specs: list,
+                     mode: EngineMode, layer: int = 0,
+                     record_levels: bool = False, out=None) -> list:
+    """simulate_matmul of several points of one plan class in lockstep.
+
+    Point p is the macro cfgs[p] with the noise specs[p]; the points share
+    rows, enc_bits and seed, so one plan, one stream table and one chunk
+    list serve them all. `act` is one QuantizedTensor that every point reads,
+    quantized and multiplied once, or a list of one per point, all of one
+    shape, width and signedness. Each chunk's standard normals are drawn
+    once (draw_noise); every point then forms its own noisy levels from them
+    (apply_noise) and applies its own ADC, count table and accumulator, with
+    the ops and bytes of running it alone. Returns one SimLayerResult per
+    point; `out`, a list of one float64 [B, M] array per point, receives the
+    outputs in place of new arrays.
+    """
+    acts = [act] if isinstance(act, QuantizedTensor) else list(act)
+    owner = [0] * len(cfgs) if len(acts) == 1 else range(len(acts))
+    if len(owner) != len(cfgs) or len(specs) != len(cfgs):
+        raise ShapeError(f"{len(acts)} inputs and {len(specs)} noise specs "
+                         f"for {len(cfgs)} points")
+    if w.codes.ndim != 2 or any(a.codes.ndim != 2 for a in acts):
         raise ShapeError("simulate_matmul expects 2-D operands")
-    b, d = act.shape
+    b, d = acts[0].shape
     d_w, m = w.shape
     if d != d_w:
         raise ShapeError(f"inner dimensions differ: {d} vs {d_w}")
+    x_bits, x_sign = acts[0].params.bits, acts[0].params.signedness
+    if any((a.shape, a.params.bits, a.params.signedness)
+           != ((b, d), x_bits, x_sign) for a in acts):
+        raise ShapeError("lockstep inputs differ in shape, bits or signedness")
+    cfg, seed = cfgs[0], specs[0].seed
+    if any((c.rows, c.enc_bits, s.seed) != (cfg.rows, cfg.enc_bits, seed)
+           for c, s in zip(cfgs, specs)):
+        raise ConfigError("lockstep points must share rows, enc_bits and seed")
     if mode.enc_bits != cfg.enc_bits:
         raise ConfigError(
             f"mode enc_bits {mode.enc_bits} != macro enc_bits {cfg.enc_bits}")
-    plan = plan_cycles(w.params.bits, act.params.bits, act.params.signedness,
-                       w.params.signedness, mode)
-    layout = group_layout(act.params.bits, act.params.signedness, cfg.enc_bits)
+    plan = plan_cycles(w.params.bits, x_bits, x_sign, w.params.signedness,
+                       mode)
+    layout = group_layout(x_bits, x_sign, cfg.enc_bits)
     q_bits = w.params.bits
     # a plain view, as recarray attribute access runs Python code; column g
     # of the (w_bit, act_group) grid is group g by weight bit, so a chunk of
@@ -278,57 +315,75 @@ def simulate_matmul(act: QuantizedTensor, w: QuantizedTensor,
                                    g["oversample"].tolist(), b * m))
               for g in groups]
     weights = (groups["sign"] << groups["shift"]).tolist()
-    # masking with 2^bits - 1 yields the 2's-complement pattern of negatives
-    u_a = act.codes & ((1 << act.params.bits) - 1)
-    u_w = w.codes & ((1 << w.params.bits) - 1)
     bit_pos = np.arange(q_bits)[:, None]
     n_fs = cfg.full_scale_counts
-    lut = count_table(cfg)
-    accum = np.zeros((b, m), dtype=np.int64)
-    hist = {} if record_levels else None
+    # per point: its input, macro, noise, count table and accumulator
+    points = [(o, c, s, count_table(c), np.zeros((b, m), dtype=np.int64))
+              for o, c, s in zip(owner, cfgs, specs)]
+    hists = [{} for _ in acts] if record_levels else None
     tile_starts = range(0, d, cfg.rows)
     tiles = len(tile_starts)
-    table = _stream_table(entries, tiles, layer, spec)
+    tags = noise_tags(specs)
+    table = _stream_table(entries, tiles, layer, seed, tags)
     for t, start in enumerate(tile_starts):
         stop = min(start + cfg.rows, d)
-        rhs = ((u_w[start:stop, None, :] >> bit_pos) & 1).astype(np.float32)
+        # shift-and-mask reads bit planes and groups straight off the codes:
+        # an arithmetic shift keeps a negative code's 2's-complement bits
+        rhs = ((w.codes[start:stop, None, :] >> bit_pos) & 1).astype(np.float32)
         rhs = rhs.reshape(stop - start, q_bits * m)
         for g, (width, gshift, _) in enumerate(layout):
-            lhs = (u_a[:, start:stop] >> gshift) & ((1 << width) - 1)
-            lhs = lhs.astype(np.float32)
-            # exact: levels are integers below 2^24 (MacroConfig.__post_init__)
-            block = (lhs @ rhs).reshape(b, q_bits, m).transpose(1, 0, 2)
-            if record_levels:
-                for q in range(q_bits):
-                    levels = block[q].astype(np.int64).ravel()
-                    hist[q, g] = hist.get((q, g), 0) + np.bincount(
-                        levels, minlength=n_fs + 1)
+            blocks = []
+            for i, a in enumerate(acts):
+                lhs = (a.codes[:, start:stop] >> gshift) & ((1 << width) - 1)
+                lhs = lhs.astype(np.float32)
+                # exact: integer levels below 2^24 (MacroConfig.__post_init__)
+                blocks.append((lhs @ rhs).reshape(b, q_bits, m)
+                              .transpose(1, 0, 2))
+                if record_levels:
+                    for q in range(q_bits):
+                        levels = blocks[-1][q].astype(np.int64).ravel()
+                        hists[i][q, g] = hists[i].get((q, g), 0) + np.bincount(
+                            levels, minlength=n_fs + 1)
             for lo, hi, analog, samples in chunks[g]:
-                levels = block[lo:hi]
-                if not analog:
-                    counts = levels.astype(np.int64)
-                else:
+                if analog:
                     ctx = [RngContext(layer, t, q, g) for q in range(lo, hi)]
                     if samples > 1:
-                        total = majority_vote_readout(levels, samples, spec,
-                                                      cfg, ctx, table)
-                        mac = (total / samples) * cfg.lsb_counts
+                        totals = majority_vote_readout(
+                            [blocks[o][lo:hi] for o in owner], samples, specs,
+                            cfgs, ctx, table)
+                    else:
+                        draws = draw_noise(seed, tags, ctx, (hi - lo, b, m),
+                                           table)
+                        buf = sum_buffer(draws, len(cfgs))
+                for p, (o, p_cfg, spec, lut, accum) in enumerate(points):
+                    if not analog:
+                        counts = blocks[o][lo:hi].astype(np.int64)
+                    elif samples > 1:
+                        mac = (totals[p] / samples) * p_cfg.lsb_counts
                         counts = round_half_away(mac).astype(np.int64)
                     else:
+                        noisy = blocks[o][lo:hi]
                         if not spec.silent:
-                            levels = apply_noise(levels, spec, cfg, ctx, table)
-                        counts = lut[adc_readout(levels, cfg)[0]]
-                for weight, counts_e in zip(weights[g][lo:hi], counts):
-                    counts_e *= weight
-                    accum += counts_e
+                            noisy = apply_noise(noisy, spec, p_cfg, ctx, table,
+                                                draws, buf)
+                        counts = lut[adc_readout(noisy, p_cfg)[0]]
+                    for weight, counts_e in zip(weights[g][lo:hi], counts):
+                        counts_e *= weight
+                        accum += counts_e
     analog = int(entries["analog"].sum())
-    return SimLayerResult(
-        output=accum * (act.params.scale * w.params.scale),
-        tiles=tiles,
-        analog_cycles=tiles * analog,
-        digital_cycles=tiles * (len(entries) - analog),
-        repeat_cycles=tiles * (plan.cycles_per_tile - len(entries)),
-        level_counts=hist)
+    results = []
+    for p in range(len(points)):
+        o, *_, accum = points[p]
+        points[p] = None   # each point's counts go as its output lands
+        results.append(SimLayerResult(
+            output=np.multiply(accum, acts[o].params.scale * w.params.scale,
+                               out=None if out is None else out[p]),
+            tiles=tiles,
+            analog_cycles=tiles * analog,
+            digital_cycles=tiles * (len(entries) - analog),
+            repeat_cycles=tiles * (plan.cycles_per_tile - len(entries)),
+            level_counts=hists[o] if record_levels else None))
+    return results
 
 
 def simulate_conv2d(act, w, stride: int, padding: int, bits,

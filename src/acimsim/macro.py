@@ -126,55 +126,96 @@ def ideal_level(w_col, act_group, cfg: MacroConfig):
     return (w.astype(np.int64) * a.astype(np.int64)).sum(axis=-1)
 
 
+def noise_tags(specs) -> list:
+    """The source tags the built-in noise models of `specs` draw from."""
+    return [tag for tag, sigmas in (
+        (rng.TAG_RANDOM, [s.random_sigma.value for s in specs]),
+        (rng.TAG_NONLIN, [s.nonlin_sigma.value for s in specs])) if any(sigmas)]
+
+
+def draw_noise(seed: int, tags, ctx, shape, table=None) -> dict:
+    """Standard normals of (seed, ctx) for `shape`, by tag, for each of
+    `tags` (noise_tags). They depend on nothing else, so the points of a
+    lockstep run, which share one seed, share one draw per tag: apply_noise
+    reads these arrays and never writes them."""
+    return {tag: rng.normal(seed, ctx, tag, shape, table=table)
+            for tag in tags}
+
+
+def sum_buffer(draws: dict, points: int):
+    """Where apply_noise forms the random-noise sum of each of `points`
+    points reading `draws`: for one point the draw buffer itself, which that
+    point owns; for several, one scratch buffer they take in turn."""
+    d = draws.get(rng.TAG_RANDOM)
+    return d if d is None or points == 1 else np.empty_like(d)
+
+
 def apply_random_noise(v, spec: NoiseSpec, cfg: MacroConfig, ctx,
-                       table=None):
+                       table=None, draws=None, out=None):
     """Add ADC input-referred Gaussian noise, deterministic in (seed, ctx).
 
     `ctx` is one rng.RngContext, or one per leading row of `v` (see
     rng.normal); `table`, an optional rng.StreamTable keyed for spec.seed,
     supplies the same draws as the per-call streams (as in every function
-    below). The sum is formed in the draw buffer, never in `v`: d *= sigma;
-    d += v, which is v + sigma * d exactly, as IEEE * and + commute.
+    below). `draws`, from draw_noise, holds draws already made for (seed,
+    ctx); without it they are drawn here. The sum is formed in `out` (the
+    draw buffer when drawn here, else a new array unless given), never in `v`
+    or `draws`: out = d * sigma; out += v, which is v + sigma * d exactly, as
+    IEEE * and + commute.
     """
     sigma = sigma_to_counts(spec.random_sigma, cfg)
     if sigma == 0:
         return np.asarray(v, dtype=np.float64)
-    d = rng.normal(spec.seed, ctx, rng.TAG_RANDOM, np.shape(v), table=table)
-    d *= sigma
-    d += v
-    return d
+    if draws is None:
+        d = out = rng.normal(spec.seed, ctx, rng.TAG_RANDOM, np.shape(v),
+                             table=table)
+    else:
+        d = draws[rng.TAG_RANDOM]
+    out = np.multiply(d, sigma, out=out)
+    out += v
+    return out
 
 
 def apply_nonlinearity(v, spec: NoiseSpec, cfg: MacroConfig, ctx,
-                       table=None):
+                       table=None, draws=None):
     """Add level-dependent noise, strongest at low levels.
 
     sigma(v) = sigma_set * sqrt(max(0, N_fs - v) / N_fs): fewer charged
-    capacitors leave more mismatch headroom, and sigma(N_fs) = 0.
+    capacitors leave more mismatch headroom, and sigma(N_fs) = 0. The
+    result is formed in the buffer of the local sigma, so `draws` are read
+    only.
     """
     sigma = sigma_to_counts(spec.nonlin_sigma, cfg)
     if sigma == 0:
         return np.asarray(v, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     n_fs = cfg.full_scale_counts
-    d = rng.normal(spec.seed, ctx, rng.TAG_NONLIN, v.shape, table=table)
+    d = (rng.normal(spec.seed, ctx, rng.TAG_NONLIN, v.shape, table=table)
+         if draws is None else draws[rng.TAG_NONLIN])
     local = np.asarray(np.subtract(n_fs, v))
     np.maximum(local, 0.0, out=local)
     local /= n_fs
     np.sqrt(local, out=local)
     local *= sigma
-    d *= local
-    d += v
-    return d
+    local *= d
+    local += v
+    return local
 
 
-def apply_noise(v, spec: NoiseSpec, cfg: MacroConfig, ctx, table=None):
+def apply_noise(v, spec: NoiseSpec, cfg: MacroConfig, ctx, table=None,
+                draws=None, out=None):
     """Full noise pipeline: random, nonlinearity, then the custom hook.
 
     The hook runs once per context, on that context's row of levels.
+    `draws` and `out` are as in apply_random_noise; without `draws`, every
+    tag is drawn here (draw_noise) and the sum formed in the draw buffer.
     """
-    out = apply_random_noise(v, spec, cfg, ctx, table)
-    out = apply_nonlinearity(out, spec, cfg, ctx, table)
+    if draws is None:
+        draws = draw_noise(spec.seed, noise_tags([spec]), ctx, np.shape(v),
+                           table)
+        out = sum_buffer(draws, 1)
+    out = apply_random_noise(v, spec, cfg, ctx, table, draws, out)
+    out = apply_nonlinearity(out, spec, cfg, ctx, table, draws)
     hook = spec.level_hook
     if hook is None:
         return out
@@ -228,25 +269,43 @@ def majority_vote_readout(v_ideal, samples: int, spec: NoiseSpec,
     the rows it passes. One row reads its samples in runs of at most
     _VOTE_BLOCK_ELEMS levels, in sample order, one run per apply_noise call.
     Each sample is read out by one adc_readout call over all rows.
+
+    Lockstep: `v_ideal`, `spec` and `cfg` may be equal-length lists, the
+    levels, noise and macro of each point of a run that shares one seed and
+    one shape. Each run of samples is then drawn once (draw_noise) and read
+    by every point in turn, and the result is the list of their totals.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
+    lockstep = isinstance(spec, list)
+    vs, specs, cfgs = ((v_ideal, spec, cfg) if lockstep
+                       else ([v_ideal], [spec], [cfg]))
+    seeds = {s.seed for s in specs}
+    if len(seeds) > 1:
+        raise DomainError(f"points voting together need one seed, got {seeds}")
+    tags = noise_tags(specs)
     single = isinstance(ctx, rng.RngContext)
-    v = np.asarray(v_ideal)
-    rows = v[None] if single else v
+    points = [np.asarray(v)[None] if single else np.asarray(v) for v in vs]
     ctxs = [ctx] if single else ctx
+    shape = points[0].shape
     run = samples
-    if len(rows) == 1:
-        run = min(samples, max(1, _VOTE_BLOCK_ELEMS // max(1, rows.size)))
-    total = np.zeros(rows.shape, dtype=np.int64)
+    if shape[0] == 1:
+        run = min(samples, max(1, _VOTE_BLOCK_ELEMS // max(1, points[0].size)))
+    totals = [np.zeros(shape, dtype=np.int64) for _ in points]
     for s0 in range(0, samples, run):
         n = min(run, samples - s0)
-        draws = [rng.RngContext(c.layer, c.tile, c.w_bit, c.act_group,
-                                c.column, c.sample + s)
-                 for c in ctxs for s in range(s0, s0 + n)]
-        noisy = apply_noise(np.repeat(rows, n, axis=0), spec, cfg, draws,
-                            table)
-        noisy = noisy.reshape(len(rows), n, *rows.shape[1:])
-        for s in range(n):
-            total += adc_readout(noisy[:, s], cfg)[0]
-    return total[0] if single else total
+        draw_ctx = [rng.RngContext(c.layer, c.tile, c.w_bit, c.act_group,
+                                   c.column, c.sample + s)
+                    for c in ctxs for s in range(s0, s0 + n)]
+        draws = draw_noise(specs[0].seed, tags, draw_ctx,
+                           (shape[0] * n, *shape[1:]), table)
+        out = sum_buffer(draws, len(points))
+        for rows, p_spec, p_cfg, total in zip(points, specs, cfgs, totals):
+            noisy = apply_noise(np.repeat(rows, n, axis=0), p_spec, p_cfg,
+                                draw_ctx, table, draws, out)
+            noisy = noisy.reshape(len(rows), n, *shape[1:])
+            for s in range(n):
+                total += adc_readout(noisy[:, s], p_cfg)[0]
+    if single:
+        totals = [t[0] for t in totals]
+    return totals if lockstep else totals[0]

@@ -13,8 +13,8 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .engine import EngineMode, SimLayerResult, simulate_matmul, softmax
-from .errors import TrainingError
+from .engine import EngineMode, SimLayerResult, _simulate_points, softmax
+from .errors import ShapeError, TrainingError
 from .macro import MacroConfig, NoiseSpec
 from .quant import (QuantParams, Signedness, dequantize, quantize,
                     signedness_of)
@@ -80,30 +80,37 @@ def _ste_mask(t: np.ndarray, params: QuantParams) -> np.ndarray:
     return ((t >= lo) & (t <= hi)).astype(np.float64)
 
 
-def _walk(model: TinyModel, x, matmul):
+def _walk(model: TinyModel, x, matmul, inputs: Optional[list] = None):
     """Run model.layers on x; the one layer loop of every forward pass.
 
-    ReLU and bias stay in float64. Each linear layer's product comes from
-    matmul(a, layer, linear_index), with linear layers numbered from 0.
-    Returns the output and the input of every layer (the backward pass reads
-    its ReLU masks from them).
+    ReLU and bias stay in float64 and broadcast over any leading axes of the
+    activations. Each linear layer's product comes from matmul(a, layer,
+    linear_index), with linear layers numbered from 0. Returns the output;
+    `inputs`, when given, collects the input of every layer (the backward
+    pass reads its ReLU masks from them).
     """
     a = np.asarray(x, dtype=np.float64)
-    inputs = []
     linear_index = 0
     for layer in model.layers:
-        inputs.append(a)
+        if inputs is not None:
+            inputs.append(a)
         if isinstance(layer, Relu):
             a = np.maximum(a, 0.0)
         else:
-            a = matmul(a, layer, linear_index) + layer.b
+            a = matmul(a, layer, linear_index)
+            a += layer.b   # every matmul returns a new array
             linear_index += 1
-    return a, inputs
+    return a
+
+
+def _quantize_act(model: TinyModel, a: np.ndarray):
+    """Activation codes, with signedness from the data (signedness_of)."""
+    return quantize(a, model.x_bits, signedness_of(a))
 
 
 def _quantize_operands(model: TinyModel, a: np.ndarray, layer: LinearLayer):
-    """Activation codes (signedness from the data) and weight codes."""
-    return (quantize(a, model.x_bits, signedness_of(a)),
+    """Activation codes and weight codes."""
+    return (_quantize_act(model, a),
             quantize(layer.w, model.w_bits, Signedness.TWOS_COMPLEMENT))
 
 
@@ -134,12 +141,12 @@ def _digital_matmul(model: TinyModel, quantized: bool, nat_sigma: float = 0.0,
 
 def forward_float(model: TinyModel, batch) -> np.ndarray:
     """Plain floating-point forward pass (the ideal reference output)."""
-    return _walk(model, batch, lambda a, layer, _: a @ layer.w)[0]
+    return _walk(model, batch, lambda a, layer, _: a @ layer.w)
 
 
 def forward_qat(model: TinyModel, batch) -> np.ndarray:
     """Forward pass with fake-quantized weights and activations."""
-    return _walk(model, batch, _digital_matmul(model, quantized=True))[0]
+    return _walk(model, batch, _digital_matmul(model, quantized=True))
 
 
 def forward_nat(model: TinyModel, batch, cfg: TrainConfig,
@@ -150,7 +157,7 @@ def forward_nat(model: TinyModel, batch, cfg: TrainConfig,
     ctx.sample across passes to resample.
     """
     matmul = _digital_matmul(model, True, cfg.nat_sigma, cfg.seed, ctx)
-    return _walk(model, batch, matmul)[0]
+    return _walk(model, batch, matmul)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -172,9 +179,9 @@ def loss_and_grads(model: TinyModel, x, labels, cfg: TrainConfig,
     (loss, grads) with grads[i] = (dw, db) aligned to model.layers.
     """
     sigma = cfg.nat_sigma if nat_ctx is not None else 0.0
-    tape = []
-    logits, inputs = _walk(model, x, _digital_matmul(
-        model, quantized, sigma, cfg.seed, nat_ctx, tape))
+    tape, inputs = [], []
+    logits = _walk(model, x, _digital_matmul(
+        model, quantized, sigma, cfg.seed, nat_ctx, tape), inputs)
     loss, delta = cross_entropy(logits, np.asarray(labels))
     grads = [None] * len(model.layers)
     for i in range(len(model.layers) - 1, -1, -1):
@@ -236,26 +243,53 @@ def evaluate_digital(model: TinyModel, dataset) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
 
 
-def engine_forward(model: TinyModel, x, cfg: MacroConfig, spec: NoiseSpec,
-                   mode: EngineMode):
+def engine_forward(model: TinyModel, x, cfg, spec, mode: EngineMode):
     """Run every linear layer on the simulation engine.
 
     ReLU and bias stay in floating point; activations are re-quantized before
     each layer with quant.signedness_of (post-ReLU tensors are unsigned).
     Returns (logits, total_cycles, analog_ratio) of the whole network, the
     layers composed as SimLayerResult.compose does.
+
+    `cfg` and `spec` may instead be equal-length lists, the points of one
+    plan class: macros that share rows and enc_bits, noise specs that share
+    a seed. The class walks the layers in lockstep, with a leading points
+    axis on the activations past x[B, D], which every point reads. Each
+    linear layer is one engine._simulate_points call, split only between
+    points whose inputs quantize with different signedness. Returns one
+    tuple per point, each equal to running that point alone.
     """
-    parts = []
+    if np.ndim(x) != 2:
+        raise ShapeError(f"engine_forward expects x[B, D], got {np.shape(x)}")
+    single = isinstance(cfg, MacroConfig)
+    cfgs, specs = ([cfg], [spec]) if single else (list(cfg), list(spec))
+    nets = [SimLayerResult(None, 0, 0, 0, 0) for _ in cfgs]
 
     def matmul(a, layer, linear_index):
-        act_q, w_q = _quantize_operands(model, a, layer)
-        parts.append(simulate_matmul(act_q, w_q, cfg, spec, mode,
-                                     layer=linear_index))
-        return parts[-1].output
+        w_q = quantize(layer.w, model.w_bits, Signedness.TWOS_COMPLEMENT)
+        if a.ndim == 2:   # one input for every point
+            runs = [(_quantize_act(model, a), range(len(cfgs)))]
+        else:
+            acts = [_quantize_act(model, a_p) for a_p in a]
+            by_sign = {}
+            for p, act in enumerate(acts):
+                by_sign.setdefault(act.params.signedness, []).append(p)
+            runs = [([acts[p] for p in idx], idx) for idx in by_sign.values()]
+        out = np.empty((len(cfgs), a.shape[-2], layer.w.shape[1]))
+        for act, idx in runs:
+            results = _simulate_points(act, w_q, [cfgs[p] for p in idx],
+                                       [specs[p] for p in idx], mode,
+                                       linear_index, out=[out[p] for p in idx])
+            for p, res in zip(idx, results):
+                nets[p] = SimLayerResult.compose([nets[p], res], None)
+        return out
 
-    logits, _ = _walk(model, x, matmul)
-    net = SimLayerResult.compose(parts, logits)
-    return logits, net.total_cycles, net.analog_ratio
+    logits = _walk(model, x, matmul)
+    if not model.linear_layers():   # x passed through, shared
+        logits = [logits] * len(cfgs)
+    results = [(z, net.total_cycles, net.analog_ratio)
+               for z, net in zip(logits, nets)]
+    return results[0] if single else results
 
 
 def evaluate_on_engine(model: TinyModel, dataset, cfg: MacroConfig,

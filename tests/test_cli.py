@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+from acimsim import cli
 from acimsim.checkpoint import load_checkpoint, save_checkpoint
 from acimsim.cli import main
 from acimsim.models import init_mlp
@@ -109,6 +110,35 @@ def test_sweep_grid_and_thread_determinism(tmp_path):
     assert len(payload["results"]) == 4    # 2 x 2 grid
     grid = {(r[0], r[1]) for r in payload["results"]}
     assert grid == {(5, 0.0), (5, 0.5), (7, 0.0), (7, 0.5)}
+
+
+def _bad_sweep_exits_2_before_training(tmp_path, capsys, monkeypatch,
+                                       axis, message):
+    def no_training(*args, **kw):
+        raise AssertionError("training ran before the [sweep] check")
+    monkeypatch.setattr(cli, "train", no_training)
+    cfg = write_config(tmp_path, BASE_INI + f"\n[sweep]\n{axis}\n")
+    assert run("sweep", cfg, tmp_path / "out") == 2
+    assert f"{cfg}: [sweep] {message}" in capsys.readouterr().err
+
+
+def test_sweep_negative_noise_exits_2(tmp_path, capsys, monkeypatch):
+    _bad_sweep_exits_2_before_training(
+        tmp_path, capsys, monkeypatch, "noise = 0.0,-0.5",
+        "noise: sigma must be >= 0, got -0.5")
+
+
+def test_sweep_adc_bits_out_of_range_exits_2(tmp_path, capsys, monkeypatch):
+    _bad_sweep_exits_2_before_training(
+        tmp_path, capsys, monkeypatch, "adc_bits = 6,17",
+        "adc_bits: adc_bits must be in [1, 16], got 17")
+
+
+def test_sweep_enc_bits_above_x_bits_exits_2(tmp_path, capsys, monkeypatch):
+    # BASE_INI trains a 4-bit model
+    _bad_sweep_exits_2_before_training(
+        tmp_path, capsys, monkeypatch, "enc_bits = 1,9",
+        "enc_bits: encoding width 9 exceeds x_bits 4")
 
 
 def test_csnr_report_columns(tmp_path):

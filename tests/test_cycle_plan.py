@@ -160,6 +160,19 @@ def _recording(monkeypatch, module):
     return parts
 
 
+def _recording_points(monkeypatch):
+    """Record every SimLayerResult engine._simulate_points returns to models,
+    the engine call of each linear layer of engine_forward."""
+    parts = []
+
+    def record(*args, **kw):
+        results = engine._simulate_points(*args, **kw)
+        parts.extend(results)
+        return results
+    monkeypatch.setattr(models, "_simulate_points", record)
+    return parts
+
+
 def _sums(parts) -> tuple:
     return tuple(sum(getattr(p, f) for p in parts)
                  for f in ("tiles", "analog_cycles", "digital_cycles",
@@ -247,7 +260,7 @@ def test_engine_forward_accounting_over_random_stacks(monkeypatch):
         mode = _rand_mode(gen, y)
         cfg = MacroConfig.at_boundary(int(gen.integers(4, 33)), y)
         x = gen.normal(size=(int(gen.integers(1, 5)), dims[0]))
-        parts = _recording(monkeypatch, models)
+        parts = _recording_points(monkeypatch)
         _, cycles, ratio = engine_forward(model, x, cfg, NOISELESS, mode)
         monkeypatch.undo()
         assert len(parts) == depth

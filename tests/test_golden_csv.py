@@ -2,8 +2,9 @@
 
 The sha256 of each CSV was recorded before the engine's chunked readout
 went in, so a refactor that moves any output byte of `configs/*.ini` fails
-here. The CLI runs in-process; `sweep` is absent for the configs without a
-[sweep] section, which it rejects.
+here. The CLI runs in-process at --threads 1, and the `sweep.ini` sweep
+also at --threads 4; `sweep` is absent for the configs without a [sweep]
+section, which it rejects.
 
 `train`, `simulate` and `sweep` first train a model with float64 SGD, whose
 BLAS GEMMs may round their last bits differently under another numpy or
@@ -86,13 +87,22 @@ def test_golden_covers_every_shipped_config():
     assert {ini for ini, _ in GOLDEN} == {p.name for p in CONFIGS.glob("*.ini")}
 
 
-@pytest.mark.parametrize("ini,command", sorted(GOLDEN))
-def test_golden_csv(tmp_path, ini, command):
+# every CSV at --threads 1; the sweep, whose plan classes may run on
+# worker threads, also at --threads 4
+CASES = [(ini, command, 1) for ini, command in sorted(GOLDEN)] \
+    + [("sweep.ini", "sweep", 4)]
+
+
+@pytest.mark.parametrize("ini,command,threads", [
+    pytest.param(ini, command, threads, id=f"{ini}-{command}"
+                 + ("" if threads == 1 else f"-threads{threads}"))
+    for ini, command, threads in CASES])
+def test_golden_csv(tmp_path, ini, command, threads):
     if command in TRAINED and _numpy_blas() != RECORDED_ON:
         pytest.skip(f"{command} hash recorded on numpy/BLAS {RECORDED_ON}, "
                     f"running {_numpy_blas()}")
     rc = main([command, "--config", str(CONFIGS / ini), "--out",
-               str(tmp_path)])
+               str(tmp_path), "--threads", str(threads)])
     assert rc == 0
     csv = (tmp_path / f"{command}.csv").read_bytes()
     assert hashlib.sha256(csv).hexdigest() == GOLDEN[ini, command]
