@@ -287,11 +287,16 @@ def load_config(path: str) -> ExperimentConfig:
             x_bits=train_s.get_int("x_bits", default=x_bits),
             nat_sigma=train_s.get_float("nat_sigma", default=0.0))
 
+    # a checkpoint's widths are known only once it is loaded
+    act_bits = None if model.checkpoint else (train.x_bits if train
+                                              else x_bits)
+    if act_bits is not None and macro.enc_bits > act_bits:
+        macro_s._fail("enc_bits", f"encoding width {macro.enc_bits} exceeds "
+                                  f"x_bits {act_bits}")
     sweep = None
     if parser.has_section("sweep"):
         sweep = _sweep_axes(_section(parser, path, "sweep"), macro, noise,
-                            None if model.checkpoint else
-                            (train.x_bits if train else x_bits))
+                            act_bits)
 
     return ExperimentConfig(macro=macro, noise=noise, mode=mode,
                             w_bits=w_bits, x_bits=x_bits, model=model,

@@ -76,16 +76,6 @@ class EngineMode:
     def scheme(self) -> str:
         return "bit-serial" if self.enc_bits == 1 else "bit-parallel"
 
-    @classmethod
-    def bit_serial(cls, **kw) -> "EngineMode":
-        return cls(enc_bits=1, **kw)
-
-    @classmethod
-    def bit_parallel(cls, enc_bits: int, **kw) -> "EngineMode":
-        if enc_bits < 2:
-            raise ConfigError("bit-parallel needs enc_bits >= 2")
-        return cls(enc_bits=enc_bits, **kw)
-
 
 @dataclass(frozen=True)
 class CyclePlan:
@@ -170,7 +160,6 @@ class SimLayerResult:
     analog_cycles: int
     digital_cycles: int
     repeat_cycles: int
-    level_counts: Optional[dict] = None   # (w_bit, act_group) -> histogram
 
     @property
     def total_cycles(self) -> int:
@@ -245,7 +234,7 @@ def _readout_chunks(analog: list, oversample: list, elems: int):
 
 def simulate_matmul(act: QuantizedTensor, w: QuantizedTensor,
                     cfg: MacroConfig, spec: NoiseSpec, mode: EngineMode,
-                    layer: int = 0, record_levels: bool = False) -> SimLayerResult:
+                    layer: int = 0) -> SimLayerResult:
     """Simulate act[B,D] @ w[D,M] with w stationary in the macro.
 
     D is tiled into ceil(D/rows) mappings. Per (tile, activation group) one
@@ -260,13 +249,11 @@ def simulate_matmul(act: QuantizedTensor, w: QuantizedTensor,
     and rounded. The signed shift-accumulated counts are scaled by both
     quantization scales. This is the one-point case of _simulate_points.
     """
-    return _simulate_points(act, w, [cfg], [spec], mode, layer,
-                            record_levels)[0]
+    return _simulate_points(act, w, [cfg], [spec], mode, layer)[0]
 
 
 def _simulate_points(act, w: QuantizedTensor, cfgs: list, specs: list,
-                     mode: EngineMode, layer: int = 0,
-                     record_levels: bool = False, out=None) -> list:
+                     mode: EngineMode, layer: int = 0, out=None) -> list:
     """simulate_matmul of several points of one plan class in lockstep.
 
     Point p is the macro cfgs[p] with the noise specs[p]; the points share
@@ -316,11 +303,9 @@ def _simulate_points(act, w: QuantizedTensor, cfgs: list, specs: list,
               for g in groups]
     weights = (groups["sign"] << groups["shift"]).tolist()
     bit_pos = np.arange(q_bits)[:, None]
-    n_fs = cfg.full_scale_counts
     # per point: its input, macro, noise, count table and accumulator
     points = [(o, c, s, count_table(c), np.zeros((b, m), dtype=np.int64))
               for o, c, s in zip(owner, cfgs, specs)]
-    hists = [{} for _ in acts] if record_levels else None
     tile_starts = range(0, d, cfg.rows)
     tiles = len(tile_starts)
     tags = noise_tags(specs)
@@ -333,17 +318,12 @@ def _simulate_points(act, w: QuantizedTensor, cfgs: list, specs: list,
         rhs = rhs.reshape(stop - start, q_bits * m)
         for g, (width, gshift, _) in enumerate(layout):
             blocks = []
-            for i, a in enumerate(acts):
+            for a in acts:
                 lhs = (a.codes[:, start:stop] >> gshift) & ((1 << width) - 1)
                 lhs = lhs.astype(np.float32)
                 # exact: integer levels below 2^24 (MacroConfig.__post_init__)
                 blocks.append((lhs @ rhs).reshape(b, q_bits, m)
                               .transpose(1, 0, 2))
-                if record_levels:
-                    for q in range(q_bits):
-                        levels = blocks[-1][q].astype(np.int64).ravel()
-                        hists[i][q, g] = hists[i].get((q, g), 0) + np.bincount(
-                            levels, minlength=n_fs + 1)
             for lo, hi, analog, samples in chunks[g]:
                 if analog:
                     ctx = [RngContext(layer, t, q, g) for q in range(lo, hi)]
@@ -364,8 +344,8 @@ def _simulate_points(act, w: QuantizedTensor, cfgs: list, specs: list,
                     else:
                         noisy = blocks[o][lo:hi]
                         if not spec.silent:
-                            noisy = apply_noise(noisy, spec, p_cfg, ctx, table,
-                                                draws, buf)
+                            noisy = apply_noise(noisy, spec, p_cfg, ctx, draws,
+                                                buf)
                         counts = lut[adc_readout(noisy, p_cfg)[0]]
                     for weight, counts_e in zip(weights[g][lo:hi], counts):
                         counts_e *= weight
@@ -381,8 +361,7 @@ def _simulate_points(act, w: QuantizedTensor, cfgs: list, specs: list,
             tiles=tiles,
             analog_cycles=tiles * analog,
             digital_cycles=tiles * (len(entries) - analog),
-            repeat_cycles=tiles * (plan.cycles_per_tile - len(entries)),
-            level_counts=hists[o] if record_levels else None))
+            repeat_cycles=tiles * (plan.cycles_per_tile - len(entries))))
     return results
 
 

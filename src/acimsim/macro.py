@@ -1,4 +1,4 @@
-"""Analog macro model: ideal CBL levels, noise injection, ADC readout.
+"""Analog macro model: noise injection, ADC readout, majority voting.
 
 Levels are expressed in counts (one count = one fully charged unit capacitor),
 so the full scale is rows * (2^y - 1) and the ADC step is full_scale / 2^k.
@@ -112,20 +112,6 @@ def sigma_to_counts(s: Sigma, cfg: MacroConfig) -> float:
     return s.value * cfg.lsb_counts
 
 
-def ideal_level(w_col, act_group, cfg: MacroConfig):
-    """Noiseless CBL level: sum over rows of w_i * a_i, in counts."""
-    w = np.asarray(w_col)
-    a = np.asarray(act_group)
-    if w.shape != a.shape:
-        raise ConfigError(f"operand shapes differ: {w.shape} vs {a.shape}")
-    if w.shape[-1] > cfg.rows:
-        raise ConfigError(
-            f"{w.shape[-1]} operand rows exceed macro row parallelism {cfg.rows}")
-    if a.size and (a.min() < 0 or a.max() > (1 << cfg.enc_bits) - 1):
-        raise DomainError("activation group values outside [0, 2^y - 1]")
-    return (w.astype(np.int64) * a.astype(np.int64)).sum(axis=-1)
-
-
 def noise_tags(specs) -> list:
     """The source tags the built-in noise models of `specs` draw from."""
     return [tag for tag, sigmas in (
@@ -150,82 +136,51 @@ def sum_buffer(draws: dict, points: int):
     return d if d is None or points == 1 else np.empty_like(d)
 
 
-def apply_random_noise(v, spec: NoiseSpec, cfg: MacroConfig, ctx,
-                       table=None, draws=None, out=None):
-    """Add ADC input-referred Gaussian noise, deterministic in (seed, ctx).
+def apply_noise(v, spec: NoiseSpec, cfg: MacroConfig, ctx, draws=None,
+                out=None):
+    """The noise pipeline: random noise, nonlinearity, then the custom hook.
+
+    Random noise is ADC input-referred Gaussian noise of sigma_r. The
+    nonlinearity adds level-dependent noise, strongest at low levels:
+    sigma(v) = sigma_n * sqrt(max(0, N_fs - v) / N_fs), as fewer charged
+    capacitors leave more mismatch headroom, and sigma(N_fs) = 0. A model
+    with zero sigma is skipped. The hook runs once per context, on that
+    context's row of levels.
 
     `ctx` is one rng.RngContext, or one per leading row of `v` (see
-    rng.normal); `table`, an optional rng.StreamTable keyed for spec.seed,
-    supplies the same draws as the per-call streams (as in every function
-    below). `draws`, from draw_noise, holds draws already made for (seed,
-    ctx); without it they are drawn here. The sum is formed in `out` (the
-    draw buffer when drawn here, else a new array unless given), never in `v`
-    or `draws`: out = d * sigma; out += v, which is v + sigma * d exactly, as
-    IEEE * and + commute.
-    """
-    sigma = sigma_to_counts(spec.random_sigma, cfg)
-    if sigma == 0:
-        return np.asarray(v, dtype=np.float64)
-    if draws is None:
-        d = out = rng.normal(spec.seed, ctx, rng.TAG_RANDOM, np.shape(v),
-                             table=table)
-    else:
-        d = draws[rng.TAG_RANDOM]
-    out = np.multiply(d, sigma, out=out)
-    out += v
-    return out
-
-
-def apply_nonlinearity(v, spec: NoiseSpec, cfg: MacroConfig, ctx,
-                       table=None, draws=None):
-    """Add level-dependent noise, strongest at low levels.
-
-    sigma(v) = sigma_set * sqrt(max(0, N_fs - v) / N_fs): fewer charged
-    capacitors leave more mismatch headroom, and sigma(N_fs) = 0. The
-    result is formed in the buffer of the local sigma, so `draws` are read
-    only.
-    """
-    sigma = sigma_to_counts(spec.nonlin_sigma, cfg)
-    if sigma == 0:
-        return np.asarray(v, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    n_fs = cfg.full_scale_counts
-    d = (rng.normal(spec.seed, ctx, rng.TAG_NONLIN, v.shape, table=table)
-         if draws is None else draws[rng.TAG_NONLIN])
-    local = np.asarray(np.subtract(n_fs, v))
-    np.maximum(local, 0.0, out=local)
-    local /= n_fs
-    np.sqrt(local, out=local)
-    local *= sigma
-    local *= d
-    local += v
-    return local
-
-
-def apply_noise(v, spec: NoiseSpec, cfg: MacroConfig, ctx, table=None,
-                draws=None, out=None):
-    """Full noise pipeline: random, nonlinearity, then the custom hook.
-
-    The hook runs once per context, on that context's row of levels.
-    `draws` and `out` are as in apply_random_noise; without `draws`, every
-    tag is drawn here (draw_noise) and the sum formed in the draw buffer.
+    rng.normal). `draws`, from draw_noise, holds standard normals already
+    drawn for (seed, ctx); without it every tag is drawn here. `v` and
+    `draws` are read only. The random sum is formed in `out` (the draw
+    buffer when drawn here, else a new array unless given): out = d * sigma;
+    out += v, which is v + sigma * d exactly, as IEEE * and + commute. The
+    nonlinear sum is formed in the buffer of the local sigma.
     """
     if draws is None:
-        draws = draw_noise(spec.seed, noise_tags([spec]), ctx, np.shape(v),
-                           table)
+        draws = draw_noise(spec.seed, noise_tags([spec]), ctx, np.shape(v))
         out = sum_buffer(draws, 1)
-    out = apply_random_noise(v, spec, cfg, ctx, table, draws, out)
-    out = apply_nonlinearity(out, spec, cfg, ctx, table, draws)
-    hook = spec.level_hook
-    if hook is None:
-        return out
-    if out is v:
-        out = out.copy()   # the hook's rows are written back into `out`
-    single = isinstance(ctx, rng.RngContext)
-    rows = out[None] if single else out
-    for r, c in enumerate([ctx] if single else ctx):
-        rows[r, ...] = hook(rows[r, ...], c)
-    return out
+    noisy = None
+    sigma = sigma_to_counts(spec.random_sigma, cfg)
+    if sigma != 0:
+        noisy = np.multiply(draws[rng.TAG_RANDOM], sigma, out=out)
+        noisy += v
+    sigma = sigma_to_counts(spec.nonlin_sigma, cfg)
+    if sigma != 0:
+        v = np.asarray(v if noisy is None else noisy, dtype=np.float64)
+        noisy = np.asarray(np.subtract(cfg.full_scale_counts, v))
+        np.maximum(noisy, 0.0, out=noisy)
+        noisy /= cfg.full_scale_counts
+        np.sqrt(noisy, out=noisy)
+        noisy *= sigma
+        noisy *= draws[rng.TAG_NONLIN]
+        noisy += v
+    if noisy is None:
+        noisy = np.array(v, dtype=np.float64)   # a copy: the hook writes rows
+    if spec.level_hook is not None:
+        single = isinstance(ctx, rng.RngContext)
+        rows = noisy[None] if single else noisy
+        for r, c in enumerate([ctx] if single else ctx):
+            rows[r, ...] = spec.level_hook(rows[r, ...], c)
+    return noisy
 
 
 def adc_readout(v, cfg: MacroConfig):
@@ -302,7 +257,7 @@ def majority_vote_readout(v_ideal, samples: int, spec: NoiseSpec,
         out = sum_buffer(draws, len(points))
         for rows, p_spec, p_cfg, total in zip(points, specs, cfgs, totals):
             noisy = apply_noise(np.repeat(rows, n, axis=0), p_spec, p_cfg,
-                                draw_ctx, table, draws, out)
+                                draw_ctx, draws, out)
             noisy = noisy.reshape(len(rows), n, *shape[1:])
             for s in range(n):
                 total += adc_readout(noisy[:, s], p_cfg)[0]

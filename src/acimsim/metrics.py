@@ -5,15 +5,15 @@ float('inf') / float('-inf') markers, never as sentinel numbers.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import rng
 from .engine import EngineMode, simulate_matmul
 from .errors import DomainError, ShapeError
-from .macro import (NOISELESS, MacroConfig, NoiseSpec, adc_readout,
-                    apply_noise, majority_vote_readout)
+from .macro import (MacroConfig, NoiseSpec, adc_readout, apply_noise,
+                    majority_vote_readout)
 from .quant import QuantizedTensor
 
 
@@ -127,17 +127,24 @@ class MacHistogram:
 
 def mac_distribution(act: QuantizedTensor, w: QuantizedTensor,
                      cfg: MacroConfig, mode: EngineMode) -> MacHistogram:
-    """Record every noiseless ideal level the engine would convert."""
-    res = simulate_matmul(act, w, cfg, NOISELESS, mode, record_levels=True)
-    return MacHistogram(res.level_counts, cfg)
+    """Record every noiseless ideal level the engine would convert.
 
+    A level hook tallies the levels of each (tile, w_bit, act_group) block.
+    With hybrid and voting off, every plan entry is analog and read once, so
+    the hook sees each block exactly once.
+    """
+    counts = {}
+    n_levels = cfg.full_scale_counts + 1
 
-def expected_mac(p_w: float, p_x: float, rows: int) -> float:
-    """Expected per-cycle MAC level from bit-level sparsities: rows*p_w*p_x."""
-    for name, p in (("p_w", p_w), ("p_x", p_x)):
-        if not (0.0 <= p <= 1.0):
-            raise DomainError(f"{name} must lie in [0, 1], got {p}")
-    return rows * p_w * p_x
+    def tally(levels, ctx):
+        key = (ctx.w_bit, ctx.act_group)
+        counts[key] = counts.get(key, 0) + np.bincount(
+            levels.astype(np.int64).ravel(), minlength=n_levels)
+        return levels
+
+    simulate_matmul(act, w, cfg, NoiseSpec(level_hook=tally),
+                    replace(mode, hybrid_boundary=None, voting=None))
+    return MacHistogram(counts, cfg)
 
 
 @dataclass(frozen=True)
@@ -182,47 +189,3 @@ def linearity_sweep(cfg: MacroConfig, spec: NoiseSpec, trials: int,
         mean[i] = est.mean()
         sigma[i] = est.std()
     return LinearitySweep(levels, mean, sigma)
-
-
-@dataclass(frozen=True)
-class ErrorHistogram:
-    offsets: np.ndarray   # signed code errors
-    counts: np.ndarray
-    mean: float
-    trials: int
-
-    def to_rows(self) -> list:
-        return [(int(o), int(c)) for o, c in zip(self.offsets, self.counts)]
-
-
-def error_histogram(cfg: MacroConfig, spec: NoiseSpec,
-                    trials: int) -> ErrorHistogram:
-    """Signed code-error histogram over random operand vectors.
-
-    Operands are Bernoulli(0.5) weight bits against uniform activation groups,
-    drawn from the spec seed; the error is noisy code minus noiseless code.
-    """
-    if trials < 1000:
-        raise DomainError(f"error_histogram needs trials >= 1000, got {trials}")
-    batch = 4096
-    tallies = {}
-    done = 0
-    index = 0
-    while done < trials:
-        n = min(batch, trials - done)
-        ctx = rng.RngContext(sample=index)
-        gen = rng.stream(spec.seed, ctx, rng.TAG_DATA)
-        w = gen.integers(0, 2, size=(n, cfg.rows))
-        a = gen.integers(0, 1 << cfg.enc_bits, size=(n, cfg.rows))
-        levels = (w * a).sum(axis=1)
-        ideal_code, _ = adc_readout(levels, cfg)
-        noisy_code, _ = adc_readout(apply_noise(levels, spec, cfg, ctx), cfg)
-        offs, cnts = np.unique(noisy_code - ideal_code, return_counts=True)
-        for o, c in zip(offs, cnts):
-            tallies[int(o)] = tallies.get(int(o), 0) + int(c)
-        done += n
-        index += 1
-    offsets = np.array(sorted(tallies), dtype=np.int64)
-    counts = np.array([tallies[int(o)] for o in offsets], dtype=np.int64)
-    mean = float((offsets * counts).sum() / counts.sum())
-    return ErrorHistogram(offsets, counts, mean, trials)

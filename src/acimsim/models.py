@@ -15,7 +15,7 @@ import numpy as np
 from . import rng
 from .engine import EngineMode, SimLayerResult, _simulate_points, softmax
 from .errors import ShapeError, TrainingError
-from .macro import MacroConfig, NoiseSpec
+from .macro import MacroConfig
 from .quant import (QuantParams, Signedness, dequantize, quantize,
                     signedness_of)
 
@@ -291,10 +291,3 @@ def engine_forward(model: TinyModel, x, cfg, spec, mode: EngineMode):
                for z, net in zip(logits, nets)]
     return results[0] if single else results
 
-
-def evaluate_on_engine(model: TinyModel, dataset, cfg: MacroConfig,
-                       spec: NoiseSpec, mode: EngineMode) -> float:
-    """Top-1 accuracy with all linear layers executed by the engine."""
-    x, y = dataset
-    logits, _, _ = engine_forward(model, x, cfg, spec, mode)
-    return float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))

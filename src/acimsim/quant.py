@@ -135,18 +135,6 @@ def decompose_bits(q: QuantizedTensor) -> BitPlanes:
     return BitPlanes(planes, q.params)
 
 
-def recompose_bits(b: BitPlanes) -> np.ndarray:
-    """Inverse of decompose_bits; returns the integer codes."""
-    bits = b.params.bits
-    codes = np.zeros_like(b.planes[0])
-    for i, plane in enumerate(b.planes):
-        weight = 1 << i
-        if b.params.signedness is Signedness.TWOS_COMPLEMENT and i == bits - 1:
-            weight = -weight
-        codes = codes + weight * plane
-    return codes
-
-
 @dataclass(frozen=True)
 class ActivationGroup:
     """One DAC word: values in [0, 2^width - 1] sitting at 2^shift."""

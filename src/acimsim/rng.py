@@ -50,7 +50,7 @@ def stream(seed: int, ctx: RngContext, tag: int) -> np.random.Generator:
     identical keys replay identical draws, independent of thread schedule.
     """
     if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
+        raise DomainError(f"seed must be >= 0, got {seed}")
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(tag, *ctx.key()))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -67,7 +67,7 @@ def normal(seed: int, ctx, tag: int, shape,
     if table is None:
         return _fill_rows(lambda c: stream(seed, c, tag), ctx, shape)
     if table.seed != seed:
-        raise ValueError(
+        raise DomainError(
             f"stream table keyed for seed {table.seed}, not {seed}")
     return table.normal(ctx, tag, shape)
 

@@ -14,12 +14,14 @@ from acimsim.cli import main
 from acimsim.data import make_blobs, train_test_split
 from acimsim.engine import EngineMode, plan_cycles, simulate_matmul
 from acimsim.macro import (NOISELESS, MacroConfig, NoiseSpec, NoiseUnit,
-                           Sigma, adc_readout, apply_nonlinearity,
+                           Sigma, adc_readout, apply_noise,
                            majority_vote_readout, sigma_to_counts)
 from acimsim.metrics import linearity_sweep, mac_distribution
-from acimsim.models import (TrainConfig, evaluate_digital, evaluate_on_engine,
-                            init_mlp, loss_and_grads, train)
+from acimsim.models import (TrainConfig, evaluate_digital, init_mlp,
+                            loss_and_grads, train)
 from acimsim.quant import QuantParams, QuantizedTensor, Signedness
+
+from oracles import evaluate_on_engine
 
 TC = Signedness.TWOS_COMPLEMENT
 U = Signedness.UNSIGNED
@@ -55,7 +57,7 @@ def random_case(gen, d, bits=8):
 
 def test_c01_noiseless_engine_matches_integer_oracle():
     start = time.monotonic()
-    serial = EngineMode.bit_serial()
+    serial = EngineMode()
     # exhaustive 3-bit sweep: constant rows cover every (x, w) code pair at
     # every dot length, cyclic rows mix codes within one dot product
     vals = np.arange(-4, 4)
@@ -92,10 +94,10 @@ def test_c02_bit_parallel_matches_bit_serial():
     for d in dims:
         a, w = random_case(gen, d)
         ref = simulate_matmul(a, w, MacroConfig.at_boundary(256), NOISELESS,
-                              EngineMode.bit_serial()).output
+                              EngineMode()).output
         for y in (2, 4):
             out = simulate_matmul(a, w, MacroConfig.at_boundary(256, y),
-                                  NOISELESS, EngineMode.bit_parallel(y)).output
+                                  NOISELESS, EngineMode(enc_bits=y)).output
             mismatches += not np.array_equal(out, ref)
     report(2, mismatches == 0,
            f"bit-parallel y in {{2, 4}} at boundary ADC equals bit-serial "
@@ -104,8 +106,8 @@ def test_c02_bit_parallel_matches_bit_serial():
 
 
 def test_c03_cycle_accounting():
-    serial = plan_cycles(8, 8, TC, TC, EngineMode.bit_serial())
-    mixed = plan_cycles(8, 9, TC, TC, EngineMode.bit_parallel(4))
+    serial = plan_cycles(8, 8, TC, TC, EngineMode())
+    mixed = plan_cycles(8, 9, TC, TC, EngineMode(enc_bits=4))
     per_y = [plan_cycles(8, 8, U, TC, EngineMode(enc_bits=y)).cycles_per_tile
              for y in (1, 2, 4)]
     ok = (serial.cycles_per_tile == 64 and mixed.cycles_per_tile == 24
@@ -117,7 +119,7 @@ def test_c03_cycle_accounting():
 
 
 def test_c04_hybrid_split():
-    plan = plan_cycles(8, 8, TC, TC, EngineMode.bit_serial(hybrid_boundary=3))
+    plan = plan_cycles(8, 8, TC, TC, EngineMode(hybrid_boundary=3))
     digital = int((~plan.entries.analog).sum())
     analog_ratio = plan.entries.analog.mean()
     n_shifts = len(set(plan.entries.shift))
@@ -125,7 +127,7 @@ def test_c04_hybrid_split():
     a, w = random_case(gen, 64)
     noisy = NoiseSpec(random_sigma=Sigma(2.0, NoiseUnit.LSB_RMS), seed=11)
     res = simulate_matmul(a, w, MacroConfig.at_boundary(256), noisy,
-                          EngineMode.bit_serial(hybrid_boundary=n_shifts))
+                          EngineMode(hybrid_boundary=n_shifts))
     exact = (np.array_equal(res.output, oracle(a, w))
              and res.analog_ratio == 0.0)
     ok = digital == 6 and analog_ratio == 58 / 64 and exact
@@ -161,8 +163,8 @@ def test_c06_linearity_trends():
     nl = NoiseSpec(nonlin_sigma=Sigma(1.0, NoiseUnit.LSB_RMS), seed=6)
     sig = []
     for v in np.arange(0, 249, 8):
-        out = apply_nonlinearity(np.full(trials, float(v)), nl, cfg,
-                                 rng.RngContext(column=int(v)))
+        out = apply_noise(np.full(trials, float(v)), nl, cfg,
+                          rng.RngContext(column=int(v)))
         sig.append(float(out.std()))
     sig = np.asarray(sig)
     slack = 0.01                      # ~3 standard errors at 1e5 trials
@@ -184,7 +186,7 @@ def test_c07_unit_conversion():
 def test_c08_expected_mac_level():
     gen = np.random.default_rng(8)
     cfg = MacroConfig.at_boundary(256)
-    mode = EngineMode.bit_serial()
+    mode = EngineMode()
     runs = 250
     means = np.empty(runs)
     for r in range(runs):
@@ -229,7 +231,7 @@ def test_c10_end_to_end_blob_mlp():
     baseline = evaluate_digital(model, test_set)
 
     cfg = MacroConfig.at_boundary(256)
-    mode = EngineMode.bit_serial()
+    mode = EngineMode()
     acc_noiseless = evaluate_on_engine(model, test_set, cfg, NOISELESS, mode)
     a_ok = abs(acc_noiseless - baseline) <= 0.01 + 1e-12
 

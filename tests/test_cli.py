@@ -11,6 +11,7 @@ import pytest
 from acimsim import cli
 from acimsim.checkpoint import load_checkpoint, save_checkpoint
 from acimsim.cli import main
+from acimsim.config import load_config
 from acimsim.models import init_mlp
 
 BASE_INI = """\
@@ -139,6 +140,22 @@ def test_sweep_enc_bits_above_x_bits_exits_2(tmp_path, capsys, monkeypatch):
     _bad_sweep_exits_2_before_training(
         tmp_path, capsys, monkeypatch, "enc_bits = 1,9",
         "enc_bits: encoding width 9 exceeds x_bits 4")
+
+
+def test_macro_enc_bits_above_x_bits_exits_2(tmp_path, capsys, monkeypatch):
+    # BASE_INI trains a 4-bit model; a checkpoint's widths are unknown
+    # until it loads, so a config that names one passes
+    def no_training(*args, **kw):
+        raise AssertionError("training ran before the [macro] check")
+    monkeypatch.setattr(cli, "train", no_training)
+    text = BASE_INI.replace("adc_bits = 7\n", "adc_bits = 7\nenc_bits = 5\n")
+    cfg = write_config(tmp_path, text)
+    assert run("simulate", cfg, tmp_path / "out") == 2
+    assert (f"{cfg}: [macro] enc_bits: encoding width 5 exceeds x_bits 4"
+            in capsys.readouterr().err)
+    ckpt = write_config(tmp_path, text + "\n[model]\ncheckpoint = m.ackpt\n",
+                        "ckpt.ini")
+    assert load_config(ckpt).macro.enc_bits == 5
 
 
 def test_csnr_report_columns(tmp_path):

@@ -297,7 +297,7 @@ def test_attention_ratio_counts_each_voted_entry_once():
     cfg = MacroConfig.at_boundary(128, 2)
     ratios = []
     for voting in (None, VotingSpec(1, 5)):
-        mode = EngineMode.bit_parallel(2, hybrid_boundary=2, voting=voting)
+        mode = EngineMode(enc_bits=2, hybrid_boundary=2, voting=voting)
         res = simulate_attention(q, k, v, 8, cfg, NOISELESS, mode)
         assert (res.analog_cycles, res.digital_cycles) == (127, 9)
         ratios.append(res.analog_ratio)

@@ -10,6 +10,7 @@ from acimsim.engine import (EngineMode, VotingSpec, plan_cycles,
 from acimsim.errors import ConfigError, DomainError, ShapeError
 from acimsim.macro import (NOISELESS, MacroConfig, NoiseSpec, NoiseUnit, Sigma,
                            adc_readout, apply_noise, majority_vote_readout)
+from acimsim.metrics import MacHistogram, mac_distribution
 from acimsim.models import LinearLayer, TinyModel, engine_forward
 from acimsim.quant import (QuantParams, QuantizedTensor, Signedness,
                            group_layout, quantize)
@@ -18,7 +19,7 @@ from acimsim.tensor import round_half_away
 
 U = Signedness.UNSIGNED
 TC = Signedness.TWOS_COMPLEMENT
-SERIAL = EngineMode.bit_serial()
+SERIAL = EngineMode()
 
 
 def lsb(value):
@@ -55,7 +56,7 @@ def test_plan_bit_serial_8x8():
 def test_plan_grouped_signed_activations():
     # 9-bit signed activations at y=4: two 4-bit body groups plus the sign
     # group, times 8 weight bits
-    plan = plan_cycles(8, 9, TC, TC, EngineMode.bit_parallel(4))
+    plan = plan_cycles(8, 9, TC, TC, EngineMode(enc_bits=4))
     assert len(plan.entries) == 24
 
 
@@ -66,7 +67,7 @@ def test_plan_y_doubling_halves_groups():
 
 
 def test_plan_hybrid_split():
-    plan = plan_cycles(8, 8, TC, TC, EngineMode.bit_serial(hybrid_boundary=3))
+    plan = plan_cycles(8, 8, TC, TC, EngineMode(hybrid_boundary=3))
     digital = [e for e in plan.entries if not e.analog]
     assert len(digital) == 6
     assert {e.shift for e in digital} == {12, 13, 14}
@@ -75,7 +76,7 @@ def test_plan_hybrid_split():
 
 
 def test_plan_voting_oversamples_top_shifts():
-    mode = EngineMode.bit_serial(voting=VotingSpec(boundary=3, samples=7))
+    mode = EngineMode(voting=VotingSpec(boundary=3, samples=7))
     plan = plan_cycles(8, 8, TC, TC, mode)
     voted = [e for e in plan.entries if e.oversample == 7]
     assert len(voted) == 6
@@ -84,8 +85,8 @@ def test_plan_voting_oversamples_top_shifts():
 
 
 def test_plan_hybrid_then_voting():
-    mode = EngineMode.bit_serial(hybrid_boundary=2,
-                                 voting=VotingSpec(boundary=1, samples=3))
+    mode = EngineMode(hybrid_boundary=2,
+                      voting=VotingSpec(boundary=1, samples=3))
     plan = plan_cycles(8, 8, TC, TC, mode)
     voted = [e for e in plan.entries if e.oversample == 3]
     # voting applies to the top *analog* shift after the hybrid split
@@ -95,10 +96,9 @@ def test_plan_hybrid_then_voting():
 
 def test_plan_validation():
     with pytest.raises(ConfigError):
-        plan_cycles(8, 8, TC, TC, EngineMode.bit_serial(hybrid_boundary=16))
+        plan_cycles(8, 8, TC, TC, EngineMode(hybrid_boundary=16))
     with pytest.raises(ConfigError):
-        plan_cycles(8, 8, TC, TC,
-                    EngineMode.bit_serial(voting=VotingSpec(16, 3)))
+        plan_cycles(8, 8, TC, TC, EngineMode(voting=VotingSpec(16, 3)))
     with pytest.raises(ConfigError):
         plan_cycles(1, 8, TC, TC, SERIAL)
     with pytest.raises(ConfigError):
@@ -106,7 +106,7 @@ def test_plan_validation():
     with pytest.raises(ConfigError):
         VotingSpec(0, 3)
     with pytest.raises(ConfigError):
-        EngineMode.bit_parallel(1)
+        EngineMode(enc_bits=0)
 
 
 def test_plan_reconstructs_scalar_products():
@@ -183,7 +183,7 @@ def test_matmul_scheme_equivalence(y):
     serial = simulate_matmul(act, w, MacroConfig.at_boundary(256, 1),
                              NOISELESS, SERIAL)
     parallel = simulate_matmul(act, w, MacroConfig.at_boundary(256, y),
-                               NOISELESS, EngineMode.bit_parallel(y))
+                               NOISELESS, EngineMode(enc_bits=y))
     assert np.array_equal(serial.output, parallel.output)
     assert np.array_equal(serial.output, oracle(act, w))
     assert parallel.total_cycles < serial.total_cycles
@@ -196,7 +196,7 @@ def test_matmul_full_hybrid_ignores_noise():
     w = rand_q(gen, (32, 3), 4, TC)
     plan = plan_cycles(4, 4, TC, TC, SERIAL)
     levels = len({e.shift for e in plan.entries})
-    mode = EngineMode.bit_serial(hybrid_boundary=levels)
+    mode = EngineMode(hybrid_boundary=levels)
     spec = NoiseSpec(random_sigma=lsb(2.0), seed=99)
     res = simulate_matmul(act, w, MacroConfig(256, 4), spec, mode)
     assert np.array_equal(res.output, oracle(act, w))
@@ -208,8 +208,8 @@ def test_matmul_partial_hybrid_and_voting_noiseless_exact():
     act = rand_q(gen, (2, 20), 4, TC)
     w = rand_q(gen, (20, 3), 4, TC)
     cfg = MacroConfig.at_boundary(256)
-    for mode in (EngineMode.bit_serial(hybrid_boundary=2),
-                 EngineMode.bit_serial(voting=VotingSpec(2, 5))):
+    for mode in (EngineMode(hybrid_boundary=2),
+                 EngineMode(voting=VotingSpec(2, 5))):
         res = simulate_matmul(act, w, cfg, NOISELESS, mode)
         assert np.array_equal(res.output, oracle(act, w))
 
@@ -245,13 +245,13 @@ def test_matmul_randomized_configs_bit_exact():
     seen = set()
     for seed in range(50):
         cfg, mode, act, w = _random_exactness_case(np.random.default_rng(seed))
-        res = simulate_matmul(act, w, cfg, NOISELESS, mode, record_levels=True)
+        res = simulate_matmul(act, w, cfg, NOISELESS, mode)
         what = (seed, cfg, mode, act.params, w.params, act.shape, w.shape)
         assert np.array_equal(res.output, oracle(act, w)), what
         plan = plan_cycles(w.params.bits, act.params.bits,
                            act.params.signedness, w.params.signedness, mode)
         b, m = act.shape[0], w.shape[1]
-        mass = sum(int(h.sum()) for h in res.level_counts.values())
+        mass = mac_distribution(act, w, cfg, mode).total_mass
         assert mass == res.tiles * len(plan.entries) * b * m, what
         seen |= {f"y{cfg.enc_bits}", act.params.signedness.value}
         if mode.hybrid_boundary is not None:
@@ -455,11 +455,41 @@ def test_matmul_record_levels_mass():
     act = rand_q(gen, (3, 300), 4, U)
     w = rand_q(gen, (300, 5), 4, TC)
     cfg = MacroConfig.at_boundary(256)
-    res = simulate_matmul(act, w, cfg, NOISELESS, SERIAL, record_levels=True)
-    assert res.level_counts is not None
-    assert len(res.level_counts) == 16  # (w_bit, act_group) pairs
-    total = sum(int(h.sum()) for h in res.level_counts.values())
-    assert total == res.total_cycles * 3 * 5
+    res = simulate_matmul(act, w, cfg, NOISELESS, SERIAL)
+    hist = mac_distribution(act, w, cfg, SERIAL)
+    assert len(hist.counts) == 16  # (w_bit, act_group) pairs
+    assert hist.total_mass == res.total_cycles * 3 * 5
+
+
+def _reference_levels(act, w, cfg):
+    """Level counts by (w_bit, act_group), tallied from int64 levels."""
+    layout = group_layout(act.params.bits, act.params.signedness,
+                          cfg.enc_bits)
+    u_a = act.codes & ((1 << act.params.bits) - 1)
+    u_w = w.codes & ((1 << w.params.bits) - 1)
+    counts = {}
+    for start in range(0, act.shape[1], cfg.rows):
+        rows = slice(start, start + cfg.rows)
+        for g, (width, gshift, _) in enumerate(layout):
+            a_g = (u_a[:, rows] >> gshift) & ((1 << width) - 1)
+            for q in range(w.params.bits):
+                levels = a_g @ ((u_w[rows] >> q) & 1)
+                counts[q, g] = counts.get((q, g), 0) + np.bincount(
+                    levels.ravel(), minlength=cfg.full_scale_counts + 1)
+    return counts
+
+
+def test_mac_distribution_ignores_hybrid_and_voting():
+    # the level hook sees each (tile, w_bit, act_group) block once: a hybrid
+    # or voted mode tallies what the plain mode of its encoding does, and
+    # that equals a tally of int64 levels
+    for seed in range(40):
+        cfg, mode, act, w = _random_exactness_case(np.random.default_rng(seed))
+        rows = mac_distribution(act, w, cfg, mode).to_rows()
+        plain = EngineMode(enc_bits=cfg.enc_bits)
+        assert rows == mac_distribution(act, w, cfg, plain).to_rows(), seed
+        want = MacHistogram(_reference_levels(act, w, cfg), cfg).to_rows()
+        assert rows == want, seed
 
 
 def test_matmul_shape_and_mode_errors():
@@ -474,7 +504,7 @@ def test_matmul_shape_and_mode_errors():
     q4 = QuantizedTensor(np.zeros((2, 3), dtype=int), QuantParams(1.0, 4, U))
     with pytest.raises(ConfigError):
         # mode says y=2 but the macro is configured for y=1
-        simulate_matmul(q2, q4, cfg, NOISELESS, EngineMode.bit_parallel(2))
+        simulate_matmul(q2, q4, cfg, NOISELESS, EngineMode(enc_bits=2))
 
 
 # ---------------------------------------------------- layer-level entry points
@@ -605,7 +635,7 @@ def test_attention_total_cycles_sum_both_matmuls():
 def test_attention_analog_ratio_weights_total_cycles():
     # QK^T (signed K, 1 tile) and AV (unsigned scores, 2 tiles) get different
     # plans at y=2, hybrid L=2; each counts by its total cycles
-    mode = EngineMode.bit_parallel(2, hybrid_boundary=2)
+    mode = EngineMode(enc_bits=2, hybrid_boundary=2)
     gen = np.random.default_rng(19)
     q, k, v = (gen.normal(size=(300, 16)) for _ in range(3))
     res = simulate_attention(q, k, v, 8, MacroConfig.at_boundary(256, 2),
@@ -633,11 +663,10 @@ def test_attention_shape_errors():
 # ------------------------------------------------------------ cycle counts
 
 def test_plan_counts_voting_cycles():
-    mode = EngineMode.bit_serial(voting=VotingSpec(boundary=3, samples=7))
+    mode = EngineMode(voting=VotingSpec(boundary=3, samples=7))
     plan = plan_cycles(8, 8, TC, TC, mode)
     assert plan.cycles_per_tile == 100  # 58 plain + 6 * 7 oversampled
     # 5 samples keep the overhead under 40% of the 64-cycle baseline
-    plan5 = plan_cycles(8, 8, TC, TC,
-                        EngineMode.bit_serial(voting=VotingSpec(3, 5)))
+    plan5 = plan_cycles(8, 8, TC, TC, EngineMode(voting=VotingSpec(3, 5)))
     assert plan5.cycles_per_tile == 88
     assert (plan5.cycles_per_tile - 64) / 64 < 0.40

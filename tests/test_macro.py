@@ -7,9 +7,8 @@ import pytest
 
 from acimsim.errors import ConfigError, DomainError
 from acimsim.macro import (NOISELESS, MacroConfig, NoiseSpec, NoiseUnit, Sigma,
-                           adc_readout, apply_noise, apply_nonlinearity,
-                           apply_random_noise, ideal_level,
-                           majority_vote_readout, sigma_to_counts)
+                           adc_readout, apply_noise, majority_vote_readout,
+                           sigma_to_counts)
 from acimsim.rng import RngContext
 
 CTX = RngContext()
@@ -86,43 +85,16 @@ def test_sigma_unit_identity():
         assert counts == pytest.approx(sigma_to_counts(lsb(lsb_equiv), cfg))
 
 
-def test_ideal_level_edges():
-    cfg = MacroConfig(rows=256, adc_bits=8, enc_bits=1)
-    assert ideal_level(np.ones(256), np.ones(256), cfg) == 256
-    assert ideal_level(np.zeros(16), np.zeros(16), cfg) == 0
-
-
-def test_ideal_level_matches_scalar_loop():
-    cfg = MacroConfig(rows=256, adc_bits=12, enc_bits=4)
-    gen = np.random.default_rng(4)
-    w = gen.integers(0, 2, size=256)
-    a = gen.integers(0, 16, size=256)
-    want = sum(int(w[i]) * int(a[i]) for i in range(256))
-    assert ideal_level(w, a, cfg) == want
-
-
-def test_ideal_level_errors():
-    cfg = MacroConfig(rows=4, adc_bits=4, enc_bits=2)
-    with pytest.raises(ConfigError):
-        ideal_level(np.ones(5), np.ones(5), cfg)
-    with pytest.raises(ConfigError):
-        ideal_level(np.ones(3), np.ones(4), cfg)
-    with pytest.raises(DomainError):
-        ideal_level(np.ones(4), np.full(4, 4), cfg)  # 4 > 2^2 - 1
-    with pytest.raises(DomainError):
-        ideal_level(np.ones(4), np.full(4, -1), cfg)
-
-
 def test_random_noise_zero_sigma_identity():
     cfg = MacroConfig(256, 8)
     v = np.array([3.0, 100.0])
-    assert np.array_equal(apply_random_noise(v, NOISELESS, cfg, CTX), v)
+    assert np.array_equal(apply_noise(v, NOISELESS, cfg, CTX), v)
 
 
 def test_random_noise_statistics():
     cfg = MacroConfig(256, 8)
     spec = NoiseSpec(random_sigma=lsb(1.0), seed=11)
-    out = apply_random_noise(np.full(10_000, 100.0), spec, cfg, CTX)
+    out = apply_noise(np.full(10_000, 100.0), spec, cfg, CTX)
     g = out - 100.0
     assert abs(g.mean()) < 0.05
     assert 0.95 <= g.std() <= 1.05
@@ -131,10 +103,10 @@ def test_random_noise_statistics():
 def test_random_noise_replay_identical():
     cfg = MacroConfig(256, 8)
     spec = NoiseSpec(random_sigma=lsb(1.0), seed=5)
-    a = apply_random_noise(np.zeros(32), spec, cfg, CTX)
-    b = apply_random_noise(np.zeros(32), spec, cfg, CTX)
+    a = apply_noise(np.zeros(32), spec, cfg, CTX)
+    b = apply_noise(np.zeros(32), spec, cfg, CTX)
     assert np.array_equal(a, b)
-    c = apply_random_noise(np.zeros(32), spec, cfg, replace(CTX, tile=1))
+    c = apply_noise(np.zeros(32), spec, cfg, replace(CTX, tile=1))
     assert not np.array_equal(a, c)
 
 
@@ -142,8 +114,8 @@ def test_random_noise_common_random_numbers():
     # the same (seed, ctx) at two sigmas scales one shared draw, so noise
     # grows monotonically with sigma instead of resampling
     cfg = MacroConfig(256, 8)
-    a = apply_random_noise(np.zeros(100), NoiseSpec(random_sigma=lsb(0.5), seed=9), cfg, CTX)
-    b = apply_random_noise(np.zeros(100), NoiseSpec(random_sigma=lsb(1.0), seed=9), cfg, CTX)
+    a = apply_noise(np.zeros(100), NoiseSpec(lsb(0.5), seed=9), cfg, CTX)
+    b = apply_noise(np.zeros(100), NoiseSpec(lsb(1.0), seed=9), cfg, CTX)
     assert np.allclose(b, 2 * a)
 
 
@@ -152,9 +124,9 @@ def test_nonlinearity_endpoints():
     spec = NoiseSpec(nonlin_sigma=lsb(1.0), seed=3)
     n_fs = float(cfg.full_scale_counts)
     # full scale leaves no mismatch headroom
-    out = apply_nonlinearity(np.full(1000, n_fs), spec, cfg, CTX)
+    out = apply_noise(np.full(1000, n_fs), spec, cfg, CTX)
     assert np.array_equal(out, np.full(1000, n_fs))
-    assert np.array_equal(apply_nonlinearity(np.arange(5.0), NOISELESS, cfg, CTX),
+    assert np.array_equal(apply_noise(np.arange(5.0), NOISELESS, cfg, CTX),
                           np.arange(5.0))
 
 
@@ -164,8 +136,8 @@ def test_nonlinearity_sigma_profile():
     trials = 20_000
     sig = []
     for level in [0.0, 64.0, 128.0, 192.0]:
-        out = apply_nonlinearity(np.full(trials, level), spec, cfg,
-                                 replace(CTX, column=int(level)))
+        out = apply_noise(np.full(trials, level), spec, cfg,
+                          replace(CTX, column=int(level)))
         sig.append((out - level).std())
     assert 0.9 <= sig[0] <= 1.1
     # monotone non-increasing toward full scale (small sampling slack)

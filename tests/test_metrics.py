@@ -1,4 +1,4 @@
-"""Metrics tests: CSNR estimators, MAC statistics, linearity, error histograms."""
+"""Metrics tests: CSNR estimators, MAC statistics, linearity sweeps."""
 
 import math
 
@@ -8,13 +8,13 @@ import pytest
 from acimsim.engine import EngineMode
 from acimsim.errors import DomainError, ShapeError
 from acimsim.macro import NOISELESS, MacroConfig, NoiseSpec, NoiseUnit, Sigma
-from acimsim.metrics import (csnr_measure, csnr_variance_form, error_histogram,
-                             expected_mac, linearity_sweep, mac_distribution)
+from acimsim.metrics import (csnr_measure, csnr_variance_form, linearity_sweep,
+                             mac_distribution)
 from acimsim.quant import QuantParams, QuantizedTensor, Signedness
 
 U = Signedness.UNSIGNED
 TC = Signedness.TWOS_COMPLEMENT
-SERIAL = EngineMode.bit_serial()
+SERIAL = EngineMode()
 
 
 def lsb(value):
@@ -166,28 +166,6 @@ def test_mac_histogram_rows_roundtrip():
     assert sum(r[3] for r in rows) == h.total_mass
 
 
-def test_expected_mac():
-    assert expected_mac(0.5, 0.5, 256) == 64.0
-    assert expected_mac(0.0, 0.9, 256) == 0.0
-    with pytest.raises(DomainError):
-        expected_mac(-0.1, 0.5, 256)
-    with pytest.raises(DomainError):
-        expected_mac(0.5, 1.1, 256)
-
-
-def test_expected_mac_matches_monte_carlo():
-    from acimsim.macro import ideal_level
-    cfg = MacroConfig(256, 9)
-    gen = np.random.default_rng(7)
-    trials = 5000
-    w = gen.integers(0, 2, size=(trials, 256))
-    a = gen.integers(0, 2, size=(trials, 256))
-    levels = ideal_level(w, a, cfg)
-    want = expected_mac(0.5, 0.5, 256)
-    se = levels.std() / np.sqrt(trials)
-    assert abs(levels.mean() - want) <= 3 * se
-
-
 # ------------------------------------------------------------- linearity
 
 def test_linearity_noiseless():
@@ -240,28 +218,3 @@ def test_linearity_rows_roundtrip():
     rows = sweep.to_rows()
     assert len(rows) == sweep.levels.size
     assert rows[0] == (0, 0.0, 0.0)
-
-
-# -------------------------------------------------------- error histogram
-
-def test_error_histogram_noiseless():
-    h = error_histogram(MacroConfig(256, 8), NOISELESS, trials=1000)
-    assert np.array_equal(h.offsets, [0])
-    assert h.counts[0] == 1000
-    assert h.mean == 0.0
-
-
-def test_error_histogram_statistics():
-    cfg = MacroConfig(256, 8)
-    spec = NoiseSpec(random_sigma=lsb(0.5), seed=11)
-    h = error_histogram(cfg, spec, trials=100_000)
-    assert h.trials == 100_000
-    assert abs(h.mean) <= 0.02
-    # 6-sigma Gaussian tail: offsets beyond +-3 codes are vanishingly rare
-    outside = h.counts[(h.offsets < -3) | (h.offsets > 3)].sum()
-    assert outside / h.counts.sum() < 0.001
-
-
-def test_error_histogram_validation():
-    with pytest.raises(DomainError):
-        error_histogram(MacroConfig(256, 8), NOISELESS, trials=999)

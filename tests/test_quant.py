@@ -7,7 +7,9 @@ from acimsim.errors import DomainError
 from acimsim.quant import (BitPlanes, QuantParams, QuantizedTensor, Signedness,
                            bit_sparsity, decompose_bits, dequantize,
                            encode_activation_groups, fake_quant, group_layout,
-                           quantize, recompose_bits)
+                           quantize)
+
+from oracles import recompose_bits
 
 U = Signedness.UNSIGNED
 TC = Signedness.TWOS_COMPLEMENT

@@ -14,8 +14,7 @@ import pytest
 from acimsim import macro
 from acimsim.errors import ShapeError
 from acimsim.macro import (MacroConfig, NoiseSpec, NoiseUnit, Sigma,
-                           adc_readout, apply_noise, apply_nonlinearity,
-                           apply_random_noise, count_table,
+                           adc_readout, apply_noise, count_table, draw_noise,
                            majority_vote_readout, sigma_to_counts)
 from acimsim.rng import (TAG_NONLIN, TAG_RANDOM, RngContext, StreamTable,
                          normal, stream)
@@ -144,6 +143,12 @@ def _spec(random_lsb, nonlin_pct, seed=13):
 SPECS = (_spec(0.7, 0.0), _spec(0.0, 2.0), _spec(0.7, 2.0), _spec(0.0, 0.0))
 
 
+def _one_model(spec):
+    """`spec` with only its random noise, and with only its nonlinearity."""
+    return (replace(spec, nonlin_sigma=Sigma(0.0)),
+            replace(spec, random_sigma=Sigma(0.0)))
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_noise_equals_pinned_formula(dtype):
     gen = np.random.default_rng(3)
@@ -153,10 +158,11 @@ def test_noise_equals_pinned_formula(dtype):
                   dtype(n_fs // 2), np.asarray(n_fs, dtype=dtype),
                   np.zeros((0, 3), dtype=dtype)]
         for spec in SPECS:
+            random_only, nonlin_only = _one_model(spec)
             for v in levels:
-                got = apply_random_noise(v, spec, cfg, CTX)
+                got = apply_noise(v, random_only, cfg, CTX)
                 assert np.array_equal(got, _pinned_random(v, spec, cfg, CTX))
-                got = apply_nonlinearity(v, spec, cfg, CTX)
+                got = apply_noise(v, nonlin_only, cfg, CTX)
                 assert np.array_equal(got, _pinned_nonlin(v, spec, cfg, CTX))
                 want = _pinned_nonlin(_pinned_random(v, spec, cfg, CTX), spec,
                                       cfg, CTX)
@@ -257,13 +263,16 @@ def test_block_call_equals_per_row_calls(dtype):
                 for c in ctxs for s in range(3)
                 for tag in (TAG_RANDOM, TAG_NONLIN)]
         for table in (None, StreamTable(spec.seed, rows)):
-            for fn in (apply_random_noise, apply_nonlinearity, apply_noise):
-                got = fn(v, spec, cfg, ctxs, table)
-                want = np.stack([fn(v[r], spec, cfg, c)
+            draws = None if table is None else draw_noise(
+                spec.seed, (TAG_RANDOM, TAG_NONLIN), ctxs, v.shape, table)
+            kept = {tag: d.copy() for tag, d in (draws or {}).items()}
+            for part in (*_one_model(spec), spec):
+                got = apply_noise(v, part, cfg, ctxs, draws)
+                want = np.stack([apply_noise(v[r], part, cfg, c)
                                  for r, c in enumerate(ctxs)])
-                assert np.array_equal(got, want), (fn.__name__, spec)
+                assert np.array_equal(got, want), part
             seen_block, seen_rows = [], []
-            got = apply_noise(v, _hooked(spec, seen_block), cfg, ctxs, table)
+            got = apply_noise(v, _hooked(spec, seen_block), cfg, ctxs, draws)
             want = np.stack([apply_noise(v[r], _hooked(spec, seen_rows), cfg, c)
                              for r, c in enumerate(ctxs)])
             assert np.array_equal(got, want)
@@ -278,6 +287,8 @@ def test_block_call_equals_per_row_calls(dtype):
             assert seen_block == seen_rows == [
                 replace(c, sample=c.sample + s) for c in ctxs for s in range(3)]
             assert np.array_equal(v, before)
+            # apply_noise reads draws, never writes them
+            assert all(np.array_equal(draws[t], kept[t]) for t in kept)
 
 
 def test_hook_never_writes_into_caller_levels():

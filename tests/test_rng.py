@@ -41,7 +41,7 @@ def test_replace_is_nondestructive():
 
 
 def test_negative_seed_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
         stream(-1, RngContext(), TAG_RANDOM)
 
 
@@ -118,7 +118,7 @@ def test_stream_table_rejects_unknown_row_and_other_seed():
     table = StreamTable(5, [(TAG_RANDOM, 0, 0, 0, 0, 0, 0)])
     with pytest.raises(KeyError):
         table.normal(RngContext(tile=1), TAG_RANDOM, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="seed 5, not 6"):
         normal(6, RngContext(), TAG_RANDOM, 4, table=table)
 
 

@@ -9,13 +9,14 @@ from acimsim.errors import TrainingError
 from acimsim.macro import NOISELESS, MacroConfig, NoiseSpec, NoiseUnit, Sigma
 from acimsim.models import (LinearLayer, Relu, TinyModel, TrainConfig,
                             _ste_mask, cross_entropy, evaluate_digital,
-                            evaluate_on_engine, engine_forward, forward_float,
-                            forward_nat, forward_qat, init_mlp,
-                            loss_and_grads, train)
+                            engine_forward, forward_float, forward_nat,
+                            forward_qat, init_mlp, loss_and_grads, train)
 from acimsim.quant import QuantParams, Signedness, fake_quant
 from acimsim.rng import RngContext
 
-SERIAL = EngineMode.bit_serial()
+from oracles import evaluate_on_engine
+
+SERIAL = EngineMode()
 
 
 def lsb(value):
@@ -244,7 +245,7 @@ def test_engine_eval_full_digital_hybrid_ignores_noise():
     levels = len(set(plan_cycles(
         8, 8, Signedness.UNSIGNED, Signedness.TWOS_COMPLEMENT, SERIAL
     ).entries.shift))
-    mode = EngineMode.bit_serial(hybrid_boundary=levels)
+    mode = EngineMode(hybrid_boundary=levels)
     cfg = MacroConfig(256, 4)  # deliberately coarse ADC, never used digitally
     noisy = NoiseSpec(random_sigma=lsb(2.0), seed=5)
     acc_noisy = evaluate_on_engine(model, data, cfg, noisy, mode)
@@ -268,7 +269,7 @@ def test_engine_forward_reports_network_ratio():
     # layer by its cycles
     model = init_mlp([6, 16, 3], seed=0)
     x = np.random.default_rng(4).normal(size=(8, 6))
-    mode = EngineMode.bit_parallel(2, hybrid_boundary=2)
+    mode = EngineMode(enc_bits=2, hybrid_boundary=2)
     _, cycles, ratio = engine_forward(model, x, MacroConfig.at_boundary(256, 2),
                                       NOISELESS, mode)
     plans = [plan_cycles(8, 8, s, Signedness.TWOS_COMPLEMENT, mode)
