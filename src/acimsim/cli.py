@@ -161,6 +161,12 @@ def cmd_train(cfg: ExperimentConfig, out_dir, threads, meta):
 
 
 def _analysis_operands(cfg: ExperimentConfig):
+    """The seeded operands of csnr and distribution. Both quantize at
+    [quant] x_bits, which load_config does not check enc_bits against when
+    a [train] section sets its own width, so it is checked here."""
+    if cfg.macro.enc_bits > cfg.x_bits:
+        raise ConfigError(f"{cfg.path}: [macro] enc_bits: encoding width "
+                          f"{cfg.macro.enc_bits} exceeds x_bits {cfg.x_bits}")
     a = cfg.analysis
     gen = rng.stream(cfg.noise.seed, rng.RngContext(), rng.TAG_DATA)
     act = gen.normal(size=(a.batch, a.in_dim))
@@ -209,7 +215,7 @@ def cmd_sparsity(cfg: ExperimentConfig, out_dir, threads, meta):
     gen = rng.stream(cfg.noise.seed, rng.RngContext(), rng.TAG_DATA)
     t = gen.uniform(-1.0, 1.0, size=(a.batch, a.in_dim))
     sparsity = bit_sparsity(decompose_bits(
-        quantize(t, cfg.x_bits, Signedness.TWOS_COMPLEMENT)))
+        quantize(t, cfg.x_bits, Signedness.TWOS_COMPLEMENT).codes, cfg.x_bits))
     return ("bit", "sparsity"), list(enumerate(sparsity))
 
 

@@ -99,15 +99,21 @@ class ExperimentConfig:
 
 
 class _Section:
-    """Typed key access with file/section/key diagnostics on every failure."""
+    """Typed key access with file/section/key diagnostics on every failure.
+
+    Every key asked for is recorded in `asked`, so that keys present in the
+    file but never read can be rejected (_reject_unread).
+    """
 
     def __init__(self, parser, path, name):
         self.parser, self.path, self.name = parser, path, name
+        self.asked = set()
 
     def _fail(self, key, message):
         raise ConfigError(f"{self.path}: [{self.name}] {key}: {message}")
 
     def has(self, key):
+        self.asked.add(key)
         return self.parser.has_option(self.name, key) \
             and self.parser.get(self.name, key).strip() != ""
 
@@ -151,8 +157,18 @@ class _Section:
         return _UNITS[value]
 
 
-def _section(parser, path, name):
-    return _Section(parser, path, name)
+def _reject_unread(parser, path, sections: dict) -> None:
+    """Fail on the first section no _Section opened, or key none asked for,
+    so a misspelt name stops the run instead of silently taking a default."""
+    names = parser.sections()
+    if parser.defaults():
+        names.insert(0, parser.default_section)
+    for name in names:
+        if name not in sections:
+            raise ConfigError(f"{path}: [{name}] unknown section")
+        for key in parser.options(name):
+            if key not in sections[name].asked:
+                sections[name]._fail(key, "unknown key")
 
 
 def _sweep_axes(sweep_s: _Section, macro: MacroConfig, noise: NoiseSpec,
@@ -199,15 +215,19 @@ def load_config(path: str) -> ExperimentConfig:
             parser.read_file(fh)
     except (configparser.Error, OSError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    sections = {}
 
-    macro_s = _section(parser, path, "macro")
+    def section(name):
+        return sections.setdefault(name, _Section(parser, path, name))
+
+    macro_s = section("macro")
     macro = _build(
         path, "macro", MacroConfig,
         rows=macro_s.get_int("rows", required=True),
         adc_bits=macro_s.get_int("adc_bits", required=True),
         enc_bits=macro_s.get_int("enc_bits", default=1))
 
-    noise_s = _section(parser, path, "noise")
+    noise_s = section("noise")
     noise = _build(
         path, "noise", NoiseSpec,
         random_sigma=_build(path, "noise", Sigma,
@@ -218,7 +238,7 @@ def load_config(path: str) -> ExperimentConfig:
                             unit=noise_s.get_unit("nonlin_unit")),
         seed=noise_s.get_int("seed", required=True))
 
-    mode_s = _section(parser, path, "mode")
+    mode_s = section("mode")
     voting = None
     if mode_s.has("voting_boundary") or mode_s.has("voting_samples"):
         voting = _build(
@@ -233,17 +253,17 @@ def load_config(path: str) -> ExperimentConfig:
         mode_s._fail("scheme", f"{scheme!r} conflicts with macro enc_bits "
                                f"{macro.enc_bits} ({mode.scheme})")
 
-    quant_s = _section(parser, path, "quant")
+    quant_s = section("quant")
     w_bits = quant_s.get_int("w_bits", default=8)
     x_bits = quant_s.get_int("x_bits", default=8)
 
-    model_s = _section(parser, path, "model")
+    model_s = section("model")
     model = ModelSpec(checkpoint=model_s.raw("checkpoint"),
                       builtin=model_s.raw("builtin"))
     if model.checkpoint and model.builtin:
         model_s._fail("builtin", "give either checkpoint or builtin, not both")
 
-    data_s = _section(parser, path, "data")
+    data_s = section("data")
     kind = data_s.raw("kind", default="blobs")
     if kind not in ("blobs", "idx"):
         data_s._fail("kind", f"unknown dataset kind {kind!r}")
@@ -259,14 +279,14 @@ def load_config(path: str) -> ExperimentConfig:
     if kind == "idx" and (data.images is None or data.labels is None):
         data_s._fail("images", "idx datasets need both images and labels")
 
-    analysis_s = _section(parser, path, "analysis")
+    analysis_s = section("analysis")
     analysis = AnalysisSpec(
         batch=analysis_s.get_int("batch", default=8),
         in_dim=analysis_s.get_int("in_dim", default=256),
         out_dim=analysis_s.get_int("out_dim", default=16),
         trials=analysis_s.get_int("trials", default=10000))
 
-    output_s = _section(parser, path, "output")
+    output_s = section("output")
     formats = output_s.get_list("formats", str) or ["csv", "json"]
     for fmt in formats:
         if fmt not in ("csv", "json"):
@@ -276,7 +296,7 @@ def load_config(path: str) -> ExperimentConfig:
 
     train = None
     if parser.has_section("train"):
-        train_s = _section(parser, path, "train")
+        train_s = section("train")
         train = _build(
             path, "train", TrainConfig,
             lr=train_s.get_float("lr", default=0.05),
@@ -295,8 +315,8 @@ def load_config(path: str) -> ExperimentConfig:
                                   f"x_bits {act_bits}")
     sweep = None
     if parser.has_section("sweep"):
-        sweep = _sweep_axes(_section(parser, path, "sweep"), macro, noise,
-                            act_bits)
+        sweep = _sweep_axes(section("sweep"), macro, noise, act_bits)
+    _reject_unread(parser, path, sections)
 
     return ExperimentConfig(macro=macro, noise=noise, mode=mode,
                             w_bits=w_bits, x_bits=x_bits, model=model,

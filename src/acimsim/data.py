@@ -63,14 +63,3 @@ def load_idx(path) -> np.ndarray:
         raise DataError(f"{path}: IDX payload size mismatch")
     return np.frombuffer(body, dtype=dtype).reshape(dims).astype(np.float64)
 
-
-def save_idx(path, array: np.ndarray, type_code: int = 0x0E) -> None:
-    """Write an array as an IDX file (float64 by default)."""
-    if type_code not in _IDX_DTYPES:
-        raise DataError(f"unknown IDX type code 0x{type_code:02x}")
-    dtype = _IDX_DTYPES[type_code]
-    arr = np.ascontiguousarray(array, dtype=dtype)
-    with open(path, "wb") as fh:
-        fh.write(bytes([0, 0, type_code, arr.ndim]))
-        fh.write(struct.pack(f">{arr.ndim}I", *arr.shape))
-        fh.write(arr.tobytes())

@@ -27,19 +27,16 @@ from typing import Optional
 
 import numpy as np
 
+from . import macro
 from .errors import ConfigError, DomainError, ShapeError
 from .macro import (MacroConfig, NoiseSpec, adc_readout, apply_noise,
                     count_table, draw_noise, majority_vote_readout,
                     noise_tags, sum_buffer)
-from .quant import (QuantizedTensor, Signedness, group_layout, quantize,
+from .quant import (QuantizedTensor, Signedness, decompose_bits,
+                    encode_activation_groups, group_layout, quantize,
                     signedness_of)
 from .rng import RngContext, StreamTable
 from .tensor import Shape2D, conv_output_shape, im2col, round_half_away
-
-# Readout chunk cap in levels (entries x oversample x B x M): a float64
-# temporary of 2^14 levels is 128 KiB. A chunk holds at least one entry, so an
-# entry above the cap is read out on its own.
-_CHUNK_ELEMS = 1 << 14
 
 _PLAN_DTYPE = [("w_bit", np.int64), ("act_group", np.int64),
                ("sign", np.int64), ("shift", np.int64), ("analog", bool),
@@ -218,15 +215,16 @@ def _readout_chunks(analog: list, oversample: list, elems: int):
     """(start, stop, analog, oversample) of each readout chunk of a group.
 
     A chunk is a run of consecutive entries sharing one domain and one
-    oversample, holding at most _CHUNK_ELEMS levels (entries x oversample x
-    elems) and at least one entry. A single entry above the cap is read out
-    with temporaries of its own elems levels, as one unchunked readout would
-    be; a vote of it draws its samples in bounded runs (majority_vote_readout).
+    oversample, holding at most macro._CHUNK_ELEMS levels (entries x
+    oversample x elems) and at least one entry. A single entry above the cap
+    is read out with temporaries of its own elems levels, as one unchunked
+    readout would be; a vote of it draws its samples in bounded runs
+    (majority_vote_readout).
     """
     lo = 0
     for (is_analog, samples), run in groupby(zip(analog, oversample)):
         hi = lo + sum(1 for _ in run)
-        step = max(1, _CHUNK_ELEMS // max(1, samples * elems))
+        step = max(1, macro._CHUNK_ELEMS // max(1, samples * elems))
         for start in range(lo, hi, step):
             yield start, min(start + step, hi), is_analog, samples
         lo = hi
@@ -302,7 +300,6 @@ def _simulate_points(act, w: QuantizedTensor, cfgs: list, specs: list,
                                    g["oversample"].tolist(), b * m))
               for g in groups]
     weights = (groups["sign"] << groups["shift"]).tolist()
-    bit_pos = np.arange(q_bits)[:, None]
     # per point: its input, macro, noise, count table and accumulator
     points = [(o, c, s, count_table(c), np.zeros((b, m), dtype=np.int64))
               for o, c, s in zip(owner, cfgs, specs)]
@@ -312,14 +309,16 @@ def _simulate_points(act, w: QuantizedTensor, cfgs: list, specs: list,
     table = _stream_table(entries, tiles, layer, seed, tags)
     for t, start in enumerate(tile_starts):
         stop = min(start + cfg.rows, d)
-        # shift-and-mask reads bit planes and groups straight off the codes:
-        # an arithmetic shift keeps a negative code's 2's-complement bits
-        rhs = ((w.codes[start:stop, None, :] >> bit_pos) & 1).astype(np.float32)
-        rhs = rhs.reshape(stop - start, q_bits * m)
-        for g, (width, gshift, _) in enumerate(layout):
+        # the tile's weight planes side by side: column q*M + j is plane q
+        # of output j
+        rhs = decompose_bits(w.codes[start:stop], q_bits).transpose(1, 0, 2)
+        rhs = rhs.astype(np.float32, order="C").reshape(stop - start,
+                                                        q_bits * m)
+        for g, group in enumerate(layout):
             blocks = []
             for a in acts:
-                lhs = (a.codes[:, start:stop] >> gshift) & ((1 << width) - 1)
+                lhs, = encode_activation_groups(a.codes[:, start:stop],
+                                                [group])
                 lhs = lhs.astype(np.float32)
                 # exact: integer levels below 2^24 (MacroConfig.__post_init__)
                 blocks.append((lhs @ rhs).reshape(b, q_bits, m)

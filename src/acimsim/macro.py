@@ -15,10 +15,11 @@ from . import rng
 from .errors import ConfigError, DomainError
 from .tensor import round_half_away
 
-# Largest run of one row's vote samples drawn in one apply_noise call, in
-# levels: its float64 temporaries stay within 128 KiB however many samples a
-# large row takes. A row above the cap draws one sample per call.
-_VOTE_BLOCK_ELEMS = 1 << 14
+# Readout cap in levels: a float64 temporary of 2^14 levels is 128 KiB. It
+# bounds the engine's readout chunks (entries x oversample x B x M) and the
+# runs of vote samples drawn in one apply_noise call (rows x samples). Both
+# hold at least one entry or sample, so one above the cap is read on its own.
+_CHUNK_ELEMS = 1 << 14
 
 
 class NoiseUnit(Enum):
@@ -65,11 +66,6 @@ class MacroConfig:
     def lsb_counts(self) -> float:
         """ADC step in counts: full scale divided by 2^adc_bits."""
         return self.full_scale_counts / (1 << self.adc_bits)
-
-    @property
-    def boundary_adc_bits(self) -> int:
-        """Smallest ADC precision that resolves every level losslessly."""
-        return math.ceil(math.log2(self.full_scale_counts + 1))
 
     @classmethod
     def at_boundary(cls, rows: int, enc_bits: int = 1) -> "MacroConfig":
@@ -220,10 +216,9 @@ def majority_vote_readout(v_ideal, samples: int, spec: NoiseSpec,
     scale it to counts as (total / samples) * lsb_counts and round only
     there, so accumulation keeps the full averaging benefit. With one
     context per leading row of `v_ideal`, every (row, sample) pair is drawn
-    in one apply_noise call, in (row, sample) order, so the caller bounds
-    the rows it passes. One row reads its samples in runs of at most
-    _VOTE_BLOCK_ELEMS levels, in sample order, one run per apply_noise call.
-    Each sample is read out by one adc_readout call over all rows.
+    in (row, sample) order, in runs of samples that keep one apply_noise
+    call within _CHUNK_ELEMS levels (at least one sample per run). Each
+    sample is read out by one adc_readout call over all rows.
 
     Lockstep: `v_ideal`, `spec` and `cfg` may be equal-length lists, the
     levels, noise and macro of each point of a run that shares one seed and
@@ -243,9 +238,7 @@ def majority_vote_readout(v_ideal, samples: int, spec: NoiseSpec,
     points = [np.asarray(v)[None] if single else np.asarray(v) for v in vs]
     ctxs = [ctx] if single else ctx
     shape = points[0].shape
-    run = samples
-    if shape[0] == 1:
-        run = min(samples, max(1, _VOTE_BLOCK_ELEMS // max(1, points[0].size)))
+    run = min(samples, max(1, _CHUNK_ELEMS // max(1, points[0].size)))
     totals = [np.zeros(shape, dtype=np.int64) for _ in points]
     for s0 in range(0, samples, run):
         n = min(run, samples - s0)

@@ -111,11 +111,6 @@ class MacHistogram:
     def total_mass(self) -> int:
         return int(sum(int(c.sum()) for c in self.counts.values()))
 
-    def cycle_mean(self, key) -> float:
-        c = self.counts[key]
-        levels = np.arange(c.size)
-        return float((levels * c).sum() / c.sum())
-
     def to_rows(self) -> list:
         rows = []
         for (w_bit, act_group) in sorted(self.counts):

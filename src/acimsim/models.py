@@ -149,17 +149,6 @@ def forward_qat(model: TinyModel, batch) -> np.ndarray:
     return _walk(model, batch, _digital_matmul(model, quantized=True))
 
 
-def forward_nat(model: TinyModel, batch, cfg: TrainConfig,
-                ctx: rng.RngContext) -> np.ndarray:
-    """QAT forward with multiplicative Gaussian noise on each matmul output.
-
-    eta is drawn per element, fresh for every (ctx, layer) combination; vary
-    ctx.sample across passes to resample.
-    """
-    matmul = _digital_matmul(model, True, cfg.nat_sigma, cfg.seed, ctx)
-    return _walk(model, batch, matmul)
-
-
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     p = softmax(logits, axis=1)
     n = logits.shape[0]

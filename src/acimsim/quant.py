@@ -1,8 +1,9 @@
-"""Per-tensor uniform quantization and bit-level decompositions.
+"""Per-tensor uniform quantization and the bit fields the macro reads.
 
 Signed tensors use symmetric 2's-complement quantization with the most
-negative code never emitted; activations destined for a y-bit DAC are regrouped
-into activation groups with the sign bit kept bit-serial.
+negative code never emitted. Weights are read as bit planes; activations
+destined for a y-bit DAC are read as activation groups with the sign bit kept
+bit-serial.
 """
 
 from dataclasses import dataclass
@@ -10,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError
 from .tensor import as_tensor, round_half_away
 
 
@@ -109,53 +110,13 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
     return q.codes * q.params.scale
 
 
-def fake_quant(t, bits: int, signedness: Signedness) -> np.ndarray:
-    """quantize -> dequantize in one step (the QAT forward-path view)."""
-    return dequantize(quantize(t, bits, signedness))
-
-
-@dataclass(frozen=True)
-class BitPlanes:
-    """Binary planes of a code tensor, ordered LSB to MSB."""
-
-    planes: list
-    params: QuantParams
-
-    def __post_init__(self):
-        if len(self.planes) != self.params.bits:
-            raise ShapeError("plane count must equal params.bits")
-
-
-def decompose_bits(q: QuantizedTensor) -> BitPlanes:
-    """Split codes into binary planes (2's complement for signed tensors)."""
-    bits = q.params.bits
-    # masking with 2^bits - 1 yields the 2's-complement pattern for negatives
-    u = np.bitwise_and(q.codes, (1 << bits) - 1)
-    planes = [np.bitwise_and(u >> b, 1).astype(np.int64) for b in range(bits)]
-    return BitPlanes(planes, q.params)
-
-
-@dataclass(frozen=True)
-class ActivationGroup:
-    """One DAC word: values in [0, 2^width - 1] sitting at 2^shift."""
-
-    values: np.ndarray
-    width: int
-    shift: int
-    sign_group: bool = False
-
-
-@dataclass(frozen=True)
-class ActivationGroups:
-    groups: list
-    params: QuantParams
-
-    def reconstruct(self) -> np.ndarray:
-        codes = np.zeros_like(self.groups[0].values)
-        for g in self.groups:
-            sign = -1 if g.sign_group else 1
-            codes = codes + sign * (1 << g.shift) * g.values
-        return codes
+def decompose_bits(codes, bits: int) -> np.ndarray:
+    """Bit planes of 2's-complement codes: int64 [bits, *codes.shape], LSB
+    first. An arithmetic shift keeps a negative code's 2's-complement bits,
+    so plane bits-1 of a signed code is its sign bit."""
+    codes = np.asarray(codes, dtype=np.int64)
+    shifts = np.arange(bits).reshape(-1, *(1,) * codes.ndim)
+    return (codes >> shifts) & 1
 
 
 def group_layout(bits: int, signedness: Signedness, y: int) -> list:
@@ -181,19 +142,15 @@ def group_layout(bits: int, signedness: Signedness, y: int) -> list:
     return layout
 
 
-def encode_activation_groups(b: BitPlanes, y: int) -> ActivationGroups:
-    """Pack bit planes into DAC activation groups per group_layout."""
-    groups = []
-    for width, shift, sign in group_layout(b.params.bits, b.params.signedness, y):
-        value = np.zeros_like(b.planes[0])
-        for j in range(width):
-            value = value + (b.planes[shift + j] << j)
-        groups.append(ActivationGroup(value, width, shift, sign))
-    return ActivationGroups(groups, b.params)
+def encode_activation_groups(codes, layout) -> list:
+    """The DAC words of 2's-complement codes, one int64 array per
+    group_layout entry (width, shift, sign_group): (codes >> shift) &
+    (2^width - 1)."""
+    codes = np.asarray(codes, dtype=np.int64)
+    return [(codes >> shift) & ((1 << width) - 1)
+            for width, shift, _ in layout]
 
 
-def bit_sparsity(b: BitPlanes) -> list:
-    """Fraction of ones at each bit position, LSB first."""
-    if not b.planes:
-        raise ShapeError("bit_sparsity needs at least one plane")
-    return [float(np.mean(p)) for p in b.planes]
+def bit_sparsity(planes) -> list:
+    """Fraction of ones in each plane of decompose_bits, LSB first."""
+    return [float(np.mean(p)) for p in planes]

@@ -158,6 +158,20 @@ def test_macro_enc_bits_above_x_bits_exits_2(tmp_path, capsys, monkeypatch):
     assert load_config(ckpt).macro.enc_bits == 5
 
 
+def test_analysis_enc_bits_above_quant_x_bits_exits_2(tmp_path, capsys):
+    # csnr and distribution quantize at [quant] x_bits, which here is below
+    # the width [train] gives the model that load_config checks against
+    text = BASE_INI.replace("adc_bits = 7\n", "adc_bits = 7\nenc_bits = 6\n") \
+        .replace("batch = 16\n", "batch = 16\nx_bits = 8\n")
+    cfg = write_config(tmp_path, text)
+    assert load_config(cfg).train.x_bits == 8
+    for cmd in ("csnr", "distribution"):
+        assert run(cmd, cfg, tmp_path / "out") == 2
+        assert (f"{cfg}: [macro] enc_bits: encoding width 6 exceeds x_bits 4"
+                in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_csnr_report_columns(tmp_path):
     cfg = write_config(tmp_path)
     assert run("csnr", cfg, tmp_path / "out") == 0

@@ -230,3 +230,23 @@ def test_sweep_validation(tmp_path):
 
 def test_malformed_ini(tmp_path):
     expect_error(tmp_path, "rows = 256\n", str(tmp_path))
+
+
+def test_unknown_key_is_rejected(tmp_path):
+    # a misspelt key fails instead of leaving its setting at the default
+    path = write(tmp_path, MINIMAL + "[mode]\nhybrid_boundry = 3\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}: [mode] hybrid_boundry: unknown key"
+    expect_error(tmp_path,
+                 MINIMAL.replace("seed = 42", "seed = 42\nrandm = 1"),
+                 "[noise] randm: unknown key")
+
+
+def test_unknown_section_is_rejected(tmp_path):
+    path = write(tmp_path, MINIMAL + "[modes]\nhybrid_boundary = 3\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}: [modes] unknown section"
+    expect_error(tmp_path, "[DEFAULT]\nseed = 1\n" + MINIMAL,
+                 "[DEFAULT] unknown section")

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from acimsim.data import load_idx, make_blobs, save_idx, train_test_split
+from acimsim.data import load_idx, make_blobs, train_test_split
 from acimsim.errors import DataError
+
+from oracles import save_idx
 
 
 def test_blobs_deterministic():
@@ -72,5 +74,3 @@ def test_idx_rejects_malformed(tmp_path):
         load_idx(path)
     with pytest.raises(DataError):
         load_idx(tmp_path / "missing.idx")
-    with pytest.raises(DataError):
-        save_idx(path, np.zeros(2), type_code=0x77)

@@ -113,16 +113,14 @@ def test_plan_reconstructs_scalar_products():
     # sum of sign * 2^shift * (group value * weight plane) over the plan must
     # equal the plain integer product for every signed 4-bit code pair
     from acimsim.quant import decompose_bits, encode_activation_groups
-    p = QuantParams(1.0, 4, TC)
     codes = np.arange(-8, 8)
+    planes = decompose_bits(codes, 4)
     for y in (1, 2, 3):
         plan = plan_cycles(4, 4, TC, TC, EngineMode(enc_bits=y))
-        groups = encode_activation_groups(
-            decompose_bits(QuantizedTensor(codes, p)), y).groups
-        planes = decompose_bits(QuantizedTensor(codes, p)).planes
+        groups = encode_activation_groups(codes, group_layout(4, TC, y))
         got = np.zeros((16, 16), dtype=np.int64)
         for e in plan.entries:
-            got += (e.sign << e.shift) * np.outer(groups[e.act_group].values,
+            got += (e.sign << e.shift) * np.outer(groups[e.act_group],
                                                   planes[e.w_bit])
         assert np.array_equal(got, np.outer(codes, codes))
 
@@ -358,9 +356,8 @@ def test_matmul_any_readout_chunking_gives_same_bytes(monkeypatch):
     multi_entry = 0
     for seed, cfg, mode, act, w, sigmas, layer in _noisy_cases():
         runs = []
-        for cap in (engine._CHUNK_ELEMS, 1, 1 << 30):
-            monkeypatch.setattr(engine, "_CHUNK_ELEMS", cap)
-            monkeypatch.setattr(macro, "_VOTE_BLOCK_ELEMS", cap)
+        for cap in (macro._CHUNK_ELEMS, 1, 1 << 30):
+            monkeypatch.setattr(macro, "_CHUNK_ELEMS", cap)
             log = []
             out = simulate_matmul(act, w, cfg, _logging_spec(seed, sigmas, log),
                                   mode, layer=layer).output

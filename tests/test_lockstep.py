@@ -182,7 +182,7 @@ def test_points_quantized_with_different_signedness_split(monkeypatch):
 def test_lockstep_vote_in_bounded_runs_equals_solo_votes(monkeypatch):
     # one row above the run cap: each sample run is drawn once for every
     # point, and every point totals and hooks as its solo vote does
-    monkeypatch.setattr(macro, "_VOTE_BLOCK_ELEMS", 7)
+    monkeypatch.setattr(macro, "_CHUNK_ELEMS", 7)
     cfgs = [MacroConfig(16, 3), MacroConfig(16, 5), MacroConfig(16, 5)]
 
     def specs():

@@ -22,12 +22,12 @@ def test_macro_config_arithmetic():
     cfg = MacroConfig(rows=256, adc_bits=8, enc_bits=1)
     assert cfg.full_scale_counts == 256
     assert cfg.lsb_counts == 1.0
-    assert cfg.boundary_adc_bits == 9
+    assert MacroConfig.at_boundary(256, 1).adc_bits == 9
     cfg4 = MacroConfig(rows=256, adc_bits=12, enc_bits=4)
     assert cfg4.full_scale_counts == 3840
     assert cfg4.lsb_counts == pytest.approx(0.9375)
     # 256 rows at y=4 need a 12-bit boundary ADC
-    assert cfg4.boundary_adc_bits == 12
+    assert MacroConfig.at_boundary(256, 4).adc_bits == 12
 
 
 def test_at_boundary_is_lossless_minimum():

@@ -12,7 +12,7 @@ import numpy as np
 from acimsim import engine
 from acimsim.engine import EngineMode, VotingSpec, plan_cycles
 from acimsim.macro import MacroConfig, NoiseSpec, Sigma
-from acimsim.quant import Signedness, quantize
+from acimsim.quant import Signedness, group_layout, quantize
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 TC = Signedness.TWOS_COMPLEMENT
@@ -59,3 +59,12 @@ def test_tracer_hooks_count_plan_readouts_and_votes():
     matmul = [s for s in tracer.spans if s[3] == spans.MATMUL]
     assert len(matmul) == 1
     assert matmul[0][spans.COLUMNS.index("n")] == b * d * m * len(e)
+    # the engine reads its bit fields through quant: one weight-plane split
+    # per tile and one DAC-word extraction per (tile, activation group)
+    parent, mm_id = spans.COLUMNS.index("parent"), matmul[0][1]
+    for label, count in (("quant.decompose_bits", res.tiles),
+                         ("quant.encode_activation_groups",
+                          res.tiles * len(group_layout(6, TC, 1)))):
+        found = [s for s in tracer.spans if s[3] == label]
+        assert len(found) == count, label
+        assert all(s[parent] == mm_id for s in found), label

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from acimsim.errors import DomainError
-from acimsim.quant import (BitPlanes, QuantParams, QuantizedTensor, Signedness,
+from acimsim.quant import (QuantParams, QuantizedTensor, Signedness,
                            bit_sparsity, decompose_bits, dequantize,
-                           encode_activation_groups, fake_quant, group_layout,
-                           quantize)
+                           encode_activation_groups, group_layout, quantize)
 
-from oracles import recompose_bits
+from oracles import recompose_bits, reconstruct_groups
 
 U = Signedness.UNSIGNED
 TC = Signedness.TWOS_COMPLEMENT
@@ -69,7 +68,6 @@ def test_round_trip_error_bound():
     t = rng.normal(size=1000)
     q = quantize(t, 8, TC)
     assert np.max(np.abs(dequantize(q) - t)) <= q.params.scale / 2 + 1e-12
-    assert np.array_equal(fake_quant(t, 8, TC), dequantize(q))
 
 
 def test_quantized_tensor_range_check():
@@ -91,18 +89,11 @@ def test_quant_params_validation():
 
 
 def test_decompose_examples():
-    p = QuantParams(1.0, 4, TC)
-    b = decompose_bits(QuantizedTensor(np.array([-3]), p))
-    assert [int(pl[0]) for pl in b.planes] == [1, 0, 1, 1]
-    pu = QuantParams(1.0, 3, U)
-    bu = decompose_bits(QuantizedTensor(np.array([5]), pu))
-    assert [int(pl[0]) for pl in bu.planes] == [1, 0, 1]
-    assert all(set(np.unique(pl)) <= {0, 1} for pl in b.planes)
-
-
-def test_bitplanes_length_check():
-    with pytest.raises(Exception):
-        BitPlanes([np.zeros(1)], QuantParams(1.0, 4, U))
+    b = decompose_bits(np.array([-3]), 4)
+    assert b.dtype == np.int64 and b.shape == (4, 1)
+    assert b[:, 0].tolist() == [1, 0, 1, 1]
+    assert decompose_bits(np.array([5]), 3)[:, 0].tolist() == [1, 0, 1]
+    assert set(np.unique(b)) <= {0, 1}
 
 
 @pytest.mark.parametrize("signedness", [U, TC])
@@ -110,8 +101,9 @@ def test_bitplanes_length_check():
 def test_decompose_recompose_exhaustive(bits, signedness):
     p = QuantParams(1.0, bits, signedness)
     codes = np.arange(p.code_min, p.code_max + 1)
-    q = QuantizedTensor(codes, p)
-    assert np.array_equal(recompose_bits(decompose_bits(q)), codes)
+    planes = decompose_bits(codes.reshape(-1, 2), bits)
+    assert planes.shape == (bits, codes.size // 2, 2)
+    assert np.array_equal(recompose_bits(planes, signedness).ravel(), codes)
 
 
 def test_group_layout_examples():
@@ -135,32 +127,33 @@ def test_group_layout_errors():
 def test_group_reconstruction_exhaustive(bits, signedness):
     p = QuantParams(1.0, bits, signedness)
     codes = np.arange(p.code_min, p.code_max + 1)
-    q = QuantizedTensor(codes, p)
     for y in range(1, bits + 1):
-        g = encode_activation_groups(decompose_bits(q), y)
-        assert np.array_equal(g.reconstruct(), codes)
-        signs = [grp.sign_group for grp in g.groups]
-        assert sum(signs) <= 1
-        for grp in g.groups:
-            assert grp.values.min() >= 0
-            assert grp.values.max() <= (1 << grp.width) - 1
+        layout = group_layout(bits, signedness, y)
+        words = encode_activation_groups(codes, layout)
+        assert len(words) == len(layout)
+        assert np.array_equal(reconstruct_groups(words, layout), codes)
+        assert sum(sign for _, _, sign in layout) <= 1
+        for value, (width, shift, _) in zip(words, layout):
+            assert value.dtype == np.int64
+            assert value.min() >= 0
+            assert value.max() <= (1 << width) - 1
+            # one group of a layout alone gives the same words
+            one, = encode_activation_groups(codes, [(width, shift, False)])
+            assert np.array_equal(one, value)
         if signedness is TC:
-            assert g.groups[-1].sign_group and g.groups[-1].width == 1
+            assert layout[-1][2] and layout[-1][0] == 1
 
 
 def test_bit_sparsity_edges():
-    p = QuantParams(1.0, 4, U)
-    zeros = decompose_bits(QuantizedTensor(np.zeros(10, dtype=int), p))
+    zeros = decompose_bits(np.zeros(10, dtype=int), 4)
     assert bit_sparsity(zeros) == [0.0] * 4
-    full = decompose_bits(QuantizedTensor(np.full(10, 15), p))
-    assert bit_sparsity(full) == [1.0] * 4
+    assert bit_sparsity(decompose_bits(np.full(10, 15), 4)) == [1.0] * 4
 
 
 def test_bit_sparsity_uniform_half():
     rng = np.random.default_rng(3)
     n = 20_000
-    p = QuantParams(1.0, 8, U)
-    q = QuantizedTensor(rng.integers(0, 256, size=n), p)
+    codes = rng.integers(0, 256, size=n)
     se = 0.5 / np.sqrt(n)
-    for s in bit_sparsity(decompose_bits(q)):
+    for s in bit_sparsity(decompose_bits(codes, 8)):
         assert abs(s - 0.5) <= 3 * se + 1e-12

@@ -205,7 +205,7 @@ def test_large_vote_draws_its_samples_in_bounded_runs(monkeypatch):
     monkeypatch.setattr(macro, "apply_noise", spy)
     for cap, per_call in ((2 * v.size + 1, 2 * v.size), (v.size - 1, v.size),
                           (1, v.size), (1 << 30, 5 * v.size)):
-        monkeypatch.setattr(macro, "_VOTE_BLOCK_ELEMS", cap)
+        monkeypatch.setattr(macro, "_CHUNK_ELEMS", cap)
         sizes.clear()
         seen = []
         logged = NoiseSpec(spec.random_sigma, spec.nonlin_sigma, spec.seed,

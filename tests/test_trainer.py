@@ -9,12 +9,12 @@ from acimsim.errors import TrainingError
 from acimsim.macro import NOISELESS, MacroConfig, NoiseSpec, NoiseUnit, Sigma
 from acimsim.models import (LinearLayer, Relu, TinyModel, TrainConfig,
                             _ste_mask, cross_entropy, evaluate_digital,
-                            engine_forward, forward_float, forward_nat,
-                            forward_qat, init_mlp, loss_and_grads, train)
-from acimsim.quant import QuantParams, Signedness, fake_quant
+                            engine_forward, forward_float, forward_qat,
+                            init_mlp, loss_and_grads, train)
+from acimsim.quant import QuantParams, Signedness, dequantize, quantize
 from acimsim.rng import RngContext
 
-from oracles import evaluate_on_engine
+from oracles import evaluate_on_engine, forward_nat
 
 SERIAL = EngineMode()
 
@@ -86,11 +86,11 @@ def test_forward_qat_equals_fake_quant_composition():
     m = init_mlp([4, 6, 2], seed=4)
     m.w_bits = m.x_bits = 4
     x = np.random.default_rng(2).normal(size=(3, 4))
-    a = fake_quant(x, 4, Signedness.TWOS_COMPLEMENT)
-    w0 = fake_quant(m.layers[0].w, 4, Signedness.TWOS_COMPLEMENT)
+    a = dequantize(quantize(x, 4, Signedness.TWOS_COMPLEMENT))
+    w0 = dequantize(quantize(m.layers[0].w, 4, Signedness.TWOS_COMPLEMENT))
     h = np.maximum(a @ w0 + m.layers[0].b, 0.0)
-    aq = fake_quant(h, 4, Signedness.UNSIGNED)
-    w1 = fake_quant(m.layers[2].w, 4, Signedness.TWOS_COMPLEMENT)
+    aq = dequantize(quantize(h, 4, Signedness.UNSIGNED))
+    w1 = dequantize(quantize(m.layers[2].w, 4, Signedness.TWOS_COMPLEMENT))
     want = aq @ w1 + m.layers[2].b
     assert np.allclose(forward_qat(m, x), want)
 
