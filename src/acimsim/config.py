@@ -9,6 +9,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
+from .data import check_blobs
 from .engine import EngineMode, VotingSpec
 from .errors import AcimError, ConfigError
 from .macro import MacroConfig, NoiseSpec, NoiseUnit, Sigma
@@ -37,6 +38,10 @@ class DataSpec:
     seed: int = 7
     images: Optional[str] = None
     labels: Optional[str] = None
+
+    def __post_init__(self):
+        if self.kind == "blobs":
+            check_blobs(self.samples, self.features, self.classes)
 
 
 @dataclass(frozen=True)
@@ -267,7 +272,8 @@ def load_config(path: str) -> ExperimentConfig:
     kind = data_s.raw("kind", default="blobs")
     if kind not in ("blobs", "idx"):
         data_s._fail("kind", f"unknown dataset kind {kind!r}")
-    data = DataSpec(
+    data = _build(
+        path, "data", DataSpec,
         kind=kind,
         samples=data_s.get_int("samples", default=512),
         features=data_s.get_int("features", default=16),

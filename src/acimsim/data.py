@@ -16,6 +16,15 @@ _IDX_DTYPES = {
 }
 
 
+def check_blobs(samples: int, features: int, classes: int) -> None:
+    """Raise DataError unless make_blobs can draw this data."""
+    for name, value in (("features", features), ("classes", classes)):
+        if value < 1:
+            raise DataError(f"{name} must be >= 1, got {value}")
+    if samples < classes:
+        raise DataError(f"need at least {classes} samples, got {samples}")
+
+
 def make_blobs(samples: int, features: int, classes: int, seed: int,
                spread: float = 1.0, center_scale: float = 2.0):
     """Deterministic Gaussian-blob classification data.
@@ -23,8 +32,7 @@ def make_blobs(samples: int, features: int, classes: int, seed: int,
     Class centers are drawn once from the seed and scaled to a common radius,
     so the class margin is controlled by center_scale / spread.
     """
-    if samples < classes:
-        raise DataError(f"need at least {classes} samples, got {samples}")
+    check_blobs(samples, features, classes)
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     centers = gen.normal(size=(classes, features))
     centers *= center_scale / np.linalg.norm(centers, axis=1, keepdims=True)

@@ -7,6 +7,7 @@ training uses the multiplicative surrogate O * (1 + eta) on each matmul output
 and quantization uses the straight-through estimator.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -16,8 +17,7 @@ from . import rng
 from .engine import EngineMode, SimLayerResult, _simulate_points, softmax
 from .errors import ShapeError, TrainingError
 from .macro import MacroConfig
-from .quant import (QuantParams, Signedness, dequantize, quantize,
-                    signedness_of)
+from .quant import Signedness, fake_quantize, quantize, signedness_of
 
 
 @dataclass
@@ -54,12 +54,15 @@ class TrainConfig:
     nat_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise TrainingError(f"lr must be > 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise TrainingError(f"lr must be finite and > 0, got {self.lr}")
         if self.epochs < 1:
             raise TrainingError(f"epochs must be >= 1, got {self.epochs}")
-        if self.nat_sigma < 0:
-            raise TrainingError(f"nat_sigma must be >= 0, got {self.nat_sigma}")
+        if self.batch < 1:
+            raise TrainingError(f"batch must be >= 1, got {self.batch}")
+        if not (math.isfinite(self.nat_sigma) and self.nat_sigma >= 0):
+            raise TrainingError(f"nat_sigma must be finite and >= 0, got "
+                                f"{self.nat_sigma}")
 
 
 def init_mlp(dims: list, seed: int) -> TinyModel:
@@ -73,11 +76,6 @@ def init_mlp(dims: list, seed: int) -> TinyModel:
             w=gen.normal(0.0, np.sqrt(2.0 / d_in), size=(d_in, d_out)),
             b=np.zeros(d_out)))
     return TinyModel(layers)
-
-
-def _ste_mask(t: np.ndarray, params: QuantParams) -> np.ndarray:
-    lo, hi = params.value_range
-    return ((t >= lo) & (t <= hi)).astype(np.float64)
 
 
 def _walk(model: TinyModel, x, matmul, inputs: Optional[list] = None):
@@ -108,12 +106,6 @@ def _quantize_act(model: TinyModel, a: np.ndarray):
     return quantize(a, model.x_bits, signedness_of(a))
 
 
-def _quantize_operands(model: TinyModel, a: np.ndarray, layer: LinearLayer):
-    """Activation codes and weight codes."""
-    return (_quantize_act(model, a),
-            quantize(layer.w, model.w_bits, Signedness.TWOS_COMPLEMENT))
-
-
 def _digital_matmul(model: TinyModel, quantized: bool, nat_sigma: float = 0.0,
                     seed: int = 0, nat_ctx: Optional[rng.RngContext] = None,
                     tape: Optional[list] = None):
@@ -122,11 +114,11 @@ def _digital_matmul(model: TinyModel, quantized: bool, nat_sigma: float = 0.0,
     (aq, wq, a_mask, w_mask, gain) per linear layer for the backward pass.
     """
     def matmul(a, layer, linear_index):
-        aq, wq, masks = a, layer.w, (None, None)
+        aq, wq, a_mask, w_mask = a, layer.w, None, None
         if quantized:
-            a_t, w_t = _quantize_operands(model, a, layer)
-            aq, wq = dequantize(a_t), dequantize(w_t)
-            masks = _ste_mask(a, a_t.params), _ste_mask(layer.w, w_t.params)
+            aq, a_mask = fake_quantize(a, model.x_bits, signedness_of(a))
+            wq, w_mask = fake_quantize(layer.w, model.w_bits,
+                                       Signedness.TWOS_COMPLEMENT)
         z = aq @ wq
         gain = None
         if nat_sigma > 0:
@@ -134,7 +126,7 @@ def _digital_matmul(model: TinyModel, quantized: bool, nat_sigma: float = 0.0,
             gain = 1.0 + nat_sigma * rng.normal(seed, ctx, rng.TAG_NAT, z.shape)
             z = z * gain
         if tape is not None:
-            tape.append((aq, wq, *masks, gain))
+            tape.append((aq, wq, a_mask, w_mask, gain))
         return z
     return matmul
 

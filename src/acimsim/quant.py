@@ -6,13 +6,14 @@ destined for a y-bit DAC are read as activation groups with the sign bit kept
 bit-serial.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
-from .tensor import as_tensor, round_half_away
+from .errors import DomainError, ShapeError
+from .tensor import round_half_away
 
 
 class Signedness(Enum):
@@ -36,15 +37,11 @@ class QuantParams:
 
     @property
     def code_min(self) -> int:
-        if self.signedness is Signedness.UNSIGNED:
-            return 0
-        return -(1 << (self.bits - 1))
+        return _code_range(self.bits, self.signedness)[0]
 
     @property
     def code_max(self) -> int:
-        if self.signedness is Signedness.UNSIGNED:
-            return (1 << self.bits) - 1
-        return (1 << (self.bits - 1)) - 1
+        return _code_range(self.bits, self.signedness)[1]
 
     @property
     def value_range(self) -> tuple:
@@ -76,15 +73,33 @@ def signedness_of(t: np.ndarray) -> Signedness:
         else Signedness.TWOS_COMPLEMENT
 
 
-def _calibrated_scale(t: np.ndarray, bits: int, signedness: Signedness) -> float:
-    # min/max calibration; all-zero tensors get scale 1 so zeros stay exact
+def _code_range(bits: int, signedness: Signedness) -> tuple:
+    """(code_min, code_max); signed codes span the full 2's-complement range."""
     if signedness is Signedness.UNSIGNED:
-        peak = float(t.max()) if t.size else 0.0
-        levels = (1 << bits) - 1
-    else:
-        peak = float(np.abs(t).max()) if t.size else 0.0
-        levels = (1 << (bits - 1)) - 1
-    return peak / levels if peak > 0 else 1.0
+        return 0, (1 << bits) - 1
+    return -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+
+
+def _calibrated_codes(t, bits: int, signedness: Signedness):
+    """(t as float64, scale, float codes): the one calibrate -> round -> clip
+    rule. The scale comes from the peak max|t| (max(t) for unsigned data);
+    all-zero tensors get scale 1 so zeros stay exact. A NaN or inf anywhere
+    makes the peak non-finite, so no isfinite pass runs."""
+    if not (2 <= bits <= 16):
+        raise DomainError(f"bits must be in [2, 16], got {bits}")
+    t = np.asarray(t, dtype=np.float64)
+    unsigned = signedness is Signedness.UNSIGNED
+    peak = float(np.abs(t).max()) if t.size else 0.0
+    if not math.isfinite(peak):
+        raise ShapeError("tensor contains non-finite values")
+    if unsigned and t.size and t.min() < 0:
+        raise DomainError("unsigned quantization of a tensor with negatives")
+    code_max = _code_range(bits, signedness)[1]
+    scale = peak / code_max if peak > 0 else 1.0
+    if not scale > 0:   # a subnormal peak over code_max underflows
+        raise DomainError(f"scale must be positive, got {scale}")
+    q = np.maximum(round_half_away(t / scale), 0 if unsigned else -code_max)
+    return t, scale, np.minimum(q, code_max)
 
 
 def quantize(t, bits: int, signedness: Signedness) -> QuantizedTensor:
@@ -94,20 +109,27 @@ def quantize(t, bits: int, signedness: Signedness) -> QuantizedTensor:
     2's complement: scale = max|t|/(2^(bits-1) - 1); the clamp keeps codes in
     [-(2^(bits-1) - 1), 2^(bits-1) - 1] so the most negative code never occurs.
     """
-    if not (2 <= bits <= 16):
-        raise DomainError(f"bits must be in [2, 16], got {bits}")
-    t = as_tensor(t)
-    if signedness is Signedness.UNSIGNED and t.size and t.min() < 0:
-        raise DomainError("unsigned quantization of a tensor with negatives")
-    scale = _calibrated_scale(t, bits, signedness)
-    params = QuantParams(scale, bits, signedness)
-    lo = 0 if signedness is Signedness.UNSIGNED else -params.code_max
-    codes = np.clip(round_half_away(t / scale), lo, params.code_max)
-    return QuantizedTensor(codes.astype(np.int64), params)
+    _, scale, codes = _calibrated_codes(t, bits, signedness)
+    return QuantizedTensor(codes.astype(np.int64),
+                           QuantParams(scale, bits, signedness))
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
     return q.codes * q.params.scale
+
+
+def fake_quantize(t, bits: int, signedness: Signedness) -> tuple:
+    """(dequantize(quantize(t, bits, signedness)), straight-through mask),
+    both float64, without int codes. The mask is 1 inside
+    QuantParams.value_range and 0 outside it.
+
+    Same bytes as the int path: every code is an integer below 2^53, so
+    float code * scale equals int code * scale."""
+    t, scale, q = _calibrated_codes(t, bits, signedness)
+    q *= scale
+    q += 0.0   # rounding gives -0.0 in (-scale/2, 0); int code 0 gives +0.0
+    lo, hi = (code * scale for code in _code_range(bits, signedness))
+    return q, ((t >= lo) & (t <= hi)).astype(np.float64)
 
 
 def decompose_bits(codes, bits: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Dense tensor helpers: validated construction, rounding, im2col.
+"""Dense tensor helpers: rounding, 2-D shapes, im2col.
 
 Tensors are plain numpy float64 arrays in row-major order; this module only
 adds the checks and shape manipulations the rest of the package relies on.
@@ -10,14 +10,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
-
-
-def as_tensor(data) -> np.ndarray:
-    """Return `data` as a float64 array, rejecting NaN/Inf entries."""
-    t = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(t)):
-        raise ShapeError("tensor contains non-finite values")
-    return t
 
 
 def round_half_away(x):

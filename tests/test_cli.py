@@ -158,6 +158,25 @@ def test_macro_enc_bits_above_x_bits_exits_2(tmp_path, capsys, monkeypatch):
     assert load_config(ckpt).macro.enc_bits == 5
 
 
+@pytest.mark.parametrize("section, old, new, message", [
+    ("train", "batch = 16", "batch = 0", "batch must be >= 1, got 0"),
+    ("train", "batch = 16", "batch = -4", "batch must be >= 1, got -4"),
+    ("train", "lr = 0.1", "lr = nan", "lr must be finite and > 0, got nan"),
+    ("train", "lr = 0.1", "lr = inf", "lr must be finite and > 0, got inf"),
+    ("train", "batch = 16", "batch = 16\nnat_sigma = nan",
+     "nat_sigma must be finite and >= 0, got nan"),
+    ("data", "features = 8", "features = 0", "features must be >= 1, got 0"),
+    ("data", "classes = 3", "classes = 0", "classes must be >= 1, got 0"),
+])
+def test_bad_train_and_data_values_exit_2(tmp_path, capsys, section, old,
+                                          new, message):
+    cfg = write_config(tmp_path, BASE_INI.replace(old, new))
+    assert run("sweep", cfg, tmp_path / "out") == 2
+    assert (f"acim-sim: config error: {cfg}: [{section}] {message}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_analysis_enc_bits_above_quant_x_bits_exits_2(tmp_path, capsys):
     # csnr and distribution quantize at [quant] x_bits, which here is below
     # the width [train] gives the model that load_config checks against

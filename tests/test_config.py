@@ -190,6 +190,8 @@ def test_wrapped_validation_errors(tmp_path):
     expect_error(tmp_path, text, "[noise]")
     expect_error(tmp_path, MINIMAL.replace("seed = 42", "seed = -3"), "[noise]")
     expect_error(tmp_path, MINIMAL + "[train]\nlr = 0\n", "[train]")
+    expect_error(tmp_path, MINIMAL + "[train]\nnat_sigma = nan\n",
+                 "[train] nat_sigma must be finite")
 
 
 def test_scheme_label_cross_check(tmp_path):
@@ -216,6 +218,17 @@ def test_data_validation(tmp_path):
                  "unknown dataset kind")
     expect_error(tmp_path, MINIMAL + "[data]\nkind = idx\nimages = x.idx\n",
                  "both images and labels")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("features = 0", "[data] features must be >= 1, got 0"),
+    ("classes = 0", "[data] classes must be >= 1, got 0"),
+    ("samples = 2", "[data] need at least 3 samples, got 2")])
+def test_blob_shape_is_checked_at_load(tmp_path, line, message):
+    path = write(tmp_path, MINIMAL + f"[data]\n{line}\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_output_format_validation(tmp_path):

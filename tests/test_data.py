@@ -37,6 +37,14 @@ def test_blobs_validates_sample_count():
         make_blobs(2, 4, 3, seed=0)
 
 
+@pytest.mark.parametrize("features, classes, field", [
+    (0, 3, "features"), (-2, 3, "features"), (4, 0, "classes"),
+    (4, -1, "classes")])
+def test_blobs_validates_features_and_classes(features, classes, field):
+    with pytest.raises(DataError, match=f"{field} must be >= 1"):
+        make_blobs(10, features, classes, seed=0)
+
+
 def test_train_test_split_partition():
     x = np.arange(40.0).reshape(20, 2)
     y = np.arange(20)

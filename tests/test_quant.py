@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from acimsim.errors import DomainError
+from acimsim.errors import DomainError, ShapeError
 from acimsim.quant import (QuantParams, QuantizedTensor, Signedness,
                            bit_sparsity, decompose_bits, dequantize,
-                           encode_activation_groups, group_layout, quantize)
+                           encode_activation_groups, fake_quantize,
+                           group_layout, quantize)
 
-from oracles import recompose_bits, reconstruct_groups
+from oracles import recompose_bits, reconstruct_groups, ste_mask
 
 U = Signedness.UNSIGNED
 TC = Signedness.TWOS_COMPLEMENT
@@ -86,6 +87,62 @@ def test_quant_params_validation():
         QuantParams(1.0, 1, U)
     assert QuantParams(1.0, 4, U).value_range == (0.0, 15.0)
     assert QuantParams(0.5, 4, TC).value_range == (-4.0, 3.5)
+
+
+_FAKE_QUANT_CASES = [
+    # (-scale/2, 0) rounds to -0.0 before the -0.0 is made +0.0
+    ([1.0, -0.001, -0.0039, 0.5, -0.0], 8, TC),
+    ([[0.3, -2.0], [1e-9, -1e-9]], 2, TC),
+    (np.zeros((3, 4)), 8, TC),
+    (np.zeros(5), 4, U),
+    (np.zeros((0, 3)), 8, TC),
+    (np.zeros(0), 8, U),
+    (np.random.default_rng(4).normal(size=(32, 64)), 8, TC),
+    (np.random.default_rng(5).normal(size=(7, 3)) * 1e-3, 16, TC),
+    (np.maximum(np.random.default_rng(6).normal(size=(32, 64)), 0), 8, U),
+    (np.maximum(np.random.default_rng(7).normal(size=(9, 5)), 0), 2, U),
+    ([0.0, 0.25, 1.0, 7.0], 3, U),
+    # 127 * (p / 127) < p: the mask drops +p but keeps -p, since its range
+    # runs from code_min = -128, one code past the clip at -127
+    ([-0.498160386955547, 0.1, 0.498160386955547], 8, TC),
+]
+
+
+@pytest.mark.parametrize("t, bits, signedness", _FAKE_QUANT_CASES)
+def test_fake_quantize_equals_int_path(t, bits, signedness):
+    q, mask = fake_quantize(t, bits, signedness)
+    ref = quantize(t, bits, signedness)
+    want = dequantize(ref)
+    want_mask = ste_mask(np.asarray(t, dtype=np.float64), ref.params)
+    assert q.dtype == mask.dtype == np.float64
+    assert q.shape == mask.shape == np.shape(t)
+    assert q.tobytes() == want.tobytes()
+    assert np.array_equal(np.signbit(q), np.signbit(want))
+    assert mask.tobytes() == want_mask.tobytes()
+
+
+@pytest.mark.parametrize("t, bits, signedness, error", [
+    ([1.0, np.nan], 8, TC, ShapeError),
+    ([np.inf, 1.0], 8, TC, ShapeError),
+    ([-np.inf, 1.0], 8, TC, ShapeError),
+    ([np.nan, 1.0], 8, U, ShapeError),
+    ([np.inf, 1.0], 8, U, ShapeError),
+    # non-finite is reported before negatives
+    ([-np.inf, 1.0], 8, U, ShapeError),
+    ([-1.0, np.nan], 8, U, ShapeError),
+    ([-0.5, 1.0], 8, U, DomainError),
+    # the bit width is checked before the data
+    ([np.nan], 1, TC, DomainError),
+    ([-1.0], 17, U, DomainError),
+    # a subnormal peak over code_max underflows to scale 0
+    ([5e-324], 8, TC, DomainError),
+])
+def test_fake_quantize_errors_match_quantize(t, bits, signedness, error):
+    with pytest.raises(error) as want:
+        quantize(t, bits, signedness)
+    with pytest.raises(error) as got:
+        fake_quantize(t, bits, signedness)
+    assert str(got.value) == str(want.value)
 
 
 def test_decompose_examples():

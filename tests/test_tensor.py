@@ -4,18 +4,8 @@ import numpy as np
 import pytest
 
 from acimsim.errors import ShapeError
-from acimsim.tensor import (Shape2D, as_tensor, conv_output_shape, im2col,
+from acimsim.tensor import (Shape2D, conv_output_shape, im2col,
                             round_half_away)
-
-
-def test_as_tensor_converts_and_checks():
-    t = as_tensor([[1, 2], [3, 4]])
-    assert t.dtype == np.float64
-    assert t.shape == (2, 2)
-    with pytest.raises(ShapeError):
-        as_tensor([1.0, np.nan])
-    with pytest.raises(ShapeError):
-        as_tensor([np.inf])
 
 
 def test_round_half_away_ties():

@@ -1,20 +1,26 @@
 """Trainer tests: forward variants, gradients, SGD loop, engine evaluation."""
 
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
+from acimsim.cli import BUILTIN_HIDDEN, _dataset, _train_model
+from acimsim.config import load_config
 from acimsim.data import make_blobs
 from acimsim.engine import EngineMode, plan_cycles
 from acimsim.errors import TrainingError
 from acimsim.macro import NOISELESS, MacroConfig, NoiseSpec, NoiseUnit, Sigma
 from acimsim.models import (LinearLayer, Relu, TinyModel, TrainConfig,
-                            _ste_mask, cross_entropy, evaluate_digital,
-                            engine_forward, forward_float, forward_qat,
-                            init_mlp, loss_and_grads, train)
+                            cross_entropy, evaluate_digital, engine_forward,
+                            forward_float, forward_qat, init_mlp,
+                            loss_and_grads, train)
 from acimsim.quant import QuantParams, Signedness, dequantize, quantize
 from acimsim.rng import RngContext
 
-from oracles import evaluate_on_engine, forward_nat
+from oracles import (evaluate_on_engine, forward_nat, reference_accuracy,
+                     reference_train, ste_mask)
 
 SERIAL = EngineMode()
 
@@ -56,6 +62,12 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(TrainingError):
         TrainConfig(nat_sigma=-0.5)
+    # NaN passes every `< 0` test; a batch below 1 leaves SGD no step to take
+    for kw in ({"lr": float("nan")}, {"lr": float("inf")},
+               {"batch": 0}, {"batch": -4},
+               {"nat_sigma": float("nan")}, {"nat_sigma": float("inf")}):
+        with pytest.raises(TrainingError, match=next(iter(kw))):
+            TrainConfig(**kw)
 
 
 # ------------------------------------------------------------- forward passes
@@ -163,9 +175,9 @@ def test_gradients_match_finite_differences():
 def test_ste_mask_clips_outside_range():
     p = QuantParams(0.5, 4, Signedness.TWOS_COMPLEMENT)  # range [-4, 3.5]
     t = np.array([-5.0, -4.0, 0.0, 3.5, 3.6])
-    assert np.array_equal(_ste_mask(t, p), [0, 1, 1, 1, 0])
+    assert np.array_equal(ste_mask(t, p), [0, 1, 1, 1, 0])
     pu = QuantParams(1.0, 4, Signedness.UNSIGNED)  # range [0, 15]
-    assert np.array_equal(_ste_mask(np.array([-0.1, 0.0, 15.0, 15.1]), pu),
+    assert np.array_equal(ste_mask(np.array([-0.1, 0.0, 15.0, 15.1]), pu),
                           [0, 1, 1, 0])
 
 
@@ -217,6 +229,36 @@ def test_train_divergence_raises():
     # overflow to inf/nan is the scenario under test
     with np.errstate(all="ignore"), pytest.raises(TrainingError, match="epoch"):
         train(init_mlp([6, 8, 3], seed=3), data, cfg)
+
+
+def _sweep_config(**train):
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..",
+                                   "configs", "sweep.ini"))
+    cfg.train = dataclasses.replace(cfg.train, **train)
+    return cfg
+
+
+@pytest.mark.parametrize("train_kw", [
+    {},                                  # configs/sweep.ini's blob-mlp
+    {"epochs": 6, "nat_sigma": 0.3},
+    {"epochs": 6, "w_bits": 2, "x_bits": 2},
+    {"epochs": 6, "w_bits": 16, "x_bits": 16},
+], ids=["sweep", "nat", "bits2", "bits16"])
+def test_train_bytes_equal_int_path_oracle(train_kw):
+    # training fake-quantizes through quant.fake_quantize; the oracle goes
+    # through the int codes of quantize -> dequantize
+    cfg = _sweep_config(**train_kw)
+    train_set, test_set = _dataset(cfg)
+    model, losses = _train_model(cfg, train_set, test_set)
+    ref, ref_losses = reference_train(
+        init_mlp([train_set[0].shape[1], BUILTIN_HIDDEN, cfg.data.classes],
+                 cfg.train.seed), train_set,
+        cfg.train)
+    for got, want in zip(model.linear_layers(), ref.linear_layers()):
+        assert got.w.tobytes() == want.w.tobytes()
+        assert got.b.tobytes() == want.b.tobytes()
+    assert np.array(losses).tobytes() == np.array(ref_losses).tobytes()
+    assert model.baseline_acc == reference_accuracy(ref, test_set)
 
 
 # ---------------------------------------------------------- engine evaluation
