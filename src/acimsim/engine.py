@@ -49,8 +49,10 @@ class VotingSpec:
     samples: int
 
     def __post_init__(self):
-        if self.boundary < 1 or self.samples < 1:
-            raise ConfigError("voting boundary and samples must be >= 1")
+        for name, value in (("boundary", self.boundary),
+                            ("samples", self.samples)):
+            if value < 1:
+                raise ConfigError(f"voting_{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,8 @@ class Sigma:
     unit: NoiseUnit = NoiseUnit.LSB_RMS
 
     def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise DomainError(f"sigma must be finite, got {self.value}")
         if self.value < 0:
             raise DomainError(f"sigma must be >= 0, got {self.value}")
 
@@ -52,8 +54,9 @@ class MacroConfig:
             raise ConfigError(f"adc_bits must be in [1, 16], got {self.adc_bits}")
         if self.enc_bits < 1:
             raise ConfigError(f"enc_bits must be >= 1, got {self.enc_bits}")
-        # the engine computes levels with float32 GEMMs, exact below 2^24
-        if self.full_scale_counts >= 1 << 24:
+        # the engine computes levels with float32 GEMMs, exact below 2^24;
+        # rows >= 1, so enc_bits > 24 is over it without forming 2^enc_bits
+        if self.enc_bits > 24 or self.full_scale_counts >= 1 << 24:
             raise ConfigError(
                 f"rows * (2^enc_bits - 1) must be < 2^24 for exact levels, "
                 f"got rows={self.rows}, enc_bits={self.enc_bits}")

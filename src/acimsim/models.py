@@ -63,6 +63,11 @@ class TrainConfig:
         if not (math.isfinite(self.nat_sigma) and self.nat_sigma >= 0):
             raise TrainingError(f"nat_sigma must be finite and >= 0, got "
                                 f"{self.nat_sigma}")
+        if self.seed < 0:
+            raise TrainingError(f"seed must be >= 0, got {self.seed}")
+        for name, bits in (("w_bits", self.w_bits), ("x_bits", self.x_bits)):
+            if not 2 <= bits <= 16:
+                raise TrainingError(f"{name} must be in [2, 16], got {bits}")
 
 
 def init_mlp(dims: list, seed: int) -> TinyModel:

@@ -263,3 +263,46 @@ def test_unknown_section_is_rejected(tmp_path):
     assert str(err.value) == f"{path}: [modes] unknown section"
     expect_error(tmp_path, "[DEFAULT]\nseed = 1\n" + MINIMAL,
                  "[DEFAULT] unknown section")
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("[analysis]\nbatch = 0", "[analysis] batch must be >= 1, got 0"),
+    ("[analysis]\nin_dim = 0", "[analysis] in_dim must be >= 1, got 0"),
+    ("[analysis]\nout_dim = -2", "[analysis] out_dim must be >= 1, got -2"),
+    ("[analysis]\ntrials = 5", "[analysis] trials must be >= 100, got 5"),
+    ("[data]\nseed = -1", "[data] seed must be >= 0, got -1"),
+    ("[data]\nspread = nan", "[data] spread must be finite, got nan"),
+    ("[train]\nseed = -1", "[train] seed must be >= 0, got -1"),
+    ("[train]\nx_bits = 17", "[train] x_bits must be in [2, 16], got 17"),
+    ("[quant]\nw_bits = 1", "[quant] w_bits: bits must be in [2, 16], got 1"),
+    ("[mode]\nhybrid_boundary = 0",
+     "[mode] hybrid_boundary: hybrid boundary must be >= 1, got 0"),
+    ("[mode]\nvoting_boundary = 1\nvoting_samples = 0",
+     "[mode] voting_samples must be >= 1, got 0"),
+    ("[sweep]\nnoise = 0.5, inf", "[sweep] noise: sigma must be finite, got inf"),
+])
+def test_values_that_failed_at_run_time_fail_at_load(tmp_path, extra,
+                                                     message):
+    path = write(tmp_path, MINIMAL + extra + "\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("random = nan", "[noise] random: sigma must be finite, got nan"),
+    ("nonlin = -inf", "[noise] nonlin: sigma must be finite, got -inf"),
+    ("random = 50%", "[noise] random: expected a number, got '50%'"),
+])
+def test_noise_values_fail_naming_the_key(tmp_path, line, message):
+    path = write(tmp_path, MINIMAL.replace("seed = 42", f"seed = 42\n{line}"))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_huge_enc_bits_is_rejected_without_forming_its_full_scale(tmp_path):
+    # 2^(2^63) is never built: enc_bits > 24 is over the 2^24 bound already
+    expect_error(tmp_path, MINIMAL.replace("adc_bits = 9",
+                                           f"adc_bits = 9\nenc_bits = {1 << 63}"),
+                 "[macro] rows * (2^enc_bits - 1) must be < 2^24")
