@@ -267,11 +267,9 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         threads = _resolve_threads(args)
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-            cfg.noise = dataclasses.replace(cfg.noise, seed=args.seed)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        cfg = load_config(args.config, seed=args.seed)
         out_dir = args.out or cfg.output.dir
         meta = {"tool_version": __version__, "command": args.command,
                 "seed": cfg.noise.seed, "threads": threads,

@@ -15,6 +15,7 @@ from .engine import EngineMode, VotingSpec
 from .errors import AcimError, ConfigError, DataError
 from .macro import MacroConfig, NoiseSpec, NoiseUnit, Sigma
 from .models import TrainConfig
+from .quant import check_bits
 
 _REQUIRED = object()
 
@@ -220,7 +221,8 @@ def _sweep_axes(path, axes: dict, macro: MacroConfig, noise: NoiseSpec,
     return sweep
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
+    """`seed`, when given, replaces [noise] seed before [train] follows it."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
@@ -231,6 +233,8 @@ def load_config(path: str) -> ExperimentConfig:
     except (configparser.Error, OSError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     v = _parse(parser, path)
+    if seed is not None:
+        v["noise"]["seed"] = seed
 
     macro = _build(path, "macro", MacroConfig, **v["macro"])
     n = v["noise"]
@@ -257,8 +261,7 @@ def load_config(path: str) -> ExperimentConfig:
               f"enc_bits {macro.enc_bits} ({mode.scheme})")
     q = v["quant"]
     for key, bits in q.items():
-        if not 2 <= bits <= 16:
-            _fail(path, "quant", key, f"bits must be in [2, 16], got {bits}")
+        _build(path, "quant", check_bits, key, bits=bits)
     model = ModelSpec(**v["model"])
     if model.checkpoint and model.builtin:
         _fail(path, "model", "builtin",

@@ -32,7 +32,7 @@ from .errors import ConfigError, DomainError, ShapeError
 from .macro import (MacroConfig, NoiseSpec, adc_readout, apply_noise,
                     count_table, draw_noise, majority_vote_readout,
                     noise_tags, sum_buffer)
-from .quant import (QuantizedTensor, Signedness, decompose_bits,
+from .quant import (QuantizedTensor, Signedness, check_bits, decompose_bits,
                     encode_activation_groups, group_layout, quantize,
                     signedness_of)
 from .rng import RngContext, StreamTable
@@ -116,9 +116,8 @@ def plan_cycles(w_bits: int, x_bits: int, x_signedness: Signedness,
     Hybrid and voting are masks over the top distinct shift levels: hybrid
     over all of them, voting over those left analog.
     """
-    for val, name in ((w_bits, "w_bits"), (x_bits, "x_bits")):
-        if not (2 <= val <= 16):
-            raise ConfigError(f"{name} must be in [2, 16], got {val}")
+    check_bits(w_bits, ConfigError, "w_bits")
+    check_bits(x_bits, ConfigError, "x_bits")
     layout = group_layout(x_bits, x_signedness, mode.enc_bits)
     _, g_shift, g_neg = np.array(layout, dtype=np.int64).T
     w_neg = np.zeros(w_bits, dtype=np.int64)
@@ -302,9 +301,15 @@ def _simulate_points(act, w: QuantizedTensor, cfgs: list, specs: list,
                                    g["oversample"].tolist(), b * m))
               for g in groups]
     weights = (groups["sign"] << groups["shift"]).tolist()
-    # per point: its input, macro, noise, count table and accumulator
-    points = [(o, c, s, count_table(c), np.zeros((b, m), dtype=np.int64))
-              for o, c, s in zip(owner, cfgs, specs)]
+    # per point: its input, macro, noise, count table, step and accumulator;
+    # a table that is code * step (an integer ADC step) becomes None: the
+    # step folds into the shift weights in place of the lookup
+    points = []
+    for o, c, s in zip(owner, cfgs, specs):
+        lut, step = count_table(c), 1
+        if np.array_equal(lut, np.arange(lut.size) * lut[1]):
+            lut, step = None, int(lut[1])
+        points.append((o, c, s, lut, step, np.zeros((b, m), dtype=np.int64)))
     tile_starts = range(0, d, cfg.rows)
     tiles = len(tile_starts)
     tags = noise_tags(specs)
@@ -336,7 +341,8 @@ def _simulate_points(act, w: QuantizedTensor, cfgs: list, specs: list,
                         draws = draw_noise(seed, tags, ctx, (hi - lo, b, m),
                                            table)
                         buf = sum_buffer(draws, len(cfgs))
-                for p, (o, p_cfg, spec, lut, accum) in enumerate(points):
+                for p, (o, p_cfg, spec, lut, step, accum) in enumerate(points):
+                    factor = 1
                     if not analog:
                         counts = blocks[o][lo:hi].astype(np.int64)
                     elif samples > 1:
@@ -347,9 +353,11 @@ def _simulate_points(act, w: QuantizedTensor, cfgs: list, specs: list,
                         if not spec.silent:
                             noisy = apply_noise(noisy, spec, p_cfg, ctx, draws,
                                                 buf)
-                        counts = lut[adc_readout(noisy, p_cfg)[0]]
+                        counts, factor = adc_readout(noisy, p_cfg)[0], step
+                        if lut is not None:
+                            counts = lut[counts]
                     for weight, counts_e in zip(weights[g][lo:hi], counts):
-                        counts_e *= weight
+                        counts_e *= weight * factor
                         accum += counts_e
     analog = int(entries["analog"].sum())
     results = []

@@ -186,16 +186,14 @@ def adc_readout(v, cfg: MacroConfig):
     """Full-dynamic-range ADC: code = clamp(round(v / step), 0, 2^k - 1).
 
     Returns (code, mac_counts) with mac_counts = code * step, the digital
-    estimate of the analog level in counts. Rounding is floor(x + 0.5), in
-    place on one float64 buffer: it equals round-half-away-from-zero for
-    x >= 0, and every negative x clamps to code 0 under either rule.
+    estimate of the analog level in counts. In place on one float64 buffer,
+    x + 0.5 is clamped to [0, 2^k - 1], where the int cast is floor: that is
+    round-half-away-from-zero for x >= 0, and every negative x reads code 0.
     """
     delta = cfg.lsb_counts
     x = np.asarray(np.divide(v, delta, dtype=np.float64))
     x += 0.5
-    np.floor(x, out=x)
-    np.maximum(x, 0, out=x)
-    np.minimum(x, (1 << cfg.adc_bits) - 1, out=x)
+    x.clip(0, (1 << cfg.adc_bits) - 1, out=x)
     code = x.astype(np.int64)
     return code, code * delta
 

@@ -17,7 +17,8 @@ from . import rng
 from .engine import EngineMode, SimLayerResult, _simulate_points, softmax
 from .errors import ShapeError, TrainingError
 from .macro import MacroConfig
-from .quant import Signedness, fake_quantize, quantize, signedness_of
+from .quant import (Signedness, check_bits, fake_quantize, quantize,
+                    signedness_of)
 
 
 @dataclass
@@ -65,9 +66,8 @@ class TrainConfig:
                                 f"{self.nat_sigma}")
         if self.seed < 0:
             raise TrainingError(f"seed must be >= 0, got {self.seed}")
-        for name, bits in (("w_bits", self.w_bits), ("x_bits", self.x_bits)):
-            if not 2 <= bits <= 16:
-                raise TrainingError(f"{name} must be in [2, 16], got {bits}")
+        check_bits(self.w_bits, TrainingError, "w_bits")
+        check_bits(self.x_bits, TrainingError, "x_bits")
 
 
 def init_mlp(dims: list, seed: int) -> TinyModel:
@@ -149,10 +149,11 @@ def forward_qat(model: TinyModel, batch) -> np.ndarray:
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     p = softmax(logits, axis=1)
     n = logits.shape[0]
-    loss = float(-np.mean(np.log(p[np.arange(n), labels] + 1e-300)))
-    dlogits = p.copy()
-    dlogits[np.arange(n), labels] -= 1.0
-    return loss, dlogits / n
+    picked = (np.arange(n), labels)
+    loss = -float(np.log(p[picked] + 1e-300).sum()) / n   # np.mean's sum / n
+    p[picked] -= 1.0
+    p /= n
+    return loss, p
 
 
 def loss_and_grads(model: TinyModel, x, labels, cfg: TrainConfig,
@@ -172,18 +173,20 @@ def loss_and_grads(model: TinyModel, x, labels, cfg: TrainConfig,
     grads = [None] * len(model.layers)
     for i in range(len(model.layers) - 1, -1, -1):
         if isinstance(model.layers[i], Relu):
-            delta = delta * (inputs[i] > 0)
+            delta *= inputs[i] > 0   # delta is this pass's own array
             continue
         aq, wq, a_mask, w_mask, gain = tape.pop()
         db = delta.sum(axis=0)
         dz = delta if gain is None else delta * gain
         dw = aq.T @ dz
-        da = dz @ wq.T
         if quantized:
-            dw = dw * w_mask
-            da = da * a_mask
+            dw *= w_mask
         grads[i] = (dw, db)
-        delta = da
+        if not tape:   # the first linear layer: its input needs no gradient
+            break
+        delta = dz @ wq.T
+        if quantized:
+            delta *= a_mask
     return loss, grads
 
 

@@ -15,6 +15,14 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .tensor import round_half_away
 
+BIT_RANGE = (2, 16)   # the code widths a tensor may be quantized at
+
+
+def check_bits(bits: int, error=DomainError, name: str = "bits") -> None:
+    """Raise `error`, naming `name`, unless `bits` lies in BIT_RANGE."""
+    if not BIT_RANGE[0] <= bits <= BIT_RANGE[1]:
+        raise error(f"{name} must be in {list(BIT_RANGE)}, got {bits}")
+
 
 class Signedness(Enum):
     UNSIGNED = "unsigned"
@@ -30,8 +38,7 @@ class QuantParams:
     signedness: Signedness
 
     def __post_init__(self):
-        if not (2 <= self.bits <= 16):
-            raise DomainError(f"bits must be in [2, 16], got {self.bits}")
+        check_bits(self.bits)
         if not self.scale > 0:
             raise DomainError(f"scale must be positive, got {self.scale}")
 
@@ -81,12 +88,14 @@ def _code_range(bits: int, signedness: Signedness) -> tuple:
 
 
 def _calibrated_codes(t, bits: int, signedness: Signedness):
-    """(t as float64, scale, float codes): the one calibrate -> round -> clip
-    rule. The scale comes from the peak max|t| (max(t) for unsigned data);
+    """(t as float64, scale, float codes): the one calibrate -> round rule.
+    The scale comes from the peak max|t| (max(t) for unsigned data);
     all-zero tensors get scale 1 so zeros stay exact. A NaN or inf anywhere
-    makes the peak non-finite, so no isfinite pass runs."""
-    if not (2 <= bits <= 16):
-        raise DomainError(f"bits must be in [2, 16], got {bits}")
+    makes the peak non-finite, so no isfinite pass runs. No clamp runs: a
+    normal scale is peak / code_max within 2^-53, so |t / scale| <= peak /
+    scale < code_max + 0.5 (division is monotone), and code_min * scale
+    lies below every t (both asserted)."""
+    check_bits(bits)
     t = np.asarray(t, dtype=np.float64)
     unsigned = signedness is Signedness.UNSIGNED
     peak = float(np.abs(t).max()) if t.size else 0.0
@@ -94,19 +103,21 @@ def _calibrated_codes(t, bits: int, signedness: Signedness):
         raise ShapeError("tensor contains non-finite values")
     if unsigned and t.size and t.min() < 0:
         raise DomainError("unsigned quantization of a tensor with negatives")
-    code_max = _code_range(bits, signedness)[1]
+    code_min, code_max = _code_range(bits, signedness)
     scale = peak / code_max if peak > 0 else 1.0
-    if not scale > 0:   # a subnormal peak over code_max underflows
-        raise DomainError(f"scale must be positive, got {scale}")
-    q = np.maximum(round_half_away(t / scale), 0 if unsigned else -code_max)
-    return t, scale, np.minimum(q, code_max)
+    if not scale >= 2.0 ** -1022:   # 0 or subnormal: below the normal floats
+        raise DomainError(
+            f"scale must be a positive normal float, got {scale}")
+    assert peak / scale < code_max + 0.5
+    assert unsigned or code_min * scale <= -peak
+    return t, scale, round_half_away(t / scale)
 
 
 def quantize(t, bits: int, signedness: Signedness) -> QuantizedTensor:
     """Quantize a tensor symmetrically with per-tensor min/max calibration.
 
     Unsigned: scale = max(t)/(2^bits - 1), inputs must be non-negative.
-    2's complement: scale = max|t|/(2^(bits-1) - 1); the clamp keeps codes in
+    2's complement: scale = max|t|/(2^(bits-1) - 1), which keeps codes in
     [-(2^(bits-1) - 1), 2^(bits-1) - 1] so the most negative code never occurs.
     """
     _, scale, codes = _calibrated_codes(t, bits, signedness)
@@ -121,15 +132,15 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
 def fake_quantize(t, bits: int, signedness: Signedness) -> tuple:
     """(dequantize(quantize(t, bits, signedness)), straight-through mask),
     both float64, without int codes. The mask is 1 inside
-    QuantParams.value_range and 0 outside it.
+    QuantParams.value_range and 0 above it (no t lies below it).
 
     Same bytes as the int path: every code is an integer below 2^53, so
     float code * scale equals int code * scale."""
     t, scale, q = _calibrated_codes(t, bits, signedness)
     q *= scale
-    q += 0.0   # rounding gives -0.0 in (-scale/2, 0); int code 0 gives +0.0
-    lo, hi = (code * scale for code in _code_range(bits, signedness))
-    return q, ((t >= lo) & (t <= hi)).astype(np.float64)
+    q += 0.0   # rounding gives -0.0 in (-scale/2, 0]; int code 0 gives +0.0
+    hi = _code_range(bits, signedness)[1] * scale
+    return q, (t <= hi).astype(np.float64)
 
 
 def decompose_bits(codes, bits: int) -> np.ndarray:

@@ -16,9 +16,13 @@ def round_half_away(x):
     """Round to nearest integer, halves away from zero (3.5 -> 4, -3.5 -> -4).
 
     numpy's `round` ties to even, which would bias quantization codes.
+    This equals sign(x) * floor(|x| + 0.5) except at -0.0, which stays -0.0;
+    callers erase the sign of zero (an int cast or a += 0.0).
     """
     x = np.asarray(x)
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    r = np.copysign(0.5, x)
+    r += x
+    return np.trunc(r, out=r) if r.ndim else np.trunc(r)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ import numpy as np
 from acimsim import rng
 from acimsim.models import (Relu, _digital_matmul, _walk, cross_entropy,
                             engine_forward)
-from acimsim.quant import Signedness, dequantize, quantize, signedness_of
+from acimsim.quant import (QuantParams, Signedness, dequantize, quantize,
+                           signedness_of)
 
 
 def recompose_bits(planes, signedness) -> np.ndarray:
@@ -55,6 +56,25 @@ def evaluate_on_engine(model, dataset, cfg, spec, mode) -> float:
     x, y = dataset
     logits, _, _ = engine_forward(model, x, cfg, spec, mode)
     return float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
+
+
+def sign_floor_round(x):
+    """Round half away from zero as sign(x) * floor(|x| + 0.5), the formula
+    tensor.round_half_away replaced; it gives +0.0 for x = -0.0."""
+    x = np.asarray(x)
+    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+
+
+def clamped_codes(t, bits, signedness):
+    """(scale, float codes) of quant._calibrated_codes as it was with its
+    clamp: sign_floor_round(t / scale) clamped to [-code_max, code_max], or
+    [0, code_max] for unsigned codes."""
+    t = np.asarray(t, dtype=np.float64)
+    code_max = QuantParams(1.0, bits, signedness).code_max
+    peak = float(np.abs(t).max()) if t.size else 0.0
+    scale = peak / code_max if peak > 0 else 1.0
+    low = 0 if signedness is Signedness.UNSIGNED else -code_max
+    return scale, np.clip(sign_floor_round(t / scale), low, code_max)
 
 
 def ste_mask(t, params) -> np.ndarray:

@@ -250,6 +250,21 @@ def test_seed_override_changes_results(tmp_path):
     assert payload["meta"]["seed"] == 123
 
 
+@pytest.mark.parametrize("train_seed, follows", [(None, True), (4, False)])
+def test_seed_override_reaches_train_seed(tmp_path, train_seed, follows):
+    # --seed replaces [noise] seed before a [train] section without its own
+    # seed takes it, so it retrains the model; a [train] seed stays put
+    text = BASE_INI if train_seed is None else BASE_INI.replace(
+        "batch = 16\n", f"batch = 16\nseed = {train_seed}\n")
+    cfg = write_config(tmp_path, text)
+    curves = []
+    for seed in ("1", "2"):
+        assert run("train", cfg, tmp_path / seed, "--seed", seed) == 0
+        curves.append((tmp_path / seed / "train.csv").read_bytes())
+    assert (curves[0] != curves[1]) == follows
+    assert load_config(cfg, seed=2).train.seed == (2 if follows else 4)
+
+
 def test_threads_env_fallback(tmp_path, monkeypatch):
     cfg = write_config(tmp_path)
     monkeypatch.setenv("ACIM_SIM_THREADS", "3")

@@ -9,7 +9,8 @@ from acimsim.engine import (EngineMode, VotingSpec, plan_cycles,
                             simulate_matmul, softmax)
 from acimsim.errors import ConfigError, DomainError, ShapeError
 from acimsim.macro import (NOISELESS, MacroConfig, NoiseSpec, NoiseUnit, Sigma,
-                           adc_readout, apply_noise, majority_vote_readout)
+                           adc_readout, apply_noise, count_table,
+                           majority_vote_readout)
 from acimsim.metrics import MacHistogram, mac_distribution
 from acimsim.models import LinearLayer, TinyModel, engine_forward
 from acimsim.quant import (QuantParams, QuantizedTensor, Signedness,
@@ -348,6 +349,33 @@ def test_matmul_noisy_equals_reference_loop():
             seen.add("ragged tiles")
     assert {"y1", "y4", "random0.7", "random0.0", "nonlin0.5", "nonlin0.0",
             "layer", "hybrid", "voting", "ragged tiles"} <= seen
+
+
+@pytest.mark.parametrize("rows", [64, 48, 3, 1])
+def test_matmul_integer_step_fold_equals_reference(rows):
+    # an integer ADC step folds into the shift weights in place of the count
+    # lookup; any other step reads the table. Both equal the reference loop,
+    # alone and in one lockstep run over ADC widths and noise levels
+    cfgs, specs, folds = [], [], set()
+    for adc_bits in range(1, 10):
+        cfg = MacroConfig(rows, adc_bits)
+        table = count_table(cfg)
+        fold = np.array_equal(table, np.arange(table.size) * table[1])
+        assert fold == (cfg.lsb_counts.is_integer() or adc_bits == 1), cfg
+        folds.add(fold)
+        for sigma in (0.0, 0.4, 1.5):
+            cfgs.append(cfg)
+            specs.append(NoiseSpec(random_sigma=lsb(sigma), seed=3))
+    assert folds == {True, False}
+    gen = np.random.default_rng(rows)
+    act = rand_q(gen, (5, 2 * rows + 3), 6, TC)
+    w = rand_q(gen, (2 * rows + 3, 4), 5, TC)
+    points = engine._simulate_points(act, w, cfgs, specs, SERIAL, layer=1)
+    for cfg, spec, res in zip(cfgs, specs, points):
+        want = _reference_matmul(act, w, cfg, spec, SERIAL, 1)
+        assert np.array_equal(res.output, want), (cfg, spec)
+        alone = simulate_matmul(act, w, cfg, spec, SERIAL, layer=1).output
+        assert alone.tobytes() == res.output.tobytes(), (cfg, spec)
 
 
 def test_matmul_any_readout_chunking_gives_same_bytes(monkeypatch):

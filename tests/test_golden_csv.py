@@ -8,14 +8,18 @@ section, which it rejects.
 
 `train`, `simulate` and `sweep` first train a model with float64 SGD, whose
 BLAS GEMMs may round their last bits differently under another numpy or
-BLAS build or CPU kernel, and those differences grow over training. Their
-hashes hold only for the numpy and BLAS pair they were recorded on
-(RECORDED_ON); elsewhere they are skipped, naming both pairs. The other
-CSVs come from the integer engine, Philox draws and at most one float64
-GEMM (csnr's reference product) printed to 12 digits, and are checked
-anywhere.
+BLAS build or CPU kernel, and those differences grow over training. `csnr`
+prints its float64 reference GEMM (`act @ w`) to 12 digits, which another
+kernel moves too. These hashes hold only for the numpy version, BLAS build
+and BLAS kernels they were checked on (RECORDED_ON); elsewhere they are
+skipped, naming both. The kernel is the one OpenBLAS runs, which its
+DYNAMIC_ARCH build picks for the CPU at load time (OPENBLAS_CORETYPE
+overrides it), not the build target that numpy's build record names.
+The other CSVs come from the integer engine and Philox draws, and are
+checked anywhere.
 """
 
+import ctypes
 import hashlib
 from pathlib import Path
 
@@ -26,19 +30,35 @@ from acimsim.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-TRAINED = {"train", "simulate", "sweep"}
-RECORDED_ON = ("2.4.6", "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH "
-                        "NO_AFFINITY Haswell MAX_THREADS=64")
+BLAS_DEPENDENT = {"train", "simulate", "sweep", "csnr"}
+_BUILD = ("2.4.6", "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH "
+                   "NO_AFFINITY Haswell MAX_THREADS=64")
+RECORDED_ON = {(*_BUILD, "SkylakeX"), (*_BUILD, "Haswell")}
+
+
+def _running_kernel():
+    """The kernel the OpenBLAS bundled in numpy.libs runs, as its
+    scipy_openblas_get_corename64_ names it; None without that library."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so*")):
+        try:   # numpy has loaded it, so this is the same instance
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
 
 
 def _numpy_blas():
-    """(numpy version, BLAS build and kernel) of this interpreter."""
+    """(numpy version, BLAS build, running BLAS kernel) of this
+    interpreter."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):   # numpy < 1.25 has no dict mode
         blas = {}
     return (np.__version__, blas.get("openblas configuration")
-            or f"{blas.get('name')} {blas.get('version')}")
+            or f"{blas.get('name')} {blas.get('version')}", _running_kernel())
 
 
 GOLDEN = {
@@ -98,9 +118,9 @@ CASES = [(ini, command, 1) for ini, command in sorted(GOLDEN)] \
                  + ("" if threads == 1 else f"-threads{threads}"))
     for ini, command, threads in CASES])
 def test_golden_csv(tmp_path, ini, command, threads):
-    if command in TRAINED and _numpy_blas() != RECORDED_ON:
-        pytest.skip(f"{command} hash recorded on numpy/BLAS {RECORDED_ON}, "
-                    f"running {_numpy_blas()}")
+    if command in BLAS_DEPENDENT and _numpy_blas() not in RECORDED_ON:
+        pytest.skip(f"{command} hash checked on numpy/BLAS/kernel "
+                    f"{sorted(RECORDED_ON)}, running {_numpy_blas()}")
     rc = main([command, "--config", str(CONFIGS / ini), "--out",
                str(tmp_path), "--threads", str(threads)])
     assert rc == 0

@@ -9,7 +9,8 @@ from acimsim.quant import (QuantParams, QuantizedTensor, Signedness,
                            encode_activation_groups, fake_quantize,
                            group_layout, quantize)
 
-from oracles import recompose_bits, reconstruct_groups, ste_mask
+from oracles import (clamped_codes, recompose_bits, reconstruct_groups,
+                     ste_mask)
 
 U = Signedness.UNSIGNED
 TC = Signedness.TWOS_COMPLEMENT
@@ -143,6 +144,82 @@ def test_fake_quantize_errors_match_quantize(t, bits, signedness, error):
     with pytest.raises(error) as got:
         fake_quantize(t, bits, signedness)
     assert str(got.value) == str(want.value)
+
+
+def _low_top_cases():
+    """(t, bits, signedness) with a peak p whose top code value
+    code_max * (p / code_max) rounds below p in float64, on every width
+    where one exists among 4096 draws."""
+    gen = np.random.default_rng(7)
+    for bits in range(2, 17):
+        for sgn in (U, TC):
+            code_max = QuantParams(1.0, bits, sgn).code_max
+            p = gen.uniform(0.5, 2.0, 4096)
+            p = p[code_max * (p / code_max) < p]
+            if p.size:
+                p = float(p[0])
+                yield ([0.0, p / 3, p] if sgn is U else [-p, -p / 3, 0.0, p],
+                       bits, sgn)
+
+
+def _clamp_cases():
+    """(t, bits, signedness) over every width: random data, ties at half
+    codes, the peak alone, and the _low_top_cases."""
+    gen = np.random.default_rng(2024)
+    for bits in range(2, 17):
+        for sgn in (U, TC):
+            code_max = QuantParams(1.0, bits, sgn).code_max
+            t = gen.normal(size=300) * 10.0 ** gen.integers(-6, 6)
+            yield np.abs(t) if sgn is U else t, bits, sgn
+            n = np.arange(code_max - 3, code_max + 1, dtype=np.float64)
+            ties = np.concatenate([(n + 0.5) / code_max, n / code_max, [1.0]])
+            yield (ties if sgn is U else np.concatenate([ties, -ties]),
+                   bits, sgn)
+            yield [3.5], bits, sgn
+    yield from _low_top_cases()
+
+
+@pytest.mark.parametrize("t, bits, signedness", list(_clamp_cases()))
+def test_codes_equal_clamped_rounding(t, bits, signedness):
+    # without its clamp the rule gives the clamped codes, and the mask's
+    # one-sided test gives the two-sided ste_mask, on every width
+    scale, want = clamped_codes(t, bits, signedness)
+    ref = quantize(t, bits, signedness)
+    assert ref.params.scale == scale
+    assert np.array_equal(ref.codes, want.astype(np.int64))
+    q, mask = fake_quantize(t, bits, signedness)
+    assert q.tobytes() == (want * scale + 0.0).tobytes()
+    t = np.asarray(t, dtype=np.float64)
+    assert mask.tobytes() == ste_mask(t, ref.params).tobytes()
+
+
+def test_low_top_peak_masks_the_peak():
+    # the mask drops +p and, for signed data, keeps -p, since code_min is one
+    # code past the lowest code the peak gives
+    cases = list(_low_top_cases())
+    assert len(cases) >= 15
+    for t, bits, sgn in cases:
+        _, mask = fake_quantize(t, bits, sgn)
+        assert mask[-1] == 0 and mask[0] == 1, (t, bits, sgn)
+        code_max = QuantParams(1.0, bits, sgn).code_max
+        assert quantize(t, bits, sgn).codes.max() == code_max
+
+
+@pytest.mark.parametrize("t, bits, signedness", [
+    ([1e-310], 8, TC), ([1e-310, -2e-311], 8, TC), ([1e-310], 8, U),
+    # a normal peak whose scale, peak / 65535, is subnormal
+    ([1e-305], 16, U)])
+def test_subnormal_scale_is_rejected(t, bits, signedness):
+    for quantizer in (quantize, fake_quantize):
+        with pytest.raises(DomainError, match="positive normal float"):
+            quantizer(t, bits, signedness)
+
+
+def test_smallest_normal_scale_is_accepted():
+    peak = 127 * np.finfo(np.float64).tiny
+    q = quantize([peak, -peak / 2], 8, TC)
+    assert q.params.scale == np.finfo(np.float64).tiny
+    assert q.codes.tolist() == [127, -64]
 
 
 def test_decompose_examples():

@@ -117,6 +117,27 @@ def test_adc_readout_equals_pinned_formula():
     assert checked > 50_000
 
 
+def test_adc_readout_codes_at_both_clamps():
+    # clamp x + 0.5 to [0, 2^k - 1], then truncate, against the pinned floor
+    # then clamp: levels around code 0, around code 2^k - 1 and below 0
+    for cfg in _configs():
+        delta = cfg.lsb_counts
+        top = (1 << cfg.adc_bits) - 1
+        n = np.array([-2, -1, 0, 1, 2, top - 2, top - 1, top, top + 1,
+                      top + 2], dtype=np.float64)
+        x = np.concatenate([(n + f) * delta
+                            for f in (-0.5, -0.25, 0, 0.25, 0.5)])
+        v = np.concatenate([x, np.nextafter(x, np.inf),
+                            np.nextafter(x, -np.inf),
+                            [-0.0, -5e-324, -1e-300, -delta, -top * delta]])
+        code, mac = adc_readout(v, cfg)
+        want_code, want_mac = _pinned_adc(v, cfg)
+        assert np.array_equal(code, want_code), cfg
+        assert np.array_equal(mac, want_mac), cfg
+        assert code.min() == 0 and code.max() == top
+        assert not code[np.signbit(v)].any()
+
+
 def test_adc_readout_leaves_input_unmodified():
     cfg = MacroConfig(128, 7)
     v = _levels(cfg)

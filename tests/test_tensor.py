@@ -7,6 +7,8 @@ from acimsim.errors import ShapeError
 from acimsim.tensor import (Shape2D, conv_output_shape, im2col,
                             round_half_away)
 
+from oracles import sign_floor_round
+
 
 def test_round_half_away_ties():
     # ties go away from zero, not to even
@@ -18,6 +20,40 @@ def test_round_half_away_ties():
 def test_round_half_away_scalar():
     assert round_half_away(0.49999) == 0
     assert round_half_away(-1.5) == -2
+
+
+def test_round_half_away_equals_sign_floor():
+    # trunc(x + copysign(0.5, x)) against sign(x) * floor(|x| + 0.5): the
+    # same values everywhere, and the same bytes everywhere except at
+    # x = -0.0, whose sign only an int cast or a + 0.0 would read
+    gen = np.random.default_rng(11)
+    halves = np.arange(-80, 81) / 4.0   # every tie and integer in [-20, 20]
+    big = 2.0**52 + 1   # x + 0.5 rounds to even, 2^52 + 2, under both
+    x = np.concatenate([
+        halves, np.nextafter(halves, np.inf), np.nextafter(halves, -np.inf),
+        [0.0, -0.0, 0.49999999999999994, -0.49999999999999994, big, -big,
+         2.0**53, -(2.0**53), 1e300, -1e300, 5e-324, -5e-324, np.inf,
+         -np.inf, np.nan],
+        gen.normal(size=1_000_000) * 10.0 ** gen.integers(-3, 8, 1_000_000)])
+    got, want = round_half_away(x), sign_floor_round(x)
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got, want, equal_nan=True)
+    flipped = np.signbit(got) != np.signbit(want)
+    assert np.array_equal(flipped, (x == 0) & np.signbit(x))
+    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+    finite = np.isfinite(x) & (np.abs(x) < 2.0**62)
+    assert np.array_equal(got[finite].astype(np.int64),
+                          want[finite].astype(np.int64))
+    assert (round_half_away(big), round_half_away(-big)) == (big + 1, -big - 1)
+
+
+@pytest.mark.parametrize("x", [np.float32([2.5, -0.5, 0.25, -7.5]),
+                               np.arange(-3, 4), 2.5, -0.0])
+def test_round_half_away_keeps_dtype_and_shape(x):
+    got, want = round_half_away(x), sign_floor_round(x)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.array_equal(got, want)
 
 
 def test_shape2d_validation():
