@@ -42,20 +42,19 @@ class _Cursor:
     def __init__(self, buf, path):
         self.buf, self.off, self.path = buf, 0, path
 
-    def take(self, fmt):
-        size = struct.calcsize(fmt)
+    def _advance(self, size) -> int:   # the offset of the next `size` bytes
         if self.off + size > len(self.buf):
             raise CheckpointError(f"{self.path}: truncated checkpoint")
-        out = struct.unpack_from(fmt, self.buf, self.off)
         self.off += size
-        return out
+        return self.off - size
+
+    def take(self, fmt):
+        off = self._advance(struct.calcsize(fmt))
+        return struct.unpack_from(fmt, self.buf, off)
 
     def blob(self, count):
-        size = 8 * count
-        if self.off + size > len(self.buf):
-            raise CheckpointError(f"{self.path}: truncated checkpoint")
-        arr = np.frombuffer(self.buf, dtype="<f8", count=count, offset=self.off)
-        self.off += size
+        off = self._advance(8 * count)
+        arr = np.frombuffer(self.buf, dtype="<f8", count=count, offset=off)
         return arr.astype(np.float64)
 
 

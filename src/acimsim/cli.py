@@ -248,15 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        n = args.threads
-    else:
-        env = os.environ.get("ACIM_SIM_THREADS", "1")
-        try:
-            n = int(env)
-        except ValueError:
-            raise ConfigError(
-                f"ACIM_SIM_THREADS must be an integer, got {env!r}")
+    env = os.environ.get("ACIM_SIM_THREADS", "1")
+    try:
+        n = args.threads if args.threads is not None else int(env)
+    except ValueError:
+        raise ConfigError(f"ACIM_SIM_THREADS must be an integer, got {env!r}")
     if n < 1:
         raise ConfigError(f"thread count must be >= 1, got {n}")
     return n

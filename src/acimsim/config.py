@@ -222,7 +222,7 @@ def _sweep_axes(path, axes: dict, macro: MacroConfig, noise: NoiseSpec,
 
 
 def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
-    """`seed`, when given, replaces [noise] seed before [train] follows it."""
+    """`seed`, when given, replaces [noise] seed before [train] reads it."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
@@ -261,7 +261,7 @@ def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
               f"enc_bits {macro.enc_bits} ({mode.scheme})")
     q = v["quant"]
     for key, bits in q.items():
-        _build(path, "quant", check_bits, key, bits=bits)
+        check_bits(bits, ConfigError, f"{path}: [quant] {key}: bits")
     model = ModelSpec(**v["model"])
     if model.checkpoint and model.builtin:
         _fail(path, "model", "builtin",

@@ -177,10 +177,7 @@ class SimLayerResult:
 
 
 def _bit_pair(bits) -> tuple:
-    if isinstance(bits, tuple):
-        w_bits, x_bits = bits
-        return int(w_bits), int(x_bits)
-    return int(bits), int(bits)
+    return tuple(map(int, bits if isinstance(bits, tuple) else (bits, bits)))
 
 
 def _stream_table(entries: np.ndarray, tiles: int, layer: int, seed: int,
@@ -301,15 +298,9 @@ def _simulate_points(act, w: QuantizedTensor, cfgs: list, specs: list,
                                    g["oversample"].tolist(), b * m))
               for g in groups]
     weights = (groups["sign"] << groups["shift"]).tolist()
-    # per point: its input, macro, noise, count table, step and accumulator;
-    # a table that is code * step (an integer ADC step) becomes None: the
-    # step folds into the shift weights in place of the lookup
-    points = []
-    for o, c, s in zip(owner, cfgs, specs):
-        lut, step = count_table(c), 1
-        if np.array_equal(lut, np.arange(lut.size) * lut[1]):
-            lut, step = None, int(lut[1])
-        points.append((o, c, s, lut, step, np.zeros((b, m), dtype=np.int64)))
+    # per point: its input, macro, noise, count table and accumulator
+    points = [(o, c, s, count_table(c), np.zeros((b, m), dtype=np.int64))
+              for o, c, s in zip(owner, cfgs, specs)]
     tile_starts = range(0, d, cfg.rows)
     tiles = len(tile_starts)
     tags = noise_tags(specs)
@@ -341,8 +332,7 @@ def _simulate_points(act, w: QuantizedTensor, cfgs: list, specs: list,
                         draws = draw_noise(seed, tags, ctx, (hi - lo, b, m),
                                            table)
                         buf = sum_buffer(draws, len(cfgs))
-                for p, (o, p_cfg, spec, lut, step, accum) in enumerate(points):
-                    factor = 1
+                for p, (o, p_cfg, spec, lut, accum) in enumerate(points):
                     if not analog:
                         counts = blocks[o][lo:hi].astype(np.int64)
                     elif samples > 1:
@@ -353,11 +343,9 @@ def _simulate_points(act, w: QuantizedTensor, cfgs: list, specs: list,
                         if not spec.silent:
                             noisy = apply_noise(noisy, spec, p_cfg, ctx, draws,
                                                 buf)
-                        counts, factor = adc_readout(noisy, p_cfg)[0], step
-                        if lut is not None:
-                            counts = lut[counts]
+                        counts = lut[adc_readout(noisy, p_cfg)[0]]
                     for weight, counts_e in zip(weights[g][lo:hi], counts):
-                        counts_e *= weight * factor
+                        counts_e *= weight
                         accum += counts_e
     analog = int(entries["analog"].sum())
     results = []

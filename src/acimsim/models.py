@@ -201,27 +201,24 @@ def train(model: TinyModel, dataset, cfg: TrainConfig):
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(rng.TAG_DATA,))))
     losses = []
     step = 0
+    starts = range(0, len(x), cfg.batch)
     for epoch in range(cfg.epochs):
         perm = shuffler.permutation(len(x))
         epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, len(x), cfg.batch):
+        for start in starts:
             idx = perm[start:start + cfg.batch]
             nat_ctx = rng.RngContext(sample=step) if cfg.nat_sigma > 0 else None
             loss, grads = loss_and_grads(model, x[idx], y[idx], cfg,
                                          quantized=True, nat_ctx=nat_ctx)
             if not np.isfinite(loss):
                 raise TrainingError(f"loss diverged at epoch {epoch}")
-            for layer, grad in zip(model.layers, grads):
-                if grad is None:
-                    continue
-                dw, db = grad
+            for layer, (dw, db) in zip(model.linear_layers(),
+                                       [g for g in grads if g is not None]):
                 layer.w = layer.w - cfg.lr * dw
                 layer.b = layer.b - cfg.lr * db
             epoch_loss += loss
-            n_batches += 1
             step += 1
-        losses.append(epoch_loss / n_batches)
+        losses.append(epoch_loss / len(starts))
     return model, losses
 
 

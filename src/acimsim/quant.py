@@ -18,7 +18,7 @@ from .tensor import round_half_away
 BIT_RANGE = (2, 16)   # the code widths a tensor may be quantized at
 
 
-def check_bits(bits: int, error=DomainError, name: str = "bits") -> None:
+def check_bits(bits: int, error: type, name: str) -> None:
     """Raise `error`, naming `name`, unless `bits` lies in BIT_RANGE."""
     if not BIT_RANGE[0] <= bits <= BIT_RANGE[1]:
         raise error(f"{name} must be in {list(BIT_RANGE)}, got {bits}")
@@ -38,7 +38,7 @@ class QuantParams:
     signedness: Signedness
 
     def __post_init__(self):
-        check_bits(self.bits)
+        check_bits(self.bits, DomainError, "bits")
         if not self.scale > 0:
             raise DomainError(f"scale must be positive, got {self.scale}")
 
@@ -89,13 +89,11 @@ def _code_range(bits: int, signedness: Signedness) -> tuple:
 
 def _calibrated_codes(t, bits: int, signedness: Signedness):
     """(t as float64, scale, float codes): the one calibrate -> round rule.
-    The scale comes from the peak max|t| (max(t) for unsigned data);
-    all-zero tensors get scale 1 so zeros stay exact. A NaN or inf anywhere
-    makes the peak non-finite, so no isfinite pass runs. No clamp runs: a
-    normal scale is peak / code_max within 2^-53, so |t / scale| <= peak /
-    scale < code_max + 0.5 (division is monotone), and code_min * scale
-    lies below every t (both asserted)."""
-    check_bits(bits)
+    The scale is peak / code_max, the peak max|t| (max(t) unsigned); an
+    all-zero tensor gets scale 1. A NaN or inf makes the peak non-finite. No
+    clamp runs: the normal-scale check ensures |t / scale| < code_max + 0.5
+    and code_min * scale <= -peak, which the asserts restate."""
+    check_bits(bits, DomainError, "bits")
     t = np.asarray(t, dtype=np.float64)
     unsigned = signedness is Signedness.UNSIGNED
     peak = float(np.abs(t).max()) if t.size else 0.0

@@ -80,9 +80,7 @@ def _fill_rows(generator, ctx, shape) -> np.ndarray:
     """
     single = isinstance(ctx, RngContext)
     rows = (ctx,) if single else ctx
-    shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
-    if single:
-        shape = (1, *shape)
+    shape = (1,) * single + ((shape,) if np.ndim(shape) == 0 else tuple(shape))
     if not shape or shape[0] != len(rows):
         raise ShapeError(
             f"{len(rows)} stream contexts for draw shape {shape}")

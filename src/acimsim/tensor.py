@@ -16,8 +16,7 @@ def round_half_away(x):
     """Round to nearest integer, halves away from zero (3.5 -> 4, -3.5 -> -4).
 
     numpy's `round` ties to even, which would bias quantization codes.
-    This equals sign(x) * floor(|x| + 0.5) except at -0.0, which stays -0.0;
-    callers erase the sign of zero (an int cast or a += 0.0).
+    -0.0 stays -0.0, a sign every caller erases.
     """
     x = np.asarray(x)
     r = np.copysign(0.5, x)
@@ -51,8 +50,7 @@ def im2col(input: np.ndarray, kernel: Shape2D, stride: int = 1,
         raise ShapeError(f"im2col expects [C,H,W], got shape {x.shape}")
     c, h, w = x.shape
     kh, kw = kernel.rows, kernel.cols
-    out_h = (h + 2 * padding - kh) // stride + 1
-    out_w = (w + 2 * padding - kw) // stride + 1
+    out_h, out_w = conv_output_shape(h, w, kernel, stride, padding)
     if h + 2 * padding < kh or w + 2 * padding < kw or out_h < 1 or out_w < 1:
         raise ShapeError(
             f"kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}")

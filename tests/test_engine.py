@@ -352,21 +352,21 @@ def test_matmul_noisy_equals_reference_loop():
 
 
 @pytest.mark.parametrize("rows", [64, 48, 3, 1])
-def test_matmul_integer_step_fold_equals_reference(rows):
-    # an integer ADC step folds into the shift weights in place of the count
-    # lookup; any other step reads the table. Both equal the reference loop,
-    # alone and in one lockstep run over ADC widths and noise levels
-    cfgs, specs, folds = [], [], set()
+def test_matmul_integer_and_rounded_steps_equal_reference(rows):
+    # count tables that are code * step (an integer ADC step) and tables
+    # that round a fractional step both equal the reference loop, alone and
+    # in one lockstep run over ADC widths and noise levels
+    cfgs, specs, exact = [], [], set()
     for adc_bits in range(1, 10):
         cfg = MacroConfig(rows, adc_bits)
         table = count_table(cfg)
-        fold = np.array_equal(table, np.arange(table.size) * table[1])
-        assert fold == (cfg.lsb_counts.is_integer() or adc_bits == 1), cfg
-        folds.add(fold)
+        linear = np.array_equal(table, np.arange(table.size) * table[1])
+        assert linear == (cfg.lsb_counts.is_integer() or adc_bits == 1), cfg
+        exact.add(linear)
         for sigma in (0.0, 0.4, 1.5):
             cfgs.append(cfg)
             specs.append(NoiseSpec(random_sigma=lsb(sigma), seed=3))
-    assert folds == {True, False}
+    assert exact == {True, False}
     gen = np.random.default_rng(rows)
     act = rand_q(gen, (5, 2 * rows + 3), 6, TC)
     w = rand_q(gen, (2 * rows + 3, 4), 5, TC)

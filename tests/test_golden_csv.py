@@ -118,9 +118,14 @@ CASES = [(ini, command, 1) for ini, command in sorted(GOLDEN)] \
                  + ("" if threads == 1 else f"-threads{threads}"))
     for ini, command, threads in CASES])
 def test_golden_csv(tmp_path, ini, command, threads):
-    if command in BLAS_DEPENDENT and _numpy_blas() not in RECORDED_ON:
+    blas = _numpy_blas()
+    # on the recorded build the bundled OpenBLAS is known to exist, so a
+    # kernel lookup that finds nothing is a defect here, not a platform skip
+    assert blas[:2] != _BUILD or blas[2] is not None, \
+        f"no OpenBLAS kernel name found for numpy.libs of build {_BUILD}"
+    if command in BLAS_DEPENDENT and blas not in RECORDED_ON:
         pytest.skip(f"{command} hash checked on numpy/BLAS/kernel "
-                    f"{sorted(RECORDED_ON)}, running {_numpy_blas()}")
+                    f"{sorted(RECORDED_ON)}, running {blas}")
     rc = main([command, "--config", str(CONFIGS / ini), "--out",
                str(tmp_path), "--threads", str(threads)])
     assert rc == 0
