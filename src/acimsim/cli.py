@@ -19,7 +19,7 @@ from . import __version__, rng
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, load_config
 from .data import load_idx, make_blobs, train_test_split
-from .engine import simulate_matmul
+from .engine import plan_cycles, simulate_matmul
 from .errors import AcimError, ConfigError
 from .macro import NOISELESS, Sigma
 from .metrics import csnr_measure, csnr_variance_form, linearity_sweep, \
@@ -27,7 +27,7 @@ from .metrics import csnr_measure, csnr_variance_form, linearity_sweep, \
 from .models import (TinyModel, TrainConfig, engine_forward, evaluate_digital,
                      forward_float, init_mlp, train)
 from .quant import Signedness, bit_sparsity, decompose_bits, dequantize, \
-    quantize
+    quantize, signedness_of
 from .report import emit
 
 BUILTIN_HIDDEN = 64
@@ -58,18 +58,34 @@ def _train_model(cfg: ExperimentConfig, train_set, test_set):
     return model, losses
 
 
-def _model(cfg: ExperimentConfig, train_set, test_set) -> TinyModel:
+def _model(cfg: ExperimentConfig, train_set, test_set, modes) -> TinyModel:
+    """The checkpoint, or the built-in model trained, once every mode plans
+    at its widths for each layer's input (the test inputs, then unsigned
+    post-ReLU ones): a boundary past the plan's shift levels stops the run
+    before training, naming its key."""
+    model = None
     if cfg.model.checkpoint:
         if not os.path.exists(cfg.model.checkpoint):
             raise ConfigError(f"{cfg.path}: [model] checkpoint: "
                               f"no such file {cfg.model.checkpoint}")
-        return load_checkpoint(cfg.model.checkpoint)
-    builtin = cfg.model.builtin or "blob-mlp"
-    if builtin != "blob-mlp":
+        model = load_checkpoint(cfg.model.checkpoint)
+    elif (cfg.model.builtin or "blob-mlp") != "blob-mlp":
         raise ConfigError(f"{cfg.path}: [model] builtin: unknown model "
-                          f"{builtin!r} (available: blob-mlp)")
-    model, _ = _train_model(cfg, train_set, test_set)
-    return model
+                          f"{cfg.model.builtin!r} (available: blob-mlp)")
+    widths = model or cfg.train or cfg
+    layers = 2 if model is None else len(model.linear_layers())
+    signs = {signedness_of(test_set[0])} | ({Signedness.UNSIGNED}
+                                          if layers > 1 else set())
+    for mode, x_sign in itertools.product(dict.fromkeys(modes), signs):
+        for key, m in (("hybrid_boundary",
+                        dataclasses.replace(mode, voting=None)),
+                       ("voting_boundary", mode)):
+            try:
+                plan_cycles(widths.w_bits, widths.x_bits, x_sign,
+                            Signedness.TWOS_COMPLEMENT, m)
+            except ConfigError as exc:
+                raise ConfigError(f"{cfg.path}: [mode] {key}: {exc}") from None
+    return model or _train_model(cfg, train_set, test_set)[0]
 
 
 def _forward_points(model: TinyModel, x, points, threads):
@@ -94,9 +110,7 @@ def _forward_points(model: TinyModel, x, points, threads):
             runs = list(pool.map(run_class, classes))
     else:
         runs = [run_class(idx) for idx in classes]
-    results = {}
-    for idx, run in zip(classes, runs):
-        results.update(zip(idx, run))
+    results = dict(zip(itertools.chain(*classes), itertools.chain(*runs)))
     return [results[i] for i in range(len(points))]
 
 
@@ -106,10 +120,6 @@ def _run_grid(cfg: ExperimentConfig, axes, threads, meta):
     the config as written. The points of each enc_bits value form one plan
     class and run in lockstep (_forward_points); `threads` parallelizes
     across classes only."""
-    train_set, test_set = _dataset(cfg)
-    model = _model(cfg, train_set, test_set)
-    x, y = test_set
-    ideal = forward_float(model, x)
     grid = list(itertools.product(*[v for _, v in axes]))
     points = []
     for values in grid:
@@ -124,6 +134,10 @@ def _run_grid(cfg: ExperimentConfig, axes, threads, meta):
                                           cfg.noise.random_sigma.unit))
         mode = dataclasses.replace(cfg.mode, enc_bits=macro.enc_bits)
         points.append((macro, noise, mode))
+    train_set, test_set = _dataset(cfg)
+    model = _model(cfg, train_set, test_set, [p[2] for p in points])
+    x, y = test_set
+    ideal = forward_float(model, x)
     rows = []
     for values, (logits, cycles, ratio) in zip(
             grid, _forward_points(model, x, points, threads)):

@@ -37,6 +37,15 @@ def _list(cast):
                   "expected a comma-separated list, got {}")
 
 
+def _upto(high):
+    """An integer parser with the upper bound of a size or loop count."""
+    def parse(value):
+        if (n := _INT(value)) > high:
+            raise ValueError(f"must be <= {high}, got {n}")
+        return n
+    return parse
+
+
 _INT = _typed(int, "expected an integer, got {}")
 _FLOAT = _typed(float, "expected a number, got {}")
 _UNIT = _typed(NoiseUnit, "unknown unit {}; use lsb_rms or vpp_pct")
@@ -52,17 +61,19 @@ KEYS = {
               "nonlin": (_FLOAT, 0.0), "nonlin_unit": (_UNIT, _LSB),
               "seed": (_INT, _REQUIRED)},
     "mode": {"scheme": (str, None), "hybrid_boundary": (_INT, None),
-             "voting_boundary": (_INT, None), "voting_samples": (_INT, None)},
+             "voting_boundary": (_INT, None),
+             "voting_samples": (_upto(100), None)},
     "quant": {"w_bits": (_INT, 8), "x_bits": (_INT, 8)},
     "model": {"checkpoint": (str, None), "builtin": (str, None)},
-    "data": {"kind": (str, "blobs"), "samples": (_INT, 512),
+    "data": {"kind": (str, "blobs"), "samples": (_upto(10**5), 512),
              "features": (_INT, 16), "classes": (_INT, 3),
              "spread": (_FLOAT, 1.0), "seed": (_INT, 7),
              "images": (str, None), "labels": (str, None)},
-    "analysis": {"batch": (_INT, 8), "in_dim": (_INT, 256),
-                 "out_dim": (_INT, 16), "trials": (_INT, 10000)},
+    "analysis": {"batch": (_upto(1024), 8), "in_dim": (_upto(1024), 256),
+                 "out_dim": (_upto(1024), 16),
+                 "trials": (_upto(10**6), 10000)},
     "output": {"dir": (str, "out"), "formats": (_list(str), None)},
-    "train": {"lr": (_FLOAT, 0.05), "epochs": (_INT, 40),
+    "train": {"lr": (_FLOAT, 0.05), "epochs": (_upto(10**4), 40),
               "batch": (_INT, 32), "seed": (_INT, None),
               "w_bits": (_INT, None), "x_bits": (_INT, None),
               "nat_sigma": (_FLOAT, 0.0)},

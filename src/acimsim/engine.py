@@ -2,23 +2,17 @@
 
 A CyclePlan holds one record per (weight bit, activation group) of a tile;
 hybrid execution and majority voting are its per-entry `analog` and
-`oversample` fields. A matmul loops over row tiles and activation groups. One
-float32 GEMM per (tile, group) yields the levels of every weight bit of that
-group, exact because each level is an integer below 2^24 (MacroConfig). The
-levels are read out in chunks, runs of entries that share one domain and one
-oversample, each passing through the macro's noise, ADC and vote functions in
-one call. A count table maps ADC codes to integer counts, which accumulate
-with their signed power-of-two shift weights; floating point enters only at
-the final rescale. Every noise stream of a matmul is keyed up front in one
-rng.StreamTable, with the same draws as keying each on its own. Conv2d and
-attention lower onto simulate_matmul; SimLayerResult counts cycles by domain
-and sums them over several matmuls.
-
-The points of one plan class (macros that differ only in ADC precision,
-noise specs that share a seed) run through one matmul in lockstep
-(_simulate_points, of which simulate_matmul is the one-point case): one
-plan, stream table and chunk list, one GEMM per distinct input, and each
-chunk's standard normals drawn once and read by every point in turn.
+`oversample` fields. One float32 GEMM per (tile, group) yields the levels of
+every weight bit of the group, exact as each is an integer below 2^24
+(MacroConfig). The levels are read out in chunks through the macro's noise,
+ADC and vote functions; a count table maps ADC codes to integer counts, which
+accumulate with their signed power-of-two shift weights, so floating point
+enters only at the final rescale. A matmul keys all its noise streams in one
+rng.StreamTable and addresses them by read position; RngContexts are built
+only for level hooks. The points of one plan class (macros that differ only
+in ADC precision, noise specs that share a seed) run in lockstep through one
+plan, table and chunk list, each chunk drawn once and read by every point in
+turn. Conv2d and attention lower onto simulate_matmul.
 """
 
 from dataclasses import dataclass
@@ -31,11 +25,11 @@ from . import macro
 from .errors import ConfigError, DomainError, ShapeError
 from .macro import (MacroConfig, NoiseSpec, adc_readout, apply_noise,
                     count_table, draw_noise, majority_vote_readout,
-                    noise_tags, sum_buffer)
+                    noise_tags)
 from .quant import (QuantizedTensor, Signedness, check_bits, decompose_bits,
                     encode_activation_groups, group_layout, quantize,
                     signedness_of)
-from .rng import RngContext, StreamTable
+from .rng import StreamTable
 from .tensor import Shape2D, conv_output_shape, im2col, round_half_away
 
 _PLAN_DTYPE = [("w_bit", np.int64), ("act_group", np.int64),
@@ -181,44 +175,31 @@ def _bit_pair(bits) -> tuple:
 
 
 def _stream_table(entries: np.ndarray, tiles: int, layer: int, seed: int,
-                  tags: list) -> Optional[StreamTable]:
-    """Key every noise stream of one matmul in one StreamTable.
-
-    One row per (tile, analog entry, oversample, tag), keyed as
-    majority_vote_readout and apply_noise key their draws. None when no
-    built-in noise source draws.
-    """
-    if not tags:
-        return None
+                  tags: list) -> StreamTable:
+    """One matmul's reads in one StreamTable, in the order it reads them:
+    per tile, each analog entry of `entries` once per oversample, keyed as
+    RngContext(layer, tile, w_bit, act_group, 0, sample) with every tag of
+    `tags` (none for a silent run, whose reads only a level hook sees)."""
     if not 0 <= layer <= 0xFFFFFFFF:
         raise DomainError(f"spawn layer must lie in [0, 2^32), got {layer}")
     analog = entries[entries["analog"]]
     samples = analog["oversample"]
     n = int(samples.sum())
-    # (w_bit, act_group, column, sample) of every analog readout of a tile
-    reads = np.zeros((n, 4), dtype=np.int64)
-    reads[:, 0] = np.repeat(analog["w_bit"], samples)
-    reads[:, 1] = np.repeat(analog["act_group"], samples)
-    reads[:, 3] = np.arange(n) - np.repeat(np.cumsum(samples) - samples,
-                                           samples)
-    rows = np.empty((tiles, n, len(tags), 7), dtype=np.int64)
-    rows[..., 0] = tags
-    rows[..., 1] = layer
-    rows[..., 2] = np.arange(tiles)[:, None, None]
-    rows[..., 3:] = reads[None, :, None, :]
-    return StreamTable(seed, rows.reshape(-1, 7))
+    reads = np.zeros((tiles, n, 6), dtype=np.int64)
+    reads[..., 0] = layer
+    reads[..., 1] = np.arange(tiles)[:, None]
+    reads[..., 2] = np.repeat(analog["w_bit"], samples)
+    reads[..., 3] = np.repeat(analog["act_group"], samples)
+    reads[..., 5] = np.arange(n) - np.repeat(np.cumsum(samples) - samples,
+                                             samples)
+    return StreamTable(seed, tags, reads.reshape(-1, 6))
 
 
 def _readout_chunks(analog: list, oversample: list, elems: int):
-    """(start, stop, analog, oversample) of each readout chunk of a group.
-
-    A chunk is a run of consecutive entries sharing one domain and one
-    oversample, holding at most macro._CHUNK_ELEMS levels (entries x
-    oversample x elems) and at least one entry. A single entry above the cap
-    is read out with temporaries of its own elems levels, as one unchunked
-    readout would be; a vote of it draws its samples in bounded runs
-    (majority_vote_readout).
-    """
+    """(start, stop, analog, oversample) of each readout chunk of a group: a
+    run of consecutive entries of one domain and one oversample, within
+    macro._CHUNK_ELEMS levels (entries x oversample x elems), or one entry
+    above the cap, whose vote draws its samples in bounded runs."""
     lo = 0
     for (is_analog, samples), run in groupby(zip(analog, oversample)):
         hi = lo + sum(1 for _ in run)
@@ -234,36 +215,30 @@ def simulate_matmul(act: QuantizedTensor, w: QuantizedTensor,
     """Simulate act[B,D] @ w[D,M] with w stationary in the macro.
 
     D is tiled into ceil(D/rows) mappings. Per (tile, activation group) one
-    float32 GEMM of the group's DAC words [B, rows] against the tile's stacked
-    weight planes [rows, Q*M] yields the levels of all Q weight bits at once
-    (exact: MacroConfig enforces rows * (2^enc_bits - 1) < 2^24). Digital
-    entries accumulate their exact levels. Analog entries are read out a
-    chunk at a time (_readout_chunks): one apply_noise and adc_readout call,
-    or one majority_vote_readout call for a voted chunk, each entry drawing
-    from its own streams in the call's stream table. count_table turns codes
-    into integer counts; a vote's code totals are averaged, scaled to counts
-    and rounded. The signed shift-accumulated counts are scaled by both
-    quantization scales. This is the one-point case of _simulate_points.
+    GEMM of the group's DAC words [B, rows] against the tile's stacked weight
+    planes [rows, Q*M] yields the levels of all Q weight bits at once.
+    Digital entries accumulate their exact levels; analog entries are read
+    out a chunk at a time (_readout_chunks) by apply_noise and adc_readout,
+    or majority_vote_readout, whose code totals are averaged, scaled to
+    counts and rounded. This is the one-point case of _simulate_points.
     """
-    return _simulate_points(act, w, [cfg], [spec], mode, layer)[0]
+    return _simulate_points([act], w, [cfg], [spec], mode, layer)[0]
 
 
-def _simulate_points(act, w: QuantizedTensor, cfgs: list, specs: list,
-                     mode: EngineMode, layer: int = 0, out=None) -> list:
+def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
+                     specs: list, mode: EngineMode, layer: int = 0,
+                     out=None) -> list:
     """simulate_matmul of several points of one plan class in lockstep.
 
     Point p is the macro cfgs[p] with the noise specs[p]; the points share
-    rows, enc_bits and seed, so one plan, one stream table and one chunk
-    list serve them all. `act` is one QuantizedTensor that every point reads,
-    quantized and multiplied once, or a list of one per point, all of one
-    shape, width and signedness. Each chunk's standard normals are drawn
-    once (draw_noise); every point then forms its own noisy levels from them
-    (apply_noise) and applies its own ADC, count table and accumulator, with
-    the ops and bytes of running it alone. Returns one SimLayerResult per
-    point; `out`, a list of one float64 [B, M] array per point, receives the
-    outputs in place of new arrays.
+    rows, enc_bits and seed. `acts` holds one QuantizedTensor that every
+    point reads, or one per point, all of one shape, width and signedness.
+    Each chunk's standard normals are drawn once (draw_noise); every point
+    forms its own noisy levels from them (apply_noise) and applies its own
+    ADC, count table and accumulator, with the ops and bytes of running it
+    alone. Returns one SimLayerResult per point; `out`, one float64 [B, M]
+    array per point, receives the outputs in place of new arrays.
     """
-    acts = [act] if isinstance(act, QuantizedTensor) else list(act)
     owner = [0] * len(cfgs) if len(acts) == 1 else range(len(acts))
     if len(owner) != len(cfgs) or len(specs) != len(cfgs):
         raise ShapeError(f"{len(acts)} inputs and {len(specs)} noise specs "
@@ -304,7 +279,9 @@ def _simulate_points(act, w: QuantizedTensor, cfgs: list, specs: list,
     tile_starts = range(0, d, cfg.rows)
     tiles = len(tile_starts)
     tags = noise_tags(specs)
-    table = _stream_table(entries, tiles, layer, seed, tags)
+    # the table lists the reads in the order the loop below takes them
+    table = _stream_table(groups.ravel(), tiles, layer, seed, tags)
+    read = 0   # the table position of the next read
     for t, start in enumerate(tile_starts):
         stop = min(start + cfg.rows, d)
         # the tile's weight planes side by side: column q*M + j is plane q
@@ -323,15 +300,16 @@ def _simulate_points(act, w: QuantizedTensor, cfgs: list, specs: list,
                               .transpose(1, 0, 2))
             for lo, hi, analog, samples in chunks[g]:
                 if analog:
-                    ctx = [RngContext(layer, t, q, g) for q in range(lo, hi)]
+                    reads = range(read, read + (hi - lo) * samples)
+                    read = reads.stop
                     if samples > 1:
                         totals = majority_vote_readout(
                             [blocks[o][lo:hi] for o in owner], samples, specs,
-                            cfgs, ctx, table)
+                            cfgs, reads, table)
                     else:
-                        draws = draw_noise(seed, tags, ctx, (hi - lo, b, m),
-                                           table)
-                        buf = sum_buffer(draws, len(cfgs))
+                        draws, buf = draw_noise(seed, tags, reads,
+                                                (hi - lo, b, m), table,
+                                                len(cfgs))
                 for p, (o, p_cfg, spec, lut, accum) in enumerate(points):
                     if not analog:
                         counts = blocks[o][lo:hi].astype(np.int64)
@@ -341,8 +319,8 @@ def _simulate_points(act, w: QuantizedTensor, cfgs: list, specs: list,
                     else:
                         noisy = blocks[o][lo:hi]
                         if not spec.silent:
-                            noisy = apply_noise(noisy, spec, p_cfg, ctx, draws,
-                                                buf)
+                            noisy = apply_noise(noisy, spec, p_cfg, reads,
+                                                draws, buf, table)
                         counts = lut[adc_readout(noisy, p_cfg)[0]]
                     for weight, counts_e in zip(weights[g][lo:hi], counts):
                         counts_e *= weight
@@ -355,8 +333,7 @@ def _simulate_points(act, w: QuantizedTensor, cfgs: list, specs: list,
         results.append(SimLayerResult(
             output=np.multiply(accum, acts[o].params.scale * w.params.scale,
                                out=None if out is None else out[p]),
-            tiles=tiles,
-            analog_cycles=tiles * analog,
+            tiles=tiles, analog_cycles=tiles * analog,
             digital_cycles=tiles * (len(entries) - analog),
             repeat_cycles=tiles * (plan.cycles_per_tile - len(entries))))
     return results

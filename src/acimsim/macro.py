@@ -2,6 +2,9 @@
 
 Levels are expressed in counts (one count = one fully charged unit capacitor),
 so the full scale is rows * (2^y - 1) and the ADC step is full_scale / 2^k.
+The noise functions take one stream address per leading row of their levels,
+as rng.normal does; a vote takes one level array, noise spec and macro per
+point, as lists, and returns a list. Level hooks get RngContexts either way.
 """
 
 import math
@@ -12,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, ShapeError
 from .tensor import round_half_away
 
 # Readout cap in levels: a float64 temporary of 2^14 levels is 128 KiB. It
@@ -118,45 +121,38 @@ def noise_tags(specs) -> list:
         (rng.TAG_NONLIN, [s.nonlin_sigma.value for s in specs])) if any(sigmas)]
 
 
-def draw_noise(seed: int, tags, ctx, shape, table=None) -> dict:
-    """Standard normals of (seed, ctx) for `shape`, by tag, for each of
-    `tags` (noise_tags). They depend on nothing else, so the points of a
-    lockstep run, which share one seed, share one draw per tag: apply_noise
-    reads these arrays and never writes them."""
-    return {tag: rng.normal(seed, ctx, tag, shape, table=table)
-            for tag in tags}
-
-
-def sum_buffer(draws: dict, points: int):
-    """Where apply_noise forms the random-noise sum of each of `points`
-    points reading `draws`: for one point the draw buffer itself, which that
-    point owns; for several, one scratch buffer they take in turn."""
+def draw_noise(seed: int, tags, rows, shape, table=None, points: int = 1):
+    """rng.normal draws for `shape` by tag, for each of `tags`, and where
+    each of `points` points forms its random sum (apply_noise): one point
+    owns the draw buffer, several share one scratch buffer in turn. Points
+    that share a seed share the draws, which apply_noise never writes."""
+    draws = {tag: rng.normal(seed, rows, tag, shape, table=table)
+             for tag in tags}
     d = draws.get(rng.TAG_RANDOM)
-    return d if d is None or points == 1 else np.empty_like(d)
+    return draws, d if d is None or points == 1 else np.empty_like(d)
 
 
-def apply_noise(v, spec: NoiseSpec, cfg: MacroConfig, ctx, draws=None,
-                out=None):
+def apply_noise(v, spec: NoiseSpec, cfg: MacroConfig, rows, draws=None,
+                out=None, table=None):
     """The noise pipeline: random noise, nonlinearity, then the custom hook.
 
     Random noise is ADC input-referred Gaussian noise of sigma_r. The
     nonlinearity adds level-dependent noise, strongest at low levels:
     sigma(v) = sigma_n * sqrt(max(0, N_fs - v) / N_fs), as fewer charged
     capacitors leave more mismatch headroom, and sigma(N_fs) = 0. A model
-    with zero sigma is skipped. The hook runs once per context, on that
-    context's row of levels.
+    with zero sigma is skipped. `rows` and `table` address the streams of the
+    leading rows of `v` (rng.normal); the hook runs on each row in turn with
+    its RngContext, which a table builds from its reads.
 
-    `ctx` is one rng.RngContext, or one per leading row of `v` (see
-    rng.normal). `draws`, from draw_noise, holds standard normals already
-    drawn for (seed, ctx); without it every tag is drawn here. `v` and
-    `draws` are read only. The random sum is formed in `out` (the draw
-    buffer when drawn here, else a new array unless given): out = d * sigma;
-    out += v, which is v + sigma * d exactly, as IEEE * and + commute. The
-    nonlinear sum is formed in the buffer of the local sigma.
+    `draws` (draw_noise) holds the rows' draws; without it they are drawn
+    here. `v` and `draws` are read only. The random sum is formed in `out`
+    (the draw buffer when drawn here, else a new array unless given):
+    out = d * sigma; out += v, which is v + sigma * d exactly, as IEEE * and
+    + commute. The nonlinear sum is formed in the buffer of the local sigma.
     """
     if draws is None:
-        draws = draw_noise(spec.seed, noise_tags([spec]), ctx, np.shape(v))
-        out = sum_buffer(draws, 1)
+        draws, out = draw_noise(spec.seed, noise_tags([spec]), rows,
+                                np.shape(v), table)
     noisy = None
     sigma = sigma_to_counts(spec.random_sigma, cfg)
     if sigma != 0:
@@ -165,7 +161,7 @@ def apply_noise(v, spec: NoiseSpec, cfg: MacroConfig, ctx, draws=None,
     sigma = sigma_to_counts(spec.nonlin_sigma, cfg)
     if sigma != 0:
         v = np.asarray(v if noisy is None else noisy, dtype=np.float64)
-        noisy = np.asarray(np.subtract(cfg.full_scale_counts, v))
+        noisy = np.subtract(cfg.full_scale_counts, v)
         np.maximum(noisy, 0.0, out=noisy)
         noisy /= cfg.full_scale_counts
         np.sqrt(noisy, out=noisy)
@@ -175,10 +171,9 @@ def apply_noise(v, spec: NoiseSpec, cfg: MacroConfig, ctx, draws=None,
     if noisy is None:
         noisy = np.array(v, dtype=np.float64)   # a copy: the hook writes rows
     if spec.level_hook is not None:
-        single = isinstance(ctx, rng.RngContext)
-        rows = noisy[None] if single else noisy
-        for r, c in enumerate([ctx] if single else ctx):
-            rows[r, ...] = spec.level_hook(rows[r, ...], c)
+        ctxs = rows if table is None else table.contexts(rows)
+        for r, c in enumerate(ctxs):
+            noisy[r, ...] = spec.level_hook(noisy[r, ...], c)
     return noisy
 
 
@@ -207,54 +202,44 @@ def count_table(cfg: MacroConfig) -> np.ndarray:
     return round_half_away(codes * cfg.lsb_counts).astype(np.int64)
 
 
-def majority_vote_readout(v_ideal, samples: int, spec: NoiseSpec,
-                          cfg: MacroConfig, ctx, table=None):
+def majority_vote_readout(vs: list, samples: int, specs: list, cfgs: list,
+                          rows, table=None) -> list:
     """Oversample ideal levels and total the ADC codes of the samples.
 
-    Each sample is an independent noisy readout. Returns the int64 code
-    totals, shaped as `v_ideal`; the vote is their mean, total / samples,
-    which shrinks the random-noise sigma by about sqrt(samples). Callers
-    scale it to counts as (total / samples) * lsb_counts and round only
-    there, so accumulation keeps the full averaging benefit. With one
-    context per leading row of `v_ideal`, every (row, sample) pair is drawn
-    in (row, sample) order, in runs of samples that keep one apply_noise
-    call within _CHUNK_ELEMS levels (at least one sample per run). Each
-    sample is read out by one adc_readout call over all rows.
-
-    Lockstep: `v_ideal`, `spec` and `cfg` may be equal-length lists, the
-    levels, noise and macro of each point of a run that shares one seed and
-    one shape. Each run of samples is then drawn once (draw_noise) and read
-    by every point in turn, and the result is the list of their totals.
+    Point p reads the levels vs[p] with the noise specs[p] and the macro
+    cfgs[p]; the points share one seed and one level shape. Returns their
+    int64 code totals. The vote, total / samples, shrinks the random-noise
+    sigma by about sqrt(samples); callers scale it to counts as (total /
+    samples) * lsb_counts and round only there, so accumulation keeps the
+    full averaging benefit. `rows` holds one stream address per (leading
+    row, sample) pair, in that order (rng.normal). They are drawn in runs
+    of samples that keep one apply_noise call within _CHUNK_ELEMS levels
+    (one sample at least), each run once for every point, and each sample is
+    read out by one adc_readout call over all rows.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
-    lockstep = isinstance(spec, list)
-    vs, specs, cfgs = ((v_ideal, spec, cfg) if lockstep
-                       else ([v_ideal], [spec], [cfg]))
-    seeds = {s.seed for s in specs}
-    if len(seeds) > 1:
+    if len(seeds := {s.seed for s in specs}) > 1:
         raise DomainError(f"points voting together need one seed, got {seeds}")
     tags = noise_tags(specs)
-    single = isinstance(ctx, rng.RngContext)
-    points = [np.asarray(v)[None] if single else np.asarray(v) for v in vs]
-    ctxs = [ctx] if single else ctx
+    points = [np.asarray(v) for v in vs]
     shape = points[0].shape
+    if not shape or len(rows) != shape[0] * samples:
+        raise ShapeError(f"{len(rows)} stream rows for {samples} samples of "
+                         f"levels {shape}")
     run = min(samples, max(1, _CHUNK_ELEMS // max(1, points[0].size)))
     totals = [np.zeros(shape, dtype=np.int64) for _ in points]
     for s0 in range(0, samples, run):
         n = min(run, samples - s0)
-        draw_ctx = [rng.RngContext(c.layer, c.tile, c.w_bit, c.act_group,
-                                   c.column, c.sample + s)
-                    for c in ctxs for s in range(s0, s0 + n)]
-        draws = draw_noise(specs[0].seed, tags, draw_ctx,
-                           (shape[0] * n, *shape[1:]), table)
-        out = sum_buffer(draws, len(points))
-        for rows, p_spec, p_cfg, total in zip(points, specs, cfgs, totals):
-            noisy = apply_noise(np.repeat(rows, n, axis=0), p_spec, p_cfg,
-                                draw_ctx, draws, out)
-            noisy = noisy.reshape(len(rows), n, *shape[1:])
+        run_rows = [rows[r * samples + s] for r in range(shape[0])
+                    for s in range(s0, s0 + n)]
+        draws, out = draw_noise(specs[0].seed, tags, run_rows,
+                                (shape[0] * n, *shape[1:]), table,
+                                len(points))
+        for levels, spec, cfg, total in zip(points, specs, cfgs, totals):
+            noisy = apply_noise(np.repeat(levels, n, axis=0), spec, cfg,
+                                run_rows, draws, out, table)
+            noisy = noisy.reshape(len(levels), n, *shape[1:])
             for s in range(n):
-                total += adc_readout(noisy[:, s], p_cfg)[0]
-    if single:
-        totals = [t[0] for t in totals]
-    return totals if lockstep else totals[0]
+                total += adc_readout(noisy[:, s], cfg)[0]
+    return totals

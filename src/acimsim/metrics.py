@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import rng
+from . import macro, rng
 from .engine import EngineMode, simulate_matmul
 from .errors import DomainError, ShapeError
 from .macro import (MacroConfig, NoiseSpec, adc_readout, apply_noise,
@@ -157,30 +157,36 @@ def linearity_sweep(cfg: MacroConfig, spec: NoiseSpec, trials: int,
                     levels=None, samples: int = 1) -> LinearitySweep:
     """Mean and sigma of readout codes per ideal level, in LSB units.
 
-    With samples > 1 each trial is a majority vote and the statistics are
-    taken on the vote before final rounding, which is what accumulation sees.
+    Level v is one row of `trials` readouts drawn from RngContext(column=v),
+    sample s of a vote from sample s. Blocks of rows within macro._CHUNK_ELEMS
+    readouts (one row at least) are each read in one call. With samples > 1
+    each trial is a majority vote and the statistics are taken on the vote
+    before final rounding, which is what accumulation sees.
     """
     if trials < 100:
         raise DomainError(f"linearity_sweep needs trials >= 100, got {trials}")
     n_fs = cfg.full_scale_counts
-    if levels is None:
-        if n_fs <= 256:
-            levels = np.arange(n_fs + 1)
-        else:
-            levels = np.unique(np.linspace(0, n_fs, 257).round().astype(np.int64))
+    if levels is None:   # every level, or 257 spread over the full scale
+        levels = np.unique(np.linspace(0, n_fs, min(n_fs, 256) + 1).round())
     levels = np.asarray(levels, dtype=np.int64)
-    mean = np.empty(levels.size)
-    sigma = np.empty(levels.size)
-    for i, v in enumerate(levels):
-        ctx = rng.RngContext(column=int(v))
-        batch = np.full(trials, v, dtype=np.float64)
+    stats = []
+    step = max(1, macro._CHUNK_ELEMS // trials)
+    for lo in range(0, levels.size, step):
+        block = levels[lo:lo + step]
+        batch = np.repeat(block.astype(np.float64)[:, None], trials, axis=1)
+        rows = [rng.RngContext(column=v, sample=s)
+                for v in block.tolist() for s in range(samples)]
         if samples == 1:
-            code, _ = adc_readout(apply_noise(batch, spec, cfg, ctx), cfg)
+            code, _ = adc_readout(apply_noise(batch, spec, cfg, rows), cfg)
             est = code.astype(np.float64)
         else:
+            total, = majority_vote_readout([batch], samples, [spec], [cfg],
+                                           rows)
             # the vote in counts, as the engine forms it, back in LSB units
-            total = majority_vote_readout(batch, samples, spec, cfg, ctx)
             est = ((total / samples) * cfg.lsb_counts) / cfg.lsb_counts
-        mean[i] = est.mean()
-        sigma[i] = est.std()
-    return LinearitySweep(levels, mean, sigma)
+        # np.mean and np.std of each row, their arithmetic on one shared sum
+        mean = est.sum(axis=1, keepdims=True) / trials
+        est -= mean
+        est *= est
+        stats.append((mean[:, 0], np.sqrt(est.sum(axis=1) / trials)))
+    return LinearitySweep(levels, *(np.concatenate(c) for c in zip(*stats)))

@@ -16,7 +16,6 @@ import numpy as np
 from . import rng
 from .engine import EngineMode, SimLayerResult, _simulate_points, softmax
 from .errors import ShapeError, TrainingError
-from .macro import MacroConfig
 from .quant import (Signedness, check_bits, fake_quantize, quantize,
                     signedness_of)
 
@@ -106,11 +105,6 @@ def _walk(model: TinyModel, x, matmul, inputs: Optional[list] = None):
     return a
 
 
-def _quantize_act(model: TinyModel, a: np.ndarray):
-    """Activation codes, with signedness from the data (signedness_of)."""
-    return quantize(a, model.x_bits, signedness_of(a))
-
-
 def _digital_matmul(model: TinyModel, quantized: bool, nat_sigma: float = 0.0,
                     seed: int = 0, nat_ctx: Optional[rng.RngContext] = None,
                     tape: Optional[list] = None):
@@ -128,7 +122,8 @@ def _digital_matmul(model: TinyModel, quantized: bool, nat_sigma: float = 0.0,
         gain = None
         if nat_sigma > 0:
             ctx = replace(nat_ctx or rng.RngContext(), layer=linear_index)
-            gain = 1.0 + nat_sigma * rng.normal(seed, ctx, rng.TAG_NAT, z.shape)
+            gain = 1.0 + nat_sigma * rng.normal(seed, [ctx], rng.TAG_NAT,
+                                                (1, *z.shape))[0]
             z = z * gain
         if tape is not None:
             tape.append((aq, wq, a_mask, w_mask, gain))
@@ -229,34 +224,30 @@ def evaluate_digital(model: TinyModel, dataset) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
 
 
-def engine_forward(model: TinyModel, x, cfg, spec, mode: EngineMode):
-    """Run every linear layer on the simulation engine.
+def engine_forward(model: TinyModel, x, cfgs: list, specs: list,
+                   mode: EngineMode) -> list:
+    """Run every linear layer on the simulation engine, for each point.
 
-    ReLU and bias stay in floating point; activations are re-quantized before
-    each layer with quant.signedness_of (post-ReLU tensors are unsigned).
-    Returns (logits, total_cycles, analog_ratio) of the whole network, the
-    layers composed as SimLayerResult.compose does.
-
-    `cfg` and `spec` may instead be equal-length lists, the points of one
-    plan class: macros that share rows and enc_bits, noise specs that share
-    a seed. The class walks the layers in lockstep, with a leading points
-    axis on the activations past x[B, D], which every point reads. Each
-    linear layer is one engine._simulate_points call, split only between
-    points whose inputs quantize with different signedness. Returns one
-    tuple per point, each equal to running that point alone.
+    Point p is the macro cfgs[p] with the noise specs[p], of one plan class:
+    rows, enc_bits and seed are shared. ReLU and bias stay in floating point;
+    each layer re-quantizes its input with quant.signedness_of. The points
+    walk the layers in lockstep, one engine._simulate_points call per layer,
+    split only between inputs of different signedness. Returns one (logits,
+    total_cycles, analog_ratio) per point, the layers composed as
+    SimLayerResult.compose does, each equal to running that point alone.
     """
     if np.ndim(x) != 2:
         raise ShapeError(f"engine_forward expects x[B, D], got {np.shape(x)}")
-    single = isinstance(cfg, MacroConfig)
-    cfgs, specs = ([cfg], [spec]) if single else (list(cfg), list(spec))
     nets = [SimLayerResult(None, 0, 0, 0, 0) for _ in cfgs]
 
     def matmul(a, layer, linear_index):
         w_q = quantize(layer.w, model.w_bits, Signedness.TWOS_COMPLEMENT)
         if a.ndim == 2:   # one input for every point
-            runs = [(_quantize_act(model, a), range(len(cfgs)))]
+            runs = [([quantize(a, model.x_bits, signedness_of(a))],
+                     range(len(cfgs)))]
         else:
-            acts = [_quantize_act(model, a_p) for a_p in a]
+            acts = [quantize(a_p, model.x_bits, signedness_of(a_p))
+                    for a_p in a]
             by_sign = {}
             for p, act in enumerate(acts):
                 by_sign.setdefault(act.params.signedness, []).append(p)
@@ -273,7 +264,5 @@ def engine_forward(model: TinyModel, x, cfg, spec, mode: EngineMode):
     logits = _walk(model, x, matmul)
     if not model.linear_layers():   # x passed through, shared
         logits = [logits] * len(cfgs)
-    results = [(z, net.total_cycles, net.analog_ratio)
-               for z, net in zip(logits, nets)]
-    return results[0] if single else results
-
+    return [(z, net.total_cycles, net.analog_ratio)
+            for z, net in zip(logits, nets)]

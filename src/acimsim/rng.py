@@ -1,9 +1,10 @@
 """Counter-based random streams keyed by simulation coordinates.
 
 Every stochastic operation derives its draws from (seed, RngContext, source tag)
-alone, so results never depend on call order or worker scheduling. A
-StreamTable keys many such streams in one vectorized pass and draws them
-through one reused generator, with the same bytes as `stream`.
+alone, so results never depend on call order or worker scheduling. Draws take
+one stream address per leading row: an RngContext, or a read's position in a
+StreamTable, which keys many streams in one vectorized pass, draws them with
+the bytes of `stream`, and builds RngContexts only for level hooks.
 """
 
 import dataclasses
@@ -55,39 +56,20 @@ def stream(seed: int, ctx: RngContext, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def normal(seed: int, ctx, tag: int, shape,
+def normal(seed: int, rows, tag: int, shape,
            table: "StreamTable | None" = None) -> np.ndarray:
-    """Standard-normal draws for (seed, ctx, tag), C-order over `shape`.
-
-    `ctx` is one RngContext, or a sequence of them, one per leading row of
-    `shape`: row r then holds exactly the draws of
-    `normal(seed, ctx[r], tag, shape[1:])`. With a `table` keyed for `seed`,
-    the draws come from its rows; they are the same bytes either way.
-    """
-    if table is None:
-        return _fill_rows(lambda c: stream(seed, c, tag), ctx, shape)
-    if table.seed != seed:
-        raise DomainError(
-            f"stream table keyed for seed {table.seed}, not {seed}")
-    return table.normal(ctx, tag, shape)
-
-
-def _fill_rows(generator, ctx, shape) -> np.ndarray:
-    """Fill row r of `shape` in place from generator(ctx[r]).
-
-    One RngContext is the one-row case: its draws fill a leading axis of
-    length 1, which is dropped again.
-    """
-    single = isinstance(ctx, RngContext)
-    rows = (ctx,) if single else ctx
-    shape = (1,) * single + ((shape,) if np.ndim(shape) == 0 else tuple(shape))
+    """Standard-normal draws of `tag`, C-order over `shape`: row r holds the
+    draws of `stream(seed, rows[r], tag)`. `rows` are RngContexts, or, with
+    a `table` keyed for `seed`, read positions in it, with the same bytes."""
+    shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
     if not shape or shape[0] != len(rows):
-        raise ShapeError(
-            f"{len(rows)} stream contexts for draw shape {shape}")
+        raise ShapeError(f"{len(rows)} stream rows for draw shape {shape}")
+    gens = ((stream(seed, c, tag) for c in rows) if table is None
+            else table.generators(seed, rows, tag))
     out = np.empty(shape)
-    for r, c in enumerate(rows):
-        generator(c).standard_normal(out=out[r, ...])
-    return out[0, ...] if single else out
+    for r, gen in enumerate(gens):
+        gen.standard_normal(out=out[r, ...])
+    return out
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx). Hash call k
@@ -120,8 +102,9 @@ def _mix(x, y):
     return out ^ (out >> 16)
 
 
-def _spawn_words(spawn) -> np.ndarray:
-    """Spawn rows as uint32 [N, W]; DomainError names a word outside 2^32."""
+def _spawn_words(spawn, fields=_SPAWN_FIELDS) -> np.ndarray:
+    """Spawn rows as uint32 [N, W]; DomainError names a word outside 2^32
+    by its entry in `fields`."""
     try:
         arr = np.array(spawn, dtype=np.int64)
         bad = arr.size and (arr.min() < 0 or arr.max() > _MASK32)
@@ -130,7 +113,7 @@ def _spawn_words(spawn) -> np.ndarray:
     if bad:
         j = next(j for row in spawn for j, w in enumerate(row)
                  if not 0 <= w <= _MASK32)
-        name = _SPAWN_FIELDS[j] if j < len(_SPAWN_FIELDS) else f"word {j}"
+        name = fields[j] if j < len(fields) else f"word {j}"
         raise DomainError(f"spawn {name} must lie in [0, 2^32)")
     if arr.size == 0:
         return np.zeros((len(arr), 0), dtype=np.uint32)
@@ -185,32 +168,35 @@ def philox_keys(seed: int, spawn) -> np.ndarray:
 
 
 class StreamTable:
-    """Philox streams of (seed, spawn row) for many rows, keyed at once.
+    """The Philox streams of every tag and read, keyed at once, addressed by
+    read position.
 
-    A row is the spawn key (tag, *ctx.key()) that `stream` uses. One Philox
-    is reused for every draw: `normal` sets its key to the row's, its counter
-    to 0 and its buffer to empty, which is the state a fresh
-    `Philox(SeedSequence(seed, spawn_key=row))` starts in. The generator is
-    mutable, so a table belongs to one thread.
+    `reads` holds one RngContext key per row, int [N, 6]; read i draws tag
+    t from the stream `stream` keys with (t, *reads[i]). One Philox serves
+    every draw: `generators` sets its key to the row's, its counter to 0 and
+    its buffer to empty, the state a fresh Philox(SeedSequence(seed,
+    spawn_key=row)) starts in. It is mutable, so a table is one thread's.
     """
 
-    def __init__(self, seed: int, spawn_keys):
-        if isinstance(spawn_keys, np.ndarray):   # int [N, W], hashed as is
-            spawn, rows = spawn_keys, spawn_keys.tolist()
-        else:
-            spawn = rows = list(spawn_keys)
-        rows = list(map(tuple, rows))
-        self.seed = seed
+    def __init__(self, seed: int, tags, reads):
+        self.seed, self.tags = seed, list(tags)
+        words = _spawn_words(reads, _SPAWN_FIELDS[1:])
+        self.reads = words.reshape(len(words), 6)
+        # int64, so philox_keys names a tag outside 2^32
+        spawn = np.empty((len(self.reads), len(self.tags), 7), dtype=np.int64)
+        spawn[..., 0] = self.tags
+        spawn[..., 1:] = self.reads[:, None]
+        spawn = spawn.reshape(-1, 7)
         self._keys = philox_keys(seed, spawn)
-        self._index = dict(zip(rows, range(len(rows))))
-        if rows:
+        if len(spawn):
             # exactness: the vectorized hash must reproduce numpy's
-            want = np.random.SeedSequence(seed, spawn_key=rows[0]) \
+            row = tuple(spawn[0].tolist())
+            want = np.random.SeedSequence(seed, spawn_key=row) \
                 .generate_state(2, np.uint64)
             if not np.array_equal(self._keys[0], want):
                 raise RuntimeError(
                     f"philox_keys {self._keys[0]} != SeedSequence {want} "
-                    f"for seed {seed}, spawn {rows[0]}")
+                    f"for seed {seed}, spawn {row}")
         self._bitgen = np.random.Philox(0)
         self._gen = np.random.Generator(self._bitgen)
         zero = np.zeros(4, dtype=np.uint64)
@@ -219,16 +205,23 @@ class StreamTable:
                        "buffer": zero, "buffer_pos": 4, "has_uint32": 0,
                        "uinteger": 0}
 
-    def normal(self, ctx, tag: int, shape) -> np.ndarray:
-        """Standard-normal draws of rows (tag, *ctx.key()), as `normal`."""
-        return _fill_rows(lambda c: self._generator(c, tag), ctx, shape)
+    def contexts(self, rows) -> list:
+        """The RngContext of each read position in `rows`."""
+        return [RngContext(*key) for key in self.reads[rows].tolist()]
 
-    def _generator(self, ctx: RngContext, tag: int) -> np.random.Generator:
-        """The shared generator, set to the start of row (tag, *ctx.key())."""
-        row = (tag, *ctx.key())
-        i = self._index.get(row)
-        if i is None:
-            raise KeyError(f"no stream row {row} in this table")
-        self._key["key"] = self._keys[i]
-        self._bitgen.state = self._state   # the setter copies every field
-        return self._gen
+    def generators(self, seed: int, rows, tag: int):
+        """The shared generator, set in turn to the start of the stream of
+        `tag` of each read position in `rows`."""
+        if seed != self.seed:
+            raise DomainError(
+                f"stream table keyed for seed {self.seed}, not {seed}")
+        if tag not in self.tags:
+            raise KeyError(f"no tag {tag} in this table")
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.size and rows.min() < 0:   # indexing rejects the rest
+            raise IndexError(f"negative read position {rows.min()}")
+        # read i, tag j is key row i * len(tags) + j
+        for key in self._keys[rows * len(self.tags) + self.tags.index(tag)]:
+            self._key["key"] = key
+            self._bitgen.state = self._state   # the setter copies every field
+            yield self._gen

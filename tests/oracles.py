@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 
 from acimsim import rng
+from acimsim.macro import adc_readout, apply_noise, majority_vote_readout
 from acimsim.models import (Relu, _digital_matmul, _walk, cross_entropy,
                             engine_forward)
 from acimsim.quant import (QuantParams, Signedness, dequantize, quantize,
@@ -51,10 +52,31 @@ def save_idx(path, array, type_code: int = 0x0E) -> None:
         fh.write(arr.tobytes())
 
 
+def linearity_per_level(cfg, spec, trials, levels, samples=1):
+    """metrics.linearity_sweep as a loop over levels, each read alone: one
+    row of `trials` readouts drawn from RngContext(column=level), sample s
+    of a vote at sample s. Returns (mean, sigma) in LSB units."""
+    mean, sigma = [], []
+    for v in levels:
+        ctx = rng.RngContext(column=int(v))
+        batch = np.full((1, trials), v, dtype=np.float64)
+        if samples == 1:
+            code, _ = adc_readout(apply_noise(batch, spec, cfg, [ctx]), cfg)
+            est = code[0].astype(np.float64)
+        else:
+            total, = majority_vote_readout(
+                [batch], samples, [spec], [cfg],
+                [replace(ctx, sample=s) for s in range(samples)])
+            est = ((total[0] / samples) * cfg.lsb_counts) / cfg.lsb_counts
+        mean.append(est.mean())
+        sigma.append(est.std())
+    return np.array(mean), np.array(sigma)
+
+
 def evaluate_on_engine(model, dataset, cfg, spec, mode) -> float:
     """Top-1 accuracy with all linear layers executed by the engine."""
     x, y = dataset
-    logits, _, _ = engine_forward(model, x, cfg, spec, mode)
+    (logits, _, _), = engine_forward(model, x, [cfg], [spec], mode)
     return float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
 
 
@@ -96,7 +118,8 @@ def qat_matmul(model, nat_sigma=0.0, seed=0, nat_ctx=None, tape=None):
         gain = None
         if nat_sigma > 0:
             ctx = replace(nat_ctx or rng.RngContext(), layer=linear_index)
-            gain = 1.0 + nat_sigma * rng.normal(seed, ctx, rng.TAG_NAT, z.shape)
+            gain = 1.0 + nat_sigma * rng.normal(seed, [ctx], rng.TAG_NAT,
+                                                (1, *z.shape))[0]
             z = z * gain
         if tape is not None:
             tape.append((aq, wq, ste_mask(a, a_t.params),

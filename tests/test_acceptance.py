@@ -142,8 +142,9 @@ def test_c05_majority_vote_sigma():
     cfg = MacroConfig(256, 8)         # delta = 1, so counts == LSB units
     spec = NoiseSpec(random_sigma=Sigma(1.0, NoiseUnit.LSB_RMS), seed=5)
     trials = 20000
-    total = majority_vote_readout(np.full(trials, 128.0), 5, spec, cfg,
-                                  rng.RngContext())
+    total, = majority_vote_readout(
+        [np.full((1, trials), 128.0)], 5, [spec], [cfg],
+        [rng.RngContext(sample=s) for s in range(5)])
     sigma = float((total / 5).std())
     elapsed = time.monotonic() - start
     report(5, 0.40 <= sigma <= 0.50 and elapsed < 30.0,
@@ -163,8 +164,8 @@ def test_c06_linearity_trends():
     nl = NoiseSpec(nonlin_sigma=Sigma(1.0, NoiseUnit.LSB_RMS), seed=6)
     sig = []
     for v in np.arange(0, 249, 8):
-        out = apply_noise(np.full(trials, float(v)), nl, cfg,
-                          rng.RngContext(column=int(v)))
+        out = apply_noise(np.full((1, trials), float(v)), nl, cfg,
+                          [rng.RngContext(column=int(v))])
         sig.append(float(out.std()))
     sig = np.asarray(sig)
     slack = 0.01                      # ~3 standard errors at 1e5 trials

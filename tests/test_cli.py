@@ -158,6 +158,33 @@ def test_macro_enc_bits_above_x_bits_exits_2(tmp_path, capsys, monkeypatch):
     assert load_config(ckpt).macro.enc_bits == 5
 
 
+@pytest.mark.parametrize("cmd, enc_bits, extra, key, message", [
+    ("simulate", 1, "[mode]\nhybrid_boundary = 100\n", "hybrid_boundary",
+     "hybrid boundary 100 outside the 7 shift levels"),
+    ("simulate", 1, "[mode]\nvoting_boundary = 100\nvoting_samples = 3\n",
+     "voting_boundary", "voting boundary 100 outside the 7 analog shift levels"),
+    # at y=2 the signed input layer has 7 shift levels, the unsigned
+    # post-ReLU layer 6
+    ("simulate", 2, "[mode]\nhybrid_boundary = 7\n", "hybrid_boundary",
+     "hybrid boundary 7 outside the 6 shift levels"),
+    # every [sweep] enc_bits value plans: y=4 leaves the hidden layer 4
+    ("sweep", 1, "[mode]\nhybrid_boundary = 5\n[sweep]\nenc_bits = 1, 4\n",
+     "hybrid_boundary", "hybrid boundary 5 outside the 4 shift levels"),
+])
+def test_mode_boundary_past_the_plan_exits_2_before_training(
+        tmp_path, capsys, monkeypatch, cmd, enc_bits, extra, key, message):
+    def no_training(*args, **kw):
+        raise AssertionError("training ran before the [mode] check")
+    monkeypatch.setattr(cli, "train", no_training)
+    text = BASE_INI.replace("adc_bits = 7\n",
+                            f"adc_bits = 7\nenc_bits = {enc_bits}\n")
+    cfg = write_config(tmp_path, text + extra)
+    assert run(cmd, cfg, tmp_path / "out") == 2
+    assert (f"acim-sim: config error: {cfg}: [mode] {key}: {message}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("section, old, new, message", [
     ("train", "batch = 16", "batch = 0", "batch must be >= 1, got 0"),
     ("train", "batch = 16", "batch = -4", "batch must be >= 1, got -4"),

@@ -306,3 +306,23 @@ def test_huge_enc_bits_is_rejected_without_forming_its_full_scale(tmp_path):
     expect_error(tmp_path, MINIMAL.replace("adc_bits = 9",
                                            f"adc_bits = 9\nenc_bits = {1 << 63}"),
                  "[macro] rows * (2^enc_bits - 1) must be < 2^24")
+
+
+@pytest.mark.parametrize("section, key, high", [
+    ("mode", "voting_samples", 100), ("data", "samples", 100_000),
+    ("train", "epochs", 10_000), ("analysis", "batch", 1024),
+    ("analysis", "in_dim", 1024), ("analysis", "out_dim", 1024),
+    ("analysis", "trials", 1_000_000)])
+def test_sizes_and_loop_counts_have_upper_bounds(tmp_path, section, key,
+                                                 high):
+    extra = "voting_boundary = 1\n" if key == "voting_samples" else ""
+    for value in (high, high + 1):
+        path = write(tmp_path,
+                     MINIMAL + f"[{section}]\n{extra}{key} = {value}\n")
+        if value == high:
+            load_config(path)
+            continue
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == (
+            f"{path}: [{section}] {key}: must be <= {high}, got {value}")

@@ -3,16 +3,13 @@
 Every key of `config.KEYS` is set, one at a time, on a small base config
 to each of -1, 0, nan, inf, -inf, an empty value and a word; keys with a
 fixed upper bound or an arbitrary-precision use (rows, adc_bits, enc_bits,
-w_bits, x_bits, the three seeds, [sweep] adc_bits and enc_bits) also get
-2^63. Each subcommand that reads the key then runs in-process, in a fresh
-working directory. It must exit 0 or 2, never 1 (a traceback) nor 3. An
-exit 2 must name the file, the section and the key, and must come before
-any training. An exit 0 must write a CSV with no NaN or inf in a column
-that is finite for the unedited base config.
-
-Sizes and loop counts (samples, epochs, the [analysis] dims, trials,
-voting_samples) have no upper bound yet, so 2^63 stays out of their
-values: such a config would ask for that much work or memory.
+w_bits, x_bits, the three seeds, [sweep] adc_bits and enc_bits, and the
+bounded sizes and loop counts: voting_samples, [data] samples, epochs, the
+[analysis] dims and trials) also get 2^63. Each subcommand that reads the
+key then runs in-process, in a fresh working directory. It must exit 0 or
+2, never 1 (a traceback) nor 3. An exit 2 must name the file, the section
+and the key, and must come before any training. An exit 0 must write a CSV
+with no NaN or inf in a column that is finite for the unedited base config.
 """
 
 import csv
@@ -47,7 +44,10 @@ BIG = str(1 << 63)
 BOUNDED = {("macro", "rows"), ("macro", "adc_bits"), ("macro", "enc_bits"),
            ("quant", "w_bits"), ("quant", "x_bits"), ("train", "w_bits"),
            ("train", "x_bits"), ("noise", "seed"), ("data", "seed"),
-           ("train", "seed"), ("sweep", "adc_bits"), ("sweep", "enc_bits")}
+           ("train", "seed"), ("sweep", "adc_bits"), ("sweep", "enc_bits"),
+           ("mode", "voting_samples"), ("data", "samples"), ("train", "epochs"),
+           ("analysis", "batch"), ("analysis", "in_dim"),
+           ("analysis", "out_dim"), ("analysis", "trials")}
 
 ALL = tuple(cli.COMMANDS)
 ENGINE = ("simulate", "sweep", "csnr", "linearity", "distribution")

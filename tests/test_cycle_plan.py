@@ -261,7 +261,8 @@ def test_engine_forward_accounting_over_random_stacks(monkeypatch):
         cfg = MacroConfig.at_boundary(int(gen.integers(4, 33)), y)
         x = gen.normal(size=(int(gen.integers(1, 5)), dims[0]))
         parts = _recording_points(monkeypatch)
-        _, cycles, ratio = engine_forward(model, x, cfg, NOISELESS, mode)
+        (_, cycles, ratio), = engine_forward(model, x, [cfg], [NOISELESS],
+                                             mode)
         monkeypatch.undo()
         assert len(parts) == depth
         for p in parts:

@@ -1,5 +1,7 @@
 """Engine tests: cycle planning, exactness, tiling, layer entry points."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -287,12 +289,13 @@ def _reference_matmul(act, w, cfg, spec, mode, layer):
                 ctx = RngContext(layer=layer, tile=t, w_bit=e.w_bit,
                                  act_group=g)
                 if e.oversample > 1:
-                    total = majority_vote_readout(levels, e.oversample, spec,
-                                                  cfg, ctx)
-                    mac = (total / e.oversample) * cfg.lsb_counts
+                    total, = majority_vote_readout(
+                        [levels[None]], e.oversample, [spec], [cfg],
+                        [replace(ctx, sample=s) for s in range(e.oversample)])
+                    mac = (total[0] / e.oversample) * cfg.lsb_counts
                 else:
-                    _, mac = adc_readout(apply_noise(levels, spec, cfg, ctx),
-                                         cfg)
+                    _, mac = adc_readout(
+                        apply_noise(levels[None], spec, cfg, [ctx])[0], cfg)
                 accum += (e.sign << e.shift) * round_half_away(mac).astype(
                     np.int64)
     return accum * (act.params.scale * w.params.scale)
@@ -370,7 +373,7 @@ def test_matmul_integer_and_rounded_steps_equal_reference(rows):
     gen = np.random.default_rng(rows)
     act = rand_q(gen, (5, 2 * rows + 3), 6, TC)
     w = rand_q(gen, (2 * rows + 3, 4), 5, TC)
-    points = engine._simulate_points(act, w, cfgs, specs, SERIAL, layer=1)
+    points = engine._simulate_points([act], w, cfgs, specs, SERIAL, layer=1)
     for cfg, spec, res in zip(cfgs, specs, points):
         want = _reference_matmul(act, w, cfg, spec, SERIAL, 1)
         assert np.array_equal(res.output, want), (cfg, spec)
@@ -539,8 +542,9 @@ def test_linear_zero_weights_broadcasts_bias():
     # model's layer walker
     bias = np.array([1.5, -2.0])
     model = TinyModel([LinearLayer(np.zeros((8, 2)), bias)], w_bits=4, x_bits=4)
-    out, _, _ = engine_forward(model, np.ones((3, 8)),
-                               MacroConfig.at_boundary(256), NOISELESS, SERIAL)
+    (out, _, _), = engine_forward(model, np.ones((3, 8)),
+                                  [MacroConfig.at_boundary(256)], [NOISELESS],
+                                  SERIAL)
     assert np.array_equal(out, np.tile(bias, (3, 1)))
 
 
@@ -552,7 +556,7 @@ def test_linear_equals_matmul_plus_bias():
     cfg = MacroConfig(256, 8)
     spec = NoiseSpec(random_sigma=lsb(0.7), seed=3)
     model = TinyModel([LinearLayer(w, bias)], w_bits=6, x_bits=6)
-    with_bias, _, _ = engine_forward(model, x, cfg, spec, SERIAL)
+    (with_bias, _, _), = engine_forward(model, x, [cfg], [spec], SERIAL)
     bare = simulate_matmul(quantize(x, 6, TC), quantize(w, 6, TC), cfg, spec,
                            SERIAL, layer=0)
     assert np.array_equal(with_bias, bare.output + bias)

@@ -101,7 +101,7 @@ def test_lockstep_grid_equals_every_point_alone():
         gen = np.random.default_rng(case)
         model, x, points = _rand_grid(gen)
         solo_points = _fresh_hooks(points)
-        solo = [engine_forward(model, x, cfg, spec, mode)
+        solo = [engine_forward(model, x, [cfg], [spec], mode)[0]
                 for cfg, spec, mode in solo_points]
         for threads in (1, 2, 4):
             run_points = _fresh_hooks(points)
@@ -142,7 +142,7 @@ def test_lockstep_draws_each_chunk_once(monkeypatch):
         return out
     normal = rng.normal
     monkeypatch.setattr(rng, "normal", counting)
-    engine_forward(model, x, *points[0])
+    engine_forward(model, x, [points[0][0]], [points[0][1]], mode)
     solo = list(draws)
     draws.clear()
     cli._forward_points(model, x, points, threads=2)
@@ -162,8 +162,8 @@ def test_points_quantized_with_different_signedness_split(monkeypatch):
     high = NoiseSpec(seed=1, level_hook=lambda v, c: v + 1000.0)
     low = NoiseSpec(seed=1, level_hook=lambda v, c: v - 1000.0)
     model.layers[0].b = np.full(4, -0.5 * float(
-        engine_forward(TinyModel(model.layers[:1], 4, 4), x, cfg, high,
-                       EngineMode())[0].max()))
+        engine_forward(TinyModel(model.layers[:1], 4, 4), x, [cfg], [high],
+                       EngineMode())[0][0].max()))
     calls = []
 
     def record(act, *args, **kw):
@@ -176,7 +176,8 @@ def test_points_quantized_with_different_signedness_split(monkeypatch):
     assert len(calls) == 3
     signs = [a[0].params.signedness for a in calls[1:]]
     assert set(signs) == {Signedness.UNSIGNED, Signedness.TWOS_COMPLEMENT}
-    _assert_same(got, [engine_forward(model, x, *p) for p in points], "split")
+    _assert_same(got, [engine_forward(model, x, [c], [s], m)[0]
+                       for c, s, m in points], "split")
 
 
 def test_lockstep_vote_in_bounded_runs_equals_solo_votes(monkeypatch):
@@ -191,9 +192,10 @@ def test_lockstep_vote_in_bounded_runs_equals_solo_votes(monkeypatch):
                 NoiseSpec(seed=11)]
     v = np.random.default_rng(3).integers(0, 17, size=(1, 4, 3)).astype(
         np.float32)
-    ctx = [rng.RngContext(layer=1, tile=2, w_bit=3)]
+    ctx = [rng.RngContext(layer=1, tile=2, w_bit=3, sample=s)
+           for s in range(5)]
     solo_specs, lock_specs = specs(), specs()
-    want = [majority_vote_readout(v, 5, s, c, ctx)
+    want = [majority_vote_readout([v], 5, [s], [c], ctx)[0]
             for s, c in zip(solo_specs, cfgs)]
     got = majority_vote_readout([v] * 3, 5, lock_specs, cfgs, ctx)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))

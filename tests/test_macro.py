@@ -14,6 +14,20 @@ from acimsim.rng import RngContext
 CTX = RngContext()
 
 
+def _noise(v, spec, cfg, ctx=CTX):
+    """apply_noise on one row of levels, drawn from `ctx`."""
+    return apply_noise(np.asarray(v)[None], spec, cfg, [ctx])[0]
+
+
+def _vote(v, samples, spec, cfg, ctx=CTX):
+    """majority_vote_readout of one point on one row of levels, sample s
+    drawn from `ctx` at sample ctx.sample + s."""
+    total, = majority_vote_readout(
+        [np.asarray(v)[None]], samples, [spec], [cfg],
+        [replace(ctx, sample=ctx.sample + s) for s in range(samples)])
+    return total[0]
+
+
 def lsb(value):
     return Sigma(value, NoiseUnit.LSB_RMS)
 
@@ -88,13 +102,13 @@ def test_sigma_unit_identity():
 def test_random_noise_zero_sigma_identity():
     cfg = MacroConfig(256, 8)
     v = np.array([3.0, 100.0])
-    assert np.array_equal(apply_noise(v, NOISELESS, cfg, CTX), v)
+    assert np.array_equal(_noise(v, NOISELESS, cfg, CTX), v)
 
 
 def test_random_noise_statistics():
     cfg = MacroConfig(256, 8)
     spec = NoiseSpec(random_sigma=lsb(1.0), seed=11)
-    out = apply_noise(np.full(10_000, 100.0), spec, cfg, CTX)
+    out = _noise(np.full(10_000, 100.0), spec, cfg, CTX)
     g = out - 100.0
     assert abs(g.mean()) < 0.05
     assert 0.95 <= g.std() <= 1.05
@@ -103,10 +117,10 @@ def test_random_noise_statistics():
 def test_random_noise_replay_identical():
     cfg = MacroConfig(256, 8)
     spec = NoiseSpec(random_sigma=lsb(1.0), seed=5)
-    a = apply_noise(np.zeros(32), spec, cfg, CTX)
-    b = apply_noise(np.zeros(32), spec, cfg, CTX)
+    a = _noise(np.zeros(32), spec, cfg, CTX)
+    b = _noise(np.zeros(32), spec, cfg, CTX)
     assert np.array_equal(a, b)
-    c = apply_noise(np.zeros(32), spec, cfg, replace(CTX, tile=1))
+    c = _noise(np.zeros(32), spec, cfg, replace(CTX, tile=1))
     assert not np.array_equal(a, c)
 
 
@@ -114,8 +128,8 @@ def test_random_noise_common_random_numbers():
     # the same (seed, ctx) at two sigmas scales one shared draw, so noise
     # grows monotonically with sigma instead of resampling
     cfg = MacroConfig(256, 8)
-    a = apply_noise(np.zeros(100), NoiseSpec(lsb(0.5), seed=9), cfg, CTX)
-    b = apply_noise(np.zeros(100), NoiseSpec(lsb(1.0), seed=9), cfg, CTX)
+    a = _noise(np.zeros(100), NoiseSpec(lsb(0.5), seed=9), cfg, CTX)
+    b = _noise(np.zeros(100), NoiseSpec(lsb(1.0), seed=9), cfg, CTX)
     assert np.allclose(b, 2 * a)
 
 
@@ -124,9 +138,9 @@ def test_nonlinearity_endpoints():
     spec = NoiseSpec(nonlin_sigma=lsb(1.0), seed=3)
     n_fs = float(cfg.full_scale_counts)
     # full scale leaves no mismatch headroom
-    out = apply_noise(np.full(1000, n_fs), spec, cfg, CTX)
+    out = _noise(np.full(1000, n_fs), spec, cfg, CTX)
     assert np.array_equal(out, np.full(1000, n_fs))
-    assert np.array_equal(apply_noise(np.arange(5.0), NOISELESS, cfg, CTX),
+    assert np.array_equal(_noise(np.arange(5.0), NOISELESS, cfg, CTX),
                           np.arange(5.0))
 
 
@@ -136,7 +150,7 @@ def test_nonlinearity_sigma_profile():
     trials = 20_000
     sig = []
     for level in [0.0, 64.0, 128.0, 192.0]:
-        out = apply_noise(np.full(trials, level), spec, cfg,
+        out = _noise(np.full(trials, level), spec, cfg,
                           replace(CTX, column=int(level)))
         sig.append((out - level).std())
     assert 0.9 <= sig[0] <= 1.1
@@ -157,7 +171,7 @@ def test_level_hook_runs_last():
 
     spec = NoiseSpec(level_hook=hook)
     assert not spec.silent
-    out = apply_noise(np.zeros(4), spec, cfg, replace(CTX, w_bit=2))
+    out = _noise(np.zeros(4), spec, cfg, replace(CTX, w_bit=2))
     assert np.array_equal(out, np.ones(4))
     assert seen == [replace(CTX, w_bit=2)]
 
@@ -201,16 +215,16 @@ def test_adc_readout_halfstep_bound():
 def test_vote_single_sample_equals_adc():
     cfg = MacroConfig(256, 8)
     spec = NoiseSpec(random_sigma=lsb(1.0), seed=21)
-    noisy = apply_noise(np.full(64, 50.0), spec, cfg, CTX)
+    noisy = _noise(np.full(64, 50.0), spec, cfg, CTX)
     want_code, want_mac = adc_readout(noisy, cfg)
-    total = majority_vote_readout(np.full(64, 50.0), 1, spec, cfg, CTX)
+    total = _vote(np.full(64, 50.0), 1, spec, cfg, CTX)
     assert np.array_equal(total, want_code)
     assert np.allclose(total * cfg.lsb_counts, want_mac)
 
 
 def test_vote_noiseless_any_samples():
     cfg = MacroConfig(256, 8)
-    total = majority_vote_readout(np.array([50.0]), 7, NOISELESS, cfg, CTX)
+    total = _vote(np.array([50.0]), 7, NOISELESS, cfg, CTX)
     assert total[0] == 7 * 50 and total.dtype == np.int64
 
 
@@ -218,11 +232,11 @@ def test_vote_shrinks_sigma():
     cfg = MacroConfig(256, 8)
     spec = NoiseSpec(random_sigma=lsb(1.0), seed=13)
     trials = 4000
-    total = majority_vote_readout(np.full(trials, 100.0), 5, spec, cfg, CTX)
+    total = _vote(np.full(trials, 100.0), 5, spec, cfg, CTX)
     mac = (total / 5) * cfg.lsb_counts
     assert 0.35 <= mac.std() <= 0.60  # ~1/sqrt(5) plus rounding inflation
 
 
 def test_vote_validates_samples():
     with pytest.raises(DomainError):
-        majority_vote_readout(np.array([1.0]), 0, NOISELESS, MacroConfig(256, 8), CTX)
+        _vote(np.array([1.0]), 0, NOISELESS, MacroConfig(256, 8), CTX)

@@ -1,16 +1,19 @@
 """Metrics tests: CSNR estimators, MAC statistics, linearity sweeps."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from acimsim import macro
 from acimsim.engine import EngineMode
 from acimsim.errors import DomainError, ShapeError
 from acimsim.macro import NOISELESS, MacroConfig, NoiseSpec, NoiseUnit, Sigma
 from acimsim.metrics import (csnr_measure, csnr_variance_form, linearity_sweep,
                              mac_distribution)
 from acimsim.quant import QuantParams, QuantizedTensor, Signedness
+from oracles import linearity_per_level
 
 U = Signedness.UNSIGNED
 TC = Signedness.TWOS_COMPLEMENT
@@ -211,6 +214,54 @@ def test_linearity_large_range_subsamples():
     sweep = linearity_sweep(cfg, NOISELESS, trials=100)
     assert sweep.levels.size <= 257
     assert sweep.levels[-1] == cfg.full_scale_counts
+
+
+class _LoggingHook:
+    """A level hook that logs its contexts and moves each sample's levels by
+    its own amount, so the bytes depend on which rows it is handed."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __call__(self, levels, ctx):
+        self.seen.append(ctx)
+        levels += 0.3 * (ctx.sample + 1)
+        return levels
+
+
+@pytest.mark.parametrize("samples", [1, 3])
+def test_linearity_sweep_equals_per_level_loop(samples):
+    # blocks of many levels (100 trials), of a few (3000) and of one level
+    # (2^14 + 1) read the bytes of each level alone, and hand a level hook
+    # each level's contexts in sample order
+    sigmas = ((lsb(0.8), Sigma(0.0)), (Sigma(0.0), Sigma(2.0, NoiseUnit.VPP_PCT)),
+              (lsb(0.8), lsb(1.5)))
+    blocks = set()
+    for cfg, trials in ((MacroConfig(64, 6), 100),
+                        (MacroConfig(255, 10, 4), 100),
+                        (MacroConfig(16, 4), 3000),
+                        (MacroConfig(4, 3), (1 << 14) + 1)):
+        for (random, nonlin), hooked in itertools.product(sigmas, (0, 1)):
+            specs = [NoiseSpec(random, nonlin, 21, _LoggingHook() if hooked
+                               else None) for _ in range(2)]
+            sweep = linearity_sweep(cfg, specs[0], trials, samples=samples)
+            mean, sigma = linearity_per_level(cfg, specs[1], trials,
+                                              sweep.levels, samples)
+            what = (cfg, trials, random, nonlin, hooked)
+            assert sweep.mean.tobytes() == mean.tobytes(), what
+            assert sweep.sigma.tobytes() == sigma.tobytes(), what
+            if not hooked:
+                continue
+            got, want = (s.level_hook.seen for s in specs)
+            assert len(got) == len(want) == sweep.levels.size * samples
+            if samples == 1:
+                assert got == want, what
+            for v in sweep.levels:
+                assert ([c for c in got if c.column == v]
+                        == [c for c in want if c.column == v]), what
+        blocks.add(min(sweep.levels.size,
+                       max(1, macro._CHUNK_ELEMS // trials)))
+    assert {1, 5, 65, 163} <= blocks
 
 
 def test_linearity_trials_validation():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from acimsim import engine
+from acimsim import engine, rng
 from acimsim.engine import EngineMode, VotingSpec, plan_cycles
 from acimsim.macro import MacroConfig, NoiseSpec, Sigma
 from acimsim.quant import Signedness, group_layout, quantize
@@ -68,3 +68,40 @@ def test_tracer_hooks_count_plan_readouts_and_votes():
         found = [s for s in tracer.spans if s[3] == label]
         assert len(found) == count, label
         assert all(s[parent] == mm_id for s in found), label
+
+
+def test_tracer_counts_two_draws_per_analog_readout(monkeypatch):
+    # every noise draw goes through rng.normal, once per tag and readout, so
+    # a refactor that draws around it fails here and not only in a traced
+    # benchmark run; RngContexts are built for level hooks alone
+    spans = _spans()
+    b, d, m = 4, 50, 6
+    gen = np.random.default_rng(1)
+    act = quantize(gen.normal(size=(b, d)), 6, TC)
+    w = quantize(gen.normal(size=(d, m)), 6, TC)
+    mode = EngineMode(hybrid_boundary=1, voting=VotingSpec(2, 5))
+    cfg = MacroConfig(16, 5)
+    built = []
+    init = rng.RngContext.__init__
+
+    def counting_init(self, *args, **kw):
+        built.append(1)
+        init(self, *args, **kw)
+    monkeypatch.setattr(rng.RngContext, "__init__", counting_init)
+    for hooked in (False, True):
+        spec = NoiseSpec(Sigma(0.5), Sigma(0.4), seed=7, level_hook=(
+            (lambda levels, ctx: levels) if hooked else None))
+        built.clear()
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            res = engine.simulate_matmul(act, w, cfg, spec, mode)
+        finally:
+            tracer.uninstall()
+        e = plan_cycles(6, 6, TC, TC, mode).entries
+        assert (e.oversample > 1).any() and (~e.analog).any()
+        reads = res.tiles * int(e.oversample[e.analog].sum())
+        metrics = spans.layer_metrics(tracer, ops=1, threads=1)
+        assert metrics["macro.readouts"] == reads * b * m
+        assert metrics["rng.draws"] == 2 * reads * b * m
+        assert len(built) == (reads if hooked else 0)

@@ -67,6 +67,23 @@ def _pinned_vote(v, samples, spec, cfg, ctx):
     return _pinned_round(mean).astype(np.int64), mean * cfg.lsb_counts
 
 
+def _noise(v, spec, cfg, ctx=CTX):
+    """apply_noise on one row of levels, drawn from `ctx`."""
+    return apply_noise(np.asarray(v)[None], spec, cfg, [ctx])[0]
+
+
+def _sample_rows(ctx, samples):
+    """The stream address of each sample of a vote of one row."""
+    return [replace(ctx, sample=ctx.sample + s) for s in range(samples)]
+
+
+def _vote(v, samples, spec, cfg, ctx=CTX):
+    """majority_vote_readout of one point on one row of levels."""
+    total, = majority_vote_readout([np.asarray(v)[None]], samples, [spec],
+                                   [cfg], _sample_rows(ctx, samples))
+    return total[0]
+
+
 def _vote_mac(total, samples, cfg):
     """A vote's mean in counts, formed from its code totals as the engine
     and linearity_sweep form it."""
@@ -181,13 +198,13 @@ def test_noise_equals_pinned_formula(dtype):
         for spec in SPECS:
             random_only, nonlin_only = _one_model(spec)
             for v in levels:
-                got = apply_noise(v, random_only, cfg, CTX)
+                got = _noise(v, random_only, cfg)
                 assert np.array_equal(got, _pinned_random(v, spec, cfg, CTX))
-                got = apply_noise(v, nonlin_only, cfg, CTX)
+                got = _noise(v, nonlin_only, cfg)
                 assert np.array_equal(got, _pinned_nonlin(v, spec, cfg, CTX))
                 want = _pinned_nonlin(_pinned_random(v, spec, cfg, CTX), spec,
                                       cfg, CTX)
-                assert np.array_equal(apply_noise(v, spec, cfg, CTX), want)
+                assert np.array_equal(_noise(v, spec, cfg), want)
 
 
 @pytest.mark.parametrize("samples", range(1, 8))
@@ -198,12 +215,11 @@ def test_vote_equals_pinned_formula(samples):
             v = gen.integers(0, cfg.full_scale_counts + 1,
                              size=(3, 4)).astype(dtype)
             for spec in SPECS:
-                total = majority_vote_readout(v, samples, spec, cfg, CTX)
+                total = _vote(v, samples, spec, cfg)
                 _, want_mac = _pinned_vote(v, samples, spec, cfg, CTX)
                 assert np.array_equal(_vote_mac(total, samples, cfg),
                                       want_mac)
-                total = majority_vote_readout(v[0, 0], samples, spec, cfg,
-                                              CTX)
+                total = _vote(v[0, 0], samples, spec, cfg)
                 _, want_mac = _pinned_vote(v[0, 0], samples, spec, cfg, CTX)
                 assert np.array_equal(_vote_mac(total, samples, cfg),
                                       want_mac)
@@ -231,8 +247,9 @@ def test_large_vote_draws_its_samples_in_bounded_runs(monkeypatch):
         seen = []
         logged = NoiseSpec(spec.random_sigma, spec.nonlin_sigma, spec.seed,
                            lambda levels, ctx: seen.append(ctx) or levels)
-        for levels, ctx in ((v, [CTX]), (v[0], CTX)):
-            total = majority_vote_readout(levels, 5, logged, cfg, ctx)
+        for total in (majority_vote_readout([v], 5, [logged], [cfg],
+                                            _sample_rows(CTX, 5))[0],
+                      _vote(v[0], 5, logged, cfg)):
             mac = _vote_mac(total, 5, cfg)
             assert np.array_equal(mac.reshape(v[0].shape), want[1]), cap
         assert max(sizes) == per_call, cap
@@ -250,15 +267,16 @@ def _row_contexts(n):
 
 def test_normal_rows_equal_single_context_draws():
     ctxs = _row_contexts(5)
-    rows = [(tag, *c.key()) for c in ctxs for tag in (TAG_RANDOM, TAG_NONLIN)]
-    table = StreamTable(11, rows)
+    table = StreamTable(11, (TAG_RANDOM, TAG_NONLIN), [c.key() for c in ctxs])
+    assert table.contexts(range(5)) == ctxs
     for tag in (TAG_RANDOM, TAG_NONLIN):
-        want = np.stack([normal(11, c, tag, (2, 3)) for c in ctxs])
+        want = np.stack([normal(11, [c], tag, (1, 2, 3))[0] for c in ctxs])
         assert np.array_equal(normal(11, ctxs, tag, (5, 2, 3)), want)
-        assert np.array_equal(normal(11, ctxs, tag, (5, 2, 3), table=table),
-                              want)
-        assert np.array_equal(table.normal(ctxs, tag, (5, 2, 3)), want)
-        flat = np.array([normal(11, c, tag, ()) for c in ctxs])
+        assert np.array_equal(normal(11, range(5), tag, (5, 2, 3),
+                                     table=table), want)
+        assert np.array_equal(normal(11, np.arange(5), tag, (5, 2, 3),
+                                     table=table), want)
+        flat = np.array([normal(11, [c], tag, 1)[0] for c in ctxs])
         assert np.array_equal(normal(11, ctxs, tag, 5), flat)
     with pytest.raises(ShapeError):
         normal(11, ctxs, TAG_RANDOM, (4, 2))
@@ -280,29 +298,30 @@ def test_block_call_equals_per_row_calls(dtype):
     v = gen.integers(0, cfg.full_scale_counts + 1, size=(4, 3, 2)).astype(dtype)
     before = v.copy()
     for spec in SPECS:
-        rows = [(tag, *replace(c, sample=c.sample + s).key())
-                for c in ctxs for s in range(3)
-                for tag in (TAG_RANDOM, TAG_NONLIN)]
-        for table in (None, StreamTable(spec.seed, rows)):
+        votes = [s for c in ctxs for s in _sample_rows(c, 3)]
+        for table in (None, StreamTable(spec.seed, (TAG_RANDOM, TAG_NONLIN),
+                                        [c.key() for c in votes])):
+            # with the table, row r's first sample is read 3 * r
             draws = None if table is None else draw_noise(
-                spec.seed, (TAG_RANDOM, TAG_NONLIN), ctxs, v.shape, table)
+                spec.seed, (TAG_RANDOM, TAG_NONLIN), range(0, 12, 3), v.shape,
+                table)[0]
             kept = {tag: d.copy() for tag, d in (draws or {}).items()}
             for part in (*_one_model(spec), spec):
                 got = apply_noise(v, part, cfg, ctxs, draws)
-                want = np.stack([apply_noise(v[r], part, cfg, c)
+                want = np.stack([_noise(v[r], part, cfg, c)
                                  for r, c in enumerate(ctxs)])
                 assert np.array_equal(got, want), part
             seen_block, seen_rows = [], []
             got = apply_noise(v, _hooked(spec, seen_block), cfg, ctxs, draws)
-            want = np.stack([apply_noise(v[r], _hooked(spec, seen_rows), cfg, c)
+            want = np.stack([_noise(v[r], _hooked(spec, seen_rows), cfg, c)
                              for r, c in enumerate(ctxs)])
             assert np.array_equal(got, want)
             assert seen_block == seen_rows == ctxs
             seen_block, seen_rows = [], []
-            total = majority_vote_readout(v, 3, _hooked(spec, seen_block),
-                                          cfg, ctxs, table)
-            per_row = [majority_vote_readout(v[r], 3, _hooked(spec, seen_rows),
-                                             cfg, c)
+            total, = majority_vote_readout(
+                [v], 3, [_hooked(spec, seen_block)], [cfg],
+                votes if table is None else range(12), table)
+            per_row = [_vote(v[r], 3, _hooked(spec, seen_rows), cfg, c)
                        for r, c in enumerate(ctxs)]
             assert np.array_equal(total, np.stack(per_row))
             assert seen_block == seen_rows == [
@@ -319,6 +338,6 @@ def test_hook_never_writes_into_caller_levels():
     spec = _hooked(NoiseSpec(seed=1), [])
     out = apply_noise(v, spec, cfg, _row_contexts(2))
     assert np.array_equal(out, before + 0.25)
-    out = apply_noise(v, spec, cfg, CTX)
+    out = _noise(v, spec, cfg)
     assert np.array_equal(out, before + 0.25)
     assert np.array_equal(v, before)

@@ -10,25 +10,30 @@ from acimsim.rng import (TAG_DATA, TAG_NAT, TAG_NONLIN, TAG_RANDOM, RngContext,
                          StreamTable, normal, philox_keys, stream)
 
 
+def _draw(seed, ctx, tag, size):
+    """`size` draws of the one stream (seed, ctx, tag)."""
+    return normal(seed, [ctx], tag, (1, size))[0]
+
+
 def test_source_tags_distinct():
     assert len({TAG_RANDOM, TAG_NONLIN, TAG_NAT, TAG_DATA}) == 4
 
 
 def test_replay_identical():
     ctx = RngContext(layer=1, tile=2, w_bit=3, act_group=4, column=5, sample=6)
-    a = normal(42, ctx, TAG_RANDOM, 100)
-    b = normal(42, ctx, TAG_RANDOM, 100)
+    a = _draw(42, ctx, TAG_RANDOM, 100)
+    b = _draw(42, ctx, TAG_RANDOM, 100)
     assert np.array_equal(a, b)
 
 
 def test_streams_differ_per_coordinate():
     base = RngContext()
-    ref = normal(42, base, TAG_RANDOM, 8)
+    ref = _draw(42, base, TAG_RANDOM, 8)
     # changing any single coordinate, the tag, or the seed moves the stream
-    others = [normal(43, base, TAG_RANDOM, 8),
-              normal(42, base, TAG_NONLIN, 8)]
+    others = [_draw(43, base, TAG_RANDOM, 8),
+              _draw(42, base, TAG_NONLIN, 8)]
     for field in ("layer", "tile", "w_bit", "act_group", "column", "sample"):
-        others.append(normal(42, replace(base, **{field: 1}), TAG_RANDOM, 8))
+        others.append(_draw(42, replace(base, **{field: 1}), TAG_RANDOM, 8))
     for draw in others:
         assert not np.array_equal(ref, draw)
 
@@ -49,7 +54,7 @@ def test_frozen_reference_draws():
     # Pin the stream contents so a refactor of the keying scheme that silently
     # reshuffles every experiment is caught; Philox output for a fixed
     # SeedSequence is stable across platforms and numpy releases.
-    got = normal(0, RngContext(), TAG_RANDOM, 3)
+    got = _draw(0, RngContext(), TAG_RANDOM, 3)
     want = [float.fromhex("-0x1.fe9b501558856p-10"),
             float.fromhex("0x1.7b549ba030e87p-1"),
             float.fromhex("0x1.4eb1a338f3a85p-5")]
@@ -57,7 +62,7 @@ def test_frozen_reference_draws():
 
 
 def test_draws_approximately_standard_normal():
-    x = normal(7, RngContext(), TAG_DATA, 200_000)
+    x = _draw(7, RngContext(), TAG_DATA, 200_000)
     assert abs(x.mean()) < 0.01
     assert abs(x.std() - 1.0) < 0.01
 
@@ -102,24 +107,30 @@ def test_stream_table_matches_normal_on_every_row():
     gen = np.random.default_rng(1)
     for seed in (0, 7919, 2**32 + 5, 2**70 + 3):
         rows = _spawn_rows(gen, 40) + [(TAG_NONLIN, 1, 2, 3, 4, 0, 5)]
-        table = StreamTable(seed, rows)
-        # each row twice, in a shuffled order: a draw never depends on the
-        # rows drawn before it
+        tags = sorted({row[0] for row in rows})
+        reads = [row[1:] for row in rows]
+        table = StreamTable(seed, tags, reads)
+        assert table.contexts(range(len(reads))) == [RngContext(*key)
+                                                     for key in reads]
+        # each row twice, in a shuffled order, with every tag: a draw never
+        # depends on the rows drawn before it
         for i in np.concatenate([gen.permutation(len(rows))] * 2):
-            tag, *key = rows[i]
-            ctx = RngContext(*key)
-            want = normal(seed, ctx, tag, (3, 7))
-            assert np.array_equal(table.normal(ctx, tag, (3, 7)), want)
-            assert np.array_equal(normal(seed, ctx, tag, (3, 7), table=table),
-                                  want)
+            for tag in (rows[i][0], tags[i % len(tags)]):
+                ctx = RngContext(*reads[i])
+                want = normal(seed, [ctx], tag, (1, 3, 7))
+                assert np.array_equal(
+                    normal(seed, [i], tag, (1, 3, 7), table=table), want)
 
 
 def test_stream_table_rejects_unknown_row_and_other_seed():
-    table = StreamTable(5, [(TAG_RANDOM, 0, 0, 0, 0, 0, 0)])
+    table = StreamTable(5, [TAG_RANDOM], [(0, 0, 0, 0, 0, 0)])
+    for read in (1, -1):
+        with pytest.raises(IndexError):
+            normal(5, [read], TAG_RANDOM, 1, table=table)
     with pytest.raises(KeyError):
-        table.normal(RngContext(tile=1), TAG_RANDOM, 4)
+        normal(5, [0], TAG_NONLIN, 1, table=table)
     with pytest.raises(DomainError, match="seed 5, not 6"):
-        normal(6, RngContext(), TAG_RANDOM, 4, table=table)
+        normal(6, [0], TAG_RANDOM, 1, table=table)
 
 
 @pytest.mark.parametrize("word,field", [(2**32, "tile"), (-1, "layer"),
@@ -131,7 +142,7 @@ def test_philox_keys_rejects_word_outside_uint32(word, field):
     with pytest.raises(DomainError, match=field):
         philox_keys(1, [tuple(row)])
     with pytest.raises(DomainError, match=field):
-        StreamTable(1, [tuple(row)])
+        StreamTable(1, row[:1], [row[1:]])
 
 
 def test_philox_keys_rejects_negative_seed():

@@ -277,7 +277,8 @@ def test_engine_eval_matches_digital_noiseless():
     engine = evaluate_on_engine(model, data, macro, NOISELESS, SERIAL)
     assert abs(engine - digital) <= 0.01
     # lossless ADC, no noise: the engine walk reproduces the QAT logits
-    logits, _, _ = engine_forward(model, data[0], macro, NOISELESS, SERIAL)
+    (logits, _, _), = engine_forward(model, data[0], [macro], [NOISELESS],
+                                     SERIAL)
     assert np.allclose(logits, forward_qat(model, data[0]),
                        rtol=1e-9, atol=1e-12)
 
@@ -297,9 +298,9 @@ def test_engine_eval_full_digital_hybrid_ignores_noise():
 
 def test_engine_forward_reports_cycles():
     model, data = trained_model()
-    logits, cycles, ratio = engine_forward(model, data[0][:4],
-                                           MacroConfig.at_boundary(256),
-                                           NOISELESS, SERIAL)
+    (logits, cycles, ratio), = engine_forward(model, data[0][:4],
+                                              [MacroConfig.at_boundary(256)],
+                                              [NOISELESS], SERIAL)
     assert logits.shape == (4, 3)
     assert cycles == 2 * 64  # two single-tile 8b/8b layers
     assert ratio == 1.0
@@ -312,8 +313,8 @@ def test_engine_forward_reports_network_ratio():
     model = init_mlp([6, 16, 3], seed=0)
     x = np.random.default_rng(4).normal(size=(8, 6))
     mode = EngineMode(enc_bits=2, hybrid_boundary=2)
-    _, cycles, ratio = engine_forward(model, x, MacroConfig.at_boundary(256, 2),
-                                      NOISELESS, mode)
+    (_, cycles, ratio), = engine_forward(
+        model, x, [MacroConfig.at_boundary(256, 2)], [NOISELESS], mode)
     plans = [plan_cycles(8, 8, s, Signedness.TWOS_COMPLEMENT, mode)
              for s in (Signedness.TWOS_COMPLEMENT, Signedness.UNSIGNED)]
     analog = sum(int(p.entries.analog.sum()) for p in plans)
