@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import CheckpointError
 from .models import LinearLayer, Relu, TinyModel
+from .quant import check_bits
 
 MAGIC = b"ACIMCKPT"
 VERSION = 1
@@ -74,6 +75,8 @@ def load_checkpoint(path) -> TinyModel:
     if version != VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {version}")
+    for name, bits in (("w_bits", w_bits), ("x_bits", x_bits)):
+        check_bits(bits, CheckpointError, f"{path}: {name}")
     layers = []
     for _ in range(n_layers):
         (kind,) = cur.take("<B")

@@ -48,21 +48,39 @@ def _dataset(cfg: ExperimentConfig):
 
 
 def _train_model(cfg: ExperimentConfig, train_set, test_set):
-    tc = cfg.train or TrainConfig(seed=cfg.noise.seed, w_bits=cfg.w_bits,
-                                  x_bits=cfg.x_bits)
+    tc = cfg.train or TrainConfig(seed=cfg.noise.seed)
     dims = [train_set[0].shape[1], BUILTIN_HIDDEN,
             int(np.asarray(train_set[1]).max()) + 1]
-    model = init_mlp(dims, tc.seed)
+    model = init_mlp(dims, tc.seed, cfg.w_bits, cfg.x_bits)
     model, losses = train(model, train_set, tc)
     model.baseline_acc = evaluate_digital(model, test_set)
     return model, losses
 
 
-def _model(cfg: ExperimentConfig, train_set, test_set, modes) -> TinyModel:
-    """The checkpoint, or the built-in model trained, once every mode plans
-    at its widths for each layer's input (the test inputs, then unsigned
-    post-ReLU ones): a boundary past the plan's shift levels stops the run
-    before training, naming its key."""
+def _check_plans(cfg, modes, widths, signs, enc_section="macro"):
+    """Plan each mode at the widths of `widths` (a checkpoint, else the
+    config's [quant]) for each x signedness in `signs`: an enc_bits (from
+    `enc_section`) above x_bits or a boundary past the plan's shift levels
+    exits 2, naming its key, before any training or simulation."""
+    for mode, x_sign in itertools.product(dict.fromkeys(modes), signs):
+        if mode.enc_bits > widths.x_bits:
+            raise ConfigError(
+                f"{cfg.path}: [{enc_section}] enc_bits: encoding width "
+                f"{mode.enc_bits} exceeds x_bits {widths.x_bits}")
+        for key, m in (("hybrid_boundary",
+                        dataclasses.replace(mode, voting=None)),
+                       ("voting_boundary", mode)):
+            try:
+                plan_cycles(widths.w_bits, widths.x_bits, x_sign,
+                            Signedness.TWOS_COMPLEMENT, m)
+            except ConfigError as exc:
+                raise ConfigError(f"{cfg.path}: [mode] {key}: {exc}") from None
+
+
+def _model(cfg: ExperimentConfig, train_set, test_set, modes, enc_section):
+    """The checkpoint, or the built-in model trained at [quant]'s widths,
+    once every mode plans at the model's widths for each layer's input (the
+    test inputs, then unsigned post-ReLU ones)."""
     model = None
     if cfg.model.checkpoint:
         if not os.path.exists(cfg.model.checkpoint):
@@ -72,19 +90,10 @@ def _model(cfg: ExperimentConfig, train_set, test_set, modes) -> TinyModel:
     elif (cfg.model.builtin or "blob-mlp") != "blob-mlp":
         raise ConfigError(f"{cfg.path}: [model] builtin: unknown model "
                           f"{cfg.model.builtin!r} (available: blob-mlp)")
-    widths = model or cfg.train or cfg
     layers = 2 if model is None else len(model.linear_layers())
     signs = {signedness_of(test_set[0])} | ({Signedness.UNSIGNED}
                                           if layers > 1 else set())
-    for mode, x_sign in itertools.product(dict.fromkeys(modes), signs):
-        for key, m in (("hybrid_boundary",
-                        dataclasses.replace(mode, voting=None)),
-                       ("voting_boundary", mode)):
-            try:
-                plan_cycles(widths.w_bits, widths.x_bits, x_sign,
-                            Signedness.TWOS_COMPLEMENT, m)
-            except ConfigError as exc:
-                raise ConfigError(f"{cfg.path}: [mode] {key}: {exc}") from None
+    _check_plans(cfg, modes, model or cfg, signs, enc_section)
     return model or _train_model(cfg, train_set, test_set)[0]
 
 
@@ -135,7 +144,8 @@ def _run_grid(cfg: ExperimentConfig, axes, threads, meta):
         mode = dataclasses.replace(cfg.mode, enc_bits=macro.enc_bits)
         points.append((macro, noise, mode))
     train_set, test_set = _dataset(cfg)
-    model = _model(cfg, train_set, test_set, [p[2] for p in points])
+    model = _model(cfg, train_set, test_set, [p[2] for p in points],
+                   "sweep" if "enc_bits" in dict(axes) else "macro")
     x, y = test_set
     ideal = forward_float(model, x)
     rows = []
@@ -174,13 +184,10 @@ def cmd_train(cfg: ExperimentConfig, out_dir, threads, meta):
     return ("epoch", "loss"), list(enumerate(losses))
 
 
-def _analysis_operands(cfg: ExperimentConfig):
-    """The seeded operands of csnr and distribution. Both quantize at
-    [quant] x_bits, which load_config does not check enc_bits against when
-    a [train] section sets its own width, so it is checked here."""
-    if cfg.macro.enc_bits > cfg.x_bits:
-        raise ConfigError(f"{cfg.path}: [macro] enc_bits: encoding width "
-                          f"{cfg.macro.enc_bits} exceeds x_bits {cfg.x_bits}")
+def _analysis_operands(cfg: ExperimentConfig, mode):
+    """The seeded operands of csnr and distribution, once `mode` plans at
+    [quant]'s widths, at which both quantize."""
+    _check_plans(cfg, [mode], cfg, [Signedness.TWOS_COMPLEMENT])
     a = cfg.analysis
     gen = rng.stream(cfg.noise.seed, rng.RngContext(), rng.TAG_DATA)
     act = gen.normal(size=(a.batch, a.in_dim))
@@ -189,7 +196,7 @@ def _analysis_operands(cfg: ExperimentConfig):
 
 
 def cmd_csnr(cfg: ExperimentConfig, out_dir, threads, meta):
-    act, w = _analysis_operands(cfg)
+    act, w = _analysis_operands(cfg, cfg.mode)
     act_q = quantize(act, cfg.x_bits, Signedness.TWOS_COMPLEMENT)
     w_q = quantize(w, cfg.w_bits, Signedness.TWOS_COMPLEMENT)
     ideal = act @ w
@@ -216,7 +223,9 @@ def cmd_linearity(cfg: ExperimentConfig, out_dir, threads, meta):
 
 
 def cmd_distribution(cfg: ExperimentConfig, out_dir, threads, meta):
-    act, w = _analysis_operands(cfg)
+    # mac_distribution turns hybrid and voting off
+    act, w = _analysis_operands(cfg, dataclasses.replace(
+        cfg.mode, hybrid_boundary=None, voting=None))
     hist = mac_distribution(
         quantize(act, cfg.x_bits, Signedness.TWOS_COMPLEMENT),
         quantize(w, cfg.w_bits, Signedness.TWOS_COMPLEMENT),

@@ -52,8 +52,8 @@ _UNIT = _typed(NoiseUnit, "unknown unit {}; use lsb_rms or vpp_pct")
 _LSB = NoiseUnit.LSB_RMS
 
 # Every section and key a config may hold: key -> (parser, default). An empty
-# value counts as absent. A None default of [train] seed, w_bits or x_bits
-# follows [noise] seed and [quant]; a [sweep] axis left out is not swept.
+# value counts as absent. A None [train] seed follows [noise] seed; a [sweep]
+# axis left out is not swept. [quant] alone sets the bit widths.
 KEYS = {
     "macro": {"rows": (_INT, _REQUIRED), "adc_bits": (_INT, _REQUIRED),
               "enc_bits": (_INT, 1)},
@@ -75,7 +75,6 @@ KEYS = {
     "output": {"dir": (str, "out"), "formats": (_list(str), None)},
     "train": {"lr": (_FLOAT, 0.05), "epochs": (_upto(10**4), 40),
               "batch": (_INT, 32), "seed": (_INT, None),
-              "w_bits": (_INT, None), "x_bits": (_INT, None),
               "nat_sigma": (_FLOAT, 0.0)},
     "sweep": {"adc_bits": (_list(int), None), "enc_bits": (_list(int), None),
               "noise": (_list(float), None)},
@@ -207,11 +206,9 @@ def _parse(parser, path) -> dict:
     return values
 
 
-def _sweep_axes(path, axes: dict, macro: MacroConfig, noise: NoiseSpec,
-                x_bits: Optional[int]) -> dict:
-    """The given [sweep] axes, each value checked as its grid point will use
-    it: the macro or random sigma it selects, and enc_bits against `x_bits`,
-    the width of the model the config trains (None for a checkpoint)."""
+def _sweep_axes(path, axes: dict, macro: MacroConfig, noise: NoiseSpec) -> dict:
+    """The given [sweep] axes, each value checked as the macro or random
+    sigma it selects."""
     sweep = {key: values for key, values in axes.items() if values is not None}
     if not sweep:
         _fail(path, "sweep", "adc_bits", "sweep section has no axes")
@@ -226,9 +223,6 @@ def _sweep_axes(path, axes: dict, macro: MacroConfig, noise: NoiseSpec,
             _build(path, "sweep", MacroConfig, key, **{
                 "rows": macro.rows, "adc_bits": macro.adc_bits,
                 "enc_bits": macro.enc_bits, key: v})
-            if key == "enc_bits" and x_bits is not None and v > x_bits:
-                _fail(path, "sweep", key,
-                      f"encoding width {v} exceeds x_bits {x_bits}")
     return sweep
 
 
@@ -246,6 +240,8 @@ def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
     v = _parse(parser, path)
     if seed is not None:
         v["noise"]["seed"] = seed
+    if v["train"]["seed"] is None:
+        v["train"]["seed"] = v["noise"]["seed"]
 
     macro = _build(path, "macro", MacroConfig, **v["macro"])
     n = v["noise"]
@@ -291,20 +287,9 @@ def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
             _fail(path, "output", "formats", f"unknown format {fmt!r}")
     output = OutputSpec(dir=v["output"]["dir"], formats=tuple(formats))
 
-    train = None
-    if parser.has_section("train"):
-        follow = {"seed": noise.seed, **q}
-        train = _build(path, "train", TrainConfig, **{
-            key: follow[key] if val is None else val
-            for key, val in v["train"].items()})
-
-    # a checkpoint's widths are known only once it is loaded
-    act_bits = None if model.checkpoint else (train.x_bits if train
-                                              else q["x_bits"])
-    if act_bits is not None and macro.enc_bits > act_bits:
-        _fail(path, "macro", "enc_bits", f"encoding width {macro.enc_bits} "
-                                         f"exceeds x_bits {act_bits}")
-    sweep = (_sweep_axes(path, v["sweep"], macro, noise, act_bits)
+    train = (_build(path, "train", TrainConfig, **v["train"])
+             if parser.has_section("train") else None)
+    sweep = (_sweep_axes(path, v["sweep"], macro, noise)
              if parser.has_section("sweep") else None)
 
     return ExperimentConfig(macro=macro, noise=noise, mode=mode,

@@ -279,6 +279,7 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
     tile_starts = range(0, d, cfg.rows)
     tiles = len(tile_starts)
     tags = noise_tags(specs)
+    hooked = any(s.level_hook for s in specs)   # contexts once per chunk
     # the table lists the reads in the order the loop below takes them
     table = _stream_table(groups.ravel(), tiles, layer, seed, tags)
     read = 0   # the table position of the next read
@@ -310,6 +311,7 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
                         draws, buf = draw_noise(seed, tags, reads,
                                                 (hi - lo, b, m), table,
                                                 len(cfgs))
+                        rows = table.contexts(reads) if hooked else reads
                 for p, (o, p_cfg, spec, lut, accum) in enumerate(points):
                     if not analog:
                         counts = blocks[o][lo:hi].astype(np.int64)
@@ -319,8 +321,8 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
                     else:
                         noisy = blocks[o][lo:hi]
                         if not spec.silent:
-                            noisy = apply_noise(noisy, spec, p_cfg, reads,
-                                                draws, buf, table)
+                            noisy = apply_noise(noisy, spec, p_cfg, rows,
+                                                draws, buf)
                         counts = lut[adc_readout(noisy, p_cfg)[0]]
                     for weight, counts_e in zip(weights[g][lo:hi], counts):
                         counts_e *= weight

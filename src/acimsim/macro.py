@@ -133,26 +133,26 @@ def draw_noise(seed: int, tags, rows, shape, table=None, points: int = 1):
 
 
 def apply_noise(v, spec: NoiseSpec, cfg: MacroConfig, rows, draws=None,
-                out=None, table=None):
+                out=None):
     """The noise pipeline: random noise, nonlinearity, then the custom hook.
 
     Random noise is ADC input-referred Gaussian noise of sigma_r. The
     nonlinearity adds level-dependent noise, strongest at low levels:
     sigma(v) = sigma_n * sqrt(max(0, N_fs - v) / N_fs), as fewer charged
     capacitors leave more mismatch headroom, and sigma(N_fs) = 0. A model
-    with zero sigma is skipped. `rows` and `table` address the streams of the
-    leading rows of `v` (rng.normal); the hook runs on each row in turn with
-    its RngContext, which a table builds from its reads.
+    with zero sigma is skipped. `rows` holds the RngContext of each leading
+    row of `v`; the hook runs on each row in turn with its context.
 
     `draws` (draw_noise) holds the rows' draws; without it they are drawn
-    here. `v` and `draws` are read only. The random sum is formed in `out`
-    (the draw buffer when drawn here, else a new array unless given):
+    here from the streams of `rows`, and with it only the hook reads `rows`.
+    `v` and `draws` are read only. The random sum is formed in `out` (the
+    draw buffer when drawn here, else a new array unless given):
     out = d * sigma; out += v, which is v + sigma * d exactly, as IEEE * and
     + commute. The nonlinear sum is formed in the buffer of the local sigma.
     """
     if draws is None:
         draws, out = draw_noise(spec.seed, noise_tags([spec]), rows,
-                                np.shape(v), table)
+                                np.shape(v))
     noisy = None
     sigma = sigma_to_counts(spec.random_sigma, cfg)
     if sigma != 0:
@@ -171,8 +171,7 @@ def apply_noise(v, spec: NoiseSpec, cfg: MacroConfig, rows, draws=None,
     if noisy is None:
         noisy = np.array(v, dtype=np.float64)   # a copy: the hook writes rows
     if spec.level_hook is not None:
-        ctxs = rows if table is None else table.contexts(rows)
-        for r, c in enumerate(ctxs):
+        for r, c in enumerate(rows):
             noisy[r, ...] = spec.level_hook(noisy[r, ...], c)
     return noisy
 
@@ -215,7 +214,8 @@ def majority_vote_readout(vs: list, samples: int, specs: list, cfgs: list,
     row, sample) pair, in that order (rng.normal). They are drawn in runs
     of samples that keep one apply_noise call within _CHUNK_ELEMS levels
     (one sample at least), each run once for every point, and each sample is
-    read out by one adc_readout call over all rows.
+    read out by one adc_readout call over all rows; with a table, a run's
+    RngContexts are built once for all hooked points.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
@@ -236,9 +236,11 @@ def majority_vote_readout(vs: list, samples: int, specs: list, cfgs: list,
         draws, out = draw_noise(specs[0].seed, tags, run_rows,
                                 (shape[0] * n, *shape[1:]), table,
                                 len(points))
+        if table is not None and any(s.level_hook for s in specs):
+            run_rows = table.contexts(run_rows)
         for levels, spec, cfg, total in zip(points, specs, cfgs, totals):
             noisy = apply_noise(np.repeat(levels, n, axis=0), spec, cfg,
-                                run_rows, draws, out, table)
+                                run_rows, draws, out)
             noisy = noisy.reshape(len(levels), n, *shape[1:])
             for s in range(n):
                 total += adc_readout(noisy[:, s], cfg)[0]

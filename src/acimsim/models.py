@@ -16,8 +16,7 @@ import numpy as np
 from . import rng
 from .engine import EngineMode, SimLayerResult, _simulate_points, softmax
 from .errors import ShapeError, TrainingError
-from .quant import (Signedness, check_bits, fake_quantize, quantize,
-                    signedness_of)
+from .quant import Signedness, fake_quantize, quantize, signedness_of
 
 
 @dataclass
@@ -49,8 +48,6 @@ class TrainConfig:
     epochs: int = 40
     batch: int = 32
     seed: int = 0
-    w_bits: int = 8
-    x_bits: int = 8
     nat_sigma: float = 0.0
 
     def __post_init__(self):
@@ -65,12 +62,11 @@ class TrainConfig:
                                 f"{self.nat_sigma}")
         if self.seed < 0:
             raise TrainingError(f"seed must be >= 0, got {self.seed}")
-        check_bits(self.w_bits, TrainingError, "w_bits")
-        check_bits(self.x_bits, TrainingError, "x_bits")
 
 
-def init_mlp(dims: list, seed: int) -> TinyModel:
-    """He-initialized MLP with ReLU between consecutive linear layers."""
+def init_mlp(dims: list, seed: int, w_bits: int = 8,
+             x_bits: int = 8) -> TinyModel:
+    """He-initialized MLP at the given widths, ReLU between linear layers."""
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     layers = []
     for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
@@ -79,7 +75,7 @@ def init_mlp(dims: list, seed: int) -> TinyModel:
         layers.append(LinearLayer(
             w=gen.normal(0.0, np.sqrt(2.0 / d_in), size=(d_in, d_out)),
             b=np.zeros(d_out)))
-    return TinyModel(layers)
+    return TinyModel(layers, w_bits, x_bits)
 
 
 def _walk(model: TinyModel, x, matmul, inputs: Optional[list] = None):
@@ -186,11 +182,11 @@ def loss_and_grads(model: TinyModel, x, labels, cfg: TrainConfig,
 
 
 def train(model: TinyModel, dataset, cfg: TrainConfig):
-    """Plain SGD; deterministic given cfg.seed. Returns (model, loss_curve)."""
+    """Plain SGD at the model's widths; deterministic given cfg.seed.
+    Returns (model, loss_curve)."""
     x, y = dataset
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
-    model.w_bits, model.x_bits = cfg.w_bits, cfg.x_bits
     model.nat_sigma = cfg.nat_sigma
     shuffler = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(rng.TAG_DATA,))))

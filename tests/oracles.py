@@ -130,10 +130,10 @@ def qat_matmul(model, nat_sigma=0.0, seed=0, nat_ctx=None, tape=None):
 
 def reference_train(model, dataset, cfg):
     """Reference for models.train on qat_matmul: SGD over the same shuffles,
-    NAT draws and closed-form backprop. Returns (model, loss_curve)."""
+    NAT draws and closed-form backprop, at the model's widths. Returns
+    (model, loss_curve)."""
     x = np.asarray(dataset[0], dtype=np.float64)
     y = np.asarray(dataset[1])
-    model.w_bits, model.x_bits = cfg.w_bits, cfg.x_bits
     model.nat_sigma = cfg.nat_sigma
     shuffler = np.random.Generator(np.random.Philox(np.random.SeedSequence(
         entropy=cfg.seed, spawn_key=(rng.TAG_DATA,))))

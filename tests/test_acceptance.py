@@ -227,7 +227,7 @@ def test_c10_end_to_end_blob_mlp():
     data = make_blobs(512, 16, 3, seed=7, spread=0.6)
     train_set, test_set = train_test_split(*data)
     dims = [16, 32, 3]
-    tc = TrainConfig(lr=0.05, epochs=40, batch=32, seed=3, w_bits=8, x_bits=8)
+    tc = TrainConfig(lr=0.05, epochs=40, batch=32, seed=3)
     model, _ = train(init_mlp(dims, seed=3), train_set, tc)
     baseline = evaluate_digital(model, test_set)
 
@@ -247,8 +247,7 @@ def test_c10_end_to_end_blob_mlp():
     means = [noise_mean(model, s) for s in (0.0, 0.25, 0.5, 1.0)]
     b_ok = bool(np.all(np.diff(means) <= 1e-9))
 
-    tc_nat = TrainConfig(lr=0.05, epochs=40, batch=32, seed=3,
-                         w_bits=8, x_bits=8, nat_sigma=0.5)
+    tc_nat = TrainConfig(lr=0.05, epochs=40, batch=32, seed=3, nat_sigma=0.5)
     nat_model, _ = train(init_mlp(dims, seed=3), train_set, tc_nat)
     nat_mean = noise_mean(nat_model, 1.0)
     c_ok = nat_mean >= means[-1]

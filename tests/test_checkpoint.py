@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from acimsim import cli
 from acimsim.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from acimsim.errors import CheckpointError
 from acimsim.models import LinearLayer, Relu, TinyModel, init_mlp
@@ -107,3 +108,26 @@ def test_rejects_trailing_bytes(tmp_path):
     path.write_bytes(MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("w_bits, x_bits, name", [
+    (1, 8, "w_bits"), (8, 17, "x_bits"), (0, 0, "w_bits")])
+def test_rejects_widths_outside_the_bit_range(tmp_path, capsys, w_bits,
+                                              x_bits, name):
+    # a valid CRC over widths no quantizer takes: the load names the file,
+    # so the run exits 3 instead of blaming a config key
+    path = tmp_path / "m.ackpt"
+    m = random_model()
+    m.w_bits, m.x_bits = w_bits, x_bits
+    save_checkpoint(m, path)
+    bits = w_bits if name == "w_bits" else x_bits
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == (f"{path}: {name} must be in [2, 16], "
+                              f"got {bits}")
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[macro]\nrows = 32\nadc_bits = 7\n[noise]\nseed = 1\n"
+                   f"[model]\ncheckpoint = {path}\n")
+    assert cli.main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 3
+    assert f"acim-sim: error: {err.value}" in capsys.readouterr().err

@@ -170,6 +170,9 @@ def test_macro_enc_bits_above_x_bits_exits_2(tmp_path, capsys, monkeypatch):
     # every [sweep] enc_bits value plans: y=4 leaves the hidden layer 4
     ("sweep", 1, "[mode]\nhybrid_boundary = 5\n[sweep]\nenc_bits = 1, 4\n",
      "hybrid_boundary", "hybrid boundary 5 outside the 4 shift levels"),
+    # csnr plans its signed 4-bit operands at [quant]'s widths
+    ("csnr", 1, "[mode]\nhybrid_boundary = 100\n", "hybrid_boundary",
+     "hybrid boundary 100 outside the 7 shift levels"),
 ])
 def test_mode_boundary_past_the_plan_exits_2_before_training(
         tmp_path, capsys, monkeypatch, cmd, enc_bits, extra, key, message):
@@ -182,6 +185,26 @@ def test_mode_boundary_past_the_plan_exits_2_before_training(
     assert run(cmd, cfg, tmp_path / "out") == 2
     assert (f"acim-sim: config error: {cfg}: [mode] {key}: {message}"
             in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_checkpoint_enc_bits_above_its_x_bits_exits_2(tmp_path, capsys,
+                                                      monkeypatch):
+    # simulate and sweep plan at the checkpoint's widths, here below
+    # [quant]'s 8-bit activations
+    def no_training(*args, **kw):
+        raise AssertionError("training ran before the [macro] check")
+    monkeypatch.setattr(cli, "train", no_training)
+    text = BASE_INI.replace("adc_bits = 7\n", "adc_bits = 7\nenc_bits = 6\n") \
+        .replace("x_bits = 4\n", "x_bits = 8\n")
+    for cmd, extra, section in (
+            ("simulate", "", "macro"),
+            ("sweep", "\n[sweep]\nenc_bits = 1, 6\n", "sweep")):
+        cfg = _checkpoint_config(tmp_path, text + extra, 4)
+        assert run(cmd, cfg, tmp_path / "out") == 2
+        assert (f"acim-sim: config error: {cfg}: [{section}] enc_bits: "
+                "encoding width 6 exceeds x_bits 4"
+                in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 
@@ -204,13 +227,19 @@ def test_bad_train_and_data_values_exit_2(tmp_path, capsys, section, old,
     assert not (tmp_path / "out").exists()
 
 
+def _checkpoint_config(tmp_path, text, x_bits):
+    """`text` naming a checkpoint of an 8-16-3 MLP at `x_bits`."""
+    path = tmp_path / "widths.ackpt"
+    save_checkpoint(init_mlp([8, 16, 3], 1, 4, x_bits), str(path))
+    return write_config(tmp_path, text + f"\n[model]\ncheckpoint = {path}\n")
+
+
 def test_analysis_enc_bits_above_quant_x_bits_exits_2(tmp_path, capsys):
     # csnr and distribution quantize at [quant] x_bits, which here is below
-    # the width [train] gives the model that load_config checks against
-    text = BASE_INI.replace("adc_bits = 7\n", "adc_bits = 7\nenc_bits = 6\n") \
-        .replace("batch = 16\n", "batch = 16\nx_bits = 8\n")
-    cfg = write_config(tmp_path, text)
-    assert load_config(cfg).train.x_bits == 8
+    # the width of the checkpoint that simulate and sweep plan at
+    text = BASE_INI.replace("adc_bits = 7\n", "adc_bits = 7\nenc_bits = 6\n")
+    cfg = _checkpoint_config(tmp_path, text, 8)
+    assert load_checkpoint(load_config(cfg).model.checkpoint).x_bits == 8
     for cmd in ("csnr", "distribution"):
         assert run(cmd, cfg, tmp_path / "out") == 2
         assert (f"{cfg}: [macro] enc_bits: encoding width 6 exceeds x_bits 4"

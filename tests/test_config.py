@@ -2,6 +2,7 @@
 
 import pytest
 
+from acimsim.cli import main
 from acimsim.config import load_config
 from acimsim.engine import VotingSpec
 from acimsim.errors import ConfigError
@@ -102,8 +103,6 @@ nat_sigma = 0.5
     assert cfg.analysis.in_dim == 300
     assert cfg.output.formats == ("csv",)
     assert cfg.train.lr == 0.1 and cfg.train.nat_sigma == 0.5
-    # train bit widths follow [quant] unless overridden
-    assert (cfg.train.w_bits, cfg.train.x_bits) == (6, 5)
     # train seed defaults to the noise seed
     assert cfg.train.seed == 7
 
@@ -265,6 +264,19 @@ def test_unknown_section_is_rejected(tmp_path):
                  "[DEFAULT] unknown section")
 
 
+@pytest.mark.parametrize("key", ["w_bits", "x_bits"])
+def test_train_width_keys_are_unknown(tmp_path, capsys, key):
+    # [quant] alone sets the bit widths
+    path = write(tmp_path, MINIMAL + f"[train]\n{key} = 17\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}: [train] {key}: unknown key"
+    assert main(["train", "--config", path,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert str(err.value) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("extra, message", [
     ("[analysis]\nbatch = 0", "[analysis] batch must be >= 1, got 0"),
     ("[analysis]\nin_dim = 0", "[analysis] in_dim must be >= 1, got 0"),
@@ -273,7 +285,6 @@ def test_unknown_section_is_rejected(tmp_path):
     ("[data]\nseed = -1", "[data] seed must be >= 0, got -1"),
     ("[data]\nspread = nan", "[data] spread must be finite, got nan"),
     ("[train]\nseed = -1", "[train] seed must be >= 0, got -1"),
-    ("[train]\nx_bits = 17", "[train] x_bits must be in [2, 16], got 17"),
     ("[quant]\nw_bits = 1", "[quant] w_bits: bits must be in [2, 16], got 1"),
     ("[mode]\nhybrid_boundary = 0",
      "[mode] hybrid_boundary: hybrid boundary must be >= 1, got 0"),

@@ -5,7 +5,9 @@ to each of -1, 0, nan, inf, -inf, an empty value and a word; keys with a
 fixed upper bound or an arbitrary-precision use (rows, adc_bits, enc_bits,
 w_bits, x_bits, the three seeds, [sweep] adc_bits and enc_bits, and the
 bounded sizes and loop counts: voting_samples, [data] samples, epochs, the
-[analysis] dims and trials) also get 2^63. Each subcommand that reads the
+[analysis] dims and trials) also get 2^63. The [train] widths, which
+[quant] replaced, get every value too, and must exit 2 as unknown keys.
+Each subcommand that reads the
 key then runs in-process, in a fresh working directory. It must exit 0 or
 2, never 1 (a traceback) nor 3. An exit 2 must name the file, the section
 and the key, and must come before any training. An exit 0 must write a CSV
@@ -42,9 +44,9 @@ BASE = {
 HOSTILE = ("-1", "0", "nan", "inf", "-inf", "", "lots")
 BIG = str(1 << 63)
 BOUNDED = {("macro", "rows"), ("macro", "adc_bits"), ("macro", "enc_bits"),
-           ("quant", "w_bits"), ("quant", "x_bits"), ("train", "w_bits"),
-           ("train", "x_bits"), ("noise", "seed"), ("data", "seed"),
-           ("train", "seed"), ("sweep", "adc_bits"), ("sweep", "enc_bits"),
+           ("quant", "w_bits"), ("quant", "x_bits"), ("noise", "seed"),
+           ("data", "seed"), ("train", "seed"), ("sweep", "adc_bits"),
+           ("sweep", "enc_bits"),
            ("mode", "voting_samples"), ("data", "samples"), ("train", "epochs"),
            ("analysis", "batch"), ("analysis", "in_dim"),
            ("analysis", "out_dim"), ("analysis", "trials")}
@@ -68,9 +70,13 @@ READERS = {
 }
 KEY_READERS = {("noise", "seed"): ALL, ("analysis", "trials"): ("linearity",)}
 
+RETIRED = (("train", "w_bits"), ("train", "x_bits"))
+
 CASES = [(section, key, value)
          for section, keys in KEYS.items() for key in keys
          for value in HOSTILE + ((BIG,) if (section, key) in BOUNDED else ())]
+CASES += [(section, key, value) for section, key in RETIRED
+          for value in HOSTILE + (BIG,)]
 
 
 def _ini(sections) -> str:
@@ -104,11 +110,14 @@ def base_finite(tmp_path_factory):
 
 
 def test_gate_covers_every_key():
-    # the base sets only real keys; each other key is added by its edit, and
-    # every BOUNDED pair is a real key that also gets 2^63
+    # the base sets only real keys; each other key is added by its edit,
+    # every BOUNDED pair is a real key that also gets 2^63, and no RETIRED
+    # pair is a key
     assert set(BASE) == set(KEYS)
     assert all(set(keys) <= set(KEYS[name]) for name, keys in BASE.items())
-    assert len(CASES) == 7 * sum(map(len, KEYS.values())) + len(BOUNDED)
+    assert all(key not in KEYS[name] for name, key in RETIRED)
+    assert len(CASES) == (7 * sum(map(len, KEYS.values())) + len(BOUNDED)
+                          + 8 * len(RETIRED))
 
 
 @pytest.mark.parametrize("section, key, value", CASES)
@@ -130,6 +139,8 @@ def test_hostile_value_exits_0_or_2(section, key, value, base_finite,
         rc = cli.main([cmd, "--config", str(path)])
         err = capsys.readouterr().err
         assert rc in (0, 2), (cmd, rc, err)
+        if (section, key) in RETIRED:
+            assert rc == 2 and "unknown key" in err, (cmd, rc, err)
         if rc == 2:
             # the tmp_path holds the key too, so look only after the section
             where = f"{path}: [{section}]"

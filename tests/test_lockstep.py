@@ -18,7 +18,7 @@ from acimsim.engine import EngineMode, VotingSpec
 from acimsim.macro import (MacroConfig, NoiseSpec, NoiseUnit, Sigma,
                            majority_vote_readout)
 from acimsim.models import LinearLayer, TinyModel, engine_forward, init_mlp
-from acimsim.quant import Signedness
+from acimsim.quant import Signedness, quantize
 
 LSB, VPP = NoiseUnit.LSB_RMS, NoiseUnit.VPP_PCT
 
@@ -202,3 +202,30 @@ def test_lockstep_vote_in_bounded_runs_equals_solo_votes(monkeypatch):
     assert _hook_logs([(None, s, None) for s in lock_specs]) == _hook_logs(
         [(None, s, None) for s in solo_specs])
     assert len(lock_specs[0].level_hook.seen) == 5
+
+
+def test_hooked_points_share_each_chunks_contexts(monkeypatch):
+    # a chunk's or vote run's RngContexts are built once for the class, not
+    # once per hooked point, and every hooked point sees the same ones
+    built, init = [], rng.RngContext.__init__
+
+    def counting_init(self, *args, **kw):
+        built.append(None)
+        init(self, *args, **kw)
+    gen = np.random.default_rng(4)
+    act = quantize(gen.normal(size=(4, 40)), 6, Signedness.TWOS_COMPLEMENT)
+    w = quantize(gen.normal(size=(40, 5)), 6, Signedness.TWOS_COMPLEMENT)
+    mode = EngineMode(hybrid_boundary=2, voting=VotingSpec(2, 3))
+    counts = []
+    for hooked in (1, 3):
+        specs = [NoiseSpec(Sigma(0.3), seed=5, level_hook=Recorder())
+                 for _ in range(hooked)] + [NoiseSpec(Sigma(0.3), seed=5)]
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(rng.RngContext, "__init__", counting_init)
+            engine._simulate_points([act], w, [MacroConfig(16, 6)] * len(specs),
+                                    specs, mode)
+        counts.append(len(built))
+        logs = _hook_logs([(None, s, None) for s in specs[:hooked]])
+        assert logs[0] and all(log == logs[0] for log in logs)
+    assert counts[0] == counts[1] > 0

@@ -217,9 +217,11 @@ def test_train_deterministic():
 
 
 def test_train_records_quant_metadata():
+    # training keeps the widths the model was built at
     data = small_blobs()
-    cfg = TrainConfig(epochs=1, w_bits=6, x_bits=5, nat_sigma=0.25)
-    model, _ = train(init_mlp([6, 8, 3], seed=2), data, cfg)
+    cfg = TrainConfig(epochs=1, nat_sigma=0.25)
+    model, _ = train(init_mlp([6, 8, 3], seed=2, w_bits=6, x_bits=5), data,
+                     cfg)
     assert (model.w_bits, model.x_bits, model.nat_sigma) == (6, 5, 0.25)
 
 
@@ -231,9 +233,11 @@ def test_train_divergence_raises():
         train(init_mlp([6, 8, 3], seed=3), data, cfg)
 
 
-def _sweep_config(**train):
+def _sweep_config(bits=8, **train):
+    """configs/sweep.ini with `bits` as both [quant] widths."""
     cfg = load_config(os.path.join(os.path.dirname(__file__), "..",
                                    "configs", "sweep.ini"))
+    cfg.w_bits = cfg.x_bits = bits
     cfg.train = dataclasses.replace(cfg.train, **train)
     return cfg
 
@@ -241,8 +245,8 @@ def _sweep_config(**train):
 @pytest.mark.parametrize("train_kw", [
     {},                                  # configs/sweep.ini's blob-mlp
     {"epochs": 6, "nat_sigma": 0.3},
-    {"epochs": 6, "w_bits": 2, "x_bits": 2},
-    {"epochs": 6, "w_bits": 16, "x_bits": 16},
+    {"epochs": 6, "bits": 2},
+    {"epochs": 6, "bits": 16},
 ], ids=["sweep", "nat", "bits2", "bits16"])
 def test_train_bytes_equal_int_path_oracle(train_kw):
     # training fake-quantizes through quant.fake_quantize; the oracle goes
@@ -252,7 +256,7 @@ def test_train_bytes_equal_int_path_oracle(train_kw):
     model, losses = _train_model(cfg, train_set, test_set)
     ref, ref_losses = reference_train(
         init_mlp([train_set[0].shape[1], BUILTIN_HIDDEN, cfg.data.classes],
-                 cfg.train.seed), train_set,
+                 cfg.train.seed, cfg.w_bits, cfg.x_bits), train_set,
         cfg.train)
     for got, want in zip(model.linear_layers(), ref.linear_layers()):
         assert got.w.tobytes() == want.w.tobytes()
