@@ -126,9 +126,10 @@ def _forward_points(model: TinyModel, x, points, threads):
 def _run_grid(cfg: ExperimentConfig, axes, threads, meta):
     """Accuracy, CSNR vs the float forward, cycles and analog ratio of the
     model at every point of the axes' grid; no axes is the single point of
-    the config as written. The points of each enc_bits value form one plan
-    class and run in lockstep (_forward_points); `threads` parallelizes
-    across classes only."""
+    the config as written. `meta` gets the model's widths, which are the
+    checkpoint's, not [quant]'s, when the config names one. The points of
+    each enc_bits value form one plan class and run in lockstep
+    (_forward_points); `threads` parallelizes across classes only."""
     grid = list(itertools.product(*[v for _, v in axes]))
     points = []
     for values in grid:
@@ -155,6 +156,7 @@ def _run_grid(cfg: ExperimentConfig, axes, threads, meta):
         rows.append((*values, acc, csnr_measure(ideal, logits).db, cycles,
                      ratio))
     meta["baseline_acc"] = model.baseline_acc
+    meta["quant"] = {"w_bits": model.w_bits, "x_bits": model.x_bits}
     header = (*[a[0] for a in axes], "accuracy", "csnr_db", "cycles",
               "analog_ratio")
     return header, rows

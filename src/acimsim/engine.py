@@ -8,11 +8,12 @@ every weight bit of the group, exact as each is an integer below 2^24
 ADC and vote functions; a count table maps ADC codes to integer counts, which
 accumulate with their signed power-of-two shift weights, so floating point
 enters only at the final rescale. A matmul keys all its noise streams in one
-rng.StreamTable and addresses them by read position; RngContexts are built
-only for level hooks. The points of one plan class (macros that differ only
-in ADC precision, noise specs that share a seed) run in lockstep through one
-plan, table and chunk list, each chunk drawn once and read by every point in
-turn. Conv2d and attention lower onto simulate_matmul.
+rng.StreamTable, and every draw reads it by position, the one stream address
+of readout noise; RngContexts are built only for level hooks. The points of
+one plan class (macros that differ only in ADC precision, noise specs that
+share a seed) run in lockstep through one plan, table and chunk list, each
+chunk drawn once and read by every point in turn. Conv2d and attention lower
+onto simulate_matmul.
 """
 
 from dataclasses import dataclass
@@ -308,10 +309,9 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
                             [blocks[o][lo:hi] for o in owner], samples, specs,
                             cfgs, reads, table)
                     else:
-                        draws, buf = draw_noise(seed, tags, reads,
-                                                (hi - lo, b, m), table,
+                        draws, buf = draw_noise(table, reads, (hi - lo, b, m),
                                                 len(cfgs))
-                        rows = table.contexts(reads) if hooked else reads
+                        rows = table.contexts(reads) if hooked else None
                 for p, (o, p_cfg, spec, lut, accum) in enumerate(points):
                     if not analog:
                         counts = blocks[o][lo:hi].astype(np.int64)

@@ -2,9 +2,10 @@
 
 Levels are expressed in counts (one count = one fully charged unit capacitor),
 so the full scale is rows * (2^y - 1) and the ADC step is full_scale / 2^k.
-The noise functions take one stream address per leading row of their levels,
-as rng.normal does; a vote takes one level array, noise spec and macro per
-point, as lists, and returns a list. Level hooks get RngContexts either way.
+Noise draws are read from an rng.StreamTable, one read position per leading
+row of their levels, as rng.normal reads them; level hooks get the
+RngContexts of those positions. A vote takes one level array, noise spec and
+macro per point, as lists, and returns a list.
 """
 
 import math
@@ -121,18 +122,18 @@ def noise_tags(specs) -> list:
         (rng.TAG_NONLIN, [s.nonlin_sigma.value for s in specs])) if any(sigmas)]
 
 
-def draw_noise(seed: int, tags, rows, shape, table=None, points: int = 1):
-    """rng.normal draws for `shape` by tag, for each of `tags`, and where
-    each of `points` points forms its random sum (apply_noise): one point
-    owns the draw buffer, several share one scratch buffer in turn. Points
-    that share a seed share the draws, which apply_noise never writes."""
-    draws = {tag: rng.normal(seed, rows, tag, shape, table=table)
-             for tag in tags}
+def draw_noise(table: rng.StreamTable, rows, shape, points: int = 1):
+    """rng.normal draws of the read positions `rows` of `table` for `shape`,
+    by tag, for every tag of the table, and where each of `points` points
+    forms its random sum (apply_noise): one point owns the draw buffer,
+    several share one scratch buffer in turn. The points share the draws,
+    which apply_noise never writes."""
+    draws = {tag: rng.normal(table, rows, tag, shape) for tag in table.tags}
     d = draws.get(rng.TAG_RANDOM)
     return draws, d if d is None or points == 1 else np.empty_like(d)
 
 
-def apply_noise(v, spec: NoiseSpec, cfg: MacroConfig, rows, draws=None,
+def apply_noise(v, spec: NoiseSpec, cfg: MacroConfig, rows, draws: dict,
                 out=None):
     """The noise pipeline: random noise, nonlinearity, then the custom hook.
 
@@ -140,19 +141,16 @@ def apply_noise(v, spec: NoiseSpec, cfg: MacroConfig, rows, draws=None,
     nonlinearity adds level-dependent noise, strongest at low levels:
     sigma(v) = sigma_n * sqrt(max(0, N_fs - v) / N_fs), as fewer charged
     capacitors leave more mismatch headroom, and sigma(N_fs) = 0. A model
-    with zero sigma is skipped. `rows` holds the RngContext of each leading
-    row of `v`; the hook runs on each row in turn with its context.
+    with zero sigma is skipped. `draws` (draw_noise) holds the draws of each
+    leading row of `v` by tag. `rows` holds the RngContext of each leading
+    row, which only the hook reads: it runs on each row in turn with its
+    context.
 
-    `draws` (draw_noise) holds the rows' draws; without it they are drawn
-    here from the streams of `rows`, and with it only the hook reads `rows`.
-    `v` and `draws` are read only. The random sum is formed in `out` (the
-    draw buffer when drawn here, else a new array unless given):
-    out = d * sigma; out += v, which is v + sigma * d exactly, as IEEE * and
-    + commute. The nonlinear sum is formed in the buffer of the local sigma.
+    `v` and `draws` are read only. The random sum is formed in `out` (a new
+    array unless given): out = d * sigma; out += v, which is v + sigma * d
+    exactly, as IEEE * and + commute. The nonlinear sum is formed in the
+    buffer of the local sigma.
     """
-    if draws is None:
-        draws, out = draw_noise(spec.seed, noise_tags([spec]), rows,
-                                np.shape(v))
     noisy = None
     sigma = sigma_to_counts(spec.random_sigma, cfg)
     if sigma != 0:
@@ -202,26 +200,24 @@ def count_table(cfg: MacroConfig) -> np.ndarray:
 
 
 def majority_vote_readout(vs: list, samples: int, specs: list, cfgs: list,
-                          rows, table=None) -> list:
+                          rows, table: rng.StreamTable) -> list:
     """Oversample ideal levels and total the ADC codes of the samples.
 
     Point p reads the levels vs[p] with the noise specs[p] and the macro
-    cfgs[p]; the points share one seed and one level shape. Returns their
+    cfgs[p]; the points share one level shape and the draws of `table`,
+    keyed with every tag their specs draw (noise_tags). Returns their
     int64 code totals. The vote, total / samples, shrinks the random-noise
     sigma by about sqrt(samples); callers scale it to counts as (total /
     samples) * lsb_counts and round only there, so accumulation keeps the
-    full averaging benefit. `rows` holds one stream address per (leading
-    row, sample) pair, in that order (rng.normal). They are drawn in runs
-    of samples that keep one apply_noise call within _CHUNK_ELEMS levels
-    (one sample at least), each run once for every point, and each sample is
-    read out by one adc_readout call over all rows; with a table, a run's
-    RngContexts are built once for all hooked points.
+    full averaging benefit. `rows` holds one read position of `table` per
+    (leading row, sample) pair, in that order. They are drawn in runs of
+    samples that keep one apply_noise call within _CHUNK_ELEMS levels (one
+    sample at least), each run once for every point, and each sample is read
+    out by one adc_readout call over all rows; a run's RngContexts are built
+    once for all hooked points.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
-    if len(seeds := {s.seed for s in specs}) > 1:
-        raise DomainError(f"points voting together need one seed, got {seeds}")
-    tags = noise_tags(specs)
     points = [np.asarray(v) for v in vs]
     shape = points[0].shape
     if not shape or len(rows) != shape[0] * samples:
@@ -233,10 +229,9 @@ def majority_vote_readout(vs: list, samples: int, specs: list, cfgs: list,
         n = min(run, samples - s0)
         run_rows = [rows[r * samples + s] for r in range(shape[0])
                     for s in range(s0, s0 + n)]
-        draws, out = draw_noise(specs[0].seed, tags, run_rows,
-                                (shape[0] * n, *shape[1:]), table,
+        draws, out = draw_noise(table, run_rows, (shape[0] * n, *shape[1:]),
                                 len(points))
-        if table is not None and any(s.level_hook for s in specs):
+        if any(s.level_hook for s in specs):
             run_rows = table.contexts(run_rows)
         for levels, spec, cfg, total in zip(points, specs, cfgs, totals):
             noisy = apply_noise(np.repeat(levels, n, axis=0), spec, cfg,

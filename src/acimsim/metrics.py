@@ -13,7 +13,7 @@ from . import macro, rng
 from .engine import EngineMode, simulate_matmul
 from .errors import DomainError, ShapeError
 from .macro import (MacroConfig, NoiseSpec, adc_readout, apply_noise,
-                    majority_vote_readout)
+                    draw_noise, majority_vote_readout, noise_tags)
 from .quant import QuantizedTensor
 
 
@@ -107,10 +107,6 @@ class MacHistogram:
     counts: dict
     config: MacroConfig
 
-    @property
-    def total_mass(self) -> int:
-        return int(sum(int(c.sum()) for c in self.counts.values()))
-
     def to_rows(self) -> list:
         rows = []
         for (w_bit, act_group) in sorted(self.counts):
@@ -158,7 +154,8 @@ def linearity_sweep(cfg: MacroConfig, spec: NoiseSpec, trials: int,
     """Mean and sigma of readout codes per ideal level, in LSB units.
 
     Level v is one row of `trials` readouts drawn from RngContext(column=v),
-    sample s of a vote from sample s. Blocks of rows within macro._CHUNK_ELEMS
+    sample s of a vote from sample s: one StreamTable keys every (level,
+    sample) read, in that order. Blocks of rows within macro._CHUNK_ELEMS
     readouts (one row at least) are each read in one call. With samples > 1
     each trial is a majority vote and the statistics are taken on the vote
     before final rounding, which is what accumulation sees.
@@ -169,19 +166,24 @@ def linearity_sweep(cfg: MacroConfig, spec: NoiseSpec, trials: int,
     if levels is None:   # every level, or 257 spread over the full scale
         levels = np.unique(np.linspace(0, n_fs, min(n_fs, 256) + 1).round())
     levels = np.asarray(levels, dtype=np.int64)
+    reads = np.zeros((levels.size, samples, 6), dtype=np.int64)
+    reads[..., 4] = levels[:, None]
+    reads[..., 5] = np.arange(samples)
+    table = rng.StreamTable(spec.seed, noise_tags([spec]), reads.reshape(-1, 6))
     stats = []
     step = max(1, macro._CHUNK_ELEMS // trials)
     for lo in range(0, levels.size, step):
         block = levels[lo:lo + step]
         batch = np.repeat(block.astype(np.float64)[:, None], trials, axis=1)
-        rows = [rng.RngContext(column=v, sample=s)
-                for v in block.tolist() for s in range(samples)]
+        rows = range(lo * samples, (lo + block.size) * samples)
         if samples == 1:
-            code, _ = adc_readout(apply_noise(batch, spec, cfg, rows), cfg)
-            est = code.astype(np.float64)
+            draws, out = draw_noise(table, rows, batch.shape)
+            ctxs = table.contexts(rows) if spec.level_hook else None
+            noisy = apply_noise(batch, spec, cfg, ctxs, draws, out)
+            est = adc_readout(noisy, cfg)[0].astype(np.float64)
         else:
             total, = majority_vote_readout([batch], samples, [spec], [cfg],
-                                           rows)
+                                           rows, table)
             # the vote in counts, as the engine forms it, back in LSB units
             est = ((total / samples) * cfg.lsb_counts) / cfg.lsb_counts
         # np.mean and np.std of each row, their arithmetic on one shared sum

@@ -118,8 +118,8 @@ def _digital_matmul(model: TinyModel, quantized: bool, nat_sigma: float = 0.0,
         gain = None
         if nat_sigma > 0:
             ctx = replace(nat_ctx or rng.RngContext(), layer=linear_index)
-            gain = 1.0 + nat_sigma * rng.normal(seed, [ctx], rng.TAG_NAT,
-                                                (1, *z.shape))[0]
+            gain = 1.0 + nat_sigma * rng.stream(seed, ctx, rng.TAG_NAT) \
+                .standard_normal(z.shape)
             z = z * gain
         if tape is not None:
             tape.append((aq, wq, a_mask, w_mask, gain))

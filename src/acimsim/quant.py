@@ -50,11 +50,6 @@ class QuantParams:
     def code_max(self) -> int:
         return _code_range(self.bits, self.signedness)[1]
 
-    @property
-    def value_range(self) -> tuple:
-        """Representable value interval (used by the straight-through mask)."""
-        return self.code_min * self.scale, self.code_max * self.scale
-
 
 @dataclass(frozen=True)
 class QuantizedTensor:
@@ -129,8 +124,9 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
 
 def fake_quantize(t, bits: int, signedness: Signedness) -> tuple:
     """(dequantize(quantize(t, bits, signedness)), straight-through mask),
-    both float64, without int codes. The mask is 1 inside
-    QuantParams.value_range and 0 above it (no t lies below it).
+    both float64, without int codes. The mask is 1 inside the representable
+    values [code_min * scale, code_max * scale] and 0 above them (no t lies
+    below them).
 
     Same bytes as the int path: every code is an integer below 2^53, so
     float code * scale equals int code * scale."""

@@ -1,10 +1,11 @@
 """Counter-based random streams keyed by simulation coordinates.
 
 Every stochastic operation derives its draws from (seed, RngContext, source tag)
-alone, so results never depend on call order or worker scheduling. Draws take
-one stream address per leading row: an RngContext, or a read's position in a
-StreamTable, which keys many streams in one vectorized pass, draws them with
-the bytes of `stream`, and builds RngContexts only for level hooks.
+alone, so results never depend on call order or worker scheduling. Readout
+noise has one stream address: a read's position in a StreamTable, which keys
+the streams of many RngContexts in one vectorized pass and draws them with
+the bytes of `stream`. RngContexts are built only for level hooks
+(StreamTable.contexts) and for one-off `stream` draws.
 """
 
 import dataclasses
@@ -56,18 +57,15 @@ def stream(seed: int, ctx: RngContext, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def normal(seed: int, rows, tag: int, shape,
-           table: "StreamTable | None" = None) -> np.ndarray:
+def normal(table: "StreamTable", rows, tag: int, shape) -> np.ndarray:
     """Standard-normal draws of `tag`, C-order over `shape`: row r holds the
-    draws of `stream(seed, rows[r], tag)`. `rows` are RngContexts, or, with
-    a `table` keyed for `seed`, read positions in it, with the same bytes."""
+    draws of read position rows[r] of `table`, the bytes of
+    `stream(table.seed, table.contexts([rows[r]])[0], tag)`."""
     shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
     if not shape or shape[0] != len(rows):
         raise ShapeError(f"{len(rows)} stream rows for draw shape {shape}")
-    gens = ((stream(seed, c, tag) for c in rows) if table is None
-            else table.generators(seed, rows, tag))
     out = np.empty(shape)
-    for r, gen in enumerate(gens):
+    for r, gen in enumerate(table.generators(rows, tag)):
         gen.standard_normal(out=out[r, ...])
     return out
 
@@ -209,12 +207,9 @@ class StreamTable:
         """The RngContext of each read position in `rows`."""
         return [RngContext(*key) for key in self.reads[rows].tolist()]
 
-    def generators(self, seed: int, rows, tag: int):
+    def generators(self, rows, tag: int):
         """The shared generator, set in turn to the start of the stream of
         `tag` of each read position in `rows`."""
-        if seed != self.seed:
-            raise DomainError(
-                f"stream table keyed for seed {self.seed}, not {seed}")
         if tag not in self.tags:
             raise KeyError(f"no tag {tag} in this table")
         rows = np.asarray(rows, dtype=np.intp)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 
 from acimsim import rng
-from acimsim.macro import adc_readout, apply_noise, majority_vote_readout
+from acimsim.macro import sigma_to_counts
 from acimsim.models import (Relu, _digital_matmul, _walk, cross_entropy,
                             engine_forward)
 from acimsim.quant import (QuantParams, Signedness, dequantize, quantize,
@@ -52,25 +52,85 @@ def save_idx(path, array, type_code: int = 0x0E) -> None:
         fh.write(arr.tobytes())
 
 
+def sign_floor_round(x):
+    """Round half away from zero as sign(x) * floor(|x| + 0.5), the formula
+    tensor.round_half_away replaced; it gives +0.0 for x = -0.0."""
+    x = np.asarray(x)
+    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+
+
+# Frozen copies of the macro's noise, ADC and vote arithmetic as they were
+# while every level was read out one entry at a time, each noise model
+# drawing from its own rng.stream. The library's block readout must give
+# their bytes, so they never follow a change to `acimsim.macro`.
+
+def pinned_adc(v, cfg):
+    delta = cfg.lsb_counts
+    code = np.clip(sign_floor_round(np.asarray(v, dtype=np.float64) / delta),
+                   0, (1 << cfg.adc_bits) - 1).astype(np.int64)
+    return code, code * delta
+
+
+def pinned_random(v, spec, cfg, ctx):
+    sigma = sigma_to_counts(spec.random_sigma, cfg)
+    v = np.asarray(v, dtype=np.float64)
+    if sigma == 0:
+        return v
+    return v + sigma * rng.stream(spec.seed, ctx, rng.TAG_RANDOM) \
+        .standard_normal(v.shape)
+
+
+def pinned_nonlin(v, spec, cfg, ctx):
+    sigma = sigma_to_counts(spec.nonlin_sigma, cfg)
+    v = np.asarray(v, dtype=np.float64)
+    if sigma == 0:
+        return v
+    n_fs = cfg.full_scale_counts
+    local = sigma * np.sqrt(np.maximum(0.0, n_fs - v) / n_fs)
+    return v + local * rng.stream(spec.seed, ctx, rng.TAG_NONLIN) \
+        .standard_normal(v.shape)
+
+
+def pinned_vote(v, samples, spec, cfg, ctx):
+    total = None
+    for s in range(samples):
+        ctx_s = replace(ctx, sample=ctx.sample + s)
+        noisy = pinned_nonlin(pinned_random(v, spec, cfg, ctx_s), spec, cfg,
+                              ctx_s)
+        code, _ = pinned_adc(noisy, cfg)
+        total = code if total is None else total + code
+    mean = total / samples
+    return sign_floor_round(mean).astype(np.int64), mean * cfg.lsb_counts
+
+
 def linearity_per_level(cfg, spec, trials, levels, samples=1):
-    """metrics.linearity_sweep as a loop over levels, each read alone: one
-    row of `trials` readouts drawn from RngContext(column=level), sample s
-    of a vote at sample s. Returns (mean, sigma) in LSB units."""
+    """metrics.linearity_sweep as a loop over levels and samples on the
+    pinned formulas: sample s of level v is `trials` readouts drawn from
+    RngContext(column=level, sample=s), handed to the level hook after the
+    noise, and a vote totals the samples' codes. Returns (mean, sigma) in
+    LSB units."""
     mean, sigma = [], []
     for v in levels:
-        ctx = rng.RngContext(column=int(v))
-        batch = np.full((1, trials), v, dtype=np.float64)
-        if samples == 1:
-            code, _ = adc_readout(apply_noise(batch, spec, cfg, [ctx]), cfg)
-            est = code[0].astype(np.float64)
-        else:
-            total, = majority_vote_readout(
-                [batch], samples, [spec], [cfg],
-                [replace(ctx, sample=s) for s in range(samples)])
-            est = ((total[0] / samples) * cfg.lsb_counts) / cfg.lsb_counts
+        total = 0
+        for s in range(samples):
+            ctx = rng.RngContext(column=int(v), sample=s)
+            noisy = pinned_nonlin(pinned_random(
+                np.full(trials, v, dtype=np.float64), spec, cfg, ctx),
+                spec, cfg, ctx)
+            if spec.level_hook is not None:
+                noisy = spec.level_hook(np.array(noisy), ctx)
+            total = total + pinned_adc(noisy, cfg)[0]
+        est = total / samples
+        if samples > 1:   # the vote in counts, as the engine forms it
+            est = (est * cfg.lsb_counts) / cfg.lsb_counts
         mean.append(est.mean())
         sigma.append(est.std())
     return np.array(mean), np.array(sigma)
+
+
+def total_mass(hist) -> int:
+    """The number of levels a MacHistogram counted, over all its keys."""
+    return int(sum(int(c.sum()) for c in hist.counts.values()))
 
 
 def evaluate_on_engine(model, dataset, cfg, spec, mode) -> float:
@@ -78,13 +138,6 @@ def evaluate_on_engine(model, dataset, cfg, spec, mode) -> float:
     x, y = dataset
     (logits, _, _), = engine_forward(model, x, [cfg], [spec], mode)
     return float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
-
-
-def sign_floor_round(x):
-    """Round half away from zero as sign(x) * floor(|x| + 0.5), the formula
-    tensor.round_half_away replaced; it gives +0.0 for x = -0.0."""
-    x = np.asarray(x)
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
 def clamped_codes(t, bits, signedness):
@@ -100,9 +153,9 @@ def clamped_codes(t, bits, signedness):
 
 
 def ste_mask(t, params) -> np.ndarray:
-    """Straight-through gradient mask: 1 inside params.value_range, 0 in the
-    clipped region."""
-    lo, hi = params.value_range
+    """Straight-through gradient mask: 1 inside the representable value
+    interval [code_min * scale, code_max * scale], 0 in the clipped region."""
+    lo, hi = params.code_min * params.scale, params.code_max * params.scale
     return ((t >= lo) & (t <= hi)).astype(np.float64)
 
 
@@ -118,8 +171,8 @@ def qat_matmul(model, nat_sigma=0.0, seed=0, nat_ctx=None, tape=None):
         gain = None
         if nat_sigma > 0:
             ctx = replace(nat_ctx or rng.RngContext(), layer=linear_index)
-            gain = 1.0 + nat_sigma * rng.normal(seed, [ctx], rng.TAG_NAT,
-                                                (1, *z.shape))[0]
+            gain = 1.0 + nat_sigma * rng.stream(seed, ctx, rng.TAG_NAT) \
+                .standard_normal(z.shape)
             z = z * gain
         if tape is not None:
             tape.append((aq, wq, ste_mask(a, a_t.params),

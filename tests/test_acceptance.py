@@ -14,14 +14,14 @@ from acimsim.cli import main
 from acimsim.data import make_blobs, train_test_split
 from acimsim.engine import EngineMode, plan_cycles, simulate_matmul
 from acimsim.macro import (NOISELESS, MacroConfig, NoiseSpec, NoiseUnit,
-                           Sigma, adc_readout, apply_noise,
-                           majority_vote_readout, sigma_to_counts)
+                           Sigma, adc_readout, sigma_to_counts)
 from acimsim.metrics import linearity_sweep, mac_distribution
 from acimsim.models import (TrainConfig, evaluate_digital, init_mlp,
                             loss_and_grads, train)
 from acimsim.quant import QuantParams, QuantizedTensor, Signedness
 
-from oracles import evaluate_on_engine
+from oracles import evaluate_on_engine, total_mass
+from streams import noise_at, vote_at
 
 TC = Signedness.TWOS_COMPLEMENT
 U = Signedness.UNSIGNED
@@ -142,7 +142,7 @@ def test_c05_majority_vote_sigma():
     cfg = MacroConfig(256, 8)         # delta = 1, so counts == LSB units
     spec = NoiseSpec(random_sigma=Sigma(1.0, NoiseUnit.LSB_RMS), seed=5)
     trials = 20000
-    total, = majority_vote_readout(
+    total, = vote_at(
         [np.full((1, trials), 128.0)], 5, [spec], [cfg],
         [rng.RngContext(sample=s) for s in range(5)])
     sigma = float((total / 5).std())
@@ -164,8 +164,8 @@ def test_c06_linearity_trends():
     nl = NoiseSpec(nonlin_sigma=Sigma(1.0, NoiseUnit.LSB_RMS), seed=6)
     sig = []
     for v in np.arange(0, 249, 8):
-        out = apply_noise(np.full((1, trials), float(v)), nl, cfg,
-                          [rng.RngContext(column=int(v))])
+        out = noise_at(np.full((1, trials), float(v)), nl, cfg,
+                       [rng.RngContext(column=int(v))])
         sig.append(float(out.std()))
     sig = np.asarray(sig)
     slack = 0.01                      # ~3 standard errors at 1e5 trials
@@ -196,7 +196,7 @@ def test_c08_expected_mac_level():
         hist = mac_distribution(act, w, cfg, mode)
         mass = sum(float((np.arange(c.size) * c).sum())
                    for c in hist.counts.values())
-        means[r] = mass / hist.total_mass
+        means[r] = mass / total_mass(hist)
     overall = float(means.mean())
     se = float(means.std(ddof=1) / np.sqrt(runs))   # runs are independent
     report(8, abs(overall - 64.0) <= 3 * se,

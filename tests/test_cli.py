@@ -85,6 +85,23 @@ def test_simulate_writes_csv_and_json(tmp_path):
     assert 0.0 <= meta["baseline_acc"] <= 1.0
 
 
+def test_checkpoint_run_reports_the_widths_it_ran_at(tmp_path):
+    # a checkpoint trained at 8/4, simulated and swept under [quant] 8/8:
+    # meta names the checkpoint's widths, the config echo the config's
+    text = BASE_INI.replace("w_bits = 4\n", "w_bits = 8\n")
+    assert run("train", write_config(tmp_path, text), tmp_path / "t") == 0
+    payload, _ = read_report(tmp_path / "t", "train")
+    ckpt = payload["meta"]["checkpoint"]
+    text = (text.replace("x_bits = 4\n", "x_bits = 8\n")
+            + f"\n[model]\ncheckpoint = {ckpt}\n[sweep]\nnoise = 0.1, 0.3\n")
+    cfg = write_config(tmp_path, text, "ckpt.ini")
+    for cmd in ("simulate", "sweep"):
+        assert run(cmd, cfg, tmp_path / cmd) == 0
+        payload, _ = read_report(tmp_path / cmd, cmd)
+        assert payload["meta"]["quant"] == {"w_bits": 8, "x_bits": 4}, cmd
+        assert payload["config"]["quant"] == {"w_bits": 8, "x_bits": 8}, cmd
+
+
 def test_train_writes_loadable_checkpoint(tmp_path):
     cfg = write_config(tmp_path)
     assert run("train", cfg, tmp_path / "out") == 0

@@ -5,20 +5,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from acimsim import engine, macro
+from acimsim import engine, macro, rng
 from acimsim.engine import (EngineMode, VotingSpec, plan_cycles,
                             simulate_attention, simulate_conv2d,
                             simulate_matmul, softmax)
 from acimsim.errors import ConfigError, DomainError, ShapeError
 from acimsim.macro import (NOISELESS, MacroConfig, NoiseSpec, NoiseUnit, Sigma,
-                           adc_readout, apply_noise, count_table,
-                           majority_vote_readout)
-from acimsim.metrics import MacHistogram, mac_distribution
+                           adc_readout, count_table)
+from acimsim.metrics import MacHistogram, linearity_sweep, mac_distribution
 from acimsim.models import LinearLayer, TinyModel, engine_forward
 from acimsim.quant import (QuantParams, QuantizedTensor, Signedness,
                            group_layout, quantize)
 from acimsim.rng import RngContext
 from acimsim.tensor import round_half_away
+from oracles import total_mass
+from streams import noise_at, vote_at
 
 U = Signedness.UNSIGNED
 TC = Signedness.TWOS_COMPLEMENT
@@ -252,7 +253,7 @@ def test_matmul_randomized_configs_bit_exact():
         plan = plan_cycles(w.params.bits, act.params.bits,
                            act.params.signedness, w.params.signedness, mode)
         b, m = act.shape[0], w.shape[1]
-        mass = mac_distribution(act, w, cfg, mode).total_mass
+        mass = total_mass(mac_distribution(act, w, cfg, mode))
         assert mass == res.tiles * len(plan.entries) * b * m, what
         seen |= {f"y{cfg.enc_bits}", act.params.signedness.value}
         if mode.hybrid_boundary is not None:
@@ -267,9 +268,9 @@ def test_matmul_randomized_configs_bit_exact():
 
 
 def _reference_matmul(act, w, cfg, spec, mode, layer):
-    """The engine loop without stream tables: int64 levels per plan entry,
-    walked group by group, each noise stream keyed on its own by the macro
-    functions."""
+    """The engine loop without the matmul's stream table: int64 levels per
+    plan entry, walked group by group, each entry's streams keyed in a table
+    of their own (streams.py)."""
     plan = plan_cycles(w.params.bits, act.params.bits, act.params.signedness,
                        w.params.signedness, mode)
     layout = group_layout(act.params.bits, act.params.signedness,
@@ -289,13 +290,13 @@ def _reference_matmul(act, w, cfg, spec, mode, layer):
                 ctx = RngContext(layer=layer, tile=t, w_bit=e.w_bit,
                                  act_group=g)
                 if e.oversample > 1:
-                    total, = majority_vote_readout(
+                    total, = vote_at(
                         [levels[None]], e.oversample, [spec], [cfg],
                         [replace(ctx, sample=s) for s in range(e.oversample)])
                     mac = (total[0] / e.oversample) * cfg.lsb_counts
                 else:
                     _, mac = adc_readout(
-                        apply_noise(levels[None], spec, cfg, [ctx])[0], cfg)
+                        noise_at(levels[None], spec, cfg, [ctx])[0], cfg)
                 accum += (e.sign << e.shift) * round_half_away(mac).astype(
                     np.int64)
     return accum * (act.params.scale * w.params.scale)
@@ -352,6 +353,30 @@ def test_matmul_noisy_equals_reference_loop():
             seen.add("ragged tiles")
     assert {"y1", "y4", "random0.7", "random0.0", "nonlin0.5", "nonlin0.0",
             "layer", "hybrid", "voting", "ragged tiles"} <= seen
+
+
+def test_readout_draws_read_stream_tables_only(monkeypatch):
+    # a StreamTable position is the one stream address of readout noise:
+    # noisy matmuls and linearity sweeps run with rng.stream failing
+    def refuse(*args, **kw):
+        raise AssertionError("a readout draw keyed a stream by RngContext")
+    gen = np.random.default_rng(21)
+    act = rand_q(gen, (3, 40), 6, TC)
+    w = rand_q(gen, (40, 4), 5, TC)
+    cfg = MacroConfig(16, 5)
+    spec = NoiseSpec(lsb(0.7), Sigma(2.0, NoiseUnit.VPP_PCT), seed=3)
+    mode = EngineMode(hybrid_boundary=1, voting=VotingSpec(2, 3))
+    noiseless = simulate_matmul(act, w, cfg, NOISELESS, mode).output
+    monkeypatch.setattr(rng, "stream", refuse)
+    with pytest.raises(AssertionError, match="keyed a stream"):
+        rng.stream(3, RngContext(), rng.TAG_RANDOM)
+    noisy = simulate_matmul(act, w, cfg, spec, mode).output
+    assert not np.array_equal(noisy, noiseless)
+    entries = plan_cycles(5, 6, TC, TC, mode).entries   # hybrid and voted
+    assert not entries["analog"].all() and entries["oversample"].max() == 3
+    for samples in (1, 3):
+        sweep = linearity_sweep(cfg, spec, 100, samples=samples)
+        assert sweep.sigma.max() > 0
 
 
 @pytest.mark.parametrize("rows", [64, 48, 3, 1])
@@ -486,7 +511,7 @@ def test_matmul_record_levels_mass():
     res = simulate_matmul(act, w, cfg, NOISELESS, SERIAL)
     hist = mac_distribution(act, w, cfg, SERIAL)
     assert len(hist.counts) == 16  # (w_bit, act_group) pairs
-    assert hist.total_mass == res.total_cycles * 3 * 5
+    assert total_mass(hist) == res.total_cycles * 3 * 5
 
 
 def _reference_levels(act, w, cfg):

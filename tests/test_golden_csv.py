@@ -16,7 +16,8 @@ skipped, naming both. The kernel is the one OpenBLAS runs, which its
 DYNAMIC_ARCH build picks for the CPU at load time (OPENBLAS_CORETYPE
 overrides it), not the build target that numpy's build record names.
 The other CSVs come from the integer engine and Philox draws, and are
-checked anywhere.
+checked anywhere. So is VOTED_LINEARITY, the `linearity` CSV of
+`linearity.ini` with majority voting and nonlinear noise switched on.
 """
 
 import ctypes
@@ -131,3 +132,26 @@ def test_golden_csv(tmp_path, ini, command, threads):
     assert rc == 0
     csv = (tmp_path / f"{command}.csv").read_bytes()
     assert hashlib.sha256(csv).hexdigest() == GOLDEN[ini, command]
+
+
+# `linearity.ini` with its voting lines switched on and 0.5 LSB of nonlinear
+# noise added: every trial is a 5-sample vote over random and nonlinear draws
+VOTED_LINEARITY = \
+    "4e8b80e389dc0c2bcf054742511feabea583b275977374d0bc126725069b1a49"
+
+
+def test_golden_voted_linearity_csv(tmp_path):
+    ini = (CONFIGS / "linearity.ini").read_text()
+    voted = ini.replace("; voting_boundary = 3", "voting_boundary = 3") \
+        .replace("; voting_samples = 5", "voting_samples = 5") \
+        .replace("random_unit = lsb_rms\n",
+                 "random_unit = lsb_rms\nnonlin = 0.5\n")
+    for line in ("voting_boundary = 3", "voting_samples = 5", "nonlin = 0.5"):
+        assert f"\n{line}\n" in voted, line   # every edit took
+    config = tmp_path / "voted.ini"
+    config.write_text(voted)
+    rc = main(["linearity", "--config", str(config), "--out",
+               str(tmp_path / "out"), "--threads", "1"])
+    assert rc == 0
+    csv = (tmp_path / "out" / "linearity.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == VOTED_LINEARITY

@@ -15,10 +15,10 @@ import numpy as np
 
 from acimsim import cli, engine, macro, models, rng
 from acimsim.engine import EngineMode, VotingSpec
-from acimsim.macro import (MacroConfig, NoiseSpec, NoiseUnit, Sigma,
-                           majority_vote_readout)
+from acimsim.macro import MacroConfig, NoiseSpec, NoiseUnit, Sigma
 from acimsim.models import LinearLayer, TinyModel, engine_forward, init_mlp
 from acimsim.quant import Signedness, quantize
+from streams import vote_at
 
 LSB, VPP = NoiseUnit.LSB_RMS, NoiseUnit.VPP_PCT
 
@@ -195,9 +195,9 @@ def test_lockstep_vote_in_bounded_runs_equals_solo_votes(monkeypatch):
     ctx = [rng.RngContext(layer=1, tile=2, w_bit=3, sample=s)
            for s in range(5)]
     solo_specs, lock_specs = specs(), specs()
-    want = [majority_vote_readout([v], 5, [s], [c], ctx)[0]
+    want = [vote_at([v], 5, [s], [c], ctx)[0]
             for s, c in zip(solo_specs, cfgs)]
-    got = majority_vote_readout([v] * 3, 5, lock_specs, cfgs, ctx)
+    got = vote_at([v] * 3, 5, lock_specs, cfgs, ctx)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     assert _hook_logs([(None, s, None) for s in lock_specs]) == _hook_logs(
         [(None, s, None) for s in solo_specs])

@@ -7,22 +7,22 @@ import pytest
 
 from acimsim.errors import ConfigError, DomainError
 from acimsim.macro import (NOISELESS, MacroConfig, NoiseSpec, NoiseUnit, Sigma,
-                           adc_readout, apply_noise, majority_vote_readout,
-                           sigma_to_counts)
+                           adc_readout, sigma_to_counts)
 from acimsim.rng import RngContext
+from streams import noise_at, vote_at
 
 CTX = RngContext()
 
 
 def _noise(v, spec, cfg, ctx=CTX):
     """apply_noise on one row of levels, drawn from `ctx`."""
-    return apply_noise(np.asarray(v)[None], spec, cfg, [ctx])[0]
+    return noise_at(np.asarray(v)[None], spec, cfg, [ctx])[0]
 
 
 def _vote(v, samples, spec, cfg, ctx=CTX):
     """majority_vote_readout of one point on one row of levels, sample s
     drawn from `ctx` at sample ctx.sample + s."""
-    total, = majority_vote_readout(
+    total, = vote_at(
         [np.asarray(v)[None]], samples, [spec], [cfg],
         [replace(ctx, sample=ctx.sample + s) for s in range(samples)])
     return total[0]

@@ -86,8 +86,14 @@ def test_quant_params_validation():
         QuantParams(0.0, 8, U)
     with pytest.raises(DomainError):
         QuantParams(1.0, 1, U)
-    assert QuantParams(1.0, 4, U).value_range == (0.0, 15.0)
-    assert QuantParams(0.5, 4, TC).value_range == (-4.0, 3.5)
+    # the representable interval the STE mask oracle passes: [0, 15] and
+    # [-4, 3.5], each edge inside
+    for params, edges in ((QuantParams(1.0, 4, U), (0.0, 15.0)),
+                          (QuantParams(0.5, 4, TC), (-4.0, 3.5))):
+        lo, hi = edges
+        t = np.array([np.nextafter(lo, -np.inf), lo, hi,
+                      np.nextafter(hi, np.inf)])
+        assert np.array_equal(ste_mask(t, params), [0.0, 1.0, 1.0, 0.0])
 
 
 _FAKE_QUANT_CASES = [

@@ -1,9 +1,10 @@
 """The block readout against pinned copies of the per-entry formulas.
 
-The `_pinned_*` functions below are frozen copies of the macro's noise, ADC
-and vote arithmetic as they were while every level was read out one entry
-at a time. The in-place block versions must give the same bytes, so these
-copies never follow a change to `acimsim.macro`.
+The `pinned_*` functions of oracles.py are frozen copies of the macro's
+noise, ADC and vote arithmetic as they were while every level was read out
+one entry at a time, each noise model drawing from its own rng.stream. The
+in-place block versions must give the same bytes, so these copies never
+follow a change to `acimsim.macro`.
 """
 
 from dataclasses import replace
@@ -15,72 +16,31 @@ from acimsim import macro
 from acimsim.errors import ShapeError
 from acimsim.macro import (MacroConfig, NoiseSpec, NoiseUnit, Sigma,
                            adc_readout, apply_noise, count_table, draw_noise,
-                           majority_vote_readout, sigma_to_counts)
+                           majority_vote_readout)
 from acimsim.rng import (TAG_NONLIN, TAG_RANDOM, RngContext, StreamTable,
                          normal, stream)
+from oracles import (pinned_adc, pinned_nonlin, pinned_random, pinned_vote,
+                     sign_floor_round)
+from streams import noise_at, table_of, vote_at
 
 CTX = RngContext(layer=1, tile=2, w_bit=3, act_group=1, column=0, sample=4)
 DTYPES = (np.int64, np.float32, np.float64)
 
 
-def _pinned_round(x):
-    x = np.asarray(x)
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
-
-
-def _pinned_adc(v, cfg):
-    delta = cfg.lsb_counts
-    code = np.clip(_pinned_round(np.asarray(v, dtype=np.float64) / delta),
-                   0, (1 << cfg.adc_bits) - 1).astype(np.int64)
-    return code, code * delta
-
-
-def _pinned_random(v, spec, cfg, ctx):
-    sigma = sigma_to_counts(spec.random_sigma, cfg)
-    v = np.asarray(v, dtype=np.float64)
-    if sigma == 0:
-        return v
-    return v + sigma * stream(spec.seed, ctx, TAG_RANDOM).standard_normal(
-        v.shape)
-
-
-def _pinned_nonlin(v, spec, cfg, ctx):
-    sigma = sigma_to_counts(spec.nonlin_sigma, cfg)
-    v = np.asarray(v, dtype=np.float64)
-    if sigma == 0:
-        return v
-    n_fs = cfg.full_scale_counts
-    local = sigma * np.sqrt(np.maximum(0.0, n_fs - v) / n_fs)
-    return v + local * stream(spec.seed, ctx, TAG_NONLIN).standard_normal(
-        v.shape)
-
-
-def _pinned_vote(v, samples, spec, cfg, ctx):
-    total = None
-    for s in range(samples):
-        ctx_s = replace(ctx, sample=ctx.sample + s)
-        noisy = _pinned_nonlin(_pinned_random(v, spec, cfg, ctx_s), spec, cfg,
-                               ctx_s)
-        code, _ = _pinned_adc(noisy, cfg)
-        total = code if total is None else total + code
-    mean = total / samples
-    return _pinned_round(mean).astype(np.int64), mean * cfg.lsb_counts
-
-
 def _noise(v, spec, cfg, ctx=CTX):
     """apply_noise on one row of levels, drawn from `ctx`."""
-    return apply_noise(np.asarray(v)[None], spec, cfg, [ctx])[0]
+    return noise_at(np.asarray(v)[None], spec, cfg, [ctx])[0]
 
 
 def _sample_rows(ctx, samples):
-    """The stream address of each sample of a vote of one row."""
+    """The RngContext of each sample of a vote of one row."""
     return [replace(ctx, sample=ctx.sample + s) for s in range(samples)]
 
 
 def _vote(v, samples, spec, cfg, ctx=CTX):
     """majority_vote_readout of one point on one row of levels."""
-    total, = majority_vote_readout([np.asarray(v)[None]], samples, [spec],
-                                   [cfg], _sample_rows(ctx, samples))
+    total, = vote_at([np.asarray(v)[None]], samples, [spec], [cfg],
+                     _sample_rows(ctx, samples))
     return total[0]
 
 
@@ -121,14 +81,14 @@ def test_adc_readout_equals_pinned_formula():
             singles = v.astype(np.float32)
         for arr in (v, singles, ints):
             code, mac = adc_readout(arr, cfg)
-            want_code, want_mac = _pinned_adc(arr, cfg)
+            want_code, want_mac = pinned_adc(arr, cfg)
             assert code.dtype == np.int64
             assert np.array_equal(code, want_code), cfg
             assert np.array_equal(mac, want_mac), cfg
             checked += arr.size
         for x in (v[5], float(v[7]), np.asarray(v[9]), int(cfg.rows)):
             code, mac = adc_readout(x, cfg)
-            want_code, want_mac = _pinned_adc(x, cfg)
+            want_code, want_mac = pinned_adc(x, cfg)
             assert np.shape(code) == () and code == want_code, (cfg, x)
             assert mac == want_mac, (cfg, x)
     assert checked > 50_000
@@ -148,7 +108,7 @@ def test_adc_readout_codes_at_both_clamps():
                             np.nextafter(x, -np.inf),
                             [-0.0, -5e-324, -1e-300, -delta, -top * delta]])
         code, mac = adc_readout(v, cfg)
-        want_code, want_mac = _pinned_adc(v, cfg)
+        want_code, want_mac = pinned_adc(v, cfg)
         assert np.array_equal(code, want_code), cfg
         assert np.array_equal(mac, want_mac), cfg
         assert code.min() == 0 and code.max() == top
@@ -167,7 +127,7 @@ def test_count_table_equals_rounded_code_counts():
     for cfg in _configs():
         table = count_table(cfg)
         codes = np.arange(1 << cfg.adc_bits)
-        want = _pinned_round(codes * cfg.lsb_counts).astype(np.int64)
+        want = sign_floor_round(codes * cfg.lsb_counts).astype(np.int64)
         assert table.dtype == np.int64
         assert np.array_equal(table, want), cfg
 
@@ -199,11 +159,11 @@ def test_noise_equals_pinned_formula(dtype):
             random_only, nonlin_only = _one_model(spec)
             for v in levels:
                 got = _noise(v, random_only, cfg)
-                assert np.array_equal(got, _pinned_random(v, spec, cfg, CTX))
+                assert np.array_equal(got, pinned_random(v, spec, cfg, CTX))
                 got = _noise(v, nonlin_only, cfg)
-                assert np.array_equal(got, _pinned_nonlin(v, spec, cfg, CTX))
-                want = _pinned_nonlin(_pinned_random(v, spec, cfg, CTX), spec,
-                                      cfg, CTX)
+                assert np.array_equal(got, pinned_nonlin(v, spec, cfg, CTX))
+                want = pinned_nonlin(pinned_random(v, spec, cfg, CTX), spec,
+                                     cfg, CTX)
                 assert np.array_equal(_noise(v, spec, cfg), want)
 
 
@@ -216,11 +176,11 @@ def test_vote_equals_pinned_formula(samples):
                              size=(3, 4)).astype(dtype)
             for spec in SPECS:
                 total = _vote(v, samples, spec, cfg)
-                _, want_mac = _pinned_vote(v, samples, spec, cfg, CTX)
+                _, want_mac = pinned_vote(v, samples, spec, cfg, CTX)
                 assert np.array_equal(_vote_mac(total, samples, cfg),
                                       want_mac)
                 total = _vote(v[0, 0], samples, spec, cfg)
-                _, want_mac = _pinned_vote(v[0, 0], samples, spec, cfg, CTX)
+                _, want_mac = pinned_vote(v[0, 0], samples, spec, cfg, CTX)
                 assert np.array_equal(_vote_mac(total, samples, cfg),
                                       want_mac)
 
@@ -232,7 +192,7 @@ def test_large_vote_draws_its_samples_in_bounded_runs(monkeypatch):
     spec = _spec(0.7, 2.0)
     v = np.random.default_rng(8).integers(
         0, cfg.full_scale_counts + 1, size=(1, 48, 60)).astype(np.float32)
-    want = _pinned_vote(v[0], 5, spec, cfg, CTX)
+    want = pinned_vote(v[0], 5, spec, cfg, CTX)
     sizes = []
 
     def spy(levels, *args):
@@ -247,8 +207,8 @@ def test_large_vote_draws_its_samples_in_bounded_runs(monkeypatch):
         seen = []
         logged = NoiseSpec(spec.random_sigma, spec.nonlin_sigma, spec.seed,
                            lambda levels, ctx: seen.append(ctx) or levels)
-        for total in (majority_vote_readout([v], 5, [logged], [cfg],
-                                            _sample_rows(CTX, 5))[0],
+        for total in (vote_at([v], 5, [logged], [cfg],
+                              _sample_rows(CTX, 5))[0],
                       _vote(v[0], 5, logged, cfg)):
             mac = _vote_mac(total, 5, cfg)
             assert np.array_equal(mac.reshape(v[0].shape), want[1]), cap
@@ -270,16 +230,16 @@ def test_normal_rows_equal_single_context_draws():
     table = StreamTable(11, (TAG_RANDOM, TAG_NONLIN), [c.key() for c in ctxs])
     assert table.contexts(range(5)) == ctxs
     for tag in (TAG_RANDOM, TAG_NONLIN):
-        want = np.stack([normal(11, [c], tag, (1, 2, 3))[0] for c in ctxs])
-        assert np.array_equal(normal(11, ctxs, tag, (5, 2, 3)), want)
-        assert np.array_equal(normal(11, range(5), tag, (5, 2, 3),
-                                     table=table), want)
-        assert np.array_equal(normal(11, np.arange(5), tag, (5, 2, 3),
-                                     table=table), want)
-        flat = np.array([normal(11, [c], tag, 1)[0] for c in ctxs])
-        assert np.array_equal(normal(11, ctxs, tag, 5), flat)
+        want = np.stack([stream(11, c, tag).standard_normal((2, 3))
+                         for c in ctxs])
+        assert np.array_equal(normal(table, range(5), tag, (5, 2, 3)), want)
+        assert np.array_equal(normal(table, np.arange(5), tag, (5, 2, 3)),
+                              want)
+        flat = np.array([stream(11, c, tag).standard_normal(1)[0]
+                         for c in ctxs])
+        assert np.array_equal(normal(table, range(5), tag, 5), flat)
     with pytest.raises(ShapeError):
-        normal(11, ctxs, TAG_RANDOM, (4, 2))
+        normal(table, range(5), TAG_RANDOM, (4, 2))
 
 
 def _hooked(spec, seen):
@@ -299,36 +259,32 @@ def test_block_call_equals_per_row_calls(dtype):
     before = v.copy()
     for spec in SPECS:
         votes = [s for c in ctxs for s in _sample_rows(c, 3)]
-        for table in (None, StreamTable(spec.seed, (TAG_RANDOM, TAG_NONLIN),
-                                        [c.key() for c in votes])):
-            # with the table, row r's first sample is read 3 * r
-            draws = None if table is None else draw_noise(
-                spec.seed, (TAG_RANDOM, TAG_NONLIN), range(0, 12, 3), v.shape,
-                table)[0]
-            kept = {tag: d.copy() for tag, d in (draws or {}).items()}
-            for part in (*_one_model(spec), spec):
-                got = apply_noise(v, part, cfg, ctxs, draws)
-                want = np.stack([_noise(v[r], part, cfg, c)
-                                 for r, c in enumerate(ctxs)])
-                assert np.array_equal(got, want), part
-            seen_block, seen_rows = [], []
-            got = apply_noise(v, _hooked(spec, seen_block), cfg, ctxs, draws)
-            want = np.stack([_noise(v[r], _hooked(spec, seen_rows), cfg, c)
+        table = table_of(spec.seed, votes, (TAG_RANDOM, TAG_NONLIN))
+        # row r's first sample is read 3 * r
+        draws = draw_noise(table, range(0, 12, 3), v.shape)[0]
+        kept = {tag: d.copy() for tag, d in draws.items()}
+        for part in (*_one_model(spec), spec):
+            got = apply_noise(v, part, cfg, ctxs, draws)
+            want = np.stack([_noise(v[r], part, cfg, c)
                              for r, c in enumerate(ctxs)])
-            assert np.array_equal(got, want)
-            assert seen_block == seen_rows == ctxs
-            seen_block, seen_rows = [], []
-            total, = majority_vote_readout(
-                [v], 3, [_hooked(spec, seen_block)], [cfg],
-                votes if table is None else range(12), table)
-            per_row = [_vote(v[r], 3, _hooked(spec, seen_rows), cfg, c)
-                       for r, c in enumerate(ctxs)]
-            assert np.array_equal(total, np.stack(per_row))
-            assert seen_block == seen_rows == [
-                replace(c, sample=c.sample + s) for c in ctxs for s in range(3)]
-            assert np.array_equal(v, before)
-            # apply_noise reads draws, never writes them
-            assert all(np.array_equal(draws[t], kept[t]) for t in kept)
+            assert np.array_equal(got, want), part
+        seen_block, seen_rows = [], []
+        got = apply_noise(v, _hooked(spec, seen_block), cfg, ctxs, draws)
+        want = np.stack([_noise(v[r], _hooked(spec, seen_rows), cfg, c)
+                         for r, c in enumerate(ctxs)])
+        assert np.array_equal(got, want)
+        assert seen_block == seen_rows == ctxs
+        seen_block, seen_rows = [], []
+        total, = majority_vote_readout(
+            [v], 3, [_hooked(spec, seen_block)], [cfg], range(12), table)
+        per_row = [_vote(v[r], 3, _hooked(spec, seen_rows), cfg, c)
+                   for r, c in enumerate(ctxs)]
+        assert np.array_equal(total, np.stack(per_row))
+        assert seen_block == seen_rows == [
+            replace(c, sample=c.sample + s) for c in ctxs for s in range(3)]
+        assert np.array_equal(v, before)
+        # apply_noise reads draws, never writes them
+        assert all(np.array_equal(draws[t], kept[t]) for t in kept)
 
 
 def test_hook_never_writes_into_caller_levels():
@@ -336,7 +292,7 @@ def test_hook_never_writes_into_caller_levels():
     v = np.arange(8.0).reshape(2, 4)
     before = v.copy()
     spec = _hooked(NoiseSpec(seed=1), [])
-    out = apply_noise(v, spec, cfg, _row_contexts(2))
+    out = noise_at(v, spec, cfg, _row_contexts(2))
     assert np.array_equal(out, before + 0.25)
     out = _noise(v, spec, cfg)
     assert np.array_equal(out, before + 0.25)

@@ -12,7 +12,7 @@ from acimsim.rng import (TAG_DATA, TAG_NAT, TAG_NONLIN, TAG_RANDOM, RngContext,
 
 def _draw(seed, ctx, tag, size):
     """`size` draws of the one stream (seed, ctx, tag)."""
-    return normal(seed, [ctx], tag, (1, size))[0]
+    return stream(seed, ctx, tag).standard_normal(size)
 
 
 def test_source_tags_distinct():
@@ -117,20 +117,18 @@ def test_stream_table_matches_normal_on_every_row():
         for i in np.concatenate([gen.permutation(len(rows))] * 2):
             for tag in (rows[i][0], tags[i % len(tags)]):
                 ctx = RngContext(*reads[i])
-                want = normal(seed, [ctx], tag, (1, 3, 7))
-                assert np.array_equal(
-                    normal(seed, [i], tag, (1, 3, 7), table=table), want)
+                want = stream(seed, ctx, tag).standard_normal((1, 3, 7))
+                assert np.array_equal(normal(table, [i], tag, (1, 3, 7)),
+                                      want)
 
 
-def test_stream_table_rejects_unknown_row_and_other_seed():
+def test_stream_table_rejects_unknown_row_and_tag():
     table = StreamTable(5, [TAG_RANDOM], [(0, 0, 0, 0, 0, 0)])
     for read in (1, -1):
         with pytest.raises(IndexError):
-            normal(5, [read], TAG_RANDOM, 1, table=table)
+            normal(table, [read], TAG_RANDOM, 1)
     with pytest.raises(KeyError):
-        normal(5, [0], TAG_NONLIN, 1, table=table)
-    with pytest.raises(DomainError, match="seed 5, not 6"):
-        normal(6, [0], TAG_RANDOM, 1, table=table)
+        normal(table, [0], TAG_NONLIN, 1)
 
 
 @pytest.mark.parametrize("word,field", [(2**32, "tile"), (-1, "layer"),
