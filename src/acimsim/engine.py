@@ -5,15 +5,16 @@ hybrid execution and majority voting are its per-entry `analog` and
 `oversample` fields. One float32 GEMM per (tile, group) yields the levels of
 every weight bit of the group, exact as each is an integer below 2^24
 (MacroConfig). The levels are read out in chunks through the macro's noise,
-ADC and vote functions; a count table maps ADC codes to integer counts, which
-accumulate with their signed power-of-two shift weights, so floating point
-enters only at the final rescale. A matmul keys all its noise streams in one
-rng.StreamTable, and every draw reads it by position, the one stream address
-of readout noise; RngContexts are built only for level hooks. The points of
-one plan class (macros that differ only in ADC precision, noise specs that
-share a seed) run in lockstep through one plan, table and chunk list, each
-chunk drawn once and read by every point in turn. Conv2d and attention lower
-onto simulate_matmul.
+ADC and vote functions; every pass after a chunk's noise runs on row blocks
+of at most macro._CHUNK_ELEMS levels. A count table maps ADC codes to integer
+counts, which accumulate with their signed power-of-two shift weights, so
+floating point enters only at the final rescale. A matmul keys all its noise
+streams in one rng.StreamTable, and every draw reads it by position, the one
+stream address of readout noise; RngContexts are built only for level hooks.
+The points of one plan class (macros that differ only in ADC precision, noise
+specs that share a seed) run in lockstep through one plan, table and chunk
+list, each chunk drawn once and read by every point in turn. Conv2d and
+attention lower onto simulate_matmul.
 """
 
 from dataclasses import dataclass
@@ -200,7 +201,8 @@ def _readout_chunks(analog: list, oversample: list, elems: int):
     """(start, stop, analog, oversample) of each readout chunk of a group: a
     run of consecutive entries of one domain and one oversample, within
     macro._CHUNK_ELEMS levels (entries x oversample x elems), or one entry
-    above the cap, whose vote draws its samples in bounded runs."""
+    above the cap, drawn and noised whole (a vote in bounded runs of
+    samples), then read out in row blocks within the cap."""
     lo = 0
     for (is_analog, samples), run in groupby(zip(analog, oversample)):
         hi = lo + sum(1 for _ in run)
@@ -292,14 +294,13 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
         rhs = rhs.astype(np.float32, order="C").reshape(stop - start,
                                                         q_bits * m)
         for g, group in enumerate(layout):
-            blocks = []
-            for a in acts:
-                lhs, = encode_activation_groups(a.codes[:, start:stop],
-                                                [group])
-                lhs = lhs.astype(np.float32)
-                # exact: integer levels below 2^24 (MacroConfig.__post_init__)
-                blocks.append((lhs @ rhs).reshape(b, q_bits, m)
-                              .transpose(1, 0, 2))
+            # the last group's levels and draws go before this group's GEMM
+            blocks = levels = draws = buf = totals = None
+            # exact below 2^24 (MacroConfig); DAC words die with their GEMM
+            blocks = [(encode_activation_groups(a.codes[:, start:stop],
+                                                [group])[0].astype(np.float32)
+                       @ rhs).reshape(b, q_bits, m).transpose(1, 0, 2)
+                      for a in acts]
             for lo, hi, analog, samples in chunks[g]:
                 if analog:
                     reads = range(read, read + (hi - lo) * samples)
@@ -312,21 +313,26 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
                         draws, buf = draw_noise(table, reads, (hi - lo, b, m),
                                                 len(cfgs))
                         rows = table.contexts(reads) if hooked else None
+                rb = max(1, macro._CHUNK_ELEMS // max(1, (hi - lo) * m))
                 for p, (o, p_cfg, spec, lut, accum) in enumerate(points):
-                    if not analog:
-                        counts = blocks[o][lo:hi].astype(np.int64)
-                    elif samples > 1:
-                        mac = (totals[p] / samples) * p_cfg.lsb_counts
-                        counts = round_half_away(mac).astype(np.int64)
-                    else:
-                        noisy = blocks[o][lo:hi]
-                        if not spec.silent:
-                            noisy = apply_noise(noisy, spec, p_cfg, rows,
-                                                draws, buf)
-                        counts = lut[adc_readout(noisy, p_cfg)[0]]
-                    for weight, counts_e in zip(weights[g][lo:hi], counts):
-                        counts_e *= weight
-                        accum += counts_e
+                    levels = blocks[o][lo:hi]
+                    if analog and samples > 1:
+                        levels = totals[p]
+                    elif analog and not spec.silent:
+                        levels = apply_noise(levels, spec, p_cfg, rows, draws,
+                                             buf)
+                    for r0 in range(0, b, rb):
+                        block = levels[:, r0:r0 + rb]
+                        if not analog:
+                            counts = block.astype(np.int64)
+                        elif samples > 1:
+                            mac = (block / samples) * p_cfg.lsb_counts
+                            counts = round_half_away(mac).astype(np.int64)
+                        else:
+                            counts = lut[adc_readout(block, p_cfg)[0]]
+                        for weight, counts_e in zip(weights[g][lo:hi], counts):
+                            counts_e *= weight
+                            accum[r0:r0 + rb] += counts_e
     analog = int(entries["analog"].sum())
     results = []
     for p in range(len(points)):

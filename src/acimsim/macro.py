@@ -21,8 +21,9 @@ from .tensor import round_half_away
 
 # Readout cap in levels: a float64 temporary of 2^14 levels is 128 KiB. It
 # bounds the engine's readout chunks (entries x oversample x B x M) and the
-# runs of vote samples drawn in one apply_noise call (rows x samples). Both
-# hold at least one entry or sample, so one above the cap is read on its own.
+# runs of vote samples drawn in one apply_noise call (rows x samples), each
+# one entry or sample at least, and the row blocks (entries x rows x M, one
+# row at least) that every engine pass after a chunk's noise runs on.
 _CHUNK_ELEMS = 1 << 14
 
 
@@ -85,9 +86,9 @@ class NoiseSpec:
     """Noise intensities, the run seed, and an optional custom level hook.
 
     `level_hook(levels, ctx)` runs after the two built-in models, once per
-    RngContext on that context's levels, and returns the levels to use, of
-    the same shape; it is the extension point for user noise models and
-    fault injection.
+    RngContext on that context's levels, and returns the levels to use: real,
+    of the same shape and without NaN (else DomainError; +-inf clamp). It is
+    the extension point for user noise models and fault injection.
     """
 
     random_sigma: Sigma = Sigma(0.0)
@@ -170,7 +171,13 @@ def apply_noise(v, spec: NoiseSpec, cfg: MacroConfig, rows, draws: dict,
         noisy = np.array(v, dtype=np.float64)   # a copy: the hook writes rows
     if spec.level_hook is not None:
         for r, c in enumerate(rows):
-            noisy[r, ...] = spec.level_hook(noisy[r, ...], c)
+            level = np.asarray(spec.level_hook(noisy[r, ...], c))
+            if (level.dtype.kind not in "biuf" or np.isnan(level).any()
+                    or level.shape != noisy.shape[1:]):
+                raise DomainError(f"level_hook gave {level.dtype} "
+                                  f"{level.shape} for {c}; want "
+                                  f"{noisy.shape[1:]} with no NaN")
+            noisy[r, ...] = level
     return noisy
 
 

@@ -165,7 +165,13 @@ def linearity_sweep(cfg: MacroConfig, spec: NoiseSpec, trials: int,
     n_fs = cfg.full_scale_counts
     if levels is None:   # every level, or 257 spread over the full scale
         levels = np.unique(np.linspace(0, n_fs, min(n_fs, 256) + 1).round())
-    levels = np.asarray(levels, dtype=np.int64)
+    levels = np.asarray(levels)
+    if (levels.ndim != 1 or not levels.size or levels.dtype.kind not in "iuf"
+            or not np.all((levels >= 0) & (levels <= n_fs)
+                          & (levels == np.round(levels)))):
+        raise DomainError(f"levels must be a non-empty list of integers in "
+                          f"[0, {n_fs}], got {levels}")
+    levels = levels.astype(np.int64)
     reads = np.zeros((levels.size, samples, 6), dtype=np.int64)
     reads[..., 4] = levels[:, None]
     reads[..., 5] = np.arange(samples)

@@ -143,7 +143,7 @@ def decompose_bits(codes, bits: int) -> np.ndarray:
     so plane bits-1 of a signed code is its sign bit."""
     codes = np.asarray(codes, dtype=np.int64)
     shifts = np.arange(bits).reshape(-1, *(1,) * codes.ndim)
-    return (codes >> shifts) & 1
+    return _bit_field(codes, shifts, 1)
 
 
 def group_layout(bits: int, signedness: Signedness, y: int) -> list:
@@ -174,8 +174,14 @@ def encode_activation_groups(codes, layout) -> list:
     group_layout entry (width, shift, sign_group): (codes >> shift) &
     (2^width - 1)."""
     codes = np.asarray(codes, dtype=np.int64)
-    return [(codes >> shift) & ((1 << width) - 1)
-            for width, shift, _ in layout]
+    return [_bit_field(codes, shift, width) for width, shift, _ in layout]
+
+
+def _bit_field(codes, shift, width: int) -> np.ndarray:
+    """(codes >> shift) & (2^width - 1) with one int64 temporary, not two."""
+    field = codes >> shift
+    field &= (1 << width) - 1
+    return field
 
 
 def bit_sparsity(planes) -> list:

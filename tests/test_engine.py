@@ -1,5 +1,6 @@
 """Engine tests: cycle planning, exactness, tiling, layer entry points."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -436,6 +437,106 @@ def test_matmul_any_readout_chunking_gives_same_bytes(monkeypatch):
                 e.analog.tolist(), e.oversample.tolist(), elems))
     # the default cap does group several entries into one chunk
     assert multi_entry > 100
+
+
+def _oversized_layer():
+    """A 2700x20 @ 20x24 layer on 16 rows: each plan entry holds about 4x
+    macro._CHUNK_ELEMS levels, so its readout splits into row blocks of
+    _CHUNK_ELEMS // 24 = 682 rows and a ragged last block of 654."""
+    gen = np.random.default_rng(44)
+    act = rand_q(gen, (2700, 20), 3, TC)
+    w = rand_q(gen, (20, 24), 3, TC)
+    assert 3.9 < 2700 * 24 / macro._CHUNK_ELEMS < 4
+    assert 2700 % (macro._CHUNK_ELEMS // 24) == 654
+    return act, w, MacroConfig(16, 4)
+
+
+def test_oversized_entry_is_read_out_in_row_blocks(monkeypatch):
+    # every engine ADC call, alone, silent or in lockstep, reads at most
+    # _CHUNK_ELEMS levels, and together they read every analog level once
+    act, w, cfg = _oversized_layer()
+    sizes = []
+
+    def recording(v, c):
+        sizes.append(np.size(v))
+        return adc_readout(v, c)
+
+    monkeypatch.setattr(engine, "adc_readout", recording)
+    noisy = NoiseSpec(random_sigma=lsb(0.7), seed=5)
+    runs = (([cfg], [noisy]), ([cfg], [NOISELESS]),
+            ([cfg, MacroConfig(16, 3), cfg],
+             [noisy, NoiseSpec(seed=5), replace(noisy, nonlin_sigma=lsb(1.0))]))
+    entries = len(plan_cycles(3, 3, TC, TC, SERIAL).entries)
+    for cfgs, specs in runs:
+        sizes.clear()
+        engine._simulate_points([act], w, cfgs, specs, SERIAL)
+        assert max(sizes) <= macro._CHUNK_ELEMS
+        assert 654 * 24 in sizes
+        assert sum(sizes) == len(cfgs) * 2 * entries * 2700 * 24
+
+
+def test_oversized_entry_equals_reference_loop():
+    # row blocks change no byte: hybrid, voted and lockstep runs of the
+    # oversized layer equal the reference loop at the default cap
+    act, w, cfg = _oversized_layer()
+    voted = EngineMode(hybrid_boundary=1, voting=VotingSpec(1, 3))
+    entries = plan_cycles(3, 3, TC, TC, voted).entries
+    assert not entries["analog"].all() and entries["oversample"].max() == 3
+    specs = [NoiseSpec(lsb(0.7), Sigma(3.0, NoiseUnit.VPP_PCT), seed=8),
+             NoiseSpec(random_sigma=lsb(0.4), seed=8), NoiseSpec(seed=8)]
+    cfgs = [cfg, MacroConfig(16, 5), cfg]
+    for mode in (SERIAL, voted):
+        points = engine._simulate_points([act], w, cfgs, specs, mode, layer=2)
+        for c, spec, res in zip(cfgs, specs, points):
+            want = _reference_matmul(act, w, c, spec, mode, 2)
+            assert res.output.tobytes() == want.tobytes(), (c, spec, mode)
+
+
+def test_oversized_entry_peak_memory():
+    # the readout's temporaries are row blocks, not whole entries: the peak
+    # stays within the accumulator, one entry's draws, one group's GEMM
+    # block and DAC words, and 6 block-sized temporaries
+    act, w, cfg = _oversized_layer()
+    spec = NoiseSpec(random_sigma=lsb(0.7), seed=5)
+    simulate_matmul(act, w, cfg, spec, SERIAL)   # warm caches and imports
+    entry = 2700 * 24 * 8
+    bound = 2 * entry + 2700 * 3 * 24 * 4 + 2700 * 16 * 12 \
+        + 6 * macro._CHUNK_ELEMS * 8
+    tracemalloc.start()
+    try:
+        simulate_matmul(act, w, cfg, spec, SERIAL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)
+
+
+@pytest.mark.parametrize("bad", ["nan", "none", "scalar", "one row", "half"])
+def test_level_hook_result_is_checked(bad):
+    # a hook result that is not real levels of its row's shape without NaN
+    # raises DomainError naming the hook and the RngContext, in plain and
+    # voted matmuls and in linearity sweeps
+    hook = {"nan": lambda v, c: v * np.nan, "none": lambda v, c: None,
+            "scalar": lambda v, c: 1.0, "one row": lambda v, c: v[:1],
+            "half": lambda v, c: v[..., ::2]}[bad]
+    gen = np.random.default_rng(3)
+    act = rand_q(gen, (3, 20), 4, TC)
+    w = rand_q(gen, (20, 5), 4, TC)
+    spec = NoiseSpec(random_sigma=lsb(0.5), level_hook=hook)
+    match = r"level_hook .* for RngContext\(layer=0, tile=0"
+    for mode in (SERIAL, EngineMode(voting=VotingSpec(1, 3))):
+        with pytest.raises(DomainError, match=match):
+            simulate_matmul(act, w, MacroConfig(8, 4), spec, mode)
+    with pytest.raises(DomainError, match="level_hook .* for RngContext"):
+        linearity_sweep(MacroConfig(8, 4), spec, 100, levels=[3, 5])
+
+
+def test_level_hook_infinities_read_clamped_codes():
+    cfg = MacroConfig(8, 4)
+    for shift, code in ((np.inf, 15), (-np.inf, 0)):
+        spec = NoiseSpec(level_hook=lambda v, c: v + shift)
+        sweep = linearity_sweep(cfg, spec, 100, levels=[0, 4, 8])
+        assert np.all(sweep.mean == code) and np.all(sweep.sigma == 0)
 
 
 def test_matmul_rejects_layer_outside_spawn_word():

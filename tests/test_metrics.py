@@ -269,6 +269,21 @@ def test_linearity_trials_validation():
         linearity_sweep(MacroConfig(64, 6), NOISELESS, trials=99)
 
 
+@pytest.mark.parametrize("levels", [[], [-1], [1.5], [17], [10**6], [[1, 2]],
+                                    ["a"], [np.nan]])
+def test_linearity_levels_validation(levels):
+    # levels must be a non-empty list of integers in [0, full scale = 16]
+    with pytest.raises(DomainError, match="levels"):
+        linearity_sweep(MacroConfig(16, 4), NOISELESS, 100, levels=levels)
+
+
+def test_linearity_levels_accept_integral_floats():
+    cfg = MacroConfig(16, 4)
+    sweep = linearity_sweep(cfg, NOISELESS, 100, levels=[0.0, 16.0, 5])
+    assert sweep.levels.dtype == np.int64
+    assert sweep.levels.tolist() == [0, 16, 5]
+
+
 def test_linearity_rows_roundtrip():
     sweep = linearity_sweep(MacroConfig(16, 5), NOISELESS, trials=100)
     rows = sweep.to_rows()
