@@ -2,15 +2,19 @@
 
 A CyclePlan holds one record per (weight bit, activation group) of a tile;
 hybrid execution and majority voting are its per-entry `analog` and
-`oversample` fields. One float32 GEMM per (tile, group) yields the levels of
-every weight bit of the group, exact as each is an integer below 2^24
-(MacroConfig). The levels are read out in chunks through the macro's noise,
-ADC and vote functions; every pass after a chunk's noise runs on row blocks
-of at most macro._CHUNK_ELEMS levels. A count table maps ADC codes to integer
-counts, which accumulate with their signed power-of-two shift weights, so
-floating point enters only at the final rescale. A matmul keys all its noise
-streams in one rng.StreamTable, and every draw reads it by position, the one
-stream address of readout noise; RngContexts are built only for level hooks.
+`oversample` fields. Float32 GEMMs of a (tile, group)'s DAC words against the
+tile's stacked weight planes yield the levels of every weight bit of the
+group, exact as each is an integer below 2^24 (MacroConfig). Both operands
+are formed in row slices of one weight plane's share of macro._CHUNK_ELEMS,
+the planes into one buffer that every tile reuses, with one GEMM per slice of
+DAC words. The levels are read out in chunks through the macro's noise, ADC
+and vote functions; every pass after a chunk's noise runs on row blocks of at
+most macro._CHUNK_ELEMS levels, and no buffer of a group outlives it. A count
+table maps ADC codes to integer counts, which accumulate with their signed
+power-of-two shift weights, so floating point enters only at the final
+rescale. A matmul keys all its noise streams in one rng.StreamTable, and
+every draw reads it by position, the one stream address of readout noise;
+RngContexts are built only for level hooks.
 The points of one plan class (macros that differ only in ADC precision, noise
 specs that share a seed) run in lockstep through one plan, table and chunk
 list, each chunk drawn once and read by every point in turn. Conv2d and
@@ -212,14 +216,46 @@ def _readout_chunks(analog: list, oversample: list, elems: int):
         lo = hi
 
 
+def _row_slices(n: int, width: int):
+    """(r0, r1) of each run of at most `width` of n rows, in order."""
+    for r0 in range(0, n, width):
+        yield r0, min(r0 + width, n)
+
+
+def _weight_planes(codes: np.ndarray, step: int, out: np.ndarray):
+    """The weight stack [rows, bits*M] of one tile's codes [rows, M], formed
+    in `out` [rows, bits, M]: column q*M + j is plane q of output j. Built
+    from decompose_bits of `step` rows at a time, so no int64 stack of the
+    whole tile exists."""
+    rows, bits, m = out.shape
+    for r0, r1 in _row_slices(rows, step):
+        out[r0:r1] = decompose_bits(codes[r0:r1], bits).transpose(1, 0, 2)
+    return out.reshape(rows, bits * m)
+
+
+def _level_block(codes: np.ndarray, group: tuple, rhs: np.ndarray,
+                 step: int) -> np.ndarray:
+    """The float32 levels [B, bits*M] of one (tile, group): the group's DAC
+    words of the tile's activation codes [B, rows] times the weight stack,
+    one GEMM per `step` rows, each exact as its levels are integers below
+    2^24 (MacroConfig). A slice's int64 words die at their float32 cast,
+    and the cast with its GEMM."""
+    levels = np.empty((len(codes), rhs.shape[1]), dtype=np.float32)
+    for r0, r1 in _row_slices(len(codes), step):
+        np.matmul(encode_activation_groups(codes[r0:r1], [group])[0]
+                  .astype(np.float32), rhs, out=levels[r0:r1])
+    return levels
+
+
 def simulate_matmul(act: QuantizedTensor, w: QuantizedTensor,
                     cfg: MacroConfig, spec: NoiseSpec, mode: EngineMode,
                     layer: int = 0) -> SimLayerResult:
     """Simulate act[B,D] @ w[D,M] with w stationary in the macro.
 
-    D is tiled into ceil(D/rows) mappings. Per (tile, activation group) one
-    GEMM of the group's DAC words [B, rows] against the tile's stacked weight
-    planes [rows, Q*M] yields the levels of all Q weight bits at once.
+    D is tiled into ceil(D/rows) mappings. Per (tile, activation group) the
+    GEMMs of the group's DAC words [B, rows], a row slice at a time, against
+    the tile's stacked weight planes [rows, Q*M] yield the levels of all Q
+    weight bits at once.
     Digital entries accumulate their exact levels; analog entries are read
     out a chunk at a time (_readout_chunks) by apply_noise and adc_readout,
     or majority_vote_readout, whose code totals are averaged, scaled to
@@ -286,21 +322,15 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
     # the table lists the reads in the order the loop below takes them
     table = _stream_table(groups.ravel(), tiles, layer, seed, tags)
     read = 0   # the table position of the next read
-    for t, start in enumerate(tile_starts):
+    step = max(1, macro._CHUNK_ELEMS // max(1, m))   # operand slice rows
+    # one weight stack [rows, Q, M], which every tile overwrites
+    stack = np.empty((min(cfg.rows, d), q_bits, m), dtype=np.float32)
+    for start in tile_starts:
         stop = min(start + cfg.rows, d)
-        # the tile's weight planes side by side: column q*M + j is plane q
-        # of output j
-        rhs = decompose_bits(w.codes[start:stop], q_bits).transpose(1, 0, 2)
-        rhs = rhs.astype(np.float32, order="C").reshape(stop - start,
-                                                        q_bits * m)
+        rhs = _weight_planes(w.codes[start:stop], step, stack[:stop - start])
         for g, group in enumerate(layout):
-            # the last group's levels and draws go before this group's GEMM
-            blocks = levels = draws = buf = totals = None
-            # exact below 2^24 (MacroConfig); DAC words die with their GEMM
-            blocks = [(encode_activation_groups(a.codes[:, start:stop],
-                                                [group])[0].astype(np.float32)
-                       @ rhs).reshape(b, q_bits, m).transpose(1, 0, 2)
-                      for a in acts]
+            blocks = [_level_block(a.codes[:, start:stop], group, rhs, step)
+                      .reshape(b, q_bits, m).transpose(1, 0, 2) for a in acts]
             for lo, hi, analog, samples in chunks[g]:
                 if analog:
                     reads = range(read, read + (hi - lo) * samples)
@@ -321,8 +351,8 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
                     elif analog and not spec.silent:
                         levels = apply_noise(levels, spec, p_cfg, rows, draws,
                                              buf)
-                    for r0 in range(0, b, rb):
-                        block = levels[:, r0:r0 + rb]
+                    for r0, r1 in _row_slices(b, rb):
+                        block = levels[:, r0:r1]
                         if not analog:
                             counts = block.astype(np.int64)
                         elif samples > 1:
@@ -332,7 +362,10 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
                             counts = lut[adc_readout(block, p_cfg)[0]]
                         for weight, counts_e in zip(weights[g][lo:hi], counts):
                             counts_e *= weight
-                            accum[r0:r0 + rb] += counts_e
+                            accum[r0:r1] += counts_e
+            # no view or buffer of this group outlives it into the next
+            # group's operands
+            blocks = levels = block = draws = buf = totals = None
     analog = int(entries["analog"].sum())
     results = []
     for p in range(len(points)):

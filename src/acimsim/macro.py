@@ -19,11 +19,14 @@ from . import rng
 from .errors import ConfigError, DomainError, ShapeError
 from .tensor import round_half_away
 
-# Readout cap in levels: a float64 temporary of 2^14 levels is 128 KiB. It
+# Engine cap in levels: a float64 temporary of 2^14 levels is 128 KiB. It
 # bounds the engine's readout chunks (entries x oversample x B x M) and the
 # runs of vote samples drawn in one apply_noise call (rows x samples), each
 # one entry or sample at least, and the row blocks (entries x rows x M, one
-# row at least) that every engine pass after a chunk's noise runs on.
+# row at least) that every engine pass after a chunk's noise runs on. Its
+# M-th part, one weight plane's share (one row at least), is the row count of
+# the operand slices: the weight rows of one decompose_bits call and the
+# activation rows of one DAC-word extraction and its GEMM.
 _CHUNK_ELEMS = 1 << 14
 
 

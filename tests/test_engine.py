@@ -16,7 +16,7 @@ from acimsim.macro import (NOISELESS, MacroConfig, NoiseSpec, NoiseUnit, Sigma,
 from acimsim.metrics import MacHistogram, linearity_sweep, mac_distribution
 from acimsim.models import LinearLayer, TinyModel, engine_forward
 from acimsim.quant import (QuantParams, QuantizedTensor, Signedness,
-                           group_layout, quantize)
+                           group_layout, quantize, signedness_of)
 from acimsim.rng import RngContext
 from acimsim.tensor import round_half_away
 from oracles import total_mass
@@ -439,6 +439,40 @@ def test_matmul_any_readout_chunking_gives_same_bytes(monkeypatch):
     assert multi_entry > 100
 
 
+def test_conv_attention_lockstep_any_chunking_give_same_bytes(monkeypatch):
+    # operand slices, readout chunks and row blocks of any size change no
+    # byte of a y=4 unsigned conv on a ragged last tile, of attention, or of
+    # a lockstep class with an input per point
+    gen = np.random.default_rng(31)
+    noisy = NoiseSpec(lsb(0.6), Sigma(2.0, NoiseUnit.VPP_PCT), seed=9)
+    voted = EngineMode(4, hybrid_boundary=1, voting=VotingSpec(1, 3))
+    image = gen.uniform(0, 1, (3, 6, 6))        # C*kh*kw = 27 on 16 rows
+    filters = gen.normal(size=(4, 3, 3, 3))
+    q, k, v = (gen.normal(size=(5, 20)) for _ in range(3))
+    acts = [rand_q(gen, (7, 40), 6, TC) for _ in range(2)]
+    w = rand_q(gen, (40, 9), 5, TC)
+    cfg = MacroConfig(16, 5)
+    runs = {
+        "conv": lambda: simulate_conv2d(image, filters, 1, 1, 8,
+                                        MacroConfig(16, 6, 4), noisy, voted,
+                                        layer=3).output,
+        "attention": lambda: simulate_attention(q, k, v, 6, cfg, noisy,
+                                                SERIAL).output,
+        "lockstep": lambda: [r.output for r in engine._simulate_points(
+            acts, w, [cfg, MacroConfig(16, 3)],
+            [noisy, NoiseSpec(random_sigma=lsb(0.3), seed=9)],
+            EngineMode(hybrid_boundary=2), layer=1)],
+    }
+    assert signedness_of(image) is U
+    for name, run in runs.items():
+        outs = []
+        for cap in (macro._CHUNK_ELEMS, 1, 1 << 30):
+            monkeypatch.setattr(macro, "_CHUNK_ELEMS", cap)
+            outs.append(np.asarray(run()).tobytes())
+        monkeypatch.undo()
+        assert outs[1] == outs[0] and outs[2] == outs[0], name
+
+
 def _oversized_layer():
     """A 2700x20 @ 20x24 layer on 16 rows: each plan entry holds about 4x
     macro._CHUNK_ELEMS levels, so its readout splits into row blocks of
@@ -449,6 +483,22 @@ def _oversized_layer():
     assert 3.9 < 2700 * 24 / macro._CHUNK_ELEMS < 4
     assert 2700 % (macro._CHUNK_ELEMS // 24) == 654
     return act, w, MacroConfig(16, 4)
+
+
+# int64 DAC words and their float32 cast of one operand slice of the
+# 16-row tiles of _oversized_layer and _two_group_layer
+_WORD_SLICE = (macro._CHUNK_ELEMS // 24) * 16 * 12
+
+
+def _traced_peak(run) -> int:
+    """The tracemalloc peak of run(), after one untraced warm-up run."""
+    run()   # warm caches and imports
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_oversized_entry_is_read_out_in_row_blocks(monkeypatch):
@@ -495,19 +545,54 @@ def test_oversized_entry_equals_reference_loop():
 def test_oversized_entry_peak_memory():
     # the readout's temporaries are row blocks, not whole entries: the peak
     # stays within the accumulator, one entry's draws, one group's GEMM
-    # block and DAC words, and 6 block-sized temporaries
+    # block, one slice of DAC words and 6 block-sized temporaries
     act, w, cfg = _oversized_layer()
     spec = NoiseSpec(random_sigma=lsb(0.7), seed=5)
-    simulate_matmul(act, w, cfg, spec, SERIAL)   # warm caches and imports
     entry = 2700 * 24 * 8
-    bound = 2 * entry + 2700 * 3 * 24 * 4 + 2700 * 16 * 12 \
+    bound = 2 * entry + 2700 * 3 * 24 * 4 + _WORD_SLICE \
         + 6 * macro._CHUNK_ELEMS * 8
-    tracemalloc.start()
-    try:
-        simulate_matmul(act, w, cfg, spec, SERIAL)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: simulate_matmul(act, w, cfg, spec, SERIAL))
+    assert peak < bound, (peak, bound)
+
+
+def _two_group_layer():
+    """A 2700x20 @ 20x24 layer on 16 rows at y=2: two activation groups (2
+    body bits and the sign) of four 4-bit weight planes, 1 MB of float32
+    levels per (tile, group)."""
+    gen = np.random.default_rng(45)
+    act = rand_q(gen, (2700, 20), 3, TC)
+    w = rand_q(gen, (20, 24), 4, TC)
+    assert len(group_layout(3, TC, 2)) == 2
+    return act, w, MacroConfig(16, 4, 2)
+
+
+def test_weight_planes_peak_memory():
+    # two 256-row tiles of 8-bit weights for 256 outputs: the tiles share one
+    # float32 weight stack (2 MB), built from int64 planes of 64 rows at a
+    # time (1 MB), never from an int64 stack of a whole tile (4 MB)
+    gen = np.random.default_rng(46)
+    act = rand_q(gen, (4, 512), 8, TC)
+    w = rand_q(gen, (512, 256), 8, TC)
+    stack = 256 * 8 * 256 * 4
+    bound = stack + stack // 2 + 4 * macro._CHUNK_ELEMS * 8
+    peak = _traced_peak(lambda: simulate_matmul(
+        act, w, MacroConfig.at_boundary(256), NOISELESS, SERIAL))
+    assert peak < bound, (peak, bound)
+
+
+@pytest.mark.parametrize("hybrid", [None, 3])
+def test_no_level_block_outlives_its_group(hybrid):
+    # a silent run, alone or hybrid with every group ending on a digital
+    # chunk, holds one group's level block at a time: the peak stays within
+    # the accumulator, one level block, one operand slice and 5 row-block
+    # temporaries (the ADC's four and one spare), with no draws
+    act, w, cfg = _two_group_layer()
+    mode = EngineMode(2, hybrid_boundary=hybrid)
+    entries = plan_cycles(4, 3, TC, TC, mode).entries
+    assert hybrid is None or not entries[entries.w_bit == 3].analog.any()
+    bound = 2700 * 24 * 8 + 2700 * 4 * 24 * 4 + _WORD_SLICE \
+        + 5 * macro._CHUNK_ELEMS * 8
+    peak = _traced_peak(lambda: simulate_matmul(act, w, cfg, NOISELESS, mode))
     assert peak < bound, (peak, bound)
 
 
