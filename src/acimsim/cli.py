@@ -61,20 +61,17 @@ def _check_plans(cfg, modes, widths, signs, enc_section="macro"):
     """Plan each mode at the widths of `widths` (a checkpoint, else the
     config's [quant]) for each x signedness in `signs`: an enc_bits (from
     `enc_section`) above x_bits or a boundary past the plan's shift levels
-    exits 2, naming its key, before any training or simulation."""
+    (plan_cycles names its key) exits 2 before any training or simulation."""
     for mode, x_sign in itertools.product(dict.fromkeys(modes), signs):
         if mode.enc_bits > widths.x_bits:
             raise ConfigError(
                 f"{cfg.path}: [{enc_section}] enc_bits: encoding width "
                 f"{mode.enc_bits} exceeds x_bits {widths.x_bits}")
-        for key, m in (("hybrid_boundary",
-                        dataclasses.replace(mode, voting=None)),
-                       ("voting_boundary", mode)):
-            try:
-                plan_cycles(widths.w_bits, widths.x_bits, x_sign,
-                            Signedness.TWOS_COMPLEMENT, m)
-            except ConfigError as exc:
-                raise ConfigError(f"{cfg.path}: [mode] {key}: {exc}") from None
+        try:
+            plan_cycles(widths.w_bits, widths.x_bits, x_sign,
+                        Signedness.TWOS_COMPLEMENT, mode)
+        except ConfigError as exc:
+            raise ConfigError(f"{cfg.path}: [mode] {exc}") from None
 
 
 def _model(cfg: ExperimentConfig, train_set, test_set, modes, enc_section):
@@ -82,14 +79,11 @@ def _model(cfg: ExperimentConfig, train_set, test_set, modes, enc_section):
     once every mode plans at the model's widths for each layer's input (the
     test inputs, then unsigned post-ReLU ones)."""
     model = None
-    if cfg.model.checkpoint:
-        if not os.path.exists(cfg.model.checkpoint):
+    if cfg.checkpoint:
+        if not os.path.exists(cfg.checkpoint):
             raise ConfigError(f"{cfg.path}: [model] checkpoint: "
-                              f"no such file {cfg.model.checkpoint}")
-        model = load_checkpoint(cfg.model.checkpoint)
-    elif (cfg.model.builtin or "blob-mlp") != "blob-mlp":
-        raise ConfigError(f"{cfg.path}: [model] builtin: unknown model "
-                          f"{cfg.model.builtin!r} (available: blob-mlp)")
+                              f"no such file {cfg.checkpoint}")
+        model = load_checkpoint(cfg.checkpoint)
     layers = 2 if model is None else len(model.linear_layers())
     signs = {signedness_of(test_set[0])} | ({Signedness.UNSIGNED}
                                           if layers > 1 else set())
@@ -100,13 +94,14 @@ def _model(cfg: ExperimentConfig, train_set, test_set, modes, enc_section):
 def _forward_points(model: TinyModel, x, points, threads):
     """engine_forward of every (macro, noise, mode) point, in point order.
 
-    Points sharing rows, enc_bits, seed and mode form one plan class, run in
-    lockstep by one engine_forward call that draws each noise chunk once for
-    the class; the classes map over `threads` worker threads.
+    Points sharing rows, seed and mode (which holds their enc_bits) form one
+    plan class, run in lockstep by one engine_forward call that draws each
+    noise chunk once for the class; the classes map over `threads` worker
+    threads.
     """
     classes = {}
     for i, (macro, noise, mode) in enumerate(points):
-        key = (macro.rows, macro.enc_bits, noise.seed, mode)
+        key = (macro.rows, noise.seed, mode)
         classes.setdefault(key, []).append(i)
     classes = list(classes.values())
 
@@ -266,36 +261,27 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment INI file")
         p.add_argument("--out", help="output directory (default: [output] dir)")
-        p.add_argument("--threads", type=int,
-                       help="worker threads (default: $ACIM_SIM_THREADS or 1)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads (default: 1)")
         p.add_argument("--seed", type=int, help="override the [noise] seed")
     return parser
-
-
-def _resolve_threads(args) -> int:
-    env = os.environ.get("ACIM_SIM_THREADS", "1")
-    try:
-        n = args.threads if args.threads is not None else int(env)
-    except ValueError:
-        raise ConfigError(f"ACIM_SIM_THREADS must be an integer, got {env!r}")
-    if n < 1:
-        raise ConfigError(f"thread count must be >= 1, got {n}")
-    return n
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.monotonic()
     try:
-        threads = _resolve_threads(args)
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg = load_config(args.config, seed=args.seed)
         out_dir = args.out or cfg.output.dir
         meta = {"tool_version": __version__, "command": args.command,
-                "seed": cfg.noise.seed, "threads": threads,
+                "seed": cfg.noise.seed, "threads": args.threads,
                 "started_unix": time.time()}
-        header, rows = COMMANDS[args.command](cfg, out_dir, threads, meta)
+        header, rows = COMMANDS[args.command](cfg, out_dir, args.threads,
+                                              meta)
         meta["wall_clock_s"] = time.monotonic() - start
         emit(out_dir, args.command, header, rows, cfg.echo(), meta,
              cfg.output.formats)

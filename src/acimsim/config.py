@@ -60,11 +60,10 @@ KEYS = {
     "noise": {"random": (_FLOAT, 0.0), "random_unit": (_UNIT, _LSB),
               "nonlin": (_FLOAT, 0.0), "nonlin_unit": (_UNIT, _LSB),
               "seed": (_INT, _REQUIRED)},
-    "mode": {"scheme": (str, None), "hybrid_boundary": (_INT, None),
-             "voting_boundary": (_INT, None),
+    "mode": {"hybrid_boundary": (_INT, None), "voting_boundary": (_INT, None),
              "voting_samples": (_upto(100), None)},
     "quant": {"w_bits": (_INT, 8), "x_bits": (_INT, 8)},
-    "model": {"checkpoint": (str, None), "builtin": (str, None)},
+    "model": {"checkpoint": (str, None)},
     "data": {"kind": (str, "blobs"), "samples": (_upto(10**5), 512),
              "features": (_INT, 16), "classes": (_INT, 3),
              "spread": (_FLOAT, 1.0), "seed": (_INT, 7),
@@ -116,12 +115,6 @@ class DataSpec:
 
 
 @dataclass(frozen=True)
-class ModelSpec:
-    checkpoint: Optional[str]
-    builtin: Optional[str]
-
-
-@dataclass(frozen=True)
 class AnalysisSpec:
     """Operand sizes and trial counts for the metrics subcommands."""
     batch: int
@@ -151,7 +144,7 @@ class ExperimentConfig:
     mode: EngineMode
     w_bits: int
     x_bits: int
-    model: ModelSpec
+    checkpoint: Optional[str]           # else the built-in model is trained
     data: DataSpec
     analysis: AnalysisSpec
     output: OutputSpec
@@ -170,8 +163,7 @@ class ExperimentConfig:
                       "nonlin": self.noise.nonlin_sigma.value,
                       "nonlin_unit": self.noise.nonlin_sigma.unit.value,
                       "seed": self.noise.seed},
-            "mode": {"scheme": self.mode.scheme,
-                     "hybrid_boundary": self.mode.hybrid_boundary,
+            "mode": {"hybrid_boundary": self.mode.hybrid_boundary,
                      "voting": None if self.mode.voting is None else
                      {"boundary": self.mode.voting.boundary,
                       "samples": self.mode.voting.samples}},
@@ -263,16 +255,9 @@ def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
               f"hybrid boundary must be >= 1, got {m['hybrid_boundary']}")
     mode = EngineMode(enc_bits=macro.enc_bits,
                       hybrid_boundary=m["hybrid_boundary"], voting=voting)
-    if m["scheme"] is not None and m["scheme"] != mode.scheme:
-        _fail(path, "mode", "scheme", f"{m['scheme']!r} conflicts with macro "
-              f"enc_bits {macro.enc_bits} ({mode.scheme})")
     q = v["quant"]
     for key, bits in q.items():
         check_bits(bits, ConfigError, f"{path}: [quant] {key}: bits")
-    model = ModelSpec(**v["model"])
-    if model.checkpoint and model.builtin:
-        _fail(path, "model", "builtin",
-              "give either checkpoint or builtin, not both")
     d = v["data"]
     if d["kind"] not in ("blobs", "idx"):
         _fail(path, "data", "kind", f"unknown dataset kind {d['kind']!r}")
@@ -294,5 +279,6 @@ def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
 
     return ExperimentConfig(macro=macro, noise=noise, mode=mode,
                             w_bits=q["w_bits"], x_bits=q["x_bits"],
-                            model=model, data=data, analysis=analysis,
-                            output=output, sweep=sweep, train=train, path=path)
+                            checkpoint=v["model"]["checkpoint"], data=data,
+                            analysis=analysis, output=output, sweep=sweep,
+                            train=train, path=path)

@@ -4,17 +4,17 @@ A CyclePlan holds one record per (weight bit, activation group) of a tile;
 hybrid execution and majority voting are its per-entry `analog` and
 `oversample` fields. Float32 GEMMs of a (tile, group)'s DAC words against the
 tile's stacked weight planes yield the levels of every weight bit of the
-group, exact as each is an integer below 2^24 (MacroConfig). Both operands
-are formed in row slices of one weight plane's share of macro._CHUNK_ELEMS,
-the planes into one buffer that every tile reuses, with one GEMM per slice of
-DAC words. The levels are read out in chunks through the macro's noise, ADC
-and vote functions; every pass after a chunk's noise runs on row blocks of at
-most macro._CHUNK_ELEMS levels, and no buffer of a group outlives it. A count
-table maps ADC codes to integer counts, which accumulate with their signed
-power-of-two shift weights, so floating point enters only at the final
-rescale. A matmul keys all its noise streams in one rng.StreamTable, and
-every draw reads it by position, the one stream address of readout noise;
-RngContexts are built only for level hooks.
+group, exact as each is an integer below 2^24 (MacroConfig). One rule,
+macro.runs, bounds every pass: both operands are formed in runs of rows of
+one weight plane (the planes into one buffer that every tile reuses, with
+one GEMM per run of DAC words); the levels are read out in runs of plan
+entries through the macro's noise, ADC and vote functions; and every pass
+after a chunk's noise walks runs of its rows. No buffer of a group outlives
+it. A count table maps ADC codes to integer counts, which accumulate with
+their signed power-of-two shift weights, so floating point enters only at
+the final rescale. A matmul keys all its noise streams in one
+rng.StreamTable, and every draw reads it by position, the one stream
+address of readout noise; RngContexts are built only for level hooks.
 The points of one plan class (macros that differ only in ADC precision, noise
 specs that share a seed) run in lockstep through one plan, table and chunk
 list, each chunk drawn once and read by every point in turn. Conv2d and
@@ -71,10 +71,6 @@ class EngineMode:
         if self.enc_bits < 1:
             raise ConfigError(f"enc_bits must be >= 1, got {self.enc_bits}")
 
-    @property
-    def scheme(self) -> str:
-        return "bit-serial" if self.enc_bits == 1 else "bit-parallel"
-
 
 @dataclass(frozen=True)
 class CyclePlan:
@@ -94,15 +90,16 @@ class CyclePlan:
         return int(self.entries.oversample.sum())
 
 
-def _level_cut(shifts: np.ndarray, lvl: int, name: str, levels: str) -> int:
-    """Lowest of the top `lvl` distinct `shifts`; ConfigError past the last.
+def _level_cut(shifts: np.ndarray, lvl: int, key: str, levels: str) -> int:
+    """Lowest of the top `lvl` distinct `shifts`; past the last, a
+    ConfigError that names the EngineMode field `key` that set `lvl`.
 
     sorted(set()) rather than np.unique, which imports numpy.ma on first use.
     """
     distinct = sorted(set(shifts.tolist()), reverse=True)
     if not (1 <= lvl <= len(distinct)):
-        raise ConfigError(
-            f"{name} {lvl} outside the {len(distinct)} {levels}")
+        raise ConfigError(f"{key}: {key.replace('_', ' ')} {lvl} outside "
+                          f"the {len(distinct)} {levels}")
     return distinct[lvl - 1]
 
 
@@ -133,11 +130,11 @@ def plan_cycles(w_bits: int, x_bits: int, x_signedness: Signedness,
     e["oversample"] = 1
     if mode.hybrid_boundary is not None:
         e["analog"] = shift < _level_cut(shift, mode.hybrid_boundary,
-                                         "hybrid boundary", "shift levels")
+                                         "hybrid_boundary", "shift levels")
     if mode.voting is not None:
         analog = e["analog"]
         cut = _level_cut(shift[analog], mode.voting.boundary,
-                         "voting boundary", "analog shift levels")
+                         "voting_boundary", "analog shift levels")
         e["oversample"][analog & (shift >= cut)] = mode.voting.samples
     return CyclePlan(e.view(np.recarray))
 
@@ -203,45 +200,39 @@ def _stream_table(entries: np.ndarray, tiles: int, layer: int, seed: int,
 
 def _readout_chunks(analog: list, oversample: list, elems: int):
     """(start, stop, analog, oversample) of each readout chunk of a group: a
-    run of consecutive entries of one domain and one oversample, within
-    macro._CHUNK_ELEMS levels (entries x oversample x elems), or one entry
-    above the cap, drawn and noised whole (a vote in bounded runs of
-    samples), then read out in row blocks within the cap."""
+    run (macro.runs) of consecutive entries of one domain and one oversample,
+    of oversample x elems levels each. An entry above the cap is drawn and
+    noised whole (a vote in runs of samples), then read out in runs of
+    rows."""
     lo = 0
     for (is_analog, samples), run in groupby(zip(analog, oversample)):
         hi = lo + sum(1 for _ in run)
-        step = max(1, macro._CHUNK_ELEMS // max(1, samples * elems))
-        for start in range(lo, hi, step):
-            yield start, min(start + step, hi), is_analog, samples
+        for start, stop in macro.runs(hi - lo, samples * elems):
+            yield lo + start, lo + stop, is_analog, samples
         lo = hi
 
 
-def _row_slices(n: int, width: int):
-    """(r0, r1) of each run of at most `width` of n rows, in order."""
-    for r0 in range(0, n, width):
-        yield r0, min(r0 + width, n)
-
-
-def _weight_planes(codes: np.ndarray, step: int, out: np.ndarray):
+def _weight_planes(codes: np.ndarray, out: np.ndarray):
     """The weight stack [rows, bits*M] of one tile's codes [rows, M], formed
     in `out` [rows, bits, M]: column q*M + j is plane q of output j. Built
-    from decompose_bits of `step` rows at a time, so no int64 stack of the
-    whole tile exists."""
+    from decompose_bits of a run of rows (macro.runs, M levels a row) at a
+    time, so no int64 stack of the whole tile exists."""
     rows, bits, m = out.shape
-    for r0, r1 in _row_slices(rows, step):
+    for r0, r1 in macro.runs(rows, m):
         out[r0:r1] = decompose_bits(codes[r0:r1], bits).transpose(1, 0, 2)
     return out.reshape(rows, bits * m)
 
 
 def _level_block(codes: np.ndarray, group: tuple, rhs: np.ndarray,
-                 step: int) -> np.ndarray:
+                 m: int) -> np.ndarray:
     """The float32 levels [B, bits*M] of one (tile, group): the group's DAC
     words of the tile's activation codes [B, rows] times the weight stack,
-    one GEMM per `step` rows, each exact as its levels are integers below
-    2^24 (MacroConfig). A slice's int64 words die at their float32 cast,
-    and the cast with its GEMM."""
+    one GEMM per run of rows (macro.runs, M levels a row, as for the weight
+    planes), each exact as its levels are integers below 2^24 (MacroConfig).
+    A run's int64 words die at their float32 cast, and the cast with its
+    GEMM."""
     levels = np.empty((len(codes), rhs.shape[1]), dtype=np.float32)
-    for r0, r1 in _row_slices(len(codes), step):
+    for r0, r1 in macro.runs(len(codes), m):
         np.matmul(encode_activation_groups(codes[r0:r1], [group])[0]
                   .astype(np.float32), rhs, out=levels[r0:r1])
     return levels
@@ -322,14 +313,13 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
     # the table lists the reads in the order the loop below takes them
     table = _stream_table(groups.ravel(), tiles, layer, seed, tags)
     read = 0   # the table position of the next read
-    step = max(1, macro._CHUNK_ELEMS // max(1, m))   # operand slice rows
     # one weight stack [rows, Q, M], which every tile overwrites
     stack = np.empty((min(cfg.rows, d), q_bits, m), dtype=np.float32)
     for start in tile_starts:
         stop = min(start + cfg.rows, d)
-        rhs = _weight_planes(w.codes[start:stop], step, stack[:stop - start])
+        rhs = _weight_planes(w.codes[start:stop], stack[:stop - start])
         for g, group in enumerate(layout):
-            blocks = [_level_block(a.codes[:, start:stop], group, rhs, step)
+            blocks = [_level_block(a.codes[:, start:stop], group, rhs, m)
                       .reshape(b, q_bits, m).transpose(1, 0, 2) for a in acts]
             for lo, hi, analog, samples in chunks[g]:
                 if analog:
@@ -343,7 +333,6 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
                         draws, buf = draw_noise(table, reads, (hi - lo, b, m),
                                                 len(cfgs))
                         rows = table.contexts(reads) if hooked else None
-                rb = max(1, macro._CHUNK_ELEMS // max(1, (hi - lo) * m))
                 for p, (o, p_cfg, spec, lut, accum) in enumerate(points):
                     levels = blocks[o][lo:hi]
                     if analog and samples > 1:
@@ -351,7 +340,7 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
                     elif analog and not spec.silent:
                         levels = apply_noise(levels, spec, p_cfg, rows, draws,
                                              buf)
-                    for r0, r1 in _row_slices(b, rb):
+                    for r0, r1 in macro.runs(b, (hi - lo) * m):
                         block = levels[:, r0:r1]
                         if not analog:
                             counts = block.astype(np.int64)

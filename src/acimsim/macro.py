@@ -19,15 +19,17 @@ from . import rng
 from .errors import ConfigError, DomainError, ShapeError
 from .tensor import round_half_away
 
-# Engine cap in levels: a float64 temporary of 2^14 levels is 128 KiB. It
-# bounds the engine's readout chunks (entries x oversample x B x M) and the
-# runs of vote samples drawn in one apply_noise call (rows x samples), each
-# one entry or sample at least, and the row blocks (entries x rows x M, one
-# row at least) that every engine pass after a chunk's noise runs on. Its
-# M-th part, one weight plane's share (one row at least), is the row count of
-# the operand slices: the weight rows of one decompose_bits call and the
-# activation rows of one DAC-word extraction and its GEMM.
+# Engine cap in levels: a float64 temporary of 2^14 levels is 128 KiB.
 _CHUNK_ELEMS = 1 << 14
+
+
+def runs(n: int, size: int):
+    """(start, stop) of each run of [0, n), in order, of at most
+    max(1, _CHUNK_ELEMS // size) items of `size` levels: every bounded pass
+    of the engine and the linearity sweep walks its items so, one at least."""
+    step = max(1, _CHUNK_ELEMS // max(1, size))
+    for start in range(0, n, step):
+        yield start, min(start + step, n)
 
 
 class NoiseUnit(Enum):
@@ -221,8 +223,7 @@ def majority_vote_readout(vs: list, samples: int, specs: list, cfgs: list,
     samples) * lsb_counts and round only there, so accumulation keeps the
     full averaging benefit. `rows` holds one read position of `table` per
     (leading row, sample) pair, in that order. They are drawn in runs of
-    samples that keep one apply_noise call within _CHUNK_ELEMS levels (one
-    sample at least), each run once for every point, and each sample is read
+    samples (runs), each run once for every point, and each sample is read
     out by one adc_readout call over all rows; a run's RngContexts are built
     once for all hooked points.
     """
@@ -233,10 +234,9 @@ def majority_vote_readout(vs: list, samples: int, specs: list, cfgs: list,
     if not shape or len(rows) != shape[0] * samples:
         raise ShapeError(f"{len(rows)} stream rows for {samples} samples of "
                          f"levels {shape}")
-    run = min(samples, max(1, _CHUNK_ELEMS // max(1, points[0].size)))
     totals = [np.zeros(shape, dtype=np.int64) for _ in points]
-    for s0 in range(0, samples, run):
-        n = min(run, samples - s0)
+    for s0, s1 in runs(samples, points[0].size):
+        n = s1 - s0
         run_rows = [rows[r * samples + s] for r in range(shape[0])
                     for s in range(s0, s0 + n)]
         draws, out = draw_noise(table, run_rows, (shape[0] * n, *shape[1:]),

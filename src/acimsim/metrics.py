@@ -155,10 +155,10 @@ def linearity_sweep(cfg: MacroConfig, spec: NoiseSpec, trials: int,
 
     Level v is one row of `trials` readouts drawn from RngContext(column=v),
     sample s of a vote from sample s: one StreamTable keys every (level,
-    sample) read, in that order. Blocks of rows within macro._CHUNK_ELEMS
-    readouts (one row at least) are each read in one call. With samples > 1
-    each trial is a majority vote and the statistics are taken on the vote
-    before final rounding, which is what accumulation sees.
+    sample) read, in that order. Each run of rows (macro.runs, `trials`
+    readouts a row) is read in one call. With samples > 1 each trial is a
+    majority vote and the statistics are taken on the vote before final
+    rounding, which is what accumulation sees.
     """
     if trials < 100:
         raise DomainError(f"linearity_sweep needs trials >= 100, got {trials}")
@@ -177,11 +177,10 @@ def linearity_sweep(cfg: MacroConfig, spec: NoiseSpec, trials: int,
     reads[..., 5] = np.arange(samples)
     table = rng.StreamTable(spec.seed, noise_tags([spec]), reads.reshape(-1, 6))
     stats = []
-    step = max(1, macro._CHUNK_ELEMS // trials)
-    for lo in range(0, levels.size, step):
-        block = levels[lo:lo + step]
-        batch = np.repeat(block.astype(np.float64)[:, None], trials, axis=1)
-        rows = range(lo * samples, (lo + block.size) * samples)
+    for lo, hi in macro.runs(levels.size, trials):
+        batch = np.repeat(levels[lo:hi].astype(np.float64)[:, None], trials,
+                          axis=1)
+        rows = range(lo * samples, hi * samples)
         if samples == 1:
             draws, out = draw_noise(table, rows, batch.shape)
             ctxs = table.contexts(rows) if spec.level_hook else None

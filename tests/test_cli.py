@@ -256,7 +256,7 @@ def test_analysis_enc_bits_above_quant_x_bits_exits_2(tmp_path, capsys):
     # the width of the checkpoint that simulate and sweep plan at
     text = BASE_INI.replace("adc_bits = 7\n", "adc_bits = 7\nenc_bits = 6\n")
     cfg = _checkpoint_config(tmp_path, text, 8)
-    assert load_checkpoint(load_config(cfg).model.checkpoint).x_bits == 8
+    assert load_checkpoint(load_config(cfg).checkpoint).x_bits == 8
     for cmd in ("csnr", "distribution"):
         assert run(cmd, cfg, tmp_path / "out") == 2
         assert (f"{cfg}: [macro] enc_bits: encoding width 6 exceeds x_bits 4"
@@ -338,19 +338,28 @@ def test_seed_override_reaches_train_seed(tmp_path, train_seed, follows):
     assert load_config(cfg, seed=2).train.seed == (2 if follows else 4)
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
+def test_threads_env_is_ignored(tmp_path, monkeypatch):
+    # --threads is the one source of the thread count, default 1
     cfg = write_config(tmp_path)
+    assert run("simulate", cfg, tmp_path / "plain") == 0
     monkeypatch.setenv("ACIM_SIM_THREADS", "3")
-    assert run("sparsity", cfg, tmp_path / "out") == 0
-    payload, _ = read_report(tmp_path / "out", "sparsity")
-    assert payload["meta"]["threads"] == 3
+    assert run("simulate", cfg, tmp_path / "env") == 0
+    payload, _ = read_report(tmp_path / "env", "simulate")
+    assert payload["meta"]["threads"] == 1
+    assert ((tmp_path / "env" / "simulate.csv").read_bytes()
+            == (tmp_path / "plain" / "simulate.csv").read_bytes())
 
 
-def test_bad_threads_env_is_a_config_error(tmp_path, monkeypatch, capsys):
-    cfg = write_config(tmp_path)
-    monkeypatch.setenv("ACIM_SIM_THREADS", "many")
-    assert run("sparsity", cfg, tmp_path / "out") == 2
-    assert "ACIM_SIM_THREADS" in capsys.readouterr().err
+@pytest.mark.parametrize("section, line", [
+    ("mode", "scheme = bit-serial"), ("model", "builtin = blob-mlp")])
+def test_retired_knob_is_an_unknown_key(tmp_path, capsys, section, line):
+    # [mode] scheme restated [macro] enc_bits; [model] builtin had one value
+    cfg = write_config(tmp_path, BASE_INI + f"\n[{section}]\n{line}\n")
+    assert run("simulate", cfg, tmp_path / "out") == 2
+    key = line.split()[0]
+    assert (f"acim-sim: config error: {cfg}: [{section}] {key}: unknown key"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("extra", [("--threads", "0"), ("--seed", "-1")])

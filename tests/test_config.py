@@ -31,7 +31,7 @@ def test_minimal_config_defaults(tmp_path):
     assert cfg.noise.seed == 42
     assert cfg.noise.random_sigma.value == 0.0
     assert cfg.noise.silent
-    assert cfg.mode.scheme == "bit-serial"
+    assert cfg.mode.enc_bits == 1 and cfg.checkpoint is None
     assert (cfg.w_bits, cfg.x_bits) == (8, 8)
     assert cfg.data.kind == "blobs" and cfg.data.samples == 512
     assert cfg.output.dir == "out" and cfg.output.formats == ("csv", "json")
@@ -54,7 +54,6 @@ nonlin_unit = lsb_rms
 seed = 7
 
 [mode]
-scheme = bit-parallel
 hybrid_boundary = 2
 voting_boundary = 1
 voting_samples = 5
@@ -64,7 +63,7 @@ w_bits = 6
 x_bits = 5
 
 [model]
-builtin = blob-mlp
+checkpoint = model.ackpt
 
 [data]
 kind = blobs
@@ -94,11 +93,11 @@ nat_sigma = 0.5
     assert cfg.macro.enc_bits == 2
     assert cfg.noise.random_sigma.unit is NoiseUnit.VPP_PCT
     assert cfg.noise.nonlin_sigma.value == 0.5
-    assert cfg.mode.scheme == "bit-parallel"
+    assert cfg.mode.enc_bits == 2
     assert cfg.mode.hybrid_boundary == 2
     assert cfg.mode.voting == VotingSpec(1, 5)
     assert (cfg.w_bits, cfg.x_bits) == (6, 5)
-    assert cfg.model.builtin == "blob-mlp"
+    assert cfg.checkpoint == "model.ackpt"
     assert cfg.data.classes == 2 and cfg.data.spread == 0.4
     assert cfg.analysis.in_dim == 300
     assert cfg.output.formats == ("csv",)
@@ -141,7 +140,8 @@ def test_echo_summary(tmp_path):
     echo = load_config(write(tmp_path, MINIMAL)).echo()
     assert echo["config_path"] == "exp.ini"
     assert echo["macro"]["rows"] == 256
-    assert echo["mode"]["scheme"] == "bit-serial"
+    assert echo["macro"]["enc_bits"] == 1
+    assert echo["mode"] == {"hybrid_boundary": None, "voting": None}
     assert echo["quant"] == {"w_bits": 8, "x_bits": 8}
 
 
@@ -193,23 +193,9 @@ def test_wrapped_validation_errors(tmp_path):
                  "[train] nat_sigma must be finite")
 
 
-def test_scheme_label_cross_check(tmp_path):
-    expect_error(tmp_path, MINIMAL + "[mode]\nscheme = bit-parallel\n",
-                 "conflicts with macro enc_bits")
-    ok = MINIMAL.replace("adc_bits = 9", "adc_bits = 10\nenc_bits = 2") \
-        + "[mode]\nscheme = bit-parallel\n"
-    assert load_config(write(tmp_path, ok)).mode.enc_bits == 2
-
-
 def test_voting_needs_both_keys(tmp_path):
     expect_error(tmp_path, MINIMAL + "[mode]\nvoting_boundary = 3\n",
                  "voting_samples: required key is missing")
-
-
-def test_model_exclusive_choice(tmp_path):
-    expect_error(tmp_path,
-                 MINIMAL + "[model]\ncheckpoint = a.ackpt\nbuiltin = blob-mlp\n",
-                 "either checkpoint or builtin")
 
 
 def test_data_validation(tmp_path):

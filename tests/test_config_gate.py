@@ -5,8 +5,10 @@ to each of -1, 0, nan, inf, -inf, an empty value and a word; keys with a
 fixed upper bound or an arbitrary-precision use (rows, adc_bits, enc_bits,
 w_bits, x_bits, the three seeds, [sweep] adc_bits and enc_bits, and the
 bounded sizes and loop counts: voting_samples, [data] samples, epochs, the
-[analysis] dims and trials) also get 2^63. The [train] widths, which
-[quant] replaced, get every value too, and must exit 2 as unknown keys.
+[analysis] dims and trials) also get 2^63. The retired keys get every
+value too, and must exit 2 as unknown keys: the [train] widths, which
+[quant] replaced, [mode] scheme, which restated [macro] enc_bits, and
+[model] builtin, which had one value.
 Each subcommand that reads the
 key then runs in-process, in a fresh working directory. It must exit 0 or
 2, never 1 (a traceback) nor 3. An exit 2 must name the file, the section
@@ -27,8 +29,8 @@ BASE = {
     "macro": {"rows": "32", "adc_bits": "7", "enc_bits": "1"},
     "noise": {"random": "0.3", "random_unit": "lsb_rms", "nonlin": "0.2",
               "nonlin_unit": "lsb_rms", "seed": "9"},
-    "mode": {"scheme": "bit-serial", "hybrid_boundary": "1",
-             "voting_boundary": "1", "voting_samples": "3"},
+    "mode": {"hybrid_boundary": "1", "voting_boundary": "1",
+             "voting_samples": "3"},
     "quant": {"w_bits": "4", "x_bits": "4"},
     "model": {},
     "data": {"kind": "blobs", "samples": "60", "features": "8",
@@ -70,7 +72,8 @@ READERS = {
 }
 KEY_READERS = {("noise", "seed"): ALL, ("analysis", "trials"): ("linearity",)}
 
-RETIRED = (("train", "w_bits"), ("train", "x_bits"))
+RETIRED = (("train", "w_bits"), ("train", "x_bits"), ("mode", "scheme"),
+           ("model", "builtin"))
 
 CASES = [(section, key, value)
          for section, keys in KEYS.items() for key in keys

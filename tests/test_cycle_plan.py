@@ -53,8 +53,8 @@ def _loop_plan(w_bits, x_bits, x_signedness, w_signedness, mode):
     if mode.hybrid_boundary is not None:
         lvl = mode.hybrid_boundary
         if not (1 <= lvl <= len(shifts)):
-            raise ConfigError(
-                f"hybrid boundary {lvl} outside the {len(shifts)} shift levels")
+            raise ConfigError(f"hybrid_boundary: hybrid boundary {lvl} "
+                              f"outside the {len(shifts)} shift levels")
         digital = set(shifts[:lvl])
         entries = [replace(e, analog=False) if e.shift in digital else e
                    for e in entries]
@@ -64,8 +64,8 @@ def _loop_plan(w_bits, x_bits, x_signedness, w_signedness, mode):
         lvl = mode.voting.boundary
         if not (1 <= lvl <= len(analog_shifts)):
             raise ConfigError(
-                f"voting boundary {lvl} outside the {len(analog_shifts)} "
-                "analog shift levels")
+                f"voting_boundary: voting boundary {lvl} outside the "
+                f"{len(analog_shifts)} analog shift levels")
         voted = set(analog_shifts[:lvl])
         entries = [replace(e, oversample=mode.voting.samples)
                    if e.analog and e.shift in voted else e
@@ -121,7 +121,7 @@ def test_plan_matches_loop_planner_record_by_record():
     assert {"y1", "y2", "y3", "y4", f"x{U.value}", f"x{TC.value}",
             f"w{U.value}", f"w{TC.value}", "hybrid", "voting"} <= seen
     # both boundary errors were raised, with the loop planner's message
-    assert errors == {"hybrid", "voting"}
+    assert errors == {"hybrid_boundary:", "voting_boundary:"}
 
 
 def test_plan_rejects_bit_widths_like_loop_planner():

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from acimsim import macro
 from acimsim.errors import ConfigError, DomainError
 from acimsim.macro import (NOISELESS, MacroConfig, NoiseSpec, NoiseUnit, Sigma,
                            adc_readout, sigma_to_counts)
@@ -240,3 +241,20 @@ def test_vote_shrinks_sigma():
 def test_vote_validates_samples():
     with pytest.raises(DomainError):
         _vote(np.array([1.0]), 0, NOISELESS, MacroConfig(256, 8), CTX)
+
+
+@pytest.mark.parametrize("cap", [1, 7, macro._CHUNK_ELEMS])
+def test_runs_tile_the_range_within_the_cap(monkeypatch, cap):
+    monkeypatch.setattr(macro, "_CHUNK_ELEMS", cap)
+    for size in (0, 1, cap - 1, cap, cap + 1, 3 * cap):
+        step = max(1, cap // max(1, size))
+        for n in (0, 1, step - 1, step, step + 1, 3 * step + 2):
+            runs = list(macro.runs(n, size))
+            # in order and without gaps, from 0 to n
+            edges = [0] + [stop for _, stop in runs]
+            assert runs == list(zip(edges, edges[1:])), (cap, size, n)
+            assert edges[-1] == n, (cap, size, n)
+            # every run but the last holds `step` items, and none is empty
+            lengths = [stop - start for start, stop in runs]
+            assert all(0 < k <= step for k in lengths), (cap, size, n)
+            assert all(k == step for k in lengths[:-1]), (cap, size, n)
