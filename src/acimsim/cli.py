@@ -24,7 +24,7 @@ from .errors import AcimError, ConfigError
 from .macro import NOISELESS, Sigma
 from .metrics import csnr_measure, csnr_variance_form, linearity_sweep, \
     mac_distribution
-from .models import (TinyModel, TrainConfig, engine_forward, evaluate_digital,
+from .models import (TinyModel, engine_forward, evaluate_digital,
                      forward_float, init_mlp, train)
 from .quant import Signedness, bit_sparsity, decompose_bits, dequantize, \
     quantize, signedness_of
@@ -35,7 +35,7 @@ BUILTIN_HIDDEN = 64
 
 def _dataset(cfg: ExperimentConfig):
     d = cfg.data
-    if d.kind == "idx":
+    if d.images is not None:
         for key, p in (("images", d.images), ("labels", d.labels)):
             if not os.path.exists(p):
                 raise ConfigError(f"{cfg.path}: [data] {key}: no such file {p}")
@@ -48,11 +48,10 @@ def _dataset(cfg: ExperimentConfig):
 
 
 def _train_model(cfg: ExperimentConfig, train_set, test_set):
-    tc = cfg.train or TrainConfig(seed=cfg.noise.seed)
     dims = [train_set[0].shape[1], BUILTIN_HIDDEN,
             int(np.asarray(train_set[1]).max()) + 1]
-    model = init_mlp(dims, tc.seed, cfg.w_bits, cfg.x_bits)
-    model, losses = train(model, train_set, tc)
+    model = init_mlp(dims, cfg.train.seed, cfg.w_bits, cfg.x_bits)
+    model, losses = train(model, train_set, cfg.train)
     model.baseline_acc = evaluate_digital(model, test_set)
     return model, losses
 
@@ -260,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment INI file")
-        p.add_argument("--out", help="output directory (default: [output] dir)")
+        p.add_argument("--out", default="out",
+                       help="output directory (default: out)")
         p.add_argument("--threads", type=int, default=1,
                        help="worker threads (default: 1)")
         p.add_argument("--seed", type=int, help="override the [noise] seed")
@@ -276,15 +276,13 @@ def main(argv=None) -> int:
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg = load_config(args.config, seed=args.seed)
-        out_dir = args.out or cfg.output.dir
         meta = {"tool_version": __version__, "command": args.command,
                 "seed": cfg.noise.seed, "threads": args.threads,
                 "started_unix": time.time()}
-        header, rows = COMMANDS[args.command](cfg, out_dir, args.threads,
+        header, rows = COMMANDS[args.command](cfg, args.out, args.threads,
                                               meta)
         meta["wall_clock_s"] = time.monotonic() - start
-        emit(out_dir, args.command, header, rows, cfg.echo(), meta,
-             cfg.output.formats)
+        emit(args.out, args.command, header, rows, cfg.echo(), meta)
         return 0
     except ConfigError as exc:
         print(f"acim-sim: config error: {exc}", file=sys.stderr)

@@ -12,10 +12,10 @@ from typing import Optional
 
 from .data import check_blobs
 from .engine import EngineMode, VotingSpec
-from .errors import AcimError, ConfigError, DataError
+from .errors import AcimError, ConfigError
 from .macro import MacroConfig, NoiseSpec, NoiseUnit, Sigma
 from .models import TrainConfig
-from .quant import check_bits
+from .quant import BIT_RANGE
 
 _REQUIRED = object()
 
@@ -37,13 +37,22 @@ def _list(cast):
                   "expected a comma-separated list, got {}")
 
 
-def _upto(high):
-    """An integer parser with the upper bound of a size or loop count."""
+def _int(low=-math.inf, high=math.inf):
+    """An integer parser with the range of a key that no library type
+    checks."""
     def parse(value):
-        if (n := _INT(value)) > high:
+        if (n := _INT(value)) < low:
+            raise ValueError(f"must be >= {low}, got {n}")
+        if n > high:
             raise ValueError(f"must be <= {high}, got {n}")
         return n
     return parse
+
+
+def _finite(value):
+    if not math.isfinite(x := _FLOAT(value)):
+        raise ValueError(f"must be finite, got {x}")
+    return x
 
 
 _INT = _typed(int, "expected an integer, got {}")
@@ -53,26 +62,29 @@ _LSB = NoiseUnit.LSB_RMS
 
 # Every section and key a config may hold: key -> (parser, default). An empty
 # value counts as absent. A None [train] seed follows [noise] seed; a [sweep]
-# axis left out is not swept. [quant] alone sets the bit widths.
+# axis left out is not swept. [quant] alone sets the bit widths. A key that
+# a library type checks (MacroConfig, Sigma, VotingSpec, TrainConfig,
+# check_blobs) is range-checked there; every other key's range is its parser.
 KEYS = {
     "macro": {"rows": (_INT, _REQUIRED), "adc_bits": (_INT, _REQUIRED),
               "enc_bits": (_INT, 1)},
     "noise": {"random": (_FLOAT, 0.0), "random_unit": (_UNIT, _LSB),
               "nonlin": (_FLOAT, 0.0), "nonlin_unit": (_UNIT, _LSB),
               "seed": (_INT, _REQUIRED)},
-    "mode": {"hybrid_boundary": (_INT, None), "voting_boundary": (_INT, None),
-             "voting_samples": (_upto(100), None)},
-    "quant": {"w_bits": (_INT, 8), "x_bits": (_INT, 8)},
+    "mode": {"hybrid_boundary": (_int(1), None),
+             "voting_boundary": (_INT, None),
+             "voting_samples": (_int(high=100), None)},
+    "quant": {"w_bits": (_int(*BIT_RANGE), 8), "x_bits": (_int(*BIT_RANGE), 8)},
     "model": {"checkpoint": (str, None)},
-    "data": {"kind": (str, "blobs"), "samples": (_upto(10**5), 512),
-             "features": (_INT, 16), "classes": (_INT, 3),
-             "spread": (_FLOAT, 1.0), "seed": (_INT, 7),
-             "images": (str, None), "labels": (str, None)},
-    "analysis": {"batch": (_upto(1024), 8), "in_dim": (_upto(1024), 256),
-                 "out_dim": (_upto(1024), 16),
-                 "trials": (_upto(10**6), 10000)},
-    "output": {"dir": (str, "out"), "formats": (_list(str), None)},
-    "train": {"lr": (_FLOAT, 0.05), "epochs": (_upto(10**4), 40),
+    "data": {"samples": (_int(high=10**5), 512), "features": (_INT, 16),
+             "classes": (_INT, 3), "spread": (_finite, 1.0),
+             "seed": (_int(0), 7), "images": (str, None),
+             "labels": (str, None)},
+    # trials: the bound of metrics.linearity_sweep, checked before any run
+    "analysis": {"batch": (_int(1, 1024), 8), "in_dim": (_int(1, 1024), 256),
+                 "out_dim": (_int(1, 1024), 16),
+                 "trials": (_int(100, 10**6), 10000)},
+    "train": {"lr": (_FLOAT, 0.05), "epochs": (_int(high=10**4), 40),
               "batch": (_INT, 32), "seed": (_INT, None),
               "nat_sigma": (_FLOAT, 0.0)},
     "sweep": {"adc_bits": (_list(int), None), "enc_bits": (_list(int), None),
@@ -96,7 +108,7 @@ def _build(path, section, ctor, key=None, **kw):
 
 @dataclass(frozen=True)
 class DataSpec:
-    kind: str                           # "blobs" or "idx"
+    """Gaussian blobs, or the IDX files `images` and `labels` when set."""
     samples: int
     features: int
     classes: int
@@ -106,11 +118,7 @@ class DataSpec:
     labels: Optional[str]
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise DataError(f"seed must be >= 0, got {self.seed}")
-        if not math.isfinite(self.spread):
-            raise DataError(f"spread must be finite, got {self.spread}")
-        if self.kind == "blobs":
+        if self.images is None:
             check_blobs(self.samples, self.features, self.classes)
 
 
@@ -121,20 +129,6 @@ class AnalysisSpec:
     in_dim: int
     out_dim: int
     trials: int
-
-    def __post_init__(self):
-        # trials: the bound of metrics.linearity_sweep, checked before any run
-        for name, low in (("batch", 1), ("in_dim", 1), ("out_dim", 1),
-                          ("trials", 100)):
-            if getattr(self, name) < low:
-                raise ConfigError(
-                    f"{name} must be >= {low}, got {getattr(self, name)}")
-
-
-@dataclass(frozen=True)
-class OutputSpec:
-    dir: str
-    formats: tuple = ("csv", "json")
 
 
 @dataclass
@@ -147,9 +141,8 @@ class ExperimentConfig:
     checkpoint: Optional[str]           # else the built-in model is trained
     data: DataSpec
     analysis: AnalysisSpec
-    output: OutputSpec
+    train: TrainConfig
     sweep: Optional[dict] = None        # axis name -> list of values
-    train: Optional[TrainConfig] = None
     path: str = ""
 
     def echo(self) -> dict:
@@ -242,43 +235,26 @@ def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
     noise = _build(path, "noise", NoiseSpec, seed=n["seed"],
                    random_sigma=sigma["random"], nonlin_sigma=sigma["nonlin"])
 
+    # keys that come together: one alone fails naming the other
+    for section, pair in (("mode", ("voting_boundary", "voting_samples")),
+                          ("data", ("images", "labels"))):
+        given = [v[section][key] is not None for key in pair]
+        if given[0] != given[1]:
+            _fail(path, section, pair[given[0]], "required key is missing")
     m = v["mode"]
-    voting = None
-    if m["voting_boundary"] is not None or m["voting_samples"] is not None:
-        for key in ("voting_boundary", "voting_samples"):
-            if m[key] is None:
-                _fail(path, "mode", key, "required key is missing")
-        voting = _build(path, "mode", VotingSpec, boundary=m["voting_boundary"],
-                        samples=m["voting_samples"])
-    if m["hybrid_boundary"] is not None and m["hybrid_boundary"] < 1:
-        _fail(path, "mode", "hybrid_boundary",
-              f"hybrid boundary must be >= 1, got {m['hybrid_boundary']}")
+    voting = (None if m["voting_samples"] is None else
+              _build(path, "mode", VotingSpec, boundary=m["voting_boundary"],
+                     samples=m["voting_samples"]))
     mode = EngineMode(enc_bits=macro.enc_bits,
                       hybrid_boundary=m["hybrid_boundary"], voting=voting)
-    q = v["quant"]
-    for key, bits in q.items():
-        check_bits(bits, ConfigError, f"{path}: [quant] {key}: bits")
-    d = v["data"]
-    if d["kind"] not in ("blobs", "idx"):
-        _fail(path, "data", "kind", f"unknown dataset kind {d['kind']!r}")
-    data = _build(path, "data", DataSpec, **d)
-    if data.kind == "idx" and (data.images is None or data.labels is None):
-        _fail(path, "data", "images", "idx datasets need both images and labels")
-
-    analysis = _build(path, "analysis", AnalysisSpec, **v["analysis"])
-    formats = v["output"]["formats"] or OutputSpec.formats
-    for fmt in formats:
-        if fmt not in ("csv", "json"):
-            _fail(path, "output", "formats", f"unknown format {fmt!r}")
-    output = OutputSpec(dir=v["output"]["dir"], formats=tuple(formats))
-
-    train = (_build(path, "train", TrainConfig, **v["train"])
-             if parser.has_section("train") else None)
+    data = _build(path, "data", DataSpec, **v["data"])
+    train = _build(path, "train", TrainConfig, **v["train"])
     sweep = (_sweep_axes(path, v["sweep"], macro, noise)
              if parser.has_section("sweep") else None)
 
+    q = v["quant"]
     return ExperimentConfig(macro=macro, noise=noise, mode=mode,
                             w_bits=q["w_bits"], x_bits=q["x_bits"],
                             checkpoint=v["model"]["checkpoint"], data=data,
-                            analysis=analysis, output=output, sweep=sweep,
-                            train=train, path=path)
+                            analysis=AnalysisSpec(**v["analysis"]),
+                            train=train, sweep=sweep, path=path)

@@ -345,7 +345,7 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
                         if not analog:
                             counts = block.astype(np.int64)
                         elif samples > 1:
-                            mac = (block / samples) * p_cfg.lsb_counts
+                            mac = macro.vote_counts(block, samples, p_cfg)
                             counts = round_half_away(mac).astype(np.int64)
                         else:
                             counts = lut[adc_readout(block, p_cfg)[0]]

@@ -219,13 +219,11 @@ def majority_vote_readout(vs: list, samples: int, specs: list, cfgs: list,
     cfgs[p]; the points share one level shape and the draws of `table`,
     keyed with every tag their specs draw (noise_tags). Returns their
     int64 code totals. The vote, total / samples, shrinks the random-noise
-    sigma by about sqrt(samples); callers scale it to counts as (total /
-    samples) * lsb_counts and round only there, so accumulation keeps the
-    full averaging benefit. `rows` holds one read position of `table` per
-    (leading row, sample) pair, in that order. They are drawn in runs of
-    samples (runs), each run once for every point, and each sample is read
-    out by one adc_readout call over all rows; a run's RngContexts are built
-    once for all hooked points.
+    sigma by about sqrt(samples); vote_counts scales it to counts. `rows`
+    holds one read position of `table` per (leading row, sample) pair, in
+    that order. They are drawn in runs of samples (runs), each run once for
+    every point, and each sample is read out by one adc_readout call over
+    all rows; a run's RngContexts are built once for all hooked points.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
@@ -250,3 +248,9 @@ def majority_vote_readout(vs: list, samples: int, specs: list, cfgs: list,
             for s in range(n):
                 total += adc_readout(noisy[:, s], cfg)[0]
     return totals
+
+
+def vote_counts(total, samples: int, cfg: MacroConfig):
+    """A vote's code total in counts, (total / samples) * step, left
+    unrounded so that accumulation keeps the full averaging benefit."""
+    return (total / samples) * cfg.lsb_counts

@@ -190,7 +190,7 @@ def linearity_sweep(cfg: MacroConfig, spec: NoiseSpec, trials: int,
             total, = majority_vote_readout([batch], samples, [spec], [cfg],
                                            rows, table)
             # the vote in counts, as the engine forms it, back in LSB units
-            est = ((total / samples) * cfg.lsb_counts) / cfg.lsb_counts
+            est = macro.vote_counts(total, samples, cfg) / cfg.lsb_counts
         # np.mean and np.std of each row, their arithmetic on one shared sum
         mean = est.sum(axis=1, keepdims=True) / trials
         est -= mean

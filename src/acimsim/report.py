@@ -49,19 +49,13 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def emit(out_dir, name, header, rows, config_echo, meta, formats) -> dict:
-    """Write <name>.csv and <name>.json under out_dir; returns file paths."""
+def emit(out_dir, name, header, rows, config_echo, meta) -> None:
+    """Write <name>.csv and <name>.json under out_dir."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-    if "csv" in formats:
-        paths["csv"] = os.path.join(out_dir, f"{name}.csv")
-        write_csv(paths["csv"], header, rows)
-    if "json" in formats:
-        paths["json"] = os.path.join(out_dir, f"{name}.json")
-        write_json(paths["json"], {
-            "config": config_echo,
-            "columns": list(header),
-            "results": [list(r) for r in rows],
-            "meta": meta,
-        })
-    return paths
+    write_csv(os.path.join(out_dir, f"{name}.csv"), header, rows)
+    write_json(os.path.join(out_dir, f"{name}.json"), {
+        "config": config_echo,
+        "columns": list(header),
+        "results": [list(r) for r in rows],
+        "meta": meta,
+    })

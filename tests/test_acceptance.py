@@ -310,11 +310,14 @@ batch = 16
 
 [sweep]
 adc_bits = 6, 7
+enc_bits = 1, 2
 noise = 0.25, 0.75
 """
 
 
 def test_c11_thread_count_determinism(tmp_path):
+    # the two enc_bits values are two plan classes, so the sweep at
+    # --threads 4 runs them on worker threads
     cfg_path = tmp_path / "exp.ini"
     cfg_path.write_text(CLI_INI)
     ok = True

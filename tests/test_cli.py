@@ -5,7 +5,10 @@ report bytes can be checked without spawning subprocesses.
 """
 
 import json
+import struct
+import threading
 
+import numpy as np
 import pytest
 
 from acimsim import cli
@@ -115,19 +118,30 @@ def test_train_writes_loadable_checkpoint(tmp_path):
     assert model.baseline_acc == payload["meta"]["baseline_acc"]
 
 
-def test_sweep_grid_and_thread_determinism(tmp_path):
+def test_sweep_grid_and_thread_determinism(tmp_path, monkeypatch):
+    # two enc_bits values make two plan classes, so --threads 4 maps them
+    # over worker threads: every class then runs off the main thread
     cfg = write_config(tmp_path, BASE_INI + "\n[sweep]\n"
-                       "adc_bits = 5, 7\nnoise = 0.0, 0.5\n")
-    assert run("sweep", cfg, tmp_path / "a", "--threads", "1") == 0
-    assert run("sweep", cfg, tmp_path / "b", "--threads", "4") == 0
+                       "adc_bits = 5, 7\nenc_bits = 1, 2\nnoise = 0.0, 0.5\n")
+    threads, forward = {}, cli.engine_forward
+
+    def recording_forward(*args, **kw):
+        threads.setdefault(run_threads, set()).add(threading.get_ident())
+        return forward(*args, **kw)
+    monkeypatch.setattr(cli, "engine_forward", recording_forward)
+    for run_threads, out in (("1", "a"), ("4", "b")):
+        assert run("sweep", cfg, tmp_path / out, "--threads", run_threads) == 0
+    assert threads["1"] == {threading.get_ident()}
+    assert threading.get_ident() not in threads["4"]
     a = (tmp_path / "a" / "sweep.csv").read_bytes()
     b = (tmp_path / "b" / "sweep.csv").read_bytes()
     assert a == b
     payload, csv_lines = read_report(tmp_path / "a", "sweep")
-    assert csv_lines[0].startswith("adc_bits,noise,")
-    assert len(payload["results"]) == 4    # 2 x 2 grid
-    grid = {(r[0], r[1]) for r in payload["results"]}
-    assert grid == {(5, 0.0), (5, 0.5), (7, 0.0), (7, 0.5)}
+    assert csv_lines[0].startswith("adc_bits,enc_bits,noise,")
+    assert len(payload["results"]) == 8    # 2 x 2 x 2 grid
+    grid = {tuple(r[:3]) for r in payload["results"]}
+    assert grid == {(a, y, n) for a in (5, 7) for y in (1, 2)
+                    for n in (0.0, 0.5)}
 
 
 def _bad_sweep_exits_2_before_training(tmp_path, capsys, monkeypatch,
@@ -302,11 +316,50 @@ def test_distribution_and_sparsity_smoke(tmp_path):
     assert all(0.0 <= r[1] <= 1.0 for r in payload["results"])
 
 
-def test_csv_only_output_format(tmp_path):
-    cfg = write_config(tmp_path, BASE_INI + "\n[output]\nformats = csv\n")
-    assert run("sparsity", cfg, tmp_path / "out") == 0
-    assert (tmp_path / "out" / "sparsity.csv").exists()
-    assert not (tmp_path / "out" / "sparsity.json").exists()
+def _write_idx(path, array):
+    """`array` as an IDX file of unsigned bytes."""
+    array = np.asarray(array, dtype=np.uint8)
+    path.write_bytes(struct.pack(f">BBBB{array.ndim}I", 0, 0, 0x08,
+                                 array.ndim, *array.shape) + array.tobytes())
+
+
+def _idx_pair(tmp_path):
+    """60 4x4 images over 3 classes, each class bright in its own row."""
+    labels = np.arange(60) % 3
+    images = np.random.default_rng(0).integers(0, 2, size=(60, 4, 4))
+    for c in range(3):
+        images[labels == c, c] += 2
+    _write_idx(tmp_path / "images.idx", images)
+    _write_idx(tmp_path / "labels.idx", labels)
+    return (f"images = {tmp_path / 'images.idx'}\n",
+            f"labels = {tmp_path / 'labels.idx'}\n")
+
+
+def test_simulate_on_idx_files(tmp_path):
+    # images and labels together select the IDX loader: 16 features, and
+    # [data] samples, features and classes go unread
+    images, labels = _idx_pair(tmp_path)
+    text = BASE_INI.replace("[data]\n", f"[data]\n{images}{labels}") \
+        .replace("features = 8", "features = 0")
+    assert run("simulate", write_config(tmp_path, text), tmp_path / "out") == 0
+    payload, csv_lines = read_report(tmp_path / "out", "simulate")
+    assert len(csv_lines) == 2 and len(payload["results"]) == 1
+    # the classes separate, so the model learns them from the files
+    assert payload["meta"]["baseline_acc"] > 0.9
+    assert payload["results"][0][0] > 0.9
+
+
+def test_idx_images_without_labels_exits_2(tmp_path, capsys, monkeypatch):
+    def no_training(*args, **kw):
+        raise AssertionError("training ran before the [data] check")
+    monkeypatch.setattr(cli, "train", no_training)
+    images, _ = _idx_pair(tmp_path)
+    cfg = write_config(tmp_path, BASE_INI.replace("[data]\n",
+                                                  f"[data]\n{images}"))
+    assert run("simulate", cfg, tmp_path / "out") == 2
+    assert (f"acim-sim: config error: {cfg}: [data] labels: required key is "
+            "missing" in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_override_changes_results(tmp_path):

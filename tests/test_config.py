@@ -7,6 +7,7 @@ from acimsim.config import load_config
 from acimsim.engine import VotingSpec
 from acimsim.errors import ConfigError
 from acimsim.macro import NoiseUnit
+from acimsim.models import TrainConfig
 
 MINIMAL = """
 [macro]
@@ -33,9 +34,11 @@ def test_minimal_config_defaults(tmp_path):
     assert cfg.noise.silent
     assert cfg.mode.enc_bits == 1 and cfg.checkpoint is None
     assert (cfg.w_bits, cfg.x_bits) == (8, 8)
-    assert cfg.data.kind == "blobs" and cfg.data.samples == 512
-    assert cfg.output.dir == "out" and cfg.output.formats == ("csv", "json")
-    assert cfg.sweep is None and cfg.train is None
+    assert cfg.data.images is None and cfg.data.samples == 512
+    assert cfg.sweep is None
+    # a config without [train] trains with KEYS' defaults, which are
+    # TrainConfig's, at the [noise] seed
+    assert cfg.train == TrainConfig(seed=42)
     assert cfg.analysis.trials == 10000
 
 
@@ -66,7 +69,6 @@ x_bits = 5
 checkpoint = model.ackpt
 
 [data]
-kind = blobs
 samples = 256
 features = 8
 classes = 2
@@ -78,10 +80,6 @@ batch = 4
 in_dim = 300
 out_dim = 12
 trials = 2000
-
-[output]
-dir = results
-formats = csv
 
 [train]
 lr = 0.1
@@ -100,7 +98,6 @@ nat_sigma = 0.5
     assert cfg.checkpoint == "model.ackpt"
     assert cfg.data.classes == 2 and cfg.data.spread == 0.4
     assert cfg.analysis.in_dim == 300
-    assert cfg.output.formats == ("csv",)
     assert cfg.train.lr == 0.1 and cfg.train.nat_sigma == 0.5
     # train seed defaults to the noise seed
     assert cfg.train.seed == 7
@@ -199,10 +196,16 @@ def test_voting_needs_both_keys(tmp_path):
 
 
 def test_data_validation(tmp_path):
-    expect_error(tmp_path, MINIMAL + "[data]\nkind = parquet\n",
-                 "unknown dataset kind")
-    expect_error(tmp_path, MINIMAL + "[data]\nkind = idx\nimages = x.idx\n",
-                 "both images and labels")
+    # images and labels come together: both select the IDX loader
+    expect_error(tmp_path, MINIMAL + "[data]\nimages = x.idx\n",
+                 "[data] labels: required key is missing")
+    expect_error(tmp_path, MINIMAL + "[data]\nlabels = y.idx\n",
+                 "[data] images: required key is missing")
+    cfg = load_config(write(tmp_path, MINIMAL + "[data]\nimages = x.idx\n"
+                                      "labels = y.idx\nsamples = 0\n"))
+    assert (cfg.data.images, cfg.data.labels) == ("x.idx", "y.idx")
+    expect_error(tmp_path, MINIMAL + "[data]\nkind = blobs\n",
+                 "[data] kind: unknown key")
 
 
 @pytest.mark.parametrize("line, message", [
@@ -214,11 +217,6 @@ def test_blob_shape_is_checked_at_load(tmp_path, line, message):
     with pytest.raises(ConfigError) as err:
         load_config(path)
     assert str(err.value) == f"{path}: {message}"
-
-
-def test_output_format_validation(tmp_path):
-    expect_error(tmp_path, MINIMAL + "[output]\nformats = csv, xml\n",
-                 "unknown format")
 
 
 def test_sweep_validation(tmp_path):
@@ -248,6 +246,10 @@ def test_unknown_section_is_rejected(tmp_path):
     assert str(err.value) == f"{path}: [modes] unknown section"
     expect_error(tmp_path, "[DEFAULT]\nseed = 1\n" + MINIMAL,
                  "[DEFAULT] unknown section")
+    # [output] is retired: --out names the directory, and every run writes
+    # both the CSV and the JSON
+    expect_error(tmp_path, MINIMAL + "[output]\ndir = out\n",
+                 "[output] unknown section")
 
 
 @pytest.mark.parametrize("key", ["w_bits", "x_bits"])
@@ -264,16 +266,16 @@ def test_train_width_keys_are_unknown(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize("extra, message", [
-    ("[analysis]\nbatch = 0", "[analysis] batch must be >= 1, got 0"),
-    ("[analysis]\nin_dim = 0", "[analysis] in_dim must be >= 1, got 0"),
-    ("[analysis]\nout_dim = -2", "[analysis] out_dim must be >= 1, got -2"),
-    ("[analysis]\ntrials = 5", "[analysis] trials must be >= 100, got 5"),
-    ("[data]\nseed = -1", "[data] seed must be >= 0, got -1"),
-    ("[data]\nspread = nan", "[data] spread must be finite, got nan"),
+    ("[analysis]\nbatch = 0", "[analysis] batch: must be >= 1, got 0"),
+    ("[analysis]\nin_dim = 0", "[analysis] in_dim: must be >= 1, got 0"),
+    ("[analysis]\nout_dim = -2", "[analysis] out_dim: must be >= 1, got -2"),
+    ("[analysis]\ntrials = 5", "[analysis] trials: must be >= 100, got 5"),
+    ("[data]\nseed = -1", "[data] seed: must be >= 0, got -1"),
+    ("[data]\nspread = nan", "[data] spread: must be finite, got nan"),
     ("[train]\nseed = -1", "[train] seed must be >= 0, got -1"),
-    ("[quant]\nw_bits = 1", "[quant] w_bits: bits must be in [2, 16], got 1"),
+    ("[quant]\nw_bits = 1", "[quant] w_bits: must be >= 2, got 1"),
     ("[mode]\nhybrid_boundary = 0",
-     "[mode] hybrid_boundary: hybrid boundary must be >= 1, got 0"),
+     "[mode] hybrid_boundary: must be >= 1, got 0"),
     ("[mode]\nvoting_boundary = 1\nvoting_samples = 0",
      "[mode] voting_samples must be >= 1, got 0"),
     ("[sweep]\nnoise = 0.5, inf", "[sweep] noise: sigma must be finite, got inf"),
@@ -309,7 +311,8 @@ def test_huge_enc_bits_is_rejected_without_forming_its_full_scale(tmp_path):
     ("mode", "voting_samples", 100), ("data", "samples", 100_000),
     ("train", "epochs", 10_000), ("analysis", "batch", 1024),
     ("analysis", "in_dim", 1024), ("analysis", "out_dim", 1024),
-    ("analysis", "trials", 1_000_000)])
+    ("analysis", "trials", 1_000_000), ("quant", "w_bits", 16),
+    ("quant", "x_bits", 16)])
 def test_sizes_and_loop_counts_have_upper_bounds(tmp_path, section, key,
                                                  high):
     extra = "voting_boundary = 1\n" if key == "voting_samples" else ""

@@ -7,13 +7,18 @@ w_bits, x_bits, the three seeds, [sweep] adc_bits and enc_bits, and the
 bounded sizes and loop counts: voting_samples, [data] samples, epochs, the
 [analysis] dims and trials) also get 2^63. The retired keys get every
 value too, and must exit 2 as unknown keys: the [train] widths, which
-[quant] replaced, [mode] scheme, which restated [macro] enc_bits, and
-[model] builtin, which had one value.
+[quant] replaced, [mode] scheme, which restated [macro] enc_bits, [model]
+builtin, which had one value, and [data] kind, which restated whether
+images and labels are set. A key of the retired [output] section, whose
+dir restated --out and whose formats could drop the JSON, must exit 2 as an
+unknown section.
 Each subcommand that reads the
-key then runs in-process, in a fresh working directory. It must exit 0 or
-2, never 1 (a traceback) nor 3. An exit 2 must name the file, the section
-and the key, and must come before any training. An exit 0 must write a CSV
-with no NaN or inf in a column that is finite for the unedited base config.
+key then runs in-process, in a fresh working directory, without --out. It
+must exit 0 or 2, never 1 (a traceback) nor 3. An exit 2 must name the file,
+the section and the key (for images or labels set alone, the other key of
+the pair, which is missing), and must come before any training. An exit 0
+must write out/<command>.csv and .json, the CSV with no NaN or inf in a
+column that is finite for the unedited base config.
 """
 
 import csv
@@ -23,7 +28,7 @@ from pathlib import Path
 import pytest
 
 from acimsim import cli
-from acimsim.config import KEYS, load_config
+from acimsim.config import KEYS
 
 BASE = {
     "macro": {"rows": "32", "adc_bits": "7", "enc_bits": "1"},
@@ -33,11 +38,10 @@ BASE = {
              "voting_samples": "3"},
     "quant": {"w_bits": "4", "x_bits": "4"},
     "model": {},
-    "data": {"kind": "blobs", "samples": "60", "features": "8",
-             "classes": "3", "spread": "0.5", "seed": "5"},
+    "data": {"samples": "60", "features": "8", "classes": "3",
+             "spread": "0.5", "seed": "5"},
     "analysis": {"batch": "6", "in_dim": "16", "out_dim": "4",
                  "trials": "100"},
-    "output": {"dir": "out", "formats": "csv"},
     "train": {"lr": "0.1", "epochs": "2", "batch": "16", "seed": "3",
               "nat_sigma": "0.1"},
     "sweep": {"adc_bits": "5, 7", "noise": "0.0, 0.5"},
@@ -73,12 +77,15 @@ READERS = {
 KEY_READERS = {("noise", "seed"): ALL, ("analysis", "trials"): ("linearity",)}
 
 RETIRED = (("train", "w_bits"), ("train", "x_bits"), ("mode", "scheme"),
-           ("model", "builtin"))
+           ("model", "builtin"), ("data", "kind"))
+RETIRED_SECTIONS = (("output", "dir"), ("output", "formats"))
+# a key of a pair set alone fails naming the other, which is missing
+PARTNER = {("data", "images"): "labels", ("data", "labels"): "images"}
 
 CASES = [(section, key, value)
          for section, keys in KEYS.items() for key in keys
          for value in HOSTILE + ((BIG,) if (section, key) in BOUNDED else ())]
-CASES += [(section, key, value) for section, key in RETIRED
+CASES += [(section, key, value) for section, key in RETIRED + RETIRED_SECTIONS
           for value in HOSTILE + (BIG,)]
 
 
@@ -114,20 +121,21 @@ def base_finite(tmp_path_factory):
 
 def test_gate_covers_every_key():
     # the base sets only real keys; each other key is added by its edit,
-    # every BOUNDED pair is a real key that also gets 2^63, and no RETIRED
-    # pair is a key
+    # every BOUNDED pair is a real key that also gets 2^63, no RETIRED pair
+    # is a key and no RETIRED_SECTIONS pair a section
     assert set(BASE) == set(KEYS)
     assert all(set(keys) <= set(KEYS[name]) for name, keys in BASE.items())
     assert all(key not in KEYS[name] for name, key in RETIRED)
+    assert all(name not in KEYS for name, _ in RETIRED_SECTIONS)
     assert len(CASES) == (7 * sum(map(len, KEYS.values())) + len(BOUNDED)
-                          + 8 * len(RETIRED))
+                          + 8 * (len(RETIRED) + len(RETIRED_SECTIONS)))
 
 
 @pytest.mark.parametrize("section, key, value", CASES)
 def test_hostile_value_exits_0_or_2(section, key, value, base_finite,
                                     tmp_path, monkeypatch, capsys):
     sections = {name: dict(keys) for name, keys in BASE.items()}
-    sections[section][key] = value
+    sections.setdefault(section, {})[key] = value
     path = tmp_path / "gate.ini"
     path.write_text(_ini(sections))
     monkeypatch.chdir(tmp_path)
@@ -144,13 +152,19 @@ def test_hostile_value_exits_0_or_2(section, key, value, base_finite,
         assert rc in (0, 2), (cmd, rc, err)
         if (section, key) in RETIRED:
             assert rc == 2 and "unknown key" in err, (cmd, rc, err)
+        if (section, key) in RETIRED_SECTIONS:
+            assert rc == 2, (cmd, rc, err)
+            assert f"{path}: [{section}] unknown section" in err, (cmd, err)
+            continue
         if rc == 2:
             # the tmp_path holds the key too, so look only after the section
             where = f"{path}: [{section}]"
-            assert where in err and key in err.split(where, 1)[1], (cmd, err)
+            named = PARTNER.get((section, key), key)
+            assert where in err and named in err.split(where, 1)[1], (cmd, err)
             assert not trained, (cmd, "exit 2 after training", err)
             continue
-        out = Path(load_config(str(path)).output.dir) / f"{cmd}.csv"
+        out = Path("out") / f"{cmd}.csv"
+        assert out.with_suffix(".json").exists(), (cmd, "no JSON")
         rows = _read_csv(out)
         assert rows, (cmd, "empty CSV")
         # an emptied [sweep] axis drops its column, which is not a failure
