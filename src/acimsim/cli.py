@@ -17,11 +17,11 @@ import numpy as np
 
 from . import __version__, rng
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config, sweep_point
 from .data import load_idx, make_blobs, train_test_split
 from .engine import plan_cycles, simulate_matmul
 from .errors import AcimError, ConfigError
-from .macro import NOISELESS, Sigma
+from .macro import NOISELESS
 from .metrics import csnr_measure, csnr_variance_form, linearity_sweep, \
     mac_distribution
 from .models import (TinyModel, engine_forward, evaluate_digital,
@@ -39,10 +39,10 @@ def _dataset(cfg: ExperimentConfig):
         for key, p in (("images", d.images), ("labels", d.labels)):
             if not os.path.exists(p):
                 raise ConfigError(f"{cfg.path}: [data] {key}: no such file {p}")
-        x = load_idx(d.images)
-        y = load_idx(d.labels).astype(np.int64)
-        x = x.reshape(x.shape[0], -1)
-        return train_test_split(x, y)
+        x = load_idx(d.images)   # scaled by the file's largest |pixel|
+        peak = np.abs(x).max(initial=0.0)
+        x = (x / peak if peak > 0 else x).reshape(len(x), -1)
+        return train_test_split(x, load_idx(d.labels).astype(np.int64))
     x, y = make_blobs(d.samples, d.features, d.classes, d.seed, d.spread)
     return train_test_split(x, y)
 
@@ -117,30 +117,20 @@ def _forward_points(model: TinyModel, x, points, threads):
     return [results[i] for i in range(len(points))]
 
 
-def _run_grid(cfg: ExperimentConfig, axes, threads, meta):
+def _run_grid(cfg: ExperimentConfig, axes: dict, threads, meta):
     """Accuracy, CSNR vs the float forward, cycles and analog ratio of the
-    model at every point of the axes' grid; no axes is the single point of
-    the config as written. `meta` gets the model's widths, which are the
-    checkpoint's, not [quant]'s, when the config names one. The points of
-    each enc_bits value form one plan class and run in lockstep
-    (_forward_points); `threads` parallelizes across classes only."""
-    grid = list(itertools.product(*[v for _, v in axes]))
-    points = []
-    for values in grid:
-        point = dict(zip([a[0] for a in axes], values))
-        macro = dataclasses.replace(
-            cfg.macro, adc_bits=point.get("adc_bits", cfg.macro.adc_bits),
-            enc_bits=point.get("enc_bits", cfg.macro.enc_bits))
-        noise = cfg.noise
-        if "noise" in point:
-            noise = dataclasses.replace(
-                noise, random_sigma=Sigma(point["noise"],
-                                          cfg.noise.random_sigma.unit))
-        mode = dataclasses.replace(cfg.mode, enc_bits=macro.enc_bits)
-        points.append((macro, noise, mode))
+    model at every point of the grid of `axes` (axis -> values, as
+    cfg.sweep); no axes is the single point of the config as written.
+    `meta` gets the model's widths, which are the checkpoint's, not
+    [quant]'s, when the config names one. The points of each enc_bits value
+    form one plan class and run in lockstep (_forward_points); `threads`
+    parallelizes across classes only."""
+    grid = list(itertools.product(*axes.values()))
+    points = [sweep_point(cfg.macro, cfg.noise, cfg.mode,
+                          dict(zip(axes, values))) for values in grid]
     train_set, test_set = _dataset(cfg)
     model = _model(cfg, train_set, test_set, [p[2] for p in points],
-                   "sweep" if "enc_bits" in dict(axes) else "macro")
+                   "sweep" if "enc_bits" in axes else "macro")
     x, y = test_set
     ideal = forward_float(model, x)
     rows = []
@@ -151,22 +141,19 @@ def _run_grid(cfg: ExperimentConfig, axes, threads, meta):
                      ratio))
     meta["baseline_acc"] = model.baseline_acc
     meta["quant"] = {"w_bits": model.w_bits, "x_bits": model.x_bits}
-    header = (*[a[0] for a in axes], "accuracy", "csnr_db", "cycles",
-              "analog_ratio")
+    header = (*axes, "accuracy", "csnr_db", "cycles", "analog_ratio")
     return header, rows
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir, threads, meta):
-    return _run_grid(cfg, [], threads, meta)
+    return _run_grid(cfg, {}, threads, meta)
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir, threads, meta):
     if not cfg.sweep:
         raise ConfigError(f"{cfg.path}: sweep needs a [sweep] section with "
                           "at least one axis")
-    axes = [(name, cfg.sweep[name])
-            for name in ("adc_bits", "enc_bits", "noise") if name in cfg.sweep]
-    return _run_grid(cfg, axes, threads, meta)
+    return _run_grid(cfg, cfg.sweep, threads, meta)
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir, threads, meta):
@@ -277,12 +264,12 @@ def main(argv=None) -> int:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg = load_config(args.config, seed=args.seed)
         meta = {"tool_version": __version__, "command": args.command,
-                "seed": cfg.noise.seed, "threads": args.threads,
-                "started_unix": time.time()}
+                "config_path": os.path.basename(args.config),
+                "threads": args.threads, "started_unix": time.time()}
         header, rows = COMMANDS[args.command](cfg, args.out, args.threads,
                                               meta)
         meta["wall_clock_s"] = time.monotonic() - start
-        emit(args.out, args.command, header, rows, cfg.echo(), meta)
+        emit(args.out, args.command, header, rows, cfg.echo, meta)
         return 0
     except ConfigError as exc:
         print(f"acim-sim: config error: {exc}", file=sys.stderr)

@@ -7,7 +7,7 @@ therefore mandatory and wall-clock seeding does not exist.
 import configparser
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .data import check_blobs
@@ -58,18 +58,20 @@ def _finite(value):
 _INT = _typed(int, "expected an integer, got {}")
 _FLOAT = _typed(float, "expected a number, got {}")
 _UNIT = _typed(NoiseUnit, "unknown unit {}; use lsb_rms or vpp_pct")
-_LSB = NoiseUnit.LSB_RMS
 
 # Every section and key a config may hold: key -> (parser, default). An empty
 # value counts as absent. A None [train] seed follows [noise] seed; a [sweep]
 # axis left out is not swept. [quant] alone sets the bit widths. A key that
 # a library type checks (MacroConfig, Sigma, VotingSpec, TrainConfig,
 # check_blobs) is range-checked there; every other key's range is its parser.
+# A default that a library type also states is read from that type.
 KEYS = {
     "macro": {"rows": (_INT, _REQUIRED), "adc_bits": (_INT, _REQUIRED),
-              "enc_bits": (_INT, 1)},
-    "noise": {"random": (_FLOAT, 0.0), "random_unit": (_UNIT, _LSB),
-              "nonlin": (_FLOAT, 0.0), "nonlin_unit": (_UNIT, _LSB),
+              "enc_bits": (_INT, MacroConfig.enc_bits)},
+    "noise": {"random": (_FLOAT, NoiseSpec.random_sigma.value),
+              "random_unit": (_UNIT, NoiseSpec.random_sigma.unit),
+              "nonlin": (_FLOAT, NoiseSpec.nonlin_sigma.value),
+              "nonlin_unit": (_UNIT, NoiseSpec.nonlin_sigma.unit),
               "seed": (_INT, _REQUIRED)},
     "mode": {"hybrid_boundary": (_int(1), None),
              "voting_boundary": (_INT, None),
@@ -84,9 +86,10 @@ KEYS = {
     "analysis": {"batch": (_int(1, 1024), 8), "in_dim": (_int(1, 1024), 256),
                  "out_dim": (_int(1, 1024), 16),
                  "trials": (_int(100, 10**6), 10000)},
-    "train": {"lr": (_FLOAT, 0.05), "epochs": (_int(high=10**4), 40),
-              "batch": (_INT, 32), "seed": (_INT, None),
-              "nat_sigma": (_FLOAT, 0.0)},
+    "train": {"lr": (_FLOAT, TrainConfig.lr),
+              "epochs": (_int(high=10**4), TrainConfig.epochs),
+              "batch": (_INT, TrainConfig.batch), "seed": (_INT, None),
+              "nat_sigma": (_FLOAT, TrainConfig.nat_sigma)},
     "sweep": {"adc_bits": (_list(int), None), "enc_bits": (_list(int), None),
               "noise": (_list(float), None)},
 }
@@ -143,26 +146,8 @@ class ExperimentConfig:
     analysis: AnalysisSpec
     train: TrainConfig
     sweep: Optional[dict] = None        # axis name -> list of values
+    echo: Optional[dict] = None   # section -> key -> value of every KEYS key
     path: str = ""
-
-    def echo(self) -> dict:
-        """Config summary embedded in JSON reports."""
-        return {
-            "config_path": os.path.basename(self.path),
-            "macro": {"rows": self.macro.rows, "adc_bits": self.macro.adc_bits,
-                      "enc_bits": self.macro.enc_bits},
-            "noise": {"random": self.noise.random_sigma.value,
-                      "random_unit": self.noise.random_sigma.unit.value,
-                      "nonlin": self.noise.nonlin_sigma.value,
-                      "nonlin_unit": self.noise.nonlin_sigma.unit.value,
-                      "seed": self.noise.seed},
-            "mode": {"hybrid_boundary": self.mode.hybrid_boundary,
-                     "voting": None if self.mode.voting is None else
-                     {"boundary": self.mode.voting.boundary,
-                      "samples": self.mode.voting.samples}},
-            "quant": {"w_bits": self.w_bits, "x_bits": self.x_bits},
-            "sweep": self.sweep,
-        }
 
 
 def _parse(parser, path) -> dict:
@@ -191,9 +176,22 @@ def _parse(parser, path) -> dict:
     return values
 
 
-def _sweep_axes(path, axes: dict, macro: MacroConfig, noise: NoiseSpec) -> dict:
-    """The given [sweep] axes, each value checked as the macro or random
-    sigma it selects."""
+def sweep_point(macro: MacroConfig, noise: NoiseSpec, mode: EngineMode,
+                values: dict) -> tuple:
+    """The (macro, noise, mode) of one grid point: `values` maps [sweep]
+    axes to one value each, in place of the macro's adc_bits and enc_bits
+    and the random sigma's value; no values is the config as written. The
+    mode takes the macro's enc_bits."""
+    values = dict(values)
+    if "noise" in values:
+        noise = replace(noise, random_sigma=Sigma(
+            values.pop("noise"), noise.random_sigma.unit))
+    macro = replace(macro, **values)
+    return macro, noise, replace(mode, enc_bits=macro.enc_bits)
+
+
+def _sweep_axes(path, axes: dict, macro, noise, mode) -> dict:
+    """The given [sweep] axes, each value checked as the point it selects."""
     sweep = {key: values for key, values in axes.items() if values is not None}
     if not sweep:
         _fail(path, "sweep", "adc_bits", "sweep section has no axes")
@@ -201,18 +199,14 @@ def _sweep_axes(path, axes: dict, macro: MacroConfig, noise: NoiseSpec) -> dict:
         if not values:
             _fail(path, "sweep", key, "sweep axis must be non-empty")
         for v in values:
-            if key == "noise":
-                _build(path, "sweep", Sigma, key, value=v,
-                       unit=noise.random_sigma.unit)
-                continue
-            _build(path, "sweep", MacroConfig, key, **{
-                "rows": macro.rows, "adc_bits": macro.adc_bits,
-                "enc_bits": macro.enc_bits, key: v})
+            _build(path, "sweep", sweep_point, key, macro=macro, noise=noise,
+                   mode=mode, values={key: v})
     return sweep
 
 
 def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
-    """`seed`, when given, replaces [noise] seed before [train] reads it."""
+    """`seed`, when given, replaces [noise] seed before [train] reads it;
+    the echo holds the parsed KEYS values after both."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
@@ -245,11 +239,11 @@ def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
     voting = (None if m["voting_samples"] is None else
               _build(path, "mode", VotingSpec, boundary=m["voting_boundary"],
                      samples=m["voting_samples"]))
-    mode = EngineMode(enc_bits=macro.enc_bits,
-                      hybrid_boundary=m["hybrid_boundary"], voting=voting)
+    mode = sweep_point(macro, noise, EngineMode(
+        hybrid_boundary=m["hybrid_boundary"], voting=voting), {})[2]
     data = _build(path, "data", DataSpec, **v["data"])
     train = _build(path, "train", TrainConfig, **v["train"])
-    sweep = (_sweep_axes(path, v["sweep"], macro, noise)
+    sweep = (_sweep_axes(path, v["sweep"], macro, noise, mode)
              if parser.has_section("sweep") else None)
 
     q = v["quant"]
@@ -257,4 +251,4 @@ def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
                             w_bits=q["w_bits"], x_bits=q["x_bits"],
                             checkpoint=v["model"]["checkpoint"], data=data,
                             analysis=AnalysisSpec(**v["analysis"]),
-                            train=train, sweep=sweep, path=path)
+                            train=train, sweep=sweep, echo=v, path=path)

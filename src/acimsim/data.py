@@ -26,24 +26,24 @@ def check_blobs(samples: int, features: int, classes: int) -> None:
 
 
 def make_blobs(samples: int, features: int, classes: int, seed: int,
-               spread: float = 1.0, center_scale: float = 2.0):
+               spread: float = 1.0):
     """Deterministic Gaussian-blob classification data.
 
-    Class centers are drawn once from the seed and scaled to a common radius,
-    so the class margin is controlled by center_scale / spread.
+    Class centers are drawn once from the seed and scaled to radius 2, so
+    the class margin is controlled by 2 / spread.
     """
     check_blobs(samples, features, classes)
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     centers = gen.normal(size=(classes, features))
-    centers *= center_scale / np.linalg.norm(centers, axis=1, keepdims=True)
+    centers *= 2.0 / np.linalg.norm(centers, axis=1, keepdims=True)
     y = np.arange(samples) % classes
     x = centers[y] + spread * gen.normal(size=(samples, features))
     perm = gen.permutation(samples)
     return x[perm], y[perm]
 
 
-def train_test_split(x: np.ndarray, y: np.ndarray, test_fraction: float = 0.25):
-    n_test = int(round(len(x) * test_fraction))
+def train_test_split(x: np.ndarray, y: np.ndarray):
+    n_test = round(len(x) * 0.25)   # the last quarter is the test set
     n_train = len(x) - n_test
     return (x[:n_train], y[:n_train]), (x[n_train:], y[n_train:])
 

@@ -39,6 +39,9 @@ def csnr_measure(ideal, simulated) -> CsnrReport:
     y_hat = np.asarray(simulated, dtype=np.float64)
     if y.shape != y_hat.shape:
         raise ShapeError(f"shape mismatch: {y.shape} vs {y_hat.shape}")
+    for name, t in (("ideal", y), ("simulated", y_hat)):
+        if not np.isfinite(t).all():
+            raise DomainError(f"{name} must be finite")
     signal = float(np.sum(y * y))
     noise = float(np.sum((y - y_hat) ** 2))
     if noise == 0:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng
 from .engine import EngineMode, SimLayerResult, _simulate_points, softmax
-from .errors import ShapeError, TrainingError
+from .errors import DataError, DomainError, ShapeError, TrainingError
 from .quant import Signedness, fake_quantize, quantize, signedness_of
 
 
@@ -67,6 +67,10 @@ class TrainConfig:
 def init_mlp(dims: list, seed: int, w_bits: int = 8,
              x_bits: int = 8) -> TinyModel:
     """He-initialized MLP at the given widths, ReLU between linear layers."""
+    if any(d < 1 for d in dims):
+        raise ShapeError(f"dims must all be >= 1, got {list(dims)}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     layers = []
     for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
@@ -187,6 +191,9 @@ def train(model: TinyModel, dataset, cfg: TrainConfig):
     x, y = dataset
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
+    classes = ([x] + [l.w for l in model.linear_layers()])[-1].shape[1]
+    if np.any((y < 0) | (y >= classes)):   # the logits' width
+        raise DataError(f"dataset labels must lie in [0, {classes})")
     model.nat_sigma = cfg.nat_sigma
     shuffler = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(rng.TAG_DATA,))))

@@ -57,7 +57,11 @@ class QuantizedTensor:
     params: QuantParams
 
     def __post_init__(self):
-        codes = np.asarray(self.codes, dtype=np.int64)
+        codes = np.asarray(self.codes)
+        if codes.dtype.kind not in "biu" and not (
+                np.isfinite(codes).all() and (np.trunc(codes) == codes).all()):
+            raise DomainError("codes must be finite integers")
+        codes = codes.astype(np.int64, copy=False)
         if codes.size and (codes.min() < self.params.code_min
                            or codes.max() > self.params.code_max):
             raise DomainError("codes outside the signedness range of params")
@@ -141,6 +145,7 @@ def decompose_bits(codes, bits: int) -> np.ndarray:
     """Bit planes of 2's-complement codes: int64 [bits, *codes.shape], LSB
     first. An arithmetic shift keeps a negative code's 2's-complement bits,
     so plane bits-1 of a signed code is its sign bit."""
+    check_bits(bits, DomainError, "bits")
     codes = np.asarray(codes, dtype=np.int64)
     shifts = np.arange(bits).reshape(-1, *(1,) * codes.ndim)
     return _bit_field(codes, shifts, 1)

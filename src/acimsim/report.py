@@ -9,6 +9,7 @@ import csv
 import json
 import math
 import os
+from enum import Enum
 
 
 def fmt_value(v) -> str:
@@ -38,6 +39,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, float) and not math.isfinite(obj):
         return fmt_value(obj)
+    if isinstance(obj, Enum):
+        return obj.value
     if hasattr(obj, "item"):      # numpy scalars
         return _jsonable(obj.item())
     return obj

@@ -78,11 +78,15 @@ def test_simulate_writes_csv_and_json(tmp_path):
     (row,) = payload["results"]
     assert 0.0 <= row[0] <= 1.0
     assert row[2] > 0 and row[3] == 1.0
-    # the JSON mirror carries the echoed config and run metadata
+    # the JSON mirror carries the echoed config and run metadata; the seed
+    # the run used is the echo's, and meta does not repeat it
     assert payload["config"]["macro"]["rows"] == 32
+    assert payload["config"]["noise"]["seed"] == 9
+    assert payload["config"]["noise"]["random_unit"] == "lsb_rms"
     meta = payload["meta"]
     assert meta["command"] == "simulate"
-    assert meta["seed"] == 9
+    assert meta["config_path"] == "exp.ini"
+    assert "seed" not in meta
     assert meta["threads"] == 1
     assert meta["wall_clock_s"] >= 0.0
     assert 0.0 <= meta["baseline_acc"] <= 1.0
@@ -323,12 +327,13 @@ def _write_idx(path, array):
                                  array.ndim, *array.shape) + array.tobytes())
 
 
-def _idx_pair(tmp_path):
-    """60 4x4 images over 3 classes, each class bright in its own row."""
+def _idx_pair(tmp_path, high=2, bright=2):
+    """60 4x4 images over 3 classes, pixels in [0, high) plus `bright` on
+    each class's own row."""
     labels = np.arange(60) % 3
-    images = np.random.default_rng(0).integers(0, 2, size=(60, 4, 4))
+    images = np.random.default_rng(0).integers(0, high, size=(60, 4, 4))
     for c in range(3):
-        images[labels == c, c] += 2
+        images[labels == c, c] += bright
     _write_idx(tmp_path / "images.idx", images)
     _write_idx(tmp_path / "labels.idx", labels)
     return (f"images = {tmp_path / 'images.idx'}\n",
@@ -337,16 +342,19 @@ def _idx_pair(tmp_path):
 
 def test_simulate_on_idx_files(tmp_path):
     # images and labels together select the IDX loader: 16 features, and
-    # [data] samples, features and classes go unread
-    images, labels = _idx_pair(tmp_path)
-    text = BASE_INI.replace("[data]\n", f"[data]\n{images}{labels}") \
-        .replace("features = 8", "features = 0")
-    assert run("simulate", write_config(tmp_path, text), tmp_path / "out") == 0
-    payload, csv_lines = read_report(tmp_path / "out", "simulate")
-    assert len(csv_lines) == 2 and len(payload["results"]) == 1
-    # the classes separate, so the model learns them from the files
-    assert payload["meta"]["baseline_acc"] > 0.9
-    assert payload["results"][0][0] > 0.9
+    # [data] samples, features and classes go unread. Pixels of 0..3 and of
+    # 0..223 both train, as the images are divided by their peak |pixel|.
+    for high, bright in ((2, 2), (64, 160)):
+        images, labels = _idx_pair(tmp_path, high, bright)
+        text = BASE_INI.replace("[data]\n", f"[data]\n{images}{labels}") \
+            .replace("features = 8", "features = 0")
+        out = tmp_path / f"out{high}"
+        assert run("simulate", write_config(tmp_path, text), out) == 0
+        payload, csv_lines = read_report(out, "simulate")
+        assert len(csv_lines) == 2 and len(payload["results"]) == 1
+        # the classes separate, so the model learns them from the files
+        assert payload["meta"]["baseline_acc"] > 0.9, high
+        assert payload["results"][0][0] > 0.9, high
 
 
 def test_idx_images_without_labels_exits_2(tmp_path, capsys, monkeypatch):
@@ -373,7 +381,8 @@ def test_seed_override_changes_results(tmp_path):
     assert a != b          # different seed, different operands and noise
     assert b == c          # same seed replays exactly
     payload, _ = read_report(tmp_path / "b", "csnr")
-    assert payload["meta"]["seed"] == 123
+    assert payload["config"]["noise"]["seed"] == 123
+    assert payload["config"]["train"]["seed"] == 123   # followed --seed
 
 
 @pytest.mark.parametrize("train_seed, follows", [(None, True), (4, False)])

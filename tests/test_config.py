@@ -3,7 +3,7 @@
 import pytest
 
 from acimsim.cli import main
-from acimsim.config import load_config
+from acimsim.config import KEYS, load_config
 from acimsim.engine import VotingSpec
 from acimsim.errors import ConfigError
 from acimsim.macro import NoiseUnit
@@ -134,12 +134,18 @@ def test_shipped_configs_load():
 
 
 def test_echo_summary(tmp_path):
-    echo = load_config(write(tmp_path, MINIMAL)).echo()
-    assert echo["config_path"] == "exp.ini"
-    assert echo["macro"]["rows"] == 256
-    assert echo["macro"]["enc_bits"] == 1
-    assert echo["mode"] == {"hybrid_boundary": None, "voting": None}
+    # the echo is every KEYS key, defaults filled in, after --seed and the
+    # [train] seed following it
+    echo = load_config(write(tmp_path, MINIMAL), seed=5).echo
+    assert {name: list(keys) for name, keys in echo.items()} == \
+        {name: list(keys) for name, keys in KEYS.items()}
+    assert echo["macro"] == {"rows": 256, "adc_bits": 9, "enc_bits": 1}
+    assert echo["noise"]["seed"] == 5 and echo["train"]["seed"] == 5
+    assert echo["noise"]["random_unit"] is NoiseUnit.LSB_RMS
+    assert echo["train"]["lr"] == TrainConfig.lr == 0.05
+    assert echo["mode"] == dict.fromkeys(KEYS["mode"])
     assert echo["quant"] == {"w_bits": 8, "x_bits": 8}
+    assert echo["sweep"] == dict.fromkeys(KEYS["sweep"])
 
 
 def expect_error(tmp_path, text, fragment, name="bad.ini"):

@@ -48,7 +48,7 @@ def test_blobs_validates_features_and_classes(features, classes, field):
 def test_train_test_split_partition():
     x = np.arange(40.0).reshape(20, 2)
     y = np.arange(20)
-    (xt, yt), (xe, ye) = train_test_split(x, y, test_fraction=0.25)
+    (xt, yt), (xe, ye) = train_test_split(x, y)
     assert len(xt) == 15 and len(xe) == 5
     assert np.array_equal(np.concatenate([xt, xe]), x)
     assert np.array_equal(np.concatenate([yt, ye]), y)

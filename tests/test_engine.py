@@ -206,6 +206,27 @@ def test_matmul_full_hybrid_ignores_noise():
     assert res.analog_ratio == 0.0
 
 
+def test_float32_levels_exact_at_the_2_pow_24_edge():
+    # rows * (2^y - 1) = 4097 * 4095 = 2^24 - 1, the largest full scale
+    # MacroConfig admits; a weight column of code -1 sets every plane bit,
+    # so each of its levels against activations of 4095 sits at that edge
+    rows, y = 4097, 12
+    cfg = MacroConfig(rows, 16, y)
+    assert cfg.full_scale_counts == (1 << 24) - 1
+    gen = np.random.default_rng(24)
+    act = QuantizedTensor(np.full((2, rows), 4095), QuantParams(1.0, 12, U))
+    act.codes[1] = gen.integers(0, 4096, size=rows)
+    w = rand_q(gen, (rows, 3), 8, TC, scale=1.0)
+    w.codes[:, 0] = -1
+    plan = plan_cycles(8, 12, U, TC, EngineMode(enc_bits=y))
+    mode = EngineMode(enc_bits=y,
+                      hybrid_boundary=len({e.shift for e in plan.entries}))
+    res = simulate_matmul(act, w, cfg, NOISELESS, mode)
+    assert res.analog_ratio == 0.0
+    assert res.output[0, 0] == -((1 << 24) - 1)
+    assert np.array_equal(res.output, act.codes @ w.codes)
+
+
 def test_matmul_partial_hybrid_and_voting_noiseless_exact():
     gen = np.random.default_rng(8)
     act = rand_q(gen, (2, 20), 4, TC)
