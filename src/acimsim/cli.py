@@ -19,8 +19,8 @@ from . import __version__, rng
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, load_config, sweep_point
 from .data import load_idx, make_blobs, train_test_split
-from .engine import plan_cycles, simulate_matmul
-from .errors import AcimError, ConfigError
+from .engine import SimLayerResult, plan_cycles, simulate_matmul
+from .errors import AcimError, ConfigError, DataError
 from .macro import NOISELESS
 from .metrics import csnr_measure, csnr_variance_form, linearity_sweep, \
     mac_distribution
@@ -40,6 +40,8 @@ def _dataset(cfg: ExperimentConfig):
             if not os.path.exists(p):
                 raise ConfigError(f"{cfg.path}: [data] {key}: no such file {p}")
         x = load_idx(d.images)   # scaled by the file's largest |pixel|
+        if not len(x):
+            raise DataError(f"{d.images}: IDX file holds no images")
         peak = np.abs(x).max(initial=0.0)
         x = (x / peak if peak > 0 else x).reshape(len(x), -1)
         return train_test_split(x, load_idx(d.labels).astype(np.int64))
@@ -134,33 +136,34 @@ def _run_grid(cfg: ExperimentConfig, axes: dict, threads, meta):
     x, y = test_set
     ideal = forward_float(model, x)
     rows = []
-    for values, (logits, cycles, ratio) in zip(
+    for values, (logits, layers) in zip(
             grid, _forward_points(model, x, points, threads)):
+        net = SimLayerResult.compose(layers, logits)
         acc = float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
-        rows.append((*values, acc, csnr_measure(ideal, logits).db, cycles,
-                     ratio))
+        rows.append((*values, acc, csnr_measure(ideal, logits).db,
+                     net.total_cycles, net.analog_ratio))
     meta["baseline_acc"] = model.baseline_acc
     meta["quant"] = {"w_bits": model.w_bits, "x_bits": model.x_bits}
     header = (*axes, "accuracy", "csnr_db", "cycles", "analog_ratio")
     return header, rows
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir, threads, meta):
-    return _run_grid(cfg, {}, threads, meta)
+def cmd_simulate(cfg: ExperimentConfig, args, meta):
+    return _run_grid(cfg, {}, args.threads, meta)
 
 
-def cmd_sweep(cfg: ExperimentConfig, out_dir, threads, meta):
+def cmd_sweep(cfg: ExperimentConfig, args, meta):
     if not cfg.sweep:
         raise ConfigError(f"{cfg.path}: sweep needs a [sweep] section with "
                           "at least one axis")
-    return _run_grid(cfg, cfg.sweep, threads, meta)
+    return _run_grid(cfg, cfg.sweep, args.threads, meta)
 
 
-def cmd_train(cfg: ExperimentConfig, out_dir, threads, meta):
+def cmd_train(cfg: ExperimentConfig, args, meta):
     train_set, test_set = _dataset(cfg)
     model, losses = _train_model(cfg, train_set, test_set)
-    os.makedirs(out_dir, exist_ok=True)
-    ckpt_path = os.path.join(out_dir, "model.ackpt")
+    os.makedirs(args.out, exist_ok=True)
+    ckpt_path = os.path.join(args.out, "model.ackpt")
     save_checkpoint(model, ckpt_path)
     meta["checkpoint"] = ckpt_path
     meta["baseline_acc"] = model.baseline_acc
@@ -178,7 +181,7 @@ def _analysis_operands(cfg: ExperimentConfig, mode):
     return act, w
 
 
-def cmd_csnr(cfg: ExperimentConfig, out_dir, threads, meta):
+def cmd_csnr(cfg: ExperimentConfig, args, meta):
     act, w = _analysis_operands(cfg, cfg.mode)
     act_q = quantize(act, cfg.x_bits, Signedness.TWOS_COMPLEMENT)
     w_q = quantize(w, cfg.w_bits, Signedness.TWOS_COMPLEMENT)
@@ -198,14 +201,14 @@ def cmd_csnr(cfg: ExperimentConfig, out_dir, threads, meta):
     return header, [row]
 
 
-def cmd_linearity(cfg: ExperimentConfig, out_dir, threads, meta):
+def cmd_linearity(cfg: ExperimentConfig, args, meta):
     samples = cfg.mode.voting.samples if cfg.mode.voting else 1
     sweep = linearity_sweep(cfg.macro, cfg.noise, cfg.analysis.trials,
                             samples=samples)
     return ("level", "mean_code", "sigma_code"), sweep.to_rows()
 
 
-def cmd_distribution(cfg: ExperimentConfig, out_dir, threads, meta):
+def cmd_distribution(cfg: ExperimentConfig, args, meta):
     # mac_distribution turns hybrid and voting off
     act, w = _analysis_operands(cfg, dataclasses.replace(
         cfg.mode, hybrid_boundary=None, voting=None))
@@ -216,7 +219,7 @@ def cmd_distribution(cfg: ExperimentConfig, out_dir, threads, meta):
     return ("w_bit", "act_group", "level", "count"), hist.to_rows()
 
 
-def cmd_sparsity(cfg: ExperimentConfig, out_dir, threads, meta):
+def cmd_sparsity(cfg: ExperimentConfig, args, meta):
     a = cfg.analysis
     gen = rng.stream(cfg.noise.seed, rng.RngContext(), rng.TAG_DATA)
     t = gen.uniform(-1.0, 1.0, size=(a.batch, a.in_dim))
@@ -266,8 +269,7 @@ def main(argv=None) -> int:
         meta = {"tool_version": __version__, "command": args.command,
                 "config_path": os.path.basename(args.config),
                 "threads": args.threads, "started_unix": time.time()}
-        header, rows = COMMANDS[args.command](cfg, args.out, args.threads,
-                                              meta)
+        header, rows = COMMANDS[args.command](cfg, args, meta)
         meta["wall_clock_s"] = time.monotonic() - start
         emit(args.out, args.command, header, rows, cfg.echo, meta)
         return 0

@@ -410,10 +410,10 @@ def simulate_attention(q, k, v, bits, cfg: MacroConfig, spec: NoiseSpec,
     """Single-head attention with both matmuls on the macro.
 
     QK^T runs with Q stationary and K broadcast; scaling and softmax stay in
-    floating point; A V runs with V stationary and the unsigned post-softmax
-    scores broadcast. The two matmuls use stream ids `layer` and `layer + 1`
-    so their noise draws are independent. The result composes both matmuls
-    (see SimLayerResult).
+    floating point; A V runs with V stationary and the scores broadcast, each
+    broadcast operand signed by signedness_of (the scores, > 0, unsigned).
+    The matmuls use stream ids `layer` and `layer + 1`, so their noise draws
+    are independent. The result composes both (see SimLayerResult).
     """
     w_bits, x_bits = _bit_pair(bits)
     q = np.asarray(q, dtype=np.float64)
@@ -426,11 +426,11 @@ def simulate_attention(q, k, v, bits, cfg: MacroConfig, spec: NoiseSpec,
             f"incompatible attention shapes {q.shape}, {k.shape}, {v.shape}")
     head_dim = q.shape[1]
     q_q = quantize(q, w_bits, Signedness.TWOS_COMPLEMENT)
-    k_q = quantize(k, x_bits, Signedness.TWOS_COMPLEMENT)
+    k_q = quantize(k, x_bits, signedness_of(k))
     qk = simulate_matmul(k_q, QuantizedTensor(q_q.codes.T, q_q.params),
                          cfg, spec, mode, layer=layer)
     scores = softmax(qk.output.T / np.sqrt(head_dim), axis=-1)
-    a_q = quantize(scores, x_bits, Signedness.UNSIGNED)
+    a_q = quantize(scores, x_bits, signedness_of(scores))
     v_q = quantize(v, w_bits, Signedness.TWOS_COMPLEMENT)
     av = simulate_matmul(a_q, v_q, cfg, spec, mode, layer=layer + 1)
     return SimLayerResult.compose([qk, av], av.output)

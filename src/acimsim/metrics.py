@@ -108,7 +108,6 @@ class MacHistogram:
     """Per-cycle counts over ADC-input levels, keyed by (w_bit, act_group)."""
 
     counts: dict
-    config: MacroConfig
 
     def to_rows(self) -> list:
         rows = []
@@ -138,7 +137,7 @@ def mac_distribution(act: QuantizedTensor, w: QuantizedTensor,
 
     simulate_matmul(act, w, cfg, NoiseSpec(level_hook=tally),
                     replace(mode, hybrid_boundary=None, voting=None))
-    return MacHistogram(counts, cfg)
+    return MacHistogram(counts)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .engine import EngineMode, SimLayerResult, _simulate_points, softmax
+from .engine import EngineMode, _simulate_points, softmax
 from .errors import DataError, DomainError, ShapeError, TrainingError
 from .quant import Signedness, fake_quantize, quantize, signedness_of
 
@@ -191,6 +191,10 @@ def train(model: TinyModel, dataset, cfg: TrainConfig):
     x, y = dataset
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
+    if not len(x):
+        raise DataError("dataset is empty: no training samples")
+    if not np.issubdtype(y.dtype, np.integer):
+        raise DataError(f"dataset labels must be integers, got {y.dtype}")
     classes = ([x] + [l.w for l in model.linear_layers()])[-1].shape[1]
     if np.any((y < 0) | (y >= classes)):   # the logits' width
         raise DataError(f"dataset labels must lie in [0, {classes})")
@@ -236,12 +240,12 @@ def engine_forward(model: TinyModel, x, cfgs: list, specs: list,
     each layer re-quantizes its input with quant.signedness_of. The points
     walk the layers in lockstep, one engine._simulate_points call per layer,
     split only between inputs of different signedness. Returns one (logits,
-    total_cycles, analog_ratio) per point, the layers composed as
-    SimLayerResult.compose does, each equal to running that point alone.
+    layers) per point, equal to that point run alone; `layers` holds each
+    linear layer's SimLayerResult, output None (it fed the next layer).
     """
     if np.ndim(x) != 2:
         raise ShapeError(f"engine_forward expects x[B, D], got {np.shape(x)}")
-    nets = [SimLayerResult(None, 0, 0, 0, 0) for _ in cfgs]
+    layers = [[] for _ in cfgs]
 
     def matmul(a, layer, linear_index):
         w_q = quantize(layer.w, model.w_bits, Signedness.TWOS_COMPLEMENT)
@@ -261,11 +265,10 @@ def engine_forward(model: TinyModel, x, cfgs: list, specs: list,
                                        [specs[p] for p in idx], mode,
                                        linear_index, out=[out[p] for p in idx])
             for p, res in zip(idx, results):
-                nets[p] = SimLayerResult.compose([nets[p], res], None)
+                layers[p].append(replace(res, output=None))
         return out
 
     logits = _walk(model, x, matmul)
     if not model.linear_layers():   # x passed through, shared
         logits = [logits] * len(cfgs)
-    return [(z, net.total_cycles, net.analog_ratio)
-            for z, net in zip(logits, nets)]
+    return list(zip(logits, layers))

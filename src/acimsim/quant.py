@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError
 from .tensor import round_half_away
 
 BIT_RANGE = (2, 16)   # the code widths a tensor may be quantized at
@@ -97,7 +97,7 @@ def _calibrated_codes(t, bits: int, signedness: Signedness):
     unsigned = signedness is Signedness.UNSIGNED
     peak = float(np.abs(t).max()) if t.size else 0.0
     if not math.isfinite(peak):
-        raise ShapeError("tensor contains non-finite values")
+        raise DomainError("tensor contains non-finite values")
     if unsigned and t.size and t.min() < 0:
         raise DomainError("unsigned quantization of a tensor with negatives")
     code_min, code_max = _code_range(bits, signedness)

@@ -13,8 +13,6 @@ from enum import Enum
 
 
 def fmt_value(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
     if isinstance(v, float):
         if math.isnan(v):
             return "nan"

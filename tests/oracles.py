@@ -136,7 +136,7 @@ def total_mass(hist) -> int:
 def evaluate_on_engine(model, dataset, cfg, spec, mode) -> float:
     """Top-1 accuracy with all linear layers executed by the engine."""
     x, y = dataset
-    (logits, _, _), = engine_forward(model, x, [cfg], [spec], mode)
+    (logits, _), = engine_forward(model, x, [cfg], [spec], mode)
     return float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
 
 

@@ -12,11 +12,14 @@ from acimsim import (AcimError, DataError, DomainError, QuantizedTensor,
                      csnr_measure, decompose_bits, init_mlp, train)
 
 
+def _train_on(x, labels):
+    train(init_mlp([4, 8, 3], 0), (x, np.array(labels)),
+          TrainConfig(epochs=1))
+
+
 def _train_on_label_7():
     # 3 classes; a label of 7 once indexed past the softmax
-    model = init_mlp([4, 8, 3], 0)
-    x = np.zeros((6, 4))
-    train(model, (x, np.array([0, 1, 2, 0, 1, 7])), TrainConfig(epochs=1))
+    _train_on(np.zeros((6, 4)), [0, 1, 2, 0, 1, 7])
 
 
 PROBES = {
@@ -25,6 +28,14 @@ PROBES = {
     "init_mlp-negative-seed": (lambda: init_mlp([4, 8, 3], -1), DomainError,
                                "seed"),
     "train-label-out-of-range": (_train_on_label_7, DataError, "labels"),
+    # a float label once raised numpy's IndexError in the loss
+    "train-float-labels": (
+        lambda: _train_on(np.zeros((6, 4)), [0, 1.5, 2, 0, 1, 2]), DataError,
+        "labels"),
+    # an empty train set once divided by its zero batches
+    "train-empty-dataset": (
+        lambda: _train_on(np.zeros((0, 4)), np.zeros(0, dtype=np.int64)),
+        DataError, "dataset"),
     "QuantizedTensor-float-codes": (
         lambda: QuantizedTensor(np.array([0.5, 1.0]), QuantParams(
             1.0, 4, Signedness.TWOS_COMPLEMENT)), DomainError, "codes"),

@@ -357,6 +357,19 @@ def test_simulate_on_idx_files(tmp_path):
         assert payload["results"][0][0] > 0.9, high
 
 
+def test_empty_idx_images_exit_3(tmp_path, capsys):
+    # a 0-image IDX pair is well formed but holds no data to split
+    _write_idx(tmp_path / "images.idx", np.zeros((0, 4, 4)))
+    _write_idx(tmp_path / "labels.idx", np.zeros(0))
+    text = BASE_INI.replace("[data]\n", f"[data]\nimages = "
+                            f"{tmp_path / 'images.idx'}\nlabels = "
+                            f"{tmp_path / 'labels.idx'}\n")
+    assert run("simulate", write_config(tmp_path, text), tmp_path / "out") == 3
+    assert (f"acim-sim: error: {tmp_path / 'images.idx'}: IDX file holds no "
+            "images" in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_idx_images_without_labels_exits_2(tmp_path, capsys, monkeypatch):
     def no_training(*args, **kw):
         raise AssertionError("training ran before the [data] check")

@@ -12,14 +12,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from acimsim import engine, models
+from acimsim import cli, engine
+from acimsim.checkpoint import save_checkpoint
+from acimsim.config import load_config
 from acimsim.engine import (EngineMode, SimLayerResult, VotingSpec,
                             plan_cycles, simulate_attention, simulate_matmul)
 from acimsim.errors import ConfigError
 from acimsim.macro import NOISELESS, MacroConfig, NoiseSpec, Sigma
 from acimsim.models import engine_forward, init_mlp
 from acimsim.quant import (QuantParams, QuantizedTensor, Signedness,
-                           group_layout)
+                           group_layout, signedness_of)
+from acimsim.report import fmt_value
 
 U = Signedness.UNSIGNED
 TC = Signedness.TWOS_COMPLEMENT
@@ -160,17 +163,15 @@ def _recording(monkeypatch, module):
     return parts
 
 
-def _recording_points(monkeypatch):
-    """Record every SimLayerResult engine._simulate_points returns to models,
-    the engine call of each linear layer of engine_forward."""
-    parts = []
-
-    def record(*args, **kw):
-        results = engine._simulate_points(*args, **kw)
-        parts.extend(results)
-        return results
-    monkeypatch.setattr(models, "_simulate_points", record)
-    return parts
+def _assert_follows_plan(res, plan, depth, rows):
+    """res, a matmul of inner dimension `depth` on `rows`-row tiles, counts
+    each tile's entries of `plan` by domain and its votes' extra reads."""
+    e = plan.entries
+    _assert_adds_up(res)
+    assert res.tiles == -(-depth // rows)
+    assert res.total_cycles == res.tiles * plan.cycles_per_tile
+    assert res.analog_cycles == res.tiles * int(e.analog.sum())
+    assert res.repeat_cycles == res.tiles * int((e.oversample - 1).sum())
 
 
 def _sums(parts) -> tuple:
@@ -207,12 +208,8 @@ def test_matmul_accounting_follows_plan():
         cfg = MacroConfig.at_boundary(rows, y)
         res = simulate_matmul(act, w, cfg, NOISELESS, mode)
         plan = plan_cycles(bits, bits, act.params.signedness, TC, mode)
+        _assert_follows_plan(res, plan, d, rows)
         e = plan.entries
-        _assert_adds_up(res)
-        assert res.tiles == -(-d // rows)
-        assert res.total_cycles == res.tiles * plan.cycles_per_tile
-        assert res.analog_cycles == res.tiles * int(e.analog.sum())
-        assert res.repeat_cycles == res.tiles * int((e.oversample - 1).sum())
         assert res.analog_ratio == int(e.analog.sum()) / len(e)
         # voting repeats entries but does not move the analog share
         unvoted = simulate_matmul(act, w, cfg, NOISELESS,
@@ -249,7 +246,27 @@ def test_compose_is_field_sum():
         _assert_adds_up(net)
 
 
-def test_engine_forward_accounting_over_random_stacks(monkeypatch):
+def _stack_config(tmp_path, ckpt, cfg, mode, features, seed) -> str:
+    """A simulate config of the checkpoint `ckpt` on the macro `cfg` and the
+    noiseless `mode`, over blobs of `features` features."""
+    voting = (f"voting_boundary = {mode.voting.boundary}\n"
+              f"voting_samples = {mode.voting.samples}\n" if mode.voting
+              else "")
+    hybrid = (f"hybrid_boundary = {mode.hybrid_boundary}\n"
+              if mode.hybrid_boundary else "")
+    path = tmp_path / "stack.ini"
+    path.write_text(
+        f"[macro]\nrows = {cfg.rows}\nadc_bits = {cfg.adc_bits}\n"
+        f"enc_bits = {cfg.enc_bits}\n[noise]\nseed = 1\n[mode]\n{hybrid}"
+        f"{voting}[data]\nsamples = 12\nfeatures = {features}\n"
+        f"seed = {seed}\n[model]\ncheckpoint = {ckpt}\n")
+    return str(path)
+
+
+def test_engine_forward_accounting_over_random_stacks(tmp_path):
+    # each linear layer's result follows the plan of its depth and input
+    # signedness (signed data in, unsigned after every ReLU), and the
+    # composed layers are the cycles and ratio that simulate's CSV prints
     for seed in range(12):
         gen = np.random.default_rng(seed)
         depth = int(gen.integers(1, 4))
@@ -259,19 +276,30 @@ def test_engine_forward_accounting_over_random_stacks(monkeypatch):
         y = int(gen.integers(1, 4))
         mode = _rand_mode(gen, y)
         cfg = MacroConfig.at_boundary(int(gen.integers(4, 33)), y)
-        x = gen.normal(size=(int(gen.integers(1, 5)), dims[0]))
-        parts = _recording_points(monkeypatch)
-        (_, cycles, ratio), = engine_forward(model, x, [cfg], [NOISELESS],
-                                             mode)
-        monkeypatch.undo()
-        assert len(parts) == depth
-        for p in parts:
-            _assert_adds_up(p)
-        net = SimLayerResult.compose(parts, None)
-        assert cycles == net.total_cycles == sum(p.total_cycles
-                                                 for p in parts)
-        analog, entries = _sums(parts)[1], sum(_sums(parts)[1:3])
-        assert ratio == analog / entries
+        ckpt = str(tmp_path / "stack.ackpt")
+        save_checkpoint(model, ckpt)
+        ini = _stack_config(tmp_path, ckpt, cfg, mode, dims[0], seed)
+        exp = load_config(ini)
+        assert (exp.macro, exp.mode) == (cfg, mode)
+        x = cli._dataset(exp)[1][0]
+        (logits, layers), = engine_forward(model, x, [cfg], [NOISELESS],
+                                           mode)
+        assert len(layers) == depth
+        signs = [signedness_of(x)] + [U] * (depth - 1)
+        for res, layer, sign in zip(layers, model.linear_layers(), signs):
+            assert res.output is None
+            _assert_follows_plan(res, plan_cycles(
+                model.w_bits, model.x_bits, sign, TC, mode),
+                layer.w.shape[0], cfg.rows)
+        net = SimLayerResult.compose(layers, logits)
+        assert net.total_cycles == sum(p.total_cycles for p in layers)
+        analog, entries = _sums(layers)[1], sum(_sums(layers)[1:3])
+        assert net.analog_ratio == analog / entries
+        assert cli.main(["simulate", "--config", ini,
+                         "--out", str(tmp_path / "out")]) == 0
+        row = (tmp_path / "out" / "simulate.csv").read_text().splitlines()[1]
+        assert row.split(",")[2:] == [fmt_value(net.total_cycles),
+                                      fmt_value(net.analog_ratio)]
 
 
 def test_attention_accounting_over_random_shapes(monkeypatch):

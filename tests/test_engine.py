@@ -748,7 +748,7 @@ def test_mac_distribution_ignores_hybrid_and_voting():
         rows = mac_distribution(act, w, cfg, mode).to_rows()
         plain = EngineMode(enc_bits=cfg.enc_bits)
         assert rows == mac_distribution(act, w, cfg, plain).to_rows(), seed
-        want = MacHistogram(_reference_levels(act, w, cfg), cfg).to_rows()
+        want = MacHistogram(_reference_levels(act, w, cfg)).to_rows()
         assert rows == want, seed
 
 
@@ -774,9 +774,9 @@ def test_linear_zero_weights_broadcasts_bias():
     # model's layer walker
     bias = np.array([1.5, -2.0])
     model = TinyModel([LinearLayer(np.zeros((8, 2)), bias)], w_bits=4, x_bits=4)
-    (out, _, _), = engine_forward(model, np.ones((3, 8)),
-                                  [MacroConfig.at_boundary(256)], [NOISELESS],
-                                  SERIAL)
+    (out, _), = engine_forward(model, np.ones((3, 8)),
+                               [MacroConfig.at_boundary(256)], [NOISELESS],
+                               SERIAL)
     assert np.array_equal(out, np.tile(bias, (3, 1)))
 
 
@@ -788,7 +788,7 @@ def test_linear_equals_matmul_plus_bias():
     cfg = MacroConfig(256, 8)
     spec = NoiseSpec(random_sigma=lsb(0.7), seed=3)
     model = TinyModel([LinearLayer(w, bias)], w_bits=6, x_bits=6)
-    (with_bias, _, _), = engine_forward(model, x, [cfg], [spec], SERIAL)
+    (with_bias, _), = engine_forward(model, x, [cfg], [spec], SERIAL)
     bare = simulate_matmul(quantize(x, 6, TC), quantize(w, 6, TC), cfg, spec,
                            SERIAL, layer=0)
     assert np.array_equal(with_bias, bare.output + bias)
@@ -882,6 +882,25 @@ def test_attention_close_to_float():
     assert err < 0.05
     assert 0.0 <= res.analog_ratio <= 1.0
     assert res.total_cycles > 0
+
+
+def test_attention_non_negative_k_runs_the_unsigned_plan():
+    # K quantizes by signedness_of, as every other broadcast operand does:
+    # an all-non-negative K runs QK^T on the unsigned plan, which at y=2 is
+    # shorter than the signed one; the post-softmax scores are unsigned too
+    mode = EngineMode(enc_bits=2)
+    gen = np.random.default_rng(18)
+    q = gen.normal(size=(5, 16))
+    k = np.abs(gen.normal(size=(7, 16)))
+    v = gen.normal(size=(7, 16))
+    res = simulate_attention(q, k, v, 8, MacroConfig.at_boundary(256, 2),
+                             NOISELESS, mode)
+    unsigned, signed = (plan_cycles(8, 8, s, TC, mode).cycles_per_tile
+                        for s in (U, TC))
+    assert unsigned < signed
+    assert res.total_cycles == 2 * unsigned   # one tile per matmul
+    want = softmax((q @ k.T) / np.sqrt(16), axis=-1) @ v
+    assert np.abs(res.output - want).max() / np.abs(want).max() < 0.05
 
 
 def test_attention_total_cycles_sum_both_matmuls():

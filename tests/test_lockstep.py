@@ -4,17 +4,18 @@ does alone.
 
 `cli._forward_points` groups (macro, noise, mode) points into plan classes
 (rows, enc_bits, seed, mode) and runs each class through one
-`engine_forward` call. Every point's logits, cycles and analog ratio must be
-`array_equal` to `engine_forward` on that point alone, at any thread count,
-and every point's level hook must see its solo RngContext sequence.
+`engine_forward` call. Every point's logits must be `array_equal`, and its
+per-layer results equal, to `engine_forward` on that point alone, at any
+thread count, and every point's level hook must see its solo RngContext
+sequence.
 """
 
 from dataclasses import replace
 
 import numpy as np
 
-from acimsim import cli, engine, macro, models, rng
-from acimsim.engine import EngineMode, VotingSpec
+from acimsim import cli, engine, macro, rng
+from acimsim.engine import EngineMode, VotingSpec, plan_cycles
 from acimsim.macro import MacroConfig, NoiseSpec, NoiseUnit, Sigma
 from acimsim.models import LinearLayer, TinyModel, engine_forward, init_mlp
 from acimsim.quant import Signedness, quantize
@@ -84,10 +85,9 @@ def _fresh_hooks(points):
 
 def _assert_same(got, want, what):
     assert len(got) == len(want), what
-    for (g_logits, g_cycles, g_ratio), (w_logits, w_cycles, w_ratio) in zip(
-            got, want):
+    for (g_logits, g_layers), (w_logits, w_layers) in zip(got, want):
         assert np.array_equal(g_logits, w_logits), what
-        assert (g_cycles, g_ratio) == (w_cycles, w_ratio), what
+        assert g_layers == w_layers, what   # outputs None, counters equal
 
 
 def _hook_logs(points):
@@ -149,33 +149,32 @@ def test_lockstep_draws_each_chunk_once(monkeypatch):
     assert solo and draws == solo
 
 
-def test_points_quantized_with_different_signedness_split(monkeypatch):
+def test_points_quantized_with_different_signedness_split():
     # without a ReLU, a saturating hook drives one point's layer-1 output
     # positive and the other's negative: layer 2 then quantizes them with
-    # different signedness, so it runs as two engine calls
+    # different signedness, whose plans differ at y = 2, so it runs as two
+    # engine calls (one lockstep call would refuse the mixed inputs)
     w1 = np.full((6, 4), 0.5)
     model = TinyModel([LinearLayer(w1, np.zeros(4)),
                        LinearLayer(np.eye(4)[:, :2], np.zeros(2))],
                       w_bits=4, x_bits=4)
-    cfg = MacroConfig(8, 4)
+    mode = EngineMode(enc_bits=2)
+    cfg = MacroConfig(8, 5, 2)
     x = np.ones((3, 6))
     high = NoiseSpec(seed=1, level_hook=lambda v, c: v + 1000.0)
     low = NoiseSpec(seed=1, level_hook=lambda v, c: v - 1000.0)
     model.layers[0].b = np.full(4, -0.5 * float(
         engine_forward(TinyModel(model.layers[:1], 4, 4), x, [cfg], [high],
-                       EngineMode())[0][0].max()))
-    calls = []
-
-    def record(act, *args, **kw):
-        calls.append(act)
-        return engine._simulate_points(act, *args, **kw)
-    monkeypatch.setattr(models, "_simulate_points", record)
-    points = [(cfg, high, EngineMode()), (cfg, low, EngineMode())]
+                       mode)[0][0].max()))
+    points = [(cfg, high, mode), (cfg, low, mode)]
     got = cli._forward_points(model, x, points, threads=1)
-    monkeypatch.undo()
-    assert len(calls) == 3
-    signs = [a[0].params.signedness for a in calls[1:]]
-    assert set(signs) == {Signedness.UNSIGNED, Signedness.TWOS_COMPLEMENT}
+    # the high hook saturates the weights' sign plane too, so its layer-1
+    # output is the negative one
+    plans = [plan_cycles(4, 4, s, Signedness.TWOS_COMPLEMENT, mode)
+             for s in (Signedness.TWOS_COMPLEMENT, Signedness.UNSIGNED)]
+    assert plans[0].cycles_per_tile != plans[1].cycles_per_tile
+    assert [layers[1].total_cycles for _, layers in got] == [
+        p.cycles_per_tile for p in plans]
     _assert_same(got, [engine_forward(model, x, [c], [s], m)[0]
                        for c, s, m in points], "split")
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from acimsim.errors import DomainError, ShapeError
+from acimsim.errors import DomainError
 from acimsim.quant import (QuantParams, QuantizedTensor, Signedness,
                            bit_sparsity, decompose_bits, dequantize,
                            encode_activation_groups, fake_quantize,
@@ -129,14 +129,14 @@ def test_fake_quantize_equals_int_path(t, bits, signedness):
 
 
 @pytest.mark.parametrize("t, bits, signedness, error", [
-    ([1.0, np.nan], 8, TC, ShapeError),
-    ([np.inf, 1.0], 8, TC, ShapeError),
-    ([-np.inf, 1.0], 8, TC, ShapeError),
-    ([np.nan, 1.0], 8, U, ShapeError),
-    ([np.inf, 1.0], 8, U, ShapeError),
+    ([1.0, np.nan], 8, TC, DomainError),
+    ([np.inf, 1.0], 8, TC, DomainError),
+    ([-np.inf, 1.0], 8, TC, DomainError),
+    ([np.nan, 1.0], 8, U, DomainError),
+    ([np.inf, 1.0], 8, U, DomainError),
     # non-finite is reported before negatives
-    ([-np.inf, 1.0], 8, U, ShapeError),
-    ([-1.0, np.nan], 8, U, ShapeError),
+    ([-np.inf, 1.0], 8, U, DomainError),
+    ([-1.0, np.nan], 8, U, DomainError),
     ([-0.5, 1.0], 8, U, DomainError),
     # the bit width is checked before the data
     ([np.nan], 1, TC, DomainError),
@@ -150,6 +150,12 @@ def test_fake_quantize_errors_match_quantize(t, bits, signedness, error):
     with pytest.raises(error) as got:
         fake_quantize(t, bits, signedness)
     assert str(got.value) == str(want.value)
+
+
+def test_non_finite_is_reported_before_negatives():
+    for t in ([-np.inf, 1.0], [-1.0, np.nan]):
+        with pytest.raises(DomainError, match="non-finite"):
+            quantize(t, 8, U)
 
 
 def _low_top_cases():
