@@ -6,7 +6,6 @@ JSON mirror with the config echo and run metadata.
 """
 
 import argparse
-import dataclasses
 import itertools
 import os
 import sys
@@ -19,7 +18,7 @@ from . import __version__, rng
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, load_config, sweep_point
 from .data import load_idx, make_blobs, train_test_split
-from .engine import SimLayerResult, plan_cycles, simulate_matmul
+from .engine import EngineMode, SimLayerResult, plan_cycles, simulate_matmul
 from .errors import AcimError, ConfigError, DataError
 from .macro import NOISELESS
 from .metrics import csnr_measure, csnr_variance_form, linearity_sweep, \
@@ -39,12 +38,17 @@ def _dataset(cfg: ExperimentConfig):
         for key, p in (("images", d.images), ("labels", d.labels)):
             if not os.path.exists(p):
                 raise ConfigError(f"{cfg.path}: [data] {key}: no such file {p}")
-        x = load_idx(d.images)   # scaled by the file's largest |pixel|
+        x, y = load_idx(d.images), load_idx(d.labels)
         if not len(x):
             raise DataError(f"{d.images}: IDX file holds no images")
-        peak = np.abs(x).max(initial=0.0)
+        if len(y) != len(x):
+            raise DataError(f"{d.labels}: {len(y)} labels for the {len(x)} "
+                            f"images of {d.images}")
+        if not np.all(np.isfinite(y) & (y == np.round(y))):
+            raise DataError(f"{d.labels}: labels must be integers")
+        peak = np.abs(x).max(initial=0.0)   # scaled by the largest |pixel|
         x = (x / peak if peak > 0 else x).reshape(len(x), -1)
-        return train_test_split(x, load_idx(d.labels).astype(np.int64))
+        return train_test_split(x, y.astype(np.int64))
     x, y = make_blobs(d.samples, d.features, d.classes, d.seed, d.spread)
     return train_test_split(x, y)
 
@@ -209,13 +213,11 @@ def cmd_linearity(cfg: ExperimentConfig, args, meta):
 
 
 def cmd_distribution(cfg: ExperimentConfig, args, meta):
-    # mac_distribution turns hybrid and voting off
-    act, w = _analysis_operands(cfg, dataclasses.replace(
-        cfg.mode, hybrid_boundary=None, voting=None))
+    # the plain mode mac_distribution runs: no hybrid, no voting
+    act, w = _analysis_operands(cfg, EngineMode(enc_bits=cfg.macro.enc_bits))
     hist = mac_distribution(
         quantize(act, cfg.x_bits, Signedness.TWOS_COMPLEMENT),
-        quantize(w, cfg.w_bits, Signedness.TWOS_COMPLEMENT),
-        cfg.macro, cfg.mode)
+        quantize(w, cfg.w_bits, Signedness.TWOS_COMPLEMENT), cfg.macro)
     return ("w_bit", "act_group", "level", "count"), hist.to_rows()
 
 

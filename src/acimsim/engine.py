@@ -263,11 +263,11 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
     Point p is the macro cfgs[p] with the noise specs[p]; the points share
     rows, enc_bits and seed. `acts` holds one QuantizedTensor that every
     point reads, or one per point, all of one shape, width and signedness.
-    Each chunk's standard normals are drawn once (draw_noise); every point
-    forms its own noisy levels from them (apply_noise) and applies its own
-    ADC, count table and accumulator, with the ops and bytes of running it
-    alone. Returns one SimLayerResult per point; `out`, one float64 [B, M]
-    array per point, receives the outputs in place of new arrays.
+    Each chunk's standard normals and RngContexts are made once (draw_noise);
+    every point forms its own noisy levels from them (apply_noise) and
+    applies its own ADC, count table and accumulator, with the ops and bytes
+    of running it alone. Returns one SimLayerResult per point; `out`, one
+    float64 [B, M] array per point, receives the outputs if given.
     """
     owner = [0] * len(cfgs) if len(acts) == 1 else range(len(acts))
     if len(owner) != len(cfgs) or len(specs) != len(cfgs):
@@ -309,7 +309,6 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
     tile_starts = range(0, d, cfg.rows)
     tiles = len(tile_starts)
     tags = noise_tags(specs)
-    hooked = any(s.level_hook for s in specs)   # contexts once per chunk
     # the table lists the reads in the order the loop below takes them
     table = _stream_table(groups.ravel(), tiles, layer, seed, tags)
     read = 0   # the table position of the next read
@@ -330,15 +329,14 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
                             [blocks[o][lo:hi] for o in owner], samples, specs,
                             cfgs, reads, table)
                     else:
-                        draws, buf = draw_noise(table, reads, (hi - lo, b, m),
-                                                len(cfgs))
-                        rows = table.contexts(reads) if hooked else None
+                        draws, buf, ctxs = draw_noise(
+                            table, reads, (hi - lo, b, m), specs)
                 for p, (o, p_cfg, spec, lut, accum) in enumerate(points):
                     levels = blocks[o][lo:hi]
                     if analog and samples > 1:
                         levels = totals[p]
                     elif analog and not spec.silent:
-                        levels = apply_noise(levels, spec, p_cfg, rows, draws,
+                        levels = apply_noise(levels, spec, p_cfg, ctxs, draws,
                                              buf)
                     for r0, r1 in macro.runs(b, (hi - lo) * m):
                         block = levels[:, r0:r1]

@@ -128,15 +128,16 @@ def noise_tags(specs) -> list:
         (rng.TAG_NONLIN, [s.nonlin_sigma.value for s in specs])) if any(sigmas)]
 
 
-def draw_noise(table: rng.StreamTable, rows, shape, points: int = 1):
-    """rng.normal draws of the read positions `rows` of `table` for `shape`,
-    by tag, for every tag of the table, and where each of `points` points
-    forms its random sum (apply_noise): one point owns the draw buffer,
-    several share one scratch buffer in turn. The points share the draws,
-    which apply_noise never writes."""
+def draw_noise(table: rng.StreamTable, rows, shape, specs):
+    """(draws, buf, ctxs) of the read positions `rows` of `table` for the
+    points of noise `specs`: the rng.normal draws for `shape` of each tag of
+    the table, which the points share and apply_noise never writes; where
+    each point forms its random sum (one point owns the draw buffer, several
+    share a scratch buffer); the reads' RngContexts, or None with no hook."""
     draws = {tag: rng.normal(table, rows, tag, shape) for tag in table.tags}
     d = draws.get(rng.TAG_RANDOM)
-    return draws, d if d is None or points == 1 else np.empty_like(d)
+    return (draws, d if d is None or len(specs) == 1 else np.empty_like(d),
+            table.contexts(rows) if any(s.level_hook for s in specs) else None)
 
 
 def apply_noise(v, spec: NoiseSpec, cfg: MacroConfig, rows, draws: dict,
@@ -223,7 +224,7 @@ def majority_vote_readout(vs: list, samples: int, specs: list, cfgs: list,
     holds one read position of `table` per (leading row, sample) pair, in
     that order. They are drawn in runs of samples (runs), each run once for
     every point, and each sample is read out by one adc_readout call over
-    all rows; a run's RngContexts are built once for all hooked points.
+    all rows; draw_noise builds a run's RngContexts once for all points.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
@@ -237,13 +238,11 @@ def majority_vote_readout(vs: list, samples: int, specs: list, cfgs: list,
         n = s1 - s0
         run_rows = [rows[r * samples + s] for r in range(shape[0])
                     for s in range(s0, s0 + n)]
-        draws, out = draw_noise(table, run_rows, (shape[0] * n, *shape[1:]),
-                                len(points))
-        if any(s.level_hook for s in specs):
-            run_rows = table.contexts(run_rows)
+        draws, out, ctxs = draw_noise(
+            table, run_rows, (shape[0] * n, *shape[1:]), specs)
         for levels, spec, cfg, total in zip(points, specs, cfgs, totals):
             noisy = apply_noise(np.repeat(levels, n, axis=0), spec, cfg,
-                                run_rows, draws, out)
+                                ctxs, draws, out)
             noisy = noisy.reshape(len(levels), n, *shape[1:])
             for s in range(n):
                 total += adc_readout(noisy[:, s], cfg)[0]

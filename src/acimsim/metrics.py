@@ -5,7 +5,7 @@ float('inf') / float('-inf') markers, never as sentinel numbers.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,12 +119,12 @@ class MacHistogram:
 
 
 def mac_distribution(act: QuantizedTensor, w: QuantizedTensor,
-                     cfg: MacroConfig, mode: EngineMode) -> MacHistogram:
+                     cfg: MacroConfig) -> MacHistogram:
     """Record every noiseless ideal level the engine would convert.
 
     A level hook tallies the levels of each (tile, w_bit, act_group) block.
-    With hybrid and voting off, every plan entry is analog and read once, so
-    the hook sees each block exactly once.
+    In the plain mode at cfg.enc_bits, no hybrid and no voting, every plan
+    entry is analog and read once, so the hook sees each block exactly once.
     """
     counts = {}
     n_levels = cfg.full_scale_counts + 1
@@ -136,7 +136,7 @@ def mac_distribution(act: QuantizedTensor, w: QuantizedTensor,
         return levels
 
     simulate_matmul(act, w, cfg, NoiseSpec(level_hook=tally),
-                    replace(mode, hybrid_boundary=None, voting=None))
+                    EngineMode(enc_bits=cfg.enc_bits))
     return MacHistogram(counts)
 
 
@@ -184,8 +184,7 @@ def linearity_sweep(cfg: MacroConfig, spec: NoiseSpec, trials: int,
                           axis=1)
         rows = range(lo * samples, hi * samples)
         if samples == 1:
-            draws, out = draw_noise(table, rows, batch.shape)
-            ctxs = table.contexts(rows) if spec.level_hook else None
+            draws, out, ctxs = draw_noise(table, rows, batch.shape, [spec])
             noisy = apply_noise(batch, spec, cfg, ctxs, draws, out)
             est = adc_readout(noisy, cfg)[0].astype(np.float64)
         else:

@@ -73,7 +73,7 @@ def normal(table: "StreamTable", rows, tag: int, shape) -> np.ndarray:
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx). Hash call k
 # xors its input with the k-th running hash constant and multiplies it by the
 # next one; the constants do not depend on the data, so they are tabulated.
-# The helpers take Python ints or uint32 arrays and reduce mod 2^32 either way.
+# The mixing helpers take uint32 arrays, whose arithmetic wraps mod 2^32.
 _MASK32 = 0xFFFFFFFF
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -91,12 +91,12 @@ def _hash_consts(init: int, mult: int, count: int) -> list:
 
 
 def _hashmix(value, c_in, c_out):
-    value = ((value ^ c_in) * c_out) & _MASK32
+    value = (value ^ c_in) * c_out
     return value ^ (value >> 16)
 
 
 def _mix(x, y):
-    out = (_MIX_L * x - _MIX_R * y) & _MASK32
+    out = _MIX_L * x - _MIX_R * y
     return out ^ (out >> 16)
 
 
@@ -124,9 +124,9 @@ def _spawn_words(spawn, fields=_SPAWN_FIELDS) -> np.ndarray:
 def philox_keys(seed: int, spawn) -> np.ndarray:
     """Philox keys of `SeedSequence(seed, spawn_key=row)` for every row.
 
-    numpy's SeedSequence hash, vectorized over rows: the run entropy is the
-    seed's 32-bit words, zero-padded to the pool size of 4, followed by the
-    row's spawn words. Returns uint64 [N, 2], row i equal to
+    numpy mixes a row's spawn words into the pool after the seed's words, so
+    the pool of `SeedSequence(seed)` is every row's start, and the spawn
+    words mix in vectorized over rows. Returns uint64 [N, 2], row i equal to
     `SeedSequence(seed, spawn_key=spawn[i]).generate_state(2, np.uint64)`,
     the key `Philox(SeedSequence(...))` uses. Every spawn word must lie in
     [0, 2^32); numpy would split a larger one into several words.
@@ -134,26 +134,15 @@ def philox_keys(seed: int, spawn) -> np.ndarray:
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     words = _spawn_words(spawn)
-    # the seed's little-endian 32-bit words (0 -> [0]), zero-padded to 4
-    run = [(seed >> s) & _MASK32 for s in range(0, seed.bit_length() or 1, 32)]
-    run += [0] * (_POOL - len(run))
-    late = len(run) - _POOL + words.shape[1]   # words mixed in after the pool
-    a = _hash_consts(_INIT_A, _MULT_A, _POOL * (_POOL + late) + 1)
-    # the first four words fill the pool and every slot mixes into every
-    # other: this part depends on the seed alone, so it runs on Python ints
-    pool = [_hashmix(w, a[k], a[k + 1]) for k, w in enumerate(run[:_POOL])]
-    k = _POOL
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst],
-                                 _hashmix(pool[src], a[k], a[k + 1]))
-                k += 1
-    # each later word mixes into the four slots with four consecutive
-    # constants: one [4, N] step per word
-    pool = np.array(pool, dtype=np.uint32)[:, None]
-    a = np.array(a, dtype=np.uint32)[:, None]
-    for word in [np.uint32(w) for w in run[_POOL:]] + list(words.T):
+    pool = np.random.SeedSequence(seed).pool[:, None]
+    # numpy took 16 hash calls to fill the pool with the seed's n 32-bit
+    # words (zero-padded to 4) and cross-mix it, then 4 calls for each later
+    # seed word; the spawn words take the hash constants from there on
+    n = max(1, -(-seed.bit_length() // 32))
+    k = _POOL * (_POOL + max(0, n - _POOL))
+    a = np.array(_hash_consts(_INIT_A, _MULT_A, k + _POOL * words.shape[1] + 1),
+                 dtype=np.uint32)[:, None]
+    for word in words.T:   # one [4, N] step per word
         pool = _mix(pool, _hashmix(word, a[k:k + _POOL],
                                    a[k + 1:k + _POOL + 1]))
         k += _POOL

@@ -21,7 +21,7 @@ def table_of(seed, ctxs, tags) -> StreamTable:
 def noise_at(v, spec, cfg, ctxs):
     """apply_noise on the leading rows of `v`, row r drawn from ctxs[r]."""
     table = table_of(spec.seed, ctxs, noise_tags([spec]))
-    draws, out = draw_noise(table, range(len(ctxs)), np.shape(v))
+    draws, out, _ = draw_noise(table, range(len(ctxs)), np.shape(v), [spec])
     return apply_noise(v, spec, cfg, ctxs, draws, out)
 
 

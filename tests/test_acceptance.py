@@ -187,13 +187,12 @@ def test_c07_unit_conversion():
 def test_c08_expected_mac_level():
     gen = np.random.default_rng(8)
     cfg = MacroConfig.at_boundary(256)
-    mode = EngineMode()
     runs = 250
     means = np.empty(runs)
     for r in range(runs):
         act = q_tensor(gen.integers(0, 256, size=(1, 256)), 8, U)
         w = q_tensor(gen.integers(0, 256, size=(256, 1)), 8, U)
-        hist = mac_distribution(act, w, cfg, mode)
+        hist = mac_distribution(act, w, cfg)
         mass = sum(float((np.arange(c.size) * c).sum())
                    for c in hist.counts.values())
         means[r] = mass / total_mass(hist)

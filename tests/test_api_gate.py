@@ -32,6 +32,13 @@ PROBES = {
     "train-float-labels": (
         lambda: _train_on(np.zeros((6, 4)), [0, 1.5, 2, 0, 1, 2]), DataError,
         "labels"),
+    # a short label list once indexed past its end, and a long one trained
+    "train-fewer-labels-than-samples": (
+        lambda: _train_on(np.zeros((6, 4)), [0, 1, 2, 0, 1]), DataError,
+        "labels"),
+    "train-more-labels-than-samples": (
+        lambda: _train_on(np.zeros((6, 4)), [0, 1, 2, 0, 1, 2, 0]),
+        DataError, "labels"),
     # an empty train set once divided by its zero batches
     "train-empty-dataset": (
         lambda: _train_on(np.zeros((0, 4)), np.zeros(0, dtype=np.int64)),

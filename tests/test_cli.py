@@ -320,10 +320,11 @@ def test_distribution_and_sparsity_smoke(tmp_path):
     assert all(0.0 <= r[1] <= 1.0 for r in payload["results"])
 
 
-def _write_idx(path, array):
-    """`array` as an IDX file of unsigned bytes."""
-    array = np.asarray(array, dtype=np.uint8)
-    path.write_bytes(struct.pack(f">BBBB{array.ndim}I", 0, 0, 0x08,
+def _write_idx(path, array, code=0x08):
+    """`array` as an IDX file of unsigned bytes, or of big-endian float32
+    for type code 0x0D."""
+    array = np.asarray(array, dtype={0x08: np.uint8, 0x0D: ">f4"}[code])
+    path.write_bytes(struct.pack(f">BBBB{array.ndim}I", 0, 0, code,
                                  array.ndim, *array.shape) + array.tobytes())
 
 
@@ -367,6 +368,37 @@ def test_empty_idx_images_exit_3(tmp_path, capsys):
     assert run("simulate", write_config(tmp_path, text), tmp_path / "out") == 3
     assert (f"acim-sim: error: {tmp_path / 'images.idx'}: IDX file holds no "
             "images" in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def _idx_config(tmp_path, images, labels, label_code=0x08):
+    """BASE_INI reading `images` and `labels` from IDX files, the labels of
+    IDX type `label_code`."""
+    _write_idx(tmp_path / "images.idx", images)
+    _write_idx(tmp_path / "labels.idx", labels, label_code)
+    return write_config(tmp_path, BASE_INI.replace(
+        "[data]\n", f"[data]\nimages = {tmp_path / 'images.idx'}\n"
+        f"labels = {tmp_path / 'labels.idx'}\n"))
+
+
+def test_idx_label_count_mismatch_exits_3(tmp_path, capsys):
+    # 59 labels for 60 images once broke evaluate_digital with a broadcast
+    # error; the count check names both files
+    cfg = _idx_config(tmp_path, np.zeros((60, 4, 4)), np.arange(59) % 3)
+    assert run("simulate", cfg, tmp_path / "out") == 3
+    assert (f"acim-sim: error: {tmp_path / 'labels.idx'}: 59 labels for the "
+            f"60 images of {tmp_path / 'images.idx'}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_idx_fractional_labels_exit_3(tmp_path, capsys):
+    # float labels k + 0.5 were once truncated to k and trained on
+    labels = np.arange(60) % 3 + 0.5
+    cfg = _idx_config(tmp_path, np.zeros((60, 4, 4)), labels, 0x0D)
+    assert run("simulate", cfg, tmp_path / "out") == 3
+    assert (f"acim-sim: error: {tmp_path / 'labels.idx'}: labels must be "
+            "integers" in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 

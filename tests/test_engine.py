@@ -275,7 +275,7 @@ def test_matmul_randomized_configs_bit_exact():
         plan = plan_cycles(w.params.bits, act.params.bits,
                            act.params.signedness, w.params.signedness, mode)
         b, m = act.shape[0], w.shape[1]
-        mass = total_mass(mac_distribution(act, w, cfg, mode))
+        mass = total_mass(mac_distribution(act, w, cfg))
         assert mass == res.tiles * len(plan.entries) * b * m, what
         seen |= {f"y{cfg.enc_bits}", act.params.signedness.value}
         if mode.hybrid_boundary is not None:
@@ -716,7 +716,7 @@ def test_matmul_record_levels_mass():
     w = rand_q(gen, (300, 5), 4, TC)
     cfg = MacroConfig.at_boundary(256)
     res = simulate_matmul(act, w, cfg, NOISELESS, SERIAL)
-    hist = mac_distribution(act, w, cfg, SERIAL)
+    hist = mac_distribution(act, w, cfg)
     assert len(hist.counts) == 16  # (w_bit, act_group) pairs
     assert total_mass(hist) == res.total_cycles * 3 * 5
 
@@ -740,14 +740,11 @@ def _reference_levels(act, w, cfg):
 
 
 def test_mac_distribution_ignores_hybrid_and_voting():
-    # the level hook sees each (tile, w_bit, act_group) block once: a hybrid
-    # or voted mode tallies what the plain mode of its encoding does, and
-    # that equals a tally of int64 levels
+    # the level hook sees each (tile, w_bit, act_group) block once, so the
+    # histogram equals a tally of int64 levels
     for seed in range(40):
-        cfg, mode, act, w = _random_exactness_case(np.random.default_rng(seed))
-        rows = mac_distribution(act, w, cfg, mode).to_rows()
-        plain = EngineMode(enc_bits=cfg.enc_bits)
-        assert rows == mac_distribution(act, w, cfg, plain).to_rows(), seed
+        cfg, _, act, w = _random_exactness_case(np.random.default_rng(seed))
+        rows = mac_distribution(act, w, cfg).to_rows()
         want = MacHistogram(_reference_levels(act, w, cfg)).to_rows()
         assert rows == want, seed
 

@@ -125,7 +125,7 @@ def test_mac_distribution_zero_activations():
     cfg = MacroConfig.at_boundary(256)
     act = QuantizedTensor(np.zeros((2, 16), dtype=int), QuantParams(1.0, 4, U))
     w = QuantizedTensor(np.ones((16, 3), dtype=int), QuantParams(1.0, 4, U))
-    h = mac_distribution(act, w, cfg, SERIAL)
+    h = mac_distribution(act, w, cfg)
     for counts in h.counts.values():
         assert counts[0] == counts.sum()  # all mass at level 0
     assert total_mass(h) == 16 * 2 * 3  # entries * batch * columns
@@ -143,7 +143,7 @@ def test_mac_distribution_bernoulli_mean():
                           QuantParams(1.0, 8, U))
     w = QuantizedTensor(gen.integers(0, 256, size=(256, 8)),
                         QuantParams(1.0, 8, U))
-    h = mac_distribution(act, w, cfg, SERIAL)
+    h = mac_distribution(act, w, cfg)
     means = [_cycle_mean(h, k) for k in h.counts]
     # uniform codes give Bernoulli(0.5) planes: expected level 256/4 = 64
     assert abs(np.mean(means) - 64.0) < 2.0
@@ -157,7 +157,7 @@ def test_mac_distribution_msb_sparsity_concentrates_low():
                           QuantParams(1.0, 6, U))  # top two bits always 0
     w = QuantizedTensor(gen.integers(0, 64, size=(256, 4)),
                         QuantParams(1.0, 6, U))
-    h = mac_distribution(act, w, cfg, SERIAL)
+    h = mac_distribution(act, w, cfg)
     msb = [_cycle_mean(h, (q, g)) for q in range(6) for g in (4, 5)]
     lsb_side = [_cycle_mean(h, (q, g)) for q in range(6) for g in range(4)]
     assert max(msb) == 0.0
@@ -168,7 +168,7 @@ def test_mac_histogram_rows_roundtrip():
     cfg = MacroConfig.at_boundary(16)
     act = QuantizedTensor(np.ones((1, 4), dtype=int), QuantParams(1.0, 2, U))
     w = QuantizedTensor(np.ones((4, 1), dtype=int), QuantParams(1.0, 2, U))
-    h = mac_distribution(act, w, cfg, SERIAL)
+    h = mac_distribution(act, w, cfg)
     rows = h.to_rows()
     assert all(len(r) == 4 for r in rows)
     assert sum(r[3] for r in rows) == total_mass(h)

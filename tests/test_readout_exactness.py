@@ -261,7 +261,7 @@ def test_block_call_equals_per_row_calls(dtype):
         votes = [s for c in ctxs for s in _sample_rows(c, 3)]
         table = table_of(spec.seed, votes, (TAG_RANDOM, TAG_NONLIN))
         # row r's first sample is read 3 * r
-        draws = draw_noise(table, range(0, 12, 3), v.shape)[0]
+        draws = draw_noise(table, range(0, 12, 3), v.shape, [spec])[0]
         kept = {tag: d.copy() for tag, d in draws.items()}
         for part in (*_one_model(spec), spec):
             got = apply_noise(v, part, cfg, ctxs, draws)

@@ -67,7 +67,8 @@ def test_draws_approximately_standard_normal():
     assert abs(x.std() - 1.0) < 0.01
 
 
-KEY_SEEDS = (0, 1, 7919, 2**32 - 1, 2**32, 2**64 + 1, 2**130 + 7)
+KEY_SEEDS = (0, 1, 7919, 2**32 - 1, 2**32, 2**64 + 1, 2**127 + 1, 2**128,
+             2**130 + 7)
 
 
 def _spawn_rows(gen, n):
