@@ -41,6 +41,9 @@ def _dataset(cfg: ExperimentConfig):
         x, y = load_idx(d.images), load_idx(d.labels)
         if not len(x):
             raise DataError(f"{d.images}: IDX file holds no images")
+        if y.ndim != 1:
+            raise DataError(f"{d.labels}: labels must be 1-D, got shape "
+                            f"{y.shape}")
         if len(y) != len(x):
             raise DataError(f"{d.labels}: {len(y)} labels for the {len(x)} "
                             f"images of {d.images}")

@@ -11,10 +11,11 @@ one GEMM per run of DAC words); the levels are read out in runs of plan
 entries through the macro's noise, ADC and vote functions; and every pass
 after a chunk's noise walks runs of its rows. No buffer of a group outlives
 it. A count table maps ADC codes to integer counts, which accumulate with
-their signed power-of-two shift weights, so floating point enters only at
-the final rescale. A matmul keys all its noise streams in one
-rng.StreamTable, and every draw reads it by position, the one stream
-address of readout noise; RngContexts are built only for level hooks.
+their signed power-of-two shift weights in int64, its overflow bound checked
+first, so floating point enters only at the final rescale. A matmul keys
+all its noise streams in one rng.StreamTable, and every draw reads it by
+position, the one stream address of readout noise; RngContexts are built
+only for level hooks.
 The points of one plan class (macros that differ only in ADC precision, noise
 specs that share a seed) run in lockstep through one plan, table and chunk
 list, each chunk drawn once and read by every point in turn. Conv2d and
@@ -216,7 +217,7 @@ def _weight_planes(codes: np.ndarray, out: np.ndarray):
     """The weight stack [rows, bits*M] of one tile's codes [rows, M], formed
     in `out` [rows, bits, M]: column q*M + j is plane q of output j. Built
     from decompose_bits of a run of rows (macro.runs, M levels a row) at a
-    time, so no int64 stack of the whole tile exists."""
+    time, so no integer stack of the whole tile exists."""
     rows, bits, m = out.shape
     for r0, r1 in macro.runs(rows, m):
         out[r0:r1] = decompose_bits(codes[r0:r1], bits).transpose(1, 0, 2)
@@ -229,7 +230,7 @@ def _level_block(codes: np.ndarray, group: tuple, rhs: np.ndarray,
     words of the tile's activation codes [B, rows] times the weight stack,
     one GEMM per run of rows (macro.runs, M levels a row, as for the weight
     planes), each exact as its levels are integers below 2^24 (MacroConfig).
-    A run's int64 words die at their float32 cast, and the cast with its
+    A run's CODE words die at their float32 cast, and the cast with its
     GEMM."""
     levels = np.empty((len(codes), rhs.shape[1]), dtype=np.float32)
     for r0, r1 in macro.runs(len(codes), m):
@@ -303,11 +304,18 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
                                    g["oversample"].tolist(), b * m))
               for g in groups]
     weights = (groups["sign"] << groups["shift"]).tolist()
+    tile_starts = range(0, d, cfg.rows)
+    tiles = len(tile_starts)
+    # each count accumulated, a count table entry, vote average or digital
+    # level, is at most full_scale_counts, so this bounds every |accum|
+    if tiles * cfg.full_scale_counts * sum(
+            abs(x) for ws in weights for x in ws) >= 1 << 63:
+        raise ConfigError(
+            f"{q_bits}b weights x {x_bits}b activations over {tiles} tiles "
+            f"of {cfg.rows} rows can overflow the int64 accumulator")
     # per point: its input, macro, noise, count table and accumulator
     points = [(o, c, s, count_table(c), np.zeros((b, m), dtype=np.int64))
               for o, c, s in zip(owner, cfgs, specs)]
-    tile_starts = range(0, d, cfg.rows)
-    tiles = len(tile_starts)
     tags = noise_tags(specs)
     # the table lists the reads in the order the loop below takes them
     table = _stream_table(groups.ravel(), tiles, layer, seed, tags)

@@ -193,6 +193,8 @@ def train(model: TinyModel, dataset, cfg: TrainConfig):
     y = np.asarray(y)
     if not len(x):
         raise DataError("dataset is empty: no training samples")
+    if y.ndim != 1:
+        raise DataError(f"dataset labels must be 1-D, got shape {y.shape}")
     if len(y) != len(x):
         raise DataError(f"dataset has {len(y)} labels for {len(x)} samples")
     if not np.issubdtype(y.dtype, np.integer):

@@ -16,6 +16,7 @@ from .errors import DomainError
 from .tensor import round_half_away
 
 BIT_RANGE = (2, 16)   # the code widths a tensor may be quantized at
+CODE = np.int32       # dtype of codes and bit fields; holds all of BIT_RANGE
 
 
 def check_bits(bits: int, error: type, name: str) -> None:
@@ -61,11 +62,11 @@ class QuantizedTensor:
         if codes.dtype.kind not in "biu" and not (
                 np.isfinite(codes).all() and (np.trunc(codes) == codes).all()):
             raise DomainError("codes must be finite integers")
-        codes = codes.astype(np.int64, copy=False)
+        # range check before the cast, which would wrap a wide code into it
         if codes.size and (codes.min() < self.params.code_min
                            or codes.max() > self.params.code_max):
             raise DomainError("codes outside the signedness range of params")
-        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "codes", codes.astype(CODE, copy=False))
 
     @property
     def shape(self):
@@ -118,7 +119,7 @@ def quantize(t, bits: int, signedness: Signedness) -> QuantizedTensor:
     [-(2^(bits-1) - 1), 2^(bits-1) - 1] so the most negative code never occurs.
     """
     _, scale, codes = _calibrated_codes(t, bits, signedness)
-    return QuantizedTensor(codes.astype(np.int64),
+    return QuantizedTensor(codes.astype(CODE),
                            QuantParams(scale, bits, signedness))
 
 
@@ -142,12 +143,13 @@ def fake_quantize(t, bits: int, signedness: Signedness) -> tuple:
 
 
 def decompose_bits(codes, bits: int) -> np.ndarray:
-    """Bit planes of 2's-complement codes: int64 [bits, *codes.shape], LSB
+    """Bit planes of 2's-complement codes: CODE [bits, *codes.shape], LSB
     first. An arithmetic shift keeps a negative code's 2's-complement bits,
     so plane bits-1 of a signed code is its sign bit."""
     check_bits(bits, DomainError, "bits")
-    codes = np.asarray(codes, dtype=np.int64)
-    shifts = np.arange(bits).reshape(-1, *(1,) * codes.ndim)
+    codes = np.asarray(codes, dtype=CODE)
+    # CODE shifts, as int64 ones would promote the planes to int64
+    shifts = np.arange(bits, dtype=CODE).reshape(-1, *(1,) * codes.ndim)
     return _bit_field(codes, shifts, 1)
 
 
@@ -175,15 +177,15 @@ def group_layout(bits: int, signedness: Signedness, y: int) -> list:
 
 
 def encode_activation_groups(codes, layout) -> list:
-    """The DAC words of 2's-complement codes, one int64 array per
+    """The DAC words of 2's-complement codes, one CODE array per
     group_layout entry (width, shift, sign_group): (codes >> shift) &
     (2^width - 1)."""
-    codes = np.asarray(codes, dtype=np.int64)
+    codes = np.asarray(codes, dtype=CODE)
     return [_bit_field(codes, shift, width) for width, shift, _ in layout]
 
 
 def _bit_field(codes, shift, width: int) -> np.ndarray:
-    """(codes >> shift) & (2^width - 1) with one int64 temporary, not two."""
+    """(codes >> shift) & (2^width - 1) with one temporary, not two."""
     field = codes >> shift
     field &= (1 << width) - 1
     return field

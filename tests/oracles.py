@@ -24,6 +24,12 @@ def recompose_bits(planes, signedness) -> np.ndarray:
     return codes
 
 
+def int_matmul(a, w) -> np.ndarray:
+    """The exact product of two code arrays, both widened to int64 first:
+    an int32 `@` of 16-bit codes wraps once a sum passes 2^31."""
+    return np.asarray(a, dtype=np.int64) @ np.asarray(w, dtype=np.int64)
+
+
 def reconstruct_groups(words, layout) -> np.ndarray:
     """Inverse of quant.encode_activation_groups over a whole group_layout:
     each word sits at 2^shift, negated for the sign group."""

@@ -20,7 +20,7 @@ from acimsim.models import (TrainConfig, evaluate_digital, init_mlp,
                             loss_and_grads, train)
 from acimsim.quant import QuantParams, QuantizedTensor, Signedness
 
-from oracles import evaluate_on_engine, total_mass
+from oracles import evaluate_on_engine, int_matmul, total_mass
 from streams import noise_at, vote_at
 
 TC = Signedness.TWOS_COMPLEMENT
@@ -43,7 +43,7 @@ def q_tensor(codes, bits, signedness, scale=1.0):
 
 def oracle(a, w):
     # integer matmul rescaled once, exactly mirroring the engine's final step
-    return (a.codes @ w.codes) * (a.params.scale * w.params.scale)
+    return int_matmul(a.codes, w.codes) * (a.params.scale * w.params.scale)
 
 
 def random_case(gen, d, bits=8):

@@ -10,6 +10,7 @@ import pytest
 from acimsim import (AcimError, DataError, DomainError, QuantizedTensor,
                      QuantParams, ShapeError, Signedness, TrainConfig,
                      csnr_measure, decompose_bits, init_mlp, train)
+from acimsim.quant import CODE
 
 
 def _train_on(x, labels):
@@ -39,6 +40,10 @@ PROBES = {
     "train-more-labels-than-samples": (
         lambda: _train_on(np.zeros((6, 4)), [0, 1, 2, 0, 1, 2, 0]),
         DataError, "labels"),
+    # labels of shape [6, 1] once trained to chance without complaint
+    "train-2d-labels": (
+        lambda: _train_on(np.zeros((6, 4)), [[0], [1], [2], [0], [1], [2]]),
+        DataError, "labels"),
     # an empty train set once divided by its zero batches
     "train-empty-dataset": (
         lambda: _train_on(np.zeros((0, 4)), np.zeros(0, dtype=np.int64)),
@@ -66,6 +71,6 @@ def test_integer_valued_float_codes_are_accepted():
     # only a non-integer dtype is checked, and whole floats pass it
     params = QuantParams(1.0, 4, Signedness.TWOS_COMPLEMENT)
     q = QuantizedTensor(np.array([-3.0, 0.0, 7.0]), params)
-    assert q.codes.dtype == np.int64 and q.codes.tolist() == [-3, 0, 7]
-    codes = np.arange(-3, 4)
+    assert q.codes.dtype == CODE and q.codes.tolist() == [-3, 0, 7]
+    codes = np.arange(-3, 4, dtype=CODE)
     assert QuantizedTensor(codes, params).codes is codes

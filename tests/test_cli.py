@@ -371,6 +371,17 @@ def test_empty_idx_images_exit_3(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_idx_2d_labels_exit_3(tmp_path, capsys):
+    # labels of shape [60, 1] once ran to exit 0 at chance accuracy, where
+    # the same labels as a [60] file train to 1.0
+    cfg = _idx_config(tmp_path, np.zeros((60, 4, 4)),
+                      (np.arange(60) % 3).reshape(60, 1))
+    assert run("simulate", cfg, tmp_path / "out") == 3
+    assert (f"acim-sim: error: {tmp_path / 'labels.idx'}: labels must be "
+            "1-D, got shape (60, 1)" in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def _idx_config(tmp_path, images, labels, label_code=0x08):
     """BASE_INI reading `images` and `labels` from IDX files, the labels of
     IDX type `label_code`."""

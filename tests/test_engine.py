@@ -15,11 +15,11 @@ from acimsim.macro import (NOISELESS, MacroConfig, NoiseSpec, NoiseUnit, Sigma,
                            adc_readout, count_table)
 from acimsim.metrics import MacHistogram, linearity_sweep, mac_distribution
 from acimsim.models import LinearLayer, TinyModel, engine_forward
-from acimsim.quant import (QuantParams, QuantizedTensor, Signedness,
+from acimsim.quant import (CODE, QuantParams, QuantizedTensor, Signedness,
                            group_layout, quantize, signedness_of)
 from acimsim.rng import RngContext
 from acimsim.tensor import round_half_away
-from oracles import total_mass
+from oracles import int_matmul, total_mass
 from streams import noise_at, vote_at
 
 U = Signedness.UNSIGNED
@@ -39,7 +39,8 @@ def rand_q(gen, shape, bits, signedness, scale=None):
 
 def oracle(act, w):
     # single scale product, exactly mirroring the engine's final rescale
-    return (act.codes @ w.codes) * (act.params.scale * w.params.scale)
+    return int_matmul(act.codes, w.codes) * (act.params.scale
+                                             * w.params.scale)
 
 
 # ---------------------------------------------------------------- plan_cycles
@@ -178,6 +179,54 @@ def test_matmul_multi_tile_exact():
     assert res.total_cycles == 2 * 16
 
 
+def test_matmul_16bit_sums_above_2_pow_31_exact():
+    # 16-bit codes sum past 2^31, where an int32 @ of the codes wraps; the
+    # engine's int64 accumulator matches the widened oracle
+    gen = np.random.default_rng(47)
+    act = rand_q(gen, (3, 64), 16, TC, scale=1.0)
+    w = rand_q(gen, (64, 2), 16, TC, scale=1.0)
+    act.codes[0] = w.codes[:, 0] = (1 << 15) - 1
+    want = int_matmul(act.codes, w.codes)
+    assert want[0, 0] == 64 * ((1 << 15) - 1) ** 2 > 1 << 31
+    assert (act.codes @ w.codes)[0, 0] != want[0, 0]
+    res = simulate_matmul(act, w, MacroConfig.at_boundary(64), NOISELESS,
+                          SERIAL)
+    assert np.array_equal(res.output, want)
+
+
+def test_accumulator_bound_is_checked_before_allocating(monkeypatch):
+    # 16b x 16b on 2^16 rows at y = 8: a tile's counts reach
+    # full_scale_counts * sum|sign << shift| ~ 2^55, so about 2^8 tiles can
+    # pass 2^63. Broadcast codes make that 2^24-deep matmul without memory.
+    cfg = MacroConfig(1 << 16, 8, 8)
+    mode = EngineMode(enc_bits=8)
+    reach = cfg.full_scale_counts * ((1 << 16) - 1) * (1 + (1 << 8)
+                                                       + (1 << 15))
+    assert reach == cfg.full_scale_counts * sum(
+        1 << int(s) for s in plan_cycles(16, 16, TC, TC, mode).entries.shift)
+    edge = ((1 << 63) - 1) // reach   # the most tiles that cannot overflow
+
+    def operands(tiles):
+        p = QuantParams(1.0, 16, TC)
+        d = tiles * cfg.rows
+        code = np.array((1 << 15) - 1, dtype=CODE)
+        return (QuantizedTensor(np.broadcast_to(code, (1, d)), p),
+                QuantizedTensor(np.broadcast_to(code, (d, 1)), p))
+
+    class Allocating(Exception):
+        pass
+
+    def allocating(c):
+        raise Allocating
+
+    monkeypatch.setattr(engine, "count_table", allocating)
+    with pytest.raises(Allocating):
+        simulate_matmul(*operands(edge), cfg, NOISELESS, mode)
+    with pytest.raises(ConfigError, match=f"16b weights x 16b activations "
+                       f"over {edge + 1} tiles"):
+        simulate_matmul(*operands(edge + 1), cfg, NOISELESS, mode)
+
+
 @pytest.mark.parametrize("y", [2, 3])
 def test_matmul_scheme_equivalence(y):
     gen = np.random.default_rng(6)
@@ -224,7 +273,7 @@ def test_float32_levels_exact_at_the_2_pow_24_edge():
     res = simulate_matmul(act, w, cfg, NOISELESS, mode)
     assert res.analog_ratio == 0.0
     assert res.output[0, 0] == -((1 << 24) - 1)
-    assert np.array_equal(res.output, act.codes @ w.codes)
+    assert np.array_equal(res.output, int_matmul(act.codes, w.codes))
 
 
 def test_matmul_partial_hybrid_and_voting_noiseless_exact():
@@ -506,9 +555,9 @@ def _oversized_layer():
     return act, w, MacroConfig(16, 4)
 
 
-# int64 DAC words and their float32 cast of one operand slice of the
+# CODE DAC words and their float32 cast of one operand slice of the
 # 16-row tiles of _oversized_layer and _two_group_layer
-_WORD_SLICE = (macro._CHUNK_ELEMS // 24) * 16 * 12
+_WORD_SLICE = (macro._CHUNK_ELEMS // 24) * 16 * (np.dtype(CODE).itemsize + 4)
 
 
 def _traced_peak(run) -> int:
@@ -589,13 +638,14 @@ def _two_group_layer():
 
 def test_weight_planes_peak_memory():
     # two 256-row tiles of 8-bit weights for 256 outputs: the tiles share one
-    # float32 weight stack (2 MB), built from int64 planes of 64 rows at a
-    # time (1 MB), never from an int64 stack of a whole tile (4 MB)
+    # float32 weight stack (2 MB), built from CODE planes of 64 rows at a
+    # time (0.5 MB), never from an integer stack of a whole tile (2 MB)
     gen = np.random.default_rng(46)
     act = rand_q(gen, (4, 512), 8, TC)
     w = rand_q(gen, (512, 256), 8, TC)
     stack = 256 * 8 * 256 * 4
-    bound = stack + stack // 2 + 4 * macro._CHUNK_ELEMS * 8
+    planes = 64 * 8 * 256 * np.dtype(CODE).itemsize
+    bound = stack + planes + 4 * macro._CHUNK_ELEMS * 8
     peak = _traced_peak(lambda: simulate_matmul(
         act, w, MacroConfig.at_boundary(256), NOISELESS, SERIAL))
     assert peak < bound, (peak, bound)

@@ -13,7 +13,7 @@ from acimsim.macro import NOISELESS, MacroConfig, NoiseSpec, NoiseUnit, Sigma
 from acimsim.metrics import (csnr_measure, csnr_variance_form, linearity_sweep,
                              mac_distribution)
 from acimsim.quant import QuantParams, QuantizedTensor, Signedness
-from oracles import linearity_per_level, total_mass
+from oracles import int_matmul, linearity_per_level, total_mass
 
 U = Signedness.UNSIGNED
 TC = Signedness.TWOS_COMPLEMENT
@@ -65,7 +65,7 @@ def test_sqnr_drops_with_adc_precision():
     pa = QuantParams(1 / 127, 8, TC)
     act = QuantizedTensor(gen.integers(-127, 128, size=(4, 64)), pa)
     w = QuantizedTensor(gen.integers(-127, 128, size=(64, 8)), pa)
-    ideal = (act.codes @ w.codes) * (pa.scale * pa.scale)
+    ideal = int_matmul(act.codes, w.codes) * (pa.scale * pa.scale)
     dbs = []
     for k in (9, 7, 5):
         out = simulate_matmul(act, w, MacroConfig(256, k), NOISELESS, SERIAL)

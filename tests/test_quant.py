@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from acimsim.errors import DomainError
-from acimsim.quant import (QuantParams, QuantizedTensor, Signedness,
+from acimsim.quant import (CODE, QuantParams, QuantizedTensor, Signedness,
                            bit_sparsity, decompose_bits, dequantize,
                            encode_activation_groups, fake_quantize,
                            group_layout, quantize)
+from acimsim.tensor import Shape2D, im2col
 
 from oracles import (clamped_codes, recompose_bits, reconstruct_groups,
                      ste_mask)
@@ -79,6 +80,35 @@ def test_quantized_tensor_range_check():
         QuantizedTensor(np.array([8]), p)
     with pytest.raises(DomainError):
         QuantizedTensor(np.array([-1]), QuantParams(1.0, 4, U))
+    with pytest.raises(DomainError):
+        # checked before the cast, which would wrap 2^32 + 3 to 3
+        QuantizedTensor(np.array([2**32 + 3, 0]), p)
+
+
+_P4 = QuantParams(1.0, 4, TC)
+
+# each returns the code arrays of one producer, from int64 input where it
+# takes codes
+CODE_PRODUCERS = {
+    "quantize": lambda: [quantize(np.linspace(-1, 1, 9), 16, TC).codes],
+    "QuantizedTensor-int64": lambda: [QuantizedTensor(np.arange(-3, 4),
+                                                      _P4).codes],
+    "QuantizedTensor-uint8": lambda: [QuantizedTensor(
+        np.arange(8, dtype=np.uint8), _P4).codes],
+    "QuantizedTensor-float": lambda: [QuantizedTensor(
+        np.array([-3.0, 0.0, 7.0]), _P4).codes],
+    "decompose_bits": lambda: [decompose_bits(np.arange(-3, 4), 4)],
+    "encode_activation_groups": lambda: encode_activation_groups(
+        np.arange(-8, 8), group_layout(4, TC, 2)),
+    "im2col": lambda: [im2col(quantize(np.ones((2, 4, 4)), 4, U).codes,
+                              Shape2D(3, 3), padding=1)],
+}
+
+
+@pytest.mark.parametrize("producer", CODE_PRODUCERS)
+def test_codes_and_bit_fields_are_code_dtype(producer):
+    arrays = CODE_PRODUCERS[producer]()
+    assert arrays and all(a.dtype == CODE for a in arrays)
 
 
 def test_quant_params_validation():
@@ -236,7 +266,7 @@ def test_smallest_normal_scale_is_accepted():
 
 def test_decompose_examples():
     b = decompose_bits(np.array([-3]), 4)
-    assert b.dtype == np.int64 and b.shape == (4, 1)
+    assert b.dtype == CODE and b.shape == (4, 1)
     assert b[:, 0].tolist() == [1, 0, 1, 1]
     assert decompose_bits(np.array([5]), 3)[:, 0].tolist() == [1, 0, 1]
     assert set(np.unique(b)) <= {0, 1}
@@ -280,7 +310,7 @@ def test_group_reconstruction_exhaustive(bits, signedness):
         assert np.array_equal(reconstruct_groups(words, layout), codes)
         assert sum(sign for _, _, sign in layout) <= 1
         for value, (width, shift, _) in zip(words, layout):
-            assert value.dtype == np.int64
+            assert value.dtype == CODE
             assert value.min() >= 0
             assert value.max() <= (1 << width) - 1
             # one group of a layout alone gives the same words
