@@ -10,21 +10,20 @@ import itertools
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__, rng
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, load_config, sweep_point
-from .data import load_idx, make_blobs, train_test_split
+from .data import MIN_SAMPLES, load_idx, make_blobs, train_test_split
 from .engine import EngineMode, SimLayerResult, plan_cycles, simulate_matmul
 from .errors import AcimError, ConfigError, DataError
 from .macro import NOISELESS
 from .metrics import csnr_measure, csnr_variance_form, linearity_sweep, \
     mac_distribution
-from .models import (TinyModel, engine_forward, evaluate_digital,
-                     forward_float, init_mlp, train)
+from .models import (engine_forward, evaluate_digital, forward_float,
+                     init_mlp, train)
 from .quant import Signedness, bit_sparsity, decompose_bits, dequantize, \
     quantize, signedness_of
 from .report import emit
@@ -39,8 +38,9 @@ def _dataset(cfg: ExperimentConfig):
             if not os.path.exists(p):
                 raise ConfigError(f"{cfg.path}: [data] {key}: no such file {p}")
         x, y = load_idx(d.images), load_idx(d.labels)
-        if not len(x):
-            raise DataError(f"{d.images}: IDX file holds no images")
+        if len(x) < MIN_SAMPLES:
+            raise DataError(f"{d.images}: IDX file holds {len(x) or 'no'} "
+                            f"images, need at least {MIN_SAMPLES}")
         if y.ndim != 1:
             raise DataError(f"{d.labels}: labels must be 1-D, got shape "
                             f"{y.shape}")
@@ -99,41 +99,13 @@ def _model(cfg: ExperimentConfig, train_set, test_set, modes, enc_section):
     return model or _train_model(cfg, train_set, test_set)[0]
 
 
-def _forward_points(model: TinyModel, x, points, threads):
-    """engine_forward of every (macro, noise, mode) point, in point order.
-
-    Points sharing rows, seed and mode (which holds their enc_bits) form one
-    plan class, run in lockstep by one engine_forward call that draws each
-    noise chunk once for the class; the classes map over `threads` worker
-    threads.
-    """
-    classes = {}
-    for i, (macro, noise, mode) in enumerate(points):
-        key = (macro.rows, noise.seed, mode)
-        classes.setdefault(key, []).append(i)
-    classes = list(classes.values())
-
-    def run_class(idx):
-        return engine_forward(model, x, [points[i][0] for i in idx],
-                              [points[i][1] for i in idx], points[idx[0]][2])
-
-    if threads > 1 and len(classes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(run_class, classes))
-    else:
-        runs = [run_class(idx) for idx in classes]
-    results = dict(zip(itertools.chain(*classes), itertools.chain(*runs)))
-    return [results[i] for i in range(len(points))]
-
-
 def _run_grid(cfg: ExperimentConfig, axes: dict, threads, meta):
     """Accuracy, CSNR vs the float forward, cycles and analog ratio of the
     model at every point of the grid of `axes` (axis -> values, as
     cfg.sweep); no axes is the single point of the config as written.
     `meta` gets the model's widths, which are the checkpoint's, not
-    [quant]'s, when the config names one. The points of each enc_bits value
-    form one plan class and run in lockstep (_forward_points); `threads`
-    parallelizes across classes only."""
+    [quant]'s, when the config names one. engine_forward runs the points,
+    in lockstep groups per layer, whose runs map over `threads` threads."""
     grid = list(itertools.product(*axes.values()))
     points = [sweep_point(cfg.macro, cfg.noise, cfg.mode,
                           dict(zip(axes, values))) for values in grid]
@@ -144,7 +116,7 @@ def _run_grid(cfg: ExperimentConfig, axes: dict, threads, meta):
     ideal = forward_float(model, x)
     rows = []
     for values, (logits, layers) in zip(
-            grid, _forward_points(model, x, points, threads)):
+            grid, engine_forward(model, x, points, threads)):
         net = SimLayerResult.compose(layers, logits)
         acc = float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
         rows.append((*values, acc, csnr_measure(ideal, logits).db,

@@ -14,6 +14,8 @@ _IDX_DTYPES = {
     0x0D: np.dtype(">f4"),
     0x0E: np.dtype(">f8"),
 }
+# the fewest samples whose test quarter, round(n / 4), holds one
+MIN_SAMPLES = 3
 
 
 def check_blobs(samples: int, features: int, classes: int) -> None:
@@ -21,8 +23,9 @@ def check_blobs(samples: int, features: int, classes: int) -> None:
     for name, value in (("features", features), ("classes", classes)):
         if value < 1:
             raise DataError(f"{name} must be >= 1, got {value}")
-    if samples < classes:
-        raise DataError(f"need at least {classes} samples, got {samples}")
+    need = max(classes, MIN_SAMPLES)
+    if samples < need:
+        raise DataError(f"need at least {need} samples, got {samples}")
 
 
 def make_blobs(samples: int, features: int, classes: int, seed: int,
@@ -43,6 +46,9 @@ def make_blobs(samples: int, features: int, classes: int, seed: int,
 
 
 def train_test_split(x: np.ndarray, y: np.ndarray):
+    if len(x) < MIN_SAMPLES:
+        raise DataError(f"need at least {MIN_SAMPLES} samples for a test "
+                        f"set, got {len(x)}")
     n_test = round(len(x) * 0.25)   # the last quarter is the test set
     n_train = len(x) - n_test
     return (x[:n_train], y[:n_train]), (x[n_train:], y[n_train:])

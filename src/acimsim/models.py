@@ -8,13 +8,14 @@ and quantization uses the straight-through estimator.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import rng
-from .engine import EngineMode, _simulate_points, softmax
+from .engine import _simulate_points, softmax
 from .errors import DataError, DomainError, ShapeError, TrainingError
 from .quant import Signedness, fake_quantize, quantize, signedness_of
 
@@ -235,44 +236,50 @@ def evaluate_digital(model: TinyModel, dataset) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
 
 
-def engine_forward(model: TinyModel, x, cfgs: list, specs: list,
-                   mode: EngineMode) -> list:
-    """Run every linear layer on the simulation engine, for each point.
+def engine_forward(model: TinyModel, x, points: list,
+                   threads: int = 1) -> list:
+    """Run every linear layer on the simulation engine, for each grid point.
 
-    Point p is the macro cfgs[p] with the noise specs[p], of one plan class:
-    rows, enc_bits and seed are shared. ReLU and bias stay in floating point;
-    each layer re-quantizes its input with quant.signedness_of. The points
-    walk the layers in lockstep, one engine._simulate_points call per layer,
-    split only between inputs of different signedness. Returns one (logits,
-    layers) per point, equal to that point run alone; `layers` holds each
-    linear layer's SimLayerResult, output None (it fed the next layer).
+    A point is a (macro, noise, mode) triple, as config.sweep_point builds.
+    ReLU and bias stay in floating point; each layer re-quantizes its input
+    with quant.signedness_of. At each layer the points that share rows,
+    seed, mode (which holds enc_bits) and input signedness run in lockstep,
+    one engine._simulate_points call per group, and the groups map over
+    `threads` worker threads; a layer of one group runs on the calling
+    thread. Returns one (logits, layers) per point, equal to that point run
+    alone at any thread count; `layers` holds each linear layer's
+    SimLayerResult, output None (it fed the next layer).
     """
     if np.ndim(x) != 2:
         raise ShapeError(f"engine_forward expects x[B, D], got {np.shape(x)}")
-    layers = [[] for _ in cfgs]
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
+    layers = [[] for _ in points]
 
     def matmul(a, layer, linear_index):
         w_q = quantize(layer.w, model.w_bits, Signedness.TWOS_COMPLEMENT)
-        if a.ndim == 2:   # one input for every point
-            runs = [([quantize(a, model.x_bits, signedness_of(a))],
-                     range(len(cfgs)))]
-        else:
-            acts = [quantize(a_p, model.x_bits, signedness_of(a_p))
-                    for a_p in a]
-            by_sign = {}
-            for p, act in enumerate(acts):
-                by_sign.setdefault(act.params.signedness, []).append(p)
-            runs = [([acts[p] for p in idx], idx) for idx in by_sign.values()]
-        out = np.empty((len(cfgs), a.shape[-2], layer.w.shape[1]))
-        for act, idx in runs:
-            results = _simulate_points(act, w_q, [cfgs[p] for p in idx],
-                                       [specs[p] for p in idx], mode,
-                                       linear_index, out=[out[p] for p in idx])
+        shared = a.ndim == 2   # one input for every point
+        acts = [quantize(a_p, model.x_bits, signedness_of(a_p))
+                for a_p in ([a] if shared else a)]
+        groups = {}
+        for p, (cfg, spec, mode) in enumerate(points):
+            sign = acts[0 if shared else p].params.signedness
+            groups.setdefault((cfg.rows, spec.seed, mode, sign), []).append(p)
+        out = np.empty((len(points), a.shape[-2], layer.w.shape[1]))
+
+        def run(idx):
+            return _simulate_points(
+                acts if shared else [acts[p] for p in idx], w_q,
+                [points[p][0] for p in idx], [points[p][1] for p in idx],
+                points[idx[0]][2], linear_index, out=[out[p] for p in idx])
+        mapper = pool.map if threads > 1 and len(groups) > 1 else map
+        for idx, results in zip(groups.values(), mapper(run, groups.values())):
             for p, res in zip(idx, results):
                 layers[p].append(replace(res, output=None))
         return out
 
-    logits = _walk(model, x, matmul)
+    with ThreadPoolExecutor(threads) as pool:   # starts no thread until used
+        logits = _walk(model, x, matmul)
     if not model.linear_layers():   # x passed through, shared
-        logits = [logits] * len(cfgs)
+        logits = [logits] * len(points)
     return list(zip(logits, layers))

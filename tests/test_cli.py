@@ -11,7 +11,7 @@ import threading
 import numpy as np
 import pytest
 
-from acimsim import cli
+from acimsim import cli, models
 from acimsim.checkpoint import load_checkpoint, save_checkpoint
 from acimsim.cli import main
 from acimsim.config import load_config
@@ -123,16 +123,17 @@ def test_train_writes_loadable_checkpoint(tmp_path):
 
 
 def test_sweep_grid_and_thread_determinism(tmp_path, monkeypatch):
-    # two enc_bits values make two plan classes, so --threads 4 maps them
-    # over worker threads: every class then runs off the main thread
+    # two enc_bits values make two lockstep groups per layer, so --threads 4
+    # maps them over worker threads: every group then runs off the main
+    # thread
     cfg = write_config(tmp_path, BASE_INI + "\n[sweep]\n"
                        "adc_bits = 5, 7\nenc_bits = 1, 2\nnoise = 0.0, 0.5\n")
-    threads, forward = {}, cli.engine_forward
+    threads, simulate = {}, models._simulate_points
 
-    def recording_forward(*args, **kw):
+    def recording_simulate(*args, **kw):
         threads.setdefault(run_threads, set()).add(threading.get_ident())
-        return forward(*args, **kw)
-    monkeypatch.setattr(cli, "engine_forward", recording_forward)
+        return simulate(*args, **kw)
+    monkeypatch.setattr(models, "_simulate_points", recording_simulate)
     for run_threads, out in (("1", "a"), ("4", "b")):
         assert run("sweep", cfg, tmp_path / out, "--threads", run_threads) == 0
     assert threads["1"] == {threading.get_ident()}
@@ -252,6 +253,11 @@ def test_checkpoint_enc_bits_above_its_x_bits_exits_2(tmp_path, capsys,
      "nat_sigma must be finite and >= 0, got nan"),
     ("data", "features = 8", "features = 0", "features must be >= 1, got 0"),
     ("data", "classes = 3", "classes = 0", "classes must be >= 1, got 0"),
+    # 2 samples of 2 classes leave the test quarter empty: a run once exited
+    # 0 with accuracy nan and csnr_db inf
+    ("data", "samples = 60\nfeatures = 8\nclasses = 3",
+     "samples = 2\nfeatures = 8\nclasses = 2",
+     "need at least 3 samples, got 2"),
 ])
 def test_bad_train_and_data_values_exit_2(tmp_path, capsys, section, old,
                                           new, message):
@@ -368,6 +374,15 @@ def test_empty_idx_images_exit_3(tmp_path, capsys):
     assert run("simulate", write_config(tmp_path, text), tmp_path / "out") == 3
     assert (f"acim-sim: error: {tmp_path / 'images.idx'}: IDX file holds no "
             "images" in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_two_idx_images_exit_3(tmp_path, capsys):
+    # round(2 / 4) is 0: two images once ran to accuracy nan
+    cfg = _idx_config(tmp_path, np.zeros((2, 4, 4)), np.arange(2))
+    assert run("simulate", cfg, tmp_path / "out") == 3
+    assert (f"acim-sim: error: {tmp_path / 'images.idx'}: IDX file holds 2 "
+            "images, need at least 3" in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 

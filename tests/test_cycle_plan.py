@@ -282,8 +282,8 @@ def test_engine_forward_accounting_over_random_stacks(tmp_path):
         exp = load_config(ini)
         assert (exp.macro, exp.mode) == (cfg, mode)
         x = cli._dataset(exp)[1][0]
-        (logits, layers), = engine_forward(model, x, [cfg], [NOISELESS],
-                                           mode)
+        (logits, layers), = engine_forward(model, x,
+                                           [(cfg, NOISELESS, mode)])
         assert len(layers) == depth
         signs = [signedness_of(x)] + [U] * (depth - 1)
         for res, layer, sign in zip(layers, model.linear_layers(), signs):

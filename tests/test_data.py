@@ -54,6 +54,17 @@ def test_train_test_split_partition():
     assert np.array_equal(np.concatenate([yt, ye]), y)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_train_test_split_needs_a_test_sample(n):
+    # round(n / 4) is 0 below 3 samples: an empty test set once read as
+    # accuracy nan
+    with pytest.raises(DataError, match=f"need at least 3 samples for a "
+                                        f"test set, got {n}"):
+        train_test_split(np.zeros((n, 2)), np.zeros(n, dtype=np.int64))
+    (_, _), (xe, _) = train_test_split(np.zeros((3, 2)), np.arange(3))
+    assert len(xe) == 1
+
+
 def test_idx_round_trip(tmp_path):
     path = tmp_path / "t.idx"
     arr = np.arange(24.0).reshape(2, 3, 4)

@@ -821,9 +821,9 @@ def test_linear_zero_weights_broadcasts_bias():
     # model's layer walker
     bias = np.array([1.5, -2.0])
     model = TinyModel([LinearLayer(np.zeros((8, 2)), bias)], w_bits=4, x_bits=4)
-    (out, _), = engine_forward(model, np.ones((3, 8)),
-                               [MacroConfig.at_boundary(256)], [NOISELESS],
-                               SERIAL)
+    (out, _), = engine_forward(
+        model, np.ones((3, 8)),
+        [(MacroConfig.at_boundary(256), NOISELESS, SERIAL)])
     assert np.array_equal(out, np.tile(bias, (3, 1)))
 
 
@@ -835,7 +835,7 @@ def test_linear_equals_matmul_plus_bias():
     cfg = MacroConfig(256, 8)
     spec = NoiseSpec(random_sigma=lsb(0.7), seed=3)
     model = TinyModel([LinearLayer(w, bias)], w_bits=6, x_bits=6)
-    (with_bias, _), = engine_forward(model, x, [cfg], [spec], SERIAL)
+    (with_bias, _), = engine_forward(model, x, [(cfg, spec, SERIAL)])
     bare = simulate_matmul(quantize(x, 6, TC), quantize(w, 6, TC), cfg, spec,
                            SERIAL, layer=0)
     assert np.array_equal(with_bias, bare.output + bias)

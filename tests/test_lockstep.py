@@ -2,20 +2,23 @@
 share each noise chunk's draws, yet every point must come out exactly as it
 does alone.
 
-`cli._forward_points` groups (macro, noise, mode) points into plan classes
-(rows, enc_bits, seed, mode) and runs each class through one
-`engine_forward` call. Every point's logits must be `array_equal`, and its
-per-layer results equal, to `engine_forward` on that point alone, at any
-thread count, and every point's level hook must see its solo RngContext
-sequence.
+`engine_forward` groups (macro, noise, mode) points at each layer by (rows,
+seed, mode, input signedness) and runs each group through one
+`engine._simulate_points` call; a layer's groups map over worker threads.
+Every point's logits must be `array_equal`, and its per-layer results equal,
+to `engine_forward` on that point alone, at any thread count, and every
+point's level hook must see its solo RngContext sequence.
 """
 
+import threading
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
-from acimsim import cli, engine, macro, rng
+from acimsim import engine, macro, models, rng
 from acimsim.engine import EngineMode, VotingSpec, plan_cycles
+from acimsim.errors import ConfigError, DomainError
 from acimsim.macro import MacroConfig, NoiseSpec, NoiseUnit, Sigma
 from acimsim.models import LinearLayer, TinyModel, engine_forward, init_mlp
 from acimsim.quant import Signedness, quantize
@@ -101,11 +104,10 @@ def test_lockstep_grid_equals_every_point_alone():
         gen = np.random.default_rng(case)
         model, x, points = _rand_grid(gen)
         solo_points = _fresh_hooks(points)
-        solo = [engine_forward(model, x, [cfg], [spec], mode)[0]
-                for cfg, spec, mode in solo_points]
+        solo = [engine_forward(model, x, [point])[0] for point in solo_points]
         for threads in (1, 2, 4):
             run_points = _fresh_hooks(points)
-            got = cli._forward_points(model, x, run_points, threads)
+            got = engine_forward(model, x, run_points, threads)
             what = (case, threads)
             _assert_same(got, solo, what)
             assert _hook_logs(run_points) == _hook_logs(solo_points), what
@@ -142,11 +144,57 @@ def test_lockstep_draws_each_chunk_once(monkeypatch):
         return out
     normal = rng.normal
     monkeypatch.setattr(rng, "normal", counting)
-    engine_forward(model, x, [points[0][0]], [points[0][1]], mode)
+    engine_forward(model, x, points[:1])
     solo = list(draws)
     draws.clear()
-    cli._forward_points(model, x, points, threads=2)
+    engine_forward(model, x, points, threads=2)
     assert solo and draws == solo
+
+
+def _recording_calls(monkeypatch):
+    """Log (thread, layer, mode, point count) of every _simulate_points
+    call engine_forward makes."""
+    calls, simulate = [], models._simulate_points
+
+    def recording(acts, w, cfgs, specs, mode, layer, **kw):
+        calls.append((threading.get_ident(), layer, mode, len(cfgs)))
+        return simulate(acts, w, cfgs, specs, mode, layer, **kw)
+    monkeypatch.setattr(models, "_simulate_points", recording)
+    return calls
+
+
+def test_workers_start_only_for_layers_of_several_groups(monkeypatch):
+    model = init_mlp([10, 12, 3], seed=6)
+    x = np.random.default_rng(6).normal(size=(5, 10))
+    modes = [EngineMode(enc_bits=y) for y in (1, 2)]
+    spec = NoiseSpec(Sigma(0.5), seed=9)
+    points = [(MacroConfig(8, k, y), spec, m)
+              for m, y in zip(modes, (1, 2)) for k in (3, 5)]
+    solo = [engine_forward(model, x, [point])[0] for point in points]
+    calls = _recording_calls(monkeypatch)
+    # one class: each layer is one group, run on the calling thread
+    _assert_same(engine_forward(model, x, points[:2], threads=4), solo[:2],
+                 "one class")
+    assert calls == [(threading.get_ident(), layer, modes[0], 2)
+                     for layer in (0, 1)]
+    # two classes: one call per (layer, group), each on a worker thread
+    calls.clear()
+    _assert_same(engine_forward(model, x, points, threads=2), solo,
+                 "two classes")
+    assert sorted((layer, m.enc_bits, n) for _, layer, m, n in calls) == [
+        (layer, y, 2) for layer in (0, 1) for y in (1, 2)]
+    assert threading.get_ident() not in {t for t, *_ in calls}
+    with pytest.raises(DomainError, match="threads must be >= 1, got 0"):
+        engine_forward(model, x, points, threads=0)
+
+
+def test_macro_and_mode_enc_bits_must_agree():
+    # the group key reads enc_bits from the mode; a point whose macro holds
+    # another enc_bits lands in a group all the same, and the engine refuses
+    model = init_mlp([6, 3], seed=1)
+    point = (MacroConfig(8, 5, 2), NoiseSpec(seed=1), EngineMode(enc_bits=1))
+    with pytest.raises(ConfigError, match="mode enc_bits 1 != macro enc_bits"):
+        engine_forward(model, np.ones((2, 6)), [point])
 
 
 def test_points_quantized_with_different_signedness_split():
@@ -164,10 +212,10 @@ def test_points_quantized_with_different_signedness_split():
     high = NoiseSpec(seed=1, level_hook=lambda v, c: v + 1000.0)
     low = NoiseSpec(seed=1, level_hook=lambda v, c: v - 1000.0)
     model.layers[0].b = np.full(4, -0.5 * float(
-        engine_forward(TinyModel(model.layers[:1], 4, 4), x, [cfg], [high],
-                       mode)[0][0].max()))
+        engine_forward(TinyModel(model.layers[:1], 4, 4), x,
+                       [(cfg, high, mode)])[0][0].max()))
     points = [(cfg, high, mode), (cfg, low, mode)]
-    got = cli._forward_points(model, x, points, threads=1)
+    got = engine_forward(model, x, points, threads=1)
     # the high hook saturates the weights' sign plane too, so its layer-1
     # output is the negative one
     plans = [plan_cycles(4, 4, s, Signedness.TWOS_COMPLEMENT, mode)
@@ -175,8 +223,8 @@ def test_points_quantized_with_different_signedness_split():
     assert plans[0].cycles_per_tile != plans[1].cycles_per_tile
     assert [layers[1].total_cycles for _, layers in got] == [
         p.cycles_per_tile for p in plans]
-    _assert_same(got, [engine_forward(model, x, [c], [s], m)[0]
-                       for c, s, m in points], "split")
+    _assert_same(got, [engine_forward(model, x, [point])[0]
+                       for point in points], "split")
 
 
 def test_lockstep_vote_in_bounded_runs_equals_solo_votes(monkeypatch):

@@ -281,8 +281,8 @@ def test_engine_eval_matches_digital_noiseless():
     engine = evaluate_on_engine(model, data, macro, NOISELESS, SERIAL)
     assert abs(engine - digital) <= 0.01
     # lossless ADC, no noise: the engine walk reproduces the QAT logits
-    (logits, _), = engine_forward(model, data[0], [macro], [NOISELESS],
-                                  SERIAL)
+    (logits, _), = engine_forward(model, data[0],
+                                  [(macro, NOISELESS, SERIAL)])
     assert np.allclose(logits, forward_qat(model, data[0]),
                        rtol=1e-9, atol=1e-12)
 
@@ -302,9 +302,9 @@ def test_engine_eval_full_digital_hybrid_ignores_noise():
 
 def test_engine_forward_reports_cycles():
     model, data = trained_model()
-    (logits, layers), = engine_forward(model, data[0][:4],
-                                       [MacroConfig.at_boundary(256)],
-                                       [NOISELESS], SERIAL)
+    (logits, layers), = engine_forward(
+        model, data[0][:4],
+        [(MacroConfig.at_boundary(256), NOISELESS, SERIAL)])
     assert logits.shape == (4, 3)
     # two single-tile 8b/8b layers, their outputs not kept
     assert [(l.tiles, l.total_cycles) for l in layers] == [(1, 64)] * 2
@@ -321,7 +321,7 @@ def test_engine_forward_reports_network_ratio():
     x = np.random.default_rng(4).normal(size=(8, 6))
     mode = EngineMode(enc_bits=2, hybrid_boundary=2)
     (logits, layers), = engine_forward(
-        model, x, [MacroConfig.at_boundary(256, 2)], [NOISELESS], mode)
+        model, x, [(MacroConfig.at_boundary(256, 2), NOISELESS, mode)])
     net = SimLayerResult.compose(layers, logits)
     cycles, ratio = net.total_cycles, net.analog_ratio
     plans = [plan_cycles(8, 8, s, Signedness.TWOS_COMPLEMENT, mode)
