@@ -33,10 +33,14 @@ def save_checkpoint(model: TinyModel, path) -> None:
         parts.append(np.ascontiguousarray(layer.w, dtype="<f8").tobytes())
         parts.append(np.ascontiguousarray(layer.b, dtype="<f8").tobytes())
     payload = b"".join(parts)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
+    try:
+        with open(path, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(payload)
+            fh.write(struct.pack("<I", zlib.crc32(payload)))
+    except OSError as exc:
+        raise CheckpointError(
+            f"cannot write checkpoint {path}: {exc}") from exc
 
 
 class _Cursor:

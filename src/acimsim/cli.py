@@ -57,8 +57,9 @@ def _dataset(cfg: ExperimentConfig):
 
 
 def _train_model(cfg: ExperimentConfig, train_set, test_set):
+    # a class for every label of both splits, which evaluate_digital checks
     dims = [train_set[0].shape[1], BUILTIN_HIDDEN,
-            int(np.asarray(train_set[1]).max()) + 1]
+            max(int(np.max(y)) for _, y in (train_set, test_set)) + 1]
     model = init_mlp(dims, cfg.train.seed, cfg.w_bits, cfg.x_bits)
     model, losses = train(model, train_set, cfg.train)
     model.baseline_acc = evaluate_digital(model, test_set)

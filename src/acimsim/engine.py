@@ -8,9 +8,8 @@ group, exact as each is an integer below 2^24 (MacroConfig). One rule,
 macro.runs, bounds every pass: both operands are formed in runs of rows of
 one weight plane (the planes into one buffer that every tile reuses, with
 one GEMM per run of DAC words); the levels are read out in runs of plan
-entries through the macro's noise, ADC and vote functions; and every pass
-after a chunk's noise walks runs of its rows. No buffer of a group outlives
-it. A count table maps ADC codes to integer counts, which accumulate with
+entries by _read, which walks runs of rows. No buffer of a group outlives it.
+A count table maps ADC codes to integer counts, which accumulate with
 their signed power-of-two shift weights in int64, its overflow bound checked
 first, so floating point enters only at the final rescale. A matmul keys
 all its noise streams in one rng.StreamTable, and every draw reads it by
@@ -239,6 +238,23 @@ def _level_block(codes: np.ndarray, group: tuple, rhs: np.ndarray,
     return levels
 
 
+def _read(vs: list, samples: int, specs: list, cfgs: list, reads,
+          table: StreamTable):
+    """The one readout of a chunk's ideal levels, vs[p] for point p: yields
+    (p, r0, r1, x) per point and run [r0, r1) of axis 1 (macro.runs), x the
+    ADC codes or a vote's code totals, the noise drawn once for all points."""
+    if samples > 1:   # each point's code totals
+        vs = majority_vote_readout(vs, samples, specs, cfgs, reads, table)
+    else:
+        draws, buf, ctxs = draw_noise(table, reads, vs[0].shape, specs)
+    for p, (v, spec, cfg) in enumerate(zip(vs, specs, cfgs)):
+        if samples == 1 and not spec.silent:
+            v = apply_noise(v, spec, cfg, ctxs, draws, buf)
+        for r0, r1 in macro.runs(v.shape[1], v[:, :1].size):
+            x = v[:, r0:r1]
+            yield p, r0, r1, x if samples > 1 else adc_readout(x, cfg)[0]
+
+
 def simulate_matmul(act: QuantizedTensor, w: QuantizedTensor,
                     cfg: MacroConfig, spec: NoiseSpec, mode: EngineMode,
                     layer: int = 0) -> SimLayerResult:
@@ -248,10 +264,8 @@ def simulate_matmul(act: QuantizedTensor, w: QuantizedTensor,
     GEMMs of the group's DAC words [B, rows], a row slice at a time, against
     the tile's stacked weight planes [rows, Q*M] yield the levels of all Q
     weight bits at once.
-    Digital entries accumulate their exact levels; analog entries are read
-    out a chunk at a time (_readout_chunks) by apply_noise and adc_readout,
-    or majority_vote_readout, whose code totals are averaged, scaled to
-    counts and rounded. This is the one-point case of _simulate_points.
+    Digital entries accumulate their exact levels, analog ones the counts
+    of their chunks' readout (_read). The one-point case of _simulate_points.
     """
     return _simulate_points([act], w, [cfg], [spec], mode, layer)[0]
 
@@ -264,10 +278,9 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
     Point p is the macro cfgs[p] with the noise specs[p]; the points share
     rows, enc_bits and seed. `acts` holds one QuantizedTensor that every
     point reads, or one per point, all of one shape, width and signedness.
-    Each chunk's standard normals and RngContexts are made once (draw_noise);
-    every point forms its own noisy levels from them (apply_noise) and
-    applies its own ADC, count table and accumulator, with the ops and bytes
-    of running it alone. Returns one SimLayerResult per point; `out`, one
+    Each chunk is read out once for all points (_read), and every point
+    applies its own count table and accumulator, with the ops and bytes of
+    running it alone. Returns one SimLayerResult per point; `out`, one
     float64 [B, M] array per point, receives the outputs if given.
     """
     owner = [0] * len(cfgs) if len(acts) == 1 else range(len(acts))
@@ -313,12 +326,11 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
         raise ConfigError(
             f"{q_bits}b weights x {x_bits}b activations over {tiles} tiles "
             f"of {cfg.rows} rows can overflow the int64 accumulator")
-    # per point: its input, macro, noise, count table and accumulator
-    points = [(o, c, s, count_table(c), np.zeros((b, m), dtype=np.int64))
-              for o, c, s in zip(owner, cfgs, specs)]
-    tags = noise_tags(specs)
+    # per point: its count table and accumulator
+    points = [(count_table(c), np.zeros((b, m), dtype=np.int64)) for c in cfgs]
     # the table lists the reads in the order the loop below takes them
-    table = _stream_table(groups.ravel(), tiles, layer, seed, tags)
+    table = _stream_table(groups.ravel(), tiles, layer, seed,
+                          noise_tags(specs))
     read = 0   # the table position of the next read
     # one weight stack [rows, Q, M], which every tile overwrites
     stack = np.empty((min(cfg.rows, d), q_bits, m), dtype=np.float32)
@@ -332,39 +344,32 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
                 if analog:
                     reads = range(read, read + (hi - lo) * samples)
                     read = reads.stop
-                    if samples > 1:
-                        totals = majority_vote_readout(
-                            [blocks[o][lo:hi] for o in owner], samples, specs,
-                            cfgs, reads, table)
+                    xs = _read([blocks[o][lo:hi] for o in owner], samples,
+                               specs, cfgs, reads, table)
+                else:   # the exact levels
+                    xs = ((p, r0, r1, blocks[o][lo:hi, r0:r1])
+                          for p, o in enumerate(owner)
+                          for r0, r1 in macro.runs(b, (hi - lo) * m))
+                for p, r0, r1, x in xs:
+                    # x becomes the run's counts: no codes outlive their use
+                    lut, accum = points[p]
+                    if not analog:
+                        x = x.astype(np.int64)
+                    elif samples > 1:
+                        mac = macro.vote_counts(x, samples, cfgs[p])
+                        x = round_half_away(mac).astype(np.int64)
                     else:
-                        draws, buf, ctxs = draw_noise(
-                            table, reads, (hi - lo, b, m), specs)
-                for p, (o, p_cfg, spec, lut, accum) in enumerate(points):
-                    levels = blocks[o][lo:hi]
-                    if analog and samples > 1:
-                        levels = totals[p]
-                    elif analog and not spec.silent:
-                        levels = apply_noise(levels, spec, p_cfg, ctxs, draws,
-                                             buf)
-                    for r0, r1 in macro.runs(b, (hi - lo) * m):
-                        block = levels[:, r0:r1]
-                        if not analog:
-                            counts = block.astype(np.int64)
-                        elif samples > 1:
-                            mac = macro.vote_counts(block, samples, p_cfg)
-                            counts = round_half_away(mac).astype(np.int64)
-                        else:
-                            counts = lut[adc_readout(block, p_cfg)[0]]
-                        for weight, counts_e in zip(weights[g][lo:hi], counts):
-                            counts_e *= weight
-                            accum[r0:r1] += counts_e
+                        x = lut[x]
+                    for weight, counts_e in zip(weights[g][lo:hi], x):
+                        counts_e *= weight
+                        accum[r0:r1] += counts_e
             # no view or buffer of this group outlives it into the next
             # group's operands
-            blocks = levels = block = draws = buf = totals = None
+            blocks = None
     analog = int(entries["analog"].sum())
     results = []
-    for p in range(len(points)):
-        o, *_, accum = points[p]
+    for p, o in enumerate(owner):
+        _, accum = points[p]
         points[p] = None   # each point's counts go as its output lands
         results.append(SimLayerResult(
             output=np.multiply(accum, acts[o].params.scale * w.params.scale,

@@ -10,10 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import macro, rng
-from .engine import EngineMode, simulate_matmul
+from .engine import EngineMode, _read, simulate_matmul
 from .errors import DomainError, ShapeError
-from .macro import (MacroConfig, NoiseSpec, adc_readout, apply_noise,
-                    draw_noise, majority_vote_readout, noise_tags)
+from .macro import MacroConfig, NoiseSpec, noise_tags
 from .quant import QuantizedTensor
 
 
@@ -33,15 +32,20 @@ class CsnrReport:
     trials: int
 
 
+def _check_finite(*named) -> None:
+    """DomainError naming the first (name, array) of `named` not finite."""
+    for name, t in named:
+        if not np.isfinite(t).all():
+            raise DomainError(f"{name} must be finite")
+
+
 def csnr_measure(ideal, simulated) -> CsnrReport:
     """Power-ratio CSNR/SQNR: 10 log10(sum y^2 / sum (y - y_hat)^2)."""
     y = np.asarray(ideal, dtype=np.float64)
     y_hat = np.asarray(simulated, dtype=np.float64)
     if y.shape != y_hat.shape:
         raise ShapeError(f"shape mismatch: {y.shape} vs {y_hat.shape}")
-    for name, t in (("ideal", y), ("simulated", y_hat)):
-        if not np.isfinite(t).all():
-            raise DomainError(f"{name} must be finite")
+    _check_finite(("ideal", y), ("simulated", y_hat))
     signal = float(np.sum(y * y))
     noise = float(np.sum((y - y_hat) ** 2))
     if noise == 0:
@@ -76,6 +80,7 @@ def csnr_variance_form(ideal, quant_in, quant_out, noisy) -> VarianceCsnr:
               for a in (ideal, quant_in, quant_out, noisy)]
     if len({a.shape for a in arrays}) != 1:
         raise ShapeError("all four outputs must share a shape")
+    _check_finite(*zip(("ideal", "quant_in", "quant_out", "noisy"), arrays))
     y, q_in, q_out, noisy = arrays
     var_y = float(np.var(y))
     errors = {
@@ -157,10 +162,10 @@ def linearity_sweep(cfg: MacroConfig, spec: NoiseSpec, trials: int,
 
     Level v is one row of `trials` readouts drawn from RngContext(column=v),
     sample s of a vote from sample s: one StreamTable keys every (level,
-    sample) read, in that order. Each run of rows (macro.runs, `trials`
-    readouts a row) is read in one call. With samples > 1 each trial is a
-    majority vote and the statistics are taken on the vote before final
-    rounding, which is what accumulation sees.
+    sample) read, in that order. Runs of rows (macro.runs, `trials` readouts
+    a row) are read out by engine._read, as the engine reads a chunk. With
+    samples > 1 each trial is a majority vote and the statistics are taken
+    on the vote before final rounding, which is what accumulation sees.
     """
     if trials < 100:
         raise DomainError(f"linearity_sweep needs trials >= 100, got {trials}")
@@ -182,16 +187,12 @@ def linearity_sweep(cfg: MacroConfig, spec: NoiseSpec, trials: int,
     for lo, hi in macro.runs(levels.size, trials):
         batch = np.repeat(levels[lo:hi].astype(np.float64)[:, None], trials,
                           axis=1)
-        rows = range(lo * samples, hi * samples)
-        if samples == 1:
-            draws, out, ctxs = draw_noise(table, rows, batch.shape, [spec])
-            noisy = apply_noise(batch, spec, cfg, ctxs, draws, out)
-            est = adc_readout(noisy, cfg)[0].astype(np.float64)
-        else:
-            total, = majority_vote_readout([batch], samples, [spec], [cfg],
-                                           rows, table)
-            # the vote in counts, as the engine forms it, back in LSB units
-            est = macro.vote_counts(total, samples, cfg) / cfg.lsb_counts
+        est = np.empty(batch.shape)
+        for _, r0, r1, x in _read([batch], samples, [spec], [cfg],
+                                  range(lo * samples, hi * samples), table):
+            # a vote in counts, as the engine forms it, back in LSB units
+            est[:, r0:r1] = x if samples == 1 else macro.vote_counts(
+                x, samples, cfg) / cfg.lsb_counts
         # np.mean and np.std of each row, their arithmetic on one shared sum
         mean = est.sum(axis=1, keepdims=True) / trials
         est -= mean

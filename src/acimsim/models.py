@@ -100,6 +100,9 @@ def _walk(model: TinyModel, x, matmul, inputs: Optional[list] = None):
         if isinstance(layer, Relu):
             a = np.maximum(a, 0.0)
         else:
+            if a.shape[-1:] != layer.w.shape[:1]:
+                raise ShapeError(f"linear layer {linear_index} takes input "
+                                 f"width {layer.w.shape[0]}, got {a.shape}")
             a = matmul(a, layer, linear_index)
             a += layer.b   # every matmul returns a new array
             linear_index += 1
@@ -186,9 +189,9 @@ def loss_and_grads(model: TinyModel, x, labels, cfg: TrainConfig,
     return loss, grads
 
 
-def train(model: TinyModel, dataset, cfg: TrainConfig):
-    """Plain SGD at the model's widths; deterministic given cfg.seed.
-    Returns (model, loss_curve)."""
+def _dataset(model: TinyModel, dataset):
+    """(x, y) of `dataset`, samples as float64 and one integer label per
+    sample, each a class of the model's logits; else a DataError."""
     x, y = dataset
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
@@ -203,6 +206,13 @@ def train(model: TinyModel, dataset, cfg: TrainConfig):
     classes = ([x] + [l.w for l in model.linear_layers()])[-1].shape[1]
     if np.any((y < 0) | (y >= classes)):   # the logits' width
         raise DataError(f"dataset labels must lie in [0, {classes})")
+    return x, y
+
+
+def train(model: TinyModel, dataset, cfg: TrainConfig):
+    """Plain SGD at the model's widths; deterministic given cfg.seed.
+    Returns (model, loss_curve)."""
+    x, y = _dataset(model, dataset)
     model.nat_sigma = cfg.nat_sigma
     shuffler = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(rng.TAG_DATA,))))
@@ -231,9 +241,8 @@ def train(model: TinyModel, dataset, cfg: TrainConfig):
 
 def evaluate_digital(model: TinyModel, dataset) -> float:
     """Top-1 accuracy of the fake-quantized (digital) forward pass."""
-    x, y = dataset
-    logits = forward_qat(model, x)
-    return float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
+    x, y = _dataset(model, dataset)
+    return float(np.mean(np.argmax(forward_qat(model, x), axis=1) == y))
 
 
 def engine_forward(model: TinyModel, x, points: list,

@@ -3,13 +3,16 @@ the argument at fault, never with a bare Python or numpy error or a silent
 result."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
-from acimsim import (AcimError, DataError, DomainError, QuantizedTensor,
-                     QuantParams, ShapeError, Signedness, TrainConfig,
-                     csnr_measure, decompose_bits, init_mlp, train)
+from acimsim import (AcimError, CheckpointError, DataError, DomainError,
+                     QuantizedTensor, QuantParams, ShapeError, Signedness,
+                     TrainConfig, csnr_measure, csnr_variance_form,
+                     decompose_bits, evaluate_digital, forward_float,
+                     forward_qat, init_mlp, save_checkpoint, train)
 from acimsim.quant import CODE
 
 
@@ -22,6 +25,11 @@ def _train_on_label_7():
     # 3 classes; a label of 7 once indexed past the softmax
     _train_on(np.zeros((6, 4)), [0, 1, 2, 0, 1, 7])
 
+
+# a model of input width 4 and an input of width 5, which every forward
+# pass once fed to numpy's matmul
+_MLP, _WIDE = init_mlp([4, 8, 3], 0), np.ones((2, 5))
+_MISSING_DIR = os.path.join(os.path.dirname(__file__), "no-such-dir")
 
 PROBES = {
     "init_mlp-zero-width": (lambda: init_mlp([4, 0, 3], 1), ShapeError,
@@ -56,6 +64,26 @@ PROBES = {
         "ideal"),
     "decompose_bits-zero-bits": (lambda: decompose_bits(np.arange(4), 0),
                                  DomainError, "bits"),
+    "forward_float-wrong-width": (lambda: forward_float(_MLP, _WIDE),
+                                  ShapeError, "linear layer 0 takes input "
+                                  "width 4, got"),
+    "forward_qat-wrong-width": (lambda: forward_qat(_MLP, _WIDE), ShapeError,
+                                "width 4"),
+    "evaluate_digital-wrong-width": (
+        lambda: evaluate_digital(_MLP, (_WIDE, [0, 1])), ShapeError,
+        "width 4"),
+    # 3 labels for 2 samples once raised numpy's broadcast error
+    "evaluate_digital-more-labels-than-samples": (
+        lambda: evaluate_digital(_MLP, (np.ones((2, 4)), [0, 1, 2])),
+        DataError, "labels"),
+    # a NaN operand once gave NaN terms
+    "csnr_variance_form-nan-quant_out": (
+        lambda: csnr_variance_form([1.0, 2.0], [1.0, 2.0], [1.0, math.nan],
+                                   [1.0, 2.0]), DomainError, "quant_out"),
+    # a missing directory once raised a bare FileNotFoundError
+    "save_checkpoint-missing-directory": (
+        lambda: save_checkpoint(_MLP, os.path.join(_MISSING_DIR, "m.ackpt")),
+        CheckpointError, "cannot write checkpoint .*no-such-dir"),
 }
 
 

@@ -15,6 +15,7 @@ from acimsim import cli, models
 from acimsim.checkpoint import load_checkpoint, save_checkpoint
 from acimsim.cli import main
 from acimsim.config import load_config
+from acimsim.data import make_blobs, train_test_split
 from acimsim.models import init_mlp
 
 BASE_INI = """\
@@ -120,6 +121,20 @@ def test_train_writes_loadable_checkpoint(tmp_path):
     shapes = [l.w.shape for l in model.layers if hasattr(l, "w")]
     assert shapes == [(8, 64), (64, 3)]
     assert model.baseline_acc == payload["meta"]["baseline_acc"]
+
+
+def test_a_class_only_in_the_test_split_gets_a_logit(tmp_path):
+    # 3 blobs of 3 classes at seed 2 put class 2 in the test quarter alone;
+    # the model is sized to the labels of both splits, so evaluate_digital
+    # finds every test label among its classes
+    text = BASE_INI.replace("samples = 60", "samples = 3").replace(
+        "seed = 5", "seed = 2")
+    (_, y_train), (_, y_test) = train_test_split(*make_blobs(3, 8, 3, 2))
+    assert y_test.max() > y_train.max()
+    assert run("train", write_config(tmp_path, text), tmp_path / "out") == 0
+    payload, _ = read_report(tmp_path / "out", "train")
+    model = load_checkpoint(payload["meta"]["checkpoint"])
+    assert model.linear_layers()[-1].w.shape[1] == 3
 
 
 def test_sweep_grid_and_thread_determinism(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 """Engine tests: cycle planning, exactness, tiling, layer entry points."""
 
+import ast
+import pathlib
 import tracemalloc
 from dataclasses import replace
 
@@ -997,3 +999,36 @@ def test_plan_counts_voting_cycles():
     plan5 = plan_cycles(8, 8, TC, TC, EngineMode(voting=VotingSpec(3, 5)))
     assert plan5.cycles_per_tile == 88
     assert (plan5.cycles_per_tile - 64) / 64 < 0.40
+
+
+# ------------------------------------------------------------ one readout
+
+def test_read_is_the_one_readout_site():
+    # engine._read is the only code outside macro that draws, noises, reads
+    # out or votes a chunk's levels; within macro only the vote calls the
+    # first three
+    readout = {"draw_noise", "apply_noise", "adc_readout",
+               "majority_vote_readout"}
+    calls = set()   # (module, innermost enclosing function, callee)
+
+    class Calls(ast.NodeVisitor):
+        fn = None   # at module level
+
+        def visit_FunctionDef(self, node):
+            outer, self.fn = self.fn, node.name
+            self.generic_visit(node)
+            self.fn = outer
+
+        def visit_Call(self, node):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+            if name in readout:
+                calls.add((module, self.fn, name))
+            self.generic_visit(node)
+
+    for path in pathlib.Path(engine.__file__).parent.glob("*.py"):
+        module = path.stem
+        Calls().visit(ast.parse(path.read_text()))
+    assert calls == ({("engine", "_read", n) for n in readout}
+                     | {("macro", "majority_vote_readout", n)
+                        for n in readout - {"majority_vote_readout"}})
