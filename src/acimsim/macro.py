@@ -223,8 +223,9 @@ def majority_vote_readout(vs: list, samples: int, specs: list, cfgs: list,
     sigma by about sqrt(samples); vote_counts scales it to counts. `rows`
     holds one read position of `table` per (leading row, sample) pair, in
     that order. They are drawn in runs of samples (runs), each run once for
-    every point, and each sample is read out by one adc_readout call over
-    all rows; draw_noise builds a run's RngContexts once for all points.
+    every point (one run of every sample reads `rows` as given), and each
+    sample is read out by one adc_readout call over all rows; draw_noise
+    builds a run's RngContexts once for all points.
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
@@ -236,8 +237,9 @@ def majority_vote_readout(vs: list, samples: int, specs: list, cfgs: list,
     totals = [np.zeros(shape, dtype=np.int64) for _ in points]
     for s0, s1 in runs(samples, points[0].size):
         n = s1 - s0
-        run_rows = [rows[r * samples + s] for r in range(shape[0])
-                    for s in range(s0, s0 + n)]
+        run_rows = rows if n == samples else [
+            rows[r * samples + s] for r in range(shape[0])
+            for s in range(s0, s1)]
         draws, out, ctxs = draw_noise(
             table, run_rows, (shape[0] * n, *shape[1:]), specs)
         for levels, spec, cfg, total in zip(points, specs, cfgs, totals):

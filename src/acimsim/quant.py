@@ -75,9 +75,12 @@ class QuantizedTensor:
 
 def signedness_of(t: np.ndarray) -> Signedness:
     """Unsigned when no entry is negative (e.g. post-ReLU data), else 2's
-    complement: the one rule for choosing an activation's signedness."""
-    return Signedness.UNSIGNED if t.size == 0 or t.min() >= 0 \
-        else Signedness.TWOS_COMPLEMENT
+    complement: the one rule for choosing an activation's signedness. A
+    NaN, which min propagates, has no sign: DomainError."""
+    low = t.min() if t.size else 0
+    if math.isnan(low):   # np.isnan's first scalar call costs 128 kB of RSS
+        raise DomainError("signedness of a tensor with NaN")
+    return Signedness.UNSIGNED if low >= 0 else Signedness.TWOS_COMPLEMENT
 
 
 def _code_range(bits: int, signedness: Signedness) -> tuple:

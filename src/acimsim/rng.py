@@ -9,6 +9,7 @@ the bytes of `stream`. RngContexts are built only for level hooks
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,10 @@ def normal(table: "StreamTable", rows, tag: int, shape) -> np.ndarray:
     if not shape or shape[0] != len(rows):
         raise ShapeError(f"{len(rows)} stream rows for draw shape {shape}")
     out = np.empty(shape)
-    for r, gen in enumerate(table.generators(rows, tag)):
-        gen.standard_normal(out=out[r, ...])
+    # iterating a 2-D view yields row arrays; a 1-D one would yield scalars
+    per_row = out.reshape(shape[0], math.prod(shape[1:]))
+    for gen, row in zip(table.generators(rows, tag), per_row):
+        gen.standard_normal(out=row)
     return out
 
 
@@ -163,6 +166,9 @@ class StreamTable:
     every draw: `generators` sets its key to the row's, its counter to 0 and
     its buffer to empty, the state a fresh Philox(SeedSequence(seed,
     spawn_key=row)) starts in. It is mutable, so a table is one thread's.
+    The state setter copies every field and converts Python ints in less
+    than half the time of numpy uint64s, so the state holds Python ints and
+    a call's keys leave the uint64 table through one tolist.
     """
 
     def __init__(self, seed: int, tags, reads):
@@ -186,7 +192,7 @@ class StreamTable:
                     f"for seed {seed}, spawn {row}")
         self._bitgen = np.random.Philox(0)
         self._gen = np.random.Generator(self._bitgen)
-        zero = np.zeros(4, dtype=np.uint64)
+        zero = [0] * 4
         self._key = {"counter": zero, "key": None}
         self._state = {"bit_generator": "Philox", "state": self._key,
                        "buffer": zero, "buffer_pos": 4, "has_uint32": 0,
@@ -198,14 +204,23 @@ class StreamTable:
 
     def generators(self, rows, tag: int):
         """The shared generator, set in turn to the start of the stream of
-        `tag` of each read position in `rows`."""
+        `tag` of each read position in `rows`, a range or int sequence."""
         if tag not in self.tags:
             raise KeyError(f"no tag {tag} in this table")
-        rows = np.asarray(rows, dtype=np.intp)
-        if rows.size and rows.min() < 0:   # indexing rejects the rest
-            raise IndexError(f"negative read position {rows.min()}")
         # read i, tag j is key row i * len(tags) + j
-        for key in self._keys[rows * len(self.tags) + self.tags.index(tag)]:
+        n, j = len(self.tags), self.tags.index(tag)
+        if isinstance(rows, range):   # a strided slice, no index array
+            last = len(self.reads) - 1
+            if rows and not (0 <= rows[0] <= last and 0 <= rows[-1] <= last):
+                raise IndexError(f"read positions {rows} outside the "
+                                 f"table's {len(self.reads)}")
+            keys = self._keys[rows.start * n + j::rows.step * n][:len(rows)]
+        else:
+            rows = np.asarray(rows, dtype=np.intp)
+            if rows.size and rows.min() < 0:   # indexing rejects the rest
+                raise IndexError(f"negative read position {rows.min()}")
+            keys = self._keys[rows * n + j]
+        for key in keys.tolist():
             self._key["key"] = key
-            self._bitgen.state = self._state   # the setter copies every field
+            self._bitgen.state = self._state
             yield self._gen

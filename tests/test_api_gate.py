@@ -12,7 +12,8 @@ from acimsim import (AcimError, CheckpointError, DataError, DomainError,
                      QuantizedTensor, QuantParams, ShapeError, Signedness,
                      TrainConfig, csnr_measure, csnr_variance_form,
                      decompose_bits, evaluate_digital, forward_float,
-                     forward_qat, init_mlp, save_checkpoint, train)
+                     forward_qat, init_mlp, save_checkpoint,
+                     signedness_of, train)
 from acimsim.quant import CODE
 
 
@@ -80,6 +81,10 @@ PROBES = {
     "csnr_variance_form-nan-quant_out": (
         lambda: csnr_variance_form([1.0, 2.0], [1.0, 2.0], [1.0, math.nan],
                                    [1.0, 2.0]), DomainError, "quant_out"),
+    # a NaN once made the tensor 2's complement, as NaN >= 0 is False
+    "signedness_of-nan": (
+        lambda: signedness_of(np.array([math.nan, 1.0])), DomainError,
+        "NaN"),
     # a missing directory once raised a bare FileNotFoundError
     "save_checkpoint-missing-directory": (
         lambda: save_checkpoint(_MLP, os.path.join(_MISSING_DIR, "m.ackpt")),

@@ -276,3 +276,41 @@ def test_hooked_points_share_each_chunks_contexts(monkeypatch):
         logs = _hook_logs([(None, s, None) for s in specs[:hooked]])
         assert logs[0] and all(log == logs[0] for log in logs)
     assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("samples", [2, 5])
+def test_vote_reads_range_rows_as_the_list_path_does(monkeypatch, samples):
+    # a (1, 4, 3) level block and 2 x 12 levels a run: 2 samples fit one
+    # run, which draws `rows` as given, and 5 are split into runs of 2, 2
+    # and 1. Range rows must total and hook as rows listed in reverse order
+    # over a reversed table do, whose draws take the fancy-index path
+    monkeypatch.setattr(macro, "_CHUNK_ELEMS", 24)
+    drawn, draw = [], macro.draw_noise
+
+    def spy(table, rows, shape, specs):
+        drawn.append(rows)
+        return draw(table, rows, shape, specs)
+    monkeypatch.setattr(macro, "draw_noise", spy)
+    cfgs = [MacroConfig(16, 4), MacroConfig(16, 6)]
+
+    def specs():
+        return [NoiseSpec(Sigma(0.6), Sigma(1.0, VPP), 11, Recorder()),
+                NoiseSpec(Sigma(0.3), seed=11, level_hook=Recorder(-0.5))]
+    v = np.random.default_rng(5).integers(0, 17, size=(1, 4, 3)).astype(
+        np.float32)
+    ctxs = [rng.RngContext(layer=2, tile=1, w_bit=4, sample=s)
+            for s in range(samples)]
+    tags = macro.noise_tags(specs())
+    by_range, by_list = specs(), specs()
+    got = macro.majority_vote_readout(
+        [v] * 2, samples, by_range, cfgs, range(samples),
+        rng.StreamTable(11, tags, [c.key() for c in ctxs]))
+    assert isinstance(drawn[0], range) == (samples == 2)
+    want = macro.majority_vote_readout(
+        [v] * 2, samples, by_list, cfgs, list(range(samples))[::-1],
+        rng.StreamTable(11, tags, [c.key() for c in ctxs[::-1]]))
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert _hook_logs([(None, s, None) for s in by_range]) == _hook_logs(
+        [(None, s, None) for s in by_list])
+    assert [c.sample for c in by_range[0].level_hook.seen] == list(
+        range(samples))

@@ -1,5 +1,6 @@
 """Determinism contract of the counter-based random streams."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -147,3 +148,65 @@ def test_philox_keys_rejects_word_outside_uint32(word, field):
 def test_philox_keys_rejects_negative_seed():
     with pytest.raises(DomainError, match="seed"):
         philox_keys(-1, [(0,) * 7])
+
+
+def _fresh(seed, table, rows, tag, shape):
+    """normal's draws rebuilt from a fresh `stream` per read position."""
+    size = math.prod(shape[1:])
+    return np.array([stream(seed, ctx, tag).standard_normal(size)
+                     for ctx in table.contexts(list(rows))]).reshape(shape)
+
+
+def _table(seed, n):
+    gen = np.random.default_rng(seed)
+    reads = gen.integers(0, 2**32, size=(n, 6), dtype=np.uint64).tolist()
+    return StreamTable(seed, [TAG_RANDOM, TAG_NONLIN, TAG_NAT], reads)
+
+
+ROW_CONTAINERS = [range(3, 9), range(1, 12, 3), range(10, 3, -2), range(0),
+                  range(5, 5), [5, 0, 5, 11], [], np.array([11, 2, 7, 2]),
+                  np.array([4], dtype=np.int32), np.array([], dtype=np.intp)]
+
+
+@pytest.mark.parametrize("rows", ROW_CONTAINERS, ids=repr)
+def test_normal_rows_equal_fresh_streams(rows):
+    seed = 2**40 + 9
+    table = _table(seed, 12)
+    n = len(rows)
+    # interleaved tags and shapes: each call starts every row afresh
+    for tail in ((), (2, 3), (0, 4), (3,), ()):
+        for tag in (TAG_NONLIN, TAG_RANDOM, TAG_NAT, TAG_NONLIN):
+            shape = (n, *tail)
+            got = normal(table, rows, tag, shape)
+            assert got.shape == shape
+            assert np.array_equal(got, _fresh(seed, table, rows, tag, shape))
+
+
+def test_read_after_a_generator_left_mid_buffer():
+    table = _table(3, 4)
+    gen = next(table.generators([1], TAG_RANDOM))
+    gen.integers(0, 2**32, size=3, dtype=np.uint32)   # odd: half a word left
+    state = gen.bit_generator.state
+    assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+    # the next stream's uint32s start on a whole word, its normals at the
+    # start of its first block
+    ctx = table.contexts([2])[0]
+    words = next(table.generators([2], TAG_NAT)).integers(
+        0, 2**32, size=3, dtype=np.uint32)
+    assert np.array_equal(words, stream(3, ctx, TAG_NAT).integers(
+        0, 2**32, size=3, dtype=np.uint32))
+    for rows in ([1, 2], range(1, 3)):
+        assert np.array_equal(normal(table, rows, TAG_RANDOM, (2, 5)),
+                              _fresh(3, table, rows, TAG_RANDOM, (2, 5)))
+        next(table.generators([0], TAG_NAT)).integers(
+            0, 2**32, size=1, dtype=np.uint32)
+
+
+@pytest.mark.parametrize("rows", [[4], [-1], [0, 4], [2, -1], range(4, 5),
+                                  range(-1, 2), range(3, 5), range(2, -2, -1),
+                                  range(0, 7, 3), np.array([4]),
+                                  np.array([-1, 0])], ids=repr)
+def test_rows_outside_the_table_raise_index_error(rows):
+    table = _table(5, 4)
+    with pytest.raises(IndexError):
+        normal(table, rows, TAG_RANDOM, len(rows))
