@@ -66,12 +66,12 @@ def _train_model(cfg: ExperimentConfig, train_set, test_set):
     return model, losses
 
 
-def _check_plans(cfg, modes, widths, signs, enc_section="macro"):
+def _check_plans(cfg, modes, widths, x_sign, enc_section="macro"):
     """Plan each mode at the widths of `widths` (a checkpoint, else the
-    config's [quant]) for each x signedness in `signs`: an enc_bits (from
+    config's [quant]) for x signedness `x_sign`: an enc_bits (from
     `enc_section`) above x_bits or a boundary past the plan's shift levels
     (plan_cycles names its key) exits 2 before any training or simulation."""
-    for mode, x_sign in itertools.product(dict.fromkeys(modes), signs):
+    for mode in dict.fromkeys(modes):
         if mode.enc_bits > widths.x_bits:
             raise ConfigError(
                 f"{cfg.path}: [{enc_section}] enc_bits: encoding width "
@@ -85,8 +85,9 @@ def _check_plans(cfg, modes, widths, signs, enc_section="macro"):
 
 def _model(cfg: ExperimentConfig, train_set, test_set, modes, enc_section):
     """The checkpoint, or the built-in model trained at [quant]'s widths,
-    once every mode plans at the model's widths for each layer's input (the
-    test inputs, then unsigned post-ReLU ones)."""
+    once every mode plans at its widths for unsigned inputs when the model
+    has several linear layers (a signed layout's shift levels hold the
+    unsigned one's), else for the test inputs' signedness."""
     model = None
     if cfg.checkpoint:
         if not os.path.exists(cfg.checkpoint):
@@ -94,9 +95,8 @@ def _model(cfg: ExperimentConfig, train_set, test_set, modes, enc_section):
                               f"no such file {cfg.checkpoint}")
         model = load_checkpoint(cfg.checkpoint)
     layers = 2 if model is None else len(model.linear_layers())
-    signs = {signedness_of(test_set[0])} | ({Signedness.UNSIGNED}
-                                          if layers > 1 else set())
-    _check_plans(cfg, modes, model or cfg, signs, enc_section)
+    sign = Signedness.UNSIGNED if layers > 1 else signedness_of(test_set[0])
+    _check_plans(cfg, modes, model or cfg, sign, enc_section)
     return model or _train_model(cfg, train_set, test_set)[0]
 
 
@@ -105,8 +105,8 @@ def _run_grid(cfg: ExperimentConfig, axes: dict, threads, meta):
     model at every point of the grid of `axes` (axis -> values, as
     cfg.sweep); no axes is the single point of the config as written.
     `meta` gets the model's widths, which are the checkpoint's, not
-    [quant]'s, when the config names one. engine_forward runs the points,
-    in lockstep groups per layer, whose runs map over `threads` threads."""
+    [quant]'s, when the config names one. engine_forward runs the points
+    in engine._simulate_grid's lockstep groups on `threads` threads."""
     grid = list(itertools.product(*axes.values()))
     points = [sweep_point(cfg.macro, cfg.noise, cfg.mode,
                           dict(zip(axes, values))) for values in grid]
@@ -153,7 +153,7 @@ def cmd_train(cfg: ExperimentConfig, args, meta):
 def _analysis_operands(cfg: ExperimentConfig, mode):
     """The seeded operands of csnr and distribution, once `mode` plans at
     [quant]'s widths, at which both quantize."""
-    _check_plans(cfg, [mode], cfg, [Signedness.TWOS_COMPLEMENT])
+    _check_plans(cfg, [mode], cfg, Signedness.TWOS_COMPLEMENT)
     a = cfg.analysis
     gen = rng.stream(cfg.noise.seed, rng.RngContext(), rng.TAG_DATA)
     act = gen.normal(size=(a.batch, a.in_dim))

@@ -14,13 +14,12 @@ their signed power-of-two shift weights in int64, its overflow bound checked
 first, so floating point enters only at the final rescale. A matmul keys
 all its noise streams in one rng.StreamTable, and every draw reads it by
 position, the one stream address of readout noise; RngContexts are built
-only for level hooks.
-The points of one plan class (macros that differ only in ADC precision, noise
-specs that share a seed) run in lockstep through one plan, table and chunk
-list, each chunk drawn once and read by every point in turn. Conv2d and
-attention lower onto simulate_matmul.
+only for level hooks. The points of one _simulate_grid group run in lockstep
+through one plan, table and chunk list, each chunk drawn once and read by
+every point in turn. Conv2d and attention lower onto simulate_matmul.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Optional
@@ -273,20 +272,17 @@ def simulate_matmul(act: QuantizedTensor, w: QuantizedTensor,
 def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
                      specs: list, mode: EngineMode, layer: int = 0,
                      out=None) -> list:
-    """simulate_matmul of several points of one plan class in lockstep.
+    """simulate_matmul of the points of one _simulate_grid group in lockstep.
 
-    Point p is the macro cfgs[p] with the noise specs[p]; the points share
-    rows, enc_bits and seed. `acts` holds one QuantizedTensor that every
-    point reads, or one per point, all of one shape, width and signedness.
-    Each chunk is read out once for all points (_read), and every point
-    applies its own count table and accumulator, with the ops and bytes of
-    running it alone. Returns one SimLayerResult per point; `out`, one
-    float64 [B, M] array per point, receives the outputs if given.
+    Point p is the macro cfgs[p] with the noise specs[p]. `acts` holds one
+    QuantizedTensor that every point reads, or one per point, each sharing
+    _simulate_grid's group key. Each chunk is read out once for all points
+    (_read), and every point applies its own count table and accumulator,
+    with the ops and bytes of running it alone. Returns one SimLayerResult
+    per point; `out`, one float64 [B, M] array per point, receives the
+    outputs if given.
     """
     owner = [0] * len(cfgs) if len(acts) == 1 else range(len(acts))
-    if len(owner) != len(cfgs) or len(specs) != len(cfgs):
-        raise ShapeError(f"{len(acts)} inputs and {len(specs)} noise specs "
-                         f"for {len(cfgs)} points")
     if w.codes.ndim != 2 or any(a.codes.ndim != 2 for a in acts):
         raise ShapeError("simulate_matmul expects 2-D operands")
     b, d = acts[0].shape
@@ -294,13 +290,7 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
     if d != d_w:
         raise ShapeError(f"inner dimensions differ: {d} vs {d_w}")
     x_bits, x_sign = acts[0].params.bits, acts[0].params.signedness
-    if any((a.shape, a.params.bits, a.params.signedness)
-           != ((b, d), x_bits, x_sign) for a in acts):
-        raise ShapeError("lockstep inputs differ in shape, bits or signedness")
     cfg, seed = cfgs[0], specs[0].seed
-    if any((c.rows, c.enc_bits, s.seed) != (cfg.rows, cfg.enc_bits, seed)
-           for c, s in zip(cfgs, specs)):
-        raise ConfigError("lockstep points must share rows, enc_bits and seed")
     if mode.enc_bits != cfg.enc_bits:
         raise ConfigError(
             f"mode enc_bits {mode.enc_bits} != macro enc_bits {cfg.enc_bits}")
@@ -378,6 +368,32 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
             digital_cycles=tiles * (len(entries) - analog),
             repeat_cycles=tiles * (plan.cycles_per_tile - len(entries))))
     return results
+
+
+def _simulate_grid(acts: list, w: QuantizedTensor, points: list, layer: int,
+                   threads: int, out: np.ndarray) -> list:
+    """One layer's simulate_matmul at every (macro, noise, mode) point, from
+    acts[0] or acts[p] into out[p]. The lockstep rule: points that match in
+    the key below run as one _simulate_points group; several groups map over
+    `threads` worker threads. Returns the results in point order."""
+    shared = len(acts) == 1
+    groups = {}
+    for p, (cfg, spec, mode) in enumerate(points):
+        a = acts[0 if shared else p]
+        groups.setdefault((cfg.rows, cfg.enc_bits, spec.seed, mode, a.shape,
+                           a.params.bits, a.params.signedness), []).append(p)
+
+    def run(idx):
+        return _simulate_points(
+            acts if shared else [acts[p] for p in idx], w,
+            [points[p][0] for p in idx], [points[p][1] for p in idx],
+            points[idx[0]][2], layer, out=[out[p] for p in idx])
+    results = {}
+    with ThreadPoolExecutor(threads) as pool:   # starts no thread until used
+        mapper = pool.map if threads > 1 and len(groups) > 1 else map
+        for idx, group in zip(groups.values(), mapper(run, groups.values())):
+            results.update(zip(idx, group))
+    return [results[p] for p in range(len(points))]
 
 
 def simulate_conv2d(act, w, stride: int, padding: int, bits,

@@ -194,12 +194,17 @@ def adc_readout(v, cfg: MacroConfig):
     estimate of the analog level in counts. In place on one float64 buffer,
     x + 0.5 is clamped to [0, 2^k - 1], where the int cast is floor: that is
     round-half-away-from-zero for x >= 0, and every negative x reads code 0.
+    A NaN level, which clip passes through, is a DomainError.
     """
     delta = cfg.lsb_counts
     x = np.asarray(np.divide(v, delta, dtype=np.float64))
     x += 0.5
     x.clip(0, (1 << cfg.adc_bits) - 1, out=x)
-    code = x.astype(np.int64)
+    try:
+        with np.errstate(invalid="raise"):
+            code = x.astype(np.int64)
+    except FloatingPointError:
+        raise DomainError("adc_readout levels hold NaN") from None
     return code, code * delta
 
 

@@ -8,14 +8,13 @@ and quantization uses the straight-through estimator.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import rng
-from .engine import _simulate_points, softmax
+from .engine import _simulate_grid, softmax
 from .errors import DataError, DomainError, ShapeError, TrainingError
 from .quant import Signedness, fake_quantize, quantize, signedness_of
 
@@ -251,13 +250,10 @@ def engine_forward(model: TinyModel, x, points: list,
 
     A point is a (macro, noise, mode) triple, as config.sweep_point builds.
     ReLU and bias stay in floating point; each layer re-quantizes its input
-    with quant.signedness_of. At each layer the points that share rows,
-    seed, mode (which holds enc_bits) and input signedness run in lockstep,
-    one engine._simulate_points call per group, and the groups map over
-    `threads` worker threads; a layer of one group runs on the calling
-    thread. Returns one (logits, layers) per point, equal to that point run
-    alone at any thread count; `layers` holds each linear layer's
-    SimLayerResult, output None (it fed the next layer).
+    with quant.signedness_of and runs in engine._simulate_grid's lockstep
+    groups on `threads` threads. Returns one (logits, layers) per point,
+    equal to that point run alone at any thread count; `layers` holds each
+    linear layer's SimLayerResult, output None (it fed the next layer).
     """
     if np.ndim(x) != 2:
         raise ShapeError(f"engine_forward expects x[B, D], got {np.shape(x)}")
@@ -267,28 +263,15 @@ def engine_forward(model: TinyModel, x, points: list,
 
     def matmul(a, layer, linear_index):
         w_q = quantize(layer.w, model.w_bits, Signedness.TWOS_COMPLEMENT)
-        shared = a.ndim == 2   # one input for every point
         acts = [quantize(a_p, model.x_bits, signedness_of(a_p))
-                for a_p in ([a] if shared else a)]
-        groups = {}
-        for p, (cfg, spec, mode) in enumerate(points):
-            sign = acts[0 if shared else p].params.signedness
-            groups.setdefault((cfg.rows, spec.seed, mode, sign), []).append(p)
+                for a_p in ([a] if a.ndim == 2 else a)]   # 2-D: all points'
         out = np.empty((len(points), a.shape[-2], layer.w.shape[1]))
-
-        def run(idx):
-            return _simulate_points(
-                acts if shared else [acts[p] for p in idx], w_q,
-                [points[p][0] for p in idx], [points[p][1] for p in idx],
-                points[idx[0]][2], linear_index, out=[out[p] for p in idx])
-        mapper = pool.map if threads > 1 and len(groups) > 1 else map
-        for idx, results in zip(groups.values(), mapper(run, groups.values())):
-            for p, res in zip(idx, results):
-                layers[p].append(replace(res, output=None))
+        for p, res in enumerate(_simulate_grid(acts, w_q, points, linear_index,
+                                               threads, out)):
+            layers[p].append(replace(res, output=None))
         return out
 
-    with ThreadPoolExecutor(threads) as pool:   # starts no thread until used
-        logits = _walk(model, x, matmul)
+    logits = _walk(model, x, matmul)
     if not model.linear_layers():   # x passed through, shared
         logits = [logits] * len(points)
     return list(zip(logits, layers))

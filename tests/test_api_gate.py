@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 from acimsim import (AcimError, CheckpointError, DataError, DomainError,
-                     QuantizedTensor, QuantParams, ShapeError, Signedness,
-                     TrainConfig, csnr_measure, csnr_variance_form,
-                     decompose_bits, evaluate_digital, forward_float,
-                     forward_qat, init_mlp, save_checkpoint,
-                     signedness_of, train)
+                     EngineMode, MacroConfig, NoiseSpec, QuantizedTensor,
+                     QuantParams, ShapeError, Signedness, TrainConfig,
+                     csnr_measure, csnr_variance_form, decompose_bits,
+                     evaluate_digital, forward_float, forward_qat, init_mlp,
+                     save_checkpoint, signedness_of, simulate_attention,
+                     simulate_conv2d, train)
+from acimsim.macro import adc_readout, majority_vote_readout
+from acimsim.models import engine_forward
 from acimsim.quant import CODE
 
 
@@ -31,6 +34,18 @@ def _train_on_label_7():
 # pass once fed to numpy's matmul
 _MLP, _WIDE = init_mlp([4, 8, 3], 0), np.ones((2, 5))
 _MISSING_DIR = os.path.join(os.path.dirname(__file__), "no-such-dir")
+# one macro, noise spec and mode for the engine probes
+_CFG, _SPEC, _MODE = MacroConfig(8, 5), NoiseSpec(seed=1), EngineMode()
+
+
+def _conv(act_shape, w_shape):
+    return simulate_conv2d(np.ones(act_shape), np.ones(w_shape), 1, 0, 4,
+                           _CFG, _SPEC, _MODE)
+
+
+def _attention(q_shape, k_shape, v_shape):
+    return simulate_attention(np.ones(q_shape), np.ones(k_shape),
+                              np.ones(v_shape), 4, _CFG, _SPEC, _MODE)
 
 PROBES = {
     "init_mlp-zero-width": (lambda: init_mlp([4, 0, 3], 1), ShapeError,
@@ -85,6 +100,31 @@ PROBES = {
     "signedness_of-nan": (
         lambda: signedness_of(np.array([math.nan, 1.0])), DomainError,
         "NaN"),
+    "simulate_conv2d-2d-act": (lambda: _conv((2, 3), (1, 2, 1, 1)),
+                               ShapeError, r"act\[C,H,W\]"),
+    "simulate_conv2d-3d-weight": (lambda: _conv((2, 3, 3), (2, 1, 1)),
+                                  ShapeError, r"w\[F,C,kh,kw\]"),
+    "simulate_attention-3d-q": (
+        lambda: _attention((2, 4, 1), (3, 4), (3, 2)), ShapeError,
+        "2-D q, k, v"),
+    "simulate_attention-1d-k": (lambda: _attention((2, 4), (4,), (3, 2)),
+                                ShapeError, "2-D q, k, v"),
+    "simulate_attention-3d-v": (
+        lambda: _attention((2, 4), (3, 4), (3, 2, 1)), ShapeError,
+        "2-D q, k, v"),
+    "engine_forward-3d-x": (
+        lambda: engine_forward(_MLP, np.ones((2, 2, 4)),
+                               [(_CFG, _SPEC, _MODE)]), ShapeError,
+        r"x\[B, D\]"),
+    # 3 stream rows for 2 samples of 2 leading rows, before any draw
+    "majority_vote_readout-row-count": (
+        lambda: majority_vote_readout([np.zeros((2, 3))], 2, [_SPEC], [_CFG],
+                                      range(3), None), ShapeError,
+        "3 stream rows for 2 samples"),
+    # a NaN level once read code -2^63 with a numpy RuntimeWarning
+    "adc_readout-nan": (
+        lambda: adc_readout(np.array([1.0, math.nan]), _CFG), DomainError,
+        "levels hold NaN"),
     # a missing directory once raised a bare FileNotFoundError
     "save_checkpoint-missing-directory": (
         lambda: save_checkpoint(_MLP, os.path.join(_MISSING_DIR, "m.ackpt")),

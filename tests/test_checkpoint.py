@@ -110,6 +110,19 @@ def test_rejects_trailing_bytes(tmp_path):
         load_checkpoint(path)
 
 
+def test_rejects_unknown_layer_kind(tmp_path):
+    path = tmp_path / "m.ackpt"
+    save_checkpoint(random_model(), path)
+    raw = bytearray(path.read_bytes())
+    import zlib
+    # the first layer's kind byte follows the header
+    raw[len(MAGIC) + struct.calcsize("<IHHddI")] = 7
+    payload = bytes(raw[len(MAGIC):-4])
+    path.write_bytes(MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
+    with pytest.raises(CheckpointError, match="unknown layer kind 7"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("w_bits, x_bits, name", [
     (1, 8, "w_bits"), (8, 17, "x_bits"), (0, 0, "w_bits")])
 def test_rejects_widths_outside_the_bit_range(tmp_path, capsys, w_bits,

@@ -1,17 +1,21 @@
 """End-to-end tests for the acim-sim command line driver.
 
 Everything runs in-process through main() so exit codes, stderr text, and
-report bytes can be checked without spawning subprocesses.
+report bytes can be checked without spawning subprocesses; only the test of
+PYTHONHASHSEED independence starts fresh interpreters.
 """
 
 import json
+import os
 import struct
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from acimsim import cli, models
+from acimsim import cli, engine
 from acimsim.checkpoint import load_checkpoint, save_checkpoint
 from acimsim.cli import main
 from acimsim.config import load_config
@@ -143,12 +147,12 @@ def test_sweep_grid_and_thread_determinism(tmp_path, monkeypatch):
     # thread
     cfg = write_config(tmp_path, BASE_INI + "\n[sweep]\n"
                        "adc_bits = 5, 7\nenc_bits = 1, 2\nnoise = 0.0, 0.5\n")
-    threads, simulate = {}, models._simulate_points
+    threads, simulate = {}, engine._simulate_points
 
     def recording_simulate(*args, **kw):
         threads.setdefault(run_threads, set()).add(threading.get_ident())
         return simulate(*args, **kw)
-    monkeypatch.setattr(models, "_simulate_points", recording_simulate)
+    monkeypatch.setattr(engine, "_simulate_points", recording_simulate)
     for run_threads, out in (("1", "a"), ("4", "b")):
         assert run("sweep", cfg, tmp_path / out, "--threads", run_threads) == 0
     assert threads["1"] == {threading.get_ident()}
@@ -162,6 +166,38 @@ def test_sweep_grid_and_thread_determinism(tmp_path, monkeypatch):
     grid = {tuple(r[:3]) for r in payload["results"]}
     assert grid == {(a, y, n) for a in (5, 7) for y in (1, 2)
                     for n in (0.0, 0.5)}
+
+
+def test_sweep_without_a_sweep_section_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert run("sweep", cfg, tmp_path / "out") == 2
+    assert (f"acim-sim: config error: {cfg}: sweep needs a [sweep] section"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_plan_error_is_the_same_under_every_hash_seed(tmp_path):
+    # modes were once planned for each signedness in a set of enum members,
+    # which iterates in PYTHONHASHSEED order: this config named 15 shift
+    # levels (signed) under some seeds and 14 (unsigned) under others
+    text = BASE_INI.replace("rows = 32\n", "rows = 64\nenc_bits = 2\n") \
+        .replace("w_bits = 4\nx_bits = 4", "w_bits = 8\nx_bits = 8") \
+        + "\n[mode]\nhybrid_boundary = 100\n"
+    cfg = write_config(tmp_path, text)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    errs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep
+                   .join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "acimsim.cli", "simulate", "--config", cfg,
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        errs.append(proc.stderr)
+    assert errs[0] == errs[1]
+    assert ("[mode] hybrid_boundary: hybrid boundary 100 outside the 14 "
+            "shift levels") in errs[0]
 
 
 def _bad_sweep_exits_2_before_training(tmp_path, capsys, monkeypatch,
@@ -389,6 +425,18 @@ def test_empty_idx_images_exit_3(tmp_path, capsys):
     assert run("simulate", write_config(tmp_path, text), tmp_path / "out") == 3
     assert (f"acim-sim: error: {tmp_path / 'images.idx'}: IDX file holds no "
             "images" in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_idx_images_exit_2(tmp_path, capsys):
+    _write_idx(tmp_path / "labels.idx", np.zeros(60))
+    missing = tmp_path / "images.idx"
+    text = BASE_INI.replace("[data]\n", f"[data]\nimages = {missing}\n"
+                            f"labels = {tmp_path / 'labels.idx'}\n")
+    cfg = write_config(tmp_path, text)
+    assert run("simulate", cfg, tmp_path / "out") == 2
+    assert (f"acim-sim: config error: {cfg}: [data] images: no such file "
+            f"{missing}" in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 

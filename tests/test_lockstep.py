@@ -1,10 +1,10 @@
-"""Lockstep grids: the points of a plan class walk the layers together and
+"""Lockstep grids: the points of one group walk the layers together and
 share each noise chunk's draws, yet every point must come out exactly as it
 does alone.
 
-`engine_forward` groups (macro, noise, mode) points at each layer by (rows,
-seed, mode, input signedness) and runs each group through one
-`engine._simulate_points` call; a layer's groups map over worker threads.
+`engine_forward` runs each layer through `engine._simulate_grid`, whose key
+groups the (macro, noise, mode) points; each group is one
+`engine._simulate_points` call, and a layer's groups map over worker threads.
 Every point's logits must be `array_equal`, and its per-layer results equal,
 to `engine_forward` on that point alone, at any thread count, and every
 point's level hook must see its solo RngContext sequence.
@@ -16,11 +16,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from acimsim import engine, macro, models, rng
-from acimsim.engine import EngineMode, VotingSpec, plan_cycles
+from acimsim import engine, macro, rng
+from acimsim.engine import EngineMode, SimLayerResult, VotingSpec, plan_cycles
 from acimsim.errors import ConfigError, DomainError
 from acimsim.macro import MacroConfig, NoiseSpec, NoiseUnit, Sigma
-from acimsim.models import LinearLayer, TinyModel, engine_forward, init_mlp
+from acimsim.models import (LinearLayer, Relu, TinyModel, engine_forward,
+                            init_mlp)
 from acimsim.quant import Signedness, quantize
 from streams import vote_at
 
@@ -154,12 +155,12 @@ def test_lockstep_draws_each_chunk_once(monkeypatch):
 def _recording_calls(monkeypatch):
     """Log (thread, layer, mode, point count) of every _simulate_points
     call engine_forward makes."""
-    calls, simulate = [], models._simulate_points
+    calls, simulate = [], engine._simulate_points
 
     def recording(acts, w, cfgs, specs, mode, layer, **kw):
         calls.append((threading.get_ident(), layer, mode, len(cfgs)))
         return simulate(acts, w, cfgs, specs, mode, layer, **kw)
-    monkeypatch.setattr(models, "_simulate_points", recording)
+    monkeypatch.setattr(engine, "_simulate_points", recording)
     return calls
 
 
@@ -189,12 +190,71 @@ def test_workers_start_only_for_layers_of_several_groups(monkeypatch):
 
 
 def test_macro_and_mode_enc_bits_must_agree():
-    # the group key reads enc_bits from the mode; a point whose macro holds
-    # another enc_bits lands in a group all the same, and the engine refuses
+    # the group key holds the macro's enc_bits and the mode, so a point
+    # whose macro holds another enc_bits than its mode is a group of its
+    # own, which the engine refuses wherever the point stands in the grid
     model = init_mlp([6, 3], seed=1)
-    point = (MacroConfig(8, 5, 2), NoiseSpec(seed=1), EngineMode(enc_bits=1))
-    with pytest.raises(ConfigError, match="mode enc_bits 1 != macro enc_bits"):
-        engine_forward(model, np.ones((2, 6)), [point])
+    mode = EngineMode(enc_bits=1)
+    for position in (0, 1):
+        points = [(MacroConfig(8, 5), NoiseSpec(seed=1), mode)] * 2
+        points.insert(position, (MacroConfig(8, 5, 2), NoiseSpec(seed=1),
+                                 mode))
+        for threads in (1, 2):
+            with pytest.raises(ConfigError,
+                               match="mode enc_bits 1 != macro enc_bits 2"):
+                engine_forward(model, np.ones((2, 6)), points, threads)
+
+
+def test_mixed_mode_grid_equals_every_point_alone(monkeypatch):
+    # the paper's remedies as one grid on the sweep config's 16-64-3 MLP:
+    # each mode is its own group, so each layer maps six groups over the
+    # threads, and each point costs what its plans count
+    model = init_mlp([16, 64, 3], seed=3)
+    x = np.random.default_rng(8).normal(size=(8, 16))
+    modes = [EngineMode(), *(EngineMode(hybrid_boundary=h) for h in (1, 2, 3)),
+             EngineMode(voting=VotingSpec(2, 3)),
+             EngineMode(voting=VotingSpec(3, 5))]
+
+    def grid():
+        return [(MacroConfig(256, 8), NoiseSpec(Sigma(1.0), seed=4,
+                                                level_hook=Recorder()), mode)
+                for mode in modes]
+    solo_points = grid()
+    solo = [engine_forward(model, x, [point])[0] for point in solo_points]
+    calls = _recording_calls(monkeypatch)
+    for threads in (1, 2):
+        calls.clear()
+        run_points = grid()
+        _assert_same(engine_forward(model, x, run_points, threads), solo,
+                     threads)
+        assert _hook_logs(run_points) == _hook_logs(solo_points), threads
+        assert sorted((layer, n) for _, layer, _, n in calls) == [
+            (layer, 1) for layer in (0, 1) for _ in modes]
+        on_caller = {t for t, *_ in calls} == {threading.get_ident()}
+        assert on_caller == (threads == 1)
+    nets = [SimLayerResult.compose(layers, None) for _, layers in solo]
+    # layer 0 reads the signed input, layer 1 the unsigned ReLU output
+    for mode, net in zip(modes, nets):
+        plans = [plan_cycles(8, 8, sign, Signedness.TWOS_COMPLEMENT, mode)
+                 .entries for sign in (Signedness.TWOS_COMPLEMENT,
+                                       Signedness.UNSIGNED)]
+        assert net.total_cycles == sum(int(e.oversample.sum()) for e in plans)
+        assert net.analog_ratio == (sum(int(e.analog.sum()) for e in plans)
+                                    / sum(len(e) for e in plans))
+    assert [net.total_cycles for net in nets] == [128] * 4 + [140, 176]
+    assert [round(net.analog_ratio, 3) for net in nets] == [
+        1.0, 0.984, 0.953, 0.906, 1.0, 1.0]
+
+
+def test_a_model_without_linear_layers_returns_each_points_input():
+    x = np.array([[-1.0, 2.0], [3.0, -4.0]])
+    points = [(MacroConfig(8, k), NoiseSpec(seed=1), EngineMode())
+              for k in (3, 5)]
+    for layers, want in (([], x), ([Relu()], np.maximum(x, 0.0))):
+        got = engine_forward(TinyModel(layers), x, points, threads=2)
+        assert len(got) == 2
+        for logits, results in got:
+            assert np.array_equal(logits, want) and results == []
 
 
 def test_points_quantized_with_different_signedness_split():
