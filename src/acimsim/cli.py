@@ -18,7 +18,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, load_config, sweep_point
 from .data import MIN_SAMPLES, load_idx, make_blobs, train_test_split
 from .engine import EngineMode, SimLayerResult, plan_cycles, simulate_matmul
-from .errors import AcimError, ConfigError, DataError
+from .errors import AcimError, ConfigError, DataError, check_int
 from .macro import NOISELESS
 from .metrics import csnr_measure, csnr_variance_form, linearity_sweep, \
     mac_distribution
@@ -239,10 +239,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.monotonic()
     try:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        check_int(args.threads, "--threads", ConfigError, 1)
+        if args.seed is not None:
+            check_int(args.seed, "--seed", ConfigError, 0)
         cfg = load_config(args.config, seed=args.seed)
         meta = {"tool_version": __version__, "command": args.command,
                 "config_path": os.path.basename(args.config),

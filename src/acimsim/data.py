@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_int
 
 _IDX_DTYPES = {
     0x08: np.dtype(">u1"),
@@ -20,9 +20,8 @@ MIN_SAMPLES = 3
 
 def check_blobs(samples: int, features: int, classes: int) -> None:
     """Raise DataError unless make_blobs can draw this data."""
-    for name, value in (("features", features), ("classes", classes)):
-        if value < 1:
-            raise DataError(f"{name} must be >= 1, got {value}")
+    check_int(features, "features", DataError, 1)
+    check_int(classes, "classes", DataError, 1)
     need = max(classes, MIN_SAMPLES)
     if samples < need:
         raise DataError(f"need at least {need} samples, got {samples}")

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import macro
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError, check_int
 from .macro import (MacroConfig, NoiseSpec, adc_readout, apply_noise,
                     count_table, draw_noise, majority_vote_readout,
                     noise_tags)
@@ -48,10 +48,8 @@ class VotingSpec:
     samples: int
 
     def __post_init__(self):
-        for name, value in (("boundary", self.boundary),
-                            ("samples", self.samples)):
-            if value < 1:
-                raise ConfigError(f"voting_{name} must be >= 1, got {value}")
+        for name in ("boundary", "samples"):
+            check_int(getattr(self, name), f"voting_{name}", ConfigError, 1)
 
 
 @dataclass(frozen=True)
@@ -67,8 +65,10 @@ class EngineMode:
     voting: Optional[VotingSpec] = None
 
     def __post_init__(self):
-        if self.enc_bits < 1:
-            raise ConfigError(f"enc_bits must be >= 1, got {self.enc_bits}")
+        check_int(self.enc_bits, "enc_bits", ConfigError, 1)
+        if self.hybrid_boundary is not None:   # _level_cut checks its range
+            check_int(self.hybrid_boundary, "hybrid_boundary", ConfigError,
+                      None)
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,12 @@ class SimLayerResult:
 
 
 def _bit_pair(bits) -> tuple:
-    return tuple(map(int, bits if isinstance(bits, tuple) else (bits, bits)))
+    """(w_bits, x_bits) of an int or a pair, as given: quantize checks each."""
+    pair = bits if isinstance(bits, tuple) else (bits, bits)
+    if len(pair) != 2:
+        raise DomainError(f"bits must be an int or a (w_bits, x_bits) pair, "
+                          f"got {bits!r}")
+    return pair
 
 
 def _stream_table(entries: np.ndarray, tiles: int, layer: int, seed: int,
@@ -182,8 +187,7 @@ def _stream_table(entries: np.ndarray, tiles: int, layer: int, seed: int,
     per tile, each analog entry of `entries` once per oversample, keyed as
     RngContext(layer, tile, w_bit, act_group, 0, sample) with every tag of
     `tags` (none for a silent run, whose reads only a level hook sees)."""
-    if not 0 <= layer <= 0xFFFFFFFF:
-        raise DomainError(f"spawn layer must lie in [0, 2^32), got {layer}")
+    check_int(layer, "spawn layer", DomainError, 0, 0xFFFFFFFF)
     analog = entries[entries["analog"]]
     samples = analog["oversample"]
     n = int(samples.sum())

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by every module."""
+"""Exception hierarchy shared by every module, and the one integer rule."""
+
+import operator
 
 
 class AcimError(Exception):
@@ -27,3 +29,19 @@ class CheckpointError(AcimError):
 
 class TrainingError(AcimError):
     """Training failed (for example the loss diverged)."""
+
+
+def check_int(value, name: str, error: type, low, high=None) -> int:
+    """`value` as an int, else `error` naming `name`. An integer is what
+    operator.index accepts (Python and numpy ints, not floats); it lies in
+    [low, high], or is >= low when high is None. A low of None checks the
+    type alone."""
+    try:
+        v = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if high is not None and not low <= v <= high:
+        raise error(f"{name} must be in [{low}, {high}], got {v}")
+    if low is not None and v < low:
+        raise error(f"{name} must be >= {low}, got {v}")
+    return v

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError, check_int
 from .tensor import round_half_away
 
 # Engine cap in levels: a float64 temporary of 2^14 levels is 128 KiB.
@@ -58,12 +58,9 @@ class MacroConfig:
     enc_bits: int = 1
 
     def __post_init__(self):
-        if self.rows < 1:
-            raise ConfigError(f"rows must be >= 1, got {self.rows}")
-        if not (1 <= self.adc_bits <= 16):
-            raise ConfigError(f"adc_bits must be in [1, 16], got {self.adc_bits}")
-        if self.enc_bits < 1:
-            raise ConfigError(f"enc_bits must be >= 1, got {self.enc_bits}")
+        check_int(self.rows, "rows", ConfigError, 1)
+        check_int(self.adc_bits, "adc_bits", ConfigError, 1, 16)
+        check_int(self.enc_bits, "enc_bits", ConfigError, 1)
         # the engine computes levels with float32 GEMMs, exact below 2^24;
         # rows >= 1, so enc_bits > 24 is over it without forming 2^enc_bits
         if self.enc_bits > 24 or self.full_scale_counts >= 1 << 24:
@@ -102,8 +99,7 @@ class NoiseSpec:
     level_hook: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        check_int(self.seed, "seed", DomainError, 0)
 
     @property
     def silent(self) -> bool:
@@ -232,8 +228,7 @@ def majority_vote_readout(vs: list, samples: int, specs: list, cfgs: list,
     sample is read out by one adc_readout call over all rows; draw_noise
     builds a run's RngContexts once for all points.
     """
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples}")
+    check_int(samples, "samples", DomainError, 1)
     points = [np.asarray(v) for v in vs]
     shape = points[0].shape
     if not shape or len(rows) != shape[0] * samples:

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import macro, rng
 from .engine import EngineMode, _read, simulate_matmul
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, check_int
 from .macro import MacroConfig, NoiseSpec, noise_tags
 from .quant import QuantizedTensor
 
@@ -48,12 +48,7 @@ def csnr_measure(ideal, simulated) -> CsnrReport:
     _check_finite(("ideal", y), ("simulated", y_hat))
     signal = float(np.sum(y * y))
     noise = float(np.sum((y - y_hat) ** 2))
-    if noise == 0:
-        db = math.inf
-    elif signal == 0:
-        db = -math.inf
-    else:
-        db = _to_db(signal / noise)
+    db = _to_db(math.inf if noise == 0 else signal / noise)
     return CsnrReport(db, signal, noise, y.size)
 
 
@@ -167,8 +162,8 @@ def linearity_sweep(cfg: MacroConfig, spec: NoiseSpec, trials: int,
     samples > 1 each trial is a majority vote and the statistics are taken
     on the vote before final rounding, which is what accumulation sees.
     """
-    if trials < 100:
-        raise DomainError(f"linearity_sweep needs trials >= 100, got {trials}")
+    check_int(trials, "trials", DomainError, 100)
+    check_int(samples, "samples", DomainError, 1)
     n_fs = cfg.full_scale_counts
     if levels is None:   # every level, or 257 spread over the full scale
         levels = np.unique(np.linspace(0, n_fs, min(n_fs, 256) + 1).round())

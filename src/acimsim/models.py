@@ -15,7 +15,8 @@ import numpy as np
 
 from . import rng
 from .engine import _simulate_grid, softmax
-from .errors import DataError, DomainError, ShapeError, TrainingError
+from .errors import (DataError, DomainError, ShapeError, TrainingError,
+                     check_int)
 from .quant import Signedness, fake_quantize, quantize, signedness_of
 
 
@@ -53,15 +54,12 @@ class TrainConfig:
     def __post_init__(self):
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise TrainingError(f"lr must be finite and > 0, got {self.lr}")
-        if self.epochs < 1:
-            raise TrainingError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch < 1:
-            raise TrainingError(f"batch must be >= 1, got {self.batch}")
+        check_int(self.epochs, "epochs", TrainingError, 1)
+        check_int(self.batch, "batch", TrainingError, 1)
         if not (math.isfinite(self.nat_sigma) and self.nat_sigma >= 0):
             raise TrainingError(f"nat_sigma must be finite and >= 0, got "
                                 f"{self.nat_sigma}")
-        if self.seed < 0:
-            raise TrainingError(f"seed must be >= 0, got {self.seed}")
+        check_int(self.seed, "seed", TrainingError, 0)
 
 
 def init_mlp(dims: list, seed: int, w_bits: int = 8,
@@ -69,8 +67,7 @@ def init_mlp(dims: list, seed: int, w_bits: int = 8,
     """He-initialized MLP at the given widths, ReLU between linear layers."""
     if any(d < 1 for d in dims):
         raise ShapeError(f"dims must all be >= 1, got {list(dims)}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    check_int(seed, "seed", DomainError, 0)
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     layers = []
     for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
@@ -257,8 +254,7 @@ def engine_forward(model: TinyModel, x, points: list,
     """
     if np.ndim(x) != 2:
         raise ShapeError(f"engine_forward expects x[B, D], got {np.shape(x)}")
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
+    check_int(threads, "threads", DomainError, 1)
     layers = [[] for _ in points]
 
     def matmul(a, layer, linear_index):

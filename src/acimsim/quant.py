@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .tensor import round_half_away
 
 BIT_RANGE = (2, 16)   # the code widths a tensor may be quantized at
@@ -20,9 +20,8 @@ CODE = np.int32       # dtype of codes and bit fields; holds all of BIT_RANGE
 
 
 def check_bits(bits: int, error: type, name: str) -> None:
-    """Raise `error`, naming `name`, unless `bits` lies in BIT_RANGE."""
-    if not BIT_RANGE[0] <= bits <= BIT_RANGE[1]:
-        raise error(f"{name} must be in {list(BIT_RANGE)}, got {bits}")
+    """Raise `error`, naming `name`, unless `bits` is an int in BIT_RANGE."""
+    check_int(bits, name, error, *BIT_RANGE)
 
 
 class Signedness(Enum):
@@ -163,10 +162,7 @@ def group_layout(bits: int, signedness: Signedness, y: int) -> list:
     codes the sign bit is emitted last as its own width-1 group and carries
     weight -2^(bits-1).
     """
-    if y < 1:
-        raise DomainError(f"encoding width must be >= 1, got {y}")
-    if y > bits:
-        raise DomainError(f"encoding width {y} exceeds bit width {bits}")
+    check_int(y, "encoding width", DomainError, 1, bits)
     body = bits - 1 if signedness is Signedness.TWOS_COMPLEMENT else bits
     layout = []
     pos = 0

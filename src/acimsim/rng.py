@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, check_int
 
 # Source tags keep independent noise sources statistically independent even
 # when they share the same simulation coordinates.
@@ -52,8 +52,7 @@ def stream(seed: int, ctx: RngContext, tag: int) -> np.random.Generator:
     Philox is counter based: distinct spawn keys give independent streams and
     identical keys replay identical draws, independent of thread schedule.
     """
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    check_int(seed, "seed", DomainError, 0)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(tag, *ctx.key()))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -134,8 +133,7 @@ def philox_keys(seed: int, spawn) -> np.ndarray:
     the key `Philox(SeedSequence(...))` uses. Every spawn word must lie in
     [0, 2^32); numpy would split a larger one into several words.
     """
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    seed = check_int(seed, "seed", DomainError, 0)
     words = _spawn_words(spawn)
     pool = np.random.SeedSequence(seed).pool[:, None]
     # numpy took 16 hash calls to fill the pool with the seed's n 32-bit

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ShapeError
+from .errors import ShapeError, check_int
 
 
 def round_half_away(x):
@@ -30,8 +30,8 @@ class Shape2D:
     cols: int
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ShapeError(f"invalid 2-D shape {self.rows}x{self.cols}")
+        for name in ("rows", "cols"):
+            check_int(getattr(self, name), name, ShapeError, 1)
 
 
 def im2col(input: np.ndarray, kernel: Shape2D, stride: int = 1,
@@ -41,10 +41,8 @@ def im2col(input: np.ndarray, kernel: Shape2D, stride: int = 1,
     Row r holds the flattened receptive field of output position r (row-major
     over output positions); zero padding outside the input bounds.
     """
-    if stride < 1:
-        raise ShapeError(f"stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise ShapeError(f"padding must be >= 0, got {padding}")
+    check_int(stride, "stride", ShapeError, 1)
+    check_int(padding, "padding", ShapeError, 0)
     x = np.asarray(input)
     if x.ndim != 3:
         raise ShapeError(f"im2col expects [C,H,W], got shape {x.shape}")

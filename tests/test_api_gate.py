@@ -8,13 +8,16 @@ import os
 import numpy as np
 import pytest
 
-from acimsim import (AcimError, CheckpointError, DataError, DomainError,
-                     EngineMode, MacroConfig, NoiseSpec, QuantizedTensor,
-                     QuantParams, ShapeError, Signedness, TrainConfig,
+from acimsim import (AcimError, CheckpointError, ConfigError, DataError,
+                     DomainError, EngineMode, MacroConfig, NoiseSpec,
+                     QuantizedTensor, QuantParams, ShapeError, Sigma,
+                     Signedness, TrainConfig, TrainingError, VotingSpec,
                      csnr_measure, csnr_variance_form, decompose_bits,
                      evaluate_digital, forward_float, forward_qat, init_mlp,
-                     save_checkpoint, signedness_of, simulate_attention,
-                     simulate_conv2d, train)
+                     linearity_sweep, quantize, save_checkpoint,
+                     signedness_of, simulate_attention, simulate_conv2d,
+                     simulate_matmul, train)
+from acimsim.errors import check_int
 from acimsim.macro import adc_readout, majority_vote_readout
 from acimsim.models import engine_forward
 from acimsim.quant import CODE
@@ -38,8 +41,8 @@ _MISSING_DIR = os.path.join(os.path.dirname(__file__), "no-such-dir")
 _CFG, _SPEC, _MODE = MacroConfig(8, 5), NoiseSpec(seed=1), EngineMode()
 
 
-def _conv(act_shape, w_shape):
-    return simulate_conv2d(np.ones(act_shape), np.ones(w_shape), 1, 0, 4,
+def _conv(act_shape, w_shape, bits=4):
+    return simulate_conv2d(np.ones(act_shape), np.ones(w_shape), 1, 0, bits,
                            _CFG, _SPEC, _MODE)
 
 
@@ -125,6 +128,49 @@ PROBES = {
     "adc_readout-nan": (
         lambda: adc_readout(np.array([1.0, math.nan]), _CFG), DomainError,
         "levels hold NaN"),
+    # non-integer and out-of-range integer arguments (errors.check_int).
+    # Each float below once ran truncated or silently (a 2-sample vote, a
+    # 1-thread grid, an 8-bit conv) or ended in a bare TypeError
+    "MacroConfig-float-rows": (lambda: MacroConfig(16.5, 6), ConfigError,
+                               "rows must be an integer, got 16.5"),
+    "MacroConfig-float-adc_bits": (lambda: MacroConfig(16, 6.5), ConfigError,
+                                   "adc_bits must be an integer, got 6.5"),
+    "VotingSpec-float-samples": (
+        lambda: VotingSpec(2, 2.5), ConfigError,
+        "voting_samples must be an integer, got 2.5"),
+    "EngineMode-float-hybrid_boundary": (
+        lambda: EngineMode(hybrid_boundary=1.5), ConfigError,
+        "hybrid_boundary must be an integer, got 1.5"),
+    "NoiseSpec-float-seed": (lambda: NoiseSpec(seed=1.5), DomainError,
+                             "seed must be an integer, got 1.5"),
+    "TrainConfig-float-epochs": (lambda: TrainConfig(epochs=1.5),
+                                 TrainingError,
+                                 "epochs must be an integer, got 1.5"),
+    "engine_forward-float-threads": (
+        lambda: engine_forward(_MLP, np.ones((2, 4)), [(_CFG, _SPEC, _MODE)],
+                               threads=1.5), DomainError,
+        "threads must be an integer, got 1.5"),
+    "quantize-float-bits": (
+        lambda: quantize(np.ones(3), 8.0, Signedness.TWOS_COMPLEMENT),
+        DomainError, "bits must be an integer, got 8.0"),
+    # 0 samples once raised ShapeError about stream rows, -1 numpy's
+    # ValueError, and 2.5 a bare TypeError
+    "linearity_sweep-zero-samples": (
+        lambda: linearity_sweep(_CFG, _SPEC, 100, samples=0), DomainError,
+        "samples must be >= 1, got 0"),
+    "linearity_sweep-negative-samples": (
+        lambda: linearity_sweep(_CFG, _SPEC, 100, samples=-1), DomainError,
+        "samples must be >= 1, got -1"),
+    "linearity_sweep-float-samples": (
+        lambda: linearity_sweep(_CFG, _SPEC, 100, samples=2.5), DomainError,
+        "samples must be an integer, got 2.5"),
+    "simulate_conv2d-float-bits": (
+        lambda: _conv((1, 3, 3), (1, 1, 1, 1), 8.5), DomainError,
+        "bits must be an integer, got 8.5"),
+    # a one-width tuple once failed to unpack
+    "simulate_conv2d-one-width-bits": (
+        lambda: _conv((1, 3, 3), (1, 1, 1, 1), (8,)), DomainError,
+        r"bits must be an int or a \(w_bits, x_bits\) pair, got \(8,\)"),
     # a missing directory once raised a bare FileNotFoundError
     "save_checkpoint-missing-directory": (
         lambda: save_checkpoint(_MLP, os.path.join(_MISSING_DIR, "m.ackpt")),
@@ -147,3 +193,37 @@ def test_integer_valued_float_codes_are_accepted():
     assert q.codes.dtype == CODE and q.codes.tolist() == [-3, 0, 7]
     codes = np.arange(-3, 4, dtype=CODE)
     assert QuantizedTensor(codes, params).codes is codes
+
+
+def test_numpy_ints_are_integers():
+    cfg = MacroConfig(np.int64(16), 6)
+    assert cfg == MacroConfig(16, 6) and cfg.full_scale_counts == 16
+    # a numpy seed once passed NoiseSpec and failed keying its streams
+    act = quantize(np.ones((2, 8)), 4, Signedness.UNSIGNED)
+    w = quantize(np.ones((8, 2)), 4, Signedness.TWOS_COMPLEMENT)
+    outs = [simulate_matmul(act, w, cfg, NoiseSpec(Sigma(0.5), seed=seed),
+                            _MODE).output for seed in (np.int64(3), 3)]
+    assert np.array_equal(*outs)
+
+
+@pytest.mark.parametrize("value, low, high, message", [
+    (0, 1, None, "n must be >= 1, got 0"),
+    (np.int8(-1), 0, None, "n must be >= 0, got -1"),
+    (17, 1, 16, "n must be in [1, 16], got 17"),
+    (0, 1, 16, "n must be in [1, 16], got 0"),
+    (2.0, 1, None, "n must be an integer, got 2.0"),
+    (np.float64(2.0), None, None, "n must be an integer, got "),
+    ("2", 1, None, "n must be an integer, got '2'"),
+    (None, 1, None, "n must be an integer, got None"),
+])
+def test_check_int_messages(value, low, high, message):
+    with pytest.raises(ShapeError) as err:
+        check_int(value, "n", ShapeError, low, high)
+    assert str(err.value).startswith(message)
+
+
+def test_check_int_returns_a_python_int():
+    for value in (5, np.int64(5), np.uint32(5)):
+        got = check_int(value, "n", ShapeError, 0, 5)
+        assert got == 5 and type(got) is int
+    assert check_int(-3, "n", ShapeError, None) == -3
