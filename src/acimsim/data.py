@@ -20,6 +20,7 @@ MIN_SAMPLES = 3
 
 def check_blobs(samples: int, features: int, classes: int) -> None:
     """Raise DataError unless make_blobs can draw this data."""
+    check_int(samples, "samples", DataError, None)
     check_int(features, "features", DataError, 1)
     check_int(classes, "classes", DataError, 1)
     need = max(classes, MIN_SAMPLES)
@@ -35,6 +36,7 @@ def make_blobs(samples: int, features: int, classes: int, seed: int,
     the class margin is controlled by 2 / spread.
     """
     check_blobs(samples, features, classes)
+    check_int(seed, "seed", DataError, 0)
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     centers = gen.normal(size=(classes, features))
     centers *= 2.0 / np.linalg.norm(centers, axis=1, keepdims=True)

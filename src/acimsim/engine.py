@@ -11,12 +11,21 @@ one GEMM per run of DAC words); the levels are read out in runs of plan
 entries by _read, which walks runs of rows. No buffer of a group outlives it.
 A count table maps ADC codes to integer counts, which accumulate with
 their signed power-of-two shift weights in int64, its overflow bound checked
-first, so floating point enters only at the final rescale. A matmul keys
-all its noise streams in one rng.StreamTable, and every draw reads it by
-position, the one stream address of readout noise; RngContexts are built
-only for level hooks. The points of one _simulate_grid group run in lockstep
-through one plan, table and chunk list, each chunk drawn once and read by
-every point in turn. Conv2d and attention lower onto simulate_matmul.
+first, so floating point enters only at the final rescale. A single-sample
+analog entry of weight w = sign << shift reads its codes through the count
+table times w, which is exact: table_w[code] = count(code) * w is the int64
+that a multiply after the lookup gives (the bound covers every product), so
+one gather and one add replace a lookup, a multiply and an add. A point
+builds the tables of a run of a chunk and drops them with the run, and only
+where a table is no longer than an entry's codes in the run, so a table
+costs no more time or bytes than the multiply it saves; elsewhere (a 15- or
+16-bit ADC, as a run holds 2^14 levels unless one row is longer) codes take
+the count table, then the weight. A matmul keys all its noise streams in
+one rng.StreamTable, and every draw reads it by position, the one stream
+address of readout noise; RngContexts are built only for level hooks. The
+points of one _simulate_grid group run in lockstep through one plan, table
+and chunk list, each chunk drawn once and read by every point in turn.
+Conv2d and attention lower onto simulate_matmul.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -310,18 +319,18 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
     chunks = [list(_readout_chunks(g["analog"].tolist(),
                                    g["oversample"].tolist(), b * m))
               for g in groups]
-    weights = (groups["sign"] << groups["shift"]).tolist()
+    weights = groups["sign"] << groups["shift"]   # int64 [groups, Q]
     tile_starts = range(0, d, cfg.rows)
     tiles = len(tile_starts)
     # each count accumulated, a count table entry, vote average or digital
     # level, is at most full_scale_counts, so this bounds every |accum|
-    if tiles * cfg.full_scale_counts * sum(
-            abs(x) for ws in weights for x in ws) >= 1 << 63:
+    if tiles * cfg.full_scale_counts * int(np.abs(weights).sum()) >= 1 << 63:
         raise ConfigError(
             f"{q_bits}b weights x {x_bits}b activations over {tiles} tiles "
             f"of {cfg.rows} rows can overflow the int64 accumulator")
     # per point: its count table and accumulator
-    points = [(count_table(c), np.zeros((b, m), dtype=np.int64)) for c in cfgs]
+    luts = [count_table(c) for c in cfgs]
+    accums = [np.zeros((b, m), dtype=np.int64) for _ in cfgs]
     # the table lists the reads in the order the loop below takes them
     table = _stream_table(groups.ravel(), tiles, layer, seed,
                           noise_tags(specs))
@@ -345,26 +354,31 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
                           for p, o in enumerate(owner)
                           for r0, r1 in macro.runs(b, (hi - lo) * m))
                 for p, r0, r1, x in xs:
+                    accum = accums[p][r0:r1]
+                    if analog and samples == 1 and luts[p].size <= x[0].size:
+                        # codes read their weighted counts (module docstring)
+                        folded = np.multiply.outer(weights[g, lo:hi], luts[p])
+                        for counts, codes in zip(folded, x):
+                            accum += counts[codes]
+                        continue
                     # x becomes the run's counts: no codes outlive their use
-                    lut, accum = points[p]
                     if not analog:
                         x = x.astype(np.int64)
                     elif samples > 1:
                         mac = macro.vote_counts(x, samples, cfgs[p])
                         x = round_half_away(mac).astype(np.int64)
                     else:
-                        x = lut[x]
-                    for weight, counts_e in zip(weights[g][lo:hi], x):
+                        x = luts[p][x]
+                    for weight, counts_e in zip(weights[g, lo:hi], x):
                         counts_e *= weight
-                        accum[r0:r1] += counts_e
+                        accum += counts_e
             # no view or buffer of this group outlives it into the next
             # group's operands
             blocks = None
     analog = int(entries["analog"].sum())
     results = []
     for p, o in enumerate(owner):
-        _, accum = points[p]
-        points[p] = None   # each point's counts go as its output lands
+        accum, accums[p] = accums[p], None   # counts go as the output lands
         results.append(SimLayerResult(
             output=np.multiply(accum, acts[o].params.scale * w.params.scale,
                                out=None if out is None else out[p]),

@@ -190,7 +190,10 @@ def adc_readout(v, cfg: MacroConfig):
     estimate of the analog level in counts. In place on one float64 buffer,
     x + 0.5 is clamped to [0, 2^k - 1], where the int cast is floor: that is
     round-half-away-from-zero for x >= 0, and every negative x reads code 0.
-    A NaN level, which clip passes through, is a DomainError.
+    A NaN level, which clip passes through, is a DomainError. The buffer
+    then becomes mac_counts: trunc(x) is float(code) exactly (an integer
+    below 2^16), so trunc(x) * step is code * step, without an int-to-float
+    pass or a new array.
     """
     delta = cfg.lsb_counts
     x = np.asarray(np.divide(v, delta, dtype=np.float64))
@@ -201,7 +204,9 @@ def adc_readout(v, cfg: MacroConfig):
             code = x.astype(np.int64)
     except FloatingPointError:
         raise DomainError("adc_readout levels hold NaN") from None
-    return code, code * delta
+    np.trunc(x, out=x)
+    x *= delta
+    return code, x if x.ndim else x[()]
 
 
 def count_table(cfg: MacroConfig) -> np.ndarray:

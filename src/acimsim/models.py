@@ -65,8 +65,8 @@ class TrainConfig:
 def init_mlp(dims: list, seed: int, w_bits: int = 8,
              x_bits: int = 8) -> TinyModel:
     """He-initialized MLP at the given widths, ReLU between linear layers."""
-    if any(d < 1 for d in dims):
-        raise ShapeError(f"dims must all be >= 1, got {list(dims)}")
+    for d in dims:
+        check_int(d, "dims", ShapeError, 1)
     check_int(seed, "seed", DomainError, 0)
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     layers = []
@@ -157,7 +157,8 @@ def loss_and_grads(model: TinyModel, x, labels, cfg: TrainConfig,
     """Cross-entropy loss and closed-form gradients for every linear layer.
 
     Quantizer gradients use the straight-through estimator: unit passthrough
-    inside the representable range, zero in the clipped region. Returns
+    inside the representable range, zero in the clipped region; an operand
+    with no clipped value has no mask (fake_quantize) and skips it. Returns
     (loss, grads) with grads[i] = (dw, db) aligned to model.layers.
     """
     sigma = cfg.nat_sigma if nat_ctx is not None else 0.0
@@ -174,13 +175,13 @@ def loss_and_grads(model: TinyModel, x, labels, cfg: TrainConfig,
         db = delta.sum(axis=0)
         dz = delta if gain is None else delta * gain
         dw = aq.T @ dz
-        if quantized:
+        if w_mask is not None:
             dw *= w_mask
         grads[i] = (dw, db)
         if not tape:   # the first linear layer: its input needs no gradient
             break
         delta = dz @ wq.T
-        if quantized:
+        if a_mask is not None:
             delta *= a_mask
     return loss, grads
 

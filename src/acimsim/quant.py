@@ -90,18 +90,25 @@ def _code_range(bits: int, signedness: Signedness) -> tuple:
 
 
 def _calibrated_codes(t, bits: int, signedness: Signedness):
-    """(t as float64, scale, float codes): the one calibrate -> round rule.
-    The scale is peak / code_max, the peak max|t| (max(t) unsigned); an
-    all-zero tensor gets scale 1. A NaN or inf makes the peak non-finite. No
-    clamp runs: the normal-scale check ensures |t / scale| < code_max + 0.5
-    and code_min * scale <= -peak, which the asserts restate."""
+    """(t as float64, peak, scale, float codes): the one calibrate -> round
+    rule. The scale is peak / code_max, the peak max|t|; an all-zero tensor
+    gets scale 1. A NaN or inf makes the peak non-finite. No clamp runs: the
+    normal-scale check ensures |t / scale| < code_max + 0.5 and code_min *
+    scale <= -peak, which the asserts restate.
+
+    Exact identities save passes: max|t| is max(max t, -min t), from the
+    reductions the unsigned check needs anyway (a NaN reaches both); for an
+    unsigned x = t / scale >= -0.0, round_half_away(x) is trunc(x + 0.5)
+    (IEEE + commutes), except that -0.0 rounds to +0.0, so no copysign pass
+    runs and no unsigned code is -0.0."""
     check_bits(bits, DomainError, "bits")
     t = np.asarray(t, dtype=np.float64)
     unsigned = signedness is Signedness.UNSIGNED
-    peak = float(np.abs(t).max()) if t.size else 0.0
+    high, low = (float(t.max()), float(t.min())) if t.size else (0.0, 0.0)
+    peak = max(high, -low)
     if not math.isfinite(peak):
         raise DomainError("tensor contains non-finite values")
-    if unsigned and t.size and t.min() < 0:
+    if unsigned and low < 0:
         raise DomainError("unsigned quantization of a tensor with negatives")
     code_min, code_max = _code_range(bits, signedness)
     scale = peak / code_max if peak > 0 else 1.0
@@ -110,7 +117,11 @@ def _calibrated_codes(t, bits: int, signedness: Signedness):
             f"scale must be a positive normal float, got {scale}")
     assert peak / scale < code_max + 0.5
     assert unsigned or code_min * scale <= -peak
-    return t, scale, round_half_away(t / scale)
+    codes = t / scale
+    if not unsigned:
+        return t, peak, scale, round_half_away(codes)
+    codes += 0.5
+    return t, peak, scale, np.trunc(codes, out=codes)
 
 
 def quantize(t, bits: int, signedness: Signedness) -> QuantizedTensor:
@@ -120,7 +131,7 @@ def quantize(t, bits: int, signedness: Signedness) -> QuantizedTensor:
     2's complement: scale = max|t|/(2^(bits-1) - 1), which keeps codes in
     [-(2^(bits-1) - 1), 2^(bits-1) - 1] so the most negative code never occurs.
     """
-    _, scale, codes = _calibrated_codes(t, bits, signedness)
+    _, _, scale, codes = _calibrated_codes(t, bits, signedness)
     return QuantizedTensor(codes.astype(CODE),
                            QuantParams(scale, bits, signedness))
 
@@ -131,17 +142,23 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
 
 def fake_quantize(t, bits: int, signedness: Signedness) -> tuple:
     """(dequantize(quantize(t, bits, signedness)), straight-through mask),
-    both float64, without int codes. The mask is 1 inside the representable
+    float64, without int codes. The mask is 1 inside the representable
     values [code_min * scale, code_max * scale] and 0 above them (no t lies
-    below them).
+    below them); it is None when every t is inside, as x * 1.0 == x makes
+    applying an all-ones mask the identity.
 
     Same bytes as the int path: every code is an integer below 2^53, so
-    float code * scale equals int code * scale."""
-    t, scale, q = _calibrated_codes(t, bits, signedness)
+    float code * scale equals int code * scale. Identities, each exact:
+    t <= peak, so peak <= code_max * scale puts every t inside and no mask
+    is built (code_max * scale < peak happens, when that product rounds
+    down); an unsigned code is never -0.0 (_calibrated_codes), so code *
+    scale is +0.0 or positive and, unlike a signed one, needs no + 0.0."""
+    t, peak, scale, q = _calibrated_codes(t, bits, signedness)
     q *= scale
-    q += 0.0   # rounding gives -0.0 in (-scale/2, 0]; int code 0 gives +0.0
+    if signedness is Signedness.TWOS_COMPLEMENT:
+        q += 0.0   # rounding gives -0.0 in (-scale/2, 0]; int code 0, +0.0
     hi = _code_range(bits, signedness)[1] * scale
-    return q, (t <= hi).astype(np.float64)
+    return q, None if peak <= hi else (t <= hi).astype(np.float64)
 
 
 def decompose_bits(codes, bits: int) -> np.ndarray:

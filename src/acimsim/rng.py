@@ -41,6 +41,10 @@ class RngContext:
     column: int = 0
     sample: int = 0
 
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            check_int(getattr(self, field.name), field.name, DomainError, 0)
+
     def key(self) -> tuple:
         return (self.layer, self.tile, self.w_bit, self.act_group,
                 self.column, self.sample)

@@ -17,10 +17,12 @@ from acimsim import (AcimError, CheckpointError, ConfigError, DataError,
                      linearity_sweep, quantize, save_checkpoint,
                      signedness_of, simulate_attention, simulate_conv2d,
                      simulate_matmul, train)
+from acimsim.data import make_blobs
 from acimsim.errors import check_int
 from acimsim.macro import adc_readout, majority_vote_readout
 from acimsim.models import engine_forward
 from acimsim.quant import CODE
+from acimsim.rng import RngContext, stream
 
 
 def _train_on(x, labels):
@@ -175,6 +177,20 @@ PROBES = {
     "save_checkpoint-missing-directory": (
         lambda: save_checkpoint(_MLP, os.path.join(_MISSING_DIR, "m.ackpt")),
         CheckpointError, "cannot write checkpoint .*no-such-dir"),
+    # these once raised numpy's IndexError, ValueError and TypeError
+    "make_blobs-float-samples": (lambda: make_blobs(9.5, 4, 3, 0), DataError,
+                                 "samples must be an integer, got 9.5"),
+    "make_blobs-negative-seed": (lambda: make_blobs(12, 4, 3, -1), DataError,
+                                 "seed must be >= 0, got -1"),
+    "make_blobs-float-seed": (lambda: make_blobs(12, 4, 3, 1.5), DataError,
+                              "seed must be an integer, got 1.5"),
+    # numpy's TypeError once named no argument
+    "init_mlp-float-width": (lambda: init_mlp([4, 8.5, 3], 0), ShapeError,
+                             "dims must be an integer, got 8.5"),
+    # a float context field once raised TypeError blaming the seed
+    "stream-float-context-layer": (
+        lambda: stream(1, RngContext(layer=1.5), 0), DomainError,
+        "layer must be an integer, got 1.5"),
 }
 
 

@@ -11,6 +11,7 @@ point's level hook must see its solo RngContext sequence.
 """
 
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from acimsim.errors import ConfigError, DomainError
 from acimsim.macro import MacroConfig, NoiseSpec, NoiseUnit, Sigma
 from acimsim.models import (LinearLayer, Relu, TinyModel, engine_forward,
                             init_mlp)
-from acimsim.quant import Signedness, quantize
+from acimsim.quant import QuantizedTensor, Signedness, quantize
 from streams import vote_at
 
 LSB, VPP = NoiseUnit.LSB_RMS, NoiseUnit.VPP_PCT
@@ -374,3 +375,43 @@ def test_vote_reads_range_rows_as_the_list_path_does(monkeypatch, samples):
         [(None, s, None) for s in by_list])
     assert [c.sample for c in by_range[0].level_hook.seen] == list(
         range(samples))
+
+
+def _wide_points(adc_bits: int, m: int, noisy: bool):
+    """A 16-point lockstep call on a 2-bit act[1, 2] @ w[2, m] at one ADC
+    width: every point's output, and the call's traced peak in bytes."""
+    gen = np.random.default_rng(8)
+    tc = Signedness.TWOS_COMPLEMENT
+    act = quantize(gen.normal(size=(1, 2)), 2, tc)
+    w = quantize(gen.normal(size=(2, 1 << 16)), 2, tc)
+    w = QuantizedTensor(w.codes[:, :m], w.params)
+    specs = [NoiseSpec(Sigma(0.1 * (p % 4) * noisy), seed=5)
+             for p in range(16)]
+    out = [np.empty((1, m)) for _ in specs]
+    tracemalloc.start()
+    try:
+        engine._simulate_points([act], w, [MacroConfig(2, adc_bits)] * 16,
+                                specs, EngineMode(), out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_weighted_count_tables_die_with_their_run():
+    # one row of 2^16 columns is a run of 2^16 codes an entry, as long as a
+    # 16-bit count table (512 KiB), so every analog entry reads through its
+    # weighted table. Past the 16 count tables, the 16-bit call may hold two
+    # tables' bytes (the live table and its gather); tables kept per point
+    # for a whole activation group would hold 32 at once
+    table = (1 << 16) * 8
+    wide = _wide_points(16, 1 << 16, noisy=True)[1]
+    narrow = _wide_points(2, 1 << 16, noisy=True)[1]
+    assert wide - narrow <= 16 * table + 2 * table
+    # noiseless, the folded and the unfolded paths read the same counts: at
+    # 2^10 columns a 16-bit table is longer than a run's codes, so the
+    # codes take the count table, then the weight
+    folded, _ = _wide_points(16, 1 << 16, noisy=False)
+    unfolded, _ = _wide_points(16, 1 << 10, noisy=False)
+    assert all(f[:, :1 << 10].tobytes() == u.tobytes()
+               for f, u in zip(folded, unfolded))

@@ -126,6 +126,36 @@ def test_quant_params_validation():
         assert np.array_equal(ste_mask(t, params), [0.0, 1.0, 1.0, 0.0])
 
 
+def _low_top_cases():
+    """(t, bits, signedness) with a peak p whose top code value
+    code_max * (p / code_max) rounds below p in float64, on every width
+    where one exists among 4096 draws."""
+    gen = np.random.default_rng(7)
+    for bits in range(2, 17):
+        for sgn in (U, TC):
+            code_max = QuantParams(1.0, bits, sgn).code_max
+            p = gen.uniform(0.5, 2.0, 4096)
+            p = p[code_max * (p / code_max) < p]
+            if p.size:
+                p = float(p[0])
+                yield ([0.0, p / 3, p] if sgn is U else [-p, -p / 3, 0.0, p],
+                       bits, sgn)
+
+
+def _zero_cases():
+    """(t, bits, signedness) with zeros of either sign: post-ReLU tensors
+    that hold -0.0 (which np.maximum keeps or drops by code path), a signed
+    one, and all-zero tensors."""
+    relu = np.maximum(np.random.default_rng(9).normal(size=(8, 16)), 0.0)
+    relu[::3] = -0.0
+    yield [-0.0, 0.0, 0.7, 2.0], 8, U
+    yield relu, 4, U
+    yield [-0.0, 0.3, -0.2, 0.0], 8, TC
+    for sgn in (U, TC):
+        yield np.full((3, 4), -0.0), 8, sgn
+        yield np.zeros((2, 5)), 16, sgn
+
+
 _FAKE_QUANT_CASES = [
     # (-scale/2, 0) rounds to -0.0 before the -0.0 is made +0.0
     ([1.0, -0.001, -0.0039, 0.5, -0.0], 8, TC),
@@ -145,17 +175,31 @@ _FAKE_QUANT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("t, bits, signedness", _FAKE_QUANT_CASES)
+def assert_mask_is_ste(mask, t, params):
+    """fake_quantize's mask against the int path's ste_mask: None exactly
+    when ste_mask is all ones (no value clipped), else float64 of t's shape
+    with ste_mask's bytes."""
+    want = ste_mask(np.asarray(t, dtype=np.float64), params)
+    assert (mask is None) == bool(want.all())
+    if mask is not None:
+        assert mask.dtype == np.float64 and mask.shape == want.shape
+        assert mask.tobytes() == want.tobytes()
+
+
+# the identities fake_quantize skips passes by: an unsigned -0.0 rounds to
+# +0.0 without copysign or + 0.0, an all-zero tensor needs no mask, and a low
+# top (code_max * scale < peak) still builds one
+@pytest.mark.parametrize("t, bits, signedness",
+                         [*_FAKE_QUANT_CASES, *_zero_cases(),
+                          *_low_top_cases()])
 def test_fake_quantize_equals_int_path(t, bits, signedness):
     q, mask = fake_quantize(t, bits, signedness)
     ref = quantize(t, bits, signedness)
     want = dequantize(ref)
-    want_mask = ste_mask(np.asarray(t, dtype=np.float64), ref.params)
-    assert q.dtype == mask.dtype == np.float64
-    assert q.shape == mask.shape == np.shape(t)
+    assert q.dtype == np.float64 and q.shape == np.shape(t)
     assert q.tobytes() == want.tobytes()
     assert np.array_equal(np.signbit(q), np.signbit(want))
-    assert mask.tobytes() == want_mask.tobytes()
+    assert_mask_is_ste(mask, t, ref.params)
 
 
 @pytest.mark.parametrize("t, bits, signedness, error", [
@@ -188,22 +232,6 @@ def test_non_finite_is_reported_before_negatives():
             quantize(t, 8, U)
 
 
-def _low_top_cases():
-    """(t, bits, signedness) with a peak p whose top code value
-    code_max * (p / code_max) rounds below p in float64, on every width
-    where one exists among 4096 draws."""
-    gen = np.random.default_rng(7)
-    for bits in range(2, 17):
-        for sgn in (U, TC):
-            code_max = QuantParams(1.0, bits, sgn).code_max
-            p = gen.uniform(0.5, 2.0, 4096)
-            p = p[code_max * (p / code_max) < p]
-            if p.size:
-                p = float(p[0])
-                yield ([0.0, p / 3, p] if sgn is U else [-p, -p / 3, 0.0, p],
-                       bits, sgn)
-
-
 def _clamp_cases():
     """(t, bits, signedness) over every width: random data, ties at half
     codes, the peak alone, and the _low_top_cases."""
@@ -231,8 +259,7 @@ def test_codes_equal_clamped_rounding(t, bits, signedness):
     assert np.array_equal(ref.codes, want.astype(np.int64))
     q, mask = fake_quantize(t, bits, signedness)
     assert q.tobytes() == (want * scale + 0.0).tobytes()
-    t = np.asarray(t, dtype=np.float64)
-    assert mask.tobytes() == ste_mask(t, ref.params).tobytes()
+    assert_mask_is_ste(mask, t, ref.params)
 
 
 def test_low_top_peak_masks_the_peak():
