@@ -15,7 +15,7 @@ from .macro import (MacroConfig, NoiseSpec, NoiseUnit, Sigma, NOISELESS,
                     sigma_to_counts)
 from .quant import (QuantParams, QuantizedTensor, Signedness, bit_sparsity,
                     decompose_bits, dequantize, encode_activation_groups,
-                    group_layout, quantize, signedness_of)
+                    group_layout, quantize)
 from .engine import (CyclePlan, EngineMode, SimLayerResult, VotingSpec,
                      plan_cycles, simulate_attention, simulate_conv2d,
                      simulate_matmul)

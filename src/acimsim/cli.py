@@ -25,7 +25,7 @@ from .metrics import csnr_measure, csnr_variance_form, linearity_sweep, \
 from .models import (engine_forward, evaluate_digital, forward_float,
                      init_mlp, train)
 from .quant import Signedness, bit_sparsity, decompose_bits, dequantize, \
-    quantize, signedness_of
+    quantize
 from .report import emit
 
 BUILTIN_HIDDEN = 64
@@ -87,7 +87,7 @@ def _model(cfg: ExperimentConfig, train_set, test_set, modes, enc_section):
     """The checkpoint, or the built-in model trained at [quant]'s widths,
     once every mode plans at its widths for unsigned inputs when the model
     has several linear layers (a signed layout's shift levels hold the
-    unsigned one's), else for the test inputs' signedness."""
+    unsigned one's), else for the test inputs' signedness (quantize's)."""
     model = None
     if cfg.checkpoint:
         if not os.path.exists(cfg.checkpoint):
@@ -95,7 +95,8 @@ def _model(cfg: ExperimentConfig, train_set, test_set, modes, enc_section):
                               f"no such file {cfg.checkpoint}")
         model = load_checkpoint(cfg.checkpoint)
     layers = 2 if model is None else len(model.linear_layers())
-    sign = Signedness.UNSIGNED if layers > 1 else signedness_of(test_set[0])
+    sign = Signedness.UNSIGNED if layers > 1 else quantize(
+        test_set[0], model.x_bits).params.signedness
     _check_plans(cfg, modes, model or cfg, sign, enc_section)
     return model or _train_model(cfg, train_set, test_set)[0]
 
@@ -151,20 +152,19 @@ def cmd_train(cfg: ExperimentConfig, args, meta):
 
 
 def _analysis_operands(cfg: ExperimentConfig, mode):
-    """The seeded operands of csnr and distribution, once `mode` plans at
-    [quant]'s widths, at which both quantize."""
+    """The seeded operands of csnr and distribution, float and quantized as
+    2's complement at [quant]'s widths, once `mode` plans at those widths."""
     _check_plans(cfg, [mode], cfg, Signedness.TWOS_COMPLEMENT)
     a = cfg.analysis
     gen = rng.stream(cfg.noise.seed, rng.RngContext(), rng.TAG_DATA)
     act = gen.normal(size=(a.batch, a.in_dim))
     w = gen.normal(size=(a.in_dim, a.out_dim))
-    return act, w
+    return act, w, quantize(act, cfg.x_bits, Signedness.TWOS_COMPLEMENT), \
+        quantize(w, cfg.w_bits, Signedness.TWOS_COMPLEMENT)
 
 
 def cmd_csnr(cfg: ExperimentConfig, args, meta):
-    act, w = _analysis_operands(cfg, cfg.mode)
-    act_q = quantize(act, cfg.x_bits, Signedness.TWOS_COMPLEMENT)
-    w_q = quantize(w, cfg.w_bits, Signedness.TWOS_COMPLEMENT)
+    act, w, act_q, w_q = _analysis_operands(cfg, cfg.mode)
     ideal = act @ w
     quant_in = dequantize(act_q) @ dequantize(w_q)
     quant_out = simulate_matmul(act_q, w_q, cfg.macro, NOISELESS,
@@ -190,10 +190,9 @@ def cmd_linearity(cfg: ExperimentConfig, args, meta):
 
 def cmd_distribution(cfg: ExperimentConfig, args, meta):
     # the plain mode mac_distribution runs: no hybrid, no voting
-    act, w = _analysis_operands(cfg, EngineMode(enc_bits=cfg.macro.enc_bits))
-    hist = mac_distribution(
-        quantize(act, cfg.x_bits, Signedness.TWOS_COMPLEMENT),
-        quantize(w, cfg.w_bits, Signedness.TWOS_COMPLEMENT), cfg.macro)
+    *_, act_q, w_q = _analysis_operands(
+        cfg, EngineMode(enc_bits=cfg.macro.enc_bits))
+    hist = mac_distribution(act_q, w_q, cfg.macro)
     return ("w_bit", "act_group", "level", "count"), hist.to_rows()
 
 

@@ -40,9 +40,9 @@ from .errors import ConfigError, DomainError, ShapeError, check_int
 from .macro import (MacroConfig, NoiseSpec, adc_readout, apply_noise,
                     count_table, draw_noise, majority_vote_readout,
                     noise_tags)
-from .quant import (QuantizedTensor, Signedness, check_bits, decompose_bits,
-                    encode_activation_groups, group_layout, quantize,
-                    signedness_of)
+from .quant import (QuantizedTensor, Signedness, check_bits, check_signedness,
+                    decompose_bits, encode_activation_groups, group_layout,
+                    quantize)
 from .rng import StreamTable
 from .tensor import Shape2D, conv_output_shape, im2col, round_half_away
 
@@ -123,6 +123,7 @@ def plan_cycles(w_bits: int, x_bits: int, x_signedness: Signedness,
     """
     check_bits(w_bits, ConfigError, "w_bits")
     check_bits(x_bits, ConfigError, "x_bits")
+    check_signedness(w_signedness, "w_signedness")   # group_layout checks x
     layout = group_layout(x_bits, x_signedness, mode.enc_bits)
     _, g_shift, g_neg = np.array(layout, dtype=np.int64).T
     w_neg = np.zeros(w_bits, dtype=np.int64)
@@ -419,8 +420,8 @@ def simulate_conv2d(act, w, stride: int, padding: int, bits,
                     layer: int = 0) -> SimLayerResult:
     """Quantize, lower [C,H,W] x [F,C,kh,kw] to im2col matmul, reshape back.
 
-    `bits` is an int or a (w_bits, x_bits) pair. Activation signedness is
-    chosen from the data (unsigned when everything is non-negative); padding
+    `bits` is an int or a (w_bits, x_bits) pair. The activation quantizes
+    with quantize's data rule (unsigned when nothing is negative); padding
     zeros map to code 0 exactly under symmetric quantization.
     """
     w_bits, x_bits = _bit_pair(bits)
@@ -431,7 +432,7 @@ def simulate_conv2d(act, w, stride: int, padding: int, bits,
     if act.shape[0] != w.shape[1]:
         raise ShapeError(f"channel mismatch: {act.shape[0]} vs {w.shape[1]}")
     f, _c, kh, kw = w.shape
-    act_q = quantize(act, x_bits, signedness_of(act))
+    act_q = quantize(act, x_bits)
     w_q = quantize(w, w_bits, Signedness.TWOS_COMPLEMENT)
     patches = im2col(act_q.codes, Shape2D(kh, kw), stride, padding)
     res = simulate_matmul(
@@ -456,7 +457,7 @@ def simulate_attention(q, k, v, bits, cfg: MacroConfig, spec: NoiseSpec,
 
     QK^T runs with Q stationary and K broadcast; scaling and softmax stay in
     floating point; A V runs with V stationary and the scores broadcast, each
-    broadcast operand signed by signedness_of (the scores, > 0, unsigned).
+    broadcast operand signed by quantize's rule (the scores, > 0, unsigned).
     The matmuls use stream ids `layer` and `layer + 1`, so their noise draws
     are independent. The result composes both (see SimLayerResult).
     """
@@ -471,11 +472,11 @@ def simulate_attention(q, k, v, bits, cfg: MacroConfig, spec: NoiseSpec,
             f"incompatible attention shapes {q.shape}, {k.shape}, {v.shape}")
     head_dim = q.shape[1]
     q_q = quantize(q, w_bits, Signedness.TWOS_COMPLEMENT)
-    k_q = quantize(k, x_bits, signedness_of(k))
+    k_q = quantize(k, x_bits)
     qk = simulate_matmul(k_q, QuantizedTensor(q_q.codes.T, q_q.params),
                          cfg, spec, mode, layer=layer)
     scores = softmax(qk.output.T / np.sqrt(head_dim), axis=-1)
-    a_q = quantize(scores, x_bits, signedness_of(scores))
+    a_q = quantize(scores, x_bits)
     v_q = quantize(v, w_bits, Signedness.TWOS_COMPLEMENT)
     av = simulate_matmul(a_q, v_q, cfg, spec, mode, layer=layer + 1)
     return SimLayerResult.compose([qk, av], av.output)

@@ -17,7 +17,7 @@ from . import rng
 from .engine import _simulate_grid, softmax
 from .errors import (DataError, DomainError, ShapeError, TrainingError,
                      check_int)
-from .quant import Signedness, fake_quantize, quantize, signedness_of
+from .quant import Signedness, fake_quantize, quantize
 
 
 @dataclass
@@ -115,7 +115,7 @@ def _digital_matmul(model: TinyModel, quantized: bool, nat_sigma: float = 0.0,
     def matmul(a, layer, linear_index):
         aq, wq, a_mask, w_mask = a, layer.w, None, None
         if quantized:
-            aq, a_mask = fake_quantize(a, model.x_bits, signedness_of(a))
+            aq, a_mask = fake_quantize(a, model.x_bits)
             wq, w_mask = fake_quantize(layer.w, model.w_bits,
                                        Signedness.TWOS_COMPLEMENT)
         z = aq @ wq
@@ -248,7 +248,7 @@ def engine_forward(model: TinyModel, x, points: list,
 
     A point is a (macro, noise, mode) triple, as config.sweep_point builds.
     ReLU and bias stay in floating point; each layer re-quantizes its input
-    with quant.signedness_of and runs in engine._simulate_grid's lockstep
+    by quantize's data rule and runs in engine._simulate_grid's lockstep
     groups on `threads` threads. Returns one (logits, layers) per point,
     equal to that point run alone at any thread count; `layers` holds each
     linear layer's SimLayerResult, output None (it fed the next layer).
@@ -260,7 +260,7 @@ def engine_forward(model: TinyModel, x, points: list,
 
     def matmul(a, layer, linear_index):
         w_q = quantize(layer.w, model.w_bits, Signedness.TWOS_COMPLEMENT)
-        acts = [quantize(a_p, model.x_bits, signedness_of(a_p))
+        acts = [quantize(a_p, model.x_bits)
                 for a_p in ([a] if a.ndim == 2 else a)]   # 2-D: all points'
         out = np.empty((len(points), a.shape[-2], layer.w.shape[1]))
         for p, res in enumerate(_simulate_grid(acts, w_q, points, linear_index,

@@ -29,6 +29,12 @@ class Signedness(Enum):
     TWOS_COMPLEMENT = "twos_complement"
 
 
+def check_signedness(signedness, name: str = "signedness") -> None:
+    """Raise DomainError naming `name` unless `signedness` is a Signedness."""
+    if not isinstance(signedness, Signedness):
+        raise DomainError(f"{name} must be a Signedness, got {signedness!r}")
+
+
 @dataclass(frozen=True)
 class QuantParams:
     """Scale (value per integer step), bit width and signedness of a tensor."""
@@ -39,6 +45,7 @@ class QuantParams:
 
     def __post_init__(self):
         check_bits(self.bits, DomainError, "bits")
+        check_signedness(self.signedness)
         if not self.scale > 0:
             raise DomainError(f"scale must be positive, got {self.scale}")
 
@@ -72,16 +79,6 @@ class QuantizedTensor:
         return self.codes.shape
 
 
-def signedness_of(t: np.ndarray) -> Signedness:
-    """Unsigned when no entry is negative (e.g. post-ReLU data), else 2's
-    complement: the one rule for choosing an activation's signedness. A
-    NaN, which min propagates, has no sign: DomainError."""
-    low = t.min() if t.size else 0
-    if math.isnan(low):   # np.isnan's first scalar call costs 128 kB of RSS
-        raise DomainError("signedness of a tensor with NaN")
-    return Signedness.UNSIGNED if low >= 0 else Signedness.TWOS_COMPLEMENT
-
-
 def _code_range(bits: int, signedness: Signedness) -> tuple:
     """(code_min, code_max); signed codes span the full 2's-complement range."""
     if signedness is Signedness.UNSIGNED:
@@ -90,24 +87,29 @@ def _code_range(bits: int, signedness: Signedness) -> tuple:
 
 
 def _calibrated_codes(t, bits: int, signedness: Signedness):
-    """(t as float64, peak, scale, float codes): the one calibrate -> round
-    rule. The scale is peak / code_max, the peak max|t|; an all-zero tensor
-    gets scale 1. A NaN or inf makes the peak non-finite. No clamp runs: the
-    normal-scale check ensures |t / scale| < code_max + 0.5 and code_min *
-    scale <= -peak, which the asserts restate.
+    """(t as float64, peak, scale, float codes, signedness): the one
+    calibrate -> round rule, and for None the one activation signedness rule:
+    unsigned if min t >= 0 (so for -0.0 and no t), else 2's complement. The
+    scale is peak / code_max, the peak max|t|, and 1 for an all-zero tensor.
+    A NaN or inf makes the peak non-finite. No clamp runs: the normal-scale
+    check ensures |t / scale| < code_max + 0.5 and code_min * scale <= -peak.
 
     Exact identities save passes: max|t| is max(max t, -min t), from the
-    reductions the unsigned check needs anyway (a NaN reaches both); for an
+    reductions the signedness needs anyway (a NaN reaches both); for an
     unsigned x = t / scale >= -0.0, round_half_away(x) is trunc(x + 0.5)
     (IEEE + commutes), except that -0.0 rounds to +0.0, so no copysign pass
     runs and no unsigned code is -0.0."""
     check_bits(bits, DomainError, "bits")
     t = np.asarray(t, dtype=np.float64)
-    unsigned = signedness is Signedness.UNSIGNED
     high, low = (float(t.max()), float(t.min())) if t.size else (0.0, 0.0)
     peak = max(high, -low)
     if not math.isfinite(peak):
         raise DomainError("tensor contains non-finite values")
+    if signedness is None:
+        signedness = Signedness.UNSIGNED if low >= 0 \
+            else Signedness.TWOS_COMPLEMENT
+    check_signedness(signedness)
+    unsigned = signedness is Signedness.UNSIGNED
     if unsigned and low < 0:
         raise DomainError("unsigned quantization of a tensor with negatives")
     code_min, code_max = _code_range(bits, signedness)
@@ -119,19 +121,20 @@ def _calibrated_codes(t, bits: int, signedness: Signedness):
     assert unsigned or code_min * scale <= -peak
     codes = t / scale
     if not unsigned:
-        return t, peak, scale, round_half_away(codes)
+        return t, peak, scale, round_half_away(codes), signedness
     codes += 0.5
-    return t, peak, scale, np.trunc(codes, out=codes)
+    return t, peak, scale, np.trunc(codes, out=codes), signedness
 
 
-def quantize(t, bits: int, signedness: Signedness) -> QuantizedTensor:
+def quantize(t, bits: int, signedness: Signedness = None) -> QuantizedTensor:
     """Quantize a tensor symmetrically with per-tensor min/max calibration.
 
     Unsigned: scale = max(t)/(2^bits - 1), inputs must be non-negative.
     2's complement: scale = max|t|/(2^(bits-1) - 1), which keeps codes in
     [-(2^(bits-1) - 1), 2^(bits-1) - 1] so the most negative code never occurs.
+    None: unsigned if no t is negative, else 2's complement (the one rule).
     """
-    _, _, scale, codes = _calibrated_codes(t, bits, signedness)
+    _, _, scale, codes, signedness = _calibrated_codes(t, bits, signedness)
     return QuantizedTensor(codes.astype(CODE),
                            QuantParams(scale, bits, signedness))
 
@@ -140,7 +143,7 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
     return q.codes * q.params.scale
 
 
-def fake_quantize(t, bits: int, signedness: Signedness) -> tuple:
+def fake_quantize(t, bits: int, signedness: Signedness = None) -> tuple:
     """(dequantize(quantize(t, bits, signedness)), straight-through mask),
     float64, without int codes. The mask is 1 inside the representable
     values [code_min * scale, code_max * scale] and 0 above them (no t lies
@@ -153,7 +156,7 @@ def fake_quantize(t, bits: int, signedness: Signedness) -> tuple:
     is built (code_max * scale < peak happens, when that product rounds
     down); an unsigned code is never -0.0 (_calibrated_codes), so code *
     scale is +0.0 or positive and, unlike a signed one, needs no + 0.0."""
-    t, peak, scale, q = _calibrated_codes(t, bits, signedness)
+    t, peak, scale, q, signedness = _calibrated_codes(t, bits, signedness)
     q *= scale
     if signedness is Signedness.TWOS_COMPLEMENT:
         q += 0.0   # rounding gives -0.0 in (-scale/2, 0]; int code 0, +0.0
@@ -180,6 +183,7 @@ def group_layout(bits: int, signedness: Signedness, y: int) -> list:
     weight -2^(bits-1).
     """
     check_int(y, "encoding width", DomainError, 1, bits)
+    check_signedness(signedness)
     body = bits - 1 if signedness is Signedness.TWOS_COMPLEMENT else bits
     layout = []
     pos = 0

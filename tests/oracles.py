@@ -9,8 +9,16 @@ from acimsim import rng
 from acimsim.macro import sigma_to_counts
 from acimsim.models import (Relu, _digital_matmul, _walk, cross_entropy,
                             engine_forward)
-from acimsim.quant import (QuantParams, Signedness, dequantize, quantize,
-                           signedness_of)
+from acimsim.quant import QuantParams, Signedness, dequantize, quantize
+
+
+def activation_signedness(t) -> Signedness:
+    """The activation signedness rule, stated apart from quantize: unsigned
+    when no entry is negative (-0.0 and an empty tensor included), else 2's
+    complement."""
+    t = np.asarray(t, dtype=np.float64)
+    return Signedness.UNSIGNED if not t.size or t.min() >= 0 \
+        else Signedness.TWOS_COMPLEMENT
 
 
 def recompose_bits(planes, signedness) -> np.ndarray:
@@ -170,7 +178,7 @@ def qat_matmul(model, nat_sigma=0.0, seed=0, nat_ctx=None, tape=None):
     quantize -> dequantize per operand, with ste_mask over each operand's
     QuantParams."""
     def matmul(a, layer, linear_index):
-        a_t = quantize(a, model.x_bits, signedness_of(a))
+        a_t = quantize(a, model.x_bits, activation_signedness(a))
         w_t = quantize(layer.w, model.w_bits, Signedness.TWOS_COMPLEMENT)
         aq, wq = dequantize(a_t), dequantize(w_t)
         z = aq @ wq

@@ -13,15 +13,15 @@ from acimsim import (AcimError, CheckpointError, ConfigError, DataError,
                      QuantizedTensor, QuantParams, ShapeError, Sigma,
                      Signedness, TrainConfig, TrainingError, VotingSpec,
                      csnr_measure, csnr_variance_form, decompose_bits,
-                     evaluate_digital, forward_float, forward_qat, init_mlp,
-                     linearity_sweep, quantize, save_checkpoint,
-                     signedness_of, simulate_attention, simulate_conv2d,
-                     simulate_matmul, train)
+                     evaluate_digital, forward_float, forward_qat,
+                     group_layout, init_mlp, linearity_sweep, plan_cycles,
+                     quantize, save_checkpoint, simulate_attention,
+                     simulate_conv2d, simulate_matmul, train)
 from acimsim.data import make_blobs
 from acimsim.errors import check_int
 from acimsim.macro import adc_readout, majority_vote_readout
 from acimsim.models import engine_forward
-from acimsim.quant import CODE
+from acimsim.quant import CODE, fake_quantize
 from acimsim.rng import RngContext, stream
 
 
@@ -102,9 +102,32 @@ PROBES = {
         lambda: csnr_variance_form([1.0, 2.0], [1.0, 2.0], [1.0, math.nan],
                                    [1.0, 2.0]), DomainError, "quant_out"),
     # a NaN once made the tensor 2's complement, as NaN >= 0 is False
-    "signedness_of-nan": (
-        lambda: signedness_of(np.array([math.nan, 1.0])), DomainError,
-        "NaN"),
+    "quantize-nan": (lambda: quantize(np.array([math.nan, 1.0]), 8),
+                     DomainError, "non-finite"),
+    "fake_quantize-nan": (lambda: fake_quantize(np.array([math.nan, 1.0]), 8),
+                          DomainError, "non-finite"),
+    # a string signedness once quantized as 2's complement under its tag
+    # (quantize(t, 8, "unsigned") then read -1.0 as +1.016 in
+    # simulate_matmul), and None once made a QuantParams
+    **{f"{name}-{label}-signedness": (call, DomainError, message)
+       for label, bad in (("string", "unsigned"), ("none", None))
+       for name, call, message in (
+           ("QuantParams", lambda bad=bad: QuantParams(1.0, 8, bad),
+            "^signedness must be a Signedness"),
+           ("group_layout", lambda bad=bad: group_layout(8, bad, 2),
+            "^signedness must be a Signedness"),
+           ("plan_cycles-x", lambda bad=bad: plan_cycles(
+               8, 8, bad, Signedness.TWOS_COMPLEMENT, _MODE),
+            "^signedness must be a Signedness"),
+           ("plan_cycles-w", lambda bad=bad: plan_cycles(
+               8, 8, Signedness.UNSIGNED, bad, _MODE),
+            "^w_signedness must be a Signedness"))},
+    "quantize-string-signedness": (
+        lambda: quantize(np.ones(3), 8, "unsigned"), DomainError,
+        "signedness must be a Signedness, got 'unsigned'"),
+    "fake_quantize-string-signedness": (
+        lambda: fake_quantize(np.ones(3), 8, "twos_complement"), DomainError,
+        "signedness must be a Signedness, got 'twos_complement'"),
     "simulate_conv2d-2d-act": (lambda: _conv((2, 3), (1, 2, 1, 1)),
                                ShapeError, r"act\[C,H,W\]"),
     "simulate_conv2d-3d-weight": (lambda: _conv((2, 3, 3), (2, 1, 1)),

@@ -295,6 +295,37 @@ def test_checkpoint_enc_bits_above_its_x_bits_exits_2(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_one_layer_checkpoint_plans_at_its_inputs_signedness(
+        tmp_path, capsys, monkeypatch):
+    # at 8/8 bits and y=4 a signed input layout has 15 shift levels and an
+    # unsigned one 12: a one-layer checkpoint on the signed blobs plans
+    # boundary 13 at its inputs' signedness, while the built-in two-layer
+    # model plans its hidden layer unsigned and exits before training
+    text = BASE_INI.replace("_bits = 4\n", "_bits = 8\n") \
+        .replace("adc_bits = 7\n", "adc_bits = 7\nenc_bits = 4\n") \
+        + "[mode]\nhybrid_boundary = 13\n"
+    model = init_mlp([8, 3], 1, 8, 8)
+    model.baseline_acc = 0.5
+    path = tmp_path / "one-layer.ackpt"
+    save_checkpoint(model, str(path))
+    cfg = write_config(tmp_path, text + f"\n[model]\ncheckpoint = {path}\n")
+    exp = load_config(cfg)
+    assert (exp.w_bits, exp.x_bits, exp.macro.enc_bits) == (8, 8, 4)
+    assert len(model.linear_layers()) == 1
+    assert cli._dataset(exp)[1][0].min() < 0
+    assert run("simulate", cfg, tmp_path / "out") == 0
+
+    def no_training(*args, **kw):
+        raise AssertionError("training ran before the [mode] check")
+    monkeypatch.setattr(cli, "train", no_training)
+    cfg = write_config(tmp_path, text, "builtin.ini")
+    assert run("simulate", cfg, tmp_path / "builtin") == 2
+    assert (f"acim-sim: config error: {cfg}: [mode] hybrid_boundary: "
+            "hybrid boundary 13 outside the 12 shift levels"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "builtin").exists()
+
+
 @pytest.mark.parametrize("section, old, new, message", [
     ("train", "batch = 16", "batch = 0", "batch must be >= 1, got 0"),
     ("train", "batch = 16", "batch = -4", "batch must be >= 1, got -4"),

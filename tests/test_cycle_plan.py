@@ -21,8 +21,10 @@ from acimsim.errors import ConfigError
 from acimsim.macro import NOISELESS, MacroConfig, NoiseSpec, Sigma
 from acimsim.models import engine_forward, init_mlp
 from acimsim.quant import (QuantParams, QuantizedTensor, Signedness,
-                           group_layout, signedness_of)
+                           group_layout)
 from acimsim.report import fmt_value
+
+from oracles import activation_signedness
 
 U = Signedness.UNSIGNED
 TC = Signedness.TWOS_COMPLEMENT
@@ -285,7 +287,7 @@ def test_engine_forward_accounting_over_random_stacks(tmp_path):
         (logits, layers), = engine_forward(model, x,
                                            [(cfg, NOISELESS, mode)])
         assert len(layers) == depth
-        signs = [signedness_of(x)] + [U] * (depth - 1)
+        signs = [activation_signedness(x)] + [U] * (depth - 1)
         for res, layer, sign in zip(layers, model.linear_layers(), signs):
             assert res.output is None
             _assert_follows_plan(res, plan_cycles(

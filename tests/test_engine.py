@@ -18,7 +18,7 @@ from acimsim.macro import (NOISELESS, MacroConfig, NoiseSpec, NoiseUnit, Sigma,
 from acimsim.metrics import MacHistogram, linearity_sweep, mac_distribution
 from acimsim.models import LinearLayer, TinyModel, engine_forward
 from acimsim.quant import (CODE, QuantParams, QuantizedTensor, Signedness,
-                           group_layout, quantize, signedness_of)
+                           group_layout, quantize)
 from acimsim.rng import RngContext
 from acimsim.tensor import round_half_away
 from oracles import int_matmul, total_mass
@@ -535,7 +535,7 @@ def test_conv_attention_lockstep_any_chunking_give_same_bytes(monkeypatch):
             [noisy, NoiseSpec(random_sigma=lsb(0.3), seed=9)],
             EngineMode(hybrid_boundary=2), layer=1)],
     }
-    assert signedness_of(image) is U
+    assert quantize(image, 8).params.signedness is U
     for name, run in runs.items():
         outs = []
         for cap in (macro._CHUNK_ELEMS, 1, 1 << 30):
@@ -934,7 +934,7 @@ def test_attention_close_to_float():
 
 
 def test_attention_non_negative_k_runs_the_unsigned_plan():
-    # K quantizes by signedness_of, as every other broadcast operand does:
+    # K quantizes by quantize's rule, as every other broadcast operand does:
     # an all-non-negative K runs QK^T on the unsigned plan, which at y=2 is
     # shorter than the signed one; the post-softmax scores are unsigned too
     mode = EngineMode(enc_bits=2)

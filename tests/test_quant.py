@@ -10,8 +10,8 @@ from acimsim.quant import (CODE, QuantParams, QuantizedTensor, Signedness,
                            group_layout, quantize)
 from acimsim.tensor import Shape2D, im2col
 
-from oracles import (clamped_codes, recompose_bits, reconstruct_groups,
-                     ste_mask)
+from oracles import (activation_signedness, clamped_codes, recompose_bits,
+                     reconstruct_groups, ste_mask)
 
 U = Signedness.UNSIGNED
 TC = Signedness.TWOS_COMPLEMENT
@@ -217,6 +217,9 @@ def test_fake_quantize_equals_int_path(t, bits, signedness):
     ([-1.0], 17, U, DomainError),
     # a subnormal peak over code_max underflows to scale 0
     ([5e-324], 8, TC, DomainError),
+    # an explicit unsigned still rejects negatives, however tiny, where
+    # no signedness would choose 2's complement
+    ([1.0, -5e-324], 8, U, DomainError),
 ])
 def test_fake_quantize_errors_match_quantize(t, bits, signedness, error):
     with pytest.raises(error) as want:
@@ -230,6 +233,43 @@ def test_non_finite_is_reported_before_negatives():
     for t in ([-np.inf, 1.0], [-1.0, np.nan]):
         with pytest.raises(DomainError, match="non-finite"):
             quantize(t, 8, U)
+
+
+def _default_cases():
+    """(id, t): random tensors, signed and post-ReLU, then the edges of the
+    activation signedness rule."""
+    gen = np.random.default_rng(31)
+    for shape in ((16,), (8, 32), (2, 3, 5)):
+        t = gen.normal(size=shape)
+        yield f"normal{shape}", t
+        yield f"relu{shape}", np.maximum(t, 0.0)
+    yield "all-zero", np.zeros((3, 4))
+    yield "all-negative-zero", np.full(4, -0.0)
+    yield "empty", np.zeros((0, 3))
+    yield "negative-zero-and-one", np.array([-0.0, 1.0])
+    yield "all-positive", gen.uniform(0.1, 2.0, size=(4, 6))
+    yield "one-tiny-negative", np.array([0.5, -5e-324, 1.0, 0.25])
+
+
+_DEFAULT_CASES = dict(_default_cases())
+
+
+@pytest.mark.parametrize("bits", [2, 5, 8, 16])
+@pytest.mark.parametrize("case", _DEFAULT_CASES)
+def test_default_signedness_is_the_activation_rule(case, bits):
+    # signedness=None: the same bytes and params as the explicit call with
+    # unsigned when min(t) >= 0, else 2's complement
+    t = _DEFAULT_CASES[case]
+    sign = activation_signedness(t)
+    got, want = quantize(t, bits), quantize(t, bits, sign)
+    assert got.params == want.params and got.params.signedness is sign
+    assert got.codes.dtype == want.codes.dtype
+    assert got.codes.tobytes() == want.codes.tobytes()
+    (got_q, got_mask), (want_q, want_mask) = (fake_quantize(t, bits, *s)
+                                              for s in ((), (sign,)))
+    assert got_q.tobytes() == want_q.tobytes()
+    assert (got_mask is None) == (want_mask is None)
+    assert got_mask is None or got_mask.tobytes() == want_mask.tobytes()
 
 
 def _clamp_cases():
