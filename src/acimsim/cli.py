@@ -38,8 +38,9 @@ def _dataset(cfg: ExperimentConfig):
             if not os.path.exists(p):
                 raise ConfigError(f"{cfg.path}: [data] {key}: no such file {p}")
         x, y = load_idx(d.images), load_idx(d.labels)
-        if len(x) < MIN_SAMPLES:
-            raise DataError(f"{d.images}: IDX file holds {len(x) or 'no'} "
+        count = len(x) if x.ndim else 0   # a 0-d file is one bare pixel
+        if count < MIN_SAMPLES:
+            raise DataError(f"{d.images}: IDX file holds {count or 'no'} "
                             f"images, need at least {MIN_SAMPLES}")
         if y.ndim != 1:
             raise DataError(f"{d.labels}: labels must be 1-D, got shape "
@@ -50,6 +51,8 @@ def _dataset(cfg: ExperimentConfig):
         if not np.all(np.isfinite(y) & (y == np.round(y))):
             raise DataError(f"{d.labels}: labels must be integers")
         peak = np.abs(x).max(initial=0.0)   # scaled by the largest |pixel|
+        if not np.isfinite(peak):           # NaN and inf both reach the peak
+            raise DataError(f"{d.images}: pixels must be finite")
         x = (x / peak if peak > 0 else x).reshape(len(x), -1)
         return train_test_split(x, y.astype(np.int64))
     x, y = make_blobs(d.samples, d.features, d.classes, d.seed, d.spread)

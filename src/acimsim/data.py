@@ -1,5 +1,6 @@
 """Desk-scale datasets: seeded Gaussian blobs and IDX file loading."""
 
+import math
 import struct
 
 import numpy as np
@@ -72,9 +73,8 @@ def load_idx(path) -> np.ndarray:
         raise DataError(f"{path}: truncated IDX header")
     dims = struct.unpack(f">{ndim}I", raw[4:header])
     dtype = _IDX_DTYPES[type_code]
-    count = int(np.prod(dims)) if dims else 1
     body = raw[header:]
-    if len(body) != count * dtype.itemsize:
+    if len(body) != math.prod(dims) * dtype.itemsize:
         raise DataError(f"{path}: IDX payload size mismatch")
     return np.frombuffer(body, dtype=dtype).reshape(dims).astype(np.float64)
 

@@ -17,8 +17,6 @@ from .quant import QuantizedTensor
 
 
 def _to_db(ratio: float) -> float:
-    if math.isinf(ratio):
-        return math.inf
     if ratio <= 0:
         return -math.inf
     return 10.0 * math.log10(ratio)

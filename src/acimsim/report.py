@@ -14,10 +14,6 @@ from enum import Enum
 
 def fmt_value(v) -> str:
     if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
         return format(v, ".12g")
     return str(v)
 

@@ -4,6 +4,8 @@ result."""
 
 import math
 import os
+import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from acimsim import (AcimError, CheckpointError, ConfigError, DataError,
                      group_layout, init_mlp, linearity_sweep, plan_cycles,
                      quantize, save_checkpoint, simulate_attention,
                      simulate_conv2d, simulate_matmul, train)
-from acimsim.data import make_blobs
+from acimsim.data import load_idx, make_blobs
 from acimsim.errors import check_int
 from acimsim.macro import adc_readout, majority_vote_readout
 from acimsim.models import engine_forward
@@ -51,6 +53,15 @@ def _conv(act_shape, w_shape, bits=4):
 def _attention(q_shape, k_shape, v_shape):
     return simulate_attention(np.ones(q_shape), np.ones(k_shape),
                               np.ones(v_shape), 4, _CFG, _SPEC, _MODE)
+
+def _load_idx_bytes(raw):
+    """load_idx of an IDX file holding the bytes `raw`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "hostile.idx")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        return load_idx(path)
+
 
 PROBES = {
     "init_mlp-zero-width": (lambda: init_mlp([4, 0, 3], 1), ShapeError,
@@ -207,6 +218,12 @@ PROBES = {
                                  "seed must be >= 0, got -1"),
     "make_blobs-float-seed": (lambda: make_blobs(12, 4, 3, 1.5), DataError,
                               "seed must be an integer, got 1.5"),
+    # dims of 2^31 * 2^31 * 4 wrap to 0 in int64: this bodiless header once
+    # passed the size check and escaped reshape as a bare ValueError
+    "load_idx-wrapped-dims": (
+        lambda: _load_idx_bytes(struct.pack(">BBBB3I", 0, 0, 0x08, 3, 2 ** 31,
+                                            2 ** 31, 4)), DataError,
+        "hostile.idx: IDX payload size mismatch"),
     # numpy's TypeError once named no argument
     "init_mlp-float-width": (lambda: init_mlp([4, 8.5, 3], 0), ShapeError,
                              "dims must be an integer, got 8.5"),

@@ -459,6 +459,41 @@ def test_empty_idx_images_exit_3(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_0d_idx_images_exit_3(tmp_path, capsys):
+    # a 0-d images file is one bare pixel, which once died on len() with a
+    # TypeError
+    cfg = _idx_config(tmp_path, 7, np.arange(60) % 3)
+    assert run("simulate", cfg, tmp_path / "out") == 3
+    assert (f"acim-sim: error: {tmp_path / 'images.idx'}: IDX file holds no "
+            "images" in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_wrapped_idx_dims_exit_3(tmp_path, capsys):
+    # 2^31 * 2^31 * 4 wraps to 0 in int64, so this bodiless header once
+    # passed the size check and escaped as reshape's bare ValueError
+    cfg = _idx_config(tmp_path, np.zeros((60, 4, 4)), np.arange(60) % 3)
+    (tmp_path / "images.idx").write_bytes(
+        struct.pack(">BBBB3I", 0, 0, 0x08, 3, 2 ** 31, 2 ** 31, 4))
+    assert run("simulate", cfg, tmp_path / "out") == 3
+    assert (f"acim-sim: error: {tmp_path / 'images.idx'}: IDX payload size "
+            "mismatch" in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("pixel", [np.nan, np.inf, -np.inf])
+def test_non_finite_idx_pixels_exit_3(tmp_path, capsys, pixel):
+    # a non-finite pixel made the peak, and so every scaled pixel, NaN: the
+    # run once failed later on a tensor check that named no file
+    images = np.ones((60, 4, 4))
+    images[5, 1, 2] = pixel
+    cfg = _idx_config(tmp_path, images, np.arange(60) % 3, image_code=0x0D)
+    assert run("simulate", cfg, tmp_path / "out") == 3
+    assert (f"acim-sim: error: {tmp_path / 'images.idx'}: pixels must be "
+            "finite" in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_idx_images_exit_2(tmp_path, capsys):
     _write_idx(tmp_path / "labels.idx", np.zeros(60))
     missing = tmp_path / "images.idx"
@@ -491,10 +526,10 @@ def test_idx_2d_labels_exit_3(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def _idx_config(tmp_path, images, labels, label_code=0x08):
-    """BASE_INI reading `images` and `labels` from IDX files, the labels of
-    IDX type `label_code`."""
-    _write_idx(tmp_path / "images.idx", images)
+def _idx_config(tmp_path, images, labels, label_code=0x08, image_code=0x08):
+    """BASE_INI reading `images` and `labels` from IDX files of IDX types
+    `image_code` and `label_code`."""
+    _write_idx(tmp_path / "images.idx", images, image_code)
     _write_idx(tmp_path / "labels.idx", labels, label_code)
     return write_config(tmp_path, BASE_INI.replace(
         "[data]\n", f"[data]\nimages = {tmp_path / 'images.idx'}\n"

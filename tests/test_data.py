@@ -1,5 +1,7 @@
 """Dataset helpers: blob generator determinism, IDX round trips."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,12 @@ def test_idx_rejects_malformed(tmp_path):
     # payload shorter than the declared shape
     path.write_bytes(b"\x00\x00\x0e\x01\x00\x00\x00\x04" + b"\x00" * 8)
     with pytest.raises(DataError):
+        load_idx(path)
+    # dims whose product wraps to 0 in int64, and no payload: once passed
+    # the size check and failed in reshape with a bare ValueError
+    path.write_bytes(struct.pack(">BBBB3I", 0, 0, 0x08, 3, 2 ** 31, 2 ** 31,
+                                 4))
+    with pytest.raises(DataError, match="payload size mismatch"):
         load_idx(path)
     with pytest.raises(DataError):
         load_idx(tmp_path / "missing.idx")

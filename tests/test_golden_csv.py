@@ -22,12 +22,14 @@ checked anywhere. So is VOTED_LINEARITY, the `linearity` CSV of
 
 import ctypes
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from acimsim.cli import main
+from acimsim.report import fmt_value
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -106,6 +108,15 @@ GOLDEN = {
 
 def test_golden_covers_every_shipped_config():
     assert {ini for ini, _ in GOLDEN} == {p.name for p in CONFIGS.glob("*.ini")}
+
+
+@pytest.mark.parametrize("value, text", [
+    (math.nan, "nan"), (-math.nan, "nan"), (math.inf, "inf"),
+    (-math.inf, "-inf"), (-0.0, "-0"), (np.float64(-math.inf), "-inf"),
+    (np.float64(math.nan), "nan"), (0.1, "0.1"), (7, "7")])
+def test_fmt_value_spelling(value, text):
+    # the CSV spelling of non-finite floats, which no golden config prints
+    assert fmt_value(value) == text
 
 
 # every CSV at --threads 1; the sweep, whose plan classes may run on

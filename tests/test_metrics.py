@@ -10,7 +10,7 @@ from acimsim import macro
 from acimsim.engine import EngineMode
 from acimsim.errors import DomainError, ShapeError
 from acimsim.macro import NOISELESS, MacroConfig, NoiseSpec, NoiseUnit, Sigma
-from acimsim.metrics import (csnr_measure, csnr_variance_form, linearity_sweep,
+from acimsim.metrics import (_to_db, csnr_measure, csnr_variance_form, linearity_sweep,
                              mac_distribution)
 from acimsim.quant import QuantParams, QuantizedTensor, Signedness
 from oracles import int_matmul, linearity_per_level, total_mass
@@ -42,6 +42,13 @@ def test_csnr_zero_db_case():
 def test_csnr_zero_signal():
     r = csnr_measure([0.0, 0.0], [0.1, 0.0])
     assert r.db == -math.inf
+
+
+@pytest.mark.parametrize("ratio, db", [
+    (0.0, "-inf"), (-2.0, "-inf"), (math.inf, "inf"), (math.nan, "nan"),
+    (100.0, "20.0")])
+def test_to_db(ratio, db):
+    assert repr(_to_db(ratio)) == db
 
 
 def test_csnr_shape_mismatch():
