@@ -19,9 +19,8 @@ from .quant import (QuantParams, QuantizedTensor, Signedness, bit_sparsity,
 from .engine import (CyclePlan, EngineMode, SimLayerResult, VotingSpec,
                      plan_cycles, simulate_attention, simulate_conv2d,
                      simulate_matmul)
-from .metrics import (CsnrReport, LinearitySweep, MacHistogram, VarianceCsnr,
-                      csnr_measure, csnr_variance_form, linearity_sweep,
-                      mac_distribution)
+from .metrics import (LinearitySweep, MacHistogram, VarianceCsnr, csnr_measure,
+                      csnr_variance_form, linearity_sweep, mac_distribution)
 from .models import (LinearLayer, Relu, TinyModel, TrainConfig,
                      evaluate_digital, forward_float, forward_qat, init_mlp,
                      train)

@@ -42,6 +42,9 @@ def _dataset(cfg: ExperimentConfig):
         if count < MIN_SAMPLES:
             raise DataError(f"{d.images}: IDX file holds {count or 'no'} "
                             f"images, need at least {MIN_SAMPLES}")
+        if not x[0].size:
+            raise DataError(f"{d.images}: images of shape {x.shape[1:]} "
+                            f"hold no pixels")
         if y.ndim != 1:
             raise DataError(f"{d.labels}: labels must be 1-D, got shape "
                             f"{y.shape}")
@@ -124,7 +127,7 @@ def _run_grid(cfg: ExperimentConfig, axes: dict, threads, meta):
             grid, engine_forward(model, x, points, threads)):
         net = SimLayerResult.compose(layers, logits)
         acc = float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
-        rows.append((*values, acc, csnr_measure(ideal, logits).db,
+        rows.append((*values, acc, csnr_measure(ideal, logits),
                      net.total_cycles, net.analog_ratio))
     meta["baseline_acc"] = model.baseline_acc
     meta["quant"] = {"w_bits": model.w_bits, "x_bits": model.x_bits}
@@ -173,14 +176,14 @@ def cmd_csnr(cfg: ExperimentConfig, args, meta):
     quant_out = simulate_matmul(act_q, w_q, cfg.macro, NOISELESS,
                                 cfg.mode).output
     noisy = simulate_matmul(act_q, w_q, cfg.macro, cfg.noise, cfg.mode).output
-    direct = csnr_measure(ideal, noisy)
+    direct_db = csnr_measure(ideal, noisy)
     vf = csnr_variance_form(ideal, quant_in, quant_out, noisy)
     header = ("csnr_db", "sqnr_sum_db", "csnr_sum_db", "sqnr_total_db",
               "csnr_total_db", "term_input_quant", "term_output_quant",
               "term_analog", "samples")
-    row = (direct.db, vf.sqnr_db, vf.csnr_db, vf.sqnr_total_db,
+    row = (direct_db, vf.sqnr_db, vf.csnr_db, vf.sqnr_total_db,
            vf.csnr_total_db, vf.terms["input_quant"],
-           vf.terms["output_quant"], vf.terms["analog"], direct.trials)
+           vf.terms["output_quant"], vf.terms["analog"], ideal.size)
     return header, [row]
 
 

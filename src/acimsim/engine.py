@@ -431,13 +431,13 @@ def simulate_conv2d(act, w, stride: int, padding: int, bits,
         raise ShapeError("simulate_conv2d expects act[C,H,W] and w[F,C,kh,kw]")
     if act.shape[0] != w.shape[1]:
         raise ShapeError(f"channel mismatch: {act.shape[0]} vs {w.shape[1]}")
-    f, _c, kh, kw = w.shape
+    f, c, kh, kw = w.shape
     act_q = quantize(act, x_bits)
     w_q = quantize(w, w_bits, Signedness.TWOS_COMPLEMENT)
     patches = im2col(act_q.codes, Shape2D(kh, kw), stride, padding)
     res = simulate_matmul(
         QuantizedTensor(patches, act_q.params),
-        QuantizedTensor(w_q.codes.reshape(f, -1).T, w_q.params),
+        QuantizedTensor(w_q.codes.reshape(f, c * kh * kw).T, w_q.params),
         cfg, spec, mode, layer=layer)
     out_h, out_w = conv_output_shape(act.shape[1], act.shape[2],
                                      Shape2D(kh, kw), stride, padding)
@@ -467,8 +467,8 @@ def simulate_attention(q, k, v, bits, cfg: MacroConfig, spec: NoiseSpec,
     v = np.asarray(v, dtype=np.float64)
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
         raise ShapeError("simulate_attention expects 2-D q, k, v")
-    if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
-        raise ShapeError(
+    if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0] or 0 in k.shape:
+        raise ShapeError(  # softmax needs a key, the 1/sqrt scale a width
             f"incompatible attention shapes {q.shape}, {k.shape}, {v.shape}")
     head_dim = q.shape[1]
     q_q = quantize(q, w_bits, Signedness.TWOS_COMPLEMENT)

@@ -22,14 +22,6 @@ def _to_db(ratio: float) -> float:
     return 10.0 * math.log10(ratio)
 
 
-@dataclass(frozen=True)
-class CsnrReport:
-    db: float
-    signal_power: float
-    noise_power: float
-    trials: int
-
-
 def _check_finite(*named) -> None:
     """DomainError naming the first (name, array) of `named` not finite."""
     for name, t in named:
@@ -37,8 +29,8 @@ def _check_finite(*named) -> None:
             raise DomainError(f"{name} must be finite")
 
 
-def csnr_measure(ideal, simulated) -> CsnrReport:
-    """Power-ratio CSNR/SQNR: 10 log10(sum y^2 / sum (y - y_hat)^2)."""
+def csnr_measure(ideal, simulated) -> float:
+    """Power-ratio CSNR/SQNR in dB: 10 log10(sum y^2 / sum (y - y_hat)^2)."""
     y = np.asarray(ideal, dtype=np.float64)
     y_hat = np.asarray(simulated, dtype=np.float64)
     if y.shape != y_hat.shape:
@@ -46,8 +38,7 @@ def csnr_measure(ideal, simulated) -> CsnrReport:
     _check_finite(("ideal", y), ("simulated", y_hat))
     signal = float(np.sum(y * y))
     noise = float(np.sum((y - y_hat) ** 2))
-    db = _to_db(math.inf if noise == 0 else signal / noise)
-    return CsnrReport(db, signal, noise, y.size)
+    return _to_db(math.inf if noise == 0 else signal / noise)
 
 
 @dataclass(frozen=True)
@@ -71,8 +62,10 @@ class VarianceCsnr:
 def csnr_variance_form(ideal, quant_in, quant_out, noisy) -> VarianceCsnr:
     arrays = [np.asarray(a, dtype=np.float64)
               for a in (ideal, quant_in, quant_out, noisy)]
-    if len({a.shape for a in arrays}) != 1:
-        raise ShapeError("all four outputs must share a shape")
+    shapes = [a.shape for a in arrays]
+    if len(set(shapes)) != 1 or not arrays[0].size:
+        raise ShapeError(f"all four outputs must share a non-empty shape, "
+                         f"got {shapes}")
     _check_finite(*zip(("ideal", "quant_in", "quant_out", "noisy"), arrays))
     y, q_in, q_out, noisy = arrays
     var_y = float(np.var(y))
@@ -150,9 +143,10 @@ class LinearitySweep:
 
 
 def linearity_sweep(cfg: MacroConfig, spec: NoiseSpec, trials: int,
-                    levels=None, samples: int = 1) -> LinearitySweep:
+                    samples: int = 1) -> LinearitySweep:
     """Mean and sigma of readout codes per ideal level, in LSB units.
 
+    The levels are every level of the full scale, or 257 spread over it.
     Level v is one row of `trials` readouts drawn from RngContext(column=v),
     sample s of a vote from sample s: one StreamTable keys every (level,
     sample) read, in that order. Runs of rows (macro.runs, `trials` readouts
@@ -163,15 +157,8 @@ def linearity_sweep(cfg: MacroConfig, spec: NoiseSpec, trials: int,
     check_int(trials, "trials", DomainError, 100)
     check_int(samples, "samples", DomainError, 1)
     n_fs = cfg.full_scale_counts
-    if levels is None:   # every level, or 257 spread over the full scale
-        levels = np.unique(np.linspace(0, n_fs, min(n_fs, 256) + 1).round())
-    levels = np.asarray(levels)
-    if (levels.ndim != 1 or not levels.size or levels.dtype.kind not in "iuf"
-            or not np.all((levels >= 0) & (levels <= n_fs)
-                          & (levels == np.round(levels)))):
-        raise DomainError(f"levels must be a non-empty list of integers in "
-                          f"[0, {n_fs}], got {levels}")
-    levels = levels.astype(np.int64)
+    levels = np.unique(np.linspace(0, n_fs, min(n_fs, 256) + 1).round()
+                       ).astype(np.int64)
     reads = np.zeros((levels.size, samples, 6), dtype=np.int64)
     reads[..., 4] = levels[:, None]
     reads[..., 5] = np.arange(samples)

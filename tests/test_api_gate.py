@@ -112,6 +112,11 @@ PROBES = {
     "csnr_variance_form-nan-quant_out": (
         lambda: csnr_variance_form([1.0, 2.0], [1.0, 2.0], [1.0, math.nan],
                                    [1.0, 2.0]), DomainError, "quant_out"),
+    # empty operands once gave NaN terms, two RuntimeWarnings and an
+    # infinite sqnr_db
+    "csnr_variance_form-empty": (
+        lambda: csnr_variance_form([], [], [], []), ShapeError,
+        "non-empty shape"),
     # a NaN once made the tensor 2's complement, as NaN >= 0 is False
     "quantize-nan": (lambda: quantize(np.array([math.nan, 1.0]), 8),
                      DomainError, "non-finite"),
@@ -151,6 +156,14 @@ PROBES = {
     "simulate_attention-3d-v": (
         lambda: _attention((2, 4), (3, 4), (3, 2, 1)), ShapeError,
         "2-D q, k, v"),
+    # no keys once raised numpy's bare ValueError in softmax, and a head
+    # width of 0 divided by sqrt(0) into a non-finite tensor naming no input
+    "simulate_attention-zero-keys": (
+        lambda: _attention((2, 4), (0, 4), (0, 2)), ShapeError,
+        r"attention shapes \(2, 4\), \(0, 4\), \(0, 2\)"),
+    "simulate_attention-zero-head-width": (
+        lambda: _attention((2, 0), (3, 0), (3, 2)), ShapeError,
+        r"attention shapes \(2, 0\), \(3, 0\), \(3, 2\)"),
     "engine_forward-3d-x": (
         lambda: engine_forward(_MLP, np.ones((2, 2, 4)),
                                [(_CFG, _SPEC, _MODE)]), ShapeError,

@@ -459,6 +459,17 @@ def test_empty_idx_images_exit_3(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("shape", [(60, 0), (60, 4, 0)])
+def test_zero_width_idx_images_exit_3(tmp_path, capsys, shape):
+    # 60 images of no pixels once reached init_mlp, whose "dims must be
+    # >= 1" named no file
+    cfg = _idx_config(tmp_path, np.zeros(shape), np.arange(60) % 3)
+    assert run("simulate", cfg, tmp_path / "out") == 3
+    assert (f"acim-sim: error: {tmp_path / 'images.idx'}: images of shape "
+            f"{shape[1:]} hold no pixels" in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_0d_idx_images_exit_3(tmp_path, capsys):
     # a 0-d images file is one bare pixel, which once died on len() with a
     # TypeError

@@ -686,14 +686,14 @@ def test_level_hook_result_is_checked(bad):
         with pytest.raises(DomainError, match=match):
             simulate_matmul(act, w, MacroConfig(8, 4), spec, mode)
     with pytest.raises(DomainError, match="level_hook .* for RngContext"):
-        linearity_sweep(MacroConfig(8, 4), spec, 100, levels=[3, 5])
+        linearity_sweep(MacroConfig(8, 4), spec, 100)
 
 
 def test_level_hook_infinities_read_clamped_codes():
     cfg = MacroConfig(8, 4)
     for shift, code in ((np.inf, 15), (-np.inf, 0)):
         spec = NoiseSpec(level_hook=lambda v, c: v + shift)
-        sweep = linearity_sweep(cfg, spec, 100, levels=[0, 4, 8])
+        sweep = linearity_sweep(cfg, spec, 100)
         assert np.all(sweep.mean == code) and np.all(sweep.sigma == 0)
 
 
@@ -858,6 +858,15 @@ def test_conv_zero_input():
     w = np.random.default_rng(14).normal(size=(3, 2, 3, 3))
     res = simulate_conv2d(act, w, 1, 0, 8, cfg, NOISELESS, SERIAL)
     assert not res.output.any()
+
+
+def test_conv_zero_filters():
+    # as a matmul of zero output columns runs, so does a conv of no filters;
+    # its weight reshape once raised numpy's bare ValueError
+    cfg = MacroConfig.at_boundary(256)
+    res = simulate_conv2d(np.ones((2, 5, 5)), np.ones((0, 2, 3, 3)), 1, 0, 8,
+                          cfg, NOISELESS, SERIAL)
+    assert res.output.shape == (0, 3, 3)
 
 
 @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1)])

@@ -28,20 +28,15 @@ def lsb(value):
 
 def test_csnr_identical_is_infinite():
     y = np.array([1.0, 2.0, 3.0])
-    r = csnr_measure(y, y.copy())
-    assert r.db == math.inf
-    assert r.noise_power == 0.0
+    assert csnr_measure(y, y.copy()) == math.inf
 
 
 def test_csnr_zero_db_case():
-    r = csnr_measure([1.0, 0.0], [0.0, 0.0])
-    assert r.db == 0.0
-    assert r.signal_power == 1.0 and r.noise_power == 1.0
+    assert csnr_measure([1.0, 0.0], [0.0, 0.0]) == 0.0
 
 
 def test_csnr_zero_signal():
-    r = csnr_measure([0.0, 0.0], [0.1, 0.0])
-    assert r.db == -math.inf
+    assert csnr_measure([0.0, 0.0], [0.1, 0.0]) == -math.inf
 
 
 @pytest.mark.parametrize("ratio, db", [
@@ -60,8 +55,8 @@ def test_csnr_scale_invariant():
     gen = np.random.default_rng(0)
     y = gen.normal(size=100)
     y_hat = y + 0.1 * gen.normal(size=100)
-    a = csnr_measure(y, y_hat).db
-    b = csnr_measure(10.0 * y, 10.0 * y_hat).db
+    a = csnr_measure(y, y_hat)
+    b = csnr_measure(10.0 * y, 10.0 * y_hat)
     assert a == pytest.approx(b, abs=1e-9)
 
 
@@ -76,7 +71,7 @@ def test_sqnr_drops_with_adc_precision():
     dbs = []
     for k in (9, 7, 5):
         out = simulate_matmul(act, w, MacroConfig(256, k), NOISELESS, SERIAL)
-        dbs.append(csnr_measure(ideal, out.output).db)
+        dbs.append(csnr_measure(ideal, out.output))
     assert dbs[0] == math.inf or dbs[0] > dbs[1]
     assert dbs[1] > dbs[2]
 
@@ -114,7 +109,7 @@ def test_variance_form_total_tracks_power_ratio():
     q_out = q_in + 0.08 * gen.normal(size=n)
     noisy = q_out + 0.12 * gen.normal(size=n)
     r = csnr_variance_form(y, q_in, q_out, noisy)
-    direct = csnr_measure(y, noisy).db
+    direct = csnr_measure(y, noisy)
     assert abs(r.csnr_total_db - direct) < 1.0
     # the verbatim sum of per-source ratios sits above the combined form by
     # at least the 3-term arithmetic/harmonic-mean gap
@@ -191,29 +186,28 @@ def test_linearity_noiseless():
     assert sweep.levels[0] == 0 and sweep.levels[-1] == 64
 
 
+# at MacroConfig(256, 8) a sweep reads the levels 0..256, so row v is level v
+
 def test_linearity_random_noise_flat_sigma():
     cfg = MacroConfig(256, 8)
     spec = NoiseSpec(random_sigma=lsb(1.0), seed=42)
-    sweep = linearity_sweep(cfg, spec, trials=2000,
-                            levels=np.arange(16, 241, 16))
-    assert np.all(sweep.sigma > 0.9)
-    assert np.all(sweep.sigma < 1.15)
+    sigma = linearity_sweep(cfg, spec, trials=2000).sigma[16:241:16]
+    assert np.all(sigma > 0.9)
+    assert np.all(sigma < 1.15)
 
 
 def test_linearity_nonlin_sigma_decreases():
     cfg = MacroConfig(256, 8)
     spec = NoiseSpec(nonlin_sigma=lsb(1.0), seed=42)
-    sweep = linearity_sweep(cfg, spec, trials=4000,
-                            levels=np.array([16, 128, 240]))
-    assert sweep.sigma[0] > sweep.sigma[1] > sweep.sigma[2]
+    sigma = linearity_sweep(cfg, spec, trials=4000).sigma
+    assert sigma[16] > sigma[128] > sigma[240]
 
 
 def test_linearity_voting_reduces_sigma():
     cfg = MacroConfig(256, 8)
     spec = NoiseSpec(random_sigma=lsb(1.0), seed=42)
-    sweep = linearity_sweep(cfg, spec, trials=2000,
-                            levels=np.arange(32, 225, 32), samples=5)
-    assert 0.35 <= float(sweep.sigma.mean()) <= 0.55
+    sweep = linearity_sweep(cfg, spec, trials=2000, samples=5)
+    assert 0.35 <= float(sweep.sigma[32:225:32].mean()) <= 0.55
 
 
 def test_linearity_large_range_subsamples():
@@ -274,21 +268,6 @@ def test_linearity_sweep_equals_per_level_loop(samples):
 def test_linearity_trials_validation():
     with pytest.raises(DomainError):
         linearity_sweep(MacroConfig(64, 6), NOISELESS, trials=99)
-
-
-@pytest.mark.parametrize("levels", [[], [-1], [1.5], [17], [10**6], [[1, 2]],
-                                    ["a"], [np.nan]])
-def test_linearity_levels_validation(levels):
-    # levels must be a non-empty list of integers in [0, full scale = 16]
-    with pytest.raises(DomainError, match="levels"):
-        linearity_sweep(MacroConfig(16, 4), NOISELESS, 100, levels=levels)
-
-
-def test_linearity_levels_accept_integral_floats():
-    cfg = MacroConfig(16, 4)
-    sweep = linearity_sweep(cfg, NOISELESS, 100, levels=[0.0, 16.0, 5])
-    assert sweep.levels.dtype == np.int64
-    assert sweep.levels.tolist() == [0, 16, 5]
 
 
 def test_linearity_rows_roundtrip():
