@@ -191,26 +191,6 @@ def _bit_pair(bits) -> tuple:
     return pair
 
 
-def _stream_table(entries: np.ndarray, tiles: int, layer: int, seed: int,
-                  tags: list) -> StreamTable:
-    """One matmul's reads in one StreamTable, in the order it reads them:
-    per tile, each analog entry of `entries` once per oversample, keyed as
-    RngContext(layer, tile, w_bit, act_group, 0, sample) with every tag of
-    `tags` (none for a silent run, whose reads only a level hook sees)."""
-    check_int(layer, "spawn layer", DomainError, 0, 0xFFFFFFFF)
-    analog = entries[entries["analog"]]
-    samples = analog["oversample"]
-    n = int(samples.sum())
-    reads = np.zeros((tiles, n, 6), dtype=np.int64)
-    reads[..., 0] = layer
-    reads[..., 1] = np.arange(tiles)[:, None]
-    reads[..., 2] = np.repeat(analog["w_bit"], samples)
-    reads[..., 3] = np.repeat(analog["act_group"], samples)
-    reads[..., 5] = np.arange(n) - np.repeat(np.cumsum(samples) - samples,
-                                             samples)
-    return StreamTable(seed, tags, reads.reshape(-1, 6))
-
-
 def _readout_chunks(analog: list, oversample: list, elems: int):
     """(start, stop, analog, oversample) of each readout chunk of a group: a
     run (macro.runs) of consecutive entries of one domain and one oversample,
@@ -321,7 +301,7 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
                                    g["oversample"].tolist(), b * m))
               for g in groups]
     weights = groups["sign"] << groups["shift"]   # int64 [groups, Q]
-    tile_starts = range(0, d, cfg.rows)
+    tile_starts = range(0, d if m else 0, cfg.rows)   # no column, no tile
     tiles = len(tile_starts)
     # each count accumulated, a count table entry, vote average or digital
     # level, is at most full_scale_counts, so this bounds every |accum|
@@ -332,9 +312,17 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
     # per point: its count table and accumulator
     luts = [count_table(c) for c in cfgs]
     accums = [np.zeros((b, m), dtype=np.int64) for _ in cfgs]
-    # the table lists the reads in the order the loop below takes them
-    table = _stream_table(groups.ravel(), tiles, layer, seed,
-                          noise_tags(specs))
+    # the table lists the reads in the order the loop below takes them: per
+    # tile, each analog entry once per oversample, keyed with every noise
+    # tag (none for a silent run, whose reads only a level hook sees)
+    keyed = groups[groups["analog"]]
+    copies = keyed["oversample"]
+    entry_start = np.repeat(np.cumsum(copies) - copies, copies)
+    table = StreamTable(seed, noise_tags(specs), layer=layer,
+                        tile=np.arange(tiles)[:, None],
+                        w_bit=np.repeat(keyed["w_bit"], copies),
+                        act_group=np.repeat(keyed["act_group"], copies),
+                        sample=np.arange(len(entry_start)) - entry_start)
     read = 0   # the table position of the next read
     # one weight stack [rows, Q, M], which every tile overwrites
     stack = np.empty((min(cfg.rows, d), q_bits, m), dtype=np.float32)

@@ -33,8 +33,9 @@ def csnr_measure(ideal, simulated) -> float:
     """Power-ratio CSNR/SQNR in dB: 10 log10(sum y^2 / sum (y - y_hat)^2)."""
     y = np.asarray(ideal, dtype=np.float64)
     y_hat = np.asarray(simulated, dtype=np.float64)
-    if y.shape != y_hat.shape:
-        raise ShapeError(f"shape mismatch: {y.shape} vs {y_hat.shape}")
+    if y.shape != y_hat.shape or not y.size:
+        raise ShapeError(f"ideal and simulated must share a non-empty shape, "
+                         f"got {y.shape} vs {y_hat.shape}")
     _check_finite(("ideal", y), ("simulated", y_hat))
     signal = float(np.sum(y * y))
     noise = float(np.sum((y - y_hat) ** 2))
@@ -159,10 +160,8 @@ def linearity_sweep(cfg: MacroConfig, spec: NoiseSpec, trials: int,
     n_fs = cfg.full_scale_counts
     levels = np.unique(np.linspace(0, n_fs, min(n_fs, 256) + 1).round()
                        ).astype(np.int64)
-    reads = np.zeros((levels.size, samples, 6), dtype=np.int64)
-    reads[..., 4] = levels[:, None]
-    reads[..., 5] = np.arange(samples)
-    table = rng.StreamTable(spec.seed, noise_tags([spec]), reads.reshape(-1, 6))
+    table = rng.StreamTable(spec.seed, noise_tags([spec]),
+                            column=levels[:, None], sample=np.arange(samples))
     stats = []
     for lo, hi in macro.runs(levels.size, trials):
         batch = np.repeat(levels[lo:hi].astype(np.float64)[:, None], trials,
@@ -173,9 +172,5 @@ def linearity_sweep(cfg: MacroConfig, spec: NoiseSpec, trials: int,
             # a vote in counts, as the engine forms it, back in LSB units
             est[:, r0:r1] = x if samples == 1 else macro.vote_counts(
                 x, samples, cfg) / cfg.lsb_counts
-        # np.mean and np.std of each row, their arithmetic on one shared sum
-        mean = est.sum(axis=1, keepdims=True) / trials
-        est -= mean
-        est *= est
-        stats.append((mean[:, 0], np.sqrt(est.sum(axis=1) / trials)))
+        stats.append((est.mean(axis=1), est.std(axis=1)))
     return LinearitySweep(levels, *(np.concatenate(c) for c in zip(*stats)))

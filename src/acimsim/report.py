@@ -35,8 +35,6 @@ def _jsonable(obj):
         return fmt_value(obj)
     if isinstance(obj, Enum):
         return obj.value
-    if hasattr(obj, "item"):      # numpy scalars
-        return _jsonable(obj.item())
     return obj
 
 

@@ -106,25 +106,30 @@ def _mix(x, y):
     return out ^ (out >> 16)
 
 
-def _spawn_words(spawn, fields=_SPAWN_FIELDS) -> np.ndarray:
-    """Spawn rows as uint32 [N, W]; DomainError names a word outside 2^32
-    by its entry in `fields`."""
-    try:
-        arr = np.array(spawn, dtype=np.int64)
-        bad = arr.size and (arr.min() < 0 or arr.max() > _MASK32)
-    except OverflowError:
-        bad = True
-    if bad:
-        j = next(j for row in spawn for j, w in enumerate(row)
-                 if not 0 <= w <= _MASK32)
-        name = fields[j] if j < len(fields) else f"word {j}"
-        raise DomainError(f"spawn {name} must lie in [0, 2^32)")
+def _words(value, name: str) -> np.ndarray:
+    """`value`, an int or integer array, as uint32; DomainError naming
+    `name` for a float or a word outside [0, 2^32)."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iu" or arr.size and (
+            arr.min() < 0 or arr.max() > _MASK32):
+        raise DomainError(f"spawn {name} must be integers in [0, 2^32)")
+    return arr.astype(np.uint32)
+
+
+def _spawn_words(spawn) -> np.ndarray:
+    """Spawn rows as uint32 [N, W]; DomainError names the first column that
+    holds a float or a word outside 2^32 by its _SPAWN_FIELDS entry."""
+    arr = np.asarray(spawn)
     if arr.size == 0:
         return np.zeros((len(arr), 0), dtype=np.uint32)
     if arr.ndim != 2:
         raise DomainError(
             f"spawn must be [rows, words], got shape {arr.shape}")
-    return arr.astype(np.uint32)
+    # a float or a word beyond int64 makes every column float or object
+    columns = arr.T if arr.dtype.kind in "iu" else zip(*spawn)
+    return np.stack([_words(c, _SPAWN_FIELDS[j] if j < len(_SPAWN_FIELDS)
+                            else f"word {j}")
+                     for j, c in enumerate(columns)], -1)
 
 
 def philox_keys(seed: int, spawn) -> np.ndarray:
@@ -163,20 +168,25 @@ class StreamTable:
     """The Philox streams of every tag and read, keyed at once, addressed by
     read position.
 
-    `reads` holds one RngContext key per row, int [N, 6]; read i draws tag
-    t from the stream `stream` keys with (t, *reads[i]). One Philox serves
-    every draw: `generators` sets its key to the row's, its counter to 0 and
-    its buffer to empty, the state a fresh Philox(SeedSequence(seed,
-    spawn_key=row)) starts in. It is mutable, so a table is one thread's.
-    The state setter copies every field and converts Python ints in less
-    than half the time of numpy uint64s, so the state holds Python ints and
-    a call's keys leave the uint64 table through one tolist.
+    Each keyword is an RngContext field (`layer`, `tile`, ...), an int or
+    an integer array, 0 if left out. The fields broadcast together, and read
+    i, element i of the broadcast in C order, draws tag t from the stream
+    `stream` keys with t and its context. One Philox serves every draw:
+    `generators` sets its key to the row's, its counter to 0 and its buffer
+    to empty, the state a fresh Philox(SeedSequence(seed, spawn_key=row))
+    starts in. It is mutable, so a table is one thread's. The state setter
+    copies every field and converts Python ints in less than half the time
+    of numpy uint64s, so the state holds Python ints and a call's keys leave
+    the uint64 table through one tolist.
     """
 
-    def __init__(self, seed: int, tags, reads):
+    def __init__(self, seed: int, tags, **coords):
         self.seed, self.tags = seed, list(tags)
-        words = _spawn_words(reads, _SPAWN_FIELDS[1:])
-        self.reads = words.reshape(len(words), 6)
+        words = [_words(coords.pop(name, 0), name)
+                 for name in _SPAWN_FIELDS[1:]]
+        if coords:
+            raise TypeError(f"no RngContext field {sorted(coords)}")
+        self.reads = np.stack(np.broadcast_arrays(*words), -1).reshape(-1, 6)
         # int64, so philox_keys names a tag outside 2^32
         spawn = np.empty((len(self.reads), len(self.tags), 7), dtype=np.int64)
         spawn[..., 0] = self.tags

@@ -6,16 +6,21 @@ with the tags the specs draw, and read it at positions 0, 1, ..., so row r
 draws the streams of ctxs[r].
 """
 
+import dataclasses
+
 import numpy as np
 
 from acimsim.macro import (apply_noise, draw_noise, majority_vote_readout,
                            noise_tags)
-from acimsim.rng import StreamTable
+from acimsim.rng import RngContext, StreamTable
 
 
 def table_of(seed, ctxs, tags) -> StreamTable:
-    """A StreamTable of `tags` whose read i is ctxs[i]."""
-    return StreamTable(seed, tags, [c.key() for c in ctxs])
+    """A StreamTable of `tags` whose read i is ctxs[i]: each RngContext
+    field of every context, passed by name."""
+    return StreamTable(seed, tags, **{
+        f.name: np.array([getattr(c, f.name) for c in ctxs], dtype=np.int64)
+        for f in dataclasses.fields(RngContext)})
 
 
 def noise_at(v, spec, cfg, ctxs):

@@ -24,7 +24,7 @@ from acimsim.errors import check_int
 from acimsim.macro import adc_readout, majority_vote_readout
 from acimsim.models import engine_forward
 from acimsim.quant import CODE, fake_quantize
-from acimsim.rng import RngContext, stream
+from acimsim.rng import RngContext, StreamTable, philox_keys, stream
 
 
 def _train_on(x, labels):
@@ -53,6 +53,17 @@ def _conv(act_shape, w_shape, bits=4):
 def _attention(q_shape, k_shape, v_shape):
     return simulate_attention(np.ones(q_shape), np.ones(k_shape),
                               np.ones(v_shape), 4, _CFG, _SPEC, _MODE)
+
+
+def _all_digital_matmul(layer):
+    """A 4b matmul on _CFG with every shift level digital, at `layer`."""
+    q = quantize(np.ones((2, 8)), 4, Signedness.TWOS_COMPLEMENT)
+    levels = len(set(plan_cycles(4, 4, q.params.signedness,
+                                 q.params.signedness, _MODE).entries.shift))
+    return simulate_matmul(q, QuantizedTensor(q.codes.T, q.params), _CFG,
+                           NoiseSpec(Sigma(0.5), seed=1),
+                           EngineMode(hybrid_boundary=levels), layer=layer)
+
 
 def _load_idx_bytes(raw):
     """load_idx of an IDX file holding the bytes `raw`."""
@@ -109,6 +120,10 @@ PROBES = {
         lambda: evaluate_digital(_MLP, (np.ones((2, 4)), [0, 1, 2])),
         DataError, "labels"),
     # a NaN operand once gave NaN terms
+    # empty operands once read an infinite CSNR
+    "csnr_measure-empty": (
+        lambda: csnr_measure([], np.zeros((0, 2))), ShapeError,
+        r"non-empty shape, got \(0,\) vs \(0, 2\)"),
     "csnr_variance_form-nan-quant_out": (
         lambda: csnr_variance_form([1.0, 2.0], [1.0, 2.0], [1.0, math.nan],
                                    [1.0, 2.0]), DomainError, "quant_out"),
@@ -244,6 +259,17 @@ PROBES = {
     "stream-float-context-layer": (
         lambda: stream(1, RngContext(layer=1.5), 0), DomainError,
         "layer must be an integer, got 1.5"),
+    # a float spawn word once keyed the stream of its truncation
+    "philox_keys-float-word": (lambda: philox_keys(1, [[0, 2.7]]),
+                               DomainError, "spawn layer "),
+    "StreamTable-float-tile": (lambda: StreamTable(1, [0], tile=0.5),
+                               DomainError, "spawn tile "),
+    # the matmul's stream table checks its layer, even when every shift
+    # level is digital and the table holds no reads
+    **{f"simulate_matmul-{label}-layer-all-digital": (
+        lambda layer=layer: _all_digital_matmul(layer), DomainError,
+        "spawn layer ") for label, layer in (("float", 1.5),
+                                             ("negative", -1))},
 }
 
 

@@ -862,11 +862,13 @@ def test_conv_zero_input():
 
 def test_conv_zero_filters():
     # as a matmul of zero output columns runs, so does a conv of no filters;
-    # its weight reshape once raised numpy's bare ValueError
-    cfg = MacroConfig.at_boundary(256)
-    res = simulate_conv2d(np.ones((2, 5, 5)), np.ones((0, 2, 3, 3)), 1, 0, 8,
-                          cfg, NOISELESS, SERIAL)
+    # its weight reshape once raised numpy's bare ValueError, and with no
+    # weight on the array it once counted the cycles of 3 tiles
+    res = simulate_conv2d(np.ones((2, 5, 5)), np.ones((0, 2, 3, 3)), 1, 0, 4,
+                          MacroConfig(8, 5), NOISELESS, SERIAL)
     assert res.output.shape == (0, 3, 3)
+    assert res.tiles == 0 and res.total_cycles == 0
+    assert res.analog_ratio == 1.0
 
 
 @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1)])

@@ -24,7 +24,7 @@ from acimsim.macro import MacroConfig, NoiseSpec, NoiseUnit, Sigma
 from acimsim.models import (LinearLayer, Relu, TinyModel, engine_forward,
                             init_mlp)
 from acimsim.quant import QuantizedTensor, Signedness, quantize
-from streams import vote_at
+from streams import table_of, vote_at
 
 LSB, VPP = NoiseUnit.LSB_RMS, NoiseUnit.VPP_PCT
 
@@ -365,11 +365,11 @@ def test_vote_reads_range_rows_as_the_list_path_does(monkeypatch, samples):
     by_range, by_list = specs(), specs()
     got = macro.majority_vote_readout(
         [v] * 2, samples, by_range, cfgs, range(samples),
-        rng.StreamTable(11, tags, [c.key() for c in ctxs]))
+        table_of(11, ctxs, tags))
     assert isinstance(drawn[0], range) == (samples == 2)
     want = macro.majority_vote_readout(
         [v] * 2, samples, by_list, cfgs, list(range(samples))[::-1],
-        rng.StreamTable(11, tags, [c.key() for c in ctxs[::-1]]))
+        table_of(11, ctxs[::-1], tags))
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     assert _hook_logs([(None, s, None) for s in by_range]) == _hook_logs(
         [(None, s, None) for s in by_list])

@@ -17,8 +17,7 @@ from acimsim.errors import ShapeError
 from acimsim.macro import (MacroConfig, NoiseSpec, NoiseUnit, Sigma,
                            adc_readout, apply_noise, count_table, draw_noise,
                            majority_vote_readout)
-from acimsim.rng import (TAG_NONLIN, TAG_RANDOM, RngContext, StreamTable,
-                         normal, stream)
+from acimsim.rng import TAG_NONLIN, TAG_RANDOM, RngContext, normal, stream
 from oracles import (pinned_adc, pinned_nonlin, pinned_random, pinned_vote,
                      sign_floor_round)
 from streams import noise_at, table_of, vote_at
@@ -227,7 +226,7 @@ def _row_contexts(n):
 
 def test_normal_rows_equal_single_context_draws():
     ctxs = _row_contexts(5)
-    table = StreamTable(11, (TAG_RANDOM, TAG_NONLIN), [c.key() for c in ctxs])
+    table = table_of(11, ctxs, (TAG_RANDOM, TAG_NONLIN))
     assert table.contexts(range(5)) == ctxs
     for tag in (TAG_RANDOM, TAG_NONLIN):
         want = np.stack([stream(11, c, tag).standard_normal((2, 3))

@@ -9,6 +9,7 @@ import pytest
 from acimsim.errors import DomainError
 from acimsim.rng import (TAG_DATA, TAG_NAT, TAG_NONLIN, TAG_RANDOM, RngContext,
                          StreamTable, normal, philox_keys, stream)
+from streams import table_of
 
 
 def _draw(seed, ctx, tag, size):
@@ -111,9 +112,9 @@ def test_stream_table_matches_normal_on_every_row():
         rows = _spawn_rows(gen, 40) + [(TAG_NONLIN, 1, 2, 3, 4, 0, 5)]
         tags = sorted({row[0] for row in rows})
         reads = [row[1:] for row in rows]
-        table = StreamTable(seed, tags, reads)
-        assert table.contexts(range(len(reads))) == [RngContext(*key)
-                                                     for key in reads]
+        ctxs = [RngContext(*key) for key in reads]
+        table = table_of(seed, ctxs, tags)
+        assert table.contexts(range(len(reads))) == ctxs
         # each row twice, in a shuffled order, with every tag: a draw never
         # depends on the rows drawn before it
         for i in np.concatenate([gen.permutation(len(rows))] * 2):
@@ -125,7 +126,7 @@ def test_stream_table_matches_normal_on_every_row():
 
 
 def test_stream_table_rejects_unknown_row_and_tag():
-    table = StreamTable(5, [TAG_RANDOM], [(0, 0, 0, 0, 0, 0)])
+    table = StreamTable(5, [TAG_RANDOM])   # one read, every field 0
     for read in (1, -1):
         with pytest.raises(IndexError):
             normal(table, [read], TAG_RANDOM, 1)
@@ -133,16 +134,48 @@ def test_stream_table_rejects_unknown_row_and_tag():
         normal(table, [0], TAG_NONLIN, 1)
 
 
+SPAWN_FIELDS = ("tag", "layer", "tile", "w_bit", "act_group", "column",
+                "sample")
+
+
 @pytest.mark.parametrize("word,field", [(2**32, "tile"), (-1, "layer"),
-                                        (2**70, "sample"), (2**32, "tag")])
+                                        (2**70, "sample"), (2**32, "tag"),
+                                        (2.7, "layer"), (0.5, "column"),
+                                        (1.0, "w_bit")])
 def test_philox_keys_rejects_word_outside_uint32(word, field):
+    # a float word once keyed its truncation
     row = [0] * 7
-    row[("tag", "layer", "tile", "w_bit", "act_group", "column",
-         "sample").index(field)] = word
-    with pytest.raises(DomainError, match=field):
+    row[SPAWN_FIELDS.index(field)] = word
+    with pytest.raises(DomainError, match=f"spawn {field} "):
         philox_keys(1, [tuple(row)])
-    with pytest.raises(DomainError, match=field):
-        StreamTable(1, row[:1], [row[1:]])
+    with pytest.raises(DomainError, match=f"spawn {field} "):
+        StreamTable(1, row[:1], **dict(zip(SPAWN_FIELDS[1:], row[1:])))
+
+
+@pytest.mark.parametrize("field", SPAWN_FIELDS[1:])
+@pytest.mark.parametrize("bad", [0.5, np.array([], dtype=np.float64),
+                                 2**32])
+def test_stream_table_checks_each_field_even_when_empty(field, bad):
+    # `sample` of length 0 empties the broadcast, yet each field is checked
+    other = "sample" if field != "sample" else "layer"
+    with pytest.raises(DomainError, match=f"spawn {field} "):
+        StreamTable(1, [TAG_RANDOM], **{field: bad, other: np.arange(0)})
+
+
+def test_stream_table_reads_the_broadcast_in_c_order():
+    table = StreamTable(3, [TAG_RANDOM, TAG_NAT], layer=7,
+                        tile=np.arange(2)[:, None], w_bit=[4, 5, 6],
+                        sample=np.uint32(2))
+    want = [RngContext(layer=7, tile=t, w_bit=w, sample=2)
+            for t in range(2) for w in (4, 5, 6)]
+    assert table.contexts(range(6)) == want
+    assert np.array_equal(normal(table, range(6), TAG_NAT, (6, 2)),
+                          normal(table_of(3, want, [TAG_NAT]), range(6),
+                                 TAG_NAT, (6, 2)))
+    empty = StreamTable(3, [TAG_RANDOM], tile=np.zeros((4, 0), int))
+    assert empty.reads.shape == (0, 6)
+    with pytest.raises(TypeError, match="tiles"):
+        StreamTable(3, [TAG_RANDOM], tiles=1)
 
 
 def test_philox_keys_rejects_negative_seed():
@@ -160,7 +193,8 @@ def _fresh(seed, table, rows, tag, shape):
 def _table(seed, n):
     gen = np.random.default_rng(seed)
     reads = gen.integers(0, 2**32, size=(n, 6), dtype=np.uint64).tolist()
-    return StreamTable(seed, [TAG_RANDOM, TAG_NONLIN, TAG_NAT], reads)
+    return table_of(seed, [RngContext(*key) for key in reads],
+                    [TAG_RANDOM, TAG_NONLIN, TAG_NAT])
 
 
 ROW_CONTAINERS = [range(3, 9), range(1, 12, 3), range(10, 3, -2), range(0),
