@@ -253,10 +253,10 @@ def simulate_matmul(act: QuantizedTensor, w: QuantizedTensor,
                     layer: int = 0) -> SimLayerResult:
     """Simulate act[B,D] @ w[D,M] with w stationary in the macro.
 
-    D is tiled into ceil(D/rows) mappings. Per (tile, activation group) the
-    GEMMs of the group's DAC words [B, rows], a row slice at a time, against
-    the tile's stacked weight planes [rows, Q*M] yield the levels of all Q
-    weight bits at once.
+    D is tiled into ceil(D/rows) mappings, none if B or M is 0. Per (tile,
+    activation group) the GEMMs of the group's DAC words [B, rows], a row
+    slice at a time, against the tile's stacked weight planes [rows, Q*M]
+    yield the levels of all Q weight bits at once.
     Digital entries accumulate their exact levels, analog ones the counts
     of their chunks' readout (_read). The one-point case of _simulate_points.
     """
@@ -301,7 +301,7 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
                                    g["oversample"].tolist(), b * m))
               for g in groups]
     weights = groups["sign"] << groups["shift"]   # int64 [groups, Q]
-    tile_starts = range(0, d if m else 0, cfg.rows)   # no column, no tile
+    tile_starts = range(0, d if b and m else 0, cfg.rows)   # empty: no tile
     tiles = len(tile_starts)
     # each count accumulated, a count table entry, vote average or digital
     # level, is at most full_scale_counts, so this bounds every |accum|

@@ -23,6 +23,25 @@ TAG_NONLIN = 1
 TAG_NAT = 2
 TAG_DATA = 3
 
+_MASK32 = 0xFFFFFFFF
+
+
+def _word(value, name: str) -> int:
+    """A tag or context field as an int: the one check of a spawn word, an
+    integer in [0, 2^32), which numpy would otherwise split into several."""
+    return check_int(value, f"spawn {name}", DomainError, 0, _MASK32)
+
+
+def _words(value, name: str) -> np.ndarray:
+    """`value`, an int or integer array, as uint32 words that _word passes."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iu":
+        raise DomainError(f"spawn {name} must be integers in [0, 2^32), "
+                          f"got {arr.dtype}")
+    for word in (arr.min(), arr.max()) if arr.size else ():
+        _word(word, name)
+    return arr.astype(np.uint32)
+
 
 @dataclass(frozen=True)
 class RngContext:
@@ -43,11 +62,13 @@ class RngContext:
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
-            check_int(getattr(self, field.name), field.name, DomainError, 0)
+            _word(getattr(self, field.name), field.name)
 
     def key(self) -> tuple:
-        return (self.layer, self.tile, self.w_bit, self.act_group,
-                self.column, self.sample)
+        return dataclasses.astuple(self)
+
+
+_FIELDS = tuple(f.name for f in dataclasses.fields(RngContext))
 
 
 def stream(seed: int, ctx: RngContext, tag: int) -> np.random.Generator:
@@ -57,7 +78,8 @@ def stream(seed: int, ctx: RngContext, tag: int) -> np.random.Generator:
     identical keys replay identical draws, independent of thread schedule.
     """
     check_int(seed, "seed", DomainError, 0)
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(tag, *ctx.key()))
+    ss = np.random.SeedSequence(entropy=seed,
+                                spawn_key=(_word(tag, "tag"), *ctx.key()))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -80,20 +102,18 @@ def normal(table: "StreamTable", rows, tag: int, shape) -> np.ndarray:
 # xors its input with the k-th running hash constant and multiplies it by the
 # next one; the constants do not depend on the data, so they are tabulated.
 # The mixing helpers take uint32 arrays, whose arithmetic wraps mod 2^32.
-_MASK32 = 0xFFFFFFFF
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_SPAWN_FIELDS = ("tag", *(f.name for f in dataclasses.fields(RngContext)))
 
 
-def _hash_consts(init: int, mult: int, count: int) -> list:
-    """The first `count` running hash constants init * mult^k mod 2^32."""
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """Hash constants init * mult^k mod 2^32, k < count: a uint32 column."""
     out = [init]
     while len(out) < count:
         out.append((out[-1] * mult) & _MASK32)
-    return out
+    return np.array(out, dtype=np.uint32)[:, None]
 
 
 def _hashmix(value, c_in, c_out):
@@ -106,62 +126,30 @@ def _mix(x, y):
     return out ^ (out >> 16)
 
 
-def _words(value, name: str) -> np.ndarray:
-    """`value`, an int or integer array, as uint32; DomainError naming
-    `name` for a float or a word outside [0, 2^32)."""
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "iu" or arr.size and (
-            arr.min() < 0 or arr.max() > _MASK32):
-        raise DomainError(f"spawn {name} must be integers in [0, 2^32)")
-    return arr.astype(np.uint32)
-
-
-def _spawn_words(spawn) -> np.ndarray:
-    """Spawn rows as uint32 [N, W]; DomainError names the first column that
-    holds a float or a word outside 2^32 by its _SPAWN_FIELDS entry."""
-    arr = np.asarray(spawn)
-    if arr.size == 0:
-        return np.zeros((len(arr), 0), dtype=np.uint32)
-    if arr.ndim != 2:
-        raise DomainError(
-            f"spawn must be [rows, words], got shape {arr.shape}")
-    # a float or a word beyond int64 makes every column float or object
-    columns = arr.T if arr.dtype.kind in "iu" else zip(*spawn)
-    return np.stack([_words(c, _SPAWN_FIELDS[j] if j < len(_SPAWN_FIELDS)
-                            else f"word {j}")
-                     for j, c in enumerate(columns)], -1)
-
-
-def philox_keys(seed: int, spawn) -> np.ndarray:
-    """Philox keys of `SeedSequence(seed, spawn_key=row)` for every row.
+def _philox_keys(seed: int, words: np.ndarray) -> np.ndarray:
+    """Philox keys of `SeedSequence(seed, spawn_key=row)` for every row of
+    the checked uint32 spawn words [N, W], seed a Python int >= 0.
 
     numpy mixes a row's spawn words into the pool after the seed's words, so
     the pool of `SeedSequence(seed)` is every row's start, and the spawn
     words mix in vectorized over rows. Returns uint64 [N, 2], row i equal to
-    `SeedSequence(seed, spawn_key=spawn[i]).generate_state(2, np.uint64)`,
-    the key `Philox(SeedSequence(...))` uses. Every spawn word must lie in
-    [0, 2^32); numpy would split a larger one into several words.
+    `SeedSequence(seed, spawn_key=words[i]).generate_state(2, np.uint64)`,
+    the key `Philox(SeedSequence(...))` uses.
     """
-    seed = check_int(seed, "seed", DomainError, 0)
-    words = _spawn_words(spawn)
     pool = np.random.SeedSequence(seed).pool[:, None]
     # numpy took 16 hash calls to fill the pool with the seed's n 32-bit
     # words (zero-padded to 4) and cross-mix it, then 4 calls for each later
     # seed word; the spawn words take the hash constants from there on
     n = max(1, -(-seed.bit_length() // 32))
     k = _POOL * (_POOL + max(0, n - _POOL))
-    a = np.array(_hash_consts(_INIT_A, _MULT_A, k + _POOL * words.shape[1] + 1),
-                 dtype=np.uint32)[:, None]
-    for word in words.T:   # one [4, N] step per word
-        pool = _mix(pool, _hashmix(word, a[k:k + _POOL],
-                                   a[k + 1:k + _POOL + 1]))
-        k += _POOL
+    a = _hash_consts(_INIT_A, _MULT_A, k + _POOL * words.shape[1] + 1)[k:]
+    for word in words.T:   # one [4, N] step per word, 4 constants on
+        pool = _mix(pool, _hashmix(word, a[:_POOL], a[1:_POOL + 1]))
+        a = a[_POOL:]
     # generate_state(2, uint64): four uint32 words, paired little-endian
-    b = np.array(_hash_consts(_INIT_B, _MULT_B, _POOL + 1),
-                 dtype=np.uint32)[:, None]
+    b = _hash_consts(_INIT_B, _MULT_B, _POOL + 1)
     state = _hashmix(pool, b[:-1], b[1:]).astype(np.uint64)
-    keys = (state[0::2] | (state[1::2] << 32)).T
-    return np.ascontiguousarray(np.broadcast_to(keys, (words.shape[0], 2)))
+    return np.ascontiguousarray((state[0::2] | (state[1::2] << 32)).T)
 
 
 class StreamTable:
@@ -174,34 +162,34 @@ class StreamTable:
     `stream` keys with t and its context. One Philox serves every draw:
     `generators` sets its key to the row's, its counter to 0 and its buffer
     to empty, the state a fresh Philox(SeedSequence(seed, spawn_key=row))
-    starts in. It is mutable, so a table is one thread's. The state setter
-    copies every field and converts Python ints in less than half the time
-    of numpy uint64s, so the state holds Python ints and a call's keys leave
-    the uint64 table through one tolist.
+    starts in. It is mutable, so a table is one thread's. The state holds
+    Python ints, which the state setter converts in less than half the time
+    of numpy uint64s, so a call's keys leave the table through one tolist.
     """
 
     def __init__(self, seed: int, tags, **coords):
-        self.seed, self.tags = seed, list(tags)
-        words = [_words(coords.pop(name, 0), name)
-                 for name in _SPAWN_FIELDS[1:]]
+        self.seed = check_int(seed, "seed", DomainError, 0)
+        self.tags = [_word(tag, "tag") for tag in tags]
+        words = [_words(coords.pop(name, 0), name) for name in _FIELDS]
         if coords:
             raise TypeError(f"no RngContext field {sorted(coords)}")
-        self.reads = np.stack(np.broadcast_arrays(*words), -1).reshape(-1, 6)
-        # int64, so philox_keys names a tag outside 2^32
-        spawn = np.empty((len(self.reads), len(self.tags), 7), dtype=np.int64)
+        try:
+            words = np.broadcast_arrays(*words)
+        except ValueError:
+            shapes = {n: w.shape for n, w in zip(_FIELDS, words) if w.ndim}
+            raise ShapeError(f"fields {shapes} do not broadcast") from None
+        self.reads = np.stack(words, -1).reshape(-1, 6)
+        spawn = np.empty((len(self.reads), len(self.tags), 7), np.uint32)
         spawn[..., 0] = self.tags
         spawn[..., 1:] = self.reads[:, None]
         spawn = spawn.reshape(-1, 7)
-        self._keys = philox_keys(seed, spawn)
-        if len(spawn):
-            # exactness: the vectorized hash must reproduce numpy's
-            row = tuple(spawn[0].tolist())
-            want = np.random.SeedSequence(seed, spawn_key=row) \
+        self._keys = _philox_keys(self.seed, spawn)
+        for row in spawn[:1].tolist():   # exactness: the hash is numpy's
+            want = np.random.SeedSequence(self.seed, spawn_key=row) \
                 .generate_state(2, np.uint64)
             if not np.array_equal(self._keys[0], want):
-                raise RuntimeError(
-                    f"philox_keys {self._keys[0]} != SeedSequence {want} "
-                    f"for seed {seed}, spawn {row}")
+                raise RuntimeError(f"hashed key {self._keys[0]} != {want} "
+                                   f"at seed {self.seed}, spawn {row}")
         self._bitgen = np.random.Philox(0)
         self._gen = np.random.Generator(self._bitgen)
         zero = [0] * 4

@@ -24,7 +24,7 @@ from acimsim.errors import check_int
 from acimsim.macro import adc_readout, majority_vote_readout
 from acimsim.models import engine_forward
 from acimsim.quant import CODE, fake_quantize
-from acimsim.rng import RngContext, StreamTable, philox_keys, stream
+from acimsim.rng import RngContext, StreamTable, stream
 
 
 def _train_on(x, labels):
@@ -259,11 +259,23 @@ PROBES = {
     "stream-float-context-layer": (
         lambda: stream(1, RngContext(layer=1.5), 0), DomainError,
         "layer must be an integer, got 1.5"),
-    # a float spawn word once keyed the stream of its truncation
-    "philox_keys-float-word": (lambda: philox_keys(1, [[0, 2.7]]),
-                               DomainError, "spawn layer "),
+    # a float tag once keyed a table by its truncation; a one-off stream's
+    # tag once raised numpy's errors, and a context field of 2^32 keyed the
+    # split words that a table rejects
+    "StreamTable-float-tag": (lambda: StreamTable(1, [0.5]), DomainError,
+                              "spawn tag "),
     "StreamTable-float-tile": (lambda: StreamTable(1, [0], tile=0.5),
                                DomainError, "spawn tile "),
+    "stream-float-tag": (lambda: stream(1, RngContext(), 1.5), DomainError,
+                         "spawn tag "),
+    "stream-negative-tag": (lambda: stream(1, RngContext(), -1), DomainError,
+                            "spawn tag "),
+    "RngContext-layer-2^32": (lambda: RngContext(layer=2**32), DomainError,
+                              "spawn layer "),
+    # numpy's broadcast ValueError once named no field
+    "StreamTable-fields-do-not-broadcast": (
+        lambda: StreamTable(1, [0], tile=np.arange(2), w_bit=np.arange(3)),
+        ShapeError, r"'tile': \(2,\), 'w_bit': \(3,\)"),
     # the matmul's stream table checks its layer, even when every shift
     # level is digital and the table holds no reads
     **{f"simulate_matmul-{label}-layer-all-digital": (

@@ -222,21 +222,27 @@ def test_matmul_accounting_follows_plan():
 
 def test_zero_depth_matmul_runs_no_cycles():
     # 8b/8b signed at hybrid L=2: the plan has 61 of 64 entries analog, but
-    # with D = 0, or M = 0 (no weight on the array), no tile runs, so no
-    # cycle is counted in either domain; M = 0 once counted its tiles'
+    # with D = 0, M = 0 (no weight on the array) or B = 0 (no activation
+    # row), no tile runs, so no cycle is counted in either domain; M = 0
+    # and B = 0 once counted their tiles'
     mode = EngineMode(hybrid_boundary=2)
+    spec = NoiseSpec(random_sigma=Sigma(0.5), seed=1)
     assert plan_cycles(8, 8, TC, TC, mode).entries.analog.sum() == 61
-    for d, m in ((0, 3), (40, 0)):
-        act = QuantizedTensor(np.ones((2, d), dtype=np.int64),
+    for b, d, m in ((2, 0, 3), (2, 40, 0), (0, 40, 3)):
+        act = QuantizedTensor(np.ones((b, d), dtype=np.int64),
                               QuantParams(1.0, 8, TC))
         w = QuantizedTensor(np.ones((d, m), dtype=np.int64),
                             QuantParams(1.0, 8, TC))
-        res = simulate_matmul(act, w, MacroConfig(16, 5),
-                              NoiseSpec(random_sigma=Sigma(0.5), seed=1),
-                              mode)
-        assert _fields(res) == (0, 0, 0, 0), (d, m)
+        res = simulate_matmul(act, w, MacroConfig(16, 5), spec, mode)
+        assert _fields(res) == (0, 0, 0, 0), (b, d, m)
         assert res.total_cycles == 0 and res.analog_ratio == 1.0
-        assert np.array_equal(res.output, np.zeros((2, m)))
+        assert np.array_equal(res.output, np.zeros((b, m)))
+    # attention with no query: Q K^T has no column, A V no activation row
+    res = simulate_attention(np.ones((0, 8)), np.ones((5, 8)), np.ones((5, 4)),
+                             4, MacroConfig(16, 5), spec, EngineMode())
+    assert _fields(res) == (0, 0, 0, 0)
+    assert res.total_cycles == 0 and res.analog_ratio == 1.0
+    assert res.output.shape == (0, 4)
 
 
 def test_compose_is_field_sum():

@@ -8,7 +8,7 @@ import pytest
 
 from acimsim.errors import DomainError
 from acimsim.rng import (TAG_DATA, TAG_NAT, TAG_NONLIN, TAG_RANDOM, RngContext,
-                         StreamTable, normal, philox_keys, stream)
+                         StreamTable, _philox_keys, normal, stream)
 from streams import table_of
 
 
@@ -87,7 +87,7 @@ def test_philox_keys_match_seed_sequence():
     checked = 0
     for seed in KEY_SEEDS:
         rows = _spawn_rows(gen, 150)
-        keys = philox_keys(seed, rows)
+        keys = _philox_keys(seed, np.array(rows, dtype=np.uint32))
         assert keys.dtype == np.uint64 and keys.shape == (len(rows), 2)
         for row, key in zip(rows, keys):
             want = np.random.SeedSequence(seed, spawn_key=row) \
@@ -95,15 +95,6 @@ def test_philox_keys_match_seed_sequence():
             assert np.array_equal(key, want), (seed, row)
             checked += 1
     assert checked >= 1000
-
-
-def test_philox_keys_short_and_empty_rows():
-    for seed in (0, 5, 2**64 + 1):
-        for row in ((), (3,), (1, 2, 3, 4, 5)):
-            want = np.random.SeedSequence(seed, spawn_key=row) \
-                .generate_state(2, np.uint64)
-            assert np.array_equal(philox_keys(seed, [row])[0], want)
-    assert philox_keys(3, []).shape == (0, 2)
 
 
 def test_stream_table_matches_normal_on_every_row():
@@ -141,15 +132,21 @@ SPAWN_FIELDS = ("tag", "layer", "tile", "w_bit", "act_group", "column",
 @pytest.mark.parametrize("word,field", [(2**32, "tile"), (-1, "layer"),
                                         (2**70, "sample"), (2**32, "tag"),
                                         (2.7, "layer"), (0.5, "column"),
-                                        (1.0, "w_bit")])
+                                        (1.0, "w_bit"), (0.5, "tag"),
+                                        (-1, "tag"),
+                                        pytest.param(np.arange(2), "tag",
+                                                     id="array-tag")])
 def test_philox_keys_rejects_word_outside_uint32(word, field):
-    # a float word once keyed its truncation
+    # one rule checks a table's words and a one-off stream's: a float tag
+    # once keyed a table by its truncation, a one-off stream split a word
+    # above 2^32 into several, and a float or negative tag raised numpy's
+    # errors
     row = [0] * 7
     row[SPAWN_FIELDS.index(field)] = word
     with pytest.raises(DomainError, match=f"spawn {field} "):
-        philox_keys(1, [tuple(row)])
-    with pytest.raises(DomainError, match=f"spawn {field} "):
         StreamTable(1, row[:1], **dict(zip(SPAWN_FIELDS[1:], row[1:])))
+    with pytest.raises(DomainError, match=f"spawn {field} "):
+        stream(1, RngContext(*row[1:]), row[0])
 
 
 @pytest.mark.parametrize("field", SPAWN_FIELDS[1:])
@@ -179,8 +176,9 @@ def test_stream_table_reads_the_broadcast_in_c_order():
 
 
 def test_philox_keys_rejects_negative_seed():
-    with pytest.raises(DomainError, match="seed"):
-        philox_keys(-1, [(0,) * 7])
+    for seed in (-1, 1.5):
+        with pytest.raises(DomainError, match="seed"):
+            StreamTable(seed, [TAG_RANDOM])
 
 
 def _fresh(seed, table, rows, tag, shape):
