@@ -10,9 +10,7 @@ __version__ = "0.1.0"
 
 from .errors import (AcimError, CheckpointError, ConfigError, DataError,
                      DomainError, ShapeError, TrainingError)
-from .macro import (MacroConfig, NoiseSpec, NoiseUnit, Sigma, NOISELESS,
-                    adc_readout, apply_noise, majority_vote_readout,
-                    sigma_to_counts)
+from .macro import MacroConfig, NoiseSpec, NoiseUnit, Sigma, NOISELESS
 from .quant import (QuantParams, QuantizedTensor, Signedness, bit_sparsity,
                     decompose_bits, dequantize, encode_activation_groups,
                     group_layout, quantize)
@@ -26,4 +24,4 @@ from .models import (LinearLayer, Relu, TinyModel, TrainConfig,
                      train)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .rng import RngContext
-from .tensor import Shape2D, im2col, round_half_away
+from .tensor import im2col, round_half_away

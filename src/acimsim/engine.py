@@ -44,7 +44,7 @@ from .quant import (QuantizedTensor, Signedness, check_bits, check_signedness,
                     decompose_bits, encode_activation_groups, group_layout,
                     quantize)
 from .rng import StreamTable
-from .tensor import Shape2D, conv_output_shape, im2col, round_half_away
+from .tensor import conv_output_shape, im2col, round_half_away
 
 _PLAN_DTYPE = [("w_bit", np.int64), ("act_group", np.int64),
                ("sign", np.int64), ("shift", np.int64), ("analog", bool),
@@ -75,6 +75,9 @@ class EngineMode:
 
     def __post_init__(self):
         check_int(self.enc_bits, "enc_bits", ConfigError, 1)
+        if not isinstance(self.voting, (VotingSpec, type(None))):
+            raise ConfigError(f"voting must be a VotingSpec or None, got "
+                              f"{self.voting!r}")
         if self.hybrid_boundary is not None:   # _level_cut checks its range
             check_int(self.hybrid_boundary, "hybrid_boundary", ConfigError,
                       None)
@@ -84,8 +87,8 @@ class EngineMode:
 class CyclePlan:
     """The cycle schedule of one tile, one entry per (w_bit, act_group).
 
-    `entries` is a numpy record array in (w_bit, act_group) order, so group
-    g's entries are every len(layout)-th one, by weight bit. Its fields:
+    `entries` is a numpy structured array in (w_bit, act_group) order, so
+    group g's entries are every len(layout)-th one, by weight bit. Its fields:
     sign (+-1, the 2's-complement MSB factors of both operands), shift
     (weight bit + group shift), analog (False for a hybrid digital entry)
     and oversample (the samples of a voted entry, else 1).
@@ -95,7 +98,7 @@ class CyclePlan:
 
     @property
     def cycles_per_tile(self) -> int:
-        return int(self.entries.oversample.sum())
+        return int(self.entries["oversample"].sum())
 
 
 def _level_cut(shifts: np.ndarray, lvl: int, key: str, levels: str) -> int:
@@ -128,8 +131,6 @@ def plan_cycles(w_bits: int, x_bits: int, x_signedness: Signedness,
     _, g_shift, g_neg = np.array(layout, dtype=np.int64).T
     w_neg = np.zeros(w_bits, dtype=np.int64)
     w_neg[-1] = w_signedness is Signedness.TWOS_COMPLEMENT
-    # filled as a plain array, then viewed: np.rec.fromarrays would import
-    # numpy.rec, which numpy 2 loads lazily
     e = np.empty(w_bits * len(layout), dtype=_PLAN_DTYPE)
     e["w_bit"] = w_bit = np.repeat(np.arange(w_bits), len(layout))
     e["act_group"] = group = np.tile(np.arange(len(layout)), w_bits)
@@ -145,7 +146,7 @@ def plan_cycles(w_bits: int, x_bits: int, x_signedness: Signedness,
         cut = _level_cut(shift[analog], mode.voting.boundary,
                          "voting_boundary", "analog shift levels")
         e["oversample"][analog & (shift >= cut)] = mode.voting.samples
-    return CyclePlan(e.view(np.recarray))
+    return CyclePlan(e)
 
 
 @dataclass
@@ -235,7 +236,8 @@ def _read(vs: list, samples: int, specs: list, cfgs: list, reads,
           table: StreamTable):
     """The one readout of a chunk's ideal levels, vs[p] for point p: yields
     (p, r0, r1, x) per point and run [r0, r1) of axis 1 (macro.runs), x the
-    ADC codes or a vote's code totals, the noise drawn once for all points."""
+    ADC codes or, for a vote, its unrounded counts (total / samples) * step,
+    the noise drawn once for all points."""
     if samples > 1:   # each point's code totals
         vs = majority_vote_readout(vs, samples, specs, cfgs, reads, table)
     else:
@@ -245,7 +247,8 @@ def _read(vs: list, samples: int, specs: list, cfgs: list, reads,
             v = apply_noise(v, spec, cfg, ctxs, draws, buf)
         for r0, r1 in macro.runs(v.shape[1], v[:, :1].size):
             x = v[:, r0:r1]
-            yield p, r0, r1, x if samples > 1 else adc_readout(x, cfg)[0]
+            yield p, r0, r1, ((x / samples) * cfg.lsb_counts if samples > 1
+                              else adc_readout(x, cfg)[0])
 
 
 def simulate_matmul(act: QuantizedTensor, w: QuantizedTensor,
@@ -292,18 +295,16 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
                        mode)
     layout = group_layout(x_bits, x_sign, cfg.enc_bits)
     q_bits = w.params.bits
-    # a plain view, as recarray attribute access runs Python code; column g
-    # of the (w_bit, act_group) grid is group g by weight bit, so a chunk of
-    # it is a slice of the group's level block
-    entries = plan.entries.view(np.ndarray)
-    groups = entries.reshape(q_bits, len(layout)).T
+    # column g of the (w_bit, act_group) grid is group g by weight bit, so a
+    # chunk of it is a slice of the group's level block
+    groups = plan.entries.reshape(q_bits, len(layout)).T
     chunks = [list(_readout_chunks(g["analog"].tolist(),
                                    g["oversample"].tolist(), b * m))
               for g in groups]
     weights = groups["sign"] << groups["shift"]   # int64 [groups, Q]
     tile_starts = range(0, d if b and m else 0, cfg.rows)   # empty: no tile
     tiles = len(tile_starts)
-    # each count accumulated, a count table entry, vote average or digital
+    # each count accumulated, a count table entry, rounded vote or digital
     # level, is at most full_scale_counts, so this bounds every |accum|
     if tiles * cfg.full_scale_counts * int(np.abs(weights).sum()) >= 1 << 63:
         raise ConfigError(
@@ -354,8 +355,7 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
                     if not analog:
                         x = x.astype(np.int64)
                     elif samples > 1:
-                        mac = macro.vote_counts(x, samples, cfgs[p])
-                        x = round_half_away(mac).astype(np.int64)
+                        x = round_half_away(x).astype(np.int64)
                     else:
                         x = luts[p][x]
                     for weight, counts_e in zip(weights[g, lo:hi], x):
@@ -364,7 +364,8 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
             # no view or buffer of this group outlives it into the next
             # group's operands
             blocks = None
-    analog = int(entries["analog"].sum())
+    analog = int(plan.entries["analog"].sum())
+    entries = len(plan.entries)
     results = []
     for p, o in enumerate(owner):
         accum, accums[p] = accums[p], None   # counts go as the output lands
@@ -372,8 +373,8 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
             output=np.multiply(accum, acts[o].params.scale * w.params.scale,
                                out=None if out is None else out[p]),
             tiles=tiles, analog_cycles=tiles * analog,
-            digital_cycles=tiles * (len(entries) - analog),
-            repeat_cycles=tiles * (plan.cycles_per_tile - len(entries))))
+            digital_cycles=tiles * (entries - analog),
+            repeat_cycles=tiles * (plan.cycles_per_tile - entries)))
     return results
 
 
@@ -422,13 +423,13 @@ def simulate_conv2d(act, w, stride: int, padding: int, bits,
     f, c, kh, kw = w.shape
     act_q = quantize(act, x_bits)
     w_q = quantize(w, w_bits, Signedness.TWOS_COMPLEMENT)
-    patches = im2col(act_q.codes, Shape2D(kh, kw), stride, padding)
+    patches = im2col(act_q.codes, kh, kw, stride, padding)
     res = simulate_matmul(
         QuantizedTensor(patches, act_q.params),
         QuantizedTensor(w_q.codes.reshape(f, c * kh * kw).T, w_q.params),
         cfg, spec, mode, layer=layer)
-    out_h, out_w = conv_output_shape(act.shape[1], act.shape[2],
-                                     Shape2D(kh, kw), stride, padding)
+    out_h, out_w = conv_output_shape(act.shape[1], act.shape[2], kh, kw,
+                                     stride, padding)
     res.output = res.output.T.reshape(f, out_h, out_w)
     return res
 

@@ -43,7 +43,15 @@ class Sigma:
     unit: NoiseUnit = NoiseUnit.LSB_RMS
 
     def __post_init__(self):
-        if not math.isfinite(self.value):
+        if not isinstance(self.unit, NoiseUnit):
+            raise DomainError(f"sigma unit must be a NoiseUnit, got "
+                              f"{self.unit!r}")
+        try:
+            finite = math.isfinite(self.value)
+        except TypeError:
+            raise DomainError(f"sigma must be a real number, got "
+                              f"{self.value!r}") from None
+        if not finite:
             raise DomainError(f"sigma must be finite, got {self.value}")
         if self.value < 0:
             raise DomainError(f"sigma must be >= 0, got {self.value}")
@@ -79,7 +87,9 @@ class MacroConfig:
 
     @classmethod
     def at_boundary(cls, rows: int, enc_bits: int = 1) -> "MacroConfig":
-        n_fs = rows * ((1 << enc_bits) - 1)
+        """The macro whose ADC reads every level exactly: 2^adc_bits is the
+        least power of two above full scale."""
+        n_fs = cls(rows, 1, enc_bits).full_scale_counts   # checks both
         return cls(rows, math.ceil(math.log2(n_fs + 1)), enc_bits)
 
 
@@ -99,7 +109,14 @@ class NoiseSpec:
     level_hook: Optional[Callable] = None
 
     def __post_init__(self):
+        for name in ("random_sigma", "nonlin_sigma"):
+            if not isinstance(getattr(self, name), Sigma):
+                raise DomainError(f"{name} must be a Sigma, got "
+                                  f"{getattr(self, name)!r}")
         check_int(self.seed, "seed", DomainError, 0)
+        if self.level_hook is not None and not callable(self.level_hook):
+            raise DomainError(f"level_hook must be callable or None, got "
+                              f"{self.level_hook!r}")
 
     @property
     def silent(self) -> bool:
@@ -226,7 +243,8 @@ def majority_vote_readout(vs: list, samples: int, specs: list, cfgs: list,
     cfgs[p]; the points share one level shape and the draws of `table`,
     keyed with every tag their specs draw (noise_tags). Returns their
     int64 code totals. The vote, total / samples, shrinks the random-noise
-    sigma by about sqrt(samples); vote_counts scales it to counts. `rows`
+    sigma by about sqrt(samples); engine._read scales it to counts, and
+    the engine rounds those to whole counts before it accumulates. `rows`
     holds one read position of `table` per (leading row, sample) pair, in
     that order. They are drawn in runs of samples (runs), each run once for
     every point (one run of every sample reads `rows` as given), and each
@@ -254,9 +272,3 @@ def majority_vote_readout(vs: list, samples: int, specs: list, cfgs: list,
             for s in range(n):
                 total += adc_readout(noisy[:, s], cfg)[0]
     return totals
-
-
-def vote_counts(total, samples: int, cfg: MacroConfig):
-    """A vote's code total in counts, (total / samples) * step, left
-    unrounded so that accumulation keeps the full averaging benefit."""
-    return (total / samples) * cfg.lsb_counts

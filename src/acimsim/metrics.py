@@ -152,8 +152,9 @@ def linearity_sweep(cfg: MacroConfig, spec: NoiseSpec, trials: int,
     sample s of a vote from sample s: one StreamTable keys every (level,
     sample) read, in that order. Runs of rows (macro.runs, `trials` readouts
     a row) are read out by engine._read, as the engine reads a chunk. With
-    samples > 1 each trial is a majority vote and the statistics are taken
-    on the vote before final rounding, which is what accumulation sees.
+    samples > 1 each trial is a majority vote, (total / samples) * step in
+    LSB units, taken before the engine rounds it to whole counts for its
+    int64 accumulate (as the count table rounds a single readout's code).
     """
     check_int(trials, "trials", DomainError, 100)
     check_int(samples, "samples", DomainError, 1)
@@ -169,8 +170,7 @@ def linearity_sweep(cfg: MacroConfig, spec: NoiseSpec, trials: int,
         est = np.empty(batch.shape)
         for _, r0, r1, x in _read([batch], samples, [spec], [cfg],
                                   range(lo * samples, hi * samples), table):
-            # a vote in counts, as the engine forms it, back in LSB units
-            est[:, r0:r1] = x if samples == 1 else macro.vote_counts(
-                x, samples, cfg) / cfg.lsb_counts
+            # a vote's counts, back in LSB units
+            est[:, r0:r1] = x if samples == 1 else x / cfg.lsb_counts
         stats.append((est.mean(axis=1), est.std(axis=1)))
     return LinearitySweep(levels, *(np.concatenate(c) for c in zip(*stats)))

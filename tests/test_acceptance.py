@@ -120,9 +120,9 @@ def test_c03_cycle_accounting():
 
 def test_c04_hybrid_split():
     plan = plan_cycles(8, 8, TC, TC, EngineMode(hybrid_boundary=3))
-    digital = int((~plan.entries.analog).sum())
-    analog_ratio = plan.entries.analog.mean()
-    n_shifts = len(set(plan.entries.shift))
+    digital = int((~plan.entries["analog"]).sum())
+    analog_ratio = plan.entries["analog"].mean()
+    n_shifts = len(set(plan.entries["shift"]))
     gen = np.random.default_rng(3)
     a, w = random_case(gen, 64)
     noisy = NoiseSpec(random_sigma=Sigma(2.0, NoiseUnit.LSB_RMS), seed=11)
@@ -269,7 +269,7 @@ def test_c10_end_to_end_blob_mlp():
                               mode).output
         return float(np.abs(out - clean).mean())
 
-    shift_max = int(plan_cycles(8, 8, U, U, mode).entries.shift.max())
+    shift_max = int(plan_cycles(8, 8, U, U, mode).entries["shift"].max())
     ratio = displaced((7, 7)) / displaced((0, 0))
     d_ok = ratio == float(1 << shift_max)
 

@@ -59,7 +59,7 @@ def _all_digital_matmul(layer):
     """A 4b matmul on _CFG with every shift level digital, at `layer`."""
     q = quantize(np.ones((2, 8)), 4, Signedness.TWOS_COMPLEMENT)
     levels = len(set(plan_cycles(4, 4, q.params.signedness,
-                                 q.params.signedness, _MODE).entries.shift))
+                                 q.params.signedness, _MODE).entries["shift"]))
     return simulate_matmul(q, QuantizedTensor(q.codes.T, q.params), _CFG,
                            NoiseSpec(Sigma(0.5), seed=1),
                            EngineMode(hybrid_boundary=levels), layer=layer)
@@ -276,6 +276,37 @@ PROBES = {
     "StreamTable-fields-do-not-broadcast": (
         lambda: StreamTable(1, [0], tile=np.arange(2), w_bit=np.arange(3)),
         ShapeError, r"'tile': \(2,\), 'w_bit': \(3,\)"),
+    # a string unit once read as LSB (5 "vpp_pct" as 5 counts at
+    # MacroConfig(256, 8), not 12.8), and a string or None value raised a
+    # bare TypeError
+    "Sigma-string-unit": (lambda: Sigma(5.0, "vpp_pct"), DomainError,
+                          "sigma unit must be a NoiseUnit, got 'vpp_pct'"),
+    "Sigma-string-value": (lambda: Sigma("a"), DomainError,
+                           "sigma must be a real number, got 'a'"),
+    "Sigma-none-value": (lambda: Sigma(None), DomainError,
+                         "sigma must be a real number, got None"),
+    # these once raised "math domain error", "negative shift count" and a
+    # bare TypeError
+    "MacroConfig.at_boundary-negative-rows": (
+        lambda: MacroConfig.at_boundary(-5), ConfigError,
+        "rows must be >= 1, got -5"),
+    "MacroConfig.at_boundary-negative-enc_bits": (
+        lambda: MacroConfig.at_boundary(8, -1), ConfigError,
+        "enc_bits must be >= 1, got -1"),
+    "MacroConfig.at_boundary-float-enc_bits": (
+        lambda: MacroConfig.at_boundary(8, 1.5), ConfigError,
+        "enc_bits must be an integer, got 1.5"),
+    # these once passed construction and failed inside simulate_matmul, with
+    # an AttributeError or a bare TypeError
+    "EngineMode-tuple-voting": (
+        lambda: EngineMode(voting=(2, 3)), ConfigError,
+        r"voting must be a VotingSpec or None, got \(2, 3\)"),
+    "NoiseSpec-float-random_sigma": (
+        lambda: NoiseSpec(random_sigma=0.5), DomainError,
+        "random_sigma must be a Sigma, got 0.5"),
+    "NoiseSpec-int-level_hook": (
+        lambda: NoiseSpec(level_hook=5), DomainError,
+        "level_hook must be callable or None, got 5"),
     # the matmul's stream table checks its layer, even when every shift
     # level is digital and the table holds no reads
     **{f"simulate_matmul-{label}-layer-all-digital": (

@@ -51,14 +51,15 @@ def test_plan_bit_serial_8x8():
     plan = plan_cycles(8, 8, TC, TC, SERIAL)
     assert len(plan.entries) == 64
     assert plan.cycles_per_tile == 64
-    assert set(plan.entries.shift) == set(range(15))
-    assert plan.entries.shift.max() == 14
-    assert plan.entries.analog.all()
+    assert set(plan.entries["shift"]) == set(range(15))
+    assert plan.entries["shift"].max() == 14
+    assert plan.entries["analog"].all()
     # sign lands on 2's-complement MSBs; both-MSB cycles multiply back to +1
     for e in plan.entries:
-        want = (-1 if e.w_bit == 7 else 1) * (-1 if e.act_group == 7 else 1)
-        assert e.sign == want
-    assert plan.entries[-1].sign == 1
+        want = ((-1 if e["w_bit"] == 7 else 1)
+                * (-1 if e["act_group"] == 7 else 1))
+        assert e["sign"] == want
+    assert plan.entries[-1]["sign"] == 1
 
 
 def test_plan_grouped_signed_activations():
@@ -76,19 +77,19 @@ def test_plan_y_doubling_halves_groups():
 
 def test_plan_hybrid_split():
     plan = plan_cycles(8, 8, TC, TC, EngineMode(hybrid_boundary=3))
-    digital = [e for e in plan.entries if not e.analog]
+    digital = [e for e in plan.entries if not e["analog"]]
     assert len(digital) == 6
-    assert {e.shift for e in digital} == {12, 13, 14}
-    assert plan.entries.analog.mean() == 58 / 64
-    assert all(e.oversample == 1 for e in digital)
+    assert {e["shift"] for e in digital} == {12, 13, 14}
+    assert plan.entries["analog"].mean() == 58 / 64
+    assert all(e["oversample"] == 1 for e in digital)
 
 
 def test_plan_voting_oversamples_top_shifts():
     mode = EngineMode(voting=VotingSpec(boundary=3, samples=7))
     plan = plan_cycles(8, 8, TC, TC, mode)
-    voted = [e for e in plan.entries if e.oversample == 7]
+    voted = [e for e in plan.entries if e["oversample"] == 7]
     assert len(voted) == 6
-    assert {e.shift for e in voted} == {12, 13, 14}
+    assert {e["shift"] for e in voted} == {12, 13, 14}
     assert plan.cycles_per_tile == 58 + 6 * 7
 
 
@@ -96,10 +97,10 @@ def test_plan_hybrid_then_voting():
     mode = EngineMode(hybrid_boundary=2,
                       voting=VotingSpec(boundary=1, samples=3))
     plan = plan_cycles(8, 8, TC, TC, mode)
-    voted = [e for e in plan.entries if e.oversample == 3]
+    voted = [e for e in plan.entries if e["oversample"] == 3]
     # voting applies to the top *analog* shift after the hybrid split
-    assert {e.shift for e in voted} == {12}
-    assert all(e.analog for e in voted)
+    assert {e["shift"] for e in voted} == {12}
+    assert all(e["analog"] for e in voted)
 
 
 def test_plan_validation():
@@ -128,8 +129,8 @@ def test_plan_reconstructs_scalar_products():
         groups = encode_activation_groups(codes, group_layout(4, TC, y))
         got = np.zeros((16, 16), dtype=np.int64)
         for e in plan.entries:
-            got += (e.sign << e.shift) * np.outer(groups[e.act_group],
-                                                  planes[e.w_bit])
+            got += (e["sign"] << e["shift"]) * np.outer(groups[e["act_group"]],
+                                                  planes[e["w_bit"]])
         assert np.array_equal(got, np.outer(codes, codes))
 
 
@@ -205,7 +206,8 @@ def test_accumulator_bound_is_checked_before_allocating(monkeypatch):
     reach = cfg.full_scale_counts * ((1 << 16) - 1) * (1 + (1 << 8)
                                                        + (1 << 15))
     assert reach == cfg.full_scale_counts * sum(
-        1 << int(s) for s in plan_cycles(16, 16, TC, TC, mode).entries.shift)
+        1 << int(s)
+        for s in plan_cycles(16, 16, TC, TC, mode).entries["shift"])
     edge = ((1 << 63) - 1) // reach   # the most tiles that cannot overflow
 
     def operands(tiles):
@@ -249,7 +251,7 @@ def test_matmul_full_hybrid_ignores_noise():
     act = rand_q(gen, (2, 32), 4, TC)
     w = rand_q(gen, (32, 3), 4, TC)
     plan = plan_cycles(4, 4, TC, TC, SERIAL)
-    levels = len({e.shift for e in plan.entries})
+    levels = len(set(plan.entries["shift"].tolist()))
     mode = EngineMode(hybrid_boundary=levels)
     spec = NoiseSpec(random_sigma=lsb(2.0), seed=99)
     res = simulate_matmul(act, w, MacroConfig(256, 4), spec, mode)
@@ -271,7 +273,7 @@ def test_float32_levels_exact_at_the_2_pow_24_edge():
     w.codes[:, 0] = -1
     plan = plan_cycles(8, 12, U, TC, EngineMode(enc_bits=y))
     mode = EngineMode(enc_bits=y,
-                      hybrid_boundary=len({e.shift for e in plan.entries}))
+                      hybrid_boundary=len(set(plan.entries["shift"].tolist())))
     res = simulate_matmul(act, w, cfg, NOISELESS, mode)
     assert res.analog_ratio == 0.0
     assert res.output[0, 0] == -((1 << 24) - 1)
@@ -298,7 +300,7 @@ def _random_exactness_case(gen):
     x_bits = int(gen.integers(max(2, y), 9))
     x_sgn = (U, TC)[int(gen.integers(2))]
     w_sgn = (U, TC)[int(gen.integers(2))]
-    shifts = len({e.shift for e in plan_cycles(
+    shifts = len({e["shift"] for e in plan_cycles(
         w_bits, x_bits, x_sgn, w_sgn, EngineMode(enc_bits=y)).entries})
     hybrid = None
     if gen.random() < 0.5:
@@ -355,23 +357,24 @@ def _reference_matmul(act, w, cfg, spec, mode, layer):
         rows = slice(start, start + cfg.rows)
         for g, (width, gshift, _) in enumerate(layout):
             a_g = (u_a[:, rows] >> gshift) & ((1 << width) - 1)
-            for e in (e for e in plan.entries if e.act_group == g):
-                levels = a_g @ ((u_w[rows] >> e.w_bit) & 1)
-                if not e.analog:
-                    accum += (e.sign << e.shift) * levels
+            for e in (e for e in plan.entries if e["act_group"] == g):
+                levels = a_g @ ((u_w[rows] >> e["w_bit"]) & 1)
+                if not e["analog"]:
+                    accum += (e["sign"] << e["shift"]) * levels
                     continue
-                ctx = RngContext(layer=layer, tile=t, w_bit=e.w_bit,
+                ctx = RngContext(layer=layer, tile=t, w_bit=e["w_bit"],
                                  act_group=g)
-                if e.oversample > 1:
+                if e["oversample"] > 1:
                     total, = vote_at(
-                        [levels[None]], e.oversample, [spec], [cfg],
-                        [replace(ctx, sample=s) for s in range(e.oversample)])
-                    mac = (total[0] / e.oversample) * cfg.lsb_counts
+                        [levels[None]], e["oversample"], [spec], [cfg],
+                        [replace(ctx, sample=s)
+                         for s in range(e["oversample"])])
+                    mac = (total[0] / e["oversample"]) * cfg.lsb_counts
                 else:
                     _, mac = adc_readout(
                         noise_at(levels[None], spec, cfg, [ctx])[0], cfg)
-                accum += (e.sign << e.shift) * round_half_away(mac).astype(
-                    np.int64)
+                accum += (e["sign"] << e["shift"]) * round_half_away(
+                    mac).astype(np.int64)
     return accum * (act.params.scale * w.params.scale)
 
 
@@ -500,13 +503,13 @@ def test_matmul_any_readout_chunking_gives_same_bytes(monkeypatch):
                            act.params.signedness, w.params.signedness, mode)
         layout = group_layout(act.params.bits, act.params.signedness,
                               cfg.enc_bits)
-        groups = [plan.entries[plan.entries.act_group == g]
+        groups = [plan.entries[plan.entries["act_group"] == g]
                   for g in range(len(layout))]
         elems = act.shape[0] * w.shape[1]
         multi_entry += sum(
             stop - start > 1 for e in groups
             for start, stop, *_ in engine._readout_chunks(
-                e.analog.tolist(), e.oversample.tolist(), elems))
+                e["analog"].tolist(), e["oversample"].tolist(), elems))
     # the default cap does group several entries into one chunk
     assert multi_entry > 100
 
@@ -662,7 +665,7 @@ def test_no_level_block_outlives_its_group(hybrid):
     act, w, cfg = _two_group_layer()
     mode = EngineMode(2, hybrid_boundary=hybrid)
     entries = plan_cycles(4, 3, TC, TC, mode).entries
-    assert hybrid is None or not entries[entries.w_bit == 3].analog.any()
+    assert hybrid is None or not entries[entries["w_bit"] == 3]["analog"].any()
     bound = 2700 * 24 * 8 + 2700 * 4 * 24 * 4 + _WORD_SLICE \
         + 5 * macro._CHUNK_ELEMS * 8
     peak = _traced_peak(lambda: simulate_matmul(act, w, cfg, NOISELESS, mode))
@@ -983,7 +986,7 @@ def test_attention_analog_ratio_weights_total_cycles():
     analog = total = 0
     for x_signedness, tiles in ((TC, 1), (U, 2)):
         entries = plan_cycles(8, 8, x_signedness, TC, mode).entries
-        analog += tiles * sum(e.analog for e in entries)
+        analog += tiles * sum(entries["analog"])
         total += tiles * len(entries)
     assert (analog, total) == (97, 104)
     assert res.total_cycles == total

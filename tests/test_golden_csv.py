@@ -16,8 +16,10 @@ skipped, naming both. The kernel is the one OpenBLAS runs, which its
 DYNAMIC_ARCH build picks for the CPU at load time (OPENBLAS_CORETYPE
 overrides it), not the build target that numpy's build record names.
 The other CSVs come from the integer engine and Philox draws, and are
-checked anywhere. So is VOTED_LINEARITY, the `linearity` CSV of
-`linearity.ini` with majority voting and nonlinear noise switched on.
+checked anywhere. So are VOTED_LINEARITY and VOTING_LINES_LINEARITY,
+the `linearity` CSVs of `linearity.ini` with majority voting switched on,
+with and without nonlinear noise, and VOTED_MATMUL, the output bytes of a
+voted `simulate_matmul`.
 """
 
 import ctypes
@@ -28,6 +30,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from acimsim import (EngineMode, MacroConfig, NoiseSpec, Sigma, Signedness,
+                     VotingSpec, quantize, simulate_matmul)
 from acimsim.cli import main
 from acimsim.report import fmt_value
 
@@ -166,3 +170,45 @@ def test_golden_voted_linearity_csv(tmp_path):
     assert rc == 0
     csv = (tmp_path / "out" / "linearity.csv").read_bytes()
     assert hashlib.sha256(csv).hexdigest() == VOTED_LINEARITY
+
+
+# `linearity.ini` with only its two voting lines switched on, as
+# `sed 's/^; voting_/voting_/'` makes it: 5-sample votes of random noise
+VOTING_LINES_LINEARITY = \
+    "fa83a8cd1938d59ea4de91f37917c65cd31972f5b513a2c0c7e3e5b5b7755bf4"
+
+
+def test_golden_linearity_csv_with_its_voting_lines_on(tmp_path):
+    ini = (CONFIGS / "linearity.ini").read_text()
+    voted = ini.replace("\n; voting_", "\nvoting_")
+    assert voted.count("\nvoting_") == 2
+    config = tmp_path / "voted.ini"
+    config.write_text(voted)
+    rc = main(["linearity", "--config", str(config), "--out",
+               str(tmp_path / "out"), "--threads", "1"])
+    assert rc == 0
+    csv = (tmp_path / "out" / "linearity.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == VOTING_LINES_LINEARITY
+
+
+# a voted matmul: 2 tiles of 32 rows, hybrid L=1 and 3-sample votes of the
+# top 2 analog levels over random and nonlinear noise, its 160 x 128 output
+# levels past the engine's run cap, so a vote draws one sample per run and
+# is read out in runs of rows. Its levels come from float32 GEMMs of small
+# integers, exact on any BLAS kernel.
+VOTED_MATMUL = \
+    "e2d1575a9e3cae49a927b4e7d4ae5c708be4dbbbabf1b706cc628f3e2129aab6"
+
+
+def test_golden_voted_matmul_output():
+    gen = np.random.default_rng(5)
+    act = quantize(gen.standard_normal((160, 40)), 5)
+    w = quantize(gen.standard_normal((40, 128)), 6,
+                 Signedness.TWOS_COMPLEMENT)
+    res = simulate_matmul(
+        act, w, MacroConfig(32, 5),
+        NoiseSpec(Sigma(0.6), Sigma(0.4), seed=11),
+        EngineMode(hybrid_boundary=1, voting=VotingSpec(2, 3)))
+    assert res.repeat_cycles > 0 and res.digital_cycles > 0
+    digest = hashlib.sha256(res.output.tobytes()).hexdigest()
+    assert digest == VOTED_MATMUL

@@ -239,8 +239,9 @@ def test_mixed_mode_grid_equals_every_point_alone(monkeypatch):
         plans = [plan_cycles(8, 8, sign, Signedness.TWOS_COMPLEMENT, mode)
                  .entries for sign in (Signedness.TWOS_COMPLEMENT,
                                        Signedness.UNSIGNED)]
-        assert net.total_cycles == sum(int(e.oversample.sum()) for e in plans)
-        assert net.analog_ratio == (sum(int(e.analog.sum()) for e in plans)
+        assert net.total_cycles == sum(int(e["oversample"].sum())
+                                       for e in plans)
+        assert net.analog_ratio == (sum(int(e["analog"].sum()) for e in plans)
                                     / sum(len(e) for e in plans))
     assert [net.total_cycles for net in nets] == [128] * 4 + [140, 176]
     assert [round(net.analog_ratio, 3) for net in nets] == [

@@ -101,8 +101,8 @@ def check_sigma(acc: dict, nets: dict):
         plans = [plan_cycles(8, 8, sign, Signedness.TWOS_COMPLEMENT,
                              MODES[mode]).entries
                  for sign in (Signedness.TWOS_COMPLEMENT, Signedness.UNSIGNED)]
-        cycles = sum(int(e.oversample.sum()) for e in plans)
-        ratio = sum(int(e.analog.sum()) for e in plans) / sum(
+        cycles = sum(int(e["oversample"].sum()) for e in plans)
+        ratio = sum(int(e["analog"].sum()) for e in plans) / sum(
             len(e) for e in plans)
         assert {(n.total_cycles, n.analog_ratio) for n in runs} == {
             (cycles, ratio)}, mode

@@ -49,13 +49,14 @@ def test_tracer_hooks_count_plan_readouts_and_votes():
     finally:
         tracer.uninstall()
     e = plan_cycles(6, 6, TC, TC, mode).entries
-    assert res.tiles == 3 and (~e.analog).any() and (e.oversample > 1).any()
+    assert res.tiles == 3 and (~e["analog"]).any()
+    assert (e["oversample"] > 1).any()
     metrics = spans.layer_metrics(tracer, ops=1, threads=1)
     assert metrics["macro.readouts"] == (
-        res.tiles * b * m * int(e.oversample[e.analog].sum()))
+        res.tiles * b * m * int(e["oversample"][e["analog"]].sum()))
     agg = tracer.summary()
     assert agg[spans.VOTE]["n"] == (
-        res.tiles * b * m * int((e.oversample > 1).sum()))
+        res.tiles * b * m * int((e["oversample"] > 1).sum()))
     matmul = [s for s in tracer.spans if s[3] == spans.MATMUL]
     assert len(matmul) == 1
     assert matmul[0][spans.COLUMNS.index("n")] == b * d * m * len(e)
@@ -99,8 +100,8 @@ def test_tracer_counts_two_draws_per_analog_readout(monkeypatch):
         finally:
             tracer.uninstall()
         e = plan_cycles(6, 6, TC, TC, mode).entries
-        assert (e.oversample > 1).any() and (~e.analog).any()
-        reads = res.tiles * int(e.oversample[e.analog].sum())
+        assert (e["oversample"] > 1).any() and (~e["analog"]).any()
+        reads = res.tiles * int(e["oversample"][e["analog"]].sum())
         metrics = spans.layer_metrics(tracer, ops=1, threads=1)
         assert metrics["macro.readouts"] == reads * b * m
         assert metrics["rng.draws"] == 2 * reads * b * m

@@ -8,7 +8,7 @@ from acimsim.quant import (CODE, QuantParams, QuantizedTensor, Signedness,
                            bit_sparsity, decompose_bits, dequantize,
                            encode_activation_groups, fake_quantize,
                            group_layout, quantize)
-from acimsim.tensor import Shape2D, im2col
+from acimsim.tensor import im2col
 
 from oracles import (activation_signedness, clamped_codes, recompose_bits,
                      reconstruct_groups, ste_mask)
@@ -101,7 +101,7 @@ CODE_PRODUCERS = {
     "encode_activation_groups": lambda: encode_activation_groups(
         np.arange(-8, 8), group_layout(4, TC, 2)),
     "im2col": lambda: [im2col(quantize(np.ones((2, 4, 4)), 4, U).codes,
-                              Shape2D(3, 3), padding=1)],
+                              3, 3, padding=1)],
 }
 
 

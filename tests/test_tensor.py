@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from acimsim.errors import ShapeError
-from acimsim.tensor import (Shape2D, conv_output_shape, im2col,
-                            round_half_away)
+from acimsim.tensor import conv_output_shape, im2col, round_half_away
 
 from oracles import sign_floor_round
 
@@ -56,15 +55,19 @@ def test_round_half_away_keeps_dtype_and_shape(x):
     assert np.array_equal(got, want)
 
 
-def test_shape2d_validation():
-    assert Shape2D(3, 3).rows == 3
-    with pytest.raises(ShapeError):
-        Shape2D(0, 3)
+def test_im2col_kernel_validation():
+    x = np.zeros((1, 4, 4))
+    assert im2col(x, 3, 2).shape == (6, 6)
+    with pytest.raises(ShapeError, match="kernel rows must be >= 1, got 0"):
+        im2col(x, 0, 3)
+    with pytest.raises(ShapeError,
+                       match="kernel cols must be an integer, got 1.5"):
+        im2col(x, 3, 1.5)
 
 
 def test_im2col_identity_1x1():
     x = np.arange(12.0).reshape(3, 2, 2)
-    cols = im2col(x, Shape2D(1, 1))
+    cols = im2col(x, 1, 1)
     # each output position sees the C-vector at that pixel
     assert cols.shape == (4, 3)
     assert np.array_equal(cols[0], x[:, 0, 0])
@@ -73,7 +76,7 @@ def test_im2col_identity_1x1():
 
 def test_im2col_known_patch():
     x = np.arange(16.0).reshape(1, 4, 4)
-    cols = im2col(x, Shape2D(2, 2))
+    cols = im2col(x, 2, 2)
     assert cols.shape == (9, 4)
     assert np.array_equal(cols[0], [0, 1, 4, 5])
     assert np.array_equal(cols[8], [10, 11, 14, 15])
@@ -81,8 +84,8 @@ def test_im2col_known_patch():
 
 def test_im2col_stride_padding():
     x = np.ones((1, 3, 3))
-    cols = im2col(x, Shape2D(3, 3), stride=2, padding=1)
-    out = conv_output_shape(3, 3, Shape2D(3, 3), 2, 1)
+    cols = im2col(x, 3, 3, stride=2, padding=1)
+    out = conv_output_shape(3, 3, 3, 3, 2, 1)
     assert out == (2, 2)
     assert cols.shape == (4, 9)
     # corner patch: 4 real pixels, 5 zero-padded
@@ -93,7 +96,7 @@ def test_im2col_matches_direct_conv():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(2, 5, 5))
     w = rng.normal(size=(3, 2, 3, 3))
-    cols = im2col(x, Shape2D(3, 3))
+    cols = im2col(x, 3, 3)
     got = (cols @ w.reshape(3, -1).T).T.reshape(3, 3, 3)
     want = np.empty((3, 3, 3))
     for f in range(3):
@@ -106,19 +109,19 @@ def test_im2col_matches_direct_conv():
 def test_im2col_geometry_errors():
     x = np.zeros((1, 2, 2))
     with pytest.raises(ShapeError):
-        im2col(x, Shape2D(3, 3))
+        im2col(x, 3, 3)
     with pytest.raises(ShapeError):
-        im2col(x, Shape2D(1, 1), stride=0)
+        im2col(x, 1, 1, stride=0)
     with pytest.raises(ShapeError):
-        im2col(x, Shape2D(1, 1), padding=-1)
+        im2col(x, 1, 1, padding=-1)
     with pytest.raises(ShapeError):
-        im2col(np.zeros((2, 2)), Shape2D(1, 1))
+        im2col(np.zeros((2, 2)), 1, 1)
 
 
 def _im2col_loop(x, kh, kw, stride, padding):
     # reference lowering: one receptive field per output position, row-major
     c, h, w = x.shape
-    out_h, out_w = conv_output_shape(h, w, Shape2D(kh, kw), stride, padding)
+    out_h, out_w = conv_output_shape(h, w, kh, kw, stride, padding)
     xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
     cols = np.empty((out_h * out_w, c * kh * kw), dtype=x.dtype)
     for i in range(out_h):
@@ -136,7 +139,7 @@ def test_im2col_matches_loop_oracle(stride, padding):
                                        (np.float64, (2, 5, 8), (2, 3)),
                                        (np.int64, (1, 4, 4), (1, 1))]:
         x = gen.integers(-8, 8, size=(c, h, w)).astype(dtype)
-        got = im2col(x, Shape2D(kh, kw), stride, padding)
+        got = im2col(x, kh, kw, stride, padding)
         want = _im2col_loop(x, kh, kw, stride, padding)
         assert got.dtype == x.dtype
         assert got.shape == want.shape

@@ -291,7 +291,7 @@ def test_engine_eval_full_digital_hybrid_ignores_noise():
     model, data = trained_model()
     levels = len(set(plan_cycles(
         8, 8, Signedness.UNSIGNED, Signedness.TWOS_COMPLEMENT, SERIAL
-    ).entries.shift))
+    ).entries["shift"]))
     mode = EngineMode(hybrid_boundary=levels)
     cfg = MacroConfig(256, 4)  # deliberately coarse ADC, never used digitally
     noisy = NoiseSpec(random_sigma=lsb(2.0), seed=5)
@@ -326,8 +326,9 @@ def test_engine_forward_reports_network_ratio():
     cycles, ratio = net.total_cycles, net.analog_ratio
     plans = [plan_cycles(8, 8, s, Signedness.TWOS_COMPLEMENT, mode)
              for s in (Signedness.TWOS_COMPLEMENT, Signedness.UNSIGNED)]
-    analog = sum(int(p.entries.analog.sum()) for p in plans)
+    analog = sum(int(p.entries["analog"].sum()) for p in plans)
     total = sum(p.cycles_per_tile for p in plans)
-    assert plans[0].entries.analog.mean() != plans[1].entries.analog.mean()
+    assert (plans[0].entries["analog"].mean()
+            != plans[1].entries["analog"].mean())
     assert cycles == total
     assert ratio == pytest.approx(analog / total, rel=1e-12)
