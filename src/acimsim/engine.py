@@ -236,8 +236,8 @@ def _read(vs: list, samples: int, specs: list, cfgs: list, reads,
           table: StreamTable):
     """The one readout of a chunk's ideal levels, vs[p] for point p: yields
     (p, r0, r1, x) per point and run [r0, r1) of axis 1 (macro.runs), x the
-    ADC codes or, for a vote, its unrounded counts (total / samples) * step,
-    the noise drawn once for all points."""
+    int64 total of each level's `samples` ADC codes, the noise drawn once
+    for all points from the range of table positions `reads`."""
     if samples > 1:   # each point's code totals
         vs = majority_vote_readout(vs, samples, specs, cfgs, reads, table)
     else:
@@ -247,8 +247,7 @@ def _read(vs: list, samples: int, specs: list, cfgs: list, reads,
             v = apply_noise(v, spec, cfg, ctxs, draws, buf)
         for r0, r1 in macro.runs(v.shape[1], v[:, :1].size):
             x = v[:, r0:r1]
-            yield p, r0, r1, ((x / samples) * cfg.lsb_counts if samples > 1
-                              else adc_readout(x, cfg)[0])
+            yield p, r0, r1, x if samples > 1 else adc_readout(x, cfg)[0]
 
 
 def simulate_matmul(act: QuantizedTensor, w: QuantizedTensor,
@@ -354,7 +353,8 @@ def _simulate_points(acts: list, w: QuantizedTensor, cfgs: list,
                     # x becomes the run's counts: no codes outlive their use
                     if not analog:
                         x = x.astype(np.int64)
-                    elif samples > 1:
+                    elif samples > 1:   # the vote in whole counts
+                        x = (x / samples) * cfgs[p].lsb_counts
                         x = round_half_away(x).astype(np.int64)
                     else:
                         x = luts[p][x]

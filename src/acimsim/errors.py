@@ -1,5 +1,7 @@
-"""Exception hierarchy shared by every module, and the one integer rule."""
+"""Exception hierarchy shared by every module, the one integer rule and the
+one real-number rule."""
 
+import math
 import operator
 
 
@@ -45,3 +47,12 @@ def check_int(value, name: str, error: type, low, high=None) -> int:
     if low is not None and v < low:
         raise error(f"{name} must be >= {low}, got {v}")
     return v
+
+
+def finite_real(value, name: str, error: type) -> bool:
+    """Whether `value`, a real number, is finite; `error` naming `name` when
+    it is no real number (math.isfinite's TypeError: a string, None)."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        raise error(f"{name} must be a real number, got {value!r}") from None

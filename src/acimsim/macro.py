@@ -8,7 +8,6 @@ RngContexts of those positions. A vote takes one level array, noise spec and
 macro per point, as lists, and returns a list.
 """
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -16,7 +15,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, DomainError, ShapeError, check_int
+from .errors import (ConfigError, DomainError, ShapeError, check_int,
+                     finite_real)
 from .tensor import round_half_away
 
 # Engine cap in levels: a float64 temporary of 2^14 levels is 128 KiB.
@@ -46,12 +46,7 @@ class Sigma:
         if not isinstance(self.unit, NoiseUnit):
             raise DomainError(f"sigma unit must be a NoiseUnit, got "
                               f"{self.unit!r}")
-        try:
-            finite = math.isfinite(self.value)
-        except TypeError:
-            raise DomainError(f"sigma must be a real number, got "
-                              f"{self.value!r}") from None
-        if not finite:
+        if not finite_real(self.value, "sigma", DomainError):
             raise DomainError(f"sigma must be finite, got {self.value}")
         if self.value < 0:
             raise DomainError(f"sigma must be >= 0, got {self.value}")
@@ -90,7 +85,11 @@ class MacroConfig:
         """The macro whose ADC reads every level exactly: 2^adc_bits is the
         least power of two above full scale."""
         n_fs = cls(rows, 1, enc_bits).full_scale_counts   # checks both
-        return cls(rows, math.ceil(math.log2(n_fs + 1)), enc_bits)
+        if n_fs >= 1 << 16:
+            raise ConfigError(
+                f"rows={rows}, enc_bits={enc_bits}: full scale {n_fs} needs "
+                f"more than a 16-bit ADC to read every level exactly")
+        return cls(rows, n_fs.bit_length(), enc_bits)
 
 
 @dataclass(frozen=True)
@@ -236,20 +235,19 @@ def count_table(cfg: MacroConfig) -> np.ndarray:
 
 
 def majority_vote_readout(vs: list, samples: int, specs: list, cfgs: list,
-                          rows, table: rng.StreamTable) -> list:
+                          rows: range, table: rng.StreamTable) -> list:
     """Oversample ideal levels and total the ADC codes of the samples.
 
     Point p reads the levels vs[p] with the noise specs[p] and the macro
     cfgs[p]; the points share one level shape and the draws of `table`,
     keyed with every tag their specs draw (noise_tags). Returns their
-    int64 code totals. The vote, total / samples, shrinks the random-noise
-    sigma by about sqrt(samples); engine._read scales it to counts, and
-    the engine rounds those to whole counts before it accumulates. `rows`
-    holds one read position of `table` per (leading row, sample) pair, in
-    that order. They are drawn in runs of samples (runs), each run once for
-    every point (one run of every sample reads `rows` as given), and each
-    sample is read out by one adc_readout call over all rows; draw_noise
-    builds a run's RngContexts once for all points.
+    int64 code totals; the vote, total / samples, shrinks the random-noise
+    sigma by about sqrt(samples). `rows` is the range of read positions of
+    `table`, one per (leading row, sample) pair, in that order. They are
+    drawn in runs of samples (runs), each run once for every point; a run
+    of fewer than all samples holds one leading row (else a ShapeError) and
+    reads rows[s0:s1]. Each sample is read out by one adc_readout call over
+    all rows; draw_noise builds a run's RngContexts once for all points.
     """
     check_int(samples, "samples", DomainError, 1)
     points = [np.asarray(v) for v in vs]
@@ -260,11 +258,12 @@ def majority_vote_readout(vs: list, samples: int, specs: list, cfgs: list,
     totals = [np.zeros(shape, dtype=np.int64) for _ in points]
     for s0, s1 in runs(samples, points[0].size):
         n = s1 - s0
-        run_rows = rows if n == samples else [
-            rows[r * samples + s] for r in range(shape[0])
-            for s in range(s0, s1)]
-        draws, out, ctxs = draw_noise(
-            table, run_rows, (shape[0] * n, *shape[1:]), specs)
+        if n < samples and shape[0] > 1:
+            raise ShapeError(f"a vote of {shape[0]} rows split in runs of "
+                             f"{n} of {samples} samples")
+        run = rows if n == samples else rows[s0:s1]
+        draws, out, ctxs = draw_noise(table, run, (shape[0] * n, *shape[1:]),
+                                      specs)
         for levels, spec, cfg, total in zip(points, specs, cfgs, totals):
             noisy = apply_noise(np.repeat(levels, n, axis=0), spec, cfg,
                                 ctxs, draws, out)

@@ -150,11 +150,10 @@ def linearity_sweep(cfg: MacroConfig, spec: NoiseSpec, trials: int,
     The levels are every level of the full scale, or 257 spread over it.
     Level v is one row of `trials` readouts drawn from RngContext(column=v),
     sample s of a vote from sample s: one StreamTable keys every (level,
-    sample) read, in that order. Runs of rows (macro.runs, `trials` readouts
-    a row) are read out by engine._read, as the engine reads a chunk. With
-    samples > 1 each trial is a majority vote, (total / samples) * step in
-    LSB units, taken before the engine rounds it to whole counts for its
-    int64 accumulate (as the count table rounds a single readout's code).
+    sample) read, in that order. engine._read reads runs of rows (macro.runs,
+    trials x samples readouts a row) as the engine reads a chunk. A trial is
+    its code total over samples: a majority vote, before the engine scales
+    it by the step and rounds it to whole counts to accumulate.
     """
     check_int(trials, "trials", DomainError, 100)
     check_int(samples, "samples", DomainError, 1)
@@ -164,13 +163,10 @@ def linearity_sweep(cfg: MacroConfig, spec: NoiseSpec, trials: int,
     table = rng.StreamTable(spec.seed, noise_tags([spec]),
                             column=levels[:, None], sample=np.arange(samples))
     stats = []
-    for lo, hi in macro.runs(levels.size, trials):
-        batch = np.repeat(levels[lo:hi].astype(np.float64)[:, None], trials,
-                          axis=1)
-        est = np.empty(batch.shape)
-        for _, r0, r1, x in _read([batch], samples, [spec], [cfg],
-                                  range(lo * samples, hi * samples), table):
-            # a vote's counts, back in LSB units
-            est[:, r0:r1] = x if samples == 1 else x / cfg.lsb_counts
+    for lo, hi in macro.runs(levels.size, trials * samples):
+        batch = np.repeat(levels[lo:hi, None], trials, 1).astype(np.float64)
+        totals = _read([batch], samples, [spec], [cfg],
+                       range(lo * samples, hi * samples), table)
+        est = np.hstack([x for *_, x in totals]) / samples
         stats.append((est.mean(axis=1), est.std(axis=1)))
     return LinearitySweep(levels, *(np.concatenate(c) for c in zip(*stats)))

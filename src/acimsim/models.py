@@ -7,7 +7,6 @@ training uses the multiplicative surrogate O * (1 + eta) on each matmul output
 and quantization uses the straight-through estimator.
 """
 
-import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -16,7 +15,7 @@ import numpy as np
 from . import rng
 from .engine import _simulate_grid, softmax
 from .errors import (DataError, DomainError, ShapeError, TrainingError,
-                     check_int)
+                     check_int, finite_real)
 from .quant import Signedness, fake_quantize, quantize
 
 
@@ -52,11 +51,12 @@ class TrainConfig:
     nat_sigma: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.lr) and self.lr > 0):
+        if not (finite_real(self.lr, "lr", TrainingError) and self.lr > 0):
             raise TrainingError(f"lr must be finite and > 0, got {self.lr}")
         check_int(self.epochs, "epochs", TrainingError, 1)
         check_int(self.batch, "batch", TrainingError, 1)
-        if not (math.isfinite(self.nat_sigma) and self.nat_sigma >= 0):
+        if not (finite_real(self.nat_sigma, "nat_sigma", TrainingError)
+                and self.nat_sigma >= 0):
             raise TrainingError(f"nat_sigma must be finite and >= 0, got "
                                 f"{self.nat_sigma}")
         check_int(self.seed, "seed", TrainingError, 0)

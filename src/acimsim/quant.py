@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, check_int
+from .errors import DomainError, check_int, finite_real
 from .tensor import round_half_away
 
 BIT_RANGE = (2, 16)   # the code widths a tensor may be quantized at
@@ -46,8 +46,10 @@ class QuantParams:
     def __post_init__(self):
         check_bits(self.bits, DomainError, "bits")
         check_signedness(self.signedness)
-        if not self.scale > 0:
-            raise DomainError(f"scale must be positive, got {self.scale}")
+        if not (finite_real(self.scale, "scale", DomainError)
+                and self.scale > 0):
+            raise DomainError(f"scale must be finite and > 0, got "
+                              f"{self.scale}")
 
     @property
     def code_min(self) -> int:

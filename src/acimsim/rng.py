@@ -2,9 +2,9 @@
 
 Every stochastic operation derives its draws from (seed, RngContext, source tag)
 alone, so results never depend on call order or worker scheduling. Readout
-noise has one stream address: a read's position in a StreamTable, which keys
-the streams of many RngContexts in one vectorized pass and draws them with
-the bytes of `stream`. RngContexts are built only for level hooks
+noise has one stream address: a range of read positions in a StreamTable,
+which keys the streams of many RngContexts in one vectorized pass and draws
+them with the bytes of `stream`. RngContexts are built only for level hooks
 (StreamTable.contexts) and for one-off `stream` draws.
 """
 
@@ -83,10 +83,10 @@ def stream(seed: int, ctx: RngContext, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def normal(table: "StreamTable", rows, tag: int, shape) -> np.ndarray:
+def normal(table: "StreamTable", rows: range, tag: int, shape) -> np.ndarray:
     """Standard-normal draws of `tag`, C-order over `shape`: row r holds the
-    draws of read position rows[r] of `table`, the bytes of
-    `stream(table.seed, table.contexts([rows[r]])[0], tag)`."""
+    draws of read position rows[r] of `table`, for `rows` a range, the bytes
+    `stream` draws with the seed, tag and RngContext of that position."""
     shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
     if not shape or shape[0] != len(rows):
         raise ShapeError(f"{len(rows)} stream rows for draw shape {shape}")
@@ -198,28 +198,28 @@ class StreamTable:
                        "buffer": zero, "buffer_pos": 4, "has_uint32": 0,
                        "uinteger": 0}
 
-    def contexts(self, rows) -> list:
-        """The RngContext of each read position in `rows`."""
-        return [RngContext(*key) for key in self.reads[rows].tolist()]
+    def _span(self, rows) -> range:
+        """`rows`, which must be a range of this table's read positions."""
+        if not isinstance(rows, range):
+            raise TypeError(f"rows must be a range, got {type(rows)}")
+        every = range(len(self.reads))
+        if rows and not (rows[0] in every and rows[-1] in every):
+            raise IndexError(f"read positions {rows} outside {every}")
+        return rows
 
-    def generators(self, rows, tag: int):
+    def contexts(self, rows: range) -> list:
+        """The RngContext of each read position in the range `rows`."""
+        return [RngContext(*k) for k in self.reads[self._span(rows)].tolist()]
+
+    def generators(self, rows: range, tag: int):
         """The shared generator, set in turn to the start of the stream of
-        `tag` of each read position in `rows`, a range or int sequence."""
+        `tag` of each read position in the range `rows`."""
+        rows = self._span(rows)
         if tag not in self.tags:
             raise KeyError(f"no tag {tag} in this table")
-        # read i, tag j is key row i * len(tags) + j
+        # read i, tag j is key row i * len(tags) + j: a strided slice
         n, j = len(self.tags), self.tags.index(tag)
-        if isinstance(rows, range):   # a strided slice, no index array
-            last = len(self.reads) - 1
-            if rows and not (0 <= rows[0] <= last and 0 <= rows[-1] <= last):
-                raise IndexError(f"read positions {rows} outside the "
-                                 f"table's {len(self.reads)}")
-            keys = self._keys[rows.start * n + j::rows.step * n][:len(rows)]
-        else:
-            rows = np.asarray(rows, dtype=np.intp)
-            if rows.size and rows.min() < 0:   # indexing rejects the rest
-                raise IndexError(f"negative read position {rows.min()}")
-            keys = self._keys[rows * n + j]
+        keys = self._keys[rows.start * n + j::rows.step * n][:len(rows)]
         for key in keys.tolist():
             self._key["key"] = key
             self._bitgen.state = self._state

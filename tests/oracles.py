@@ -135,8 +135,6 @@ def linearity_per_level(cfg, spec, trials, levels, samples=1):
                 noisy = spec.level_hook(np.array(noisy), ctx)
             total = total + pinned_adc(noisy, cfg)[0]
         est = total / samples
-        if samples > 1:   # the vote in counts, as the engine forms it
-            est = (est * cfg.lsb_counts) / cfg.lsb_counts
         mean.append(est.mean())
         sigma.append(est.std())
     return np.array(mean), np.array(sigma)

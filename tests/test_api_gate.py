@@ -296,6 +296,28 @@ PROBES = {
     "MacroConfig.at_boundary-float-enc_bits": (
         lambda: MacroConfig.at_boundary(8, 1.5), ConfigError,
         "enc_bits must be an integer, got 1.5"),
+    # a full scale of 2^16 or more once raised "adc_bits must be in
+    # [1, 16], got 17", naming an argument the caller never passed
+    "MacroConfig.at_boundary-rows-past-16-bit-adc": (
+        lambda: MacroConfig.at_boundary(2**16), ConfigError,
+        "rows=65536, enc_bits=1: full scale 65536 needs more than a 16-bit"),
+    "MacroConfig.at_boundary-enc_bits-past-16-bit-adc": (
+        lambda: MacroConfig.at_boundary(8, 14), ConfigError,
+        "rows=8, enc_bits=14: full scale 131064 needs more than a 16-bit"),
+    # these once raised a bare TypeError from math.isfinite, and an
+    # infinite scale once passed, to dequantize nan and inf with a
+    # RuntimeWarning
+    "TrainConfig-string-lr": (lambda: TrainConfig(lr="0.1"), TrainingError,
+                              "lr must be a real number, got '0.1'"),
+    "TrainConfig-none-nat_sigma": (
+        lambda: TrainConfig(nat_sigma=None), TrainingError,
+        "nat_sigma must be a real number, got None"),
+    "QuantParams-inf-scale": (
+        lambda: QuantParams(math.inf, 8, Signedness.TWOS_COMPLEMENT),
+        DomainError, "scale must be finite and > 0, got inf"),
+    "QuantParams-string-scale": (
+        lambda: QuantParams("a", 8, Signedness.TWOS_COMPLEMENT),
+        DomainError, "scale must be a real number, got 'a'"),
     # these once passed construction and failed inside simulate_matmul, with
     # an AttributeError or a bare TypeError
     "EngineMode-tuple-voting": (

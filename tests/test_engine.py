@@ -1017,6 +1017,28 @@ def test_plan_counts_voting_cycles():
 
 # ------------------------------------------------------------ one readout
 
+def test_read_yields_int64_code_totals():
+    # every analog chunk reads out as integers, each level's total of
+    # `samples` ADC codes: a single readout's code, a vote's code total,
+    # which the engine then scales by the step and rounds to whole counts
+    cfg = MacroConfig(16, 4)   # one count a step: a silent code is its level
+    v = np.random.default_rng(3).integers(0, 17, size=(2, 3, 5)).astype(
+        np.float32)
+    specs = [NoiseSpec(lsb(0.7), seed=2), NoiseSpec(seed=2)]
+    for samples in (1, 3):
+        table = rng.StreamTable(2, [rng.TAG_RANDOM],
+                                w_bit=np.arange(2 * samples))
+        seen = set()
+        for p, r0, r1, x in engine._read([v, v], samples, specs, [cfg] * 2,
+                                         range(2 * samples), table):
+            assert x.dtype == np.int64 and x.shape == (2, r1 - r0, 5)
+            assert 0 <= x.min() and x.max() <= samples * 15
+            if p == 1:   # silent: each total is samples x the level
+                assert np.array_equal(x, samples * v[:, r0:r1])
+            seen.add((p, r0, r1))
+        assert seen == {(0, 0, 3), (1, 0, 3)}
+
+
 def test_read_is_the_one_readout_site():
     # engine._read is the only code outside macro that draws, noises, reads
     # out or votes a chunk's levels; within macro only the vote calls the

@@ -19,7 +19,7 @@ import pytest
 
 from acimsim import engine, macro, rng
 from acimsim.engine import EngineMode, SimLayerResult, VotingSpec, plan_cycles
-from acimsim.errors import ConfigError, DomainError
+from acimsim.errors import ConfigError, DomainError, ShapeError
 from acimsim.macro import MacroConfig, NoiseSpec, NoiseUnit, Sigma
 from acimsim.models import (LinearLayer, Relu, TinyModel, engine_forward,
                             init_mlp)
@@ -344,15 +344,9 @@ def test_hooked_points_share_each_chunks_contexts(monkeypatch):
 def test_vote_reads_range_rows_as_the_list_path_does(monkeypatch, samples):
     # a (1, 4, 3) level block and 2 x 12 levels a run: 2 samples fit one
     # run, which draws `rows` as given, and 5 are split into runs of 2, 2
-    # and 1. Range rows must total and hook as rows listed in reverse order
-    # over a reversed table do, whose draws take the fancy-index path
-    monkeypatch.setattr(macro, "_CHUNK_ELEMS", 24)
-    drawn, draw = [], macro.draw_noise
-
-    def spy(table, rows, shape, specs):
-        drawn.append(rows)
-        return draw(table, rows, shape, specs)
-    monkeypatch.setattr(macro, "draw_noise", spy)
+    # and 1, each the slice of `rows` of its samples. The split vote must
+    # total and hook as the same vote read in one run, from positions 3..
+    # of a table whose first three reads it never draws
     cfgs = [MacroConfig(16, 4), MacroConfig(16, 6)]
 
     def specs():
@@ -360,22 +354,51 @@ def test_vote_reads_range_rows_as_the_list_path_does(monkeypatch, samples):
                 NoiseSpec(Sigma(0.3), seed=11, level_hook=Recorder(-0.5))]
     v = np.random.default_rng(5).integers(0, 17, size=(1, 4, 3)).astype(
         np.float32)
-    ctxs = [rng.RngContext(layer=2, tile=1, w_bit=4, sample=s)
-            for s in range(samples)]
-    tags = macro.noise_tags(specs())
-    by_range, by_list = specs(), specs()
-    got = macro.majority_vote_readout(
-        [v] * 2, samples, by_range, cfgs, range(samples),
-        table_of(11, ctxs, tags))
-    assert isinstance(drawn[0], range) == (samples == 2)
-    want = macro.majority_vote_readout(
-        [v] * 2, samples, by_list, cfgs, list(range(samples))[::-1],
-        table_of(11, ctxs[::-1], tags))
+    ctxs = [rng.RngContext(layer=9, column=c) for c in range(3)] + [
+        rng.RngContext(layer=2, tile=1, w_bit=4, sample=s)
+        for s in range(samples)]
+    table = table_of(11, ctxs, macro.noise_tags(specs()))
+    rows = range(3, 3 + samples)
+    whole, split = specs(), specs()
+    want = macro.majority_vote_readout([v] * 2, samples, whole, cfgs, rows,
+                                       table)
+    drawn, draw = [], macro.draw_noise
+
+    def spy(table, rows, shape, specs):
+        drawn.append(rows)
+        return draw(table, rows, shape, specs)
+    monkeypatch.setattr(macro, "draw_noise", spy)
+    monkeypatch.setattr(macro, "_CHUNK_ELEMS", 24)
+    got = macro.majority_vote_readout([v] * 2, samples, split, cfgs, rows,
+                                      table)
+    assert drawn == ([range(3, 5)] if samples == 2 else [
+        range(3, 5), range(5, 7), range(7, 8)])
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    assert _hook_logs([(None, s, None) for s in by_range]) == _hook_logs(
-        [(None, s, None) for s in by_list])
-    assert [c.sample for c in by_range[0].level_hook.seen] == list(
-        range(samples))
+    assert _hook_logs([(None, s, None) for s in split]) == _hook_logs(
+        [(None, s, None) for s in whole])
+    assert split[0].level_hook.seen == ctxs[3:]
+
+
+def test_vote_split_over_several_rows_raises_shape_error(monkeypatch):
+    # a run of fewer than all samples holds one leading row: on two rows
+    # its reads would not be a range of the table, so it raises before any
+    # draw instead of reading wrong streams
+    monkeypatch.setattr(macro, "_CHUNK_ELEMS", 24)
+    spec, cfg = NoiseSpec(Sigma(0.5), seed=3), MacroConfig(16, 4)
+    table = table_of(3, [rng.RngContext(sample=s) for s in range(6)],
+                     [rng.TAG_RANDOM])
+    with pytest.raises(ShapeError, match="split"):
+        macro.majority_vote_readout([np.zeros((2, 4, 3))], 3, [spec], [cfg],
+                                    range(6), table)
+    # the same two rows in one run of every sample read as they did
+    monkeypatch.setattr(macro, "_CHUNK_ELEMS", 72)
+    total, = macro.majority_vote_readout([np.zeros((2, 4, 3))], 3, [spec],
+                                         [cfg], range(6), table)
+    assert total.shape == (2, 4, 3) and total.dtype == np.int64
+    # a list of positions is no read address
+    with pytest.raises(TypeError, match="rows must be a range"):
+        macro.majority_vote_readout([np.zeros((1, 4, 3))], 3, [spec], [cfg],
+                                    [0, 1, 2], table)
 
 
 def _wide_points(adc_bits: int, m: int, noisy: bool):

@@ -46,7 +46,9 @@ def test_macro_config_arithmetic():
 
 
 def test_at_boundary_is_lossless_minimum():
-    for rows, y in [(256, 1), (256, 4), (64, 2), (100, 3)]:
+    # the last two read full scale 2^16 - 1 with the widest, 16-bit, ADC
+    for rows, y in [(256, 1), (256, 4), (64, 2), (100, 3), (2**16 - 1, 1),
+                    (1, 16)]:
         cfg = MacroConfig.at_boundary(rows, y)
         assert (1 << cfg.adc_bits) >= cfg.full_scale_counts + 1
         assert (1 << (cfg.adc_bits - 1)) < cfg.full_scale_counts + 1

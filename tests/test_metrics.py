@@ -233,8 +233,8 @@ class _LoggingHook:
 @pytest.mark.parametrize("samples", [1, 3])
 def test_linearity_sweep_equals_per_level_loop(samples):
     # blocks of many levels (100 trials), of a few (3000) and of one level
-    # (2^14 + 1) read the bytes of each level alone, and hand a level hook
-    # each level's contexts in sample order
+    # (2^14 + 1), sized by trials x samples, read the bytes of each level
+    # alone, and hand a level hook each level's contexts in sample order
     sigmas = ((lsb(0.8), Sigma(0.0)), (Sigma(0.0), Sigma(2.0, NoiseUnit.VPP_PCT)),
               (lsb(0.8), lsb(1.5)))
     blocks = set()
@@ -255,14 +255,12 @@ def test_linearity_sweep_equals_per_level_loop(samples):
                 continue
             got, want = (s.level_hook.seen for s in specs)
             assert len(got) == len(want) == sweep.levels.size * samples
-            if samples == 1:
-                assert got == want, what
-            for v in sweep.levels:
-                assert ([c for c in got if c.column == v]
-                        == [c for c in want if c.column == v]), what
+            # a run that splits a vote holds one level, so the hook sees
+            # every level's samples in order, level after level
+            assert got == want, what
         blocks.add(min(sweep.levels.size,
-                       max(1, macro._CHUNK_ELEMS // trials)))
-    assert {1, 5, 65, 163} <= blocks
+                       max(1, macro._CHUNK_ELEMS // (trials * samples))))
+    assert blocks == ({1, 5, 65, 163} if samples == 1 else {1, 54})
 
 
 def test_linearity_trials_validation():
